@@ -33,54 +33,40 @@ fleet size.  Event ordering is the kernel's documented total order
 (arrivals before control ticks before finishes at equal timestamps,
 ties by node id), so an :class:`ElasticCluster` run under a static
 policy with the same node count reproduces a
-:class:`~repro.cluster.fleet.Cluster` run request for request.
+:class:`~repro.cluster.fleet.Cluster` run request for request.  The run
+itself is the shared fleet loop (:mod:`repro.autoscale._loop`) with one
+pool that hosts every served model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.autoscale.policies import AutoscalePolicy, ControlObservation
-from repro.autoscale.report import AutoscaleReport, ControlSample, NodeLifetime
+from repro.autoscale._loop import (
+    ACTIVE,
+    DRAINING,
+    FAILED,
+    PROVISIONING,
+    RETIRED,
+    FleetLoop,
+    Pool,
+)
+from repro.autoscale.hetero import PerPoolPolicy
+from repro.autoscale.policies import AutoscalePolicy
+from repro.autoscale.report import AutoscaleReport
 from repro.cluster.node import ClusterNode
 from repro.cluster.router import Router, make_router
-from repro.serving.engine import (
-    POLICIES,
-    FailedRequest,
-    OnlineServingEngine,
-    Request,
-    ServingReport,
-)
+from repro.serving.engine import POLICIES, OnlineServingEngine, Request
+from repro.serving.nodespec import STEPSTONE_NODE
 from repro.sim.failures import FailureTrace
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
-from repro.sim.metrics import BusyWindow, nearest_rank
-from repro.sim.stats import MetricsRecorder
 
 __all__ = ["ElasticCluster", "NodeState"]
-
-# Node lifecycle states.
-PROVISIONING = "provisioning"
-ACTIVE = "active"
-DRAINING = "draining"
-FAILED = "failed"
-RETIRED = "retired"
 
 #: Exposed for introspection/tests.
 NodeState = (PROVISIONING, ACTIVE, DRAINING, FAILED, RETIRED)
 
-
-@dataclass
-class _NodeSlot:
-    """One node plus its lifecycle bookkeeping."""
-
-    node: ClusterNode
-    state: str
-    life: NodeLifetime
-    # Exact busy-time integration per control tick.
-    busy_window: BusyWindow = field(default_factory=BusyWindow)
-    completed_seen: int = 0
-    rejected_seen: int = 0
+#: The one pool an elastic fleet runs as.
+_POOL = "fleet"
 
 
 class ElasticCluster:
@@ -135,16 +121,8 @@ class ElasticCluster:
         self.provision_base_s = provision_base_s
         self.copy_gbps = copy_gbps
         self.max_batch = max_batch
-        # Run-local state, rebuilt by _fresh().
-        self._slots: Dict[int, _NodeSlot] = {}
-        self._next_id = 0
-        self._arrived_window = 0
-        self._kernel: Optional[DiscreteEventKernel] = None
-        self._run_stats: Optional[MetricsRecorder] = None
-        self._obs_spans = None
-        # True while a fast-path run is live: _spawn then equips every
-        # node (including mid-run provisions) with a FastRecorder.
-        self._fast_run = False
+        # The last run's loop (membership queries read it).
+        self._loop: Optional[FleetLoop] = None
 
     # ------------------------------------------------------------------ #
     # Provisioning model
@@ -162,124 +140,11 @@ class ElasticCluster:
         """Spin-up plus weight-copy time for one new node."""
         return self.provision_base_s + self.weight_bytes / (self.copy_gbps * 1e9)
 
-    # ------------------------------------------------------------------ #
-    # Fleet membership
-    # ------------------------------------------------------------------ #
-
-    def _fresh(self) -> None:
-        self._slots = {}
-        self._next_id = 0
-        self._arrived_window = 0
-        self._kernel = DiscreteEventKernel()
-        self._run_stats = None
-        if self.record == "streaming":
-            # One run-wide recorder every node recorder chains to; its
-            # window ring is rolled at each control tick, so a streaming
-            # window query sees exactly the completions of that tick.
-            self._run_stats = MetricsRecorder(record="streaming")
-        self.router.reset()
-        for _ in range(self.initial_nodes):
-            self._spawn(0.0, ready_now=True)
-
-    def _spawn(self, clock: float, ready_now: bool) -> _NodeSlot:
-        nid = self._next_id
-        self._next_id += 1
-        node = ClusterNode(
-            node_id=nid,
-            engine=self.engine,
-            policy=self.policy,
-            models=set(self.models),
-            max_batch=self.max_batch,
-        )
-        if self.record == "streaming":
-            node.report = ServingReport(
-                policy=node.policy,
-                stats=MetricsRecorder(
-                    record="streaming", parent=self._run_stats
-                ),
-            )
-        elif self._fast_run:
-            from repro.sim.fast import FastRecorder
-
-            node.report = ServingReport(policy=node.policy, stats=FastRecorder())
-        node.obs_spans = self._obs_spans
-        life = NodeLifetime(node_id=nid, ordered_s=clock)
-        slot = _NodeSlot(
-            node=node,
-            state=ACTIVE if ready_now else PROVISIONING,
-            life=life,
-        )
-        if ready_now:
-            life.ready_s = clock
-        self._slots[nid] = slot
-        return slot
-
-    def _by_state(self, state: str) -> List[_NodeSlot]:
-        return [s for s in self._slots.values() if s.state == state]
-
-    def _active_nodes(self) -> List[ClusterNode]:
-        return [
-            s.node for nid, s in sorted(self._slots.items()) if s.state == ACTIVE
-        ]
 
     def replicas_for(self, model: str) -> List[ClusterNode]:
-        """Routable (active) nodes, id order — full replication, so every
-        active node hosts every served model."""
-        return self._active_nodes()
-
-    def _retire(self, slot: _NodeSlot, clock: float) -> None:
-        slot.state = RETIRED
-        if slot.life.retired_s is None:
-            slot.life.retired_s = clock
-
-    def _apply_target(self, target: int, clock: float) -> None:
-        """Order, cancel, reactivate, or drain nodes toward ``target``."""
-        owned = self._by_state(ACTIVE) + self._by_state(PROVISIONING)
-        delta = target - len(owned)
-        if delta > 0:
-            # Cheapest capacity first: un-drain nodes still finishing their
-            # backlog (they re-enter routing instantly, no weight copy).
-            draining = sorted(
-                self._by_state(DRAINING), key=lambda s: -s.node.node_id
-            )
-            for slot in draining[:delta]:
-                slot.state = ACTIVE
-                slot.life.drain_s = None
-                delta -= 1
-            for _ in range(delta):
-                self._spawn(clock, ready_now=False)
-                self._kernel.schedule(
-                    clock + self.provision_delay_s,
-                    EventKind.READY,
-                    self._next_id - 1,
-                )
-        elif delta < 0:
-            shed = -delta
-            # Cancel provisioning nodes first (never held traffic), newest
-            # first so the earliest-ordered capacity still arrives.
-            provisioning = sorted(
-                self._by_state(PROVISIONING), key=lambda s: -s.node.node_id
-            )
-            for slot in provisioning[:shed]:
-                self._retire(slot, clock)
-                shed -= 1
-            if shed > 0:
-                # Drain the emptiest active nodes (newest on ties); keep at
-                # least one active node routable at all times.
-                active = sorted(
-                    self._by_state(ACTIVE),
-                    key=lambda s: (s.node.backlog(), -s.node.node_id),
-                )
-                can_drain = max(0, len(active) - 1)
-                for slot in active[: min(shed, can_drain)]:
-                    slot.state = DRAINING
-                    slot.life.drain_s = clock
-                    if slot.node.idle and not slot.node.queue:
-                        self._retire(slot, clock)
-
-    # ------------------------------------------------------------------ #
-    # The simulation
-    # ------------------------------------------------------------------ #
+        """Routable (active) nodes of the last run, id order — full
+        replication, so every active node hosts every served model."""
+        return self._loop.routable(model) if self._loop is not None else []
 
     def run(
         self,
@@ -325,385 +190,35 @@ class ElasticCluster:
             The :class:`~repro.autoscale.report.AutoscaleReport`.
 
         Raises:
-            ValueError: If ``presorted`` without ``horizon_s``.
+            ValueError: If ``presorted`` without a positive, finite
+                ``horizon_s`` (raised before the run touches any state).
         """
-        self._obs_spans = obs.spans if obs is not None else None
-        _fast = None
-        chooser = None
-        if fast:
-            if presorted:
-                fb_reason = "presorted-stream"
-            elif self.record != "full":
-                fb_reason = "streaming-record"
-            elif self._obs_spans is not None:
-                fb_reason = "spans"
-            else:
-                from repro.sim import fast as _fast_mod
-
-                chooser = _fast_mod.make_chooser(self.router, self.replicas_for)
-                if chooser is not None:
-                    _fast = _fast_mod
-                    fb_reason = None
-                else:
-                    fb_reason = "custom-router"
-            if _fast is None:
-                from repro.obs.telemetry import record_fast_fallback
-
-                record_fast_fallback("elastic", fb_reason, obs)
-        self._fast_run = _fast is not None
-        self._fresh()
-        autoscaler.reset()
-        kernel = self._kernel
-        run_stats = self._run_stats
-        if presorted:
-            if horizon_s is None or horizon_s <= 0:
-                raise ValueError("presorted runs need a positive horizon_s")
-            tick_horizon = horizon_s
-            last_arrival = 0.0
-            kernel.preload_stream(
-                Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                for i, r in enumerate(requests)
-            )
-            schedule_ticks = True
-        else:
-            ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-            last_arrival = ordered[-1].arrival_s if ordered else 0.0
-            tick_horizon = last_arrival
-            if _fast is None:
-                kernel.preload(
-                    Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                    for i, r in enumerate(ordered)
+        self._loop = FleetLoop(
+            "elastic",
+            self,
+            {
+                _POOL: Pool(
+                    spec=STEPSTONE_NODE,
+                    hosted=self.models,
+                    min_nodes=self.min_nodes,
+                    max_nodes=self.max_nodes,
+                    initial_nodes=self.initial_nodes,
+                    provision_delay_s=self.provision_delay_s,
                 )
-            schedule_ticks = bool(ordered)
+            },
+        )
         report = AutoscaleReport(
             policy=self.policy,
             autoscaler=autoscaler.name,
             control_interval_s=self.control_interval_s,
-            last_arrival_s=last_arrival,
         )
-        # Control ticks cover the offered window plus one trailing interval
-        # (so the controller can react to the last window of load); an
-        # empty stream needs no controller at all.
-        if schedule_ticks:
-            # Accumulate tick times by repeated addition (not tick *
-            # interval): that is bit-for-bit what the pre-kernel loop
-            # did, and the golden traces pin those exact floats.
-            t_tick = self.control_interval_s
-            tick = 1
-            while t_tick <= tick_horizon + self.control_interval_s:
-                kernel.schedule(t_tick, EventKind.CONTROL, tick)
-                tick += 1
-                t_tick += self.control_interval_s
-        if failures is not None:
-            failures.schedule_on(kernel)
-        state = {
-            "last_service_end": 0.0,
-            "prev_tick_t": 0.0,
-            "last_arrival": last_arrival,
-            "n_dropped": 0,
-        }
-
-        def dispatch(slot: _NodeSlot, now: float) -> None:
-            finish = slot.node.try_dispatch(now)
-            if finish is not None:
-                kernel.schedule(
-                    finish, EventKind.FINISH, slot.node.node_id,
-                    payload=slot.node.epoch,
-                )
-
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            # Drain every arrival at this instant before any other event,
-            # matching the static fleet simulator.
-            touched: Dict[int, _NodeSlot] = {}
-            state["last_arrival"] = now
-            for ev in events:
-                r = ev.payload
-                replicas = self.replicas_for(r.model)
-                if not replicas:
-                    f = FailedRequest(
-                        request=r, failed_at_s=now, reason="unrouted"
-                    )
-                    if run_stats is not None:
-                        run_stats.record_failure(f)
-                        state["n_dropped"] += 1
-                    else:
-                        report.dropped.append(f)
-                    continue
-                node = self.router.route(r, replicas, now)
-                node.enqueue(r)
-                self._arrived_window += 1
-                touched[node.node_id] = self._slots[node.node_id]
-            for nid in sorted(touched):
-                if touched[nid].node.idle:
-                    dispatch(touched[nid], now)
-
-        def on_finishes(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots[ev.entity]
-                if ev.payload != slot.node.epoch:
-                    continue  # batch was lost to a failure; stale event
-                slot.node.finish_batch(now)
-                state["last_service_end"] = now
-                dispatch(slot, now)
-                if (
-                    slot.state == DRAINING
-                    and slot.node.idle
-                    and not slot.node.queue
-                ):
-                    self._retire(slot, now)
-
-        def on_readies(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots[ev.entity]
-                # A node cancelled while provisioning stays retired; its
-                # ready event is stale.
-                if slot.state == PROVISIONING:
-                    slot.state = ACTIVE
-                    slot.life.ready_s = now
-
-        def on_fails(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots.get(ev.entity)
-                if slot is None:
-                    continue
-                if slot.state == ACTIVE:
-                    slot.node.fail(now)
-                    slot.state = FAILED
-                elif slot.state == DRAINING:
-                    # It was leaving anyway; the failure just drops its
-                    # backlog and retires it on the spot.
-                    slot.node.fail(now)
-                    self._retire(slot, now)
-
-        def on_recovers(now: float, events: List[Event]) -> None:
-            for ev in events:
-                slot = self._slots.get(ev.entity)
-                if slot is not None and slot.state == FAILED:
-                    slot.state = ACTIVE
-
-        def on_control(now: float, events: List[Event]) -> None:
-            obs = self._observe(state["prev_tick_t"], now)
-            state["prev_tick_t"] = now
-            desired = autoscaler.desired_nodes(obs)
-            target = max(self.min_nodes, min(self.max_nodes, desired))
-            self._apply_target(target, now)
-            report.samples.append(
-                ControlSample(
-                    t=now,
-                    active=obs.active,
-                    provisioning=obs.provisioning,
-                    draining=obs.draining,
-                    desired=target,
-                    arrivals=obs.arrivals,
-                    completions=obs.completions,
-                    rejections=obs.rejections,
-                    window_p99_s=obs.window_p99_s,
-                    utilization=obs.utilization,
-                    backlog=obs.backlog,
-                    failed=obs.failed,
-                )
-            )
-
-        if _fast is not None:
-            _fast.count_run()
-            route = chooser.route
-            slots = self._slots
-            dropped = report.dropped
-
-            def dispatch_fast(slot: _NodeSlot, now: float) -> bool:
-                finish = slot.node.try_dispatch(now)
-                chooser.invalidate_backlogs()
-                if finish is not None:
-                    kernel.schedule(
-                        finish, EventKind.FINISH, slot.node.node_id,
-                        payload=slot.node.epoch,
-                    )
-                    return True
-                return False
-
-            def on_epoch(now: float, lo: int, hi: int) -> bool:
-                state["last_arrival"] = now
-                if hi - lo == 1:
-                    r = ordered[lo]
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        return False
-                    node.queue.append(r)
-                    self._arrived_window += 1
-                    if not node.in_flight:
-                        return dispatch_fast(slots[node.node_id], now)
-                    return False
-                touched: Dict[int, _NodeSlot] = {}
-                for r in ordered[lo:hi]:
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        continue
-                    node.queue.append(r)
-                    self._arrived_window += 1
-                    touched[node.node_id] = slots[node.node_id]
-                scheduled = False
-                for nid in sorted(touched):
-                    if touched[nid].node.idle and dispatch_fast(
-                        touched[nid], now
-                    ):
-                        scheduled = True
-                return scheduled
-
-            def on_finishes_fast(now: float, events: List[Event]) -> None:
-                for ev in events:
-                    slot = slots[ev.entity]
-                    node = slot.node
-                    if ev.payload != node.epoch:
-                        continue  # batch was lost to a failure; stale event
-                    node.report.stats.record_batch(
-                        node._dispatch_s, now, node.in_flight
-                    )
-                    node.in_flight = []
-                    state["last_service_end"] = now
-                    dispatch_fast(slot, now)
-                    if (
-                        slot.state == DRAINING
-                        and node.idle
-                        and not node.queue
-                    ):
-                        self._retire(slot, now)
-
-            def cold(handler):
-                def wrapped(now: float, events: List[Event]) -> None:
-                    handler(now, events)
-                    chooser.invalidate_all()
-
-                return wrapped
-
-            _fast.drain(
-                kernel,
-                _fast.arrival_times(ordered),
-                on_epoch,
-                {
-                    int(EventKind.FINISH): on_finishes_fast,
-                    int(EventKind.READY): cold(on_readies),
-                    int(EventKind.CONTROL): cold(on_control),
-                    int(EventKind.FAIL): cold(on_fails),
-                    int(EventKind.RECOVER): cold(on_recovers),
-                },
-                profiler=getattr(obs, "profile", None) if obs is not None else None,
-            )
-        else:
-            kernel.run(
-                {
-                    EventKind.ARRIVAL: on_arrivals,
-                    EventKind.FINISH: on_finishes,
-                    EventKind.READY: on_readies,
-                    EventKind.CONTROL: on_control,
-                    EventKind.FAIL: on_fails,
-                    EventKind.RECOVER: on_recovers,
-                },
-                obs=obs,
-            )
-        # The serving horizon excludes trailing control ticks (controller
-        # bookkeeping, not service) — a static-policy run matches the
-        # static fleet's sim_end exactly.  Anything still draining,
-        # provisioning, or failed retires here.
-        last_arrival = state["last_arrival"]
-        report.last_arrival_s = last_arrival
-        sim_end = max(state["last_service_end"], last_arrival)
-        for slot in self._slots.values():
-            if slot.state != RETIRED:
-                self._retire(slot, sim_end)
-        report.sim_end_s = sim_end
-        kernel.finalize(report)
-        report.n_dropped = state["n_dropped"]
-        report.stats = run_stats
-        for nid, slot in sorted(self._slots.items()):
-            slot.node.report.sim_end_s = sim_end
-            report.node_reports[nid] = slot.node.report
-            report.lifetimes[nid] = slot.life
-            report.node_busy_s[nid] = slot.node.busy_s
-        if obs is not None and obs.telemetry is not None:
-            obs.telemetry.record_counts(
-                "elastic",
-                served=report.served,
-                rejected=report.rejected_count,
-                failed=report.failed_count,
-            )
-        return report
-
-    def _observe(self, t0: float, t1: float) -> ControlObservation:
-        """Windowed fleet observation over ``(t0, t1]`` (exact busy time)."""
-        interval = t1 - t0
-        active = self._by_state(ACTIVE)
-        provisioning = self._by_state(PROVISIONING)
-        draining = self._by_state(DRAINING)
-        streaming = self._run_stats is not None
-        window_lats: List[float] = []
-        completions = 0
-        rejections = 0
-        busy_window = 0.0
-        backlog = 0
-        for slot in self._slots.values():
-            rep = slot.node.report
-            served_now = rep.served
-            if streaming:
-                completions += served_now - slot.completed_seen
-            else:
-                new_lats = rep.stats.new_latencies(slot.completed_seen)
-                completions += len(new_lats)
-                window_lats.extend(new_lats)
-            slot.completed_seen = served_now
-            rejections += rep.rejected_count - slot.rejected_seen
-            slot.rejected_seen = rep.rejected_count
-            busy_window += slot.busy_window.observe(
-                slot.node.busy_s,
-                slot.node.busy_until,
-                bool(slot.node.in_flight),
-                t1,
-            )
-            if slot.state not in (RETIRED, FAILED):
-                backlog += slot.node.backlog()
-        n_active = len(active)
-        # The numerator sums busy time across every slot (draining nodes
-        # keep serving their backlog), so the denominator must count the
-        # serving set — active plus draining — or every scale-down tick
-        # would read as a saturated fleet.  Approximate across mid-window
-        # membership changes; the clamp keeps it a fraction.
-        n_serving = n_active + len(draining)
-        util = 0.0
-        if interval > 0 and n_serving:
-            util = max(0.0, min(1.0, busy_window / (interval * n_serving)))
-        window_lats.sort()
-        if streaming:
-            # The run recorder's open window holds exactly the
-            # completions since the last tick (CONTROL fires before
-            # FINISH at equal instants, matching the full-mode
-            # "new completions since last tick" semantics); read its
-            # p99, then roll so the next tick starts a fresh window.
-            window_p99 = self._run_stats.window_percentile(99, t0, t1)
-            self._run_stats.roll_window(t1)
-        else:
-            window_p99 = nearest_rank(window_lats, 99)
-        obs = ControlObservation(
-            t=t1,
-            interval_s=interval,
-            active=n_active,
-            provisioning=len(provisioning),
-            draining=len(draining),
-            arrivals=self._arrived_window,
-            completions=completions,
-            rejections=rejections,
-            window_p99_s=window_p99,
-            utilization=util,
-            backlog=backlog,
-            failed=len(self._by_state(FAILED)),
+        return self._loop.run(
+            report,
+            requests,
+            PerPoolPolicy({_POOL: autoscaler}),
+            failures=failures,
+            obs=obs,
+            fast=fast,
+            presorted=presorted,
+            horizon_s=horizon_s,
         )
-        self._arrived_window = 0
-        return obs

@@ -7,7 +7,9 @@ instances that batch and serve locally.  The simulation is a deterministic
 discrete-event loop over two event kinds: request arrivals and
 node-batch-finish events; at equal timestamps arrivals are processed first
 (matching the single-node engine, which drains arrivals up to the clock
-before dispatching), and finish events tie-break by node id.
+before dispatching), and finish events tie-break by node id.  That loop is
+the one the elastic fleets run (:mod:`repro.autoscale._loop`), configured
+as a static fleet: no control ticks, replicas in placement order.
 
 A one-node cluster reproduces :meth:`OnlineServingEngine.run` exactly —
 the fleet layer adds routing and placement, not new service semantics.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import (
@@ -40,51 +42,23 @@ from repro.serving.engine import (
 )
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.sim.failures import FailureTrace
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 from repro.sim.metrics import nearest_rank, window_latencies
 from repro.sim.stats import MetricsRecorder, RecordingModeError
 
 __all__ = ["Cluster", "ClusterReport"]
 
 
-@dataclass
-class ClusterReport:
-    """Fleet-level outcome of one simulated run.
+class _FleetReport:
+    """Fleet-wide serving answers shared by the fleet reports.
 
-    In ``record="full"`` runs (the default) every per-request record is
-    reachable through the node reports and fleet-wide statistics are
-    exact.  In ``record="streaming"`` runs the ``stats`` recorder — the
-    parent every node recorder chained to — answers fleet-wide
-    percentiles from sketches, and the per-request list properties raise
-    :class:`~repro.sim.stats.RecordingModeError`.
+    Aggregates the per-node :class:`~repro.serving.engine.ServingReport`\\ s
+    (``_nodes()``) plus the unrouted-arrival drops.  Subclasses are
+    dataclasses carrying ``node_reports``, ``dropped``, ``n_dropped``,
+    ``stats``, ``last_arrival_s`` and ``_lat_memo``.
     """
 
-    policy: str
-    router: str
-    node_reports: List[ServingReport]
-    sim_end_s: float = 0.0
-    #: Arrival-window end: when the last request arrived (offered load
-    #: stops here; the remaining simulated time only drains backlog).
-    last_arrival_s: float = 0.0
-    #: Per-node busy seconds (service time integrated over the run).
-    node_busy_s: List[float] = field(default_factory=list)
-    #: Hardware spec per node — present for every ``Cluster.run`` report;
-    #: ``None`` only on hand-built reports, where cost is undefined.
-    specs: Optional[List[NodeSpec]] = None
-    #: Requests that arrived while every replica of their model was down
-    #: (failure injection); empty without a failure trace, and kept only
-    #: in full-recording runs (streaming runs count them instead).
-    dropped: List[FailedRequest] = field(default_factory=list)
-    #: Unrouted-arrival drops counted without records (streaming runs).
-    n_dropped: int = 0
-    #: Kernel events this run processed (simulator diagnostics).
-    events_processed: int = 0
-    #: The fleet-level recorder of a streaming run (``None`` on full runs,
-    #: where exact statistics come from the per-request records instead).
-    stats: Optional[MetricsRecorder] = None
-    _lat_memo: tuple = field(
-        default=(-1, ()), repr=False, compare=False
-    )
+    def _nodes(self) -> Iterable[ServingReport]:
+        return self.node_reports
 
     @property
     def record(self) -> str:
@@ -101,22 +75,20 @@ class ClusterReport:
     def completed(self) -> List[CompletedRequest]:
         """Every completed request across the fleet (node order;
         ``record="full"`` only)."""
-        return [c for rep in self.node_reports for c in rep.completed]
+        return [c for rep in self._nodes() for c in rep.completed]
 
     @property
     def rejected(self) -> List[RejectedRequest]:
         """Every admission-rejected request across the fleet (node order;
         ``record="full"`` only)."""
-        return [r for rep in self.node_reports for r in rep.rejected]
+        return [r for rep in self._nodes() for r in rep.rejected]
 
     @property
     def failed(self) -> List[FailedRequest]:
         """Every request lost to node failures: queue drops and in-flight
         losses (node order), plus arrivals no surviving replica could
         take (``record="full"`` only)."""
-        return [
-            f for rep in self.node_reports for f in rep.failed
-        ] + self.dropped
+        return [f for rep in self._nodes() for f in rep.failed] + self.dropped
 
     @property
     def dropped_count(self) -> int:
@@ -126,25 +98,31 @@ class ClusterReport:
     @property
     def rejected_count(self) -> int:
         """Fleet-wide admission rejections (works in both modes)."""
-        return sum(rep.rejected_count for rep in self.node_reports)
+        return sum(rep.rejected_count for rep in self._nodes())
 
     @property
     def failed_count(self) -> int:
         """Fleet-wide failure losses, unrouted drops included (both modes)."""
-        return (
-            sum(rep.failed_count for rep in self.node_reports)
-            + self.dropped_count
-        )
+        return sum(rep.failed_count for rep in self._nodes()) + self.dropped_count
 
     @property
     def offered(self) -> int:
         """Total requests the fleet saw (completed + rejected + failed)."""
-        return sum(rep.offered for rep in self.node_reports) + self.dropped_count
+        return sum(rep.offered for rep in self._nodes()) + self.dropped_count
 
     @property
     def served(self) -> int:
         """Total completed requests."""
-        return sum(rep.served for rep in self.node_reports)
+        return sum(rep.served for rep in self._nodes())
+
+    @property
+    def availability(self) -> float:
+        """Fraction of offered requests that completed — the goodput
+        share surviving admission shedding *and* failure losses (1.0 for
+        an empty run)."""
+        if self.offered == 0:
+            return 1.0
+        return self.served / self.offered
 
     @property
     def latencies_s(self) -> List[float]:
@@ -159,10 +137,7 @@ class ClusterReport:
         # Memo key covers every node list's mutation counter, so a
         # same-length in-place edit still invalidates (the bug the
         # len-only memo had).
-        key = (
-            self.served,
-            sum(rep.completed.version for rep in self.node_reports),
-        )
+        key = (self.served, sum(rep.completed.version for rep in self._nodes()))
         version, memo = self._lat_memo
         if version != key:
             memo = sorted(c.latency_s for c in self.completed)
@@ -203,13 +178,6 @@ class ClusterReport:
         return self.latency_percentile(99)
 
     @property
-    def throughput_rps(self) -> float:
-        """Completions per simulated second, drain included."""
-        if self.sim_end_s <= 0:
-            return 0.0
-        return self.served / self.sim_end_s
-
-    @property
     def goodput_rps(self) -> float:
         """Sustained rate: completions per second of the offered arrival
         window.  Under overload with SLO shedding this is the comparable
@@ -220,14 +188,52 @@ class ClusterReport:
             return 0.0
         return self.served / self.last_arrival_s
 
+
+@dataclass
+class ClusterReport(_FleetReport):
+    """Fleet-level outcome of one simulated run.
+
+    In ``record="full"`` runs (the default) every per-request record is
+    reachable through the node reports and fleet-wide statistics are
+    exact.  In ``record="streaming"`` runs the ``stats`` recorder — the
+    parent every node recorder chained to — answers fleet-wide
+    percentiles from sketches, and the per-request list properties raise
+    :class:`~repro.sim.stats.RecordingModeError`.
+    """
+
+    policy: str
+    router: str
+    node_reports: List[ServingReport]
+    sim_end_s: float = 0.0
+    #: Arrival-window end: when the last request arrived (offered load
+    #: stops here; the remaining simulated time only drains backlog).
+    last_arrival_s: float = 0.0
+    #: Per-node busy seconds (service time integrated over the run).
+    node_busy_s: List[float] = field(default_factory=list)
+    #: Hardware spec per node — present for every ``Cluster.run`` report;
+    #: ``None`` only on hand-built reports, where cost is undefined.
+    specs: Optional[List[NodeSpec]] = None
+    #: Requests that arrived while every replica of their model was down
+    #: (failure injection); empty without a failure trace, and kept only
+    #: in full-recording runs (streaming runs count them instead).
+    dropped: List[FailedRequest] = field(default_factory=list)
+    #: Unrouted-arrival drops counted without records (streaming runs).
+    n_dropped: int = 0
+    #: Kernel events this run processed (simulator diagnostics).
+    events_processed: int = 0
+    #: The fleet-level recorder of a streaming run (``None`` on full runs,
+    #: where exact statistics come from the per-request records instead).
+    stats: Optional[MetricsRecorder] = None
+    _lat_memo: tuple = field(
+        default=(-1, ()), repr=False, compare=False
+    )
+
     @property
-    def availability(self) -> float:
-        """Fraction of offered requests that completed — the goodput
-        share surviving admission shedding *and* failure losses (1.0 for
-        an empty run)."""
-        if self.offered == 0:
-            return 1.0
-        return self.served / self.offered
+    def throughput_rps(self) -> float:
+        """Completions per simulated second, drain included."""
+        if self.sim_end_s <= 0:
+            return 0.0
+        return self.served / self.sim_end_s
 
     @property
     def mean_utilization(self) -> float:
@@ -377,29 +383,6 @@ class Cluster:
         """Nodes hosting ``model``, placement order (primary first)."""
         return [self.nodes[nid] for nid in self.placement.nodes_for(model)]
 
-    def _fresh_nodes(
-        self,
-        fleet_stats: Optional[MetricsRecorder] = None,
-        fast: bool = False,
-    ) -> None:
-        for node in self.nodes:
-            node.queue = []
-            node.in_flight = []
-            node.busy_until = 0.0
-            node.busy_s = 0.0
-            node.epoch = 0
-            if fast:
-                from repro.sim.fast import FastRecorder
-
-                stats: MetricsRecorder = FastRecorder()
-            else:
-                stats = MetricsRecorder(
-                    record=self.record,
-                    window_s=self.window_s,
-                    parent=fleet_stats,
-                )
-            node.report = ServingReport(policy=node.policy, stats=stats)
-
     def run(
         self,
         requests: Iterable[Request],
@@ -428,225 +411,23 @@ class Cluster:
         Returns:
             The fleet-wide :class:`ClusterReport`.
         """
-        spans = obs.spans if obs is not None else None
-        down: set = set()
-        _fast = None
-        chooser = None
-        if fast:
-            if self.record != "full":
-                fb_reason = "streaming-record"
-            elif spans is not None:
-                fb_reason = "spans"
-            else:
-                from repro.sim import fast as _fast_mod
+        # The fleet loop lives with the elastic fleets it also drives;
+        # importing it at module scope would make repro.cluster and
+        # repro.autoscale import each other.
+        from repro.autoscale._loop import FleetLoop, Pool
 
-                chooser = _fast_mod.make_chooser(
-                    self.router,
-                    lambda m: [
-                        n for n in self.replicas_for(m) if n.node_id not in down
-                    ],
-                )
-                if chooser is not None:
-                    _fast = _fast_mod
-                    fb_reason = None
-                else:
-                    fb_reason = "custom-router"
-            if _fast is None:
-                from repro.obs.telemetry import record_fast_fallback
-
-                record_fast_fallback("cluster", fb_reason, obs)
-        fleet_stats: Optional[MetricsRecorder] = None
-        if self.record == "streaming":
-            fleet_stats = MetricsRecorder(
-                record="streaming", window_s=self.window_s
-            )
-        self._fresh_nodes(fleet_stats, fast=_fast is not None)
-        for node in self.nodes:
-            node.obs_spans = spans
-        self.router.reset()
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        last_arrival = ordered[-1].arrival_s if ordered else 0.0
-        kernel = DiscreteEventKernel()
-        if _fast is None:
-            kernel.preload(
-                Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                for i, r in enumerate(ordered)
-            )
-        if failures is not None:
-            failures.schedule_on(kernel)
-        dropped: List[FailedRequest] = []
-        n_dropped = 0
-        last_service_end = 0.0
-
-        def dispatch(node: ClusterNode, now: float) -> None:
-            finish = node.try_dispatch(now)
-            if finish is not None:
-                kernel.schedule(
-                    finish, EventKind.FINISH, node.node_id, payload=node.epoch
-                )
-
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            # All arrivals at this instant route before any dispatch, so
-            # simultaneous requests can share a batch (single-node engine
-            # semantics) and routing sees them in stream order.
-            nonlocal n_dropped
-            touched: Dict[int, ClusterNode] = {}
-            for ev in events:
-                r = ev.payload
-                replicas = [
-                    n
-                    for n in self.replicas_for(r.model)
-                    if n.node_id not in down
-                ]
-                if not replicas:
-                    f = FailedRequest(
-                        request=r, failed_at_s=now, reason="unrouted"
-                    )
-                    if fleet_stats is not None:
-                        fleet_stats.record_failure(f)
-                        n_dropped += 1
-                    else:
-                        dropped.append(f)
-                    continue
-                node = self.router.route(r, replicas, now)
-                node.enqueue(r)
-                touched[node.node_id] = node
-            for nid in sorted(touched):
-                if touched[nid].idle:
-                    dispatch(touched[nid], now)
-
-        def on_finishes(now: float, events: List[Event]) -> None:
-            nonlocal last_service_end
-            for ev in events:
-                node = self.nodes[ev.entity]
-                if ev.payload != node.epoch:
-                    continue  # batch was lost to a failure; stale event
-                node.finish_batch(now)
-                last_service_end = now
-                dispatch(node, now)
-
-        def on_fails(now: float, events: List[Event]) -> None:
-            for ev in events:
-                nid = ev.entity
-                if nid >= len(self.nodes) or nid in down:
-                    continue
-                down.add(nid)
-                self.nodes[nid].fail(now)
-
-        def on_recovers(now: float, events: List[Event]) -> None:
-            down.difference_update(ev.entity for ev in events)
-
-        if _fast is not None:
-            _fast.count_run()
-            route = chooser.route
-
-            def dispatch_fast(node: ClusterNode, now: float) -> bool:
-                finish = node.try_dispatch(now)
-                chooser.invalidate_backlogs()
-                if finish is not None:
-                    kernel.schedule(
-                        finish, EventKind.FINISH, node.node_id,
-                        payload=node.epoch,
-                    )
-                    return True
-                return False
-
-            def on_epoch(now: float, lo: int, hi: int) -> bool:
-                if hi - lo == 1:
-                    r = ordered[lo]
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        return False
-                    node.queue.append(r)
-                    if not node.in_flight:
-                        return dispatch_fast(node, now)
-                    return False
-                touched: Dict[int, ClusterNode] = {}
-                for r in ordered[lo:hi]:
-                    node = route(r, now)
-                    if node is None:
-                        dropped.append(
-                            FailedRequest(
-                                request=r, failed_at_s=now, reason="unrouted"
-                            )
-                        )
-                        continue
-                    node.queue.append(r)
-                    touched[node.node_id] = node
-                scheduled = False
-                for nid in sorted(touched):
-                    if touched[nid].idle and dispatch_fast(touched[nid], now):
-                        scheduled = True
-                return scheduled
-
-            def on_finishes_fast(now: float, events: List[Event]) -> None:
-                nonlocal last_service_end
-                for ev in events:
-                    node = self.nodes[ev.entity]
-                    if ev.payload != node.epoch:
-                        continue  # batch was lost to a failure; stale event
-                    node.report.stats.record_batch(
-                        node._dispatch_s, now, node.in_flight
-                    )
-                    node.in_flight = []
-                    last_service_end = now
-                    dispatch_fast(node, now)
-
-            def on_fails_fast(now: float, events: List[Event]) -> None:
-                on_fails(now, events)
-                chooser.invalidate_all()
-
-            def on_recovers_fast(now: float, events: List[Event]) -> None:
-                on_recovers(now, events)
-                chooser.invalidate_all()
-
-            _fast.drain(
-                kernel,
-                _fast.arrival_times(ordered),
-                on_epoch,
-                {
-                    int(EventKind.FINISH): on_finishes_fast,
-                    int(EventKind.FAIL): on_fails_fast,
-                    int(EventKind.RECOVER): on_recovers_fast,
-                },
-                profiler=getattr(obs, "profile", None) if obs is not None else None,
-            )
-        else:
-            kernel.run(
-                {
-                    EventKind.ARRIVAL: on_arrivals,
-                    EventKind.FINISH: on_finishes,
-                    EventKind.FAIL: on_fails,
-                    EventKind.RECOVER: on_recovers,
-                },
-                obs=obs,
-            )
-        sim_end = max(last_service_end, last_arrival)
+        loop = FleetLoop(
+            "cluster",
+            self,
+            {"fleet": Pool(spec=STEPSTONE_NODE, hosted=[])},
+            window_s=self.window_s,
+            nodes=self.nodes,
+            placement=self.placement,
+        )
         report = ClusterReport(
             policy=self.policy,
             router=self.router.name,
-            node_reports=[node.report for node in self.nodes],
-            sim_end_s=sim_end,
-            last_arrival_s=last_arrival,
-            node_busy_s=[node.busy_s for node in self.nodes],
+            node_reports=[],
             specs=list(self.specs),
-            dropped=dropped,
-            n_dropped=n_dropped,
-            stats=fleet_stats,
         )
-        kernel.finalize(report)
-        for rep in report.node_reports:
-            rep.sim_end_s = sim_end
-        if obs is not None and obs.telemetry is not None:
-            obs.telemetry.record_counts(
-                "cluster",
-                served=report.served,
-                rejected=report.rejected_count,
-                failed=report.failed_count,
-            )
-        return report
+        return loop.run(report, requests, failures=failures, obs=obs, fast=fast)

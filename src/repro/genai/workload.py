@@ -21,6 +21,7 @@ Streams come in two shapes:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -49,8 +50,11 @@ class GenRequest:
     max_new_tokens: int
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                f"arrival time must be finite and non-negative, got {self.arrival_s}"
+            )
         if self.prompt_tokens <= 0:
             raise ValueError("prompt_tokens must be positive")
         if self.max_new_tokens <= 0:

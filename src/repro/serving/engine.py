@@ -84,10 +84,15 @@ class Request:
     slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError("arrival time must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("SLO must be positive when given")
+        # Written so NaN fails too: every comparison with NaN is False.
+        if not 0 <= self.arrival_s < math.inf:
+            raise ValueError(
+                f"arrival time must be finite and non-negative, got {self.arrival_s}"
+            )
+        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
+            raise ValueError(
+                f"SLO must be positive and finite when given, got {self.slo_s}"
+            )
 
 
 @dataclass(frozen=True)

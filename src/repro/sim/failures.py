@@ -24,6 +24,7 @@ textbook availability model.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
@@ -44,8 +45,10 @@ class Outage:
     def __post_init__(self) -> None:
         if self.node_id < 0:
             raise ValueError("node_id must be non-negative")
-        if not 0.0 <= self.start_s < self.end_s:
-            raise ValueError("need 0 <= start_s < end_s")
+        if not 0.0 <= self.start_s < self.end_s < math.inf:
+            # An outage that never recovers within the run just ends past
+            # its horizon; an infinite end would put inf on the clock.
+            raise ValueError("need 0 <= start_s < end_s, all finite")
 
     @property
     def duration_s(self) -> float:

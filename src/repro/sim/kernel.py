@@ -61,6 +61,7 @@ total order at deque-head cost.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from enum import IntEnum
 from typing import Any, Callable, Deque, Iterable, List, Mapping, NamedTuple
@@ -136,6 +137,13 @@ class SimClock:
         self.now = t
 
 
+def _not_finite(t: float) -> ValueError:
+    """The error for a NaN or infinite event time.  Callers test
+    ``not -inf < t < inf``: NaN compares False both ways, so it would
+    slip past every ordering check and corrupt the heap."""
+    return ValueError(f"event time must be finite, got {t}")
+
+
 #: A handler receives ``(now, events)`` — every event of one kind firing
 #: at one instant, in entity order.
 Handler = Callable[[float, List[Event]], None]
@@ -204,11 +212,15 @@ class DiscreteEventKernel:
                 also non-decreasing relative to any earlier preload.
 
         Raises:
-            ValueError: If the events are out of order.
+            ValueError: If the events are out of order, or an event time
+                is NaN or infinite.
         """
         stream = self._stream
         prev = stream[-1][:3] if stream else None
+        inf = math.inf
         for ev in events:
+            if not -inf < ev[0] < inf:
+                raise _not_finite(ev[0])
             key = ev[:3]
             if prev is not None and key < prev:
                 raise ValueError(
@@ -224,9 +236,9 @@ class DiscreteEventKernel:
         time as the run advances instead of being materialized into the
         stream deque upfront — the move that keeps a 10M-request run's
         memory flat: arrivals exist only between being generated and
-        being served.  Ordering is validated at pull time (the run raises
-        mid-flight on a misordered source, same :class:`ValueError`
-        contract as :meth:`preload`).
+        being served.  Ordering and finiteness are validated at pull time
+        (the run raises mid-flight on a misordered source or a NaN/inf
+        time, same :class:`ValueError` contract as :meth:`preload`).
 
         Events pulled from the lazy stream sort after any still-queued
         eager ``preload`` events; interleaving both is supported but the
@@ -251,6 +263,8 @@ class DiscreteEventKernel:
         except StopIteration:
             self._lazy = None
             return
+        if not -math.inf < ev[0] < math.inf:
+            raise _not_finite(ev[0])
         key = ev[:3]
         if self._lazy_prev is not None and key < self._lazy_prev:
             raise ValueError(
@@ -274,9 +288,12 @@ class DiscreteEventKernel:
             The stamped event (useful in tests).
 
         Raises:
-            ValueError: If ``time`` is before the current clock.
+            ValueError: If ``time`` is before the current clock, or is
+                NaN or infinite.
         """
-        if time < self.clock.now:
+        if not self.clock.now <= time < math.inf:
+            if not time < math.inf:
+                raise _not_finite(time)
             raise ValueError(
                 f"cannot schedule into the past: {time} < {self.clock.now}"
             )

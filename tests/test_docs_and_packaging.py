@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -187,6 +189,7 @@ class TestDocs:
             "repro.serving.nodespec",
             "repro.cluster.planner",
             "repro.autoscale.hetero",
+            "repro.autoscale._loop",
             "repro.reporting.charts",
             "repro.sim.kernel",
             "repro.sim.metrics",
@@ -205,3 +208,27 @@ class TestDocs:
         ):
             m = importlib.import_module(mod)
             assert m.__doc__ and len(m.__doc__) > 40, mod
+
+
+class TestRepoHygiene:
+    def test_no_bytecode_is_tracked(self):
+        """Compiled bytecode never enters version control (.gitignore
+        covers it; this catches a forced add)."""
+        try:
+            out = subprocess.run(
+                ["git", "ls-files"],
+                capture_output=True,
+                text=True,
+                cwd=ROOT,
+                timeout=60,
+            )
+        except (FileNotFoundError, subprocess.TimeoutExpired):
+            pytest.skip("git is unavailable")
+        if out.returncode != 0:
+            pytest.skip("not a git checkout")
+        tracked = [
+            p
+            for p in out.stdout.splitlines()
+            if p.endswith(".pyc") or "__pycache__/" in p
+        ]
+        assert tracked == []
