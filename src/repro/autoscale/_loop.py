@@ -1,5 +1,6 @@
-"""The one fleet run loop behind every fleet simulator.
+"""The one request run loop behind the engine and every fleet simulator.
 
+:meth:`~repro.serving.engine.OnlineServingEngine.run`,
 :class:`~repro.cluster.fleet.Cluster`,
 :class:`~repro.autoscale.elastic.ElasticCluster` and
 :class:`~repro.autoscale.hetero.HeteroElasticCluster` are configurations
@@ -10,7 +11,9 @@ of :class:`FleetLoop`, a pool-based discrete-event run on the shared
   the served models that fit its spec;
 * ``ElasticCluster`` is one pool that hosts every served model;
 * ``Cluster`` is a static fleet: caller-built nodes, no control ticks,
-  replicas in placement order.
+  replicas in placement order;
+* ``OnlineServingEngine.run`` is a one-node static fleet hosting every
+  engine model.
 
 The loop owns everything those runs share: the node slots and their
 lifecycle (provisioning, active, draining, failed, retired), the
@@ -84,7 +87,8 @@ class FleetLoop:
     """One fleet run over named pools of nodes.
 
     Args:
-        label: Loop name for telemetry (``cluster``/``elastic``/``hetero``).
+        label: Loop name for telemetry
+            (``engine``/``cluster``/``elastic``/``hetero``).
         fleet: The simulator this run configures.  The loop reads its
             ``router`` and ``record``, and a pooled fleet's ``engine``,
             ``policy``, ``max_batch`` and ``control_interval_s``.

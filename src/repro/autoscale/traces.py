@@ -35,7 +35,7 @@ import bisect
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -55,6 +55,16 @@ __all__ = [
     "mix_requests",
     "mix_request_stream",
 ]
+
+
+def _require_finite(trace: "RateTrace") -> None:
+    """Reject NaN and infinite float parameters of a dataclass trace (NaN
+    passes every ordered check, and an infinite one never finishes
+    thinning or state draws)."""
+    for f in fields(trace):
+        value = getattr(trace, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class RateTrace:
@@ -96,6 +106,7 @@ class ScaledTrace(RateTrace):
     factor: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.factor < 0:
             raise ValueError("scale factor must be non-negative")
 
@@ -115,6 +126,7 @@ class ConstantTrace(RateTrace):
     rate_rps: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate_rps < 0:
             raise ValueError("rate must be non-negative")
 
@@ -140,6 +152,7 @@ class DiurnalTrace(RateTrace):
     phase_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.trough_rps < 0 or self.peak_rps < self.trough_rps:
             raise ValueError("need 0 <= trough_rps <= peak_rps")
         if self.period_s <= 0:
@@ -183,6 +196,7 @@ class OnOffTrace(RateTrace):
     _switches: List[float] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_rps < 0 or self.burst_rps < 0:
             raise ValueError("rates must be non-negative")
         if self.mean_base_s <= 0 or self.mean_burst_s <= 0:
@@ -226,6 +240,7 @@ class SpikeTrace(RateTrace):
     decay_s: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_rps < 0 or self.spike_rps < self.base_rps:
             raise ValueError("need 0 <= base_rps <= spike_rps")
         if self.rise_s <= 0 or self.decay_s <= 0:
@@ -259,6 +274,7 @@ class RampTrace(RateTrace):
     ramp_s: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.start_rps < 0 or self.end_rps < 0:
             raise ValueError("rates must be non-negative")
         if self.ramp_s <= 0:
@@ -294,6 +310,8 @@ class ReplayTrace(RateTrace):
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("replay trace needs at least one (t, rate) sample")
+        if not all(math.isfinite(v) for point in self.points for v in point):
+            raise ValueError("sample times and rates must be finite")
         times = tuple(t for t, _ in self.points)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")

@@ -1,10 +1,12 @@
 """One fleet node (StepStone, CPU, or GPU) inside a simulated cluster.
 
 A node is the per-machine half of the fleet simulator: it owns a request
-queue, forms FIFO per-model batches exactly like the single-node
-:class:`~repro.serving.engine.OnlineServingEngine`, applies the same
-single-pass SLO admission, and charges batch service time through the
-engine's memoized :meth:`~repro.serving.engine.OnlineServingEngine.batch_latency`.
+queue, forms FIFO per-model batches, applies single-pass SLO admission,
+and charges batch service time through the engine's memoized
+:meth:`~repro.serving.engine.OnlineServingEngine.batch_latency`.  This
+is the only batching and admission code: the single-node
+:class:`~repro.serving.engine.OnlineServingEngine` runs as a one-node
+fleet of these.
 Nodes share one engine instance so the latency model is computed once for
 the whole fleet, not once per node.
 
@@ -128,10 +130,12 @@ class ClusterNode:
     def try_dispatch(self, clock: float) -> Optional[float]:
         """Launch the next admissible batch if idle; return its finish time.
 
-        Mirrors the single-node engine: the batch is FIFO from the oldest
-        queued request's model, capped at ``max_batch``, shrunk by SLO
-        admission.  If admission rejects an entire batch the loop moves on
-        to the next head-of-queue model.
+        The one dispatch path of every request loop, the single-node
+        engine included: the batch is FIFO from the oldest queued
+        request's model, capped at ``max_batch``, shrunk by SLO admission
+        (a smaller batch serves faster, so a violator at this size may fit
+        at the next).  If admission rejects an entire batch the loop moves
+        on to the next head-of-queue model without advancing time.
 
         Args:
             clock: Current simulated time.

@@ -6,7 +6,8 @@ under a latency constraint, §I: the CPU stays free for concurrent work):
 given a stream of timestamped inference requests, what latency distribution
 and sustained throughput does each dispatch policy deliver?
 
-The engine is a deterministic discrete-event simulator:
+The engine is a deterministic discrete-event simulator — the one-node
+configuration of the fleet loop (:mod:`repro.autoscale._loop`):
 
 * requests arrive on a simulated clock (Poisson or uniform streams, seeded);
 * while the memory system is busy serving one batch, later arrivals queue;
@@ -32,15 +33,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baselines.gpu import GpuGemmModel
 from repro.core.gemm import GemmShape
 from repro.models.inference import all_models
 from repro.models.layers import ModelSpec, pow2_partition
-from repro.serving.nodespec import NodeSpec
+from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.serving.scheduler import BatchServer
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 
 # Back-compat re-exports: these helpers moved to the simulation substrate
 # (`repro.sim.metrics`) but remain importable from here, where every
@@ -173,9 +174,9 @@ class ServingReport:
         self.policy = policy
         self.sim_end_s = sim_end_s
         self.stats = stats if stats is not None else MetricsRecorder(record=record)
-        #: Kernel events the run processed (set by the engine via
-        #: :meth:`~repro.sim.kernel.DiscreteEventKernel.finalize`) — the
-        #: denominator benchmarks divide wall time by.
+        #: Kernel events the run processed (the run loop's
+        #: :meth:`~repro.sim.kernel.DiscreteEventKernel.finalize` count) —
+        #: the denominator benchmarks divide wall time by.
         self.events_processed = 0
 
     @property
@@ -626,12 +627,12 @@ class OnlineServingEngine:
     ) -> ServingReport:
         """Serve an arrival-ordered request stream under one policy.
 
-        A 1-entity simulation on the shared :mod:`repro.sim` kernel: the
-        arrival stream is preloaded, each dispatched batch schedules its
-        own ``FINISH`` event, and the kernel's total order (arrivals
-        before finishes at equal instants) makes a request landing
-        exactly at a batch boundary join the next batch — the same
-        contract the fleet simulators obey.
+        The engine is a one-node fleet: one static
+        :class:`~repro.cluster.node.ClusterNode` hosting every model, on
+        the fleet loop (:mod:`repro.autoscale._loop`) without control
+        ticks.  Arrivals come before finishes at equal instants, so a
+        request landing exactly at a batch boundary joins the next batch
+        — the same contract the fleet simulators obey.
 
         ``record="streaming"`` accumulates flat-memory aggregates instead
         of per-request lists (see :class:`~repro.sim.stats.MetricsRecorder`).
@@ -642,171 +643,55 @@ class OnlineServingEngine:
         this report accounts with (span sums tie out with ``==``).  The
         default runs the original untraced path.
 
-        ``fast=True`` opts into the :mod:`repro.sim.fast` vectorized
-        path — bit-identical reports, no per-event kernel churn.  It
-        engages only for full recording without span tracing (the exact
-        configurations it can replay); anything else falls back here.
+        ``fast=True`` opts into the :mod:`repro.sim.fast` path —
+        bit-identical reports, no per-event kernel churn.  It engages
+        only for full recording without span tracing (the exact
+        configurations it can replay); anything else counts a labeled
+        ``fast_fallback`` and runs the reference path.
+
+        Raises:
+            ValueError: On an unknown policy.
+            KeyError: If a request names a model this engine does not
+                know (before the run has any side effect).
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        spans = obs.spans if obs is not None else None
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-        if fast:
-            if record != "full":
-                reason = "streaming-record"
-            elif spans is not None:
-                reason = "spans"
-            elif obs is not None and obs.profile is not None:
-                reason = "profiler"
-            elif not ordered:
-                reason = "empty-stream"
-            else:
-                reason = None
-            if reason is None:
-                from repro.sim import fast as _fast
-
-                report = ServingReport(policy=policy, stats=_fast.FastRecorder())
-                _fast.run_engine_fast(self, ordered, policy, report)
-                if obs is not None and obs.telemetry is not None:
-                    obs.telemetry.record_counts(
-                        "engine",
-                        served=report.served,
-                        rejected=report.rejected_count,
-                        failed=report.failed_count,
-                    )
-                return report
-            from repro.obs.telemetry import record_fast_fallback
-
-            record_fast_fallback("engine", reason, obs)
-        report = ServingReport(policy=policy, record=record)
-        if not ordered:
-            return report
-        kernel = DiscreteEventKernel()
-        kernel.preload(
-            Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-            for i, r in enumerate(ordered)
-        )
-        queue: List[Request] = []
-        busy = False
-        last_finish = 0.0
-
-        def try_dispatch(now: float) -> None:
-            # FIFO batch from the oldest request's model only.  SLO
-            # admission drops requests whose wait + predicted service
-            # exceeds their bound, least headroom first, in a single
-            # sorted pass — a smaller batch serves faster, so a violator
-            # at this size may fit at the next, and mass rejection would
-            # overshoot.  A fully rejected batch moves on to the next
-            # head-of-queue model without advancing time.
-            nonlocal busy
-            while not busy and queue:
-                head_model = queue[0].model
-                candidates = []
-                for r in queue:
-                    if r.model == head_model:
-                        candidates.append(r)
-                        if len(candidates) == self.max_batch:
-                            break
-                batch, rejected_now, service = slo_admit(
-                    candidates,
-                    now,
-                    lambda size: self.batch_latency(head_model, policy, size),
-                )
-                for r in rejected_now:
-                    report.record_rejection(
-                        RejectedRequest(request=r, rejected_at_s=now)
-                    )
-                    if spans is not None:
-                        spans.emit(
-                            r.req_id,
-                            "rejected",
-                            r.arrival_s,
-                            now - r.arrival_s,
-                            model=r.model,
-                        )
-                # batch + rejected_now partition the candidates — the
-                # first len(candidates) head-model requests in queue
-                # order — so drop exactly that many matches (req_ids are
-                # caller-chosen and may collide across merged streams;
-                # counting sidesteps identity bookkeeping entirely).
-                ncand = len(candidates)
-                if ncand == len(queue):
-                    queue.clear()
-                else:
-                    dropped = 0
-                    newq = []
-                    for r in queue:
-                        if dropped < ncand and r.model == head_model:
-                            dropped += 1
-                        else:
-                            newq.append(r)
-                    queue[:] = newq
-                if batch:
-                    busy = True
-                    kernel.schedule(
-                        now + service, EventKind.FINISH, 0, payload=(batch, now)
-                    )
-
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            queue.extend(ev.payload for ev in events)
-            try_dispatch(now)
-
-        def on_finish(now: float, events: List[Event]) -> None:
-            nonlocal busy, last_finish
-            batch, dispatched = events[0].payload
-            for r in batch:
-                report.record_completion(
-                    CompletedRequest(
-                        request=r,
-                        dispatch_s=dispatched,
-                        finish_s=now,
-                        batch=len(batch),
-                    )
-                )
-                if spans is not None:
-                    spans.emit(
-                        r.req_id,
-                        "queued",
-                        r.arrival_s,
-                        dispatched - r.arrival_s,
-                        batch=len(batch),
-                        model=r.model,
-                    )
-                    spans.emit(
-                        r.req_id,
-                        "serve",
-                        dispatched,
-                        now - dispatched,
-                        batch=len(batch),
-                        model=r.model,
-                    )
-            if spans is not None:
-                spans.emit(
-                    -1,
-                    "batch",
-                    dispatched,
-                    now - dispatched,
-                    batch=len(batch),
-                    model=batch[0].model,
-                )
-            busy = False
-            last_finish = now
-            try_dispatch(now)
-
-        kernel.run(
-            {EventKind.ARRIVAL: on_arrivals, EventKind.FINISH: on_finish},
-            obs=obs,
-        )
-        report.sim_end_s = max(last_finish, ordered[-1].arrival_s)
-        kernel.finalize(report)
-        if obs is not None and obs.telemetry is not None:
-            obs.telemetry.record_counts(
-                "engine",
-                served=report.served,
-                rejected=report.rejected_count,
-                failed=report.failed_count,
+        requests = list(requests)
+        unknown = {r.model for r in requests} - self.models.keys()
+        if unknown:
+            raise KeyError(
+                f"unknown model {min(unknown)!r}; available: {sorted(self.models)}"
             )
-        return report
+        # Lazy: the fleet layers import this module.
+        from repro.autoscale._loop import FleetLoop, Pool
+        from repro.cluster.fleet import ClusterReport
+        from repro.cluster.node import ClusterNode
+        from repro.cluster.router import RoundRobinRouter
+
+        node = ClusterNode(
+            0,
+            engine=self,
+            policy=policy,
+            models=set(self.models),
+            max_batch=self.max_batch,
+        )
+        # A static fleet's loop reads only its router and record mode.
+        fleet = SimpleNamespace(router=RoundRobinRouter(), record=record)
+        loop = FleetLoop(
+            "engine",
+            fleet,
+            {"engine": Pool(spec=STEPSTONE_NODE, hosted=[])},
+            nodes=[node],
+        )
+        fleet_report = ClusterReport(
+            policy=policy,
+            router=fleet.router.name,
+            node_reports=[],
+            specs=[STEPSTONE_NODE],
+        )
+        loop.run(fleet_report, requests, obs=obs, fast=fast)
+        node.report.events_processed = fleet_report.events_processed
+        return node.report
 
     def run_policies(
         self, requests: Sequence[Request], policies: Sequence[str] = POLICIES

@@ -24,6 +24,7 @@ argument, not the absolute dollars.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -79,6 +80,10 @@ class NodeSpec:
             )
         if not self.name:
             object.__setattr__(self, "name", self.backend)
+        for name in ("memory_bytes", "hourly_cost", "idle_w", "busy_w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
         if self.hourly_cost < 0:

@@ -2,8 +2,8 @@
 
 Bottom of the serving stack: :mod:`repro.serving.engine` (one node),
 :mod:`repro.cluster` (static fleets), :mod:`repro.autoscale` (elastic
-and heterogeneous fleets) all run on this one kernel instead of four
-hand-rolled event loops.
+and heterogeneous fleets) all run on this one kernel, through the one
+fleet loop (:mod:`repro.autoscale._loop`) they configure.
 
 * :mod:`~repro.sim.kernel` — :class:`SimClock`, typed :class:`Event`\\ s
   on one queue with an explicit, tested total order (time, then event

@@ -31,7 +31,9 @@ module collapses the hot ARRIVAL→dispatch→FINISH path:
 Exactness is the contract (pinned by ``tests/test_fast_differential``):
 the fast path must produce the same report, request for request, as the
 event-at-a-time path.  It therefore only engages on configurations it
-can replay exactly; every serving loop falls back to the slow path
+can replay exactly.  Its one caller is the fleet loop
+(:mod:`repro.autoscale._loop`), whose gate serves the single-node
+engine and every fleet simulator alike and falls back to the slow path
 otherwise.
 
 Profiling note: under a :class:`~repro.obs.KernelProfiler` the fast
@@ -46,16 +48,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from heapq import heapify, heappop, heapreplace, heappush
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.serving.engine import (
     CompletedRequest,
-    RejectedRequest,
     Request,
-    ServingReport,
-    slo_admit,
 )
 from repro.sim.kernel import DiscreteEventKernel, EventKind
 from repro.sim.stats import MetricsRecorder
@@ -66,7 +65,6 @@ __all__ = [
     "arrival_times",
     "drain",
     "make_chooser",
-    "run_engine_fast",
 ]
 
 #: Fast-path engagements since import — the differential harness and the
@@ -632,97 +630,3 @@ def drain(
         prof.heap_events += heap_n
         prof.runs += 1
     return clock.now
-
-
-# ---------------------------------------------------------------------- #
-# The single-node engine fast loop
-# ---------------------------------------------------------------------- #
-
-
-def run_engine_fast(
-    engine, ordered: List[Request], policy: str, report: ServingReport
-) -> ServingReport:
-    """The 1-entity engine loop without a kernel.
-
-    One batch is in flight at a time, so the heap degenerates to a
-    single pending FINISH slot: every arrival at or before the pending
-    finish instant is bulk-appended to the queue (dispatch is a no-op
-    while busy — exactly the slow path's behavior), then the finish is
-    recorded as one batch and the next dispatch attempted.  Identical,
-    request for request, to :meth:`OnlineServingEngine.run`.
-    """
-    count_run()
-    n = len(ordered)
-    ta = arrival_times(ordered)
-    tl = ta.tolist()
-    stats = report.stats
-    max_batch = engine.max_batch
-    batch_latency = engine.batch_latency
-    record_rejection = report.record_rejection
-    queue: List[Request] = []
-    pending = None  # (finish_t, batch, dispatch_t)
-    last_finish = 0.0
-    n_batches = 0
-    i = 0
-
-    def try_dispatch(now: float) -> None:
-        nonlocal pending
-        while queue:
-            head_model = queue[0].model
-            candidates = []
-            for r in queue:
-                if r.model == head_model:
-                    candidates.append(r)
-                    if len(candidates) == max_batch:
-                        break
-            batch, rejected_now, service = slo_admit(
-                candidates,
-                now,
-                lambda size: batch_latency(head_model, policy, size),
-            )
-            for r in rejected_now:
-                record_rejection(RejectedRequest(request=r, rejected_at_s=now))
-            ncand = len(candidates)
-            if ncand == len(queue):
-                queue.clear()
-            else:
-                dropped = 0
-                newq = []
-                for r in queue:
-                    if dropped < ncand and r.model == head_model:
-                        dropped += 1
-                    else:
-                        newq.append(r)
-                queue[:] = newq
-            if batch:
-                pending = (now + service, batch, now)
-                return
-
-    while True:
-        if pending is not None:
-            tf = pending[0]
-            if i < n:
-                j = int(np.searchsorted(ta, tf, side="right"))
-                if j > i:
-                    queue.extend(ordered[i:j])
-                    i = j
-            tf, batch, dispatched = pending
-            pending = None
-            stats.record_batch(dispatched, tf, batch)
-            n_batches += 1
-            last_finish = tf
-            try_dispatch(tf)
-        elif i < n:
-            t = tl[i]
-            j = i + 1
-            while j < n and tl[j] == t:
-                j += 1
-            queue.extend(ordered[i:j])
-            i = j
-            try_dispatch(t)
-        else:
-            break
-
-    report.sim_end_s = max(last_finish, ordered[-1].arrival_s)
-    report.events_processed = n + n_batches
-    return report

@@ -1,12 +1,12 @@
 """The deterministic discrete-event kernel every serving loop runs on.
 
-One clock, one event queue, one total order.  Before this kernel the repo
-carried four hand-rolled event loops (single-node engine, static fleet,
-elastic fleet, heterogeneous elastic fleet), each re-implementing the
+One clock, one event queue, one total order.  Two loops run on it: the
+one request loop (:mod:`repro.autoscale._loop`, which the single-node
+engine, the static fleet and both elastic fleets configure) and the
+generative token loop (:mod:`repro.genai.engine`).  The kernel owns the
 heap, the clock, and the tie-break contract their request-for-request
-equivalence tests depend on.  The kernel owns all three, so a new
-scenario (e.g. failure injection) is a new event kind plus handlers — not
-a fifth loop.
+equivalence tests depend on, so a new scenario (e.g. failure injection)
+is a new event kind plus handlers — not a new loop.
 
 **The total order.**  Events are dequeued by ``(time, kind, entity,
 seq)``:

@@ -385,7 +385,6 @@ def test_engine_fallback_reasons():
     cases = [
         ("streaming-record", dict(record="streaming")),
         ("spans", dict(obs=RunObserver.tracing())),
-        ("profiler", dict(obs=RunObserver.profiling())),
     ]
     for reason, kw in cases:
         _assert_fallback(
@@ -393,9 +392,33 @@ def test_engine_fallback_reasons():
             reason,
             lambda: eng.run(_serving_stream(), "hybrid", fast=True, **kw),
         )
-    _assert_fallback(
-        "engine", "empty-stream", lambda: eng.run([], "hybrid", fast=True)
-    )
+
+
+def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
+    """The engine shares the fleet loop's fast gate: a profiler rides the
+    fast drain, and an empty stream is a trivially exact replay."""
+    from repro.serving import OnlineServingEngine
+    from repro.sim import fast as sfast
+
+    def fallbacks():
+        counters = BUS.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
+
+    eng = OnlineServingEngine()
+    for stream, kw in [
+        (_serving_stream(), dict(obs=RunObserver.profiling())),
+        ([], dict()),
+    ]:
+        BUS.enable()
+        try:
+            before = fallbacks()
+            runs = sfast.FAST_RUNS
+            eng.run(stream, "hybrid", fast=True, **kw)
+            assert sfast.FAST_RUNS == runs + 1
+            assert fallbacks() == before
+        finally:
+            BUS.disable()
+            BUS.reset()
 
 
 class _CustomRouter:

@@ -3,18 +3,30 @@
 NaN compares False against everything, so a ``t < 0`` or ``t < now``
 guard lets it through and it corrupts the kernel's heap order later.
 Every entry point that feeds the simulated clock checks finiteness
-itself.  Fleet ``run()`` arguments are checked before the run has any
-side effect (fallback counters, router or autoscaler resets).
+itself, and so do the rate traces arrival streams are drawn from and the
+node specs fleets are priced with.  ``run()`` arguments are checked
+before the run has any side effect (fallback counters, router or
+autoscaler resets, report building).
 """
 
 import math
 
 import pytest
 
-from repro.autoscale import ElasticCluster, StaticPolicy
+from repro.autoscale import (
+    ConstantTrace,
+    DiurnalTrace,
+    ElasticCluster,
+    OnOffTrace,
+    RampTrace,
+    ReplayTrace,
+    SpikeTrace,
+    StaticPolicy,
+)
 from repro.genai.workload import GenRequest
 from repro.obs.telemetry import BUS
-from repro.serving import Request, poisson_requests
+from repro.serving import NodeSpec, OnlineServingEngine, Request, poisson_requests
+from repro.sim import fast as sfast
 from repro.sim import DiscreteEventKernel, EventKind, FailureTrace
 from repro.sim.kernel import Event
 
@@ -101,3 +113,63 @@ def test_rejected_presorted_run_has_no_side_effects():
         BUS.reset()
     assert Tracking.resets == 0
     assert cluster.router._next == {"BERT": 7}
+
+
+def test_engine_rejects_unknown_model_before_the_run():
+    """An unknown model raises up front: no fast-path run or fallback is
+    counted, and no report is built."""
+    engine = OnlineServingEngine(models={})
+    reqs = [Request(0, "BERT", 0.0), Request(1, "NOPE", 0.1)]
+    BUS.enable()
+    try:
+        before = BUS.snapshot()["counters"]
+        runs = sfast.FAST_RUNS
+        for record in ("full", "streaming"):
+            with pytest.raises(KeyError, match="unknown model 'BERT'"):
+                engine.run(reqs, "hybrid", record=record, fast=True)
+        assert BUS.snapshot()["counters"] == before
+        assert sfast.FAST_RUNS == runs
+    finally:
+        BUS.disable()
+        BUS.reset()
+
+
+_TRACES = {
+    "constant": lambda x: ConstantTrace(x),
+    "diurnal-rates": lambda x: DiurnalTrace(x, x, 60.0),
+    "diurnal-period": lambda x: DiurnalTrace(1.0, 2.0, period_s=x),
+    "diurnal-phase": lambda x: DiurnalTrace(1.0, 2.0, 60.0, phase_s=x),
+    "scaled": lambda x: ConstantTrace(1.0).scaled(x),
+    "onoff-base": lambda x: OnOffTrace(
+        base_rps=x, burst_rps=5.0, mean_base_s=1.0, mean_burst_s=1.0, horizon_s=10.0
+    ),
+    "onoff-dwell": lambda x: OnOffTrace(
+        base_rps=1.0, burst_rps=5.0, mean_base_s=x, mean_burst_s=1.0, horizon_s=10.0
+    ),
+    "onoff-horizon": lambda x: OnOffTrace(
+        base_rps=1.0, burst_rps=5.0, mean_base_s=1.0, mean_burst_s=1.0, horizon_s=x
+    ),
+    "spike-at": lambda x: SpikeTrace(1.0, 5.0, spike_at_s=x),
+    "spike-decay": lambda x: SpikeTrace(1.0, 5.0, 1.0, decay_s=x),
+    "ramp": lambda x: RampTrace(1.0, x, 10.0),
+    "ramp-duration": lambda x: RampTrace(1.0, 2.0, ramp_s=x),
+    "replay-time": lambda x: ReplayTrace(((0.0, 1.0), (x, 2.0))),
+    "replay-rate": lambda x: ReplayTrace(((0.0, x),)),
+}
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize("trace", sorted(_TRACES))
+def test_rate_traces_reject_non_finite_parameters(trace, x):
+    with pytest.raises(ValueError, match="finite"):
+        _TRACES[trace](x)
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize(
+    "fields",
+    [("memory_bytes",), ("hourly_cost",), ("idle_w", "busy_w"), ("busy_w",)],
+)
+def test_node_spec_rejects_non_finite_fields(fields, x):
+    with pytest.raises(ValueError, match="finite"):
+        NodeSpec("stepstone", **{f: x for f in fields})

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.serving import (
     POLICIES,
@@ -471,3 +472,63 @@ class TestWindowPercentiles:
             rep.window_percentile(0, 0.0, 1.0)
         with pytest.raises(ValueError):
             rep.window_percentile(101, 0.0, 1.0)
+
+
+# A short multi-model stream of (model, tick, SLO in half-ticks).  Shared
+# ticks make simultaneous arrivals common, and SLOs range from hopeless
+# to generous so admission both shrinks and passes batches.
+_streams = st.lists(
+    st.tuples(
+        st.sampled_from(("BERT", "DLRM")),
+        st.integers(0, 24),
+        st.one_of(st.none(), st.integers(1, 8)),
+    ),
+    max_size=12,
+)
+
+
+class TestEngineProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(spec=_streams, policy=st.sampled_from(POLICIES))
+    # A queued request and an arrival both at a batch's finish instant:
+    # the arrival must join the next batch on both paths.
+    @example(
+        spec=[("BERT", 0, None), ("BERT", 1, None), ("BERT", 2, None)],
+        policy="pim",
+    )
+    def test_fast_equals_reference_and_conserves_requests(self, eng, spec, policy):
+        # A tick is half a batch-1 BERT service time.  Even ticks sit on a
+        # grid built by repeated addition, so a lone BERT batch dispatched
+        # on it finishes exactly on the next grid point and arrivals tie
+        # with finishes.
+        step = eng.min_latency("BERT", policy)
+        grid = [0.0]
+        for _ in range(12):
+            grid.append(grid[-1] + step)
+        reqs = [
+            Request(
+                i,
+                model,
+                grid[tick // 2] + tick % 2 * step / 2,
+                None if slo is None else slo * step / 2,
+            )
+            for i, (model, tick, slo) in enumerate(spec)
+        ]
+        slow = eng.run(reqs, policy)
+        fast = eng.run(reqs, policy, fast=True)
+        assert [
+            (c.request.req_id, c.dispatch_s, c.finish_s, c.batch)
+            for c in fast.completed
+        ] == [
+            (c.request.req_id, c.dispatch_s, c.finish_s, c.batch)
+            for c in slow.completed
+        ]
+        assert [(r.request.req_id, r.rejected_at_s) for r in fast.rejected] == [
+            (r.request.req_id, r.rejected_at_s) for r in slow.rejected
+        ]
+        assert fast.sim_end_s == slow.sim_end_s
+        assert fast.events_processed == slow.events_processed
+        for record in ("full", "streaming"):
+            for use_fast in (False, True):
+                rep = eng.run(reqs, policy, record=record, fast=use_fast)
+                assert rep.offered == rep.served + rep.rejected_count == len(reqs)
