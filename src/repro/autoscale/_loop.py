@@ -159,7 +159,7 @@ class FleetLoop:
                     p: MetricsRecorder(record="streaming", parent=self.run_stats)
                     for p in sorted(self.pools)
                 }
-        self.router.reset()
+        self.router.reset(self.routable)
         if self._nodes is not None:
             (pool,) = self.pools
             for node in self._nodes:
@@ -311,7 +311,7 @@ class FleetLoop:
         if presorted and (horizon_s is None or not 0 < horizon_s < math.inf):
             raise ValueError("presorted runs need a positive, finite horizon_s")
         spans = obs.spans if obs is not None else None
-        chooser = None
+        batched = False
         if fast:
             if presorted:
                 reason = "presorted-stream"
@@ -320,15 +320,12 @@ class FleetLoop:
             elif spans is not None:
                 reason = "spans"
             else:
-                from repro.sim import fast as _fast
-
-                chooser = _fast.make_chooser(self.router, self.routable)
-                reason = None if chooser is not None else "custom-router"
+                reason = None
+                batched = True
             if reason is not None:
                 from repro.obs.telemetry import record_fast_fallback
 
                 record_fast_fallback(self.label, reason, obs)
-        batched = chooser is not None
         self._fresh(spans, batched)
         if autoscaler is not None:
             autoscaler.reset()
@@ -371,8 +368,9 @@ class FleetLoop:
         pools = self.pools
         arrived = self._arrived
         run_stats = self.run_stats
-        route = self.router.route
-        routable = self.routable
+        router = self.router
+        route = router.route
+        invalidate_backlogs = router.invalidate_backlogs
         last_service_end = 0.0
         prev_tick = 0.0
         n_dropped = 0
@@ -380,14 +378,13 @@ class FleetLoop:
         def dispatch(slot: _Slot, now: float) -> bool:
             node = slot.node
             finish = node.try_dispatch(now)
-            if batched:
-                chooser.invalidate_backlogs()
+            invalidate_backlogs()
             if finish is None:
                 return False
             kernel.schedule(finish, EventKind.FINISH, node.node_id, payload=node.epoch)
             return True
 
-        def arrive(now: float, reqs, pick) -> bool:
+        def arrive(now: float, reqs) -> bool:
             # Every arrival at this instant routes before any dispatch, so
             # simultaneous requests can share a batch (single-node engine
             # semantics) and routing sees them in stream order.
@@ -395,7 +392,7 @@ class FleetLoop:
             last_arrival = now
             touched: Dict[int, _Slot] = {}
             for r in reqs:
-                node = pick(r, now)
+                node = route(r, now)
                 if node is None:
                     f = FailedRequest(request=r, failed_at_s=now, reason="unrouted")
                     if run_stats is not None:
@@ -414,15 +411,11 @@ class FleetLoop:
                     scheduled = True
             return scheduled
 
-        def pick(r: Request, now: float) -> Optional[ClusterNode]:
-            replicas = routable(r.model)
-            return route(r, replicas, now) if replicas else None
-
         def on_arrivals(now: float, events: List[Event]) -> None:
-            arrive(now, [ev.payload for ev in events], pick)
+            arrive(now, [ev.payload for ev in events])
 
         def on_epoch(now: float, lo: int, hi: int) -> bool:
-            return arrive(now, ordered[lo:hi], chooser.route)
+            return arrive(now, ordered[lo:hi])
 
         def on_finishes(now: float, events: List[Event]) -> None:
             nonlocal last_service_end
@@ -517,33 +510,31 @@ class FleetLoop:
                 )
             )
 
+        def cold(handler):
+            # Membership or node state changed: the router's cached
+            # replica lists and backlog heaps are stale.
+            def wrapped(now: float, events: List[Event]) -> None:
+                handler(now, events)
+                router.invalidate_all()
+
+            return wrapped
+
         handlers = {
             EventKind.FINISH: on_finishes,
-            EventKind.READY: on_readies,
-            EventKind.CONTROL: on_control,
-            EventKind.FAIL: on_fails,
-            EventKind.RECOVER: on_recovers,
+            EventKind.READY: cold(on_readies),
+            EventKind.CONTROL: cold(on_control),
+            EventKind.FAIL: cold(on_fails),
+            EventKind.RECOVER: cold(on_recovers),
         }
         if batched:
-
-            def cold(handler):
-                # Membership or node state changed: the chooser's cached
-                # replica sets and backlog heaps are stale.
-                def wrapped(now: float, events: List[Event]) -> None:
-                    handler(now, events)
-                    chooser.invalidate_all()
-
-                return wrapped
+            from repro.sim import fast as _fast
 
             _fast.count_run()
             _fast.drain(
                 kernel,
                 _fast.arrival_times(ordered),
                 on_epoch,
-                {
-                    int(kind): h if kind == EventKind.FINISH else cold(h)
-                    for kind, h in handlers.items()
-                },
+                {int(kind): h for kind, h in handlers.items()},
                 profiler=getattr(obs, "profile", None) if obs is not None else None,
             )
         else:

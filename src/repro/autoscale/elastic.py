@@ -182,9 +182,8 @@ class ElasticCluster:
                 profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
                 path (bit-identical reports).  Engages for materialized
-                full-recording runs without span tracing on a builtin
-                router; falls back to the event-at-a-time path
-                otherwise.
+                full-recording runs without span tracing, on any router;
+                falls back to the event-at-a-time path otherwise.
 
         Returns:
             The :class:`~repro.autoscale.report.AutoscaleReport`.

@@ -438,8 +438,8 @@ class HeteroElasticCluster:
                 when a profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
                 path (bit-identical reports).  Engages for full
-                recording without span tracing on a builtin router;
-                falls back to the event-at-a-time path otherwise.
+                recording without span tracing, on any router; falls
+                back to the event-at-a-time path otherwise.
 
         Returns:
             The :class:`HeteroAutoscaleReport` for the run.

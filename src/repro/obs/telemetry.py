@@ -216,8 +216,8 @@ def record_fast_fallback(loop: str, reason: str, obs: Any = None) -> None:
 
     Every serving loop's ``fast=True`` gate calls this with the *first*
     condition that disqualified the vectorized path (``"spans"``,
-    ``"profiler"``, ``"streaming-record"``, ``"custom-router"``,
-    ``"presorted-stream"``) — so a sweep that meant
+    ``"profiler"``, ``"streaming-record"``, ``"presorted-stream"``)
+    — so a sweep that meant
     to run fast but silently fell back is visible as a labeled counter
     instead of a mystery slowdown.  The increment lands on the
     process-wide :data:`BUS` and, when the run carries its own

@@ -21,17 +21,16 @@ module collapses the hot ARRIVAL→dispatch→FINISH path:
   requests)`` triple per batch, and the per-request records are built
   lazily the first time a report query needs them.  Every query
   answers bit-identically to the eager recorder.
-* The ``_*Fast`` router twins reproduce each builtin router's choice
-  float-for-float while amortizing the per-arrival replica scan:
-  within a (model, SLO) *key lifetime* — delimited by any dispatch,
-  finish, or fleet-membership event — node backlogs change only
-  through the twin's own picks, so a heap seeded from live backlogs
-  and advanced by ``heapreplace`` tracks them exactly.
+
+Routing is not this module's business: both paths call the same
+:mod:`repro.cluster.router` policies with the same hooks, so every
+router, builtin or custom, replays exactly.
 
 Exactness is the contract (pinned by ``tests/test_fast_differential``):
 the fast path must produce the same report, request for request, as the
 event-at-a-time path.  It therefore only engages on configurations it
-can replay exactly.  Its one caller is the fleet loop
+can replay exactly: full recording, no span tracing, and an
+arrival stream it can sort up front.  Its one caller is the fleet loop
 (:mod:`repro.autoscale._loop`), whose gate serves the single-node
 engine and every fleet simulator alike and falls back to the slow path
 otherwise.
@@ -46,7 +45,7 @@ left of the per-event handler churn the fast path was built to remove.
 from __future__ import annotations
 
 from bisect import bisect_right
-from heapq import heapify, heappop, heapreplace, heappush
+from heapq import heappop
 from time import perf_counter
 from typing import Callable, Dict, List
 
@@ -64,7 +63,6 @@ __all__ = [
     "FastRecorder",
     "arrival_times",
     "drain",
-    "make_chooser",
 ]
 
 #: Fast-path engagements since import — the differential harness and the
@@ -203,267 +201,6 @@ class FastRecorder(MetricsRecorder):
     def mean_batch(self) -> float:
         self._flush()
         return MetricsRecorder.mean_batch.fget(self)
-
-
-# ---------------------------------------------------------------------- #
-# Exact router twins
-# ---------------------------------------------------------------------- #
-
-
-class _ChooserBase:
-    """Shared cache/invalidations of the fast router twins.
-
-    ``replicas_for`` is the loop's live membership view; its result is
-    cached per model until :meth:`invalidate_all` (fleet membership or
-    node state changed).  ``_key`` marks the current backlog-tracking
-    lifetime; :meth:`invalidate_backlogs` ends it (some node's queue or
-    in-flight set changed outside the twin's own picks).
-    """
-
-    __slots__ = ("router", "replicas_for", "_reps", "_key")
-
-    def __init__(self, router, replicas_for) -> None:
-        self.router = router
-        self.replicas_for = replicas_for
-        self._reps: Dict[str, list] = {}
-        self._key = None
-
-    def invalidate_backlogs(self) -> None:
-        self._key = None
-
-    def invalidate_all(self) -> None:
-        self._key = None
-        self._reps.clear()
-
-    def _replicas(self, model: str) -> list:
-        reps = self._reps.get(model)
-        if reps is None:
-            reps = self.replicas_for(model)
-            self._reps[model] = reps
-        return reps
-
-
-class _RoundRobinFast(_ChooserBase):
-    """Twin of ``RoundRobinRouter`` — backlog-oblivious, shares the
-    router's own per-model counter so fast and slow runs interleave."""
-
-    __slots__ = ()
-
-    def invalidate_backlogs(self) -> None:  # cycling ignores load
-        pass
-
-    def route(self, r: Request, now: float):
-        reps = self._replicas(r.model)
-        if not reps:
-            return None
-        nxt = self.router._next
-        i = nxt.get(r.model, 0)
-        nxt[r.model] = i + 1
-        return reps[i % len(reps)]
-
-
-class _LeastLoadedFast(_ChooserBase):
-    """Twin of ``LeastLoadedRouter``: min (backlog, node_id) via a heap
-    seeded from live backlogs and advanced by own-pick increments."""
-
-    __slots__ = ("_heap", "_by_id")
-
-    def route(self, r: Request, now: float):
-        model = r.model
-        if self._key != model:
-            reps = self._replicas(model)
-            if not reps:
-                return None
-            self._key = model
-            self._by_id = {n.node_id: n for n in reps}
-            heap = [(n.backlog(), n.node_id) for n in reps]
-            heapify(heap)
-            self._heap = heap
-        heap = self._heap
-        b, nid = heap[0]
-        heapreplace(heap, (b + 1, nid))
-        return self._by_id[nid]
-
-
-class _AffinityFast(_ChooserBase):
-    """Twin of ``AffinityRouter``: primary until the spill threshold,
-    then join-shortest-queue.  Within a key lifetime the primary's
-    backlog only grows, so spilling is monotone and the JSQ heap can be
-    built lazily at the first spill."""
-
-    __slots__ = ("_primary", "_pb", "_limit", "_heap", "_by_id")
-
-    def route(self, r: Request, now: float):
-        model = r.model
-        if self._key != model:
-            reps = self._replicas(model)
-            if not reps:
-                return None
-            self._key = model
-            primary = reps[0]
-            self._primary = primary
-            sb = self.router.spill_backlog
-            self._limit = sb if sb is not None else primary.max_batch
-            self._pb = primary.backlog()
-            self._heap = None
-        if self._pb < self._limit:
-            self._pb += 1
-            return self._primary
-        heap = self._heap
-        if heap is None:
-            reps = self._replicas(model)
-            self._by_id = {n.node_id: n for n in reps}
-            heap = [(n.backlog(), n.node_id) for n in reps]
-            heapify(heap)
-            self._heap = heap
-        b, nid = heap[0]
-        heapreplace(heap, (b + 1, nid))
-        return self._by_id[nid]
-
-
-class _BackendAffinityFast(_ChooserBase):
-    """Twin of ``BackendAffinityRouter`` keyed on (model, slo).
-
-    At each arrival the slow router recomputes ``slack = slo - (clock -
-    arrival_s)``; the fast path routes every request at its own arrival
-    instant, so slack is exactly ``slo`` and feasibility reduces to
-    ``eta + min_latency <= slo``.  Within a backlog lifetime
-    ``busy_until`` and ``in_flight`` are frozen (any change
-    invalidates), so a node's eta only shrinks as ``now`` grows:
-    feasibility is monotone and the build instant doesn't matter.
-    Nodes infeasible-but-busy go on a watch list re-evaluated per
-    arrival with the *original float expression* (never an algebraic
-    rearrangement); idle infeasible nodes can never become feasible
-    this lifetime.
-
-    State is kept *per key* in a dict so interleaved (model, slo)
-    streams don't thrash rebuilds.  Because another key's picks can
-    grow a node's queue behind a cached heap's back, heap entries only
-    ever **under-estimate** the live backlog; pops lazily re-validate
-    the top against ``node.backlog()`` and re-sift until the top is
-    live, which selects the exact ``(cost, live backlog, node_id)``
-    minimum the slow router's scan would.
-    """
-
-    __slots__ = ("_states", "_ckey", "_cst")
-
-    def __init__(self, router, replicas_for) -> None:
-        super().__init__(router, replicas_for)
-        #: (model, slo) -> [fheap | None, watch, fbheap | None]
-        self._states: Dict[tuple, list] = {}
-        self._ckey = None  # memo of the last key looked up …
-        self._cst = None  # … and its state, skipping the dict round-trip
-
-    def invalidate_backlogs(self) -> None:
-        if self._states:
-            self._states.clear()
-        self._cst = None
-
-    def invalidate_all(self) -> None:
-        self._states.clear()
-        self._reps.clear()
-        self._cst = None
-
-    def route(self, r: Request, now: float):
-        model = r.model
-        slo = r.slo_s
-        st = self._cst
-        ck = self._ckey
-        if st is None or ck[0] != model or ck[1] != slo:
-            key = (model, slo)
-            st = self._states.get(key)
-            self._ckey = key
-            self._cst = st
-        if st is None:
-            reps = self._replicas(model)
-            if not reps:
-                return None
-            if slo is None:
-                feas = None
-                watch: list = []
-            else:
-                # Heap entries carry the node as a trailing payload: the
-                # unique node_id settles every tie before tuple
-                # comparison could ever reach the node itself.
-                feas = []
-                watch = []
-                for n in reps:
-                    ml = n.min_latency(model)
-                    if n.in_flight:
-                        if max(0.0, n.busy_until - now) + ml <= slo:
-                            feas.append(
-                                (n.spec.hourly_cost, n.backlog(), n.node_id, n)
-                            )
-                        else:
-                            watch.append((n, ml))
-                    elif 0.0 + ml <= slo:
-                        feas.append(
-                            (n.spec.hourly_cost, n.backlog(), n.node_id, n)
-                        )
-                    # else: idle and infeasible — dead for this lifetime
-                heapify(feas)
-            st = [feas, watch, None]
-            self._states[key] = st
-        fheap, watch, fbheap = st
-        if slo is not None:
-            if watch:
-                still = []
-                for n, ml in watch:
-                    if max(0.0, n.busy_until - now) + ml <= slo:
-                        heappush(
-                            fheap,
-                            (n.spec.hourly_cost, n.backlog(), n.node_id, n),
-                        )
-                    else:
-                        still.append((n, ml))
-                if len(still) != len(watch):
-                    st[1] = still
-            while fheap:
-                c, b, nid, node = fheap[0]
-                live = len(node.queue) + len(node.in_flight)
-                if live != b:
-                    heapreplace(fheap, (c, live, nid, node))
-                    continue
-                heapreplace(fheap, (c, b + 1, nid, node))
-                return node
-        if fbheap is None:
-            reps = self._replicas(model)
-            fbheap = [
-                (n.backlog(), n.spec.hourly_cost, n.node_id, n) for n in reps
-            ]
-            heapify(fbheap)
-            st[2] = fbheap
-        while True:
-            b, c, nid, node = fbheap[0]
-            live = len(node.queue) + len(node.in_flight)
-            if live != b:
-                heapreplace(fbheap, (live, c, nid, node))
-                continue
-            heapreplace(fbheap, (b + 1, c, nid, node))
-            return node
-
-
-def make_chooser(router, replicas_for: Callable[[str], list]):
-    """Build the exact fast twin of ``router``, or ``None`` if it has no
-    twin (custom router subclasses fall back to the slow path)."""
-    # Exact type checks: a subclass may override route() arbitrarily.
-    from repro.cluster.router import (
-        AffinityRouter,
-        BackendAffinityRouter,
-        LeastLoadedRouter,
-        RoundRobinRouter,
-    )
-
-    t = type(router)
-    if t is RoundRobinRouter:
-        return _RoundRobinFast(router, replicas_for)
-    if t is LeastLoadedRouter:
-        return _LeastLoadedFast(router, replicas_for)
-    if t is AffinityRouter:
-        return _AffinityFast(router, replicas_for)
-    if t is BackendAffinityRouter:
-        return _BackendAffinityFast(router, replicas_for)
-    return None
 
 
 # ---------------------------------------------------------------------- #

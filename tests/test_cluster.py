@@ -84,42 +84,55 @@ class TestRouters:
     def _nodes(self, eng, n=3):
         return [ClusterNode(i, eng, "cpu") for i in range(n)]
 
+    @staticmethod
+    def _router(r, nodes):
+        r.reset(lambda model: nodes)
+        return r
+
     def test_round_robin_cycles(self, eng):
         nodes = self._nodes(eng)
-        r = RoundRobinRouter()
+        r = self._router(RoundRobinRouter(), nodes)
         req = Request(0, "BERT", 0.0)
-        picks = [r.route(req, nodes, 0.0).node_id for _ in range(6)]
+        picks = [r.route(req, 0.0).node_id for _ in range(6)]
         assert picks == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_counters_are_per_model(self, eng):
         nodes = self._nodes(eng)
-        r = RoundRobinRouter()
-        assert r.route(Request(0, "BERT", 0.0), nodes, 0.0).node_id == 0
-        assert r.route(Request(1, "DLRM", 0.0), nodes, 0.0).node_id == 0
-        assert r.route(Request(2, "BERT", 0.0), nodes, 0.0).node_id == 1
+        r = self._router(RoundRobinRouter(), nodes)
+        assert r.route(Request(0, "BERT", 0.0), 0.0).node_id == 0
+        assert r.route(Request(1, "DLRM", 0.0), 0.0).node_id == 0
+        assert r.route(Request(2, "BERT", 0.0), 0.0).node_id == 1
 
     def test_least_loaded_picks_min_backlog(self, eng):
         nodes = self._nodes(eng)
         nodes[0].enqueue(Request(0, "BERT", 0.0))
         nodes[0].enqueue(Request(1, "BERT", 0.0))
         nodes[1].enqueue(Request(2, "BERT", 0.0))
-        r = LeastLoadedRouter()
-        assert r.route(Request(3, "BERT", 0.0), nodes, 0.0).node_id == 2
+        r = self._router(LeastLoadedRouter(), nodes)
+        assert r.route(Request(3, "BERT", 0.0), 0.0).node_id == 2
 
     def test_least_loaded_ties_break_low_id(self, eng):
         nodes = self._nodes(eng)
-        r = LeastLoadedRouter()
-        assert r.route(Request(0, "BERT", 0.0), nodes, 0.0).node_id == 0
+        r = self._router(LeastLoadedRouter(), nodes)
+        assert r.route(Request(0, "BERT", 0.0), 0.0).node_id == 0
 
     def test_affinity_prefers_primary_then_spills(self, eng):
         nodes = self._nodes(eng)
-        r = AffinityRouter(spill_backlog=2)
+        r = self._router(AffinityRouter(spill_backlog=2), nodes)
         req = Request(0, "BERT", 0.0)
-        assert r.route(req, nodes, 0.0).node_id == 0
+        assert r.route(req, 0.0).node_id == 0
         nodes[0].enqueue(Request(1, "BERT", 0.0))
         nodes[0].enqueue(Request(2, "BERT", 0.0))
+        # The queues changed outside the router's own picks.
+        r.invalidate_backlogs()
         # primary at the spill threshold -> shortest queue wins
-        assert r.route(req, nodes, 0.0).node_id == 1
+        assert r.route(req, 0.0).node_id == 1
+
+    def test_no_replica_routes_to_none(self, eng):
+        for name in ROUTER_POLICIES:
+            r = make_router(name)
+            r.reset(lambda model: [])
+            assert r.route(Request(0, "BERT", 0.0, slo_s=1.0), 0.0) is None
 
     def test_make_router_and_unknown_policy(self):
         for name in ROUTER_POLICIES:

@@ -73,7 +73,7 @@ class Scenario:
     """One seeded random serving scenario, shared by all four loops.
 
     Everything the fast path could get wrong is a dimension here:
-    router choice (four structurally different fast twins), execution
+    router choice (four structurally different amortized routers), execution
     policy, per-model SLOs (including models with *no* SLO, which take
     the fallback admission path), scripted mid-run outages, and a
     diurnal arrival trace whose rate crosses node capacity so queues
@@ -311,7 +311,7 @@ def test_hetero_fast_matches_slow(engine, seed):
 
 def test_every_router_covered_by_default_matrix():
     """Seeds 0..3 map onto the four routers, so even the minimal matrix
-    exercises all four fast router twins; fresh CI seeds extend it."""
+    exercises all four builtin routers; fresh CI seeds extend it."""
     covered = {Scenario(s).router for s in SEEDS}
     assert covered == set(ROUTERS)
 

@@ -394,60 +394,77 @@ def test_engine_fallback_reasons():
         )
 
 
-def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
-    """The engine shares the fleet loop's fast gate: a profiler rides the
-    fast drain, and an empty stream is a trivially exact replay."""
-    from repro.serving import OnlineServingEngine
+def _assert_fast_engages(run):
+    """``run`` takes the fast path: FAST_RUNS bumps, no fallback counted."""
     from repro.sim import fast as sfast
 
     def fallbacks():
         counters = BUS.snapshot()["counters"]
         return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
 
+    BUS.enable()
+    try:
+        before = fallbacks()
+        runs = sfast.FAST_RUNS
+        run()
+        assert sfast.FAST_RUNS == runs + 1
+        assert fallbacks() == before
+    finally:
+        BUS.disable()
+        BUS.reset()
+
+
+def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
+    """The engine shares the fleet loop's fast gate: a profiler rides the
+    fast drain, and an empty stream is a trivially exact replay."""
+    from repro.serving import OnlineServingEngine
+
     eng = OnlineServingEngine()
     for stream, kw in [
         (_serving_stream(), dict(obs=RunObserver.profiling())),
         ([], dict()),
     ]:
-        BUS.enable()
-        try:
-            before = fallbacks()
-            runs = sfast.FAST_RUNS
-            eng.run(stream, "hybrid", fast=True, **kw)
-            assert sfast.FAST_RUNS == runs + 1
-            assert fallbacks() == before
-        finally:
-            BUS.disable()
-            BUS.reset()
+        _assert_fast_engages(lambda: eng.run(stream, "hybrid", fast=True, **kw))
 
 
-class _CustomRouter:
-    """A router make_chooser has no fast twin for."""
+def _custom_router():
+    """A router with its own ``route``: the largest node id among the
+    least backlogged replicas, read from the live view on every call."""
+    from repro.cluster.router import Router
 
-    def __new__(cls):
-        from repro.cluster.router import RoundRobinRouter
+    class LargestIdLeastLoaded(Router):
+        name = "largest-id-least-loaded"
 
-        class Custom(RoundRobinRouter):
-            name = "custom"
+        def route(self, request, clock):
+            replicas = self.replicas_for(request.model)
+            if not replicas:
+                return None
+            return min(replicas, key=lambda n: (n.backlog(), -n.node_id))
 
-        return Custom()
+    return LargestIdLeastLoaded()
+
+
+def _cluster(**ctor_kw):
+    from repro.cluster import Cluster
+
+    cl = Cluster(n_nodes=2, replication=2, **ctor_kw)
+    return lambda stream, **kw: cl.run(stream, **kw)
 
 
 def test_cluster_fallback_reasons():
-    from repro.cluster import Cluster
-
     cases = [
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
-        cl = Cluster(n_nodes=2, **ctor_kw)
+        run = _cluster(**ctor_kw)
         _assert_fallback(
             "cluster",
             reason,
-            lambda: cl.run(_serving_stream(), fast=True, **run_kw),
+            lambda: run(_serving_stream(), fast=True, **run_kw),
         )
+    run = _cluster(router=_custom_router())
+    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
 
 
 def _elastic_policy(engine, models):
@@ -462,67 +479,122 @@ def _elastic_policy(engine, models):
     )
 
 
-def test_elastic_fallback_reasons():
+def _elastic(**ctor_kw):
     from repro.autoscale import ElasticCluster
 
+    el = ElasticCluster(models=["BERT"], initial_nodes=1, max_nodes=2, **ctor_kw)
+    pol = _elastic_policy(el.engine, ["BERT"])
+    return lambda stream, **kw: el.run(stream, pol, **kw)
+
+
+def test_elastic_fallback_reasons():
     cases = [
         ("presorted-stream", dict(), dict(presorted=True, horizon_s=1.0)),
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
-        el = ElasticCluster(
-            models=["BERT"], initial_nodes=1, max_nodes=2, **ctor_kw
-        )
-        pol = _elastic_policy(el.engine, ["BERT"])
+        run = _elastic(**ctor_kw)
         _assert_fallback(
             "elastic",
             reason,
-            lambda: el.run(_serving_stream(), pol, fast=True, **run_kw),
+            lambda: run(_serving_stream(), fast=True, **run_kw),
         )
+    run = _elastic(router=_custom_router())
+    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+
+
+def _hetero(**ctor_kw):
+    from repro.autoscale import BaselineBurstPolicy, HeteroElasticCluster, NodePool
+    from repro.autoscale.policies import node_capacity_rps
+    from repro.serving import GPU_NODE
+
+    hc = HeteroElasticCluster(
+        pools={
+            "stepstone": NodePool(
+                STEPSTONE_NODE, min_nodes=1, max_nodes=2, initial_nodes=1
+            ),
+            "gpu": NodePool(GPU_NODE, min_nodes=0, max_nodes=1, initial_nodes=0),
+        },
+        models=["BERT"],
+        **ctor_kw,
+    )
+    pol = BaselineBurstPolicy(
+        baseline="stepstone",
+        burst="gpu",
+        baseline_nodes=1,
+        baseline_capacity_rps=node_capacity_rps(
+            hc.engine, {"BERT": 1.0}, "hybrid", spec=STEPSTONE_NODE
+        ),
+        burst_capacity_rps=node_capacity_rps(
+            hc.engine, {"BERT": 1.0}, "hybrid", spec=GPU_NODE
+        ),
+    )
+    return lambda stream, **kw: hc.run(stream, pol, **kw)
 
 
 def test_hetero_fallback_reasons():
-    from repro.autoscale import HeteroElasticCluster, NodePool
-    from repro.autoscale.policies import node_capacity_rps
-    from repro.autoscale import BaselineBurstPolicy
-    from repro.serving import GPU_NODE
-
     cases = [
         ("streaming-record", dict(record="streaming"), dict()),
         ("spans", dict(), dict(obs=RunObserver.tracing())),
-        ("custom-router", dict(router=_CustomRouter()), dict()),
     ]
     for reason, ctor_kw, run_kw in cases:
-        hc = HeteroElasticCluster(
-            pools={
-                "stepstone": NodePool(
-                    STEPSTONE_NODE, min_nodes=1, max_nodes=2, initial_nodes=1
-                ),
-                "gpu": NodePool(
-                    GPU_NODE, min_nodes=0, max_nodes=1, initial_nodes=0
-                ),
-            },
-            models=["BERT"],
-            **ctor_kw,
-        )
-        pol = BaselineBurstPolicy(
-            baseline="stepstone",
-            burst="gpu",
-            baseline_nodes=1,
-            baseline_capacity_rps=node_capacity_rps(
-                hc.engine, {"BERT": 1.0}, "hybrid", spec=STEPSTONE_NODE
-            ),
-            burst_capacity_rps=node_capacity_rps(
-                hc.engine, {"BERT": 1.0}, "hybrid", spec=GPU_NODE
-            ),
-        )
+        run = _hetero(**ctor_kw)
         _assert_fallback(
             "hetero",
             reason,
-            lambda: hc.run(_serving_stream(), pol, fast=True, **run_kw),
+            lambda: run(_serving_stream(), fast=True, **run_kw),
         )
+    run = _hetero(router=_custom_router())
+    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+
+
+def _fleet_fingerprint(rep):
+    """Every request's fate in a fleet report, node by node."""
+
+    def key(r):
+        return (r.req_id, r.model, r.arrival_s, r.slo_s)
+
+    nodes = rep.node_reports
+    if not isinstance(nodes, dict):
+        nodes = dict(enumerate(nodes))
+    return {
+        "nodes": {
+            nid: (
+                [(key(c.request), c.dispatch_s, c.finish_s, c.batch) for c in nr.completed],
+                [(key(r.request), r.rejected_at_s) for r in nr.rejected],
+                [(key(f.request), f.failed_at_s, f.reason) for f in nr.failed],
+            )
+            for nid, nr in nodes.items()
+        },
+        "dropped": [(key(f.request), f.failed_at_s) for f in rep.dropped],
+        "busy": rep.node_busy_s,
+        "samples": getattr(rep, "samples", None),
+        "events": rep.events_processed,
+        "sim_end": rep.sim_end_s,
+    }
+
+
+@pytest.mark.parametrize("fleet", ["cluster", "elastic", "hetero"])
+def test_custom_router_fast_matches_slow(fleet):
+    """A custom router replays exactly: both paths drive it through the
+    same calls, so its fast and reference reports agree request for
+    request, outages included."""
+    from repro.serving import poisson_requests
+    from repro.sim import FailureTrace
+
+    build = {"cluster": _cluster, "elastic": _elastic, "hetero": _hetero}[fleet]
+    stream = poisson_requests("BERT", 600.0, 2.0, seed=5, slo_s=0.5)
+    router = _custom_router()
+    run = build(router=router)
+    reports = [
+        run(stream, failures=FailureTrace.scripted([(0, 0.6, 1.1)]), fast=fast)
+        for fast in (False, True)
+    ]
+    slow, fast = (_fleet_fingerprint(r) for r in reports)
+    assert slow == fast
+    # The custom policy really spread the load.
+    assert sum(1 for done, _, _ in slow["nodes"].values() if done) >= 2
 
 
 # --------------------------------------------------------------------------

@@ -179,8 +179,9 @@ class TestBackendAffinityRouter:
     def test_prefers_cheapest_feasible(self, eng):
         nodes = self._nodes(eng)
         r = BackendAffinityRouter()
+        r.reset(lambda model: nodes)
         req = Request(0, "BERT", 0.0, slo_s=5.0)
-        assert r.route(req, nodes, 0.0).node_id == 1  # stepstone is cheaper
+        assert r.route(req, 0.0).node_id == 1  # stepstone is cheaper
 
     def test_spills_to_faster_backend_when_busy(self, eng):
         nodes = self._nodes(eng)
@@ -188,14 +189,16 @@ class TestBackendAffinityRouter:
         nodes[1].in_flight = [Request(9, "BERT", 0.0)]
         nodes[1].busy_until = 10.0
         r = BackendAffinityRouter()
+        r.reset(lambda model: nodes)
         req = Request(0, "BERT", 0.0, slo_s=0.5)
-        assert r.route(req, nodes, 0.0).node_id == 0
+        assert r.route(req, 0.0).node_id == 0
 
     def test_no_slo_falls_back_to_jsq(self, eng):
         nodes = self._nodes(eng)
         nodes[1].enqueue(Request(5, "BERT", 0.0))
         r = BackendAffinityRouter()
-        assert r.route(Request(0, "BERT", 0.0), nodes, 0.0).node_id == 0
+        r.reset(lambda model: nodes)
+        assert r.route(Request(0, "BERT", 0.0), 0.0).node_id == 0
 
     def test_registered_in_make_router(self):
         assert make_router("backend-affinity").name == "backend-affinity"

@@ -4,7 +4,8 @@ NaN compares False against everything, so a ``t < 0`` or ``t < now``
 guard lets it through and it corrupts the kernel's heap order later.
 Every entry point that feeds the simulated clock checks finiteness
 itself, and so do the rate traces arrival streams are drawn from and the
-node specs fleets are priced with.  ``run()`` arguments are checked
+node specs fleets are priced with.  Router knobs are checked too: a NaN
+spill threshold would silently turn ``affinity`` into ``least-loaded``.  ``run()`` arguments are checked
 before the run has any side effect (fallback counters, router or
 autoscaler resets, report building).
 """
@@ -23,6 +24,7 @@ from repro.autoscale import (
     SpikeTrace,
     StaticPolicy,
 )
+from repro.cluster import AffinityRouter
 from repro.genai.workload import GenRequest
 from repro.obs.telemetry import BUS
 from repro.serving import NodeSpec, OnlineServingEngine, Request, poisson_requests
@@ -173,3 +175,14 @@ def test_rate_traces_reject_non_finite_parameters(trace, x):
 def test_node_spec_rejects_non_finite_fields(fields, x):
     with pytest.raises(ValueError, match="finite"):
         NodeSpec("stepstone", **{f: x for f in fields})
+
+
+@pytest.mark.parametrize("spill", [math.nan, math.inf, -3, 2.5, True, "2"])
+def test_affinity_router_rejects_bad_spill_backlog(spill):
+    with pytest.raises(ValueError, match="spill_backlog"):
+        AffinityRouter(spill_backlog=spill)
+
+
+@pytest.mark.parametrize("spill", [None, 0, 3])
+def test_affinity_router_accepts_spill_backlog(spill):
+    assert AffinityRouter(spill_backlog=spill).spill_backlog == spill
