@@ -5,6 +5,7 @@ Poisson request streams) and benchmarks the engine itself: the memoized
 batch-latency model and a full overloaded BERT simulation per policy.
 """
 
+from repro.core.memo import PRICING_MEMO
 from repro.serving import OnlineServingEngine, poisson_requests
 
 
@@ -38,7 +39,10 @@ def test_serving_batch_latency_model_cold(benchmark, perf_record):
     batch sizes 1..64) — the price of admitting one new operating point."""
 
     def run():
-        engine = OnlineServingEngine()  # fresh caches each round
+        # Cold each round, not only the first: a fresh engine and an
+        # empty process-wide pricing memo, which engines otherwise share.
+        PRICING_MEMO.clear()
+        engine = OnlineServingEngine()
         for policy in ("cpu", "pim", "hybrid"):
             for batch in (1, 4, 16, 64):
                 engine.batch_latency("BERT", policy, batch)

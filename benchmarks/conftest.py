@@ -24,6 +24,7 @@ from typing import Any, Dict
 
 import pytest
 
+from repro.core.memo import PRICING_MEMO
 from repro.experiments.registry import run_experiment
 
 _SCHEMA_SPEC = importlib.util.spec_from_file_location(
@@ -48,6 +49,13 @@ def record_perf(bench: str, entry: str, wall_s: float, **metrics: Any) -> None:
     _PERF.setdefault(bench, {})[entry] = _schema.migrate_entry(
         {"wall_s": round(wall_s, 6), **metrics}
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_pricing_memo():
+    """Start every benchmark from an empty process-wide pricing memo, so
+    its figure does not depend on which benchmarks ran before it."""
+    PRICING_MEMO.clear()
 
 
 @pytest.fixture

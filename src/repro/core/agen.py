@@ -233,17 +233,11 @@ def stepstone_iteration_counts(n_steps: int) -> np.ndarray:
     """
     if n_steps <= 0:
         return np.empty(0, dtype=np.int64)
-    k = np.arange(n_steps, dtype=np.uint64)
+    k = np.arange(n_steps, dtype=np.int64)
     k[0] = 1  # placeholder; step 0 handled by pipeline fill
-    tz = np.zeros(n_steps, dtype=np.int64)
-    kk = k.copy()
-    # trailing_zeros via progressive halving (k <= 2**63).
-    mask = (kk & np.uint64(1)) == 0
-    while mask.any():
-        tz[mask] += 1
-        kk = np.where(mask, kk >> np.uint64(1), kk)
-        mask = mask & ((kk & np.uint64(1)) == 0)
-    out = tz + 2
+    # trailing_zeros(k) is the bit index of k's lowest set bit, k & -k: an
+    # exact power of two, whose float exponent frexp reads off exactly.
+    out = np.frexp((k & -k).astype(np.float64))[1].astype(np.int64) + 1
     out[0] = 2
     return out
 

@@ -23,6 +23,7 @@ Each slice keeps a private C partial, so the reduction volume scales with
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from repro.dram.timing import DDR4Timing, DDR4_2400R
@@ -133,6 +134,19 @@ class StepStoneConfig:
 
     def unit(self, level: PimLevel) -> PimUnitConfig:
         return self.units[level]
+
+    @cached_property
+    def hardware_key(self) -> str:
+        """Value identity of this configuration, for process-wide memo keys.
+
+        The canonical text of every field, units in level order: equal
+        configurations share it and different ones never do.  It is a
+        value, so unlike ``id()`` it is never reused by a later object and
+        keeps its meaning across processes.  Configurations are treated as
+        immutable (:meth:`with_unit` returns a new one).
+        """
+        units = sorted(self.units.items(), key=lambda kv: kv[0].value)
+        return repr((self.geometry, self.timing, units, self.dma, self.word_bytes))
 
     def addressable_units(self, level: PimLevel) -> int:
         return self.geometry.num_pims(level)

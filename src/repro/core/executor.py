@@ -20,24 +20,51 @@ Reduction             DMA (or CPU) reads every slice's C partial and writes
 
 The GEMM phase is evaluated on the makespan-critical PIM (the one owning the
 most blocks); phases are serial, as in the paper's stacked bars.
+
+Pricing is split in two.  The per-group *profile* of the critical PIM (one
+row walk's cadence, the row count, the steady-state row misses) depends
+only on the weight footprint and the DRAM timing, so it is computed once
+per process and kept in the ``profile`` memo (:mod:`repro.core.memo`).
+The per-N *evaluation* combines it with the SIMD time in O(groups) numpy
+calls, using two exact closed forms (DESIGN.md, "Pricing once").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.agen import naive_iterations, stepstone_iteration_counts
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.gemm import GemmPlan, GemmShape, plan_gemm
+from repro.core.memo import PRICING_MEMO
 from repro.dram.stream import sequential_stream_cycles
+from repro.dram.timing import DDR4Timing
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
-__all__ = ["LatencyBreakdown", "GemmResult", "execute_gemm", "execute_plan"]
+__all__ = [
+    "LatencyBreakdown",
+    "GemmResult",
+    "execute_gemm",
+    "execute_plan",
+]
 
 _U64 = np.uint64
+
+#: Address generators the timing model knows (§III-D vs. the naive walk).
+_AGENS = ("stepstone", "naive")
+#: Execution flows: StepStone's DMA + long-running kernel, or eCHO.
+_FLOWS = ("stepstone", "echo")
+
+
+def _check_modes(agen: str, flow: str) -> None:
+    """Raise ``ValueError`` unless ``agen`` and ``flow`` are known modes."""
+    if agen not in _AGENS:
+        raise ValueError(f"unknown agen {agen!r}; choose from {_AGENS}")
+    if flow not in _FLOWS:
+        raise ValueError(f"unknown flow {flow!r}; choose from {_FLOWS}")
 
 
 @dataclass
@@ -153,24 +180,32 @@ def _steady_state_row_misses(fa, mapping, rows: np.ndarray, cols: np.ndarray) ->
     return float(np.sum(miss_orig[len(cols):]))
 
 
-def _gemm_phase_cycles(
-    config: StepStoneConfig,
-    plan: GemmPlan,
-    agen: str,
-    naive_full_gaps: bool,
-) -> tuple[float, float]:
-    """(cycles, bubble_stall) of the GEMM phase on the critical PIM."""
-    t = config.timing
-    u = plan.unit
+@dataclass(frozen=True)
+class _GroupProfile:
+    """N-independent pricing of one group walk on the critical PIM.
+
+    Everything here is O(n_cols): one row walk's data, plus scalars that
+    say how often it repeats.  The n_blk-long traces are rebuilt per call,
+    and only when a closed form does not apply.
+    """
+
+    cadence: np.ndarray  # per-access CAS spacing of one row walk
+    cadence_max: float
+    cadence_den: int  # power-of-two denominator of the cadence values
+    n_rows: int
+    n_blk: int  # n_cols * n_rows accesses over the group
+    crossings: float  # steady-state row misses per row walk * n_rows
+    naive_within: np.ndarray  # naive generator probes within one row walk
+    naive_row_gap: float  # true block gap between consecutive group rows
+
+
+def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
+    """Per-group profiles of the plan's critical PIM (Algorithm 1 walks)."""
     fa = plan.analysis
     mapping = fa.mapping
     g = mapping.geometry
     pim = plan.max_blocks_pim
-    compute = u.compute_cycles_per_block(plan.shape.n)
-    base_cadence = float(u.cadence(t))
-    lookahead_cover = float(u.pipeline_depth)
-    total = 0.0
-    stall = 0.0
+    out = []
     for w in plan.work[pim]:
         cols = fa.cols_of(pim, w.group)
         n_cols, n_rows = len(cols), w.n_rows
@@ -192,42 +227,96 @@ def _gemm_phase_cycles(
             c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
             c = np.where(same_rank, c, float(t.tBL + t.tRTRS))
             cadence[1:] = c
-        if u.level is PimLevel.BANKGROUP:
-            cadence[:] = base_cadence  # confined to one bank group
+        if plan.unit.level is PimLevel.BANKGROUP:
+            cadence[:] = float(plan.unit.cadence(t))  # confined to one bank group
 
-        # AGEN iterations per access over the full group trace.
-        n_blk = n_cols * n_rows
-        if agen == "stepstone":
-            iters = stepstone_iteration_counts(n_blk).astype(np.float64)
-        elif agen == "naive":
-            within = naive_iterations(addrs, g.block_bytes).astype(np.float64)
-            iters = np.tile(within, n_rows)
-            if naive_full_gaps and n_rows > 1:
-                # Charge the true block gap between the last block of one
-                # group row and the first of the next.
-                row_gap_rows = float(np.mean(np.diff(rows))) if n_rows > 1 else 1.0
-                trans_gap = max(
-                    1.0,
-                    row_gap_rows * fa.blocks_per_row
-                    - float(cols[-1])
-                    + float(cols[0]),
-                )
-                iters[n_cols::n_cols] = trans_gap
-            else:
-                iters[n_cols::n_cols] = 2.0  # loop-assisted row advance
+        # The naive generator's true block gap between the last block of
+        # one group row and the first of the next (unused for one row).
+        naive_row_gap = 2.0
+        if n_rows > 1:
+            row_gap_rows = float(np.mean(np.diff(rows)))
+            naive_row_gap = max(
+                1.0, row_gap_rows * fa.blocks_per_row - float(cols[-1]) + float(cols[0])
+            )
+
+        within = naive_iterations(addrs, g.block_bytes).astype(np.float64)
+        cadence.flags.writeable = within.flags.writeable = False  # shared via the memo
+        out.append(
+            _GroupProfile(
+                cadence=cadence,
+                cadence_max=float(cadence.max()),
+                cadence_den=max(float(c).as_integer_ratio()[1] for c in np.unique(cadence)),
+                n_rows=n_rows,
+                n_blk=n_cols * n_rows,
+                crossings=_steady_state_row_misses(fa, mapping, rows, cols) * n_rows,
+                naive_within=within,
+                naive_row_gap=naive_row_gap,
+            )
+        )
+    return tuple(out)
+
+
+def _gemm_phase_cycles(
+    config: StepStoneConfig,
+    plan: GemmPlan,
+    agen: str,
+    naive_full_gaps: bool,
+) -> tuple[float, float]:
+    """(cycles, bubble_stall) of the GEMM phase on the critical PIM.
+
+    The per-group profiles are N-independent and come from the
+    ``profile`` memo; this is the O(groups) N-dependent evaluation.
+    """
+    t = config.timing
+    u = plan.unit
+    profile = PRICING_MEMO.lookup(
+        "profile", (plan.footprint_key, t, u.level), lambda: _gemm_profile(t, plan)
+    )
+    compute = u.compute_cycles_per_block(plan.shape.n)
+    compute_den = float(compute).as_integer_ratio()[1]
+    lookahead_cover = float(u.pipeline_depth)
+    if agen == "stepstone":
+        per_miss = max(0.0, t.row_miss_penalty - lookahead_cover)
+    else:
+        per_miss = float(t.row_miss_penalty)
+    total = 0.0
+    stall = 0.0
+    for gp in profile:
+        base_row = np.maximum(gp.cadence, compute)
+        base = None
+        if agen == "stepstone" and lookahead_cover >= 0.0 and base_row.min() >= 3.0:
+            # Over steps 0..K the AGEN issues 3K + 2 - popcount(K)
+            # iterations while the pipe retires at least 3(K + 1) cycles,
+            # so the cumulative deficit below is always negative.
+            group_stall = 0.0
         else:
-            raise ValueError(f"unknown agen {agen!r}")
-
-        cad_tiled = np.tile(cadence, n_rows)
-        base = np.maximum(cad_tiled, compute)
-        # The AGEN runs ahead of the access pipeline through a
-        # pipeline_depth-deep FIFO, so transient long iteration counts
-        # borrow earlier slack; the pipe only starves once the cumulative
-        # iteration deficit exceeds the run-ahead credit (§III-A/§V-C:
-        # "its latency can always be hidden within the pipeline").
-        deficit = np.cumsum(iters - base)
-        group_stall = max(0.0, float(deficit.max()) - lookahead_cover)
-        total += float(np.sum(base)) + group_stall
+            base = np.tile(base_row, gp.n_rows)
+            if agen == "stepstone":
+                iters = stepstone_iteration_counts(gp.n_blk).astype(np.float64)
+            else:
+                n_cols = len(base_row)
+                iters = np.tile(gp.naive_within, gp.n_rows)
+                # Row advance: the true gap, or one loop-assisted step.
+                iters[n_cols::n_cols] = gp.naive_row_gap if naive_full_gaps else 2.0
+            # The AGEN runs ahead of the access pipeline through a
+            # pipeline_depth-deep FIFO, so transient long iteration counts
+            # borrow earlier slack; the pipe only starves once the
+            # cumulative iteration deficit exceeds the run-ahead credit
+            # (§III-A/§V-C: "its latency can always be hidden within the
+            # pipeline").
+            deficit = np.cumsum(iters - base)
+            group_stall = max(0.0, float(deficit.max()) - lookahead_cover)
+        # Every value is a multiple of 1/den; while the group total stays
+        # below 2**53 such units, every partial sum is exact in any order,
+        # so one row's sum times n_rows equals the sum of the tiled walk.
+        den = max(gp.cadence_den, compute_den)
+        if gp.n_blk * max(gp.cadence_max, compute) * den < 2.0**53:
+            group_sum = gp.n_rows * float(base_row.sum())
+        else:
+            if base is None:
+                base = np.tile(base_row, gp.n_rows)
+            group_sum = float(np.sum(base))
+        total += group_sum + group_stall
         stall += group_stall
 
         # Residual row-buffer miss penalties.  A miss happens only when a
@@ -237,13 +326,7 @@ def _gemm_phase_cycles(
         # StepStone pre-activate upcoming rows, hiding all but
         # (penalty - pipeline) cycles; the naive generator cannot run ahead
         # and pays the full penalty.
-        crossings_per_row = _steady_state_row_misses(fa, mapping, rows, cols)
-        crossings_total = crossings_per_row * n_rows
-        if agen == "stepstone":
-            per_miss = max(0.0, t.row_miss_penalty - lookahead_cover)
-        else:
-            per_miss = float(t.row_miss_penalty)
-        total += crossings_total * per_miss
+        total += gp.crossings * per_miss
     # Refresh steals a fixed fraction of PIM-visible time.
     total *= 1.0 / (1.0 - t.refresh_overhead)
     return total, stall
@@ -266,8 +349,7 @@ def execute_plan(
     dot-product row.  ``launch_delay_cycles`` adds per-launch command-channel
     delay (used by the colocation study, Fig. 13).
     """
-    if flow not in ("stepstone", "echo"):
-        raise ValueError(f"unknown flow {flow!r}")
+    _check_modes(agen, flow)
     t = config.timing
     u = plan.unit
     shape = plan.shape
@@ -278,12 +360,14 @@ def execute_plan(
     gemm_cycles, stall = _gemm_phase_cycles(config, plan, agen, naive_full_gaps)
 
     pim = plan.max_blocks_pim
+    fill_b_blocks = plan.fill_b_blocks(pim)
     fill_b = sequential_stream_cycles(
-        plan.fill_b_blocks(pim), t, cadence=cadence, blocks_per_row=bpr
-    ) if plan.fill_b_blocks(pim) else 0.0
+        fill_b_blocks, t, cadence=cadence, blocks_per_row=bpr
+    ) if fill_b_blocks else 0.0
+    fill_c_blocks = plan.fill_c_blocks(pim)
     fill_c = sequential_stream_cycles(
-        plan.fill_c_blocks(pim), t, cadence=cadence, blocks_per_row=bpr
-    ) if plan.fill_c_blocks(pim) else 0.0
+        fill_c_blocks, t, cadence=cadence, blocks_per_row=bpr
+    ) if fill_c_blocks else 0.0
     drain_c = fill_c
 
     chan_bw = dma.bytes_per_cycle_per_channel * config.channels

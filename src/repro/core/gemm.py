@@ -13,20 +13,26 @@ executor needs:
   per-PIM buffer fill/drain traffic, GEMM block counts;
 * kernel-launch counts for the long-running StepStone kernel vs. eCHO's
   per-dot-product invocations (Algorithm 1's two inner variants).
+
+The footprint analysis and the work table depend only on the weight
+footprint, never on the batch N, so :func:`plan_gemm` reads them through
+the process-wide ``footprint`` memo (:mod:`repro.core.memo`); only the
+scratchpad partitioning and the direct-scratchpad test are redone per N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
+from repro.core.memo import PRICING_MEMO
 from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
-__all__ = ["GemmShape", "GroupWork", "GemmPlan", "plan_gemm"]
+__all__ = ["GemmShape", "GroupWork", "GemmPlan", "ScratchpadInfeasible", "plan_gemm"]
 
 
 def _next_pow2(x: int) -> int:
@@ -87,8 +93,10 @@ class GemmPlan:
     cpart_blocks: int
     n_rparts: int
     scratchpad_c_fraction: float
-    work: Dict[int, List[GroupWork]]  # pim -> group work items
+    work: Dict[int, Sequence[GroupWork]]  # pim -> group work items (shared, read-only)
     direct_scratchpad: bool  # small-matrix optimization (§III-E)
+    #: Memo key of the N-independent footprint half (see ``plan_gemm``).
+    footprint_key: Tuple
 
     # ------------------------------------------------------------------ #
     # Derived volumes (words of fp32 unless noted)
@@ -129,14 +137,14 @@ class GemmPlan:
     def reduction_write_words(self) -> int:
         return self.shape.m * self.shape.n
 
-    @property
+    @cached_property
     def gemm_blocks_per_pim(self) -> Dict[int, int]:
         return {
             pim: sum(w.n_cols * w.n_rows for w in items)
             for pim, items in self.work.items()
         }
 
-    @property
+    @cached_property
     def max_blocks_pim(self) -> int:
         """The PIM with the most work (the makespan-critical unit)."""
         blocks = self.gemm_blocks_per_pim
@@ -185,6 +193,10 @@ class GemmPlan:
         raise ValueError(f"unknown flow {flow!r}")
 
 
+class ScratchpadInfeasible(ValueError):
+    """The batch cannot fit one C row plus one B column in the scratchpad."""
+
+
 def _choose_partitions(
     shape: GemmShape,
     unit: PimUnitConfig,
@@ -215,12 +227,46 @@ def _choose_partitions(
         if best is None or key < best[:3]:
             best = (refill_cost, n_cparts, -rpart, cpart, f)
     if best is None:
-        raise ValueError(
+        raise ScratchpadInfeasible(
             f"batch {shape.n} cannot fit even one C row + one B column in a "
             f"{sp}-byte scratchpad at level {unit.level.short}; split N first"
         )
     _, _, neg_rpart, cpart, f = best
     return -neg_rpart, cpart, f
+
+
+def _footprint_work(
+    mapping: XORAddressMapping,
+    level: PimLevel,
+    padded: GemmShape,
+    base: int,
+    word_bytes: int,
+    pinned_id_bits: int,
+) -> Tuple[FootprintAnalysis, Dict[int, Tuple[GroupWork, ...]], int]:
+    """The N-independent half of a plan: (analysis, work table, widest group)."""
+    analysis = FootprintAnalysis(
+        mapping,
+        level,
+        padded.m,
+        padded.k,
+        base=base,
+        word_bytes=word_bytes,
+        pinned_id_bits=pinned_id_bits,
+    )
+    work: Dict[int, Tuple[GroupWork, ...]] = {}
+    max_group_cols = 1
+    for pim in analysis.active_pim_ids():
+        items = []
+        for grp in range(analysis.n_groups):
+            cols = analysis.cols_of(int(pim), grp)
+            if len(cols) == 0:
+                continue
+            rows = analysis.rows_of_group(grp)
+            items.append(GroupWork(int(pim), grp, len(cols), len(rows)))
+            max_group_cols = max(max_group_cols, len(cols))
+        if items:
+            work[int(pim)] = tuple(items)
+    return analysis, work, max_group_cols
 
 
 def plan_gemm(
@@ -237,32 +283,19 @@ def plan_gemm(
     ``pinned_id_bits`` activates the §III-E subsetting optimization (each
     pinned bit halves the active PIM count and, usually, the group count).
     ``unit`` overrides the Table II unit config (relaxed-area or scratchpad
-    sweeps).
+    sweeps).  Plans of one footprint share its analysis and work table, so
+    treat both as read-only.
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
-    analysis = FootprintAnalysis(
-        mapping,
-        level,
-        padded.m,
-        padded.k,
-        base=base,
-        word_bytes=config.word_bytes,
-        pinned_id_bits=pinned_id_bits,
+    key = (mapping.hardware_key, level, padded.m, padded.k, base, config.word_bytes, pinned_id_bits)
+    analysis, work, max_group_cols = PRICING_MEMO.lookup(
+        "footprint",
+        key,
+        lambda: _footprint_work(
+            mapping, level, padded, base, config.word_bytes, pinned_id_bits
+        ),
     )
-    work: Dict[int, List[GroupWork]] = {}
-    max_group_cols = 1
-    for pim in analysis.active_pim_ids():
-        items: List[GroupWork] = []
-        for grp in range(analysis.n_groups):
-            cols = analysis.cols_of(int(pim), grp)
-            if len(cols) == 0:
-                continue
-            rows = analysis.rows_of_group(grp)
-            items.append(GroupWork(int(pim), grp, len(cols), len(rows)))
-            max_group_cols = max(max_group_cols, len(cols))
-        if items:
-            work[int(pim)] = items
     rpart, cpart, frac = _choose_partitions(padded, u, max_group_cols, config.word_bytes)
     n_rparts = math.ceil(padded.m / rpart)
 
@@ -288,4 +321,5 @@ def plan_gemm(
         scratchpad_c_fraction=frac,
         work=work,
         direct_scratchpad=direct,
+        footprint_key=key,
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import StepStoneConfig
-from repro.core.executor import GemmResult, execute_gemm
-from repro.core.gemm import GemmShape
+from repro.core.executor import GemmResult, _check_modes, execute_gemm
+from repro.core.gemm import GemmShape, ScratchpadInfeasible
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
 __all__ = ["PimChoice", "choose_execution"]
@@ -64,8 +64,10 @@ def choose_execution(
 
     ``max_pinned_bits`` bounds the §III-E subsetting search (0 disables it).
     Candidates that cannot satisfy scratchpad constraints are skipped; at
-    least one candidate must be feasible.
+    least one candidate must be feasible.  Any other error (an unknown
+    ``agen`` or ``flow``, a malformed footprint) propagates unchanged.
     """
+    _check_modes(agen, flow)
     best: Optional[PimChoice] = None
     for level in levels:
         for pinned in range(0, max_pinned_bits + 1):
@@ -82,8 +84,8 @@ def choose_execution(
                     flow=flow,
                     pinned_id_bits=pinned,
                 )
-            except ValueError:
-                continue  # infeasible (e.g. batch too large for scratchpad)
+            except ScratchpadInfeasible:
+                continue  # batch too large for this level's scratchpad
             cand = PimChoice(level=level, pinned_id_bits=pinned, result=res)
             if best is None or cand.cycles < best.cycles:
                 best = cand

@@ -140,6 +140,8 @@ class FootprintAnalysis:
         self.id_masks: Tuple[int, ...] = full_masks[pinned_id_bits:]
         self.base_id = self._pim_id_scalar(base)
         self._grouping: BlockGrouping | None = None
+        self._rows_cache: Dict[int, np.ndarray] = {}
+        self._row_ids_cache: Dict[int, np.ndarray] = {}
         self._cols_cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
@@ -238,7 +240,12 @@ class FootprintAnalysis:
         return self.grouping.n_groups
 
     def rows_of_group(self, group: int) -> np.ndarray:
-        return self.grouping.rows_of_group(group)
+        """Sorted matrix-row indices of *group* (cached; treat as read-only)."""
+        rows = self._rows_cache.get(group)
+        if rows is None:
+            rows = self._rows_cache[group] = self.grouping.rows_of_group(group)
+            rows.flags.writeable = False
+        return rows
 
     # ------------------------------------------------------------------ #
     # Per-(PIM, group) locality
@@ -253,6 +260,16 @@ class FootprintAnalysis:
         cached = self._cols_cache.get(key)
         if cached is not None:
             return cached
+        out = np.nonzero(self._row_pim_ids(group) == _U64(pim))[0].astype(np.int64)
+        self._cols_cache[key] = out
+        return out
+
+    def _row_pim_ids(self, group: int) -> np.ndarray:
+        """PIM ID of every block column of one row of *group* (shared by
+        all PIMs, so it is evaluated once per group)."""
+        ids = self._row_ids_cache.get(group)
+        if ids is not None:
+            return ids
         rows = self.rows_of_group(group)
         if len(rows) == 0:
             raise ValueError(f"group {group} is empty")
@@ -263,10 +280,8 @@ class FootprintAnalysis:
             + _U64(r0) * _U64(self.row_bytes)
             + cols * _U64(self.mapping.geometry.block_bytes)
         )
-        ids = self._pim_ids(addrs)
-        out = np.nonzero(ids == _U64(pim))[0].astype(np.int64)
-        self._cols_cache[key] = out
-        return out
+        ids = self._row_ids_cache[group] = self._pim_ids(addrs)
+        return ids
 
     def blocks_of(self, pim: int, group: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Block addresses of (pim, group) in execution order (row-major).

@@ -175,6 +175,12 @@ class XORAddressMapping:
                     )
             self.field_masks[fname] = masks
         self._check_invertible()
+        #: Value identity for process-wide memo keys: the geometry and every
+        #: mask, in canonical text form.  The name and mapping ID are labels
+        #: and do not change a single coordinate, so they are left out.
+        self.hardware_key: str = repr(
+            (geometry, tuple(self.field_masks[f] for f in FIELD_ORDER))
+        )
         # Pre-pack masks for vectorized evaluation.
         self._packed: Dict[str, np.ndarray] = {
             f: np.asarray(ms, dtype=_U64) for f, ms in self.field_masks.items()

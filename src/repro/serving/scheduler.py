@@ -14,10 +14,11 @@ search used by the §V-A claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.baselines.cpu import CpuGemmModel
 from repro.core.gemm import GemmShape
+from repro.core.memo import PRICING_MEMO
 from repro.core.scheduler import choose_execution
 from repro.core.system import StepStoneSystem
 
@@ -66,22 +67,20 @@ class BatchServer:
         self.system = system or StepStoneSystem.default()
         self.cpu = cpu or CpuGemmModel()
         self.max_pim_batch = max_pim_batch
-        self._chunk_cache: Dict[Tuple[int, int, int], float] = {}
 
     # ------------------------------------------------------------------ #
     # Primitive latencies
     # ------------------------------------------------------------------ #
 
     def _pim_chunk_seconds(self, m: int, k: int, n: int) -> float:
-        key = (m, k, n)
-        hit = self._chunk_cache.get(key)
-        if hit is None:
-            choice = choose_execution(
-                self.system.config, self.system.mapping, GemmShape(m, k, n)
-            )
-            hit = choice.cycles / _DRAM_HZ
-            self._chunk_cache[key] = hit
-        return hit
+        """Seconds of one PIM chunk, read through the process-wide
+        ``chunk`` memo: servers on equal hardware share entries."""
+        config, mapping = self.system.config, self.system.mapping
+        return PRICING_MEMO.lookup(
+            "chunk",
+            (config.hardware_key, mapping.hardware_key, m, k, n),
+            lambda: choose_execution(config, mapping, GemmShape(m, k, n)).cycles / _DRAM_HZ,
+        )
 
     def pim_latency(self, m: int, k: int, n: int) -> float:
         """Latency of batch *n* on the PIMs, split into <=max_pim_batch

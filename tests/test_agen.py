@@ -133,6 +133,19 @@ class TestIterationModels:
     def test_stepstone_empty(self):
         assert len(stepstone_iteration_counts(0)) == 0
 
+    def test_stepstone_counts_match_int_oracle(self):
+        # Step 0 is the pipeline fill (2); step k costs tz(k) + 2, with tz
+        # from Python ints: the bit index of the lowest set bit.
+        n_max = 1 << 14
+        oracle = np.array(
+            [2] + [(k & -k).bit_length() - 1 + 2 for k in range(1, n_max)],
+            dtype=np.int64,
+        )
+        for n in range(n_max + 1):
+            c = stepstone_iteration_counts(n)
+            assert c.dtype == np.int64
+            assert np.array_equal(c, oracle[:n]), n
+
     def test_naive_gap_counts(self):
         addrs = np.array([0, 64, 256, 320], dtype=np.uint64)
         assert naive_iterations(addrs).tolist() == [1, 1, 3, 1]

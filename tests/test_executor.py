@@ -155,3 +155,42 @@ class TestFlows:
         d_st = st1.breakdown.total - st0.breakdown.total
         d_ec = ec1.breakdown.total - ec0.breakdown.total
         assert d_ec > 10 * d_st
+
+
+BAD_MODES = [({"agen": "bogus"}, "unknown agen"), ({"flow": "bogus"}, "unknown flow")]
+
+
+class TestModeValidation:
+    """A typo in ``agen``/``flow`` is reported as such, not as infeasibility."""
+
+    @pytest.mark.parametrize("kw,msg", BAD_MODES)
+    def test_choose_execution_names_the_bad_argument(self, cfg, sky, kw, msg):
+        from repro.core.scheduler import choose_execution
+
+        with pytest.raises(ValueError, match=msg):
+            choose_execution(cfg, sky, GemmShape(1024, 1024, 4), **kw)
+
+    @pytest.mark.parametrize("kw,msg", BAD_MODES)
+    def test_execute_plan_checks_before_any_work(self, cfg, sky, kw, msg, monkeypatch):
+        from repro.core import executor
+        from repro.core.gemm import plan_gemm
+
+        plan = plan_gemm(cfg, sky, GemmShape(1024, 1024, 4), PimLevel.BANKGROUP)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("priced before validating its arguments")
+
+        monkeypatch.setattr(executor, "_gemm_phase_cycles", no_work)
+        with pytest.raises(ValueError, match=msg):
+            executor.execute_plan(cfg, plan, **kw)
+
+    def test_scratchpad_infeasibility_is_still_skipped(self, cfg, sky):
+        from repro.core.gemm import ScratchpadInfeasible, plan_gemm
+        from repro.core.scheduler import choose_execution
+
+        # One 8 KiB C row at N = 2048 fills the whole BG scratchpad; the
+        # 32 KiB DV scratchpad still fits a C row plus a B column.
+        shape = GemmShape(1024, 1024, 2048)
+        with pytest.raises(ScratchpadInfeasible):
+            plan_gemm(cfg, sky, shape, PimLevel.BANKGROUP)
+        assert choose_execution(cfg, sky, shape).level is PimLevel.DEVICE

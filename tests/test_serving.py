@@ -124,8 +124,10 @@ class TestHybrid:
         assert h.pim_batch + h.cpu_batch == 40
 
     def test_chunk_cache_reused(self):
+        from repro.core.memo import PRICING_MEMO
+
         srv = BatchServer()
         srv.pim_latency(1024, 4096, 96)
-        n1 = len(srv._chunk_cache)
+        n1 = PRICING_MEMO.size("chunk")
         srv.pim_latency(1024, 4096, 960)
-        assert len(srv._chunk_cache) == n1
+        assert PRICING_MEMO.size("chunk") == n1
