@@ -574,7 +574,7 @@ class FleetLoop:
 
     def _observe(self, t0: float, t1: float) -> Dict[str, ControlObservation]:
         """Per-pool windowed observations over ``(t0, t1]`` (exact busy
-        time; streaming window rings rolled at ``t1``)."""
+        time; streaming window rings, node and pool, rolled at ``t1``)."""
         interval = t1 - t0
         streaming = self.run_stats is not None
         out: Dict[str, ControlObservation] = {}
@@ -591,6 +591,7 @@ class FleetLoop:
                 served_now = rep.served
                 if streaming:
                     completions += served_now - slot.completed_seen
+                    rep.stats.roll_window(t1)
                 else:
                     new_lats = rep.stats.new_latencies(slot.completed_seen)
                     completions += len(new_lats)

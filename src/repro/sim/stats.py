@@ -34,13 +34,31 @@ one marker set per tracked quantile, seeded from the exact reservoir at
 the moment it spills — the same incremental-aggregation move the
 analytic cycle-accounting simulators in SNIPPETS.md make instead of
 materializing event streams.
+
+Ingestion is chunked but order-preserving.  A sketch updates
+``count``/``min``/``max`` on every ``add`` and parks the value in a
+pending list of at most :data:`INGEST_CHUNK` values;
+:meth:`QuantileSketch.flush` folds the chunk in arrival order, one
+``insort`` at a time up to the spill, then one
+:meth:`P2Quantile.add_many` pass per marker set over local variables.
+The chunk is flushed when full, before every read (``quantile``,
+``is_exact``, ``exact_values``, and so every :class:`StreamStats` and
+:class:`WindowRing` query), before ``add_run``, and when a ring window
+closes.  Marker state after a flush is bitwise what per-element updates
+give, so no answer depends on where the chunk boundaries fell.
+
+The elastic fleets roll every streaming recorder's ring, node and pool
+alike, at each control tick, so windows are control intervals at every
+level; a closed window is packed to its count plus its exact reservoir
+or quantile curve.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.metrics import nearest_rank, window_latencies
 
@@ -63,6 +81,10 @@ DEFAULT_QUANTILES: Tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 #: Exact-reservoir size before a sketch spills to P² markers.  Up to
 #: this many observations every percentile answer is exact nearest-rank.
 DEFAULT_EXACT_LIMIT = 512
+
+#: Observations a :class:`QuantileSketch` holds before folding them in
+#: as one chunk (see :meth:`QuantileSketch.flush`).
+INGEST_CHUNK = 256
 
 #: Closed windows a :class:`WindowRing` retains (oldest evicted beyond
 #: this) — bounds streaming-mode memory regardless of run length.
@@ -192,33 +214,17 @@ class P2Quantile:
 
     def add(self, x: float) -> None:
         """Fold one observation into the marker set."""
-        q, pos = self._q, self._pos
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and q[k + 1] <= x:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        self.n += 1
-        n1 = self.n - 1
-        for i in (1, 2, 3):
-            desired = 1.0 + n1 * self._d[i]
-            delta = desired - pos[i]
-            if (delta >= 1.0 and pos[i + 1] - pos[i] > 1) or (
-                delta <= -1.0 and pos[i - 1] - pos[i] < -1
-            ):
-                s = 1 if delta >= 1.0 else -1
-                qn = self._parabolic(i, s)
-                if not q[i - 1] < qn < q[i + 1]:
-                    qn = self._linear(i, s)
-                q[i] = qn
-                pos[i] += s
+        self.add_many((x,))
+
+    def add_many(self, xs: Iterable[float]) -> None:
+        """Fold observations in order, bitwise as :meth:`add` one by one.
+
+        The chunked-ingestion primitive: one call folds a whole chunk
+        with the markers held in local variables, so the per-observation
+        cost is the Jain–Chlamtac arithmetic alone, with no call or
+        attribute traffic.
+        """
+        self._fold(xs, 1)
 
     def add_run(self, x: float, n: int) -> None:
         """Fold ``n`` identical observations in one weighted update.
@@ -236,49 +242,88 @@ class P2Quantile:
         the reference and fast generative paths ingest the identical run
         sequence, so their sketches agree exactly.
         """
-        if n == 1:
-            self.add(x)
-            return
-        q, pos = self._q, self._pos
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and q[k + 1] <= x:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += n
-        self.n += n
-        n1 = self.n - 1
-        for i in (1, 2, 3):
-            desired = 1.0 + n1 * self._d[i]
-            delta = desired - pos[i]
-            if (delta >= 1.0 and pos[i + 1] - pos[i] > 1) or (
-                delta <= -1.0 and pos[i - 1] - pos[i] < -1
-            ):
+        self._fold((x,), n)
+
+    def _fold(self, xs: Iterable[float], w: int) -> None:
+        """The one copy of the P² update: fold each of ``xs`` with weight ``w``.
+
+        Markers 1-3 adjust in order, each seeing its lower neighbor's
+        fresh state, with the textbook's float operation order (the
+        parabolic step, falling back to the linear one when it leaves
+        the bracket), so any chunking of a stream gives the same bits.
+        """
+        q0, q1, q2, q3, q4 = self._q
+        p0, p1, p2, p3, p4 = self._pos
+        _, d1, d2, d3, _ = self._d
+        n = self.n
+        for x in xs:
+            # Find x's cell; every marker above it moves up a rank.
+            if x < q0:
+                q0 = x
+                p1 += w
+                p2 += w
+                p3 += w
+            elif x >= q4:
+                q4 = x
+            elif q1 <= x:
+                if q2 <= x:
+                    if not q3 <= x:
+                        p3 += w
+                else:
+                    p2 += w
+                    p3 += w
+            else:
+                p1 += w
+                p2 += w
+                p3 += w
+            p4 += w
+            n += w
+            n1 = n - 1
+            delta = 1.0 + n1 * d1 - p1
+            if (delta >= 1.0 and p2 - p1 > 1) or (delta <= -1.0 and p0 - p1 < -1):
                 s = 1 if delta >= 1.0 else -1
-                qn = self._parabolic(i, s)
-                if not q[i - 1] < qn < q[i + 1]:
-                    qn = self._linear(i, s)
-                q[i] = qn
-                pos[i] += s
-
-    def _parabolic(self, i: int, s: int) -> float:
-        q, pos = self._q, self._pos
-        num1 = pos[i] - pos[i - 1] + s
-        num2 = pos[i + 1] - pos[i] - s
-        den = pos[i + 1] - pos[i - 1]
-        term1 = num1 * (q[i + 1] - q[i]) / (pos[i + 1] - pos[i])
-        term2 = num2 * (q[i] - q[i - 1]) / (pos[i] - pos[i - 1])
-        return q[i] + s * (term1 + term2) / den
-
-    def _linear(self, i: int, s: int) -> float:
-        q, pos = self._q, self._pos
-        return q[i] + s * (q[i + s] - q[i]) / (pos[i + s] - pos[i])
+                qn = q1 + s * (
+                    (p1 - p0 + s) * (q2 - q1) / (p2 - p1)
+                    + (p2 - p1 - s) * (q1 - q0) / (p1 - p0)
+                ) / (p2 - p0)
+                if not q0 < qn < q2:
+                    if s == 1:
+                        qn = q1 + s * (q2 - q1) / (p2 - p1)
+                    else:
+                        qn = q1 + s * (q0 - q1) / (p0 - p1)
+                q1 = qn
+                p1 += s
+            delta = 1.0 + n1 * d2 - p2
+            if (delta >= 1.0 and p3 - p2 > 1) or (delta <= -1.0 and p1 - p2 < -1):
+                s = 1 if delta >= 1.0 else -1
+                qn = q2 + s * (
+                    (p2 - p1 + s) * (q3 - q2) / (p3 - p2)
+                    + (p3 - p2 - s) * (q2 - q1) / (p2 - p1)
+                ) / (p3 - p1)
+                if not q1 < qn < q3:
+                    if s == 1:
+                        qn = q2 + s * (q3 - q2) / (p3 - p2)
+                    else:
+                        qn = q2 + s * (q1 - q2) / (p1 - p2)
+                q2 = qn
+                p2 += s
+            delta = 1.0 + n1 * d3 - p3
+            if (delta >= 1.0 and p4 - p3 > 1) or (delta <= -1.0 and p2 - p3 < -1):
+                s = 1 if delta >= 1.0 else -1
+                qn = q3 + s * (
+                    (p3 - p2 + s) * (q4 - q3) / (p4 - p3)
+                    + (p4 - p3 - s) * (q3 - q2) / (p3 - p2)
+                ) / (p4 - p2)
+                if not q2 < qn < q4:
+                    if s == 1:
+                        qn = q3 + s * (q4 - q3) / (p4 - p3)
+                    else:
+                        qn = q3 + s * (q2 - q3) / (p2 - p3)
+                q3 = qn
+                p3 += s
+        self.n = n
+        self._q = [q0, q1, q2, q3, q4]
+        self._pos = [p0, p1, p2, p3, p4]
 
     @property
     def value(self) -> float:
@@ -306,6 +351,7 @@ class QuantileSketch:
         "_exact",
         "_markers",
         "_rr",
+        "_pending",
     )
 
     def __init__(
@@ -336,33 +382,66 @@ class QuantileSketch:
         self._markers: Optional[List[P2Quantile]] = None
         #: Round-robin cursor for run-batched marker updates.
         self._rr = 0
+        #: Observations not yet folded in, in arrival order (at most
+        #: :data:`INGEST_CHUNK`; see :meth:`flush`).
+        self._pending: List[float] = []
 
     @property
     def is_exact(self) -> bool:
         """True while every answer is still exact nearest-rank."""
+        self.flush()
         return self._markers is None
 
     @property
     def exact_values(self) -> Optional[List[float]]:
         """The ascending reservoir while exact, else ``None``."""
+        self.flush()
         return self._exact
 
     def add(self, x: float) -> None:
-        """Fold one observation into the sketch."""
+        """Fold one observation into the sketch.
+
+        ``count``/``min``/``max`` update now; the value itself waits in
+        the pending chunk until the next :meth:`flush`.
+        """
         x = float(x)
         self.count += 1
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
-        if self._markers is None:
-            bisect.insort(self._exact, x)
-            if len(self._exact) >= self.exact_limit:
-                self._markers = [P2Quantile(q, self._exact) for q in self.quantiles]
-                self._exact = None
+        pending = self._pending
+        pending.append(x)
+        if len(pending) >= INGEST_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold the pending chunk in, in arrival order.
+
+        The reservoir takes observations one ``insort`` at a time up to
+        the spill; the rest of the chunk goes to every marker set in one
+        :meth:`P2Quantile.add_many` pass.  The result is bitwise what
+        adding each observation on arrival would give, so a read never
+        depends on where the chunk boundaries fell.
+        """
+        xs = self._pending
+        if not xs:
             return
+        self._pending = []
+        if self._markers is None:
+            exact = self._exact
+            limit = self.exact_limit
+            for i, x in enumerate(xs):
+                bisect.insort(exact, x)
+                if len(exact) >= limit:
+                    self._markers = [P2Quantile(q, exact) for q in self.quantiles]
+                    self._exact = None
+                    xs = xs[i + 1 :]
+                    break
+            else:
+                return
         for m in self._markers:
-            m.add(x)
+            m.add_many(xs)
 
     def add_run(self, x: float, n: int) -> None:
         """Fold ``n`` identical observations in one O(1) bulk update.
@@ -377,13 +456,18 @@ class QuantileSketch:
         width or marker count — the property that lets a macro-stepped
         decode path ingest hundreds of thousands of token gaps in tens
         of thousands of updates.  Min/max (the interpolation anchors)
-        still see every run.
+        still see every run.  The pending chunk is flushed first, so the
+        run lands after everything added before it.
+
+        Raises:
+            ValueError: If ``n`` is not positive (nothing is changed).
         """
+        if n <= 0:
+            raise ValueError("run length must be positive")
         if n == 1:
             self.add(x)
             return
-        if n <= 0:
-            raise ValueError("run length must be positive")
+        self.flush()
         x = float(x)
         self.count += n
         if x < self.min:
@@ -424,24 +508,34 @@ class QuantileSketch:
             raise ValueError("percentile must be in (0, 100]")
         if self.count == 0:
             return math.nan
+        self.flush()
         if self._markers is not None:
-            return self._interp(q / 100.0)
+            return _curve_percentile(q, self.quantiles, self._curve())
         return nearest_rank(self._exact, q)
 
-    def _interp(self, p: float) -> float:
-        pts: List[Tuple[float, float]] = [(0.0, self.min)]
-        pts.extend(
-            (frac, marker.value)
-            for frac, marker in zip(self.quantiles, self._markers)
-        )
-        pts.append((1.0, self.max))
-        for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
-            if p <= p1:
-                if p1 <= p0:
-                    return v1
-                w = (p - p0) / (p1 - p0)
-                return v0 + w * (v1 - v0)
-        return self.max
+    def _curve(self) -> List[float]:
+        """The spilled sketch's curve heights: min, one estimate per
+        tracked quantile, max (see :func:`_curve_percentile`)."""
+        return [self.min, *(m.value for m in self._markers), self.max]
+
+
+def _curve_percentile(q: float, fracs: Sequence[float], curve: Sequence[float]) -> float:
+    """Read percentile ``q`` off a spilled sketch's quantile curve.
+
+    The curve runs through ``(0, min)``, one ``(frac, estimate)`` point
+    per tracked fraction in ``fracs`` and ``(1, max)``; ``curve`` holds
+    those heights in that order.  Off-grid queries interpolate linearly
+    between the bracketing points.
+    """
+    p = q / 100.0
+    pts = list(zip((0.0, *fracs, 1.0), curve))
+    for (p0, v0), (p1, v1) in zip(pts, pts[1:]):
+        if p <= p1:
+            if p1 <= p0:
+                return v1
+            w = (p - p0) / (p1 - p0)
+            return v0 + w * (v1 - v0)
+    return curve[-1]
 
 
 class StreamStats:
@@ -482,7 +576,12 @@ class StreamStats:
         cost the macro-stepped decode path pays per boundary instead of
         per token.  ``n == 1`` delegates to :meth:`add`, so mixed-run
         callers keep single-sample semantics unchanged.
+
+        Raises:
+            ValueError: If ``n`` is not positive (nothing is changed).
         """
+        if n <= 0:
+            raise ValueError("run length must be positive")
         if n == 1:
             self.add(x)
             return
@@ -520,15 +619,58 @@ class StreamStats:
         return self._sketch.quantile(q)
 
 
-class _Window:
-    """One closed (or still-open) window of a :class:`WindowRing`."""
+class _Summary(NamedTuple):
+    """What window queries read of one window.
 
-    __slots__ = ("start_s", "end_s", "stats")
+    ``exact`` is the ascending reservoir while the window's sketch is
+    exact; otherwise ``fracs``/``curve`` hold its quantile curve (see
+    :func:`_curve_percentile`).
+    """
+
+    count: int
+    exact: Optional[Sequence[float]]
+    fracs: Optional[Tuple[float, ...]]
+    curve: Optional[Sequence[float]]
+
+
+class _Window:
+    """One window of a :class:`WindowRing`.
+
+    An open window ingests through a live :class:`StreamStats`.
+    :meth:`close` packs it into a :class:`_Summary` over ``array('d')``
+    storage (reading the sketch flushes its pending chunk) and drops the
+    sketch: a closed window costs a few hundred bytes however many
+    completions it saw, and answers every query exactly as its sketch
+    would have.
+    """
+
+    __slots__ = ("start_s", "end_s", "stats", "summary")
 
     def __init__(self, start_s: float, quantiles, exact_limit) -> None:
         self.start_s = start_s
-        self.end_s = math.inf  # open until rolled
-        self.stats = StreamStats(quantiles, exact_limit)
+        self.end_s = math.inf  # open until closed
+        self.stats: Optional[StreamStats] = StreamStats(quantiles, exact_limit)
+        self.summary: Optional[_Summary] = None
+
+    @property
+    def count(self) -> int:
+        """Completions the window holds."""
+        return self.stats.count if self.summary is None else self.summary.count
+
+    def read(self) -> _Summary:
+        """The window's query view (packed now if it is still open)."""
+        if self.summary is not None:
+            return self.summary
+        sk = self.stats._sketch
+        if sk.is_exact:
+            return _Summary(sk.count, array("d", sk.exact_values), None, None)
+        return _Summary(sk.count, None, sk.quantiles, array("d", sk._curve()))
+
+    def close(self, t: float) -> None:
+        """End the window at ``t`` and keep only its packed summary."""
+        self.end_s = t
+        self.summary = self.read()
+        self.stats = None
 
 
 class WindowRing:
@@ -538,7 +680,8 @@ class WindowRing:
     elastic fleets roll at every control tick, so a window *is* a
     control interval) and a fixed ``window_s`` width auto-rolls for
     loops without a controller.  Only the newest ``depth`` closed
-    windows are retained, so memory is bounded however long the run.
+    windows are retained, each packed to its reservoir or quantile
+    curve, so memory is bounded however long the run.
 
     Queries merge the sub-sketches of every window intersecting the
     asked range: exact when all of them still hold their reservoirs
@@ -595,10 +738,15 @@ class WindowRing:
         self._open.stats.add(x)
 
     def roll(self, t: float) -> None:
-        """Close the open window at ``t`` and start a new one there."""
+        """Close the open window at ``t`` and start a new one there.
+
+        The closing window's pending chunk is folded in and the window
+        packed (:meth:`_Window.close`), so closed windows hold neither
+        unflushed data nor a live sketch.
+        """
         w = self._open
         if w.stats.count:
-            w.end_s = t
+            w.close(t)
             self._closed.append(w)
             if len(self._closed) > self.depth:
                 del self._closed[0 : len(self._closed) - self.depth]
@@ -628,27 +776,27 @@ class WindowRing:
             its exact regime; a count-weighted estimate otherwise; NaN
             when no retained window overlaps.
         """
-        windows = self._overlapping(start_s, end_s)
+        windows = [w.read() for w in self._overlapping(start_s, end_s)]
         if not windows:
             return math.nan
-        if all(w.stats.is_exact for w in windows):
+        if all(w.exact is not None for w in windows):
             merged: List[float] = []
             for w in windows:
-                merged.extend(w.stats.exact_values)
+                merged.extend(w.exact)
             merged.sort()
             return nearest_rank(merged, q)
         # Weighted merge: sample each window's quantile curve and take
         # the weighted nearest rank across samples.
         samples: List[Tuple[float, float]] = []  # (value, weight)
         for w in windows:
-            st = w.stats
-            if st.is_exact:
+            if w.exact is not None:
                 wgt = 1.0
-                samples.extend((v, wgt) for v in st.exact_values)
+                samples.extend((v, wgt) for v in w.exact)
             else:
-                wgt = st.count / len(self._MERGE_GRID)
+                wgt = w.count / len(self._MERGE_GRID)
                 samples.extend(
-                    (st.percentile(p * 100.0), wgt) for p in self._MERGE_GRID
+                    (_curve_percentile(p * 100.0, w.fracs, w.curve), wgt)
+                    for p in self._MERGE_GRID
                 )
         samples.sort(key=lambda vw: vw[0])
         total = sum(wgt for _, wgt in samples)
@@ -662,7 +810,7 @@ class WindowRing:
 
     def window_count(self, start_s: float, end_s: float) -> int:
         """Completions recorded in windows touching ``[start_s, end_s)``."""
-        return sum(w.stats.count for w in self._overlapping(start_s, end_s))
+        return sum(w.count for w in self._overlapping(start_s, end_s))
 
 
 class MetricsRecorder:

@@ -24,6 +24,7 @@ from repro.autoscale import (
 )
 from repro.cluster import CapacityPlanner, Cluster, ModelPlacement
 from repro.serving import OnlineServingEngine, poisson_requests
+from repro.sim import window_latencies
 
 
 @pytest.fixture(scope="module")
@@ -586,6 +587,47 @@ class TestStreamingRecord:
         assert stream.latency_percentile(99) == pytest.approx(
             full.latency_percentile(99), rel=0.05
         )
+
+    def test_node_window_query_honors_its_range(self, eng):
+        """Node rings roll at every control tick like the pool ring, so a
+        control-aligned node window still in its exact reservoir answers
+        what full mode answers, bit for bit (not the node's whole run)."""
+        interval, horizon = 5.0, 120.0
+
+        def run(record):
+            cluster = ElasticCluster(
+                engine=eng,
+                policy="hybrid",
+                models=["BERT"],
+                initial_nodes=1,
+                min_nodes=1,
+                max_nodes=4,
+                control_interval_s=interval,
+                record=record,
+            )
+            tr = DiurnalTrace(trough_rps=10.0, peak_rps=60.0, period_s=horizon)
+            reqs = mix_requests(tr, {"BERT": 1.0}, horizon, seed=3, slos={"BERT": 1.0})
+            cap = node_capacity_rps(eng, {"BERT": 1.0}, "hybrid")
+            # A low target spreads the load over four nodes, so most node
+            # windows stay under the 128-sample exact reservoir.
+            return cluster.run(reqs, TargetUtilizationPolicy(cap, target=0.1))
+
+        full, stream = run("full"), run("streaming")
+        assert sorted(stream.node_reports) == sorted(full.node_reports)
+        checked = 0
+        for nid, full_node in full.node_reports.items():
+            node = stream.node_reports[nid]
+            for k in range(int(horizon / interval)):
+                start, end = k * interval, (k + 1) * interval
+                lats = window_latencies(full_node.completed, start, end)
+                if not lats or len(lats) >= 128:
+                    continue
+                for q in (50, 99):
+                    assert node.window_percentile(q, start, end) == full_node.window_percentile(
+                        q, start, end
+                    ), (nid, start, q)
+                checked += 1
+        assert checked >= 40
 
     def test_streaming_refuses_per_request_access(self, eng):
         from repro.sim import RecordingModeError

@@ -152,6 +152,21 @@ class TestStreamStats:
         assert st.min == 1.0 and st.max == 4.0
         assert st.percentile(50) == nearest_rank([1.0, 2.0, 3.0, 4.0], 50)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bad_run_length_changes_nothing(self, n):
+        st = StreamStats()
+        for x in range(10):
+            st.add(float(x))
+        before = (st.count, st.total, st.min, st.max, st.percentile(50))
+        with pytest.raises(ValueError, match="run length"):
+            st.add_run(1.0, n)
+        assert (st.count, st.total, st.min, st.max, st.percentile(50)) == before
+        sk = QuantileSketch()
+        sk.add(2.0)
+        with pytest.raises(ValueError, match="run length"):
+            sk.add_run(1.0, n)
+        assert (sk.count, sk.min, sk.max, sk.exact_values) == (1, 2.0, 2.0, [2.0])
+
 
 class TestWindowRing:
     def test_exact_windows_merge_exactly(self):
