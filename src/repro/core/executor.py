@@ -25,8 +25,14 @@ Pricing is split in two.  The per-group *profile* of the critical PIM (one
 row walk's cadence, the row count, the steady-state row misses) depends
 only on the weight footprint and the DRAM timing, so it is computed once
 per process and kept in the ``profile`` memo (:mod:`repro.core.memo`).
-The per-N *evaluation* combines it with the SIMD time in O(groups) numpy
-calls, using two exact closed forms (DESIGN.md, "Pricing once").
+:func:`_gemm_profile` builds every group's profile in one pass over the
+concatenated walks of the critical PIM, and stores each group's cadence
+histogram.  The per-N *evaluation* combines the profile with the SIMD time
+in O(groups) scalar arithmetic, using two exact closed forms (DESIGN.md,
+"Pricing once"): the group sum ``n_rows * sum(count * max(value,
+compute))`` over the histogram, and a zero AGEN stall whenever
+``max(cadence_min, compute) >= 3``.  Whole-footprint totals (blocks, fill
+traffic) come from the plan's shared footprint record in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.agen import naive_iterations, stepstone_iteration_counts
+from repro.core.agen import stepstone_iteration_counts
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.gemm import GemmPlan, GemmShape, plan_gemm
 from repro.core.memo import PRICING_MEMO
@@ -150,34 +156,51 @@ class GemmResult:
         return self.breakdown.total / clock_hz
 
 
-def _steady_state_row_misses(fa, mapping, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Row-buffer misses per group-row walk, in steady state.
-
-    Concatenates the walks of two consecutive rows of the group and counts,
-    in the second walk, accesses that revisit a bank with a different row
-    open.  Group structure makes every row's walk identical, so the second
-    row is representative of all subsequent rows.
-    """
+def _access_fields(mapping, addrs: np.ndarray):
+    """(rank, bank group, flat bank, DRAM row) of every access."""
     g = mapping.geometry
-    bb = _U64(g.block_bytes)
-    r_pair = rows[:2] if len(rows) >= 2 else rows[:1]
-    addr_rows = _U64(fa.base) + r_pair.astype(_U64) * _U64(fa.row_bytes)
-    addrs = (addr_rows[:, None] + cols.astype(_U64)[None, :] * bb).ravel()
     rk = mapping.field_values(addrs, "rank")
     bg = mapping.field_values(addrs, "bankgroup")
     bk = mapping.field_values(addrs, "bank")
     dr = mapping.field_values(addrs, "row")
     flat = (rk * _U64(g.bankgroups_per_rank) + bg) * _U64(g.banks_per_bankgroup) + bk
+    return rk, bg, flat, dr
+
+
+def _row_misses(
+    flat: np.ndarray, dram_row: np.ndarray, walk: np.ndarray, counted: np.ndarray, n_walks: int
+) -> np.ndarray:
+    """Row-buffer misses of the ``counted`` accesses, per walk.
+
+    The accesses of every walk are in program order (walks may be
+    concatenated).  An access misses when it is its walk's first visit to
+    its bank, or the bank's previous access in the walk had another row
+    open; ordering by (walk, bank, position) puts each bank's visits side
+    by side.
+    """
+    order = np.lexsort((np.arange(len(flat)), flat, walk))
+    fo, ro, wo = flat[order], dram_row[order], walk[order]
+    miss = np.ones(len(flat), dtype=bool)
+    miss[1:] = (wo[1:] != wo[:-1]) | (fo[1:] != fo[:-1]) | (ro[1:] != ro[:-1])
+    return np.bincount(wo[miss & counted[order]], minlength=n_walks)
+
+
+def _steady_state_row_misses(fa, mapping, rows: np.ndarray, cols: np.ndarray) -> float:
+    """Row-buffer misses per group-row walk, in steady state (one group).
+
+    Concatenates the walks of two consecutive rows of the group and counts,
+    in the second walk, accesses that revisit a bank with a different row
+    open.  Group structure makes every row's walk identical, so the second
+    row is representative of all subsequent rows.  :func:`_gemm_profile`
+    evaluates every group of the critical PIM at once the same way.
+    """
+    bb = _U64(mapping.geometry.block_bytes)
+    addr_rows = _U64(fa.base) + rows[:2].astype(_U64) * _U64(fa.row_bytes)
+    addrs = (addr_rows[:, None] + cols.astype(_U64)[None, :] * bb).ravel()
+    _, _, flat, dr = _access_fields(mapping, addrs)
     n = len(addrs)
-    order = np.lexsort((np.arange(n), flat))
-    fo, ro = flat[order], dr[order]
-    miss = np.ones(n, dtype=bool)
-    miss[1:] = (fo[1:] != fo[:-1]) | (ro[1:] != ro[:-1])
-    miss_orig = np.empty(n, dtype=bool)
-    miss_orig[order] = miss
-    if len(r_pair) == 1:
-        return float(np.sum(miss_orig))
-    return float(np.sum(miss_orig[len(cols):]))
+    counted = np.arange(n) >= n - len(cols)  # the last row's walk
+    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,8 @@ class _GroupProfile:
     """
 
     cadence: np.ndarray  # per-access CAS spacing of one row walk
+    cadence_hist: Tuple[Tuple[float, int], ...]  # (value, count), ascending
+    cadence_min: float
     cadence_max: float
     cadence_den: int  # power-of-two denominator of the cadence values
     n_rows: int
@@ -200,57 +225,100 @@ class _GroupProfile:
 
 
 def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
-    """Per-group profiles of the plan's critical PIM (Algorithm 1 walks)."""
-    fa = plan.analysis
+    """Per-group profiles of the plan's critical PIM (Algorithm 1 walks).
+
+    Every group is evaluated in one pass: the first-row walks of all the
+    critical PIM's groups, then the second-row walks of the groups with
+    two or more rows, concatenated into one address array.  Group-boundary
+    masks restart the cadence and the naive gaps at each walk's first
+    access.
+    """
+    fp = plan.footprint
+    fa = fp.analysis
     mapping = fa.mapping
-    g = mapping.geometry
-    pim = plan.max_blocks_pim
+    pim = fp.critical_pim
+    items = fp.work[pim]
+    n_groups = len(items)
+    groups = np.array([w.group for w in items], dtype=np.int64)
+    n_rows = np.array([w.n_rows for w in items], dtype=np.int64)
+    rows, starts = fa.group_rows
+    first_row = rows[starts[groups]]
+    last_row = rows[starts[groups] + n_rows - 1]
+
+    # One row walk per group, concatenated: walk[j] is access j's group.
+    walk, cols = np.nonzero(fa.group_pim_ids[groups] == _U64(pim))
+    n_cols = np.bincount(walk, minlength=n_groups)
+    head = np.zeros(n_groups, dtype=np.int64)  # each walk's first access
+    np.cumsum(n_cols[:-1], out=head[1:])
+    tail = head + n_cols - 1
+    is_head = np.zeros(len(walk), dtype=bool)
+    is_head[head] = True
+
+    # The second row's walk, for the groups that have one (``paired``
+    # marks the first-row accesses that get a second-row twin).
+    paired = n_rows[walk] > 1
+    second_row = rows[starts[groups] + np.minimum(n_rows, 2) - 1]
+    walk_rows = np.concatenate([first_row[walk], second_row[walk[paired]]])
+    all_walk = np.concatenate([walk, walk[paired]])
+    all_cols = np.concatenate([cols, cols[paired]]).astype(_U64)
+    addrs = (
+        _U64(fa.base)
+        + walk_rows.astype(_U64) * _U64(fa.row_bytes)
+        + all_cols * _U64(mapping.geometry.block_bytes)
+    )
+    rk, bg, flat, dr = _access_fields(mapping, addrs)
+
+    # Steady-state row misses: the second row's walk, or the only one.
+    counted = np.concatenate([~paired, np.ones(int(paired.sum()), dtype=bool)])
+    misses = _row_misses(flat, dr, all_walk, counted, n_groups).tolist()
+
+    # Per-access cadence within one row walk: tCCD_L within a bank
+    # group, tCCD_S across, rank switch across ranks.
+    n = len(walk)
+    rk, bg = rk[:n], bg[:n]
+    cadence = np.full(n, float(t.tCCDS))
+    same_rank = rk[1:] == rk[:-1]
+    same_bg = (bg[1:] == bg[:-1]) & same_rank
+    c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
+    cadence[1:] = np.where(same_rank, c, float(t.tBL + t.tRTRS))
+    cadence[is_head] = float(t.tCCDS)
+    if plan.unit.level is PimLevel.BANKGROUP:
+        cadence[:] = float(plan.unit.cadence(t))  # confined to one bank group
+    values, which = np.unique(cadence, return_inverse=True)
+    hist = np.bincount(walk * len(values) + which.ravel(), minlength=n_groups * len(values))
+    hist = hist.reshape(n_groups, len(values)).tolist()
+    values = values.tolist()
+
+    # The naive generator probes one block per gap block: the column gap
+    # within a walk, 1 for its first access.
+    within = np.empty(n, dtype=np.float64)
+    within[1:] = np.diff(cols)
+    within[is_head] = 1.0
+    # Its true block gap between the last block of one group row and the
+    # first of the next (unused for one row).
+    row_gap_rows = (last_row - first_row) / np.maximum(n_rows - 1, 1)
+    row_gap = np.maximum(
+        1.0, row_gap_rows * fa.blocks_per_row - cols[tail].astype(np.float64) + cols[head]
+    )
+    row_gap = np.where(n_rows > 1, row_gap, 2.0).tolist()
+
+    cadence.flags.writeable = within.flags.writeable = False  # shared via the memo
     out = []
-    for w in plan.work[pim]:
-        cols = fa.cols_of(pim, w.group)
-        n_cols, n_rows = len(cols), w.n_rows
-        if n_cols == 0 or n_rows == 0:
-            continue
-        rows = fa.rows_of_group(w.group)
-        r0 = int(rows[0])
-        bb = _U64(g.block_bytes)
-        addrs = _U64(fa.base) + _U64(r0) * _U64(fa.row_bytes) + cols.astype(_U64) * bb
-
-        # Per-access cadence within one row walk: tCCD_L within a bank
-        # group, tCCD_S across, rank switch across ranks.
-        bgs = mapping.field_values(addrs, "bankgroup")
-        rks = mapping.field_values(addrs, "rank")
-        cadence = np.full(n_cols, float(t.tCCDS))
-        if n_cols > 1:
-            same_rank = rks[1:] == rks[:-1]
-            same_bg = (bgs[1:] == bgs[:-1]) & same_rank
-            c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
-            c = np.where(same_rank, c, float(t.tBL + t.tRTRS))
-            cadence[1:] = c
-        if plan.unit.level is PimLevel.BANKGROUP:
-            cadence[:] = float(plan.unit.cadence(t))  # confined to one bank group
-
-        # The naive generator's true block gap between the last block of
-        # one group row and the first of the next (unused for one row).
-        naive_row_gap = 2.0
-        if n_rows > 1:
-            row_gap_rows = float(np.mean(np.diff(rows)))
-            naive_row_gap = max(
-                1.0, row_gap_rows * fa.blocks_per_row - float(cols[-1]) + float(cols[0])
-            )
-
-        within = naive_iterations(addrs, g.block_bytes).astype(np.float64)
-        cadence.flags.writeable = within.flags.writeable = False  # shared via the memo
+    for i, w in enumerate(items):
+        h = tuple((v, k) for v, k in zip(values, hist[i]) if k)
+        lo, hi = head[i], tail[i] + 1
         out.append(
             _GroupProfile(
-                cadence=cadence,
-                cadence_max=float(cadence.max()),
-                cadence_den=max(float(c).as_integer_ratio()[1] for c in np.unique(cadence)),
-                n_rows=n_rows,
-                n_blk=n_cols * n_rows,
-                crossings=_steady_state_row_misses(fa, mapping, rows, cols) * n_rows,
-                naive_within=within,
-                naive_row_gap=naive_row_gap,
+                cadence=cadence[lo:hi],
+                cadence_hist=h,
+                cadence_min=h[0][0],
+                cadence_max=h[-1][0],
+                cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
+                n_rows=w.n_rows,
+                n_blk=w.n_cols * w.n_rows,
+                crossings=float(misses[i]) * w.n_rows,
+                naive_within=within[lo:hi],
+                naive_row_gap=row_gap[i],
             )
         )
     return tuple(out)
@@ -282,19 +350,22 @@ def _gemm_phase_cycles(
     total = 0.0
     stall = 0.0
     for gp in profile:
-        base_row = np.maximum(gp.cadence, compute)
         base = None
-        if agen == "stepstone" and lookahead_cover >= 0.0 and base_row.min() >= 3.0:
+        if (
+            agen == "stepstone"
+            and lookahead_cover >= 0.0
+            and max(gp.cadence_min, compute) >= 3.0
+        ):
             # Over steps 0..K the AGEN issues 3K + 2 - popcount(K)
             # iterations while the pipe retires at least 3(K + 1) cycles,
             # so the cumulative deficit below is always negative.
             group_stall = 0.0
         else:
-            base = np.tile(base_row, gp.n_rows)
+            base = np.tile(np.maximum(gp.cadence, compute), gp.n_rows)
             if agen == "stepstone":
                 iters = stepstone_iteration_counts(gp.n_blk).astype(np.float64)
             else:
-                n_cols = len(base_row)
+                n_cols = len(gp.cadence)
                 iters = np.tile(gp.naive_within, gp.n_rows)
                 # Row advance: the true gap, or one loop-assisted step.
                 iters[n_cols::n_cols] = gp.naive_row_gap if naive_full_gaps else 2.0
@@ -308,13 +379,14 @@ def _gemm_phase_cycles(
             group_stall = max(0.0, float(deficit.max()) - lookahead_cover)
         # Every value is a multiple of 1/den; while the group total stays
         # below 2**53 such units, every partial sum is exact in any order,
-        # so one row's sum times n_rows equals the sum of the tiled walk.
+        # so one row's sum -- count * max(value, compute) over the cadence
+        # histogram -- times n_rows equals the sum of the tiled walk.
         den = max(gp.cadence_den, compute_den)
         if gp.n_blk * max(gp.cadence_max, compute) * den < 2.0**53:
-            group_sum = gp.n_rows * float(base_row.sum())
+            group_sum = gp.n_rows * sum(k * max(v, compute) for v, k in gp.cadence_hist)
         else:
             if base is None:
-                base = np.tile(base_row, gp.n_rows)
+                base = np.tile(np.maximum(gp.cadence, compute), gp.n_rows)
             group_sum = float(np.sum(base))
         total += group_sum + group_stall
         stall += group_stall
@@ -398,11 +470,14 @@ def execute_plan(
     launch_cycles /= max(1, config.channels)
     gemm_cycles += launch_cycles
 
-    blocks_per_pim = plan.gemm_blocks_per_pim
-    total_blocks = float(sum(blocks_per_pim.values()))
-    fill_blocks_all = float(
-        sum(plan.fill_b_blocks(p) + 2 * plan.fill_c_blocks(p) for p in plan.work)
-    )
+    # Fill traffic of every PIM, in closed form: each PIM's fill (C) is the
+    # same, and every term is a multiple of 1/16 far below 2**53, so this
+    # is exactly the per-PIM float sum.
+    fp = plan.footprint
+    fill_blocks_all = 0.0
+    if not plan.direct_scratchpad:
+        fill_b_all = float(fp.total_cols * shape.n * plan.n_rparts)
+        fill_blocks_all = fill_b_all + 2 * plan.n_active_pims * fill_c_blocks
     simd_macs = float(plan.shape.m) * plan.shape.k * plan.shape.n
     # Scratchpad: one read per operand pair per MAC plus C update traffic.
     scratch = 2.0 * simd_macs / u.simd_width
@@ -421,7 +496,7 @@ def execute_plan(
         flow=flow,
         bubble_stall_cycles=stall,
         kernel_launches=launches,
-        pim_dram_blocks=total_blocks + fill_blocks_all,
+        pim_dram_blocks=float(fp.total_blocks) + fill_blocks_all,
         offchip_blocks=loc_blocks + red_blocks,
         simd_mac_ops=simd_macs,
         scratchpad_accesses=scratch,

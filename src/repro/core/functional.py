@@ -77,14 +77,18 @@ def functional_gemm(
     partials: Dict[int, np.ndarray] = {}
     blocks_per_pim: Dict[int, int] = {}
     touched = 0
+    # Every group's block columns ordered by owning PIM (a stable sort keeps
+    # each PIM's columns ascending), and where each PIM's run starts.
+    counts = fa.col_counts
+    by_pim = np.argsort(fa.group_pim_ids, axis=1, kind="stable")
+    run_start = np.cumsum(counts, axis=1) - counts
     for pim in fa.active_pim_ids():
         pim = int(pim)
         acc = np.zeros((m_rows, n), dtype=np.float64)
         count = 0
-        for grp in range(fa.n_groups):
-            cols = fa.cols_of(pim, grp)
-            if len(cols) == 0:
-                continue
+        for grp in np.flatnonzero(counts[:, pim]):
+            lo = run_start[grp, pim]
+            cols = by_pim[grp, lo : lo + counts[grp, pim]]
             rows = fa.rows_of_group(grp)
             # Localization: gather the B rows this (PIM, group) needs —
             # the DMA engine's reorganized copy (Fig. 5).

@@ -14,25 +14,35 @@ executor needs:
 * kernel-launch counts for the long-running StepStone kernel vs. eCHO's
   per-dot-product invocations (Algorithm 1's two inner variants).
 
-The footprint analysis and the work table depend only on the weight
-footprint, never on the batch N, so :func:`plan_gemm` reads them through
-the process-wide ``footprint`` memo (:mod:`repro.core.memo`); only the
-scratchpad partitioning and the direct-scratchpad test are redone per N.
+The footprint analysis, the work table and their totals depend only on the
+weight footprint, never on the batch N.  :func:`plan_gemm` reads them as one
+:class:`FootprintWork` record through the process-wide ``footprint`` memo
+(:mod:`repro.core.memo`), built from the analysis' whole-footprint column
+counts in one pass; only the scratchpad partitioning and the
+direct-scratchpad test are redone per N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.memo import PRICING_MEMO
 from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
-__all__ = ["GemmShape", "GroupWork", "GemmPlan", "ScratchpadInfeasible", "plan_gemm"]
+__all__ = [
+    "GemmShape",
+    "GroupWork",
+    "FootprintWork",
+    "GemmPlan",
+    "ScratchpadInfeasible",
+    "plan_gemm",
+]
 
 
 def _next_pow2(x: int) -> int:
@@ -80,6 +90,21 @@ class GroupWork:
     n_rows: int  # matrix rows in the group
 
 
+@dataclass(frozen=True, eq=False)
+class FootprintWork:
+    """The N-independent half of a plan, shared by every plan of one
+    footprint through the ``footprint`` memo (treat it as read-only)."""
+
+    analysis: FootprintAnalysis
+    work: Dict[int, Tuple[GroupWork, ...]]  # pim -> its group work items
+    max_group_cols: int  # widest group (at least 1)
+    blocks_per_pim: Dict[int, int]  # GEMM blocks each PIM walks
+    cols_per_pim: Dict[int, int]  # block columns per row, summed over groups
+    critical_pim: int  # the PIM with the most blocks (lowest ID on ties)
+    total_cols: int  # block columns summed over every (PIM, group)
+    total_blocks: int
+
+
 @dataclass
 class GemmPlan:
     """Fully-resolved execution plan for one GEMM at one PIM level."""
@@ -88,15 +113,23 @@ class GemmPlan:
     orig_shape: GemmShape
     level: PimLevel
     unit: PimUnitConfig
-    analysis: FootprintAnalysis
+    footprint: FootprintWork  # shared, read-only
     rpart_rows: int
     cpart_blocks: int
     n_rparts: int
     scratchpad_c_fraction: float
-    work: Dict[int, Sequence[GroupWork]]  # pim -> group work items (shared, read-only)
     direct_scratchpad: bool  # small-matrix optimization (§III-E)
     #: Memo key of the N-independent footprint half (see ``plan_gemm``).
     footprint_key: Tuple
+
+    @property
+    def analysis(self) -> FootprintAnalysis:
+        return self.footprint.analysis
+
+    @property
+    def work(self) -> Dict[int, Tuple[GroupWork, ...]]:
+        """pim -> group work items (shared, read-only)."""
+        return self.footprint.work
 
     # ------------------------------------------------------------------ #
     # Derived volumes (words of fp32 unless noted)
@@ -126,8 +159,7 @@ class GemmPlan:
         Each group needs the full K x N input once, spread over the PIMs
         owning its columns (Fig. 5), so the total is n_groups * K * N.
         """
-        total_cols = sum(w.n_cols for items in self.work.values() for w in items)
-        return total_cols * 16 * self.shape.n
+        return self.footprint.total_cols * 16 * self.shape.n
 
     @property
     def reduction_read_words(self) -> int:
@@ -137,18 +169,15 @@ class GemmPlan:
     def reduction_write_words(self) -> int:
         return self.shape.m * self.shape.n
 
-    @cached_property
+    @property
     def gemm_blocks_per_pim(self) -> Dict[int, int]:
-        return {
-            pim: sum(w.n_cols * w.n_rows for w in items)
-            for pim, items in self.work.items()
-        }
+        """GEMM blocks per active PIM (shared, read-only)."""
+        return self.footprint.blocks_per_pim
 
-    @cached_property
+    @property
     def max_blocks_pim(self) -> int:
         """The PIM with the most work (the makespan-critical unit)."""
-        blocks = self.gemm_blocks_per_pim
-        return max(blocks, key=lambda p: blocks[p])
+        return self.footprint.critical_pim
 
     def fill_b_blocks(self, pim: int) -> float:
         """Cache blocks read from PIM-local DRAM to fill B tiles (total).
@@ -159,8 +188,7 @@ class GemmPlan:
         """
         if self.direct_scratchpad:
             return 0.0
-        per_pass = sum(w.n_cols * self.shape.n for w in self.work[pim])
-        return float(per_pass * self.n_rparts)
+        return float(self.footprint.cols_per_pim[pim] * self.shape.n * self.n_rparts)
 
     def fill_c_blocks(self, pim: int) -> float:
         """Blocks read to fill C tiles across all row partitions (total)."""
@@ -242,8 +270,9 @@ def _footprint_work(
     base: int,
     word_bytes: int,
     pinned_id_bits: int,
-) -> Tuple[FootprintAnalysis, Dict[int, Tuple[GroupWork, ...]], int]:
-    """The N-independent half of a plan: (analysis, work table, widest group)."""
+) -> FootprintWork:
+    """The N-independent half of a plan, from the footprint's
+    (group x PIM) column counts."""
     analysis = FootprintAnalysis(
         mapping,
         level,
@@ -253,20 +282,28 @@ def _footprint_work(
         word_bytes=word_bytes,
         pinned_id_bits=pinned_id_bits,
     )
-    work: Dict[int, Tuple[GroupWork, ...]] = {}
-    max_group_cols = 1
-    for pim in analysis.active_pim_ids():
-        items = []
-        for grp in range(analysis.n_groups):
-            cols = analysis.cols_of(int(pim), grp)
-            if len(cols) == 0:
-                continue
-            rows = analysis.rows_of_group(grp)
-            items.append(GroupWork(int(pim), grp, len(cols), len(rows)))
-            max_group_cols = max(max_group_cols, len(cols))
-        if items:
-            work[int(pim)] = tuple(items)
-    return analysis, work, max_group_cols
+    counts = analysis.col_counts
+    sizes = analysis.group_sizes
+    # Owning (PIM, group) pairs, PIM-major: each PIM's items in group order.
+    pims, groups = np.nonzero(counts.T)
+    work: Dict[int, list] = {}
+    for pim, grp, n_cols, n_rows in zip(
+        pims.tolist(), groups.tolist(), counts[groups, pims].tolist(), sizes[groups].tolist()
+    ):
+        work.setdefault(pim, []).append(GroupWork(pim, grp, n_cols, n_rows))
+    cols_per_id = counts.sum(axis=0).tolist()
+    blocks_per_id = (sizes @ counts).tolist()
+    blocks = {pim: blocks_per_id[pim] for pim in work}
+    return FootprintWork(
+        analysis=analysis,
+        work={pim: tuple(items) for pim, items in work.items()},
+        max_group_cols=max(1, int(counts.max())),
+        blocks_per_pim=blocks,
+        cols_per_pim={pim: cols_per_id[pim] for pim in work},
+        critical_pim=max(blocks, key=blocks.__getitem__),
+        total_cols=int(counts.sum()),
+        total_blocks=sum(blocks.values()),
+    )
 
 
 def plan_gemm(
@@ -283,19 +320,20 @@ def plan_gemm(
     ``pinned_id_bits`` activates the §III-E subsetting optimization (each
     pinned bit halves the active PIM count and, usually, the group count).
     ``unit`` overrides the Table II unit config (relaxed-area or scratchpad
-    sweeps).  Plans of one footprint share its analysis and work table, so
-    treat both as read-only.
+    sweeps).  Plans of one footprint share its :class:`FootprintWork`, so
+    treat it as read-only.
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
     key = (mapping.hardware_key, level, padded.m, padded.k, base, config.word_bytes, pinned_id_bits)
-    analysis, work, max_group_cols = PRICING_MEMO.lookup(
+    fp = PRICING_MEMO.lookup(
         "footprint",
         key,
         lambda: _footprint_work(
             mapping, level, padded, base, config.word_bytes, pinned_id_bits
         ),
     )
+    max_group_cols = fp.max_group_cols
     rpart, cpart, frac = _choose_partitions(padded, u, max_group_cols, config.word_bytes)
     n_rparts = math.ceil(padded.m / rpart)
 
@@ -314,12 +352,11 @@ def plan_gemm(
         orig_shape=shape,
         level=level,
         unit=u,
-        analysis=analysis,
+        footprint=fp,
         rpart_rows=rpart,
         cpart_blocks=cpart,
         n_rparts=n_rparts,
         scratchpad_c_fraction=frac,
-        work=work,
         direct_scratchpad=direct,
         footprint_key=key,
     )

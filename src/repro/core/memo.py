@@ -6,11 +6,13 @@ footprint* — mapping, PIM level, padded M x K, base and pinned ID bits —
 never on the batch N.  This memo keeps the N-independent halves once per
 process, in three named tables:
 
-* ``footprint`` — per footprint: the :class:`~repro.mapping.analysis.
-  FootprintAnalysis`, the per-(PIM, group) work table and the widest
-  group (:func:`repro.core.gemm.plan_gemm`);
+* ``footprint`` — per footprint: one :class:`~repro.core.gemm.FootprintWork`
+  record holding the :class:`~repro.mapping.analysis.FootprintAnalysis`,
+  the per-(PIM, group) work table, the widest group, per-PIM blocks and
+  columns, the critical PIM and the footprint totals
+  (:func:`repro.core.gemm.plan_gemm`);
 * ``profile`` — per footprint, timing and level: the critical PIM's
-  per-group cadence rows and row-miss counts
+  per-group cadence rows, cadence histograms and row-miss counts
   (:func:`repro.core.executor.execute_plan`);
 * ``chunk`` — per (config, mapping, m, k, n): the seconds of one
   ``choose_execution`` chunk (:class:`repro.serving.scheduler.BatchServer`).
@@ -22,7 +24,9 @@ Every key is a value-based hardware identity
 dataclasses), never ``id()``: an id is reused once its object is
 collected, which would serve stale entries.  Equal hardware therefore
 shares entries across engines, and different hardware never collides.
-Entries hold only O(n_cols) arrays per group, never n_blk-long traces.
+Entries hold only O(n_cols) arrays per group, never n_blk-long traces, and
+column arrays only for the critical PIM: every other PIM is a count in the
+footprint record.
 
 Hits and misses are counted on the telemetry bus
 (:data:`repro.obs.telemetry.BUS`) as ``pricing.memo.hit`` /

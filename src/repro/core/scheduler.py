@@ -17,6 +17,7 @@ configurations — bank-group vs. device level, full vs. subset PIM activation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 from repro.core.config import StepStoneConfig
@@ -64,16 +65,23 @@ def choose_execution(
 
     ``max_pinned_bits`` bounds the §III-E subsetting search (0 disables it).
     Candidates that cannot satisfy scratchpad constraints are skipped; at
-    least one candidate must be feasible.  Any other error (an unknown
-    ``agen`` or ``flow``, a malformed footprint) propagates unchanged.
+    least one candidate must be feasible.  Bad arguments (an unknown
+    ``agen`` or ``flow``, an empty or non-``PimLevel`` ``levels``, a
+    negative or non-integer ``max_pinned_bits``) are named before any
+    pricing; any other error (a malformed footprint) propagates unchanged.
     """
     _check_modes(agen, flow)
+    levels = tuple(levels)
+    if not levels or not all(isinstance(lv, PimLevel) for lv in levels):
+        raise ValueError(f"levels must be a non-empty sequence of PimLevel, got {levels!r}")
+    if isinstance(max_pinned_bits, bool) or not isinstance(max_pinned_bits, Integral):
+        raise ValueError(f"max_pinned_bits must be an integer, got {max_pinned_bits!r}")
+    if max_pinned_bits < 0:
+        raise ValueError(f"max_pinned_bits must be non-negative, got {max_pinned_bits}")
     best: Optional[PimChoice] = None
     for level in levels:
-        for pinned in range(0, max_pinned_bits + 1):
-            n_id_bits = len(mapping.pim_id_masks(level))
-            if pinned >= n_id_bits:
-                continue
+        n_id_bits = len(mapping.pim_id_masks(level))
+        for pinned in range(0, min(max_pinned_bits + 1, n_id_bits)):
             try:
                 res = execute_gemm(
                     config,

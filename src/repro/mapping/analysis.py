@@ -14,11 +14,18 @@ same B sub-matrix across all of the group's rows (B locality) and walks each
 row accumulating into one C row (C locality).  This module computes the
 groups, the per-(PIM, group) local column sets, and the parity constraints
 that StepStone's address generator enforces in hardware.
+
+The group invariant makes one representative row per group enough, and the
+ID bits are GF(2)-linear, so a whole footprint is evaluated in one pass:
+:attr:`FootprintAnalysis.group_pim_ids` is the PIM ID of every block column
+of every group's representative row, and one ``bincount`` over it gives
+every (PIM, group) column count (:attr:`FootprintAnalysis.col_counts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -140,9 +147,6 @@ class FootprintAnalysis:
         self.id_masks: Tuple[int, ...] = full_masks[pinned_id_bits:]
         self.base_id = self._pim_id_scalar(base)
         self._grouping: BlockGrouping | None = None
-        self._rows_cache: Dict[int, np.ndarray] = {}
-        self._row_ids_cache: Dict[int, np.ndarray] = {}
-        self._cols_cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # ID evaluation over the (possibly subsetted) ID space
@@ -220,18 +224,22 @@ class FootprintAnalysis:
 
     def _compute_grouping(self) -> BlockGrouping:
         gmasks = tuple(m & self.mrow_mask for m in self.id_masks)
-        rows = np.arange(self.m_rows, dtype=_U64)
-        row_addrs = rows * _U64(self.row_bytes)  # base is aligned: contributes 0
-        codes = np.zeros(self.m_rows, dtype=_U64)
-        for i, gm in enumerate(gmasks):
-            if gm:
-                codes |= _parity_u64(row_addrs & _U64(gm)) << _U64(i)
-        raw = np.unique(codes)
-        # Map raw code -> compact group index.
-        row_groups = np.searchsorted(raw, codes).astype(np.int64)
+        # A row's group code is GF(2)-linear in the row index (the aligned
+        # base contributes 0): each index bit XORs in its own code, so the
+        # codes of rows [0, 2^(b+1)) are those of [0, 2^b), then the same
+        # XOR bit b's code.
+        codes = np.zeros(1, dtype=np.int64)
+        for b in range(self.m_rows.bit_length() - 1):
+            row_addr = (1 << b) * self.row_bytes
+            code = sum(parity(row_addr & gm) << i for i, gm in enumerate(gmasks))
+            codes = np.concatenate([codes, codes ^ code])
+        # Map raw code -> compact group index, in code order.
+        present = np.zeros(1 << len(gmasks), dtype=bool)
+        present[codes] = True
+        row_groups = (np.cumsum(present) - 1)[codes]
         return BlockGrouping(
             group_parity_masks=gmasks,
-            raw_codes=tuple(int(c) for c in raw),
+            raw_codes=tuple(np.flatnonzero(present).tolist()),
             row_groups=row_groups,
         )
 
@@ -239,49 +247,74 @@ class FootprintAnalysis:
     def n_groups(self) -> int:
         return self.grouping.n_groups
 
+    @cached_property
+    def group_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, starts)``: every matrix row ordered by (group, row), and
+        the offset of each group's run in it (``n_groups + 1`` entries).
+
+        Read-only; group *g* holds ``rows[starts[g]:starts[g + 1]]``.
+        """
+        row_groups = self.grouping.row_groups
+        # A stable sort on the narrowest dtype: a radix sort for few groups.
+        narrow = row_groups.astype(np.min_scalar_type(self.n_groups - 1))
+        rows = np.argsort(narrow, kind="stable")
+        starts = np.zeros(self.n_groups + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_groups, minlength=self.n_groups), out=starts[1:])
+        rows.flags.writeable = starts.flags.writeable = False
+        return rows, starts
+
     def rows_of_group(self, group: int) -> np.ndarray:
-        """Sorted matrix-row indices of *group* (cached; treat as read-only)."""
-        rows = self._rows_cache.get(group)
-        if rows is None:
-            rows = self._rows_cache[group] = self.grouping.rows_of_group(group)
-            rows.flags.writeable = False
-        return rows
+        """Sorted matrix-row indices of *group* (a read-only view)."""
+        rows, starts = self.group_rows
+        if not 0 <= group < self.n_groups:
+            return rows[:0]
+        return rows[starts[group] : starts[group + 1]]
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        """Matrix rows per group."""
+        return np.diff(self.group_rows[1])
 
     # ------------------------------------------------------------------ #
     # Per-(PIM, group) locality
     # ------------------------------------------------------------------ #
+
+    @cached_property
+    def group_pim_ids(self) -> np.ndarray:
+        """``(n_groups x blocks_per_row)`` PIM IDs of every block column of
+        each group's first row — by the group invariant, of every row of the
+        group.  One ID evaluation over the whole matrix; read-only.
+        """
+        rows, starts = self.group_rows
+        first = rows[starts[:-1]].astype(_U64)
+        row_addrs = _U64(self.base) + first * _U64(self.row_bytes)
+        col_offs = np.arange(self.blocks_per_row, dtype=_U64) * _U64(
+            self.mapping.geometry.block_bytes
+        )
+        ids = self._pim_ids(row_addrs[:, None] + col_offs[None, :])
+        ids.flags.writeable = False
+        return ids
+
+    @cached_property
+    def col_counts(self) -> np.ndarray:
+        """``(n_groups x 2**len(id_masks))`` block columns per row owned by
+        each (group, PIM ID): entry ``[g, p]`` is ``len(cols_of(p, g))``."""
+        n_ids = 1 << len(self.id_masks)
+        groups = np.arange(self.n_groups, dtype=np.int64)[:, None]
+        key = groups * n_ids + self.group_pim_ids.astype(np.int64)
+        counts = np.bincount(key.ravel(), minlength=self.n_groups * n_ids)
+        counts = counts.reshape(self.n_groups, n_ids)
+        counts.flags.writeable = False
+        return counts
 
     def cols_of(self, pim: int, group: int) -> np.ndarray:
         """Block-column offsets (0..blocks_per_row-1) local to *pim* in *group*.
 
         Identical for every row of the group — that is the group invariant.
         """
-        key = (pim, group)
-        cached = self._cols_cache.get(key)
-        if cached is not None:
-            return cached
-        out = np.nonzero(self._row_pim_ids(group) == _U64(pim))[0].astype(np.int64)
-        self._cols_cache[key] = out
-        return out
-
-    def _row_pim_ids(self, group: int) -> np.ndarray:
-        """PIM ID of every block column of one row of *group* (shared by
-        all PIMs, so it is evaluated once per group)."""
-        ids = self._row_ids_cache.get(group)
-        if ids is not None:
-            return ids
-        rows = self.rows_of_group(group)
-        if len(rows) == 0:
+        if not 0 <= group < self.n_groups:
             raise ValueError(f"group {group} is empty")
-        r0 = int(rows[0])
-        cols = np.arange(self.blocks_per_row, dtype=_U64)
-        addrs = (
-            _U64(self.base)
-            + _U64(r0) * _U64(self.row_bytes)
-            + cols * _U64(self.mapping.geometry.block_bytes)
-        )
-        ids = self._row_ids_cache[group] = self._pim_ids(addrs)
-        return ids
+        return np.nonzero(self.group_pim_ids[group] == _U64(pim))[0].astype(np.int64)
 
     def blocks_of(self, pim: int, group: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Block addresses of (pim, group) in execution order (row-major).
@@ -302,13 +335,8 @@ class FootprintAnalysis:
 
     def blocks_per_pim(self) -> Dict[int, int]:
         """Total local block count per active PIM (sums to total_blocks)."""
-        counts: Dict[int, int] = {}
-        for pim in self.active_pim_ids():
-            n = 0
-            for grp in range(self.n_groups):
-                n += len(self.cols_of(int(pim), grp)) * len(self.rows_of_group(grp))
-            counts[int(pim)] = n
-        return counts
+        per_id = self.group_sizes @ self.col_counts
+        return {int(pim): int(per_id[pim]) for pim in self.active_pim_ids()}
 
     # ------------------------------------------------------------------ #
     # AGEN constraints

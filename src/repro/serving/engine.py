@@ -41,7 +41,7 @@ from repro.core.gemm import GemmShape
 from repro.models.inference import all_models
 from repro.models.layers import ModelSpec, pow2_partition
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
-from repro.serving.scheduler import BatchServer
+from repro.serving.scheduler import BatchServer, _check_batch
 
 # Back-compat re-exports: these helpers moved to the simulation substrate
 # (`repro.sim.metrics`) but remain importable from here, where every
@@ -473,7 +473,7 @@ class OnlineServingEngine:
             policy: StepStone dispatch policy (one of :data:`POLICIES`).
                 Non-StepStone specs admit exactly one dispatch, so the
                 backend name itself is also accepted there.
-            batch: Number of requests in the batch (positive).
+            batch: Number of requests in the batch (a positive integer).
             spec: Hardware the batch runs on; ``None`` means the default
                 StepStone node backed by this engine's ``BatchServer``.
                 GPU specs charge the device-resident Titan-Xp-class
@@ -498,8 +498,7 @@ class OnlineServingEngine:
                     f"{POLICIES + (backend,)}"
                 )
             eff_policy = backend
-        if batch <= 0:
-            raise ValueError("batch must be positive")
+        _check_batch("batch", batch)
         key = (
             model,
             eff_policy,

@@ -13,7 +13,9 @@ search used by the §V-A claims.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple
 
 from repro.baselines.cpu import CpuGemmModel
@@ -25,6 +27,14 @@ from repro.core.system import StepStoneSystem
 __all__ = ["ServingPoint", "HybridSplit", "BatchServer"]
 
 _DRAM_HZ = 1.2e9
+
+
+def _check_batch(name: str, n) -> None:
+    """Raise ``ValueError`` unless ``n`` is a positive integer."""
+    if type(n) is int and n >= 1:
+        return  # the common case, without the slower ABC check
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +72,7 @@ class BatchServer:
         cpu: Optional[CpuGemmModel] = None,
         max_pim_batch: int = 32,
     ) -> None:
-        if max_pim_batch <= 0:
-            raise ValueError("max_pim_batch must be positive")
+        _check_batch("max_pim_batch", max_pim_batch)
         self.system = system or StepStoneSystem.default()
         self.cpu = cpu or CpuGemmModel()
         self.max_pim_batch = max_pim_batch
@@ -85,6 +94,7 @@ class BatchServer:
     def pim_latency(self, m: int, k: int, n: int) -> float:
         """Latency of batch *n* on the PIMs, split into <=max_pim_batch
         chunks executed back to back (the §V-B splitting policy)."""
+        _check_batch("batch", n)
         full, rem = divmod(n, self.max_pim_batch)
         t = full * self._pim_chunk_seconds(m, k, self.max_pim_batch)
         if rem:
@@ -92,6 +102,7 @@ class BatchServer:
         return t
 
     def cpu_latency(self, m: int, k: int, n: int) -> float:
+        _check_batch("batch", n)
         return self.cpu.gemm_seconds(GemmShape(m, k, n))
 
     def serve(self, m: int, k: int, n: int) -> ServingPoint:
@@ -138,6 +149,10 @@ class BatchServer:
         fixed weight-streaming cost amortizes further at every extra sample,
         so the best feasible batch is often not a power of two.
         """
+        if not (math.isfinite(constraint_s) and constraint_s > 0):
+            raise ValueError(
+                f"constraint_s must be finite and positive, got {constraint_s!r}"
+            )
         best: Optional[ServingPoint] = None
         for n in self._candidate_batches(n_max):
             for backend, t in (
@@ -159,8 +174,7 @@ class BatchServer:
         ``max(t_cpu(share), t_pim(n - share))`` — the §I colocation benefit
         expressed as a scheduling policy.
         """
-        if n <= 0:
-            raise ValueError("batch must be positive")
+        _check_batch("batch", n)
         step = self.max_pim_batch
         # CPU shares in chunk quanta, the *remainder* shares that leave the
         # PIM side an exact multiple of the chunk, and always both endpoints

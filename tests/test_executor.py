@@ -184,6 +184,25 @@ class TestModeValidation:
         with pytest.raises(ValueError, match=msg):
             executor.execute_plan(cfg, plan, **kw)
 
+    @pytest.mark.parametrize(
+        "kw,msg",
+        [
+            ({"max_pinned_bits": -1}, "max_pinned_bits must be non-negative"),
+            ({"max_pinned_bits": 1.5}, "max_pinned_bits must be an integer"),
+            ({"levels": ()}, "levels must be a non-empty sequence"),
+            ({"levels": ("BG",)}, "levels must be a non-empty sequence"),
+        ],
+    )
+    def test_choose_execution_names_bad_search_bounds(self, cfg, sky, kw, msg, monkeypatch):
+        from repro.core import scheduler
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("priced before validating its arguments")
+
+        monkeypatch.setattr(scheduler, "execute_gemm", no_work)
+        with pytest.raises(ValueError, match=msg):
+            scheduler.choose_execution(cfg, sky, GemmShape(1024, 1024, 4), **kw)
+
     def test_scratchpad_infeasibility_is_still_skipped(self, cfg, sky):
         from repro.core.gemm import ScratchpadInfeasible, plan_gemm
         from repro.core.scheduler import choose_execution

@@ -186,3 +186,12 @@ def test_affinity_router_rejects_bad_spill_backlog(spill):
 @pytest.mark.parametrize("spill", [None, 0, 3])
 def test_affinity_router_accepts_spill_backlog(spill):
     assert AffinityRouter(spill_backlog=spill).spill_backlog == spill
+
+
+@pytest.mark.parametrize("batch", [math.nan, math.inf, -math.inf, 2.5, 0, -3, True, "4"])
+def test_batch_latency_rejects_non_positive_integer_batches(batch):
+    """A NaN batch passes ``batch <= 0``; it must not be priced or cached."""
+    engine = OnlineServingEngine()
+    with pytest.raises(ValueError, match="positive integer"):
+        engine.batch_latency("BERT", "hybrid", batch)
+    assert engine._latency_cache == {}

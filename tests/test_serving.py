@@ -1,5 +1,7 @@
 """Tests for the batch-serving layer (§V-A/V-B policies)."""
 
+import math
+
 import pytest
 
 from repro.serving.scheduler import BatchServer
@@ -14,6 +16,23 @@ class TestPrimitive:
     def test_invalid_chunk(self):
         with pytest.raises(ValueError):
             BatchServer(max_pim_batch=0)
+
+    @pytest.mark.parametrize("chunk", [-1, 2.5, math.nan, True])
+    def test_chunk_must_be_a_positive_integer(self, chunk):
+        with pytest.raises(ValueError, match="max_pim_batch"):
+            BatchServer(max_pim_batch=chunk)
+
+    @pytest.mark.parametrize("method", ["pim_latency", "cpu_latency", "serve", "hybrid_split"])
+    @pytest.mark.parametrize("n", [0, -5, 2.5, math.nan])
+    def test_impossible_batches_are_rejected(self, srv, method, n):
+        # pim_latency(1024, 1024, -5) used to price a negative latency.
+        with pytest.raises(ValueError, match="positive integer"):
+            getattr(srv, method)(1024, 1024, n)
+
+    @pytest.mark.parametrize("constraint", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_latency_constraint_is_rejected_up_front(self, srv, constraint):
+        with pytest.raises(ValueError, match="constraint_s must be finite and positive"):
+            srv.throughput_under_latency(1024, 1024, constraint)
 
     def test_pim_latency_splits(self, srv):
         t32 = srv.pim_latency(1024, 4096, 32)
