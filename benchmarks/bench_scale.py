@@ -43,7 +43,9 @@ from repro.experiments.serve_scale import (
     DISPATCH, MIX, SLO_S, make_scale_cluster, run_streaming_day, scale_trace,
 )
 from repro.serving.engine import OnlineServingEngine
+from repro.sim import fast as sim_fast
 
+runs0 = sim_fast.FAST_RUNS
 t0 = time.perf_counter()
 if record == "streaming":
     rep = run_streaming_day(horizon, period_s=horizon)
@@ -65,6 +67,7 @@ else:
     )
 wall = time.perf_counter() - t0
 print(json.dumps({
+    "fast_path": sim_fast.FAST_RUNS > runs0,
     "served": rep.served,
     "events": rep.events_processed,
     "wall_s": round(wall, 3),
@@ -98,6 +101,7 @@ def _row(entry: str, horizon_s: float, record: str) -> dict:
         stats["wall_s"],
         served=stats["served"],
         events_per_s=stats["events_per_s"],
+        fast_path=stats["fast_path"],
         peak_rss_mb=stats["peak_rss_mb"],
         record=record,
         horizon_s=horizon_s,
@@ -109,6 +113,7 @@ def test_streaming_rss_stays_flat_100k_to_1m():
     """10x the requests, (near-)constant memory: the tentpole claim."""
     small = _row("streaming_100k", DAY_S / 100, "streaming")
     big = _row("streaming_1m", DAY_S / 10, "streaming")
+    assert small["fast_path"] and big["fast_path"], (small, big)
     assert big["served"] > 8 * small["served"]
     # Flat means bounded by structure size, not trace length: allow the
     # interpreter some slack but nothing resembling 10x growth.

@@ -175,7 +175,7 @@ class FleetLoop:
                 self._spawn(name, 0.0, ready_now=True)
 
     def _adopt(self, node: ClusterNode, pool: str, clock: float, ready_now: bool) -> None:
-        if self._batched:
+        if self._batched and self.record == "full":
             from repro.sim.fast import FastRecorder
 
             stats: MetricsRecorder = FastRecorder()
@@ -293,9 +293,9 @@ class FleetLoop:
                 runs without control ticks.
             failures: Optional outage schedule over node ids.
             obs: Optional :class:`~repro.obs.RunObserver`.
-            fast: Opt into the :mod:`repro.sim.fast` path where it can
-                replay the run exactly; otherwise count a labeled
-                ``fast_fallback`` and run the reference path.
+            fast: Opt into the :mod:`repro.sim.fast` path.  It replays
+                every run exactly but a span-traced one, which counts a
+                labeled ``fast_fallback`` and runs the reference path.
             presorted: Consume an arrival-ordered stream lazily.
             horizon_s: Arrival horizon of a presorted run (control ticks
                 are scheduled through it plus one interval).
@@ -311,21 +311,11 @@ class FleetLoop:
         if presorted and (horizon_s is None or not 0 < horizon_s < math.inf):
             raise ValueError("presorted runs need a positive, finite horizon_s")
         spans = obs.spans if obs is not None else None
-        batched = False
-        if fast:
-            if presorted:
-                reason = "presorted-stream"
-            elif self.record != "full":
-                reason = "streaming-record"
-            elif spans is not None:
-                reason = "spans"
-            else:
-                reason = None
-                batched = True
-            if reason is not None:
-                from repro.obs.telemetry import record_fast_fallback
+        batched = fast and spans is None
+        if fast and not batched:
+            from repro.obs.telemetry import record_fast_fallback
 
-                record_fast_fallback(self.label, reason, obs)
+            record_fast_fallback(self.label, "spans", obs)
         self._fresh(spans, batched)
         if autoscaler is not None:
             autoscaler.reset()
@@ -333,21 +323,23 @@ class FleetLoop:
         if presorted:
             last_arrival = 0.0
             tick_horizon = horizon_s
-            kernel.preload_stream(
-                Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                for i, r in enumerate(requests)
-            )
+            arrivals = requests
+            if not batched:
+                kernel.preload_stream(
+                    Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
+                    for i, r in enumerate(requests)
+                )
             ticking = True
         else:
-            ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
-            last_arrival = ordered[-1].arrival_s if ordered else 0.0
+            arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
+            last_arrival = arrivals[-1].arrival_s if arrivals else 0.0
             tick_horizon = last_arrival
             if not batched:
                 kernel.preload(
                     Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                    for i, r in enumerate(ordered)
+                    for i, r in enumerate(arrivals)
                 )
-            ticking = bool(ordered)
+            ticking = bool(arrivals)
         # Control ticks cover the offered window plus one trailing interval
         # (so the controller can react to the last window of load); an
         # empty stream needs no controller at all.
@@ -413,9 +405,6 @@ class FleetLoop:
 
         def on_arrivals(now: float, events: List[Event]) -> None:
             arrive(now, [ev.payload for ev in events])
-
-        def on_epoch(now: float, lo: int, hi: int) -> bool:
-            return arrive(now, ordered[lo:hi])
 
         def on_finishes(now: float, events: List[Event]) -> None:
             nonlocal last_service_end
@@ -532,8 +521,8 @@ class FleetLoop:
             _fast.count_run()
             _fast.drain(
                 kernel,
-                _fast.arrival_times(ordered),
-                on_epoch,
+                arrivals,
+                arrive,
                 {int(kind): h for kind, h in handlers.items()},
                 profiler=getattr(obs, "profile", None) if obs is not None else None,
             )

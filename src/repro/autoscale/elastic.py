@@ -181,9 +181,10 @@ class ElasticCluster:
                 lifecycle spans, and the kernel self-profiles when a
                 profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for materialized
-                full-recording runs without span tracing, on any router;
-                falls back to the event-at-a-time path otherwise.
+                path (bit-identical reports).  Engages without span
+                tracing, in either record mode, on eager or presorted
+                streams and any router; falls back to the
+                event-at-a-time path otherwise.
 
         Returns:
             The :class:`~repro.autoscale.report.AutoscaleReport`.

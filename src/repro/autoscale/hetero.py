@@ -437,9 +437,9 @@ class HeteroElasticCluster:
                 request lifecycle spans, and the kernel self-profiles
                 when a profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for full
-                recording without span tracing, on any router; falls
-                back to the event-at-a-time path otherwise.
+                path (bit-identical reports).  Engages without span
+                tracing, in either record mode and on any router;
+                falls back to the event-at-a-time path otherwise.
 
         Returns:
             The :class:`HeteroAutoscaleReport` for the run.

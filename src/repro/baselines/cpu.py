@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.gemm import GemmShape
 
 __all__ = ["CpuConfig", "CpuGemmModel", "XEON_8280"]
@@ -65,19 +67,30 @@ class CpuGemmModel:
         ``weights_in_memory=False`` models the (rare) cache-resident case by
         charging only the compute floor.
         """
-        c = self.config
-        compute_s = shape.flops / (c.peak_flops * c.compute_efficiency)
+        compute_s, mem_s, floor_s = self._bounds(shape.m, shape.k, shape.n)
         if not weights_in_memory:
-            return compute_s + c.overhead_s
-        a_bytes = shape.weight_bytes
-        degrade = 1.0 + c.batch_degradation_per_sample * (shape.n - 1)
+            return compute_s + self.config.overhead_s
+        return max(compute_s, mem_s, floor_s) + self.config.overhead_s
+
+    def gemm_seconds_many(self, m: int, k: int, ns: np.ndarray) -> np.ndarray:
+        """:meth:`gemm_seconds` of memory-resident ``GemmShape(m, k, n)``
+        for every positive ``n`` of the int array ``ns``, elementwise
+        bitwise (same float operations in the same order)."""
+        compute_s, mem_s, floor_s = self._bounds(m, k, ns)
+        return np.maximum(np.maximum(compute_s, mem_s), floor_s) + self.config.overhead_s
+
+    def _bounds(self, m, k, n):
+        """The compute, memory and peak-bandwidth time bounds of an
+        (m, k, n) GEMM; ``n`` may be an int array."""
+        c = self.config
+        compute_s = 2.0 * m * k * n / (c.peak_flops * c.compute_efficiency)
+        a_bytes = m * k * 4
+        degrade = 1.0 + c.batch_degradation_per_sample * (n - 1)
         mem_s = a_bytes / (c.eff_bw_small_batch_gbps * 1e9) * degrade
         # The memory system never beats its peak: floor by peak-bandwidth
         # streaming of the full operand set.
-        floor_s = (a_bytes + 4.0 * shape.k * shape.n + 4.0 * shape.m * shape.n) / (
-            c.peak_bw_gbps * 1e9
-        )
-        return max(compute_s, mem_s, floor_s) + c.overhead_s
+        floor_s = (a_bytes + 4.0 * k * n + 4.0 * m * n) / (c.peak_bw_gbps * 1e9)
+        return compute_s, mem_s, floor_s
 
     def gemm_cycles(
         self, shape: GemmShape, dram_clock_hz: float = 1.2e9, weights_in_memory: bool = True

@@ -404,9 +404,9 @@ class Cluster:
                 spans and per-dispatch ``batch`` spans, and the kernel
                 self-profiles when a profiler is attached.  Default off.
             fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages for full
-                recording without span tracing, on any router; falls
-                back to the event-at-a-time path otherwise.
+                path (bit-identical reports).  Engages without span
+                tracing, in either record mode and on any router;
+                falls back to the event-at-a-time path otherwise.
 
         Returns:
             The fleet-wide :class:`ClusterReport`.

@@ -109,12 +109,13 @@ def run_streaming_day(
     """One lazy streaming diurnal run over ``[0, horizon_s)``.
 
     The single entry point the experiment, the scale benchmark, and the
-    CI smoke all share: generator arrivals (one request in flight at a
-    time) into an elastic fleet under the reactive policy, with the
-    requested recording mode.  ``period_s`` defaults to :data:`DAY_S`;
-    benchmarks pass ``period_s=horizon_s`` so a sliced run still sweeps
-    one full day/night swing (and so carries the trace's ~116 req/s
-    mean rather than a trough-only prefix).
+    CI smoke all share: generator arrivals (read lazily, a small chunk
+    at a time) into an elastic fleet under the reactive policy, with the
+    requested recording mode, on the :mod:`repro.sim.fast` path.
+    ``period_s`` defaults to :data:`DAY_S`; benchmarks pass
+    ``period_s=horizon_s`` so a sliced run still sweeps one full
+    day/night swing (and so carries the trace's ~116 req/s mean rather
+    than a trough-only prefix).
     """
     engine = engine or OnlineServingEngine()
     capacity = node_capacity_rps(engine, MIX, DISPATCH)
@@ -131,6 +132,7 @@ def run_streaming_day(
         TargetUtilizationPolicy(capacity, target=0.7),
         presorted=True,
         horizon_s=horizon_s,
+        fast=True,
     )
 
 

@@ -215,9 +215,9 @@ def record_fast_fallback(loop: str, reason: str, obs: Any = None) -> None:
     """Count one declined fast-path engagement, labeled by cause.
 
     Every serving loop's ``fast=True`` gate calls this with the *first*
-    condition that disqualified the vectorized path (``"spans"``,
-    ``"profiler"``, ``"streaming-record"``, ``"presorted-stream"``)
-    — so a sweep that meant
+    condition that disqualified the vectorized path (``"spans"`` in
+    the fleet loop and the genai engine, ``"profiler"`` in the genai
+    engine) — so a sweep that meant
     to run fast but silently fell back is visible as a labeled counter
     instead of a mystery slowdown.  The increment lands on the
     process-wide :data:`BUS` and, when the run carries its own

@@ -644,9 +644,9 @@ class OnlineServingEngine:
 
         ``fast=True`` opts into the :mod:`repro.sim.fast` path —
         bit-identical reports, no per-event kernel churn.  It engages
-        only for full recording without span tracing (the exact
-        configurations it can replay); anything else counts a labeled
-        ``fast_fallback`` and runs the reference path.
+        in either record mode; only a span-traced run (``obs`` with
+        spans) counts a labeled ``fast_fallback`` and runs the
+        reference path.
 
         Raises:
             ValueError: On an unknown policy.

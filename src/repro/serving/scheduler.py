@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.baselines.cpu import CpuGemmModel
 from repro.core.gemm import GemmShape
 from repro.core.memo import PRICING_MEMO
@@ -172,7 +174,10 @@ class BatchServer:
 
         Searches CPU shares in PIM-chunk quanta and minimizes
         ``max(t_cpu(share), t_pim(n - share))`` — the §I colocation benefit
-        expressed as a scheduling policy.
+        expressed as a scheduling policy.  Every share is evaluated in one
+        whole-array pass, bitwise what :meth:`cpu_latency` and
+        :meth:`pim_latency` give per share; ties go to the smallest CPU
+        share.
         """
         _check_batch("batch", n)
         step = self.max_pim_batch
@@ -183,13 +188,19 @@ class BatchServer:
         shares = {0, n}
         shares.update(range(step, n, step))
         shares.update(n - j for j in range(step, n, step))
-        best: Optional[HybridSplit] = None
-        for cpu_share in sorted(shares):
-            pim_share = n - cpu_share
-            t_cpu = self.cpu_latency(m, k, cpu_share) if cpu_share else 0.0
-            t_pim = self.pim_latency(m, k, pim_share) if pim_share else 0.0
-            t = max(t_cpu, t_pim)
-            if best is None or t < best.latency_s:
-                best = HybridSplit(cpu_batch=cpu_share, pim_batch=pim_share, latency_s=t)
-        assert best is not None
-        return best
+        cpu = np.array(sorted(shares))
+        # Every PIM share is whole chunks plus a remainder of 0 or
+        # n mod step, so two chunk prices cover the grid.
+        full, rem = np.divmod(n - cpu, step)
+        chunk_s = self._pim_chunk_seconds(m, k, step) if n >= step else 0.0
+        rem_s = self._pim_chunk_seconds(m, k, n % step) if n % step else 0.0
+        t_pim = full * chunk_s + np.where(rem > 0, rem_s, 0.0)
+        busy = cpu > 0
+        t_cpu = np.zeros(len(cpu))
+        t_cpu[busy] = self.cpu.gemm_seconds_many(m, k, cpu[busy])
+        t = np.maximum(t_cpu, t_pim)
+        i = int(np.argmin(t))
+        cpu_share = int(cpu[i])
+        return HybridSplit(
+            cpu_batch=cpu_share, pim_batch=n - cpu_share, latency_s=float(t[i])
+        )

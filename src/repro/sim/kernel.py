@@ -144,6 +144,12 @@ def _not_finite(t: float) -> ValueError:
     return ValueError(f"event time must be finite, got {t}")
 
 
+def _out_of_order(key: tuple, prev: tuple) -> ValueError:
+    """The error for a lazy-stream event whose ``(time, kind, entity)``
+    key sorts before its predecessor's."""
+    return ValueError(f"lazy stream events out of order: {key} after {prev}")
+
+
 #: A handler receives ``(now, events)`` — every event of one kind firing
 #: at one instant, in entity order.
 Handler = Callable[[float, List[Event]], None]
@@ -267,9 +273,7 @@ class DiscreteEventKernel:
             raise _not_finite(ev[0])
         key = ev[:3]
         if self._lazy_prev is not None and key < self._lazy_prev:
-            raise ValueError(
-                f"lazy stream events out of order: {key} after {self._lazy_prev}"
-            )
+            raise _out_of_order(key, self._lazy_prev)
         self._lazy_prev = key
         self._stream.append(ev)
 

@@ -36,8 +36,10 @@ analytic cycle-accounting simulators in SNIPPETS.md make instead of
 materializing event streams.
 
 Ingestion is chunked but order-preserving.  A sketch updates
-``count``/``min``/``max`` on every ``add`` and parks the value in a
-pending list of at most :data:`INGEST_CHUNK` values;
+``count``/``min``/``max`` on every ``add`` (or once per ``add_many``
+batch, the FINISH path's :meth:`MetricsRecorder.record_batch`) and
+parks the values in a pending list of about :data:`INGEST_CHUNK`
+values (a batch may overshoot it by less than one batch);
 :meth:`QuantileSketch.flush` folds the chunk in arrival order, one
 ``insort`` at a time up to the spill, then one
 :meth:`P2Quantile.add_many` pass per marker set over local variables.
@@ -58,6 +60,9 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.sim.metrics import nearest_rank, window_latencies
@@ -415,6 +420,29 @@ class QuantileSketch:
         if len(pending) >= INGEST_CHUNK:
             self.flush()
 
+    def add_many(self, xs: List[float]) -> None:
+        """Fold float observations in order, bitwise as :meth:`add` one
+        by one.
+
+        The batch-ingestion call: one ``extend`` of the pending chunk
+        and one min/max each.  The chunk may overshoot
+        :data:`INGEST_CHUNK` by up to ``len(xs) - 1`` values before it
+        is flushed, which no answer depends on (see :meth:`flush`).
+        """
+        if not xs:
+            return
+        self.count += len(xs)
+        lo = min(xs)
+        if lo < self.min:
+            self.min = lo
+        hi = max(xs)
+        if hi > self.max:
+            self.max = hi
+        pending = self._pending
+        pending.extend(xs)
+        if len(pending) >= INGEST_CHUNK:
+            self.flush()
+
     def flush(self) -> None:
         """Fold the pending chunk in, in arrival order.
 
@@ -568,6 +596,13 @@ class StreamStats:
         self.count += 1
         self.total += x
         self._sketch.add(x)
+
+    def add_many(self, xs: List[float]) -> None:
+        """Fold float observations in order, bitwise as :meth:`add` one
+        by one (the sum accumulates left to right, as ``+=`` would)."""
+        self.count += len(xs)
+        self.total = reduce(add, xs, self.total)
+        self._sketch.add_many(xs)
 
     def add_run(self, x: float, n: int) -> None:
         """Fold ``n`` identical observations in one batched update.
@@ -729,13 +764,24 @@ class WindowRing:
     def add(self, x: float, t: float) -> None:
         """Record observation ``x`` stamped at time ``t`` (non-decreasing)."""
         if self.window_s is not None:
-            edge = self._open.start_s + self.window_s
-            if t >= edge:
-                # Snap the boundary to the width grid so sparse streams
-                # don't accumulate one giant window.
-                periods = math.floor((t - self._open.start_s) / self.window_s)
-                self.roll(self._open.start_s + periods * self.window_s)
+            self._advance(t)
         self._open.stats.add(x)
+
+    def add_many(self, xs: List[float], t: float) -> None:
+        """Record float observations ``xs``, all stamped at time ``t``
+        (non-decreasing), as :meth:`add` one by one would."""
+        if self.window_s is not None:
+            self._advance(t)
+        self._open.stats.add_many(xs)
+
+    def _advance(self, t: float) -> None:
+        """Auto-roll the open window if ``t`` is past its width."""
+        edge = self._open.start_s + self.window_s
+        if t >= edge:
+            # Snap the boundary to the width grid so sparse streams
+            # don't accumulate one giant window.
+            periods = math.floor((t - self._open.start_s) / self.window_s)
+            self.roll(self._open.start_s + periods * self.window_s)
 
     def roll(self, t: float) -> None:
         """Close the open window at ``t`` and start a new one there.
@@ -817,7 +863,8 @@ class MetricsRecorder:
     """The one metrics-accumulation contract every report layer shares.
 
     The sim kernel's ``FINISH`` path (and the admission/failure paths)
-    call :meth:`record_completion` / :meth:`record_rejection` /
+    call :meth:`record_completion` or, once per batch,
+    :meth:`record_batch` / :meth:`record_rejection` /
     :meth:`record_failure`; reports answer every query from here.
 
     * ``record="full"`` keeps per-request records in
@@ -928,6 +975,55 @@ class MetricsRecorder:
             self.ring.add(c.latency_s, c.finish_s)
         if self.parent is not None:
             self.parent.record_completion(c)
+
+    def record_batch(
+        self, dispatch_s: float, finish_s: float, requests: Sequence
+    ) -> None:
+        """Record one finished batch, bitwise as :meth:`record_completion`
+        of each request in order would.
+
+        The FINISH path's one call per batch: ``requests`` (objects with
+        an ``arrival_s``) were dispatched together at ``dispatch_s`` and
+        finished at ``finish_s``.  Each level of the parent chain (node,
+        then pool, then run) gets the batch in request order: full mode
+        appends one shared ``CompletedRequest`` per request, streaming
+        mode feeds its sketches the latencies in one batch call and
+        accumulates the queue, service and batch sums left to right, as
+        per-request ``+=`` would.
+        """
+        b = len(requests)
+        if not b:
+            return
+        completed = lats = None
+        rec: Optional[MetricsRecorder] = self
+        while rec is not None:
+            rec.n_completed += b
+            if rec._completed is not None:
+                if completed is None:
+                    # Lazy: the serving layer imports this module.
+                    from repro.serving.engine import CompletedRequest
+
+                    completed = [
+                        CompletedRequest(
+                            request=r,
+                            dispatch_s=dispatch_s,
+                            finish_s=finish_s,
+                            batch=b,
+                        )
+                        for r in requests
+                    ]
+                rec._completed.extend(completed)
+            else:
+                if lats is None:
+                    lats = [finish_s - r.arrival_s for r in requests]
+                    queues = [dispatch_s - r.arrival_s for r in requests]
+                    service = finish_s - dispatch_s
+                rec.latency.add_many(lats)
+                rec._queue_sum = reduce(add, queues, rec._queue_sum)
+                rec._service_sum = reduce(add, repeat(service, b), rec._service_sum)
+                rec._batch_sum = reduce(add, repeat(b, b), rec._batch_sum)
+                rec.ring.add_many(lats, finish_s)
+            rec = rec.parent
 
     def record_rejection(self, r) -> None:
         """Record one admission-rejected request (kept only in full mode)."""

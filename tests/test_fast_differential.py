@@ -309,6 +309,245 @@ def test_hetero_fast_matches_slow(engine, seed):
     assert slow.node_pool == fast.node_pool
 
 
+# --------------------------------------------------------------------------
+# Streaming recording and presorted (lazily read) streams.  Streaming
+# reports keep no per-request records, so the comparison is over every
+# answer they give: counts, the run's percentiles over a q grid, window
+# percentiles over every control window, each node's percentiles and
+# means, the control samples and the timeline — all bitwise (floats by
+# repr, so NaN answers compare too).  A sketch fed one value out of
+# order, or a sum accumulated in another order, shows up here.
+# --------------------------------------------------------------------------
+
+QS = (1, 10, 25, 50, 75, 90, 95, 99, 99.9, 100)
+
+
+def _windows(rep):
+    """Control windows of an elastic run, else a 1 s grid over the run."""
+    ticks = [s.t for s in getattr(rep, "samples", [])]
+    if not ticks:
+        ticks = [float(i) for i in range(1, int(rep.sim_end_s) + 2)]
+    return list(zip([0.0] + ticks[:-1], ticks))
+
+
+def _node_view(rep, windows):
+    """Everything one node report answers in either record mode."""
+    return (
+        rep.served,
+        rep.rejected_count,
+        rep.failed_count,
+        rep.sim_end_s,
+        [rep.latency_percentile(q) for q in QS],
+        [rep.window_percentile(q, a, b) for a, b in windows for q in (50, 99)],
+        rep.stats.mean_latency_s,
+        rep.mean_queue_s,
+        rep.mean_service_s,
+        rep.mean_batch,
+    )
+
+
+def _fleet_view(rep):
+    """Everything a fleet (or engine) report answers in either mode."""
+    windows = _windows(rep)
+    nodes = rep.node_reports
+    if isinstance(nodes, dict):
+        nodes = [nodes[nid] for nid in sorted(nodes)]
+    view = [
+        rep.served,
+        rep.rejected_count,
+        rep.failed_count,
+        rep.dropped_count,
+        rep.events_processed,
+        rep.sim_end_s,
+        rep.last_arrival_s,
+        [rep.latency_percentile(q) for q in QS],
+        [rep.window_percentile(q, a, b) for a, b in windows for q in (50, 99)],
+        [_node_view(n, windows) for n in nodes],
+    ]
+    if hasattr(rep, "samples"):
+        view += [rep.samples, rep.timeline_rows()]
+    for name, rec in sorted(getattr(rep, "pool_stats", {}).items()):
+        view.append(
+            (
+                name,
+                rec.completed_count,
+                [rec.percentile(q) for q in QS],
+                [rec.window_percentile(99, a, b) for a, b in windows],
+                rec.mean_queue_s,
+                rec.mean_service_s,
+                rec.mean_batch,
+            )
+        )
+    return view
+
+
+def assert_views_identical(slow, fast, label):
+    assert repr(_fleet_view(slow)) == repr(_fleet_view(fast)), label
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_streaming_fast_matches_slow(engine, seed):
+    sc = Scenario(seed)
+    stream = sc.stream()
+    slow, fast = run_both(
+        lambda fast: engine.run(stream, sc.policy, record="streaming", fast=fast),
+        sc,
+    )
+    assert fast.record == "streaming"
+    windows = _windows(slow)
+    assert repr(_node_view(slow, windows)) == repr(_node_view(fast, windows))
+    assert slow.events_processed == fast.events_processed
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cluster_streaming_fast_matches_slow(engine, seed):
+    sc = Scenario(seed)
+    stream = sc.stream()
+    cl = Cluster(
+        n_nodes=2 + seed % 3,
+        engine=engine,
+        policy=sc.policy,
+        router=sc.router,
+        replication=1 + seed % 2,
+        record="streaming",
+        # Half the seeds auto-roll the window rings (one roll check per
+        # batch on the fast path, one per request on the reference path).
+        window_s=0.5 if seed % 2 else None,
+    )
+    slow, fast = run_both(
+        lambda fast: cl.run(stream, failures=sc.failures(), fast=fast), sc
+    )
+    assert fast.record == "streaming"
+    assert_views_identical(slow, fast, f"cluster-streaming-{seed}")
+    assert slow.node_busy_s == fast.node_busy_s
+
+
+def _elastic_run(engine, sc, record, presorted):
+    el = ElasticCluster(
+        engine=engine,
+        policy=sc.policy,
+        router=sc.router,
+        models=sorted(sc.mix),
+        initial_nodes=1 + sc.seed % 3,
+        max_nodes=6,
+        control_interval_s=0.5,
+        record=record,
+    )
+    pol = TargetUtilizationPolicy(
+        capacity_rps=node_capacity_rps(engine, sc.mix, sc.policy),
+        target=0.7,
+    )
+    stream = sc.stream()
+    if presorted:
+        # A fresh iterator per run: the loop must read it lazily.
+        return lambda fast: el.run(
+            iter(stream),
+            pol,
+            failures=sc.failures(),
+            fast=fast,
+            presorted=True,
+            horizon_s=sc.duration_s,
+        )
+    return lambda fast: el.run(stream, pol, failures=sc.failures(), fast=fast)
+
+
+@pytest.mark.parametrize(
+    "record, presorted",
+    [("streaming", False), ("streaming", True), ("full", True)],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_elastic_streaming_and_presorted_fast_matches_slow(
+    engine, seed, record, presorted
+):
+    sc = Scenario(seed)
+    slow, fast = run_both(_elastic_run(engine, sc, record, presorted), sc)
+    assert fast.record == record
+    assert_views_identical(slow, fast, f"elastic-{record}-{presorted}-{seed}")
+    if record == "full":
+        assert_elastic_identical(slow, fast)
+    assert slow.node_busy_s == fast.node_busy_s
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hetero_streaming_fast_matches_slow(engine, seed):
+    """Two pools: node -> pool -> run, the three-level recorder chain."""
+    sc = Scenario(seed)
+    stream = sc.stream()
+    hc = HeteroElasticCluster(
+        pools={
+            "stepstone": NodePool(
+                STEPSTONE_NODE,
+                min_nodes=1,
+                max_nodes=5,
+                initial_nodes=2 + seed % 2,
+            ),
+            "gpu": NodePool(GPU_NODE, min_nodes=0, max_nodes=2, initial_nodes=0),
+        },
+        engine=engine,
+        policy=sc.policy,
+        router=sc.router,
+        models=sorted(sc.mix),
+        control_interval_s=0.5,
+        record="streaming",
+    )
+    pol = BaselineBurstPolicy(
+        baseline="stepstone",
+        burst="gpu",
+        baseline_nodes=2,
+        baseline_capacity_rps=node_capacity_rps(
+            engine, sc.mix, sc.policy, spec=STEPSTONE_NODE
+        ),
+        burst_capacity_rps=node_capacity_rps(
+            engine, sc.mix, sc.policy, spec=GPU_NODE
+        ),
+    )
+    slow, fast = run_both(
+        lambda fast: hc.run(stream, pol, failures=sc.failures(), fast=fast),
+        sc,
+    )
+    assert fast.record == "streaming"
+    assert set(fast.pool_stats) == {"stepstone", "gpu"}
+    assert fast.pool_stats["stepstone"].parent is fast.stats
+    assert_views_identical(slow, fast, f"hetero-streaming-{seed}")
+    assert slow.pool_timeline == fast.pool_timeline
+    assert slow.node_pool == fast.node_pool
+
+
+@pytest.mark.parametrize(
+    "bad, match", [("backward", "out of order"), ("nan", "finite")]
+)
+def test_bad_presorted_stream_raises_on_fast_path(engine, bad, match):
+    """A presorted stream that steps back in time or carries a NaN
+    arrival raises the kernel's ``ValueError`` on both paths."""
+    sc = Scenario(0)
+    stream = sc.stream()
+    assert len(stream) > 10
+    if bad == "backward":
+        # Swap two arrivals with distinct times mid-stream.
+        i = next(
+            i for i in range(len(stream) // 2, len(stream) - 1)
+            if stream[i].arrival_s < stream[i + 1].arrival_s
+        )
+        stream[i], stream[i + 1] = stream[i + 1], stream[i]
+    else:
+        object.__setattr__(stream[len(stream) // 2], "arrival_s", math.nan)
+    el = ElasticCluster(
+        engine=engine, models=sorted(sc.mix), initial_nodes=1, max_nodes=2
+    )
+    pol = TargetUtilizationPolicy(
+        capacity_rps=node_capacity_rps(engine, sc.mix, "hybrid"), target=0.7
+    )
+    for fast in (False, True):
+        with pytest.raises(ValueError, match=match):
+            el.run(
+                iter(stream),
+                pol,
+                presorted=True,
+                horizon_s=sc.duration_s,
+                fast=fast,
+            )
+
+
 def test_every_router_covered_by_default_matrix():
     """Seeds 0..3 map onto the four routers, so even the minimal matrix
     exercises all four builtin routers; fresh CI seeds extend it."""

@@ -382,16 +382,16 @@ def test_engine_fallback_reasons():
     from repro.serving import OnlineServingEngine
 
     eng = OnlineServingEngine()
-    cases = [
-        ("streaming-record", dict(record="streaming")),
-        ("spans", dict(obs=RunObserver.tracing())),
-    ]
-    for reason, kw in cases:
-        _assert_fallback(
-            "engine",
-            reason,
-            lambda: eng.run(_serving_stream(), "hybrid", fast=True, **kw),
-        )
+    _assert_fallback(
+        "engine",
+        "spans",
+        lambda: eng.run(
+            _serving_stream(), "hybrid", fast=True, obs=RunObserver.tracing()
+        ),
+    )
+    _assert_fast_engages(
+        lambda: eng.run(_serving_stream(), "hybrid", fast=True, record="streaming")
+    )
 
 
 def _assert_fast_engages(run):
@@ -452,19 +452,15 @@ def _cluster(**ctor_kw):
 
 
 def test_cluster_fallback_reasons():
-    cases = [
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
+    run = _cluster()
+    _assert_fallback(
+        "cluster",
+        "spans",
+        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    )
+    for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _cluster(**ctor_kw)
-        _assert_fallback(
-            "cluster",
-            reason,
-            lambda: run(_serving_stream(), fast=True, **run_kw),
-        )
-    run = _cluster(router=_custom_router())
-    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+        _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
 
 
 def _elastic_policy(engine, models):
@@ -488,20 +484,21 @@ def _elastic(**ctor_kw):
 
 
 def test_elastic_fallback_reasons():
-    cases = [
-        ("presorted-stream", dict(), dict(presorted=True, horizon_s=1.0)),
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
+    run = _elastic()
+    _assert_fallback(
+        "elastic",
+        "spans",
+        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    )
+    for ctor_kw, run_kw in [
+        (dict(), dict(presorted=True, horizon_s=1.0)),
+        (dict(record="streaming"), dict()),
+        (dict(router=_custom_router()), dict()),
+    ]:
         run = _elastic(**ctor_kw)
-        _assert_fallback(
-            "elastic",
-            reason,
-            lambda: run(_serving_stream(), fast=True, **run_kw),
+        _assert_fast_engages(
+            lambda: run(iter(_serving_stream()), fast=True, **run_kw)
         )
-    run = _elastic(router=_custom_router())
-    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
 
 
 def _hetero(**ctor_kw):
@@ -534,19 +531,15 @@ def _hetero(**ctor_kw):
 
 
 def test_hetero_fallback_reasons():
-    cases = [
-        ("streaming-record", dict(record="streaming"), dict()),
-        ("spans", dict(), dict(obs=RunObserver.tracing())),
-    ]
-    for reason, ctor_kw, run_kw in cases:
+    run = _hetero()
+    _assert_fallback(
+        "hetero",
+        "spans",
+        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    )
+    for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _hetero(**ctor_kw)
-        _assert_fallback(
-            "hetero",
-            reason,
-            lambda: run(_serving_stream(), fast=True, **run_kw),
-        )
-    run = _hetero(router=_custom_router())
-    _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+        _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
 
 
 def _fleet_fingerprint(rep):

@@ -84,8 +84,9 @@ def test_outage_rejects_infinite_end():
 
 
 def test_rejected_presorted_run_has_no_side_effects():
-    """A presorted run without a horizon fails before it counts a fast
-    fallback or resets the router and the autoscaler."""
+    """A presorted run without a horizon fails before it counts a
+    fast-path run or any fast fallback, or resets the router and the
+    autoscaler."""
 
     class Tracking(StaticPolicy):
         resets = 0
@@ -96,10 +97,14 @@ def test_rejected_presorted_run_has_no_side_effects():
     cluster = ElasticCluster(models=["BERT"], router="round-robin")
     cluster.router._next["BERT"] = 7
     reqs = poisson_requests("BERT", 50.0, 0.2, seed=1)
-    labels = dict(loop="elastic", reason="presorted-stream")
+    def fallbacks():
+        counters = BUS.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
+
     BUS.enable()
     try:
-        before = BUS.counter("fast_fallback", **labels)
+        before = fallbacks()
+        runs = sfast.FAST_RUNS
         for horizon in (None, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="horizon_s"):
                 cluster.run(
@@ -109,7 +114,8 @@ def test_rejected_presorted_run_has_no_side_effects():
                     horizon_s=horizon,
                     fast=True,
                 )
-        assert BUS.counter("fast_fallback", **labels) == before
+        assert fallbacks() == before
+        assert sfast.FAST_RUNS == runs
     finally:
         BUS.disable()
         BUS.reset()

@@ -2,9 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving.scheduler import BatchServer
+from repro.baselines.cpu import CpuGemmModel
+from repro.core.gemm import GemmShape
+from repro.serving.scheduler import BatchServer, HybridSplit
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +155,78 @@ class TestHybrid:
         n1 = PRICING_MEMO.size("chunk")
         srv.pim_latency(1024, 4096, 960)
         assert PRICING_MEMO.size("chunk") == n1
+
+
+# --------------------------------------------------------------------------
+# Oracle: the per-share scan ``hybrid_split`` ran before it evaluated the
+# whole share grid as arrays.  The array pass must return the very same
+# split, float for float, including the scan's first-minimum tie-break.
+# --------------------------------------------------------------------------
+
+
+def _scan_hybrid_split(srv, m, k, n):
+    step = srv.max_pim_batch
+    shares = {0, n}
+    shares.update(range(step, n, step))
+    shares.update(n - j for j in range(step, n, step))
+    best = None
+    for cpu_share in sorted(shares):
+        pim_share = n - cpu_share
+        t_cpu = srv.cpu_latency(m, k, cpu_share) if cpu_share else 0.0
+        t_pim = srv.pim_latency(m, k, pim_share) if pim_share else 0.0
+        t = max(t_cpu, t_pim)
+        if best is None or t < best.latency_s:
+            best = HybridSplit(cpu_batch=cpu_share, pim_batch=pim_share, latency_s=t)
+    return best
+
+
+_ORACLE_SERVERS = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([64, 256, 1024]),
+    k=st.sampled_from([256, 1024, 4096]),
+    n=st.integers(1, 700),
+    step=st.sampled_from([8, 16, 32, 64]),
+)
+def test_hybrid_split_matches_the_share_scan(m, k, n, step):
+    srv = _ORACLE_SERVERS.setdefault(step, BatchServer(max_pim_batch=step))
+    got = srv.hybrid_split(m, k, n)
+    want = _scan_hybrid_split(srv, m, k, n)
+    assert got == want
+    assert type(got.cpu_batch) is int and type(got.latency_s) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 8192),
+    k=st.integers(1, 8192),
+    ns=st.lists(st.integers(1, 4096), min_size=1, max_size=20),
+)
+def test_cpu_array_formula_matches_scalar(m, k, ns):
+    """``gemm_seconds_many`` is ``gemm_seconds`` per batch, bitwise."""
+    cpu = CpuGemmModel()
+    got = cpu.gemm_seconds_many(m, k, np.array(ns)).tolist()
+    assert got == [cpu.gemm_seconds(GemmShape(m, k, n)) for n in ns]
+
+
+class _FlatCpu:
+    """A CPU whose every GEMM takes the same time (forces ties)."""
+
+    def gemm_seconds(self, shape):
+        return 3.5
+
+    def gemm_seconds_many(self, m, k, ns):
+        return np.full(len(ns), 3.5)
+
+
+def test_hybrid_split_ties_go_to_the_smallest_cpu_share(monkeypatch):
+    """Every share that leaves the PIMs at most three chunks ties at the
+    CPU's 3.5 s; the scan kept the first (smallest) of them, so must
+    the array pass."""
+    srv = BatchServer(cpu=_FlatCpu(), max_pim_batch=32)
+    monkeypatch.setattr(srv, "_pim_chunk_seconds", lambda m, k, n: 1.0)
+    got = srv.hybrid_split(1024, 4096, 100)
+    assert got == _scan_hybrid_split(srv, 1024, 4096, 100)
+    assert got == HybridSplit(cpu_batch=4, pim_batch=96, latency_s=3.5)

@@ -253,16 +253,25 @@ class TestMetricsReexports:
         assert "window_latencies" in engine.__all__
 
 
+def _arrivals(times):
+    """Requests arriving at ``times``, stream index as ``req_id``."""
+    from repro.serving import Request
+
+    return [Request(i, "BERT", t) for i, t in enumerate(times)]
+
+
 class TestFastDrainTotalOrder:
     """PR 5's tie-break table, extended to the batched fast path.
 
-    ``repro.sim.fast.drain`` replays arrivals from a sorted array
-    instead of the heap, so the one ordering risk it adds is at the
-    *seam*: equal-time heap events must land around an arrival epoch
-    exactly where the documented table puts ARRIVAL.  These tests run
-    the same permutation discipline as :class:`TestTotalOrder` with
-    arrivals moved into the struct-of-arrays column, and a differential
-    check against the reference kernel on seeded random schedules.
+    ``repro.sim.fast.drain`` replays arrivals from struct-of-arrays
+    chunks instead of the heap, so the ordering risks it adds are at
+    the *seams*: equal-time heap events must land around an arrival
+    epoch exactly where the documented table puts ARRIVAL, and an epoch
+    must never be split across two chunks of a lazily read stream.
+    These tests run the same permutation discipline as
+    :class:`TestTotalOrder` with arrivals moved into the drain's stream,
+    and a differential check against the reference kernel on seeded
+    random schedules, eager and lazy, across tiny chunk sizes.
     """
 
     #: The tie-break table with the ARRIVAL rows re-expressed as one
@@ -276,12 +285,10 @@ class TestFastDrainTotalOrder:
 
     @staticmethod
     def _fast_drain(heap_rows, arrival_ts, epoch_finish_at=None):
-        """Drain heap_rows + an arrival column, returning the unified
+        """Drain heap_rows + an arrival stream, returning the unified
         delivery order.  ``epoch_finish_at`` optionally maps an epoch
         time to a FINISH (time, entity) scheduled *from inside* the
         epoch — the re-peek hazard."""
-        import numpy as np
-
         from repro.sim import fast as fastmod
 
         kernel = DiscreteEventKernel()
@@ -289,8 +296,8 @@ class TestFastDrainTotalOrder:
             kernel.schedule(1.0, kind, entity)
         seen = []
 
-        def on_epoch(t, lo, hi):
-            seen.append(("epoch", t, lo, hi))
+        def on_epoch(t, reqs):
+            seen.append(("epoch", t, reqs[0].req_id, reqs[-1].req_id + 1))
             if epoch_finish_at and t in epoch_finish_at:
                 ft, fe = epoch_finish_at[t]
                 kernel.schedule(ft, EventKind.FINISH, fe)
@@ -305,12 +312,7 @@ class TestFastDrainTotalOrder:
             )
             for kind in EventKind
         }
-        fastmod.drain(
-            kernel,
-            np.asarray(arrival_ts, dtype=np.float64),
-            on_epoch,
-            handlers,
-        )
+        fastmod.drain(kernel, _arrivals(arrival_ts), on_epoch, handlers)
         return kernel, seen
 
     @pytest.mark.parametrize("perm", _insertion_orders()[:12])
@@ -366,29 +368,16 @@ class TestFastDrainTotalOrder:
 
     def test_heap_arrival_is_rejected(self):
         """The fast drain owns arrivals; one on the heap is a bug."""
-        import numpy as np
-
         from repro.sim import fast as fastmod
 
         kernel = DiscreteEventKernel()
         kernel.schedule(1.0, EventKind.ARRIVAL, 0)
         with pytest.raises(ValueError):
-            fastmod.drain(
-                kernel,
-                np.asarray([1.0]),
-                lambda t, lo, hi: False,
-                {},
-            )
+            fastmod.drain(kernel, _arrivals([1.0]), lambda t, reqs: False, {})
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_schedules_match_reference_kernel(self, seed):
-        """Differential: a seeded random mix of arrivals (duplicates
-        included) and heap events drains in exactly the reference
-        kernel's order, with the same processed-event count."""
-        import numpy as np
-
-        from repro.sim import fast as fastmod
-
+    @staticmethod
+    def _random_schedule(seed):
+        """Seeded arrival times (duplicates included) and heap rows."""
         rng = random.Random(seed)
         times = sorted(
             round(rng.uniform(0.0, 4.0), 1) for _ in range(rng.randint(3, 12))
@@ -408,6 +397,15 @@ class TestFastDrainTotalOrder:
             )
             for _ in range(rng.randint(0, 8))
         ]
+        return times, heap_rows
+
+    @staticmethod
+    def _assert_drain_matches_reference(times, heap_rows, lazy):
+        """Drain ``times`` + ``heap_rows`` through the reference kernel
+        and the fast drain (fed a list, or an iterator when ``lazy``);
+        both must deliver the same batches in the same order and count
+        the same events."""
+        from repro.sim import fast as fastmod
 
         # Reference: arrivals preloaded as per-entity events; the
         # kernel batches each equal-time, equal-kind span into one
@@ -439,8 +437,8 @@ class TestFastDrainTotalOrder:
             fast_kernel.schedule(t, kind, entity)
         got = []
 
-        def on_epoch(t, lo, hi):
-            got.append((t, int(EventKind.ARRIVAL), tuple(range(lo, hi))))
+        def on_epoch(t, reqs):
+            got.append((t, int(EventKind.ARRIVAL), tuple(r.req_id for r in reqs)))
             return False
 
         handlers = {
@@ -451,8 +449,9 @@ class TestFastDrainTotalOrder:
             )
             for kind in EventKind
         }
+        arrivals = _arrivals(times)
         fastmod.drain(
-            fast_kernel, np.asarray(times, dtype=np.float64), on_epoch, handlers
+            fast_kernel, iter(arrivals) if lazy else arrivals, on_epoch, handlers
         )
 
         assert got == ref
@@ -464,3 +463,59 @@ class TestFastDrainTotalOrder:
         rep = _Rep()
         fast_kernel.finalize(rep)
         assert rep.events_processed == ref_kernel.processed
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_schedules_match_reference_kernel(self, seed):
+        """Differential: a seeded random mix of arrivals (duplicates
+        included) and heap events drains in exactly the reference
+        kernel's order, with the same processed-event count."""
+        times, heap_rows = self._random_schedule(seed)
+        self._assert_drain_matches_reference(times, heap_rows, lazy=False)
+        self._assert_drain_matches_reference(times, heap_rows, lazy=True)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lazy_chunks_never_split_an_epoch(self, monkeypatch, seed, chunk):
+        """A lazily read stream pulled a few requests at a time: runs of
+        equal-time arrivals longer than a chunk still form one epoch,
+        and the delivery order still matches the reference kernel."""
+        from repro.sim import fast as fastmod
+
+        monkeypatch.setattr(fastmod, "STREAM_CHUNK", chunk)
+        times, heap_rows = self._random_schedule(seed)
+        # Stretch some instants into runs that span several chunks.
+        times = sorted(times + times[: len(times) // 2] * 3)
+        self._assert_drain_matches_reference(times, heap_rows, lazy=True)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    @pytest.mark.parametrize(
+        "times, match",
+        [
+            ([0.0, 1.0, 0.5, 2.0], "out of order"),
+            ([0.0, 1.0, 1.0, float("nan")], "finite"),
+            ([0.0, float("inf")], "finite"),
+        ],
+    )
+    def test_lazy_stream_errors_match_the_kernel(
+        self, monkeypatch, chunk, times, match
+    ):
+        """A misordered or non-finite lazy stream raises the kernel's own
+        ``ValueError``, message for message, at any chunk size."""
+        from repro.sim import fast as fastmod
+
+        monkeypatch.setattr(fastmod, "STREAM_CHUNK", chunk)
+        reqs = _arrivals([0.0] * len(times))
+        for r, t in zip(reqs, times):
+            object.__setattr__(r, "arrival_s", t)  # bypass Request's check
+        ref_kernel = DiscreteEventKernel()
+        ref_kernel.preload_stream(
+            Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
+            for i, r in enumerate(reqs)
+        )
+        with pytest.raises(ValueError, match=match) as ref_err:
+            ref_kernel.run({})
+        with pytest.raises(ValueError, match=match) as fast_err:
+            fastmod.drain(
+                DiscreteEventKernel(), iter(reqs), lambda t, rs: False, {}
+            )
+        assert str(fast_err.value) == str(ref_err.value)

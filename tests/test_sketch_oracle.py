@@ -9,7 +9,10 @@ fallback for each inner marker).  Hypothesis draws streams with ties,
 values equal to live markers, runs, and lengths that cross the exact
 reservoir and the chunk size, and interleaves reads and window rolls.
 Every marker height and rank, reservoir, count, min/max and every
-tracked-quantile answer must match the oracle bit for bit.
+tracked-quantile answer must match the oracle bit for bit.  One level
+up, :meth:`MetricsRecorder.record_batch` (the fast path's one call per
+finished batch) must leave every level of a recorder chain where
+per-request ``record_completion`` calls leave it, in both record modes.
 
 CI replays it under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
@@ -24,9 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serving import CompletedRequest, Request
 from repro.sim.stats import (
     DEFAULT_QUANTILES,
     INGEST_CHUNK,
+    MetricsRecorder,
     P2Quantile,
     QuantileSketch,
     WindowRing,
@@ -416,3 +421,112 @@ def test_chunk_boundaries(n, exact_limit):
     assert len(sk._pending) == n % INGEST_CHUNK
     assert _answers(sk) == _answers(oracle)
     assert _state(sk) == _state(oracle)
+
+
+# --------------------------------------------------------------------------
+# Batch recording: one record_batch per finished batch is the batch's
+# record_completion calls, request by request, at every chain level.
+# --------------------------------------------------------------------------
+
+
+def _chain(record, depth, window_s, exact_limit):
+    """A node recorder and its ``depth - 1`` ancestors (node, pool, run)."""
+    rec = None
+    levels = []
+    for _ in range(depth):
+        rec = MetricsRecorder(
+            record=record, window_s=window_s, exact_limit=exact_limit, parent=rec
+        )
+        levels.append(rec)
+    return levels[::-1]
+
+
+def _recorder_state(rec, windows):
+    """Everything a recorder answers, floats as bits."""
+
+    def f(x):
+        return _bits(x) if x == x else "nan"
+
+    out = [
+        rec.completed_count,
+        f(rec.mean_latency_s),
+        f(rec.mean_queue_s),
+        f(rec.mean_service_s),
+        f(rec.mean_batch),
+        [f(rec.percentile(q)) for q in (1, 25, 50, 90, 99, 99.9, 100)],
+        [f(rec.window_percentile(q, a, b)) for a, b in windows for q in (50, 99)],
+    ]
+    if rec.record == "full":
+        out.append(
+            [
+                (c.request.req_id, _bits(c.dispatch_s), _bits(c.finish_s), c.batch)
+                for c in rec.completed
+            ]
+        )
+    else:
+        stats = rec.latency
+        out.append((stats.count, _bits(stats.total), _state(stats._sketch)))
+        out.append((_bits(rec._queue_sum), _bits(rec._service_sum), _bits(rec._batch_sum)))
+        ring = rec.ring
+        out.append([_summary(w.read()) for w in ring._closed + [ring._open]])
+    return out
+
+
+BATCHES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("batch"),
+            st.floats(0.0, 0.5),  # dispatch gap after the last finish
+            st.floats(0.0, 0.5),  # service time
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),  # waits
+        ),
+        st.tuples(st.just("burst"), st.integers(0, 2**16), st.integers(1, 300)),
+        st.tuples(st.just("roll"), st.floats(0.0, 0.5)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=BATCHES,
+    record=st.sampled_from(["full", "streaming"]),
+    depth=st.integers(1, 3),
+    window_s=st.sampled_from([None, 0.75]),
+    exact_limit=st.sampled_from([8, 512]),
+)
+def test_record_batch_matches_record_completion(ops, record, depth, window_s, exact_limit):
+    """``record_batch`` at the node leaves every chain level — node, pool
+    and run — bitwise where per-request ``record_completion`` leaves it,
+    in both record modes."""
+    batched = _chain(record, depth, window_s, exact_limit)
+    per_request = _chain(record, depth, window_s, exact_limit)
+    t = 0.0
+    rid = 0
+    for op in ops:
+        if op[0] == "roll":
+            t += op[1]
+            for rec in batched + per_request:
+                rec.roll_window(t)
+            continue
+        if op[0] == "batch":
+            _, gap, service, waits = op
+        else:
+            rng = random.Random(op[1])
+            gap, service = rng.random() * 0.1, rng.random() * 0.1
+            waits = [round(rng.random(), 2) for _ in range(op[2])]
+        dispatch = t + gap + max(waits)
+        finish = dispatch + service
+        reqs = [Request(rid + i, "BERT", dispatch - w) for i, w in enumerate(waits)]
+        rid += len(reqs)
+        batched[0].record_batch(dispatch, finish, reqs)
+        for r in reqs:
+            per_request[0].record_completion(
+                CompletedRequest(
+                    request=r, dispatch_s=dispatch, finish_s=finish, batch=len(reqs)
+                )
+            )
+        t = finish
+    windows = [(0.0, t + 1.0), (0.0, t / 2), (t / 3, t)]
+    for got, want in zip(batched, per_request):
+        assert _recorder_state(got, windows) == _recorder_state(want, windows)
