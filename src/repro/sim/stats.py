@@ -49,6 +49,13 @@ The chunk is flushed when full, before every read (``quantile``,
 closes.  Marker state after a flush is bitwise what per-element updates
 give, so no answer depends on where the chunk boundaries fell.
 
+Observations must be finite: ``QuantileSketch.add``, ``add_many`` and
+``add_run`` (and so every :class:`StreamStats`, :class:`WindowRing` and
+streaming :class:`MetricsRecorder` call) raise ``ValueError`` on NaN or
+infinity and leave the sketch as it was, since a NaN compares false
+against every marker and would corrupt every later percentile.  A batch
+pays one ``math.isfinite`` test of a sum, not one per value.
+
 The elastic fleets roll every streaming recorder's ring, node and pool
 alike, at each control tick, so windows are control intervals at every
 level; a closed window is packed to its count plus its exact reservoir
@@ -246,7 +253,12 @@ class P2Quantile:
         monotone and bracketed, and converges over the run stream.  Both
         the reference and fast generative paths ingest the identical run
         sequence, so their sketches agree exactly.
+
+        Raises:
+            ValueError: If ``n`` is not positive (nothing is changed).
         """
+        if n <= 0:
+            raise ValueError("run length must be positive")
         self._fold((x,), n)
 
     def _fold(self, xs: Iterable[float], w: int) -> None:
@@ -256,79 +268,118 @@ class P2Quantile:
         fresh state, with the textbook's float operation order (the
         parabolic step, falling back to the linear one when it leaves
         the bracket), so any chunking of a stream gives the same bits.
+
+        Two rewrites make each observation cheaper without changing a
+        bit of the result:
+
+        * Ranks are doubles inside the loop.  The ranks ``p0..p4`` and
+          the count ``n - 1`` are integers below 2**53, so as floats
+          they hold exactly the same values, and their sums and
+          differences stay exact.  Every formula mixed them with floats
+          anyway (``n1 * d1``, ``delta - p1``, ``/ (p2 - p1)``), which
+          converted the integer exactly first; now each operation takes
+          the float-float path on the same operands in the same order.
+          ``n`` and ``_pos`` go back to ``int`` when the loop ends.
+        * The textbook's sign ``s = ±1`` is split into an up branch
+          (``delta >= 1``) and a down branch (``delta <= -1``), each
+          with its own parabolic and linear formula.  That is exact in
+          IEEE arithmetic: ``1 * a == a``; ``(-a) / b == -(a / b)``,
+          because round-to-nearest is symmetric in sign; and
+          ``x + (-y) == x - y``.
         """
         q0, q1, q2, q3, q4 = self._q
-        p0, p1, p2, p3, p4 = self._pos
+        p0, p1, p2, p3, p4 = map(float, self._pos)
         _, d1, d2, d3, _ = self._d
-        n = self.n
+        fw = float(w)
+        n1 = float(self.n - 1)
         for x in xs:
             # Find x's cell; every marker above it moves up a rank.
             if x < q0:
                 q0 = x
-                p1 += w
-                p2 += w
-                p3 += w
+                p1 += fw
+                p2 += fw
+                p3 += fw
             elif x >= q4:
                 q4 = x
             elif q1 <= x:
                 if q2 <= x:
                     if not q3 <= x:
-                        p3 += w
+                        p3 += fw
                 else:
-                    p2 += w
-                    p3 += w
+                    p2 += fw
+                    p3 += fw
             else:
-                p1 += w
-                p2 += w
-                p3 += w
-            p4 += w
-            n += w
-            n1 = n - 1
+                p1 += fw
+                p2 += fw
+                p3 += fw
+            p4 += fw
+            n1 += fw
             delta = 1.0 + n1 * d1 - p1
-            if (delta >= 1.0 and p2 - p1 > 1) or (delta <= -1.0 and p0 - p1 < -1):
-                s = 1 if delta >= 1.0 else -1
-                qn = q1 + s * (
-                    (p1 - p0 + s) * (q2 - q1) / (p2 - p1)
-                    + (p2 - p1 - s) * (q1 - q0) / (p1 - p0)
-                ) / (p2 - p0)
-                if not q0 < qn < q2:
-                    if s == 1:
-                        qn = q1 + s * (q2 - q1) / (p2 - p1)
-                    else:
-                        qn = q1 + s * (q0 - q1) / (p0 - p1)
-                q1 = qn
-                p1 += s
+            if delta >= 1.0:
+                if p2 - p1 > 1.0:
+                    qn = q1 + (
+                        (p1 - p0 + 1.0) * (q2 - q1) / (p2 - p1)
+                        + (p2 - p1 - 1.0) * (q1 - q0) / (p1 - p0)
+                    ) / (p2 - p0)
+                    if not q0 < qn < q2:
+                        qn = q1 + (q2 - q1) / (p2 - p1)
+                    q1 = qn
+                    p1 += 1.0
+            elif delta <= -1.0:
+                if p0 - p1 < -1.0:
+                    qn = q1 - (
+                        (p1 - p0 - 1.0) * (q2 - q1) / (p2 - p1)
+                        + (p2 - p1 + 1.0) * (q1 - q0) / (p1 - p0)
+                    ) / (p2 - p0)
+                    if not q0 < qn < q2:
+                        qn = q1 - (q0 - q1) / (p0 - p1)
+                    q1 = qn
+                    p1 -= 1.0
             delta = 1.0 + n1 * d2 - p2
-            if (delta >= 1.0 and p3 - p2 > 1) or (delta <= -1.0 and p1 - p2 < -1):
-                s = 1 if delta >= 1.0 else -1
-                qn = q2 + s * (
-                    (p2 - p1 + s) * (q3 - q2) / (p3 - p2)
-                    + (p3 - p2 - s) * (q2 - q1) / (p2 - p1)
-                ) / (p3 - p1)
-                if not q1 < qn < q3:
-                    if s == 1:
-                        qn = q2 + s * (q3 - q2) / (p3 - p2)
-                    else:
-                        qn = q2 + s * (q1 - q2) / (p1 - p2)
-                q2 = qn
-                p2 += s
+            if delta >= 1.0:
+                if p3 - p2 > 1.0:
+                    qn = q2 + (
+                        (p2 - p1 + 1.0) * (q3 - q2) / (p3 - p2)
+                        + (p3 - p2 - 1.0) * (q2 - q1) / (p2 - p1)
+                    ) / (p3 - p1)
+                    if not q1 < qn < q3:
+                        qn = q2 + (q3 - q2) / (p3 - p2)
+                    q2 = qn
+                    p2 += 1.0
+            elif delta <= -1.0:
+                if p1 - p2 < -1.0:
+                    qn = q2 - (
+                        (p2 - p1 - 1.0) * (q3 - q2) / (p3 - p2)
+                        + (p3 - p2 + 1.0) * (q2 - q1) / (p2 - p1)
+                    ) / (p3 - p1)
+                    if not q1 < qn < q3:
+                        qn = q2 - (q1 - q2) / (p1 - p2)
+                    q2 = qn
+                    p2 -= 1.0
             delta = 1.0 + n1 * d3 - p3
-            if (delta >= 1.0 and p4 - p3 > 1) or (delta <= -1.0 and p2 - p3 < -1):
-                s = 1 if delta >= 1.0 else -1
-                qn = q3 + s * (
-                    (p3 - p2 + s) * (q4 - q3) / (p4 - p3)
-                    + (p4 - p3 - s) * (q3 - q2) / (p3 - p2)
-                ) / (p4 - p2)
-                if not q2 < qn < q4:
-                    if s == 1:
-                        qn = q3 + s * (q4 - q3) / (p4 - p3)
-                    else:
-                        qn = q3 + s * (q2 - q3) / (p2 - p3)
-                q3 = qn
-                p3 += s
-        self.n = n
+            if delta >= 1.0:
+                if p4 - p3 > 1.0:
+                    qn = q3 + (
+                        (p3 - p2 + 1.0) * (q4 - q3) / (p4 - p3)
+                        + (p4 - p3 - 1.0) * (q3 - q2) / (p3 - p2)
+                    ) / (p4 - p2)
+                    if not q2 < qn < q4:
+                        qn = q3 + (q4 - q3) / (p4 - p3)
+                    q3 = qn
+                    p3 += 1.0
+            elif delta <= -1.0:
+                if p2 - p3 < -1.0:
+                    qn = q3 - (
+                        (p3 - p2 - 1.0) * (q4 - q3) / (p4 - p3)
+                        + (p4 - p3 + 1.0) * (q3 - q2) / (p3 - p2)
+                    ) / (p4 - p2)
+                    if not q2 < qn < q4:
+                        qn = q3 - (q2 - q3) / (p2 - p3)
+                    q3 = qn
+                    p3 -= 1.0
+        self.n = int(n1) + 1
         self._q = [q0, q1, q2, q3, q4]
-        self._pos = [p0, p1, p2, p3, p4]
+        self._pos = [int(p0), int(p1), int(p2), int(p3), int(p4)]
 
     @property
     def value(self) -> float:
@@ -408,8 +459,13 @@ class QuantileSketch:
 
         ``count``/``min``/``max`` update now; the value itself waits in
         the pending chunk until the next :meth:`flush`.
+
+        Raises:
+            ValueError: If ``x`` is NaN or infinite (nothing is changed).
         """
         x = float(x)
+        if not math.isfinite(x):
+            _reject_nonfinite((x,))
         self.count += 1
         if x < self.min:
             self.min = x
@@ -428,7 +484,17 @@ class QuantileSketch:
         and one min/max each.  The chunk may overshoot
         :data:`INGEST_CHUNK` by up to ``len(xs) - 1`` values before it
         is flushed, which no answer depends on (see :meth:`flush`).
+
+        Raises:
+            ValueError: If any observation is NaN or infinite (nothing
+                is changed).
         """
+        if not math.isfinite(sum(xs)):
+            _reject_nonfinite(xs)
+        self._extend(xs)
+
+    def _extend(self, xs: List[float]) -> None:
+        """:meth:`add_many` for observations already known to be finite."""
         if not xs:
             return
         self.count += len(xs)
@@ -488,15 +554,18 @@ class QuantileSketch:
         run lands after everything added before it.
 
         Raises:
-            ValueError: If ``n`` is not positive (nothing is changed).
+            ValueError: If ``n`` is not positive or ``x`` is NaN or
+                infinite (nothing is changed).
         """
         if n <= 0:
             raise ValueError("run length must be positive")
         if n == 1:
             self.add(x)
             return
-        self.flush()
         x = float(x)
+        if not math.isfinite(x):
+            _reject_nonfinite((x,))
+        self.flush()
         self.count += n
         if x < self.min:
             self.min = x
@@ -547,6 +616,19 @@ class QuantileSketch:
         return [self.min, *(m.value for m in self._markers), self.max]
 
 
+def _reject_nonfinite(xs: Iterable[float]) -> None:
+    """Raise ``ValueError`` if any of ``xs`` is NaN or infinite.
+
+    Callers reach here only when a float sum over ``xs`` came out
+    non-finite, so the common, all-finite batch costs one
+    ``math.isfinite`` test.  A finite sum proves every term finite; a
+    non-finite one is a NaN or infinite term, or finite terms that
+    overflowed, which this element-wise pass tells apart.
+    """
+    if not all(map(math.isfinite, xs)):
+        raise ValueError("observations must be finite (no NaN or inf)")
+
+
 def _curve_percentile(q: float, fracs: Sequence[float], curve: Sequence[float]) -> float:
     """Read percentile ``q`` off a spilled sketch's quantile curve.
 
@@ -592,17 +674,32 @@ class StreamStats:
         self._sketch = QuantileSketch(quantiles, exact_limit)
 
     def add(self, x: float) -> None:
-        """Fold one observation in."""
+        """Fold one observation in.
+
+        Raises:
+            ValueError: If ``x`` is NaN or infinite (nothing is changed).
+        """
+        self._sketch.add(x)
         self.count += 1
         self.total += x
-        self._sketch.add(x)
 
     def add_many(self, xs: List[float]) -> None:
         """Fold float observations in order, bitwise as :meth:`add` one
-        by one (the sum accumulates left to right, as ``+=`` would)."""
+        by one (the sum accumulates left to right, as ``+=`` would).
+
+        The running sum doubles as the finiteness test, so a batch costs
+        one ``math.isfinite`` check, not one per observation.
+
+        Raises:
+            ValueError: If any observation is NaN or infinite (nothing
+                is changed).
+        """
+        total = reduce(add, xs, self.total)
+        if not math.isfinite(total):
+            _reject_nonfinite(xs)
+        self._sketch._extend(xs)
         self.count += len(xs)
-        self.total = reduce(add, xs, self.total)
-        self._sketch.add_many(xs)
+        self.total = total
 
     def add_run(self, x: float, n: int) -> None:
         """Fold ``n`` identical observations in one batched update.
@@ -613,16 +710,17 @@ class StreamStats:
         callers keep single-sample semantics unchanged.
 
         Raises:
-            ValueError: If ``n`` is not positive (nothing is changed).
+            ValueError: If ``n`` is not positive or ``x`` is NaN or
+                infinite (nothing is changed).
         """
         if n <= 0:
             raise ValueError("run length must be positive")
         if n == 1:
             self.add(x)
             return
+        self._sketch.add_run(x, n)
         self.count += n
         self.total += x * n
-        self._sketch.add_run(x, n)
 
     @property
     def mean(self) -> float:
@@ -762,15 +860,29 @@ class WindowRing:
         self._open = _Window(0.0, self.quantiles, self.exact_limit)
 
     def add(self, x: float, t: float) -> None:
-        """Record observation ``x`` stamped at time ``t`` (non-decreasing)."""
+        """Record observation ``x`` stamped at time ``t`` (non-decreasing).
+
+        Raises:
+            ValueError: If ``x`` is NaN or infinite (nothing is changed,
+                not even an auto-roll).
+        """
         if self.window_s is not None:
+            if not math.isfinite(x):
+                _reject_nonfinite((x,))
             self._advance(t)
         self._open.stats.add(x)
 
     def add_many(self, xs: List[float], t: float) -> None:
         """Record float observations ``xs``, all stamped at time ``t``
-        (non-decreasing), as :meth:`add` one by one would."""
+        (non-decreasing), as :meth:`add` one by one would.
+
+        Raises:
+            ValueError: If any observation is NaN or infinite (nothing
+                is changed, not even an auto-roll).
+        """
         if self.window_s is not None:
+            if not math.isfinite(sum(xs)):
+                _reject_nonfinite(xs)
             self._advance(t)
         self._open.stats.add_many(xs)
 
@@ -963,8 +1075,11 @@ class MetricsRecorder:
                 ``batch`` and ``finish_s`` attributes (a
                 ``CompletedRequest``).  Full mode keeps the object;
                 streaming mode reads the scalars and drops it.
+
+        Raises:
+            ValueError: In streaming mode, if the latency is NaN or
+                infinite (the recorder is left unchanged).
         """
-        self.n_completed += 1
         if self._completed is not None:
             self._completed.append(c)
         else:
@@ -973,6 +1088,7 @@ class MetricsRecorder:
             self._service_sum += c.service_s
             self._batch_sum += c.batch
             self.ring.add(c.latency_s, c.finish_s)
+        self.n_completed += 1
         if self.parent is not None:
             self.parent.record_completion(c)
 
@@ -990,6 +1106,10 @@ class MetricsRecorder:
         mode feeds its sketches the latencies in one batch call and
         accumulates the queue, service and batch sums left to right, as
         per-request ``+=`` would.
+
+        Raises:
+            ValueError: In streaming mode, if a latency is NaN or
+                infinite (the recorder is left unchanged).
         """
         b = len(requests)
         if not b:
@@ -997,7 +1117,6 @@ class MetricsRecorder:
         completed = lats = None
         rec: Optional[MetricsRecorder] = self
         while rec is not None:
-            rec.n_completed += b
             if rec._completed is not None:
                 if completed is None:
                     # Lazy: the serving layer imports this module.
@@ -1023,6 +1142,7 @@ class MetricsRecorder:
                 rec._service_sum = reduce(add, repeat(service, b), rec._service_sum)
                 rec._batch_sum = reduce(add, repeat(b, b), rec._batch_sum)
                 rec.ring.add_many(lats, finish_s)
+            rec.n_completed += b
             rec = rec.parent
 
     def record_rejection(self, r) -> None:

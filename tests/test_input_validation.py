@@ -7,7 +7,9 @@ itself, and so do the rate traces arrival streams are drawn from and the
 node specs fleets are priced with.  Router knobs are checked too: a NaN
 spill threshold would silently turn ``affinity`` into ``least-loaded``.  ``run()`` arguments are checked
 before the run has any side effect (fallback counters, router or
-autoscaler resets, report building).
+autoscaler resets, report building).  The streaming sketches reject
+NaN and infinite observations the same way, leaving their state as it
+was: a NaN among the values used to shift every later percentile.
 """
 
 import math
@@ -29,7 +31,15 @@ from repro.genai.workload import GenRequest
 from repro.obs.telemetry import BUS
 from repro.serving import NodeSpec, OnlineServingEngine, Request, poisson_requests
 from repro.sim import fast as sfast
-from repro.sim import DiscreteEventKernel, EventKind, FailureTrace
+from repro.sim import (
+    DiscreteEventKernel,
+    EventKind,
+    FailureTrace,
+    MetricsRecorder,
+    QuantileSketch,
+    StreamStats,
+    WindowRing,
+)
 from repro.sim.kernel import Event
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -201,3 +211,99 @@ def test_batch_latency_rejects_non_positive_integer_batches(batch):
     with pytest.raises(ValueError, match="positive integer"):
         engine.batch_latency("BERT", "hybrid", batch)
     assert engine._latency_cache == {}
+
+
+def _sketch_state(sk):
+    """A sketch's whole state, read without flushing it."""
+    markers = None
+    if sk._markers is not None:
+        markers = [(list(m._q), list(m._pos), m.n) for m in sk._markers]
+    exact = None if sk._exact is None else list(sk._exact)
+    return (sk.count, sk.min, sk.max, list(sk._pending), exact, markers, sk._rr)
+
+
+def _sketch_calls(x):
+    return [
+        ("add", lambda sk: sk.add(x)),
+        ("add_many", lambda sk: sk.add_many([1.5, x, 2.5])),
+        ("add_run", lambda sk: sk.add_run(x, 4)),
+        ("add_run-1", lambda sk: sk.add_run(x, 1)),
+    ]
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize("filled", [5, 40])  # exact reservoir, then spilled
+def test_quantile_sketch_rejects_non_finite_and_changes_nothing(x, filled):
+    sk = QuantileSketch(exact_limit=8)
+    sk.add_many([float(i) for i in range(1, filled + 1)])
+    for name, call in _sketch_calls(x):
+        before = _sketch_state(sk)
+        with pytest.raises(ValueError, match="finite"):
+            call(sk)
+        assert _sketch_state(sk) == before, name
+
+
+def test_quantile_sketch_nan_no_longer_shifts_the_median():
+    """1..10 with a NaN after the 3 used to read p50 = 4.875 (or NaN,
+    or 5.9375, depending on where the NaN fell) once spilled."""
+    sk = QuantileSketch(exact_limit=8)
+    for v in range(1, 11):
+        sk.add(float(v))
+        if v == 3:
+            with pytest.raises(ValueError, match="finite"):
+                sk.add(math.nan)
+    clean = QuantileSketch(exact_limit=8)
+    clean.add_many([float(v) for v in range(1, 11)])
+    assert sk.quantile(50) == clean.quantile(50)
+    assert sk.count == 10
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    """The batch test is one ``isfinite`` of a sum; an overflowing sum of
+    finite values falls through to the element-wise check and passes."""
+    st = StreamStats()
+    st.add_many([1e308, 1e308])
+    sk = QuantileSketch()
+    sk.add_many([1e308, 1e308, -1e308])
+    assert (st.count, sk.count, st.max, sk.max) == (2, 3, 1e308, 1e308)
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+def test_stream_stats_rejects_non_finite_and_changes_nothing(x):
+    st = StreamStats(exact_limit=8)
+    st.add_many([float(i) for i in range(1, 20)])
+    for name, call in _sketch_calls(x):
+        before = (st.count, st.total, _sketch_state(st._sketch))
+        with pytest.raises(ValueError, match="finite"):
+            call(st)
+        assert (st.count, st.total, _sketch_state(st._sketch)) == before, name
+    assert st.mean == 10.0
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+def test_window_ring_rejects_non_finite_before_rolling(x):
+    ring = WindowRing(window_s=1.0)
+    ring.add(0.5, 0.2)
+    for call in (lambda: ring.add(x, 5.0), lambda: ring.add_many([0.1, x], 5.0)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+        assert (len(ring._closed), ring._open.start_s, ring._open.count) == (0, 0.0, 1)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_streaming_recorder_rejects_non_finite_latency(x):
+    """Every level of a streaming chain stays as it was."""
+    run = MetricsRecorder(record="streaming")
+    node = MetricsRecorder(record="streaming", parent=run)
+    node.record_batch(0.1, 0.3, [Request(1, "BERT", 0.0)])
+
+    def state():
+        return [
+            (r.completed_count, r.latency.count, r.latency.total, r.ring.window_count(0, 9))
+            for r in (node, run)
+        ]
+
+    before = state()
+    with pytest.raises(ValueError, match="finite"):
+        node.record_batch(0.3, x, [Request(2, "BERT", 0.2), Request(3, "BERT", 0.25)])
+    assert state() == before

@@ -9,7 +9,10 @@ fallback for each inner marker).  Hypothesis draws streams with ties,
 values equal to live markers, runs, and lengths that cross the exact
 reservoir and the chunk size, and interleaves reads and window rolls.
 Every marker height and rank, reservoir, count, min/max and every
-tracked-quantile answer must match the oracle bit for bit.  One level
+tracked-quantile answer must match the oracle bit for bit, and ranks
+and counts must come back as ``int``.  Fixed streams drive each of the
+fold's twelve adjustment outcomes (markers 1-3, up or down, parabolic
+or linear fallback), unweighted and weighted.  One level
 up, :meth:`MetricsRecorder.record_batch` (the fast path's one call per
 finished batch) must leave every level of a recorder chain where
 per-request ``record_completion`` calls leave it, in both record modes.
@@ -182,7 +185,13 @@ def _bits(x):
 
 
 def _marker_state(m):
-    return ([_bits(v) for v in m._q], list(m._pos), m.n)
+    """Heights as bits; ranks and count with their types, since the fold
+    keeps them as floats inside the loop and must hand back ``int``s."""
+    return (
+        [_bits(v) for v in m._q],
+        [(type(v), v) for v in m._pos],
+        (type(m.n), m.n),
+    )
 
 
 def _answers(sk):
@@ -421,6 +430,83 @@ def test_chunk_boundaries(n, exact_limit):
     assert len(sk._pending) == n % INGEST_CHUNK
     assert _answers(sk) == _answers(oracle)
     assert _state(sk) == _state(oracle)
+
+
+# --------------------------------------------------------------------------
+# The fold's twelve adjustment outcomes: markers 1-3, each stepping up or
+# down, by the parabolic formula or its linear fallback.  ``_fold``
+# writes each outcome as its own branch, so each gets a stream.
+# --------------------------------------------------------------------------
+
+
+class TracingOracleP2(OracleP2):
+    """The oracle, logging each adjustment as (marker, direction, formula)."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, p, seed):
+        super().__init__(p, seed)
+        self.log = []
+
+    def _parabolic(self, i, s):
+        self.log.append((i, "up" if s == 1 else "down", "parabolic"))
+        return super()._parabolic(i, s)
+
+    def _linear(self, i, s):
+        self.log[-1] = self.log[-1][:2] + ("linear",)
+        return super()._linear(i, s)
+
+
+SEED_1_TO_5 = [1.0, 2.0, 3.0, 4.0, 5.0]
+
+#: outcome -> (p, stream): a short stream on the seed 1..5 that makes it.
+ADJUSTMENTS = {
+    (1, "up", "parabolic"): (0.9, [1000.0, 1.0, 3.0]),
+    (1, "up", "linear"): (0.9, [1000.0, 3.0, -1000.0]),
+    (1, "down", "parabolic"): (0.1, [1000.0, 1.0, 3.0]),
+    (1, "down", "linear"): (0.1, [1.0, 1.0, -1000.0]),
+    (2, "up", "parabolic"): (0.9, [1000.0, 1.0, 3.0]),
+    (2, "up", "linear"): (0.5, [-1000.0, 1.0, 3.0, 1000.0]),
+    (2, "down", "parabolic"): (0.1, [1000.0, 1.0, 3.0]),
+    (2, "down", "linear"): (0.1, [2.0, 2.0, 3.0]),
+    (3, "up", "parabolic"): (0.9, [1000.0, 1.0, 3.0]),
+    (3, "up", "linear"): (0.1, [-1000.0, 3.0, 2.0, 1.0]),
+    (3, "down", "parabolic"): (0.1, [2.0, 2.0, 3.0]),
+    (3, "down", "linear"): (0.1, [1000.0, 1.0, 3.0]),
+}
+
+
+def test_adjustment_table_lists_all_twelve_outcomes():
+    assert set(ADJUSTMENTS) == {
+        (i, d, f) for i in (1, 2, 3) for d in ("up", "down") for f in ("parabolic", "linear")
+    }
+
+
+@pytest.mark.parametrize("w", [1, 3])
+@pytest.mark.parametrize(
+    "outcome", sorted(ADJUSTMENTS), ids=lambda o: "-".join(map(str, o))
+)
+def test_fold_matches_oracle_on_every_adjustment_outcome(outcome, w):
+    """Each outcome's stream, one observation per call (``add`` for
+    ``w == 1``, weighted ``add_run`` for ``w > 1``) and, unweighted, as
+    one ``add_many`` chunk: bit for bit the oracle after every step,
+    with ranks and count handed back as ``int``."""
+    p, xs = ADJUSTMENTS[outcome]
+    oracle = TracingOracleP2(p, SEED_1_TO_5)
+    stepped = P2Quantile(p, SEED_1_TO_5)
+    for x in xs:
+        oracle.add_run(x, w)
+        if w == 1:
+            stepped.add(x)
+        else:
+            stepped.add_run(x, w)
+        assert _marker_state(stepped) == _marker_state(oracle)
+    assert outcome in oracle.log
+    assert all(type(v) is int for v in stepped._pos) and type(stepped.n) is int
+    if w == 1:
+        chunked = P2Quantile(p, SEED_1_TO_5)
+        chunked.add_many(xs)
+        assert _marker_state(chunked) == _marker_state(oracle)
 
 
 # --------------------------------------------------------------------------

@@ -141,6 +141,16 @@ class TestP2Quantile:
             m.add(x)
         assert abs(m.value - 0.9) < 0.02
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_bad_run_length_changes_nothing(self, n):
+        # A negative weight used to walk ranks backwards: add_run(3.0, -5)
+        # left _pos == [1, 2, 3, 0, 1], no longer monotone.
+        m = P2Quantile(0.5, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        before = (list(m._q), list(m._pos), m.n)
+        with pytest.raises(ValueError, match="run length"):
+            m.add_run(3.0, n)
+        assert (m._q, m._pos, m.n) == before
+
 
 class TestStreamStats:
     def test_mean_total_and_percentiles(self):
