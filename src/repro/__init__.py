@@ -19,7 +19,7 @@ Quickstart::
     print(result.breakdown)
 """
 
-from repro.mapping import PimLevel, XORAddressMapping, mapping_by_id
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -31,11 +31,11 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name):
-    # Deferred import: keeps `import repro` light and avoids import cycles.
-    if name == "StepStoneSystem":
-        from repro.core.system import StepStoneSystem
-
-        return StepStoneSystem
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "mapping.xor_mapping": ("PimLevel", "XORAddressMapping"),
+        "mapping.presets": ("mapping_by_id",),
+        "core.system": ("StepStoneSystem",),
+    },
+)

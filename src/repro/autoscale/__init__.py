@@ -20,45 +20,7 @@ stationary Poisson stream):
   burst), scaled independently on one clock, with per-pool $ accounting.
 """
 
-from repro.autoscale.elastic import ElasticCluster, NodeState
-from repro.autoscale.hetero import (
-    BaselineBurstPolicy,
-    HeteroAutoscalePolicy,
-    HeteroAutoscaleReport,
-    HeteroElasticCluster,
-    NodePool,
-    PerPoolPolicy,
-    StaticMixPolicy,
-)
-from repro.autoscale.policies import (
-    AutoscalePolicy,
-    ControlObservation,
-    PredictiveTracePolicy,
-    SLOFeedbackPolicy,
-    StaticPolicy,
-    TargetUtilizationPolicy,
-    node_capacity_rps,
-)
-from repro.autoscale.report import (
-    AutoscaleReport,
-    ControlSample,
-    FleetPowerModel,
-    NodeLifetime,
-)
-from repro.autoscale.traces import (
-    ConstantTrace,
-    DiurnalTrace,
-    OnOffTrace,
-    RampTrace,
-    RateTrace,
-    ReplayTrace,
-    ScaledTrace,
-    SpikeTrace,
-    mix_request_stream,
-    mix_requests,
-    nhpp_requests,
-    nhpp_stream,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "ElasticCluster",
@@ -94,3 +56,43 @@ __all__ = [
     "mix_requests",
     "mix_request_stream",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "elastic": ("ElasticCluster", "NodeState"),
+        "hetero": (
+            "BaselineBurstPolicy",
+            "HeteroAutoscaleReport",
+            "HeteroElasticCluster",
+            "NodePool",
+            "StaticMixPolicy",
+        ),
+        "policies": (
+            "AutoscalePolicy",
+            "ControlObservation",
+            "HeteroAutoscalePolicy",
+            "PerPoolPolicy",
+            "PredictiveTracePolicy",
+            "SLOFeedbackPolicy",
+            "StaticPolicy",
+            "TargetUtilizationPolicy",
+            "node_capacity_rps",
+        ),
+        "report": ("AutoscaleReport", "ControlSample", "FleetPowerModel", "NodeLifetime"),
+        "traces": (
+            "ConstantTrace",
+            "DiurnalTrace",
+            "OnOffTrace",
+            "RampTrace",
+            "RateTrace",
+            "ReplayTrace",
+            "ScaledTrace",
+            "SpikeTrace",
+            "mix_request_stream",
+            "mix_requests",
+            "nhpp_requests",
+            "nhpp_stream",
+        ),
+    },
+)

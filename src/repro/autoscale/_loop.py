@@ -37,17 +37,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.autoscale.policies import ControlObservation
 from repro.autoscale.report import ControlSample, NodeLifetime
 from repro.cluster.node import ClusterNode
 from repro.serving.engine import FailedRequest, Request, ServingReport
 from repro.serving.nodespec import NodeSpec
-from repro.sim.failures import FailureTrace
 from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 from repro.sim.metrics import BusyWindow, nearest_rank
 from repro.sim.stats import MetricsRecorder
+
+if TYPE_CHECKING:
+    from repro.sim.failures import FailureTrace
 
 # Node lifecycle states.
 PROVISIONING = "provisioning"

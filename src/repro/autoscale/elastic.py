@@ -40,7 +40,7 @@ pool that hosts every served model.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.autoscale._loop import (
     ACTIVE,
@@ -51,14 +51,15 @@ from repro.autoscale._loop import (
     FleetLoop,
     Pool,
 )
-from repro.autoscale.hetero import PerPoolPolicy
-from repro.autoscale.policies import AutoscalePolicy
+from repro.autoscale.policies import AutoscalePolicy, PerPoolPolicy
 from repro.autoscale.report import AutoscaleReport
 from repro.cluster.node import ClusterNode
 from repro.cluster.router import Router, make_router
 from repro.serving.engine import POLICIES, OnlineServingEngine, Request
 from repro.serving.nodespec import STEPSTONE_NODE
-from repro.sim.failures import FailureTrace
+
+if TYPE_CHECKING:
+    from repro.sim.failures import FailureTrace
 
 __all__ = ["ElasticCluster", "NodeState"]
 

@@ -18,7 +18,9 @@ expensive, high-throughput GPU nodes are rented only for the peak.
 * :class:`HeteroAutoscalePolicy` and friends — policies that answer with
   a per-pool target: a static mix, per-pool wrappers around the
   homogeneous policies, and :class:`BaselineBurstPolicy` (fixed baseline
-  pool, demand-sized burst pool);
+  pool, demand-sized burst pool).  The interface and
+  :class:`PerPoolPolicy` live in :mod:`~repro.autoscale.policies`, which
+  the homogeneous fleet's run needs, and are re-exported here;
 * :class:`HeteroAutoscaleReport` — the cost view: $ paid per pool
   (node-seconds times the spec's hourly price), spec-grounded energy, and
   a per-pool size timeline.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.autoscale._loop import FleetLoop, Pool
-from repro.autoscale.policies import AutoscalePolicy, ControlObservation
+from repro.autoscale.policies import ControlObservation, HeteroAutoscalePolicy, PerPoolPolicy
 from repro.autoscale.report import AutoscaleReport
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import ModelPlacement
@@ -75,29 +77,6 @@ class NodePool:
             raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
 
 
-class HeteroAutoscalePolicy:
-    """Interface: per-pool desired sizes from per-pool observations."""
-
-    name = "hetero-base"
-
-    def desired_by_pool(
-        self, obs: Mapping[str, ControlObservation]
-    ) -> Dict[str, int]:
-        """Desired owned size per pool.
-
-        Args:
-            obs: Pool name -> that pool's windowed observation (its
-                ``arrivals`` count the requests routed to the pool).
-
-        Returns:
-            Pool name -> desired node count (clamped by the cluster).
-        """
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear run-local state (called once at the start of each run)."""
-
-
 class StaticMixPolicy(HeteroAutoscalePolicy):
     """A fixed composition — the baseline every elastic mix is judged
     against (e.g. the peak-sized plan of
@@ -119,39 +98,6 @@ class StaticMixPolicy(HeteroAutoscalePolicy):
     ) -> Dict[str, int]:
         """Return the fixed composition regardless of the observation."""
         return dict(self.counts)
-
-
-class PerPoolPolicy(HeteroAutoscalePolicy):
-    """Run one homogeneous autoscale policy per pool, independently.
-
-    Args:
-        policies: Pool name -> an
-            :class:`~repro.autoscale.policies.AutoscalePolicy` that sees
-            only that pool's observation.  Pools without a policy hold
-            their current size.
-    """
-
-    name = "per-pool"
-
-    def __init__(self, policies: Mapping[str, AutoscalePolicy]) -> None:
-        if not policies:
-            raise ValueError("need at least one pool policy")
-        self.policies = dict(policies)
-
-    def reset(self) -> None:
-        """Reset every wrapped policy."""
-        for p in self.policies.values():
-            p.reset()
-
-    def desired_by_pool(
-        self, obs: Mapping[str, ControlObservation]
-    ) -> Dict[str, int]:
-        """Delegate each pool's sizing to its wrapped policy."""
-        out: Dict[str, int] = {}
-        for pool, ob in obs.items():
-            policy = self.policies.get(pool)
-            out[pool] = policy.desired_nodes(ob) if policy else ob.fleet
-        return out
 
 
 class BaselineBurstPolicy(HeteroAutoscalePolicy):

@@ -24,17 +24,24 @@ Three families (plus the static baseline):
 
 All policies are pure state machines over observations; ``reset()``
 restores the initial state before a run.
+
+The per-pool interface every fleet loop drives,
+:class:`HeteroAutoscalePolicy`, lives here too, with
+:class:`PerPoolPolicy`, which wraps one homogeneous policy per pool (the
+homogeneous elastic fleet is its one-pool case).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.autoscale.traces import RateTrace
 from repro.serving.engine import OnlineServingEngine
 from repro.serving.nodespec import NodeSpec
+
+if TYPE_CHECKING:
+    from repro.autoscale.traces import RateTrace
 
 __all__ = [
     "ControlObservation",
@@ -43,6 +50,8 @@ __all__ = [
     "TargetUtilizationPolicy",
     "SLOFeedbackPolicy",
     "PredictiveTracePolicy",
+    "HeteroAutoscalePolicy",
+    "PerPoolPolicy",
     "node_capacity_rps",
 ]
 
@@ -303,6 +312,62 @@ class PredictiveTracePolicy(AutoscalePolicy):
         """Provision for the trace's peak over the lookahead window."""
         peak = self.trace.peak_rate(obs.t, obs.t + self.lookahead_s)
         return max(1, math.ceil(self.headroom * peak / self.capacity_rps))
+
+
+class HeteroAutoscalePolicy:
+    """Interface: per-pool desired sizes from per-pool observations."""
+
+    name = "hetero-base"
+
+    def desired_by_pool(
+        self, obs: Mapping[str, ControlObservation]
+    ) -> Dict[str, int]:
+        """Desired owned size per pool.
+
+        Args:
+            obs: Pool name -> that pool's windowed observation (its
+                ``arrivals`` count the requests routed to the pool).
+
+        Returns:
+            Pool name -> desired node count (clamped by the cluster).
+        """
+        raise NotImplementedError
+
+    def reset(self) -> None:
+        """Clear run-local state (called once at the start of each run)."""
+
+
+class PerPoolPolicy(HeteroAutoscalePolicy):
+    """Run one homogeneous autoscale policy per pool, independently.
+
+    Args:
+        policies: Pool name -> an
+            :class:`~repro.autoscale.policies.AutoscalePolicy` that sees
+            only that pool's observation.  Pools without a policy hold
+            their current size.
+    """
+
+    name = "per-pool"
+
+    def __init__(self, policies: Mapping[str, AutoscalePolicy]) -> None:
+        if not policies:
+            raise ValueError("need at least one pool policy")
+        self.policies = dict(policies)
+
+    def reset(self) -> None:
+        """Reset every wrapped policy."""
+        for p in self.policies.values():
+            p.reset()
+
+    def desired_by_pool(
+        self, obs: Mapping[str, ControlObservation]
+    ) -> Dict[str, int]:
+        """Delegate each pool's sizing to its wrapped policy."""
+        out: Dict[str, int] = {}
+        for pool, ob in obs.items():
+            policy = self.policies.get(pool)
+            out[pool] = policy.desired_nodes(ob) if policy else ob.fleet
+        return out
 
 
 def node_capacity_rps(

@@ -21,12 +21,14 @@ the node lifecycle records, and the control-tick timeline, and derives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cluster.fleet import _FleetReport
-from repro.energy.model import ENERGY_TABLE2, EnergyTable
 from repro.serving.engine import FailedRequest, ServingReport
 from repro.sim.stats import MetricsRecorder
+
+if TYPE_CHECKING:
+    from repro.energy.model import EnergyTable
 
 __all__ = [
     "NodeLifetime",
@@ -87,6 +89,13 @@ class ControlSample:
         }
 
 
+def _energy_table2() -> EnergyTable:
+    # Imported on first use: a serving run never prices energy.
+    from repro.energy.model import ENERGY_TABLE2
+
+    return ENERGY_TABLE2
+
+
 @dataclass(frozen=True)
 class FleetPowerModel:
     """Per-node power for fleet energy accounting.
@@ -105,7 +114,7 @@ class FleetPowerModel:
     cpu_active_w: float = 65.0
     #: Streamed weight bandwidth while serving: 2 channels of DDR4-2400.
     stream_gbps: float = 38.4
-    table: EnergyTable = field(default_factory=lambda: ENERGY_TABLE2)
+    table: EnergyTable = field(default_factory=_energy_table2)
 
     @property
     def dram_stream_w(self) -> float:

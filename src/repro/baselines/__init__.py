@@ -1,9 +1,6 @@
 """Comparison models: CPU, GPU, PEI, and Chopim (naive + enhanced)."""
 
-from repro.baselines.cpu import CpuConfig, CpuGemmModel, XEON_8280
-from repro.baselines.gpu import GpuConfig, GpuGemmModel, TITAN_XP
-from repro.baselines.pei import pei_gemm
-from repro.baselines.chopim import echo_gemm, ncho_gemm
+from repro._exports import lazy_exports
 
 __all__ = [
     "CpuConfig",
@@ -16,3 +13,13 @@ __all__ = [
     "echo_gemm",
     "ncho_gemm",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cpu": ("CpuConfig", "CpuGemmModel", "XEON_8280"),
+        "gpu": ("GpuConfig", "GpuGemmModel", "TITAN_XP"),
+        "pei": ("pei_gemm",),
+        "chopim": ("echo_gemm", "ncho_gemm"),
+    },
+)

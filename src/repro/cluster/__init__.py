@@ -23,28 +23,7 @@ all-StepStone spec list reproduces the homogeneous fleet request for
 request.
 """
 
-from repro.cluster.fleet import Cluster, ClusterReport
-from repro.cluster.node import ClusterNode
-from repro.cluster.placement import (
-    DEFAULT_NODE_CAPACITY_BYTES,
-    ModelPlacement,
-    PlacementError,
-)
-from repro.cluster.planner import (
-    CapacityPlan,
-    CapacityPlanner,
-    HeteroCapacityPlan,
-    HeteroCapacityPlanner,
-)
-from repro.cluster.router import (
-    ROUTER_POLICIES,
-    AffinityRouter,
-    BackendAffinityRouter,
-    LeastLoadedRouter,
-    RoundRobinRouter,
-    Router,
-    make_router,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "Cluster",
@@ -65,3 +44,27 @@ __all__ = [
     "ROUTER_POLICIES",
     "make_router",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fleet": ("Cluster", "ClusterReport"),
+        "node": ("ClusterNode",),
+        "placement": ("DEFAULT_NODE_CAPACITY_BYTES", "ModelPlacement", "PlacementError"),
+        "planner": (
+            "CapacityPlan",
+            "CapacityPlanner",
+            "HeteroCapacityPlan",
+            "HeteroCapacityPlanner",
+        ),
+        "router": (
+            "ROUTER_POLICIES",
+            "AffinityRouter",
+            "BackendAffinityRouter",
+            "LeastLoadedRouter",
+            "RoundRobinRouter",
+            "Router",
+            "make_router",
+        ),
+    },
+)

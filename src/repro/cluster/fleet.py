@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.cluster.node import ClusterNode
 from repro.cluster.placement import (
@@ -41,9 +41,11 @@ from repro.serving.engine import (
     ServingReport,
 )
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
-from repro.sim.failures import FailureTrace
 from repro.sim.metrics import nearest_rank, window_latencies
 from repro.sim.stats import MetricsRecorder, RecordingModeError
+
+if TYPE_CHECKING:
+    from repro.sim.failures import FailureTrace
 
 __all__ = ["Cluster", "ClusterReport"]
 

@@ -1,16 +1,6 @@
 """Concurrent CPU/PIM execution: traffic generators + command-bus contention."""
 
-from repro.colocation.traffic import (
-    CpuWorkload,
-    SPEC_MIX,
-    SPEC_WORKLOADS,
-    TrafficGenerator,
-)
-from repro.colocation.contention import (
-    ColocationResult,
-    CommandBusModel,
-    colocation_speedup,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "CpuWorkload",
@@ -21,3 +11,11 @@ __all__ = [
     "CommandBusModel",
     "colocation_speedup",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "traffic": ("CpuWorkload", "SPEC_MIX", "SPEC_WORKLOADS", "TrafficGenerator"),
+        "contention": ("ColocationResult", "CommandBusModel", "colocation_speedup"),
+    },
+)

@@ -1,21 +1,6 @@
 """StepStone PIM core: configs, AGEN, GEMM execution flow, and executor."""
 
-from repro.core.config import (
-    DMA_ENGINE,
-    PimUnitConfig,
-    StepStoneConfig,
-    STEPSTONE_BG,
-    STEPSTONE_CH,
-    STEPSTONE_DV,
-    pim_config,
-)
-from repro.core.agen import (
-    ExactStepStoneAGEN,
-    agen_supported,
-    naive_iterations,
-    stepstone_iteration_counts,
-    stepstone_iterations,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "DMA_ENGINE",
@@ -40,30 +25,35 @@ __all__ = [
     "PimChoice",
     "choose_execution",
     "StepStoneSystem",
+    "FusedGemmResult",
+    "fused_execute",
+    "pow2_grid",
 ]
 
-_LAZY = {
-    "GemmPlan": "repro.core.gemm",
-    "GemmShape": "repro.core.gemm",
-    "plan_gemm": "repro.core.gemm",
-    "GemmResult": "repro.core.executor",
-    "LatencyBreakdown": "repro.core.executor",
-    "execute_gemm": "repro.core.executor",
-    "functional_gemm": "repro.core.functional",
-    "PimChoice": "repro.core.scheduler",
-    "choose_execution": "repro.core.scheduler",
-    "StepStoneSystem": "repro.core.system",
-    "FusedGemmResult": "repro.core.fusion",
-    "fused_execute": "repro.core.fusion",
-    "pow2_grid": "repro.core.fusion",
-}
-
-
-def __getattr__(name):
-    # Lazy imports keep `import repro.core` cheap and break import cycles.
-    mod = _LAZY.get(name)
-    if mod is None:
-        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(mod), name)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "DMA_ENGINE",
+            "PimUnitConfig",
+            "StepStoneConfig",
+            "STEPSTONE_BG",
+            "STEPSTONE_CH",
+            "STEPSTONE_DV",
+            "pim_config",
+        ),
+        "agen": (
+            "ExactStepStoneAGEN",
+            "agen_supported",
+            "naive_iterations",
+            "stepstone_iteration_counts",
+            "stepstone_iterations",
+        ),
+        "gemm": ("GemmPlan", "GemmShape", "plan_gemm"),
+        "executor": ("GemmResult", "LatencyBreakdown", "execute_gemm"),
+        "functional": ("functional_gemm",),
+        "scheduler": ("PimChoice", "choose_execution"),
+        "system": ("StepStoneSystem",),
+        "fusion": ("FusedGemmResult", "fused_execute", "pow2_grid"),
+    },
+)

@@ -15,18 +15,20 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.executor import GemmResult, execute_gemm
-from repro.core.functional import FunctionalStats, functional_gemm
 from repro.core.gemm import GemmShape
 from repro.core.scheduler import PimChoice, choose_execution
 from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.presets import make_skylake
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
+
+if TYPE_CHECKING:
+    from repro.core.functional import FunctionalStats
 
 __all__ = ["StepStoneSystem"]
 
@@ -128,6 +130,8 @@ class StepStoneSystem:
         pinned_id_bits: int = 0,
     ) -> tuple[np.ndarray, FunctionalStats]:
         """Value-level distributed GEMM (validation path, §IV)."""
+        from repro.core.functional import functional_gemm
+
         return functional_gemm(
             self.mapping, level, a, b, pinned_id_bits=pinned_id_bits
         )

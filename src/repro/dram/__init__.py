@@ -10,11 +10,7 @@ Two engines with one set of timing parameters (Table II, DDR4-2400R):
   multi-million-block traces and validated against the command-level engine.
 """
 
-from repro.dram.commands import Command, CommandType, Request
-from repro.dram.timing import DDR4Timing, DDR4_2400R
-from repro.dram.bank import Bank, BankTimingState, RankState
-from repro.dram.controller import ChannelController, ControllerStats
-from repro.dram.stream import StreamAccess, StreamStats, stream_cycles, sequential_stream_cycles
+from repro._exports import lazy_exports
 
 __all__ = [
     "Command",
@@ -32,3 +28,14 @@ __all__ = [
     "stream_cycles",
     "sequential_stream_cycles",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "commands": ("Command", "CommandType", "Request"),
+        "timing": ("DDR4Timing", "DDR4_2400R"),
+        "bank": ("Bank", "BankTimingState", "RankState"),
+        "controller": ("ChannelController", "ControllerStats"),
+        "stream": ("StreamAccess", "StreamStats", "stream_cycles", "sequential_stream_cycles"),
+    },
+)

@@ -14,7 +14,14 @@ or programmatically::
     print(result.to_table())
 """
 
-from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro._exports import lazy_exports
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "common": ("ExperimentResult",),
+        "registry": ("EXPERIMENTS", "run_experiment"),
+    },
+)

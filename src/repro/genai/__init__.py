@@ -23,12 +23,7 @@ See the ``serve-genai`` experiment for the two headline results
 the GPU on decode-heavy traffic).
 """
 
-from repro.genai.engine import GenerativeEngine, SeqState
-from repro.genai.kvcache import KVCacheBudget
-from repro.genai.model import GPT2_XL, GenModelConfig
-from repro.genai.report import GenCompletion, GenRejection, GenReport
-from repro.genai.schedulers import ContinuousBatcher, StaticBatcher
-from repro.genai.workload import GenRequest, gen_requests, trace_gen_requests
+from repro._exports import lazy_exports
 
 __all__ = [
     "GPT2_XL",
@@ -45,3 +40,15 @@ __all__ = [
     "GenRejection",
     "GenReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("GenerativeEngine", "SeqState"),
+        "kvcache": ("KVCacheBudget",),
+        "model": ("GPT2_XL", "GenModelConfig"),
+        "report": ("GenCompletion", "GenRejection", "GenReport"),
+        "schedulers": ("ContinuousBatcher", "StaticBatcher"),
+        "workload": ("GenRequest", "gen_requests", "trace_gen_requests"),
+    },
+)

@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.autoscale.traces import RateTrace, nhpp_requests
+if TYPE_CHECKING:
+    from repro.autoscale.traces import RateTrace
 
 __all__ = ["GenRequest", "gen_requests", "trace_gen_requests"]
 
@@ -151,6 +152,8 @@ def trace_gen_requests(
     Returns:
         Arrival-ordered requests.
     """
+    from repro.autoscale.traces import nhpp_requests
+
     arrivals = [
         r.arrival_s
         for r in nhpp_requests(trace, "gen", duration_s, seed=seed)

@@ -7,19 +7,7 @@ over GF(2).  StepStone's block-grouping and address generation both derive
 directly from these masks.
 """
 
-from repro.mapping.xor_mapping import DRAMGeometry, PimLevel, XORAddressMapping
-from repro.mapping.presets import (
-    ADDRESS_MAPPINGS,
-    mapping_by_id,
-    make_exynos_like,
-    make_haswell_like,
-    make_ivybridge_like,
-    make_sandybridge_like,
-    make_skylake,
-    make_toy_mapping,
-    pae_randomized,
-)
-from repro.mapping.analysis import BlockGrouping, FootprintAnalysis, analyze_footprint
+from repro._exports import lazy_exports
 
 __all__ = [
     "DRAMGeometry",
@@ -38,3 +26,22 @@ __all__ = [
     "FootprintAnalysis",
     "analyze_footprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "xor_mapping": ("DRAMGeometry", "PimLevel", "XORAddressMapping"),
+        "presets": (
+            "ADDRESS_MAPPINGS",
+            "mapping_by_id",
+            "make_exynos_like",
+            "make_haswell_like",
+            "make_ivybridge_like",
+            "make_sandybridge_like",
+            "make_skylake",
+            "make_toy_mapping",
+            "pae_randomized",
+        ),
+        "analysis": ("BlockGrouping", "FootprintAnalysis", "analyze_footprint"),
+    },
+)

@@ -1,16 +1,6 @@
 """End-to-end DL inference models (Table II) and the inference engine."""
 
-from repro.models.layers import CpuOp, GemmInvocation, ModelSpec, pow2_partition
-from repro.models.dlrm import make_dlrm_rm3
-from repro.models.bert import make_bert
-from repro.models.gpt2 import make_gpt2
-from repro.models.xlm import make_xlm
-from repro.models.inference import (
-    BACKENDS,
-    InferenceEngine,
-    InferenceResult,
-    all_models,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "CpuOp",
@@ -26,3 +16,15 @@ __all__ = [
     "InferenceResult",
     "all_models",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "layers": ("CpuOp", "GemmInvocation", "ModelSpec", "pow2_partition"),
+        "dlrm": ("make_dlrm_rm3",),
+        "bert": ("make_bert",),
+        "gpt2": ("make_gpt2",),
+        "xlm": ("make_xlm",),
+        "inference": ("BACKENDS", "InferenceEngine", "InferenceResult", "all_models"),
+    },
+)

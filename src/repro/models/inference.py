@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.baselines.chopim import echo_gemm, ncho_gemm
 from repro.baselines.cpu import CpuGemmModel
-from repro.baselines.pei import pei_gemm
 from repro.core.executor import execute_gemm
 from repro.core.gemm import GemmShape
 from repro.core.system import StepStoneSystem
@@ -106,10 +104,16 @@ class InferenceEngine:
         if backend in ("stp", "stp_dv"):
             res = execute_gemm(cfg, mapping, shape, level)
         elif backend == "echo":
+            from repro.baselines.chopim import echo_gemm
+
             res = echo_gemm(cfg, mapping, shape, level)
         elif backend == "ncho":
+            from repro.baselines.chopim import ncho_gemm
+
             res = ncho_gemm(cfg, mapping, shape, level)
         elif backend == "pei":
+            from repro.baselines.pei import pei_gemm
+
             res = pei_gemm(cfg, mapping, shape, level)
         elif backend == "icpu":
             res = execute_gemm(cfg, mapping, shape, PimLevel.CHANNEL)

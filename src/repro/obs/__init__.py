@@ -22,11 +22,14 @@ not per event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.obs.profile import KernelProfile, KernelProfiler
-from repro.obs.telemetry import BUS, ScopedTelemetry, Telemetry
-from repro.obs.trace import Span, SpanRecorder, validate_chrome_trace
+from repro._exports import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.profile import KernelProfiler
+    from repro.obs.telemetry import Telemetry
+    from repro.obs.trace import SpanRecorder
 
 __all__ = [
     "Span",
@@ -39,6 +42,15 @@ __all__ = [
     "KernelProfile",
     "RunObserver",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "trace": ("Span", "SpanRecorder", "validate_chrome_trace"),
+        "telemetry": ("Telemetry", "ScopedTelemetry", "BUS"),
+        "profile": ("KernelProfiler", "KernelProfile"),
+    },
+)
 
 
 @dataclass
@@ -63,6 +75,8 @@ class RunObserver:
         Args:
             cap: Span ring capacity (see :class:`SpanRecorder`).
         """
+        from repro.obs.trace import SpanRecorder
+
         return cls(spans=SpanRecorder(cap=cap))
 
     @classmethod
@@ -72,6 +86,8 @@ class RunObserver:
         Args:
             sample_every: Events between timeline samples.
         """
+        from repro.obs.profile import KernelProfiler
+
         return cls(profile=KernelProfiler(sample_every=sample_every))
 
     @classmethod
@@ -81,6 +97,10 @@ class RunObserver:
         Args:
             cap: Span ring capacity.
         """
+        from repro.obs.profile import KernelProfiler
+        from repro.obs.telemetry import Telemetry
+        from repro.obs.trace import SpanRecorder
+
         return cls(
             spans=SpanRecorder(cap=cap),
             profile=KernelProfiler(),

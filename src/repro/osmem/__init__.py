@@ -10,13 +10,7 @@ allocator with color constraints, a region registry, and the controller's
 translation engine.
 """
 
-from repro.osmem.allocator import (
-    AllocationError,
-    ColorConstraint,
-    ColoredFrameAllocator,
-    Region,
-)
-from repro.osmem.translation import TranslationEngine
+from repro._exports import lazy_exports
 
 __all__ = [
     "AllocationError",
@@ -25,3 +19,11 @@ __all__ = [
     "Region",
     "TranslationEngine",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "allocator": ("AllocationError", "ColorConstraint", "ColoredFrameAllocator", "Region"),
+        "translation": ("TranslationEngine",),
+    },
+)

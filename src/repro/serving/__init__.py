@@ -2,34 +2,7 @@
 request-level online serving on a simulated clock, and the hardware node
 specs (`NodeSpec`) heterogeneous fleets are built from."""
 
-from repro.serving.nodespec import (
-    BACKENDS,
-    CPU_NODE,
-    DEFAULT_CATALOG,
-    GPU_NODE,
-    STEPSTONE_NODE,
-    NodeSpec,
-)
-from repro.serving.engine import (
-    POLICIES,
-    CompletedRequest,
-    FailedRequest,
-    OnlineServingEngine,
-    RejectedRequest,
-    Request,
-    ServingReport,
-    merge_streams,
-    nearest_rank,
-    poisson_requests,
-    slo_admit,
-    uniform_requests,
-    window_latencies,
-)
-from repro.serving.scheduler import (
-    BatchServer,
-    HybridSplit,
-    ServingPoint,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "BatchServer",
@@ -55,3 +28,33 @@ __all__ = [
     "uniform_requests",
     "merge_streams",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nodespec": (
+            "BACKENDS",
+            "CPU_NODE",
+            "DEFAULT_CATALOG",
+            "GPU_NODE",
+            "STEPSTONE_NODE",
+            "NodeSpec",
+        ),
+        "engine": (
+            "POLICIES",
+            "CompletedRequest",
+            "FailedRequest",
+            "OnlineServingEngine",
+            "RejectedRequest",
+            "Request",
+            "ServingReport",
+            "merge_streams",
+            "nearest_rank",
+            "poisson_requests",
+            "slo_admit",
+            "uniform_requests",
+            "window_latencies",
+        ),
+        "scheduler": ("BatchServer", "HybridSplit", "ServingPoint"),
+    },
+)

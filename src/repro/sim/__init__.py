@@ -24,19 +24,7 @@ fleet loop (:mod:`repro.autoscale._loop`) they configure.
   across cores with results identical to serial execution.
 """
 
-from repro.sim.failures import FailureTrace, Outage
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind, SimClock
-from repro.sim.metrics import BusyWindow, nearest_rank, window_latencies
-from repro.sim.stats import (
-    MetricsRecorder,
-    P2Quantile,
-    QuantileSketch,
-    RecordingModeError,
-    StreamStats,
-    VersionedList,
-    WindowRing,
-)
-from repro.sim.sweep import SweepResult, run_sweep
+from repro._exports import lazy_exports
 
 __all__ = [
     "SimClock",
@@ -58,3 +46,22 @@ __all__ = [
     "SweepResult",
     "run_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "failures": ("FailureTrace", "Outage"),
+        "kernel": ("DiscreteEventKernel", "Event", "EventKind", "SimClock"),
+        "metrics": ("BusyWindow", "nearest_rank", "window_latencies"),
+        "stats": (
+            "MetricsRecorder",
+            "P2Quantile",
+            "QuantileSketch",
+            "RecordingModeError",
+            "StreamStats",
+            "VersionedList",
+            "WindowRing",
+        ),
+        "sweep": ("SweepResult", "run_sweep"),
+    },
+)
