@@ -36,7 +36,7 @@ def render_block_map(mapping, level, m_rows, k_cols, max_rows=16, max_cols=64):
             np.uint64(r * fa.row_bytes)
             + np.arange(cols, dtype=np.uint64) * np.uint64(bb)
         )
-        ids = fa._pim_ids(addrs)
+        ids = mapping.pim_ids(addrs, level)
         line = "".join(GLYPHS[int(i)] for i in ids)
         print(f"  row {r:>3} [grp {groups[r]:>2}] {line}")
     print("  (each digit is the owning PIM id; rows of one group share a pattern)")

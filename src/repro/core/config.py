@@ -128,10 +128,6 @@ class StepStoneConfig:
     def channels(self) -> int:
         return self.geometry.channels
 
-    @property
-    def channel_bytes_per_cycle(self) -> float:
-        return self.dma.bytes_per_cycle_per_channel
-
     def unit(self, level: PimLevel) -> PimUnitConfig:
         return self.units[level]
 
@@ -150,9 +146,6 @@ class StepStoneConfig:
 
     def addressable_units(self, level: PimLevel) -> int:
         return self.geometry.num_pims(level)
-
-    def total_slices(self, level: PimLevel) -> int:
-        return self.addressable_units(level) * self.units[level].slices_per_unit
 
     def with_unit(self, cfg: PimUnitConfig) -> "StepStoneConfig":
         units = dict(self.units)

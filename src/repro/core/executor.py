@@ -57,8 +57,6 @@ __all__ = [
     "execute_plan",
 ]
 
-_U64 = np.uint64
-
 #: Address generators the timing model knows (§III-D vs. the naive walk).
 _AGENS = ("stepstone", "naive")
 #: Execution flows: StepStone's DMA + long-running kernel, or eCHO.
@@ -156,17 +154,6 @@ class GemmResult:
         return self.breakdown.total / clock_hz
 
 
-def _access_fields(mapping, addrs: np.ndarray):
-    """(rank, bank group, flat bank, DRAM row) of every access."""
-    g = mapping.geometry
-    rk = mapping.field_values(addrs, "rank")
-    bg = mapping.field_values(addrs, "bankgroup")
-    bk = mapping.field_values(addrs, "bank")
-    dr = mapping.field_values(addrs, "row")
-    flat = (rk * _U64(g.bankgroups_per_rank) + bg) * _U64(g.banks_per_bankgroup) + bk
-    return rk, bg, flat, dr
-
-
 def _row_misses(
     flat: np.ndarray, dram_row: np.ndarray, walk: np.ndarray, counted: np.ndarray, n_walks: int
 ) -> np.ndarray:
@@ -183,24 +170,6 @@ def _row_misses(
     miss = np.ones(len(flat), dtype=bool)
     miss[1:] = (wo[1:] != wo[:-1]) | (fo[1:] != fo[:-1]) | (ro[1:] != ro[:-1])
     return np.bincount(wo[miss & counted[order]], minlength=n_walks)
-
-
-def _steady_state_row_misses(fa, mapping, rows: np.ndarray, cols: np.ndarray) -> float:
-    """Row-buffer misses per group-row walk, in steady state (one group).
-
-    Concatenates the walks of two consecutive rows of the group and counts,
-    in the second walk, accesses that revisit a bank with a different row
-    open.  Group structure makes every row's walk identical, so the second
-    row is representative of all subsequent rows.  :func:`_gemm_profile`
-    evaluates every group of the critical PIM at once the same way.
-    """
-    bb = _U64(mapping.geometry.block_bytes)
-    addr_rows = _U64(fa.base) + rows[:2].astype(_U64) * _U64(fa.row_bytes)
-    addrs = (addr_rows[:, None] + cols.astype(_U64)[None, :] * bb).ravel()
-    _, _, flat, dr = _access_fields(mapping, addrs)
-    n = len(addrs)
-    counted = np.arange(n) >= n - len(cols)  # the last row's walk
-    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -229,9 +198,9 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
 
     Every group is evaluated in one pass: the first-row walks of all the
     critical PIM's groups, then the second-row walks of the groups with
-    two or more rows, concatenated into one address array.  Group-boundary
-    masks restart the cadence and the naive gaps at each walk's first
-    access.
+    two or more rows, concatenated into one array of packed coordinate
+    codes (a row code XOR a column code each).  Group-boundary masks
+    restart the cadence and the naive gaps at each walk's first access.
     """
     fp = plan.footprint
     fa = fp.analysis
@@ -246,7 +215,7 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
     last_row = rows[starts[groups] + n_rows - 1]
 
     # One row walk per group, concatenated: walk[j] is access j's group.
-    walk, cols = np.nonzero(fa.group_pim_ids[groups] == _U64(pim))
+    walk, cols = np.nonzero(fa.group_pim_ids[groups] == pim)
     n_cols = np.bincount(walk, minlength=n_groups)
     head = np.zeros(n_groups, dtype=np.int64)  # each walk's first access
     np.cumsum(n_cols[:-1], out=head[1:])
@@ -260,13 +229,10 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
     second_row = rows[starts[groups] + np.minimum(n_rows, 2) - 1]
     walk_rows = np.concatenate([first_row[walk], second_row[walk[paired]]])
     all_walk = np.concatenate([walk, walk[paired]])
-    all_cols = np.concatenate([cols, cols[paired]]).astype(_U64)
-    addrs = (
-        _U64(fa.base)
-        + walk_rows.astype(_U64) * _U64(fa.row_bytes)
-        + all_cols * _U64(mapping.geometry.block_bytes)
-    )
-    rk, bg, flat, dr = _access_fields(mapping, addrs)
+    codes = fa.row_codes[walk_rows] ^ fa.col_codes[np.concatenate([cols, cols[paired]])]
+    rk, bg, bk, dr = (mapping.code_field(codes, f) for f in ("rank", "bankgroup", "bank", "row"))
+    g = mapping.geometry
+    flat = (rk * g.bankgroups_per_rank + bg) * g.banks_per_bankgroup + bk
 
     # Steady-state row misses: the second row's walk, or the only one.
     counted = np.concatenate([~paired, np.ones(int(paired.sum()), dtype=bool)])
@@ -404,6 +370,25 @@ def _gemm_phase_cycles(
     return total, stall
 
 
+def _offchip_cycles(
+    config: StepStoneConfig, flow: str, loc_words: int, red_words: int
+) -> Tuple[float, float, float, float]:
+    """``(localization, reduction, loc_blocks, red_blocks)``: the channel
+    transfers of the DMA engine, or of the CPU cores for eCHO."""
+    dma = config.dma
+    chan_bw = dma.bytes_per_cycle_per_channel * config.channels
+    loc_bytes = loc_words * config.word_bytes
+    red_bytes = red_words * config.word_bytes
+    loc_blocks = loc_bytes / 64.0
+    red_blocks = red_bytes / 64.0
+    if flow == "stepstone":
+        bw, per_block = chan_bw, dma.per_block_overhead_cycles
+    else:
+        bw, per_block = chan_bw * dma.cpu_efficiency, dma.cpu_per_block_overhead_cycles
+    localization = loc_bytes / bw + loc_blocks * per_block
+    return localization, red_bytes / bw + red_blocks * per_block, loc_blocks, red_blocks
+
+
 def execute_plan(
     config: StepStoneConfig,
     plan: GemmPlan,
@@ -425,7 +410,6 @@ def execute_plan(
     t = config.timing
     u = plan.unit
     shape = plan.shape
-    dma = config.dma
     cadence = float(u.cadence(t))
     bpr = config.geometry.blocks_per_row
 
@@ -442,23 +426,10 @@ def execute_plan(
     ) if fill_c_blocks else 0.0
     drain_c = fill_c
 
-    chan_bw = dma.bytes_per_cycle_per_channel * config.channels
-    loc_bytes = plan.localization_write_words * config.word_bytes
-    red_bytes = (plan.reduction_read_words + plan.reduction_write_words) * config.word_bytes
-    loc_blocks = loc_bytes / 64.0
-    red_blocks = red_bytes / 64.0
-    if flow == "stepstone":
-        localization = loc_bytes / chan_bw + loc_blocks * dma.per_block_overhead_cycles
-        reduction = red_bytes / chan_bw + red_blocks * dma.per_block_overhead_cycles
-    else:
-        localization = (
-            loc_bytes / (chan_bw * dma.cpu_efficiency)
-            + loc_blocks * dma.cpu_per_block_overhead_cycles
-        )
-        reduction = (
-            red_bytes / (chan_bw * dma.cpu_efficiency)
-            + red_blocks * dma.cpu_per_block_overhead_cycles
-        )
+    red_words = plan.reduction_read_words + plan.reduction_write_words
+    localization, reduction, loc_blocks, red_blocks = _offchip_cycles(
+        config, flow, plan.localization_write_words, red_words
+    )
 
     launches = plan.kernel_launches(flow)
     # Launch packets serialize on the command channel; under contention each
@@ -466,7 +437,7 @@ def execute_plan(
     # kernel this is negligible; for eCHO's per-dot kernels it is the
     # dominant §V-G effect.  Launches are spread over active PIMs but the
     # command channel is shared, so the critical path sees the full stream.
-    launch_cycles = launches * (dma.kernel_launch_cycles + launch_delay_cycles)
+    launch_cycles = launches * (config.dma.kernel_launch_cycles + launch_delay_cycles)
     launch_cycles /= max(1, config.channels)
     gemm_cycles += launch_cycles
 

@@ -18,8 +18,9 @@ The footprint analysis, the work table and their totals depend only on the
 weight footprint, never on the batch N.  :func:`plan_gemm` reads them as one
 :class:`FootprintWork` record through the process-wide ``footprint`` memo
 (:mod:`repro.core.memo`), built from the analysis' whole-footprint column
-counts in one pass; only the scratchpad partitioning and the
-direct-scratchpad test are redone per N.
+counts in one pass over the footprint shape's row and column code tables
+(the ``codes`` memo, shared by every level and pinned-bit subset); only the
+scratchpad partitioning and the direct-scratchpad test are redone per N.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.memo import PRICING_MEMO
-from repro.mapping.analysis import FootprintAnalysis
+from repro.mapping.analysis import FootprintAnalysis, footprint_codes
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
 __all__ = [
@@ -197,9 +198,6 @@ class GemmPlan:
         words = self.shape.m * self.shape.n * self.unit.slices_per_unit
         return words / 16.0
 
-    def drain_c_blocks(self, pim: int) -> float:
-        return self.fill_c_blocks(pim)
-
     def kernel_launches(self, flow: str) -> int:
         """PIM kernel invocations issued over the command channel.
 
@@ -273,14 +271,13 @@ def _footprint_work(
 ) -> FootprintWork:
     """The N-independent half of a plan, from the footprint's
     (group x PIM) column counts."""
+    m, k = padded.m, padded.k
+    codes_key = (mapping.hardware_key, m, k, base, word_bytes)
     analysis = FootprintAnalysis(
-        mapping,
-        level,
-        padded.m,
-        padded.k,
-        base=base,
-        word_bytes=word_bytes,
-        pinned_id_bits=pinned_id_bits,
+        mapping, level, m, k, base=base, word_bytes=word_bytes, pinned_id_bits=pinned_id_bits,
+        codes=lambda: PRICING_MEMO.lookup(
+            "codes", codes_key, lambda: footprint_codes(mapping, m, k * word_bytes, base)
+        ),
     )
     counts = analysis.col_counts
     sizes = analysis.group_sizes
@@ -306,6 +303,17 @@ def _footprint_work(
     )
 
 
+def _footprint(config, mapping, padded, level, base, pinned) -> Tuple[Tuple, FootprintWork]:
+    """``(memo key, record)`` of one padded footprint, the record read
+    through the ``footprint`` memo."""
+    wb = config.word_bytes
+    key = (mapping.hardware_key, level, padded.m, padded.k, base, wb, pinned)
+    fp = PRICING_MEMO.lookup(
+        "footprint", key, lambda: _footprint_work(mapping, level, padded, base, wb, pinned)
+    )
+    return key, fp
+
+
 def plan_gemm(
     config: StepStoneConfig,
     mapping: XORAddressMapping,
@@ -325,14 +333,7 @@ def plan_gemm(
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
-    key = (mapping.hardware_key, level, padded.m, padded.k, base, config.word_bytes, pinned_id_bits)
-    fp = PRICING_MEMO.lookup(
-        "footprint",
-        key,
-        lambda: _footprint_work(
-            mapping, level, padded, base, config.word_bytes, pinned_id_bits
-        ),
-    )
+    key, fp = _footprint(config, mapping, padded, level, base, pinned_id_bits)
     max_group_cols = fp.max_group_cols
     rpart, cpart, frac = _choose_partitions(padded, u, max_group_cols, config.word_bytes)
     n_rparts = math.ceil(padded.m / rpart)

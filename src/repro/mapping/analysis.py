@@ -16,24 +16,30 @@ groups, the per-(PIM, group) local column sets, and the parity constraints
 that StepStone's address generator enforces in hardware.
 
 The group invariant makes one representative row per group enough, and the
-ID bits are GF(2)-linear, so a whole footprint is evaluated in one pass:
-:attr:`FootprintAnalysis.group_pim_ids` is the PIM ID of every block column
-of every group's representative row, and one ``bincount`` over it gives
-every (PIM, group) column count (:attr:`FootprintAnalysis.col_counts`).
+map is GF(2)-linear, so a whole footprint is evaluated in one pass.  The
+packed code of the block at (row r, column c) is ``row_codes[r] ^
+col_codes[c]`` (:func:`footprint_codes`), so
+:attr:`FootprintAnalysis.group_pim_ids` — the PIM ID of every block column
+of every group's representative row — is one XOR and one shift-and-mask,
+and one ``bincount`` over it gives every (PIM, group) column count
+(:attr:`FootprintAnalysis.col_counts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Tuple
+from functools import cached_property, reduce
+from operator import or_
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.utils.bits import bits_of_mask, parity, parity_u64 as _parity_u64
+from repro.utils.bits import bits_of_mask, parity
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
-__all__ = ["Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprint"]
+__all__ = [
+    "Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprint", "footprint_codes"
+]
 
 _U64 = np.uint64
 
@@ -55,9 +61,6 @@ class BlockGrouping:
 
     Attributes
     ----------
-    group_parity_masks:
-        For each PIM-ID bit (LSB first), the mask restricted to MROW bits
-        (0 if the ID bit is unaffected by the row index).
     raw_codes:
         The distinct raw group codes that actually occur, sorted; the group
         *index* used throughout the package is the position in this tuple.
@@ -65,17 +68,12 @@ class BlockGrouping:
         ``row_groups[r]`` is the group index of matrix row *r*.
     """
 
-    group_parity_masks: Tuple[int, ...]
     raw_codes: Tuple[int, ...]
     row_groups: np.ndarray
 
     @property
     def n_groups(self) -> int:
         return len(self.raw_codes)
-
-    def rows_of_group(self, group: int) -> np.ndarray:
-        """Sorted matrix-row indices belonging to *group*."""
-        return np.nonzero(self.row_groups == group)[0]
 
 
 class FootprintAnalysis:
@@ -88,6 +86,9 @@ class FootprintAnalysis:
     m_rows, k_cols: matrix dimensions (A is M x K, row-major fp32).
     base: physical base address; must be aligned to the footprint size.
     word_bytes: element size (4 for fp32).
+    codes: returns the footprint's ``(row_codes, col_codes)`` (default:
+        :func:`footprint_codes`), so one pair serves every level and
+        pinned-bit subset of a footprint.
     """
 
     def __init__(
@@ -99,6 +100,7 @@ class FootprintAnalysis:
         base: int = 0,
         word_bytes: int = 4,
         pinned_id_bits: int = 0,
+        codes: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> None:
         g = mapping.geometry
         if m_rows <= 0 or k_cols <= 0:
@@ -145,68 +147,29 @@ class FootprintAnalysis:
             )
         self.pinned_id_bits = pinned_id_bits
         self.id_masks: Tuple[int, ...] = full_masks[pinned_id_bits:]
-        self.base_id = self._pim_id_scalar(base)
-        self._grouping: BlockGrouping | None = None
+        codes = codes or (lambda: footprint_codes(mapping, m_rows, row_bytes, base))
+        self.row_codes, self.col_codes = codes()
+        self.base_id = int(self.pim_ids_of(self.row_codes[0]))
 
-    # ------------------------------------------------------------------ #
-    # ID evaluation over the (possibly subsetted) ID space
-    # ------------------------------------------------------------------ #
-
-    def _pim_id_scalar(self, addr: int) -> int:
-        v = 0
-        for i, m in enumerate(self.id_masks):
-            v |= parity(addr & m) << i
-        return v
-
-    def _pim_ids(self, addrs: np.ndarray) -> np.ndarray:
-        addrs = np.asarray(addrs, dtype=_U64)
-        out = np.zeros(addrs.shape, dtype=_U64)
-        for i, m in enumerate(self.id_masks):
-            out |= _parity_u64(addrs & _U64(m)) << _U64(i)
-        return out
+    def pim_ids_of(self, codes: np.ndarray) -> np.ndarray:
+        """PIM IDs (over the subsetted ID space) of packed codes."""
+        return self.mapping.code_pim_ids(codes, self.level, self.pinned_id_bits)
 
     # ------------------------------------------------------------------ #
     # PIM activity
     # ------------------------------------------------------------------ #
 
     @property
-    def id_affecting_mask(self) -> int:
-        """Footprint bits that affect any PIM-ID bit."""
-        u = 0
-        for m in self.id_masks:
-            u |= m & self.footprint_mask
-        return u
-
-    @property
     def lowest_id_bit(self) -> int:
         """Lowest footprint bit affecting the PIM ID (-1 if none)."""
-        u = self.id_affecting_mask
+        u = self.footprint_mask & reduce(or_, self.id_masks, 0)
         return -1 if u == 0 else bits_of_mask(u)[0]
 
     def active_pim_ids(self) -> np.ndarray:
-        """The set of PIM IDs the footprint actually touches.
-
-        The reachable ID *offsets* form the GF(2) span of the per-footprint-bit
-        ID perturbation vectors; the active set is ``base_id ^ span``.
-        """
-        vectors = []
-        for b in bits_of_mask(self.id_affecting_mask):
-            v = 0
-            for i, m in enumerate(self.id_masks):
-                if (m >> b) & 1:
-                    v |= 1 << i
-            vectors.append(v)
-        basis: List[int] = []
-        for v in vectors:
-            cur = v
-            for bvec in basis:
-                cur = min(cur, cur ^ bvec)
-            if cur:
-                basis.append(cur)
-        span = np.zeros(1, dtype=np.int64)
-        for bvec in basis:
-            span = np.concatenate([span, span ^ bvec])
-        return np.sort(np.unique(span ^ self.base_id))
+        """The sorted PIM IDs the footprint touches: every row's ID XOR
+        every column's, the map being linear."""
+        rows, cols = (np.unique(self.pim_ids_of(c)) for c in (self.row_codes, self.col_codes))
+        return np.unique(rows[:, None] ^ cols[None, :])
 
     @property
     def n_active_pims(self) -> int:
@@ -216,32 +179,16 @@ class FootprintAnalysis:
     # Block groups
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def grouping(self) -> BlockGrouping:
-        if self._grouping is None:
-            self._grouping = self._compute_grouping()
-        return self._grouping
-
-    def _compute_grouping(self) -> BlockGrouping:
-        gmasks = tuple(m & self.mrow_mask for m in self.id_masks)
-        # A row's group code is GF(2)-linear in the row index (the aligned
-        # base contributes 0): each index bit XORs in its own code, so the
-        # codes of rows [0, 2^(b+1)) are those of [0, 2^b), then the same
-        # XOR bit b's code.
-        codes = np.zeros(1, dtype=np.int64)
-        for b in range(self.m_rows.bit_length() - 1):
-            row_addr = (1 << b) * self.row_bytes
-            code = sum(parity(row_addr & gm) << i for i, gm in enumerate(gmasks))
-            codes = np.concatenate([codes, codes ^ code])
+        # A row's group code is the ID bits of its row code less the
+        # base's: the row-index bits are all MROW bits.
+        codes = self.pim_ids_of(self.row_codes) ^ self.base_id
         # Map raw code -> compact group index, in code order.
-        present = np.zeros(1 << len(gmasks), dtype=bool)
+        present = np.zeros(1 << len(self.id_masks), dtype=bool)
         present[codes] = True
         row_groups = (np.cumsum(present) - 1)[codes]
-        return BlockGrouping(
-            group_parity_masks=gmasks,
-            raw_codes=tuple(np.flatnonzero(present).tolist()),
-            row_groups=row_groups,
-        )
+        return BlockGrouping(tuple(np.flatnonzero(present).tolist()), row_groups)
 
     @property
     def n_groups(self) -> int:
@@ -286,12 +233,8 @@ class FootprintAnalysis:
         group.  One ID evaluation over the whole matrix; read-only.
         """
         rows, starts = self.group_rows
-        first = rows[starts[:-1]].astype(_U64)
-        row_addrs = _U64(self.base) + first * _U64(self.row_bytes)
-        col_offs = np.arange(self.blocks_per_row, dtype=_U64) * _U64(
-            self.mapping.geometry.block_bytes
-        )
-        ids = self._pim_ids(row_addrs[:, None] + col_offs[None, :])
+        first = self.row_codes[rows[starts[:-1]]]
+        ids = self.pim_ids_of(first[:, None] ^ self.col_codes[None, :])
         ids.flags.writeable = False
         return ids
 
@@ -301,7 +244,7 @@ class FootprintAnalysis:
         each (group, PIM ID): entry ``[g, p]`` is ``len(cols_of(p, g))``."""
         n_ids = 1 << len(self.id_masks)
         groups = np.arange(self.n_groups, dtype=np.int64)[:, None]
-        key = groups * n_ids + self.group_pim_ids.astype(np.int64)
+        key = groups * n_ids + self.group_pim_ids
         counts = np.bincount(key.ravel(), minlength=self.n_groups * n_ids)
         counts = counts.reshape(self.n_groups, n_ids)
         counts.flags.writeable = False
@@ -314,7 +257,7 @@ class FootprintAnalysis:
         """
         if not 0 <= group < self.n_groups:
             raise ValueError(f"group {group} is empty")
-        return np.nonzero(self.group_pim_ids[group] == _U64(pim))[0].astype(np.int64)
+        return np.nonzero(self.group_pim_ids[group] == pim)[0].astype(np.int64)
 
     def blocks_of(self, pim: int, group: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Block addresses of (pim, group) in execution order (row-major).
@@ -401,3 +344,17 @@ def analyze_footprint(
         word_bytes=word_bytes,
         pinned_id_bits=pinned_id_bits,
     )
+
+
+def footprint_codes(
+    mapping: XORAddressMapping, m_rows: int, row_bytes: int, base: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row_codes, col_codes)`` of an aligned footprint.
+
+    The packed codes (:meth:`XORAddressMapping.code`) of each matrix row's
+    first byte and of each block column's offset; the block at (row r,
+    column c) has code ``row_codes[r] ^ col_codes[c]``, since the aligned
+    address sets the row and column bits apart.
+    """
+    bb = mapping.geometry.block_bytes
+    return mapping.code_table(base, row_bytes, m_rows), mapping.code_table(0, bb, row_bytes // bb)

@@ -16,6 +16,12 @@ coordinate fields that select a PIM unit:
 
 Bit 0 of the PIM ID is the lowest bank-group bit (paper Fig. 4a: BG0 is PIM ID
 bit 0 and the channel bit is the highest PIM ID bit).
+
+Every coordinate of an address also packs into one integer *code*
+(:meth:`XORAddressMapping.code`), fields in :data:`CODE_ORDER` from the LSB.
+The PIM-ID fields come first, so the PIM ID at any level is a shift-and-mask
+of the code, and the map is linear, so the code of ``a ^ b`` is
+``code(a) ^ code(b)``.
 """
 
 from __future__ import annotations
@@ -26,14 +32,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bits import bits_of_mask, parity, parity_u64
+from repro.utils.bits import bits_of_mask, parity_u64
 
-__all__ = ["DRAMGeometry", "PimLevel", "XORAddressMapping", "FIELD_ORDER"]
+__all__ = ["DRAMGeometry", "PimLevel", "XORAddressMapping", "FIELD_ORDER", "CODE_ORDER"]
 
 _U64 = np.uint64
 
 #: Coordinate fields from PIM-selection LSB to address MSB side.
 FIELD_ORDER: Tuple[str, ...] = ("channel", "rank", "bankgroup", "bank", "row", "column")
+#: Fields of a packed code from its LSB: the PIM ID bits in their ID order.
+CODE_ORDER: Tuple[str, ...] = ("bankgroup", "rank", "channel", "bank", "row", "column")
 
 
 class PimLevel(str, enum.Enum):
@@ -185,6 +193,16 @@ class XORAddressMapping:
         self._packed: Dict[str, np.ndarray] = {
             f: np.asarray(ms, dtype=_U64) for f, ms in self.field_masks.items()
         }
+        code_masks = [m for f in CODE_ORDER for m in self.field_masks[f]]
+        if len(code_masks) > 63:
+            raise ValueError("packed coordinate codes must fit in 63 bits")
+        # The code of each single address bit: one column of the GF(2) map.
+        self._bit_codes = [0] * geometry.address_bits
+        for i, m in enumerate(code_masks):
+            for b in bits_of_mask(m):
+                self._bit_codes[b] |= 1 << i
+        offsets = np.cumsum([0] + [widths[f] for f in CODE_ORDER]).tolist()
+        self._code_offsets: Dict[str, int] = dict(zip(CODE_ORDER, offsets))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -193,14 +211,6 @@ class XORAddressMapping:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mid = "" if self.mapping_id is None else f", id={self.mapping_id}"
         return f"XORAddressMapping({self.name!r}{mid})"
-
-    def all_masks(self) -> List[Tuple[str, int, int]]:
-        """All (field, bit index, mask) triples, LSB first per field."""
-        out = []
-        for fname in FIELD_ORDER:
-            for i, m in enumerate(self.field_masks[fname]):
-                out.append((fname, i, m))
-        return out
 
     def _check_invertible(self) -> None:
         """Verify the GF(2) transform is a bijection over the address space.
@@ -233,10 +243,7 @@ class XORAddressMapping:
 
     def field_value(self, addr: int, fname: str) -> int:
         """Scalar field evaluation, e.g. ``field_value(a, 'bankgroup')``."""
-        v = 0
-        for i, m in enumerate(self.field_masks[fname]):
-            v |= parity(addr & m) << i
-        return v
+        return self.code_field(self.code(addr), fname)
 
     def coords(self, addr: int) -> Dict[str, int]:
         """Full coordinate tuple of one address as a dict."""
@@ -253,6 +260,49 @@ class XORAddressMapping:
     def coords_arrays(self, addrs: np.ndarray) -> Dict[str, np.ndarray]:
         """Vectorized full-coordinate evaluation."""
         return {f: self.field_values(addrs, f) for f in FIELD_ORDER}
+
+    # ------------------------------------------------------------------ #
+    # Packed codes
+    # ------------------------------------------------------------------ #
+
+    def code(self, addr: int) -> int:
+        """Every coordinate of one address packed into one integer."""
+        c = 0
+        for b in bits_of_mask(addr & (self.geometry.capacity_bytes - 1)):
+            c ^= self._bit_codes[b]
+        return c
+
+    def code_table(self, start: int, stride: int, n: int) -> np.ndarray:
+        """Read-only ``int64`` codes of the addresses ``start + i * stride``, ``i < n``.
+
+        ``n`` and ``stride`` are powers of two and ``start`` is aligned to
+        ``n * stride``, so each address is ``start`` XOR the bits of ``i *
+        stride``: the codes of ``[h, 2h)`` are those of ``[0, h)`` XOR the
+        code of ``h * stride``.
+        """
+        codes = np.empty(n, dtype=np.int64)
+        codes[0] = self.code(start)
+        h = 1
+        while h < n:
+            codes[h : 2 * h] = codes[:h] ^ self.code(h * stride)
+            h *= 2
+        codes.flags.writeable = False
+        return codes
+
+    def code_field(self, codes: np.ndarray, fname: str) -> np.ndarray:
+        """Field ``fname`` of packed codes: ``field_values`` of their addresses."""
+        width = self.geometry.field_widths[fname]
+        return (codes >> self._code_offsets[fname]) & ((1 << width) - 1)
+
+    def code_pim_ids(
+        self, codes: np.ndarray, level: PimLevel, pinned_id_bits: int = 0
+    ) -> np.ndarray:
+        """PIM IDs at ``level`` of packed codes, without the lowest
+        ``pinned_id_bits`` ID bits: ``pim_ids`` of their addresses when
+        nothing is pinned."""
+        first = {PimLevel.BANKGROUP: "bankgroup", PimLevel.DEVICE: "rank"}.get(level, "channel")
+        shift = self._code_offsets[first] + pinned_id_bits
+        return (codes >> shift) & ((1 << (self._code_offsets["bank"] - shift)) - 1)
 
     # ------------------------------------------------------------------ #
     # PIM IDs
@@ -277,10 +327,7 @@ class XORAddressMapping:
 
     def pim_id(self, addr: int, level: PimLevel) -> int:
         """Scalar PIM ID of one address."""
-        v = 0
-        for i, m in enumerate(self.pim_id_masks(level)):
-            v |= parity(addr & m) << i
-        return v
+        return self.code_pim_ids(self.code(addr), level)
 
     def pim_ids(self, addrs: np.ndarray, level: PimLevel) -> np.ndarray:
         """Vectorized PIM IDs of a ``uint64`` address array."""
@@ -289,25 +336,6 @@ class XORAddressMapping:
         for i, m in enumerate(self.pim_id_masks(level)):
             out |= parity_u64(addrs & _U64(m)) << _U64(i)
         return out
-
-    # ------------------------------------------------------------------ #
-    # Derived helpers used by the planner / AGEN
-    # ------------------------------------------------------------------ #
-
-    def id_affecting_mask(self, level: PimLevel, footprint_mask: int) -> int:
-        """Union of address bits within *footprint_mask* that affect the PIM ID."""
-        u = 0
-        for m in self.pim_id_masks(level):
-            u |= m & footprint_mask
-        return u
-
-    def lowest_id_bit(self, level: PimLevel, footprint_mask: int | None = None) -> int:
-        """Lowest address bit that affects the PIM ID (within the footprint)."""
-        fp = footprint_mask if footprint_mask is not None else (1 << self.geometry.address_bits) - 1
-        u = self.id_affecting_mask(level, fp)
-        if u == 0:
-            return -1
-        return bits_of_mask(u)[0]
 
     def describe(self) -> str:
         """Multi-line description of every output-bit XOR function."""

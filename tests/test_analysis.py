@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mapping.analysis import analyze_footprint
+from repro.mapping.analysis import analyze_footprint, footprint_codes
 from repro.mapping.presets import make_skylake, mapping_by_id
-from repro.mapping.xor_mapping import PimLevel
+from repro.mapping.xor_mapping import FIELD_ORDER, PimLevel
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ class TestGroupInvariant:
                         np.uint64(int(r) * fa.row_bytes)
                         + cols * np.uint64(g.block_bytes)
                     )
-                    ids = fa._pim_ids(addrs)
+                    ids = sky.pim_ids(addrs, level)
                     got = np.nonzero(ids == np.uint64(int(pim)))[0]
                     assert np.array_equal(got, expected)
 
@@ -150,3 +150,36 @@ def test_partition_property_random(m_exp, k_exp, mid, level):
         for grp in range(fa.n_groups):
             total += len(fa.cols_of(int(pim), grp)) * len(fa.rows_of_group(grp))
     assert total == fa.total_blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m_exp=st.integers(min_value=0, max_value=12),
+    k_exp=st.integers(min_value=4, max_value=13),
+    mid=st.integers(min_value=0, max_value=4),
+    slot=st.integers(min_value=1, max_value=2**20),
+    picks=st.lists(st.tuples(st.integers(0, 2**13), st.integers(0, 2**9)), min_size=1, max_size=40),
+)
+def test_code_tables_equal_per_address_parity(m_exp, k_exp, mid, slot, picks):
+    """Every field and PIM ID read from the footprint's row and column code
+    tables equals the mapping's per-address parity evaluation, at a
+    nonzero aligned base."""
+    mapping = mapping_by_id(mid)
+    m, k = 1 << m_exp, 1 << k_exp
+    footprint = m * k * 4
+    base = (1 + slot % (mapping.geometry.capacity_bytes // footprint - 1)) * footprint
+    row_codes, col_codes = footprint_codes(mapping, m, k * 4, base)
+    rows = np.array([r % m for r, _ in picks])
+    cols = np.array([c % len(col_codes) for _, c in picks])
+    addrs = (base + rows * (k * 4) + cols * mapping.geometry.block_bytes).astype(np.uint64)
+    codes = row_codes[rows] ^ col_codes[cols]
+    for fname in FIELD_ORDER:
+        assert np.array_equal(mapping.code_field(codes, fname), mapping.field_values(addrs, fname))
+    for level in PimLevel:
+        ids = mapping.pim_ids(addrs, level)
+        base_id = int(mapping.pim_ids(np.array([base], dtype=np.uint64), level)[0])
+        assert np.array_equal(mapping.code_pim_ids(codes, level), ids)
+        for pinned in range(len(mapping.pim_id_masks(level))):
+            fa = analyze_footprint(mapping, level, m, k, base=base, pinned_id_bits=pinned)
+            assert np.array_equal(fa.pim_ids_of(codes), ids >> np.uint64(pinned))
+            assert fa.base_id == base_id >> pinned

@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import executor
 from repro.core.config import StepStoneConfig
-from repro.core.executor import (
-    _gemm_phase_cycles,
-    _gemm_profile,
-    _steady_state_row_misses,
-)
+from repro.core.executor import _gemm_phase_cycles, _gemm_profile, _row_misses
 from repro.core.gemm import GemmShape, GroupWork, ScratchpadInfeasible, plan_gemm
 from repro.core.memo import PRICING_MEMO
 from repro.dram.timing import DDR4Timing
@@ -51,8 +47,38 @@ TIMINGS = {
 }
 
 # --------------------------------------------------------------------------
-# The oracles: one (PIM, group) pair, or one group, at a time.
+# The oracles: one (PIM, group) pair, or one group, at a time, every
+# coordinate by per-address parity (never through the code tables).
 # --------------------------------------------------------------------------
+
+
+def _pim_ids(fa, addrs):
+    """PIM IDs over the subsetted ID space, one parity per ID mask."""
+    out = np.zeros(addrs.shape, dtype=U64)
+    for i, m in enumerate(fa.id_masks):
+        out |= parity_u64(addrs & U64(m)) << U64(i)
+    return out
+
+
+def _access_fields(mapping, addrs):
+    """(rank, bank group, flat bank, DRAM row) of every access."""
+    g = mapping.geometry
+    rk, bg, bk, dr = (mapping.field_values(addrs, f) for f in ("rank", "bankgroup", "bank", "row"))
+    flat = (rk * U64(g.bankgroups_per_rank) + bg) * U64(g.banks_per_bankgroup) + bk
+    return rk, bg, flat, dr
+
+
+def _steady_state_row_misses(fa, mapping, rows, cols):
+    """Row-buffer misses per group-row walk in steady state: the misses of
+    the last of the group's first two row walks, counted by the
+    executor's ``_row_misses`` on one concatenated walk."""
+    bb = U64(mapping.geometry.block_bytes)
+    addr_rows = U64(fa.base) + rows[:2].astype(U64) * U64(fa.row_bytes)
+    addrs = (addr_rows[:, None] + cols.astype(U64)[None, :] * bb).ravel()
+    _, _, flat, dr = _access_fields(mapping, addrs)
+    n = len(addrs)
+    counted = np.arange(n) >= n - len(cols)  # the last row's walk
+    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
 
 
 def _oracle_grouping(fa):
@@ -72,7 +98,7 @@ def _oracle_cols(fa, rows, pim):
     g = fa.mapping.geometry
     cols = np.arange(fa.blocks_per_row, dtype=U64)
     addrs = U64(fa.base) + U64(int(rows[0])) * U64(fa.row_bytes) + cols * U64(g.block_bytes)
-    return np.nonzero(fa._pim_ids(addrs) == U64(pim))[0].astype(np.int64)
+    return np.nonzero(_pim_ids(fa, addrs) == U64(pim))[0].astype(np.int64)
 
 
 def _oracle_footprint(fa):
@@ -82,8 +108,7 @@ def _oracle_footprint(fa):
     rows_of = [np.nonzero(row_groups == grp)[0] for grp in range(n_groups)]
     work, cols_of = {}, {}
     max_group_cols = 1
-    for pim in fa.active_pim_ids():
-        pim = int(pim)
+    for pim in range(1 << len(fa.id_masks)):
         items = []
         for grp in range(n_groups):
             cols = _oracle_cols(fa, rows_of[grp], pim)
@@ -115,11 +140,7 @@ def _oracle_row_misses(fa, mapping, rows, cols):
     r_pair = rows[:2]
     addr_rows = U64(fa.base) + r_pair.astype(U64) * U64(fa.row_bytes)
     addrs = (addr_rows[:, None] + cols.astype(U64)[None, :] * U64(g.block_bytes)).ravel()
-    rk = mapping.field_values(addrs, "rank")
-    bg = mapping.field_values(addrs, "bankgroup")
-    bk = mapping.field_values(addrs, "bank")
-    dr = mapping.field_values(addrs, "row")
-    flat = (rk * U64(g.bankgroups_per_rank) + bg) * U64(g.banks_per_bankgroup) + bk
+    _, _, flat, dr = _access_fields(mapping, addrs)
     n = len(addrs)
     order = np.lexsort((np.arange(n), flat))
     fo, ro = flat[order], dr[order]
@@ -229,8 +250,7 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
     for name in ("work", "max_group_cols", "blocks_per_pim", "cols_per_pim",
                  "critical_pim", "total_cols", "total_blocks"):
         assert _same(getattr(record, name), oracle[name]), name
-    assert fa.blocks_per_pim() == {int(p): oracle["blocks_per_pim"].get(int(p), 0)
-                                   for p in fa.active_pim_ids()}
+    assert fa.blocks_per_pim() == oracle["blocks_per_pim"]
 
     # The critical PIM's profile, field by field.
     t = TIMINGS[timing]

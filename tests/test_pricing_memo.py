@@ -122,11 +122,25 @@ def test_warm_memo_prices_like_cleared_memo(cfg, mapping_name, shape, level, pin
         assert _fields(warm) == _fields(cold), (agen, flow)
 
 
+def _steady_state_row_misses(fa, mapping, rows, cols):
+    """Row misses of the last of a group's first two row walks, every
+    coordinate by per-address parity."""
+    from repro.core.executor import _row_misses
+
+    g, u64 = mapping.geometry, np.uint64
+    addr_rows = u64(fa.base) + rows[:2].astype(u64) * u64(fa.row_bytes)
+    addrs = (addr_rows[:, None] + cols.astype(u64)[None, :] * u64(g.block_bytes)).ravel()
+    rk, bg, bk, dr = (mapping.field_values(addrs, f) for f in ("rank", "bankgroup", "bank", "row"))
+    flat = (rk * u64(g.bankgroups_per_rank) + bg) * u64(g.banks_per_bankgroup) + bk
+    n = len(addrs)
+    counted = np.arange(n) >= n - len(cols)  # the last row's walk
+    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
+
+
 def _reference_gemm_phase(config, plan, agen, naive_full_gaps):
     """The per-access GEMM-phase formulas over the full tiled group walks,
     as the executor computed them before the profile split."""
     from repro.core.agen import naive_iterations
-    from repro.core.executor import _steady_state_row_misses
 
     t, u, fa = config.timing, plan.unit, plan.analysis
     mapping, g, pim = fa.mapping, fa.mapping.geometry, plan.max_blocks_pim
@@ -267,6 +281,23 @@ def test_chunk_memo_matches_choose_execution(cfg):
         assert srv.pim_latency(1024, 4096, n) == expected
 
 
+def test_clear_drops_the_code_tables_so_cold_runs_stay_cold(cfg):
+    sky = make_skylake()
+    shape = GemmShape(1024, 4096, 8)
+    PRICING_MEMO.clear()
+    cold = choose_execution(cfg, sky, shape)
+    assert PRICING_MEMO.size("codes") == 1
+    warm = choose_execution(cfg, sky, shape)
+    PRICING_MEMO.clear()
+    assert [PRICING_MEMO.size(t) for t in PRICING_MEMO.TABLES] == [0] * len(PRICING_MEMO.TABLES)
+    assert "codes" in PRICING_MEMO.TABLES
+    recold = choose_execution(cfg, sky, shape)
+    assert PRICING_MEMO.size("codes") == 1
+    for choice in (warm, recold):
+        assert (choice.level, choice.pinned_id_bits) == (cold.level, cold.pinned_id_bits)
+        assert choice.result.breakdown.as_dict() == cold.result.breakdown.as_dict()
+
+
 # --------------------------------------------------------------------- #
 # Hit/miss telemetry
 # --------------------------------------------------------------------- #
@@ -290,6 +321,23 @@ def test_memo_hits_and_misses_are_counted_while_the_bus_is_on(cfg):
             assert BUS.counter("pricing.memo.hit", memo=memo) >= misses
         assert BUS.counter("pricing.memo.miss", memo="chunk") == 1.0
         assert BUS.counter("pricing.memo.hit", memo="chunk") == 1.0
+        # One pair of code tables serves all four footprints.
+        assert BUS.counter("pricing.memo.miss", memo="codes") == PRICING_MEMO.size("codes") == 1
+        assert BUS.counter("pricing.memo.hit", memo="codes") == PRICING_MEMO.size("footprint") - 1
+        # Three searches over four candidates; each priced one reads its profile.
+        search = {
+            (name, lv): BUS.counter(f"pricing.search.{name}", level=lv)
+            for name in ("priced", "pruned")
+            for lv in ("BG", "DV")
+        }
+        assert search == {
+            ("priced", "BG"): 5.0,
+            ("priced", "DV"): 3.0,
+            ("pruned", "BG"): 1.0,
+            ("pruned", "DV"): 3.0,
+        }
+        reads = sum(BUS.counter(f"pricing.memo.{r}", memo="profile") for r in ("hit", "miss"))
+        assert reads == search["priced", "BG"] + search["priced", "DV"]
     finally:
         BUS.disable()
         BUS.reset()

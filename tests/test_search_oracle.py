@@ -1,0 +1,184 @@
+"""Property test: the bound-ordered configuration search equals the exhaustive scan.
+
+``choose_execution`` gives every (level, pinned ID bits) candidate an exact
+lower bound on its cycles, prices candidates in ``(bound, index)`` order
+and stops once the next bound exceeds the best price.  The oracle below is
+the scan it replaced: price every candidate in order and keep the first
+fastest (``cand.cycles < best.cycles``).  Hypothesis draws all five mapping
+presets, M and K (powers of two and not), N from 1 to 2048 (StepStone-BG's
+scratchpad runs out near the top), level subsets in any order including
+``CHANNEL``, ``max_pinned_bits`` from 0 to 3, every ``agen`` x ``flow`` pair
+and three DRAM timings (one whose rank switch is the fastest CAS spacing).
+Both must choose the same level and pinned bits with the same breakdown,
+or both must find no feasible configuration.
+
+CI replays it under ``--hypothesis-seed`` derived from the run id (see
+the ``fast-differential`` job in ``.github/workflows/ci.yml``).
+"""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import StepStoneConfig
+from repro.core.executor import execute_gemm
+from repro.core.gemm import GemmShape, ScratchpadInfeasible
+from repro.core.memo import PRICING_MEMO
+from repro.core.scheduler import PimChoice, _lower_bound, choose_execution
+from repro.dram.timing import DDR4Timing
+from repro.mapping.presets import make_skylake, mapping_by_id
+from repro.mapping.xor_mapping import PimLevel
+from repro.obs.telemetry import BUS
+
+CFG = StepStoneConfig.default()
+MAPPINGS = [make_skylake()] + [mapping_by_id(i) for i in range(4)]
+CONFIGS = {
+    "default": CFG,
+    # CAS spacings below the SIMD time of small batches.
+    "fast-cas": replace(CFG, timing=DDR4Timing(tBL=1, tCCDS=1, tCCDL=2)),
+    # A rank switch (tBL + tRTRS = 2) faster than either tCCD.
+    "fast-rank-switch": replace(CFG, timing=DDR4Timing(tBL=1, tRTRS=1, tCCDS=6, tCCDL=8)),
+}
+N = st.integers(1, 2048)
+MODES = [(agen, flow) for agen in ("stepstone", "naive") for flow in ("stepstone", "echo")]
+
+
+def exhaustive_choice(config, mapping, shape, levels, max_pinned_bits, agen, flow):
+    """Price every candidate in (level, pinned) order; the first fastest wins."""
+    best = None
+    for level in levels:
+        n_id_bits = len(mapping.pim_id_masks(level))
+        for pinned in range(0, min(max_pinned_bits + 1, n_id_bits)):
+            try:
+                res = execute_gemm(
+                    config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned
+                )
+            except ScratchpadInfeasible:
+                continue
+            cand = PimChoice(level=level, pinned_id_bits=pinned, result=res)
+            if best is None or cand.cycles < best.cycles:
+                best = cand
+    if best is None:
+        raise ValueError(f"no feasible PIM configuration for {shape}")
+    return best
+
+
+def _outcome(fn, *args):
+    try:
+        choice = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return choice.level, choice.pinned_id_bits, choice.result.breakdown.as_dict()
+
+
+def _dim(max_log2):
+    return st.one_of(
+        st.integers(0, max_log2).map(lambda b: 1 << b), st.integers(1, 1 << max_log2)
+    )
+
+
+@st.composite
+def searches(draw):
+    """``choose_execution`` arguments: hardware, shape, levels, pinned bits, modes."""
+    return (
+        CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))],
+        draw(st.sampled_from(MAPPINGS)),
+        GemmShape(draw(_dim(11)), draw(_dim(12)), draw(st.one_of(st.integers(1, 64), N))),
+        tuple(draw(st.lists(st.sampled_from(list(PimLevel)), min_size=1, max_size=3, unique=True))),
+        draw(st.integers(0, 3)),
+        *draw(st.sampled_from(MODES)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=searches())
+def test_bound_ordered_search_equals_exhaustive_scan(args):
+    assert _outcome(choose_execution, *args) == _outcome(exhaustive_choice, *args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=searches())
+def test_bound_never_exceeds_the_price(args):
+    config, mapping, shape, levels, max_pinned_bits, agen, flow = args
+    for level in levels:
+        for pinned in range(0, min(max_pinned_bits + 1, len(mapping.pim_id_masks(level)))):
+            try:
+                res = execute_gemm(
+                    config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned
+                )
+            except ScratchpadInfeasible:
+                continue
+            plan = res.plan
+            assert _lower_bound(config, plan.footprint, plan.shape, level, flow) <= res.cycles
+
+
+def test_pruned_candidates_build_no_profile():
+    # A one-wide batch: BG/0 prices below every other candidate's bound,
+    # so it is the only one priced and the only profile built.
+    levels = (PimLevel.BANKGROUP, PimLevel.DEVICE)
+    args = (CFG, make_skylake(), GemmShape(1024, 4096, 1), levels, 1, "stepstone", "stepstone")
+    PRICING_MEMO.clear()
+    BUS.reset()
+    BUS.enable()
+    try:
+        got = _outcome(choose_execution, *args)
+        counts = {
+            (name, lv): BUS.counter(f"pricing.search.{name}", level=lv)
+            for name in ("priced", "pruned")
+            for lv in ("BG", "DV")
+        }
+    finally:
+        BUS.disable()
+        BUS.reset()
+    assert PRICING_MEMO.size("footprint") == 4  # every candidate is bounded
+    assert PRICING_MEMO.size("profile") == 1
+    assert counts == {
+        ("priced", "BG"): 1.0,
+        ("priced", "DV"): 0.0,
+        ("pruned", "BG"): 1.0,
+        ("pruned", "DV"): 2.0,
+    }
+    assert got[:2] == (PimLevel.BANKGROUP, 0)
+    assert got == _outcome(exhaustive_choice, *args)
+
+
+# Exact ties between candidates with different bounds: BG with both bank
+# group bits pinned stripes like DV, and at these small shapes both price
+# to the same cycles.  The bound-ordered search prices DV/0 first (lower
+# bound), so only the index tie-break keeps the scan's choice.
+TIES = [
+    ("fast-cas", 2, GemmShape(30, 2648, 4), "stepstone", "echo"),
+    ("default", 2, GemmShape(16, 1996, 12), "naive", "echo"),
+]
+
+
+@pytest.mark.parametrize("config,mapping_id,shape,agen,flow", TIES)
+def test_equal_cycles_go_to_the_earlier_candidate(config, mapping_id, shape, agen, flow):
+    config, mapping = CONFIGS[config], mapping_by_id(mapping_id)
+    bg2, dv0 = (
+        execute_gemm(config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned)
+        for level, pinned in ((PimLevel.BANKGROUP, 2), (PimLevel.DEVICE, 0))
+    )
+    assert bg2.cycles == dv0.cycles
+    bounds = [
+        _lower_bound(config, r.plan.footprint, r.plan.shape, r.plan.level, flow) for r in (bg2, dv0)
+    ]
+    assert bounds[0] > bounds[1]
+    for levels, winner in (
+        ((PimLevel.BANKGROUP, PimLevel.DEVICE), (PimLevel.BANKGROUP, 2)),
+        ((PimLevel.DEVICE, PimLevel.BANKGROUP), (PimLevel.DEVICE, 0)),
+    ):
+        args = (config, mapping, shape, levels, 3, agen, flow)
+        got = _outcome(choose_execution, *args)
+        assert got[:2] == winner
+        assert got == _outcome(exhaustive_choice, *args)
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS, ids=lambda mp: mp.name)
+def test_all_infeasible_raises_like_the_scan(mapping):
+    args = (CFG, mapping, GemmShape(256, 1024, 2048), (PimLevel.BANKGROUP,), 3, "stepstone", "echo")
+    with pytest.raises(ValueError, match="no feasible PIM configuration"):
+        choose_execution(*args)
+    assert _outcome(choose_execution, *args) == _outcome(exhaustive_choice, *args)
