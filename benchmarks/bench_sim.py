@@ -1,32 +1,29 @@
 """Simulation-kernel harness: event throughput of the shared substrate.
 
-The `repro.sim` refactor rebuilt all four serving loops (engine, static
-fleet, elastic, hetero) on one discrete-event kernel; PR 9 added the
-struct-of-arrays fast path (`repro.sim.fast`) on top.  This module
+All four serving loops (engine, static fleet, elastic, hetero) run on
+one fleet loop, whose one event loop is the struct-of-arrays drain
+(`repro.sim.fast`) over the discrete-event kernel's heap.  This module
 guards both:
 
 * ``hetero_100k`` drives the heaviest loop — a 100k-request
   heterogeneous elastic run (StepStone baseline + GPU burst under a
-  diurnal swing) — through the fast path, with ``hetero_100k_slow`` as
-  the reference-loop anchor next to it (the speedup is their ratio);
+  diurnal swing);
 * ``engine_800s`` is the headline end-to-end number: a single-engine
-  800-second diurnal run at sustainable load, where the fast path
-  clears 500k kernel events/sec;
+  800-second diurnal run at sustainable load;
 * ``hetero_100k_profiled`` re-runs the hetero scenario under
   ``KernelProfiler`` and records where the per-event Python time goes
   (with batched epochs the handler share stays under half);
 * ``kernel_micro`` measures the bare reference kernel (preloaded
   stream + a finish scheduled per arrival) with no serving logic.
 
-Every entry carrying ``events_per_s`` also records ``fast_path`` so the
-two loops' numbers are never conflated.  The recorded metrics land in
+Every entry carrying ``events_per_s`` also records ``fast_path``: true
+for the fleet runs (the drain), false for the bare kernel.  The recorded metrics land in
 ``BENCH_sim.json``.
 
 Timed iterations warm the engine's latency cache with a full untimed
 run, then ``gc.collect(); gc.freeze()`` — the 100k-request stream and
 the warmed caches are permanent fixtures of the measurement, and
-leaving them in generation 2 costs ~180 collector scans per run on the
-reference loop's allocation rate.  ``gc.unfreeze()`` restores the
+leaving them in generation 2 costs collector scans on every run.  ``gc.unfreeze()`` restores the
 world after each timed section.
 """
 
@@ -96,16 +93,16 @@ def test_serve_chaos_experiment(run_bench):
 
 
 def test_hetero_100k_events_per_sec(benchmark, perf_record):
-    """The heaviest loop at 100k requests through the fast path."""
+    """The heaviest loop at 100k requests."""
     cluster, policy, stream = hetero_100k_scenario()
     # Warm with a full untimed run: the latency cache is keyed by
     # (model, batch size) and the diurnal swing only reaches its peak
     # batch sizes deep into the stream, so a short prefix warm leaves
     # first-touch GEMM math inside the timed rounds.
-    cluster.run(stream, policy, fast=True)
+    cluster.run(stream, policy)
 
     def run():
-        return cluster.run(stream, policy, fast=True)
+        return cluster.run(stream, policy)
 
     rep = _frozen(benchmark, run, rounds=3)
     wall = float(benchmark.stats.stats.mean)
@@ -124,29 +121,6 @@ def test_hetero_100k_events_per_sec(benchmark, perf_record):
     assert rep.events_processed > len(stream)  # arrivals + finishes + ticks
 
 
-def test_hetero_100k_slow_reference(benchmark, perf_record):
-    """The same scenario through the reference loop: the anchor the
-    fast-path speedup is measured against."""
-    cluster, policy, stream = hetero_100k_scenario()
-    cluster.run(stream, policy)  # full warm, same as the fast entry
-
-    def run():
-        return cluster.run(stream, policy)
-
-    rep = _frozen(benchmark, run, rounds=1)
-    wall = float(benchmark.stats.stats.mean)
-    perf_record(
-        "hetero_100k_slow",
-        benchmark,
-        requests=len(stream),
-        events=rep.events_processed,
-        events_per_s=round(rep.events_processed / wall),
-        requests_per_s=round(len(stream) / wall),
-        fast_path=False,
-    )
-    assert rep.served + len(rep.rejected) == len(stream)
-
-
 def test_engine_800s_events_per_sec(benchmark, perf_record):
     """The headline end-to-end throughput: one engine, an 800-second
     diurnal day at sustainable load, every request served."""
@@ -158,10 +132,10 @@ def test_engine_800s_events_per_sec(benchmark, perf_record):
         seed=42,
         slos={m: 1.0 for m in MIX},
     )
-    engine.run(stream, "hybrid", fast=True)  # warm the latency cache
+    engine.run(stream, "hybrid")  # warm the latency cache
 
     def run():
-        return engine.run(stream, "hybrid", fast=True)
+        return engine.run(stream, "hybrid")
 
     rep = _frozen(benchmark, run, rounds=3)
     wall = float(benchmark.stats.stats.mean)
@@ -179,19 +153,19 @@ def test_engine_800s_events_per_sec(benchmark, perf_record):
 
 
 def test_hetero_100k_profiled(benchmark, perf_record):
-    """The 100k-request fast run under `KernelProfiler`: records where
+    """The 100k-request run under `KernelProfiler`: records where
     the per-event Python time goes (handler share, stream split) and
     what self-profiling costs next to ``hetero_100k``."""
     from repro.obs import KernelProfiler, RunObserver
 
     cluster, policy, stream = hetero_100k_scenario()
-    cluster.run(stream, policy, fast=True)  # full warm, as above
+    cluster.run(stream, policy)  # full warm, as above
 
     prof = KernelProfiler()
     obs = RunObserver(profile=prof)
 
     def run():
-        return cluster.run(stream, policy, obs=obs, fast=True)
+        return cluster.run(stream, policy, obs=obs)
 
     rep = _frozen(benchmark, run, rounds=2)
     wall = float(benchmark.stats.stats.mean)

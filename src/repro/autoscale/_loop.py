@@ -17,8 +17,8 @@ of :class:`FleetLoop`, a pool-based discrete-event run on the shared
 
 The loop owns everything those runs share: the node slots and their
 lifecycle (provisioning, active, draining, failed, retired), the
-``fast=True`` gate and its labeled fallbacks, the reference-path and
-:mod:`repro.sim.fast` handlers, control ticks with per-pool windowed
+arrival-epoch and heap handlers it runs on :func:`repro.sim.fast.drain`
+(its one event loop), control ticks with per-pool windowed
 observations, and the end-of-run retire and report fill.
 
 **Replica order.**  A static fleet routes over a model's placement
@@ -143,12 +143,11 @@ class FleetLoop:
             if s.state == ACTIVE and model in s.node.models
         ]
 
-    def _fresh(self, spans, batched: bool) -> None:
+    def _fresh(self, spans) -> None:
         self.slots = {}
         self._next_id = 0
         self._arrived = {p: 0 for p in self.pools}
         self._spans = spans
-        self._batched = batched
         self.timeline = []
         self.run_stats = None
         self.pool_stats = {}
@@ -177,16 +176,11 @@ class FleetLoop:
                 self._spawn(name, 0.0, ready_now=True)
 
     def _adopt(self, node: ClusterNode, pool: str, clock: float, ready_now: bool) -> None:
-        if self._batched and self.record == "full":
-            from repro.sim.fast import FastRecorder
-
-            stats: MetricsRecorder = FastRecorder()
-        else:
-            stats = MetricsRecorder(
-                record=self.record,
-                window_s=self.window_s,
-                parent=self.pool_stats.get(pool),
-            )
+        stats = MetricsRecorder(
+            record=self.record,
+            window_s=self.window_s,
+            parent=self.pool_stats.get(pool),
+        )
         node.report = ServingReport(policy=node.policy, stats=stats)
         node.obs_spans = self._spans
         self.slots[node.node_id] = _Slot(
@@ -280,7 +274,6 @@ class FleetLoop:
         autoscaler=None,
         failures: Optional[FailureTrace] = None,
         obs=None,
-        fast: bool = False,
         presorted: bool = False,
         horizon_s: Optional[float] = None,
     ):
@@ -294,10 +287,8 @@ class FleetLoop:
             autoscaler: A per-pool policy (``desired_by_pool``); ``None``
                 runs without control ticks.
             failures: Optional outage schedule over node ids.
-            obs: Optional :class:`~repro.obs.RunObserver`.
-            fast: Opt into the :mod:`repro.sim.fast` path.  It replays
-                every run exactly but a span-traced one, which counts a
-                labeled ``fast_fallback`` and runs the reference path.
+            obs: Optional :class:`~repro.obs.RunObserver` (spans are
+                emitted by the nodes; a profiler rides the drain).
             presorted: Consume an arrival-ordered stream lazily.
             horizon_s: Arrival horizon of a presorted run (control ticks
                 are scheduled through it plus one interval).
@@ -312,13 +303,7 @@ class FleetLoop:
         """
         if presorted and (horizon_s is None or not 0 < horizon_s < math.inf):
             raise ValueError("presorted runs need a positive, finite horizon_s")
-        spans = obs.spans if obs is not None else None
-        batched = fast and spans is None
-        if fast and not batched:
-            from repro.obs.telemetry import record_fast_fallback
-
-            record_fast_fallback(self.label, "spans", obs)
-        self._fresh(spans, batched)
+        self._fresh(obs.spans if obs is not None else None)
         if autoscaler is not None:
             autoscaler.reset()
         kernel = self._kernel = DiscreteEventKernel()
@@ -326,21 +311,11 @@ class FleetLoop:
             last_arrival = 0.0
             tick_horizon = horizon_s
             arrivals = requests
-            if not batched:
-                kernel.preload_stream(
-                    Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                    for i, r in enumerate(requests)
-                )
             ticking = True
         else:
             arrivals = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
             last_arrival = arrivals[-1].arrival_s if arrivals else 0.0
             tick_horizon = last_arrival
-            if not batched:
-                kernel.preload(
-                    Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                    for i, r in enumerate(arrivals)
-                )
             ticking = bool(arrivals)
         # Control ticks cover the offered window plus one trailing interval
         # (so the controller can react to the last window of load); an
@@ -405,9 +380,6 @@ class FleetLoop:
                     scheduled = True
             return scheduled
 
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            arrive(now, [ev.payload for ev in events])
-
         def on_finishes(now: float, events: List[Event]) -> None:
             nonlocal last_service_end
             for ev in events:
@@ -415,11 +387,7 @@ class FleetLoop:
                 node = slot.node
                 if ev.payload != node.epoch:
                     continue  # batch was lost to a failure; stale event
-                if batched:
-                    node.report.stats.record_batch(node._dispatch_s, now, node.in_flight)
-                    node.in_flight = []
-                else:
-                    node.finish_batch(now)
+                node.finish_batch(now)
                 last_service_end = now
                 dispatch(slot, now)
                 if slot.state == DRAINING and node.idle and not node.queue:
@@ -517,20 +485,16 @@ class FleetLoop:
             EventKind.FAIL: cold(on_fails),
             EventKind.RECOVER: cold(on_recovers),
         }
-        if batched:
-            from repro.sim import fast as _fast
+        from repro.sim import fast as _fast
 
-            _fast.count_run()
-            _fast.drain(
-                kernel,
-                arrivals,
-                arrive,
-                {int(kind): h for kind, h in handlers.items()},
-                profiler=getattr(obs, "profile", None) if obs is not None else None,
-            )
-        else:
-            handlers[EventKind.ARRIVAL] = on_arrivals
-            kernel.run(handlers, obs=obs)
+        _fast.count_run()
+        _fast.drain(
+            kernel,
+            arrivals,
+            arrive,
+            handlers,
+            profiler=getattr(obs, "profile", None) if obs is not None else None,
+        )
 
         # The serving horizon excludes trailing control ticks (controller
         # bookkeeping, not service), so a static-policy elastic run

@@ -168,7 +168,7 @@ class ElasticCluster:
                 work, leave the owned set (so the policy's next
                 observation sees the loss), and rejoin on recovery.
             presorted: The stream is already arrival-ordered; consume it
-                *lazily* through the kernel instead of materializing and
+                *lazily*, a chunk at a time, instead of materializing and
                 sorting — with ``record="streaming"`` this is what keeps
                 a 10M-request run's memory flat (requests exist only
                 between generation and completion).  Requires
@@ -179,13 +179,11 @@ class ElasticCluster:
                 unknown until it drains.
             obs: Optional :class:`~repro.obs.RunObserver` — every node
                 (including ones provisioned mid-run) emits request
-                lifecycle spans, and the kernel self-profiles when a
+                lifecycle spans, and the event loop self-profiles when a
                 profiler is attached.  Default off.
-            fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages without span
-                tracing, in either record mode, on eager or presorted
-                streams and any router; falls back to the
-                event-at-a-time path otherwise.
+            fast: Accepted and ignored.  Every run takes the one event
+                loop, :func:`repro.sim.fast.drain`; the keyword stays
+                because existing callers still pass it.
 
         Returns:
             The :class:`~repro.autoscale.report.AutoscaleReport`.
@@ -219,7 +217,6 @@ class ElasticCluster:
             PerPoolPolicy({_POOL: autoscaler}),
             failures=failures,
             obs=obs,
-            fast=fast,
             presorted=presorted,
             horizon_s=horizon_s,
         )

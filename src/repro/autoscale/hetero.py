@@ -380,12 +380,11 @@ class HeteroElasticCluster:
                 pool's owned set, and rejoin on recovery.
             obs: Optional :class:`~repro.obs.RunObserver` — every node
                 (across all pools, including mid-run spawns) emits
-                request lifecycle spans, and the kernel self-profiles
+                request lifecycle spans, and the event loop self-profiles
                 when a profiler is attached.  Default off.
-            fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages without span
-                tracing, in either record mode and on any router;
-                falls back to the event-at-a-time path otherwise.
+            fast: Accepted and ignored.  Every run takes the one event
+                loop, :func:`repro.sim.fast.drain`; the keyword stays
+                because existing callers still pass it.
 
         Returns:
             The :class:`HeteroAutoscaleReport` for the run.
@@ -411,7 +410,7 @@ class HeteroElasticCluster:
             control_interval_s=self.control_interval_s,
             pool_specs={p: pool.spec for p, pool in self.pools.items()},
         )
-        loop.run(report, requests, autoscaler, failures=failures, obs=obs, fast=fast)
+        loop.run(report, requests, autoscaler, failures=failures, obs=obs)
         report.pool_timeline = loop.timeline
         report.pool_stats = dict(loop.pool_stats)
         report.node_pool = {nid: slot.pool for nid, slot in loop.slots.items()}

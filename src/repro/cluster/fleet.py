@@ -403,12 +403,11 @@ class Cluster:
                 door.
             obs: Optional :class:`~repro.obs.RunObserver` — nodes emit
                 ``queued``/``serve``/``rejected``/``failed`` request
-                spans and per-dispatch ``batch`` spans, and the kernel
-                self-profiles when a profiler is attached.  Default off.
-            fast: Opt into the :mod:`repro.sim.fast` struct-of-arrays
-                path (bit-identical reports).  Engages without span
-                tracing, in either record mode and on any router;
-                falls back to the event-at-a-time path otherwise.
+                spans and per-dispatch ``batch`` spans, and the event
+                loop self-profiles when a profiler is attached.  Default off.
+            fast: Accepted and ignored.  Every run takes the one event
+                loop, :func:`repro.sim.fast.drain`; the keyword stays
+                because existing callers still pass it.
 
         Returns:
             The fleet-wide :class:`ClusterReport`.
@@ -432,4 +431,4 @@ class Cluster:
             node_reports=[],
             specs=list(self.specs),
         )
-        return loop.run(report, requests, failures=failures, obs=obs, fast=fast)
+        return loop.run(report, requests, failures=failures, obs=obs)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.serving.engine import (
-    CompletedRequest,
     FailedRequest,
     OnlineServingEngine,
     RejectedRequest,
@@ -212,38 +211,35 @@ class ClusterNode:
         return None
 
     def finish_batch(self, clock: float) -> None:
-        """Record the running batch's completions at ``clock``."""
-        spans = self.obs_spans
-        for r in self.in_flight:
-            self.report.record_completion(
-                CompletedRequest(
-                    request=r,
-                    dispatch_s=self._dispatch_s,
-                    finish_s=clock,
-                    batch=len(self.in_flight),
-                )
-            )
-            if spans is not None:
-                spans.emit(
-                    r.req_id,
-                    "serve",
-                    self._dispatch_s,
-                    clock - self._dispatch_s,
-                    node=self.node_id,
-                    batch=len(self.in_flight),
-                    model=r.model,
-                )
-        if spans is not None and self.in_flight:
-            spans.emit(
-                -1,
-                "batch",
-                self._dispatch_s,
-                self._service_s,
-                node=self.node_id,
-                batch=len(self.in_flight),
-                model=self.in_flight[0].model,
-            )
+        """Record the running batch's completions at ``clock`` (one
+        ``record_batch`` call), then its ``serve`` and ``batch`` spans
+        when the run is traced."""
+        batch = self.in_flight
         self.in_flight = []
+        self.report.stats.record_batch(self._dispatch_s, clock, batch)
+        spans = self.obs_spans
+        if spans is None or not batch:
+            return
+        b = len(batch)
+        for r in batch:
+            spans.emit(
+                r.req_id,
+                "serve",
+                self._dispatch_s,
+                clock - self._dispatch_s,
+                node=self.node_id,
+                batch=b,
+                model=r.model,
+            )
+        spans.emit(
+            -1,
+            "batch",
+            self._dispatch_s,
+            self._service_s,
+            node=self.node_id,
+            batch=b,
+            model=batch[0].model,
+        )
 
     def fail(self, clock: float) -> List[Request]:
         """Lose everything this node holds at ``clock`` (a node failure).

@@ -26,9 +26,8 @@ primary first).  Four policies:
 
 All policies are deterministic: same request stream, same decisions.
 
-**Call protocol.**  The fleet loop drives a router identically on the
-reference and :mod:`repro.sim.fast` paths: :meth:`Router.reset` once per
-run, :meth:`Router.route` at each arrival instant,
+**Call protocol.**  The fleet loop drives every router the same way:
+:meth:`Router.reset` once per run, :meth:`Router.route` at each arrival instant,
 :meth:`Router.invalidate_backlogs` after every dispatch attempt, and
 :meth:`Router.invalidate_all` after every READY, CONTROL, FAIL and
 RECOVER batch.  Between two hooks node backlogs change only through the

@@ -1,43 +1,25 @@
-"""The fast event path earns its keep — and changes no answer.
+"""Analytic capacity planning: arithmetic instead of simulation.
 
-``repro.sim.fast`` rebuilds the serving hot loop as batched
-struct-of-arrays sweeps, and ``repro.sim.analytic`` replaces whole
-simulations with closed-form M/G/k arithmetic.  Both are only usable
-if they are *boring*: the fast path must reproduce the reference loop
-request for request, and the analytic planner must never hand back a
-smaller fleet than the simulation would.  This experiment measures the
-speedups and re-asserts both contracts in one artifact:
+``repro.sim.analytic`` replaces whole simulations with closed-form
+M/G/k arithmetic.  It is only usable if it is *boring*: the analytic
+planner must never hand back a smaller fleet than the simulation
+would.  ``CapacityPlanner(mode="analytic")`` sizes a fleet in
+milliseconds of arithmetic instead of seconds of simulation; the
+checks are the conservatism contract (never fewer nodes than the DES
+answer) plus the probe-cost gap.
 
-* **differential** — the single-engine and hetero-elastic loops run the
-  same seeded diurnal stream through both paths; completions,
-  rejections, ``events_processed`` and ``sim_end_s`` must agree
-  exactly (the full permutation harness lives in
-  ``tests/test_fast_differential.py``; this section is the
-  experiment-shaped witness).
-* **throughput** — wall time and kernel events/s for both paths on the
-  same runs; the fast path must win on the loop-dominated hetero
-  scenario.
-* **analytic** — ``CapacityPlanner(mode="analytic")`` sizes a fleet in
-  milliseconds of arithmetic instead of seconds of simulation; the
-  check is the conservatism contract (never fewer nodes than the DES
-  answer) plus the probe-cost gap.
+(The fleet loop has one event loop, :func:`repro.sim.fast.drain`; its
+exactness against the event-at-a-time oracle is pinned by
+``tests/test_fast_differential.py``.)
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-from repro.autoscale import (
-    BaselineBurstPolicy,
-    DiurnalTrace,
-    HeteroElasticCluster,
-    NodePool,
-    mix_requests,
-)
-from repro.autoscale.policies import node_capacity_rps
 from repro.cluster.planner import CapacityPlanner
 from repro.experiments.common import ExperimentResult
-from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine
+from repro.serving import OnlineServingEngine
 
 __all__ = ["run"]
 
@@ -51,165 +33,19 @@ def _timed(fn):
     return out, perf_counter() - t0
 
 
-def _report_key(rep):
-    """The exact-equality fingerprint of a serving run."""
-    return (
-        rep.served,
-        [(c.request.req_id, c.dispatch_s, c.finish_s) for c in rep.completed],
-        [(r.request.req_id, r.rejected_at_s) for r in rep.rejected],
-        rep.events_processed,
-        rep.sim_end_s,
-    )
-
-
 def run(fast: bool = False) -> ExperimentResult:
-    """Run the fast-path/analytic experiment.
+    """Run the analytic-planning experiment.
 
     Args:
-        fast: Shrink the streams for smoke runs.
+        fast: Shrink the planner probes for smoke runs.
     """
     res = ExperimentResult(
         experiment_id="serve-fast",
-        title="Struct-of-arrays event path: same answers, one order of "
-        "magnitude less Python",
-        paper_reference="infrastructure (no paper figure): repro.sim.fast "
-        "+ repro.sim.analytic",
+        title="Analytic capacity planning: conservative fleet sizes from "
+        "M/G/k arithmetic",
+        paper_reference="infrastructure (no paper figure): repro.sim.analytic",
     )
     engine = OnlineServingEngine()
-
-    # -------------------------------------------------------------- #
-    # 1 + 2. Differential witness and throughput, engine loop
-    # -------------------------------------------------------------- #
-    duration = 30.0 if fast else 200.0
-    stream = mix_requests(
-        DiurnalTrace(trough_rps=100.0, peak_rps=160.0, period_s=60.0),
-        MIX,
-        duration,
-        seed=SEED,
-        slos={m: 1.0 for m in MIX},
-    )
-    engine.run(stream, "hybrid", fast=True)  # warm the latency cache
-    slow_rep, slow_s = _timed(lambda: engine.run(stream, "hybrid"))
-    fast_rep, fast_s = _timed(lambda: engine.run(stream, "hybrid", fast=True))
-    res.add(
-        section="throughput",
-        loop="engine",
-        path="reference",
-        wall_s=round(slow_s, 4),
-        events_per_s=round(slow_rep.events_processed / slow_s),
-    )
-    res.add(
-        section="throughput",
-        loop="engine",
-        path="fast",
-        wall_s=round(fast_s, 4),
-        events_per_s=round(fast_rep.events_processed / fast_s),
-    )
-    res.check(
-        "engine: fast path reproduces the reference run exactly",
-        _report_key(slow_rep) == _report_key(fast_rep),
-    )
-    res.note(
-        f"engine {len(stream)} requests: reference {slow_s:.3f}s, fast "
-        f"{fast_s:.3f}s ({fast_rep.events_processed / fast_s:,.0f} events/s)"
-    )
-
-    # -------------------------------------------------------------- #
-    # Hetero-elastic loop: the heaviest, loop-dominated scenario
-    # -------------------------------------------------------------- #
-    def hetero():
-        return HeteroElasticCluster(
-            pools={
-                "stepstone": NodePool(
-                    STEPSTONE_NODE, min_nodes=2, max_nodes=12, initial_nodes=8
-                ),
-                "gpu": NodePool(
-                    GPU_NODE, min_nodes=0, max_nodes=4, initial_nodes=0
-                ),
-            },
-            engine=engine,
-            policy="hybrid",
-            router="backend-affinity",
-            models=sorted(MIX),
-            control_interval_s=0.5,
-        )
-
-    policy = BaselineBurstPolicy(
-        baseline="stepstone",
-        burst="gpu",
-        baseline_nodes=8,
-        baseline_capacity_rps=node_capacity_rps(
-            engine, MIX, "hybrid", spec=STEPSTONE_NODE
-        ),
-        burst_capacity_rps=node_capacity_rps(
-            engine, MIX, "hybrid", spec=GPU_NODE
-        ),
-    )
-    hstream = mix_requests(
-        DiurnalTrace(trough_rps=1200.0, peak_rps=2800.0, period_s=25.0),
-        MIX,
-        10.0 if fast else 50.0,
-        seed=SEED,
-        slos={m: 1.0 for m in MIX},
-    )
-    hc = hetero()
-    hc.run(hstream, policy, fast=True)  # warm
-    # Best of three per path, interleaved, so one noisy sample on a shared
-    # host cannot decide the speed check below.
-    hslow_s = hfast_s = float("inf")
-    for _ in range(3):
-        hslow, wall_s = _timed(lambda: hetero().run(hstream, policy))
-        hslow_s = min(hslow_s, wall_s)
-        hfast, wall_s = _timed(lambda: hetero().run(hstream, policy, fast=True))
-        hfast_s = min(hfast_s, wall_s)
-    res.add(
-        section="throughput",
-        loop="hetero",
-        path="reference",
-        wall_s=round(hslow_s, 4),
-        events_per_s=round(hslow.events_processed / hslow_s),
-    )
-    res.add(
-        section="throughput",
-        loop="hetero",
-        path="fast",
-        wall_s=round(hfast_s, 4),
-        events_per_s=round(hfast.events_processed / hfast_s),
-    )
-    res.check(
-        "hetero: fast path reproduces the reference run exactly "
-        "(per-node completions, drops, pool timeline)",
-        (
-            {
-                nid: _report_key(r)
-                for nid, r in hslow.node_reports.items()
-            },
-            hslow.pool_timeline,
-            hslow.events_processed,
-            hslow.sim_end_s,
-        )
-        == (
-            {
-                nid: _report_key(r)
-                for nid, r in hfast.node_reports.items()
-            },
-            hfast.pool_timeline,
-            hfast.events_processed,
-            hfast.sim_end_s,
-        ),
-    )
-    res.check(
-        "hetero: the fast path is faster on the loop-dominated scenario",
-        hfast_s < hslow_s,
-    )
-    res.note(
-        f"hetero {len(hstream)} requests: reference {hslow_s:.3f}s, fast "
-        f"{hfast_s:.3f}s ({hslow_s / hfast_s:.1f}x)"
-    )
-
-    # -------------------------------------------------------------- #
-    # 3. Analytic capacity planning: arithmetic instead of simulation
-    # -------------------------------------------------------------- #
     target_rps, slo_s = 600.0, 1.0
     kwargs = dict(engine=engine, n_requests=200 if fast else 300, seed=SEED)
     for pol in ("cpu", "hybrid"):
@@ -249,11 +85,11 @@ def run(fast: bool = False) -> ExperimentResult:
     res.chart = {
         "kind": "grouped",
         "rows": [
-            {"label": f"{r['loop']} {r['path']}", "events_per_s": r["events_per_s"]}
+            {"label": f"{r['policy']} {mode}", "nodes": r[f"{key}_nodes"]}
             for r in res.rows
-            if r["section"] == "throughput"
+            for mode, key in (("DES", "sim"), ("analytic", "analytic"))
         ],
         "category_key": "label",
-        "value_key": "events_per_s",
+        "value_key": "nodes",
     }
     return res

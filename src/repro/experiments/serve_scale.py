@@ -111,7 +111,7 @@ def run_streaming_day(
     The single entry point the experiment, the scale benchmark, and the
     CI smoke all share: generator arrivals (read lazily, a small chunk
     at a time) into an elastic fleet under the reactive policy, with the
-    requested recording mode, on the :mod:`repro.sim.fast` path.
+    requested recording mode, on the fleet loop's drain.
     ``period_s`` defaults to :data:`DAY_S`; benchmarks pass
     ``period_s=horizon_s`` so a sliced run still sweeps one full
     day/night swing (and so carries the trace's ~116 req/s mean rather
@@ -132,7 +132,6 @@ def run_streaming_day(
         TargetUtilizationPolicy(capacity, target=0.7),
         presorted=True,
         horizon_s=horizon_s,
-        fast=True,
     )
 
 

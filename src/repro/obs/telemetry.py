@@ -214,18 +214,16 @@ BUS = Telemetry(enabled=False)
 def record_fast_fallback(loop: str, reason: str, obs: Any = None) -> None:
     """Count one declined fast-path engagement, labeled by cause.
 
-    Every serving loop's ``fast=True`` gate calls this with the *first*
-    condition that disqualified the vectorized path (``"spans"`` in
-    the fleet loop and the genai engine, ``"profiler"`` in the genai
-    engine) — so a sweep that meant
-    to run fast but silently fell back is visible as a labeled counter
-    instead of a mystery slowdown.  The increment lands on the
-    process-wide :data:`BUS` and, when the run carries its own
-    telemetry, on that bus too.
+    Genai's gate (``GenerativeEngine.run(fast=True)``) calls this with
+    the *first* condition that disqualified the macro-stepped path
+    (``"spans"`` or ``"profiler"``) — so a sweep that meant to run fast
+    but silently fell back is visible as a labeled counter instead of a
+    mystery slowdown.  The fleet loops have no gate: they always take
+    the one drain.  The increment lands on the process-wide :data:`BUS`
+    and, when the run carries its own telemetry, on that bus too.
 
     Args:
-        loop: The run loop that fell back (``"engine"``, ``"cluster"``,
-            ``"elastic"``, ``"hetero"``, ``"genai"``).
+        loop: The run loop that fell back (``"genai"``).
         reason: The first failing gate condition.
         obs: The run's optional :class:`~repro.obs.RunObserver`.
     """

@@ -642,11 +642,9 @@ class OnlineServingEngine:
         this report accounts with (span sums tie out with ``==``).  The
         default runs the original untraced path.
 
-        ``fast=True`` opts into the :mod:`repro.sim.fast` path —
-        bit-identical reports, no per-event kernel churn.  It engages
-        in either record mode; only a span-traced run (``obs`` with
-        spans) counts a labeled ``fast_fallback`` and runs the
-        reference path.
+        ``fast`` is accepted and ignored: every run takes the fleet
+        loop's one event loop, :func:`repro.sim.fast.drain`.  The
+        keyword stays because existing callers still pass it.
 
         Raises:
             ValueError: On an unknown policy.
@@ -688,7 +686,7 @@ class OnlineServingEngine:
             node_reports=[],
             specs=[STEPSTONE_NODE],
         )
-        loop.run(fleet_report, requests, obs=obs, fast=fast)
+        loop.run(fleet_report, requests, obs=obs)
         node.report.events_processed = fleet_report.events_processed
         return node.report
 

@@ -1,58 +1,49 @@
-"""Vectorized struct-of-arrays fast path for the serving simulators.
+"""The fleet loop's event loop: arrivals replayed as struct-of-arrays epochs.
 
-The profiled 100k-request hetero bench spends >90% of its wall time in
-per-event Python churn: one ``Event`` tuple, one heap push/pop, and one
-handler dispatch per arrival.  But between control/failure events the
-arrival stream is pure request traffic with a *known* order — it is
-sorted up front or arrives presorted — so none of that machinery is
-needed to replay it.  This module collapses the hot
-ARRIVAL→dispatch→FINISH path:
+The serving hot path is ARRIVAL -> route -> dispatch -> FINISH, and
+between control/failure events the arrival stream is pure request
+traffic with a *known* order: sorted up front, or arriving presorted.
+So the arrivals never need an ``Event`` tuple, a heap push/pop or a
+handler dispatch each.  :func:`drain` walks them as struct-of-arrays
+chunks (a numpy column of arrival times per chunk of whole epochs) and
+hands whole equal-time *epochs* to a loop-specific callback, keeping
+the binary heap only for CONTROL/READY/FAIL/RECOVER and the FINISH
+events dispatches schedule.  A sorted list is validated up front and
+cut into epoch-aligned chunks; a presorted iterator is pulled lazily,
+:data:`STREAM_CHUNK` requests at a time, with the kernel's own
+finiteness and ordering checks, so a day-long stream is never
+materialized.  The kernel's documented total order —
+RECOVER < ARRIVAL < READY < CONTROL < FAIL < FINISH at equal instants —
+is preserved by construction: an epoch at time ``t`` runs after any
+heap event earlier than ``t`` or at ``t`` with a smaller kind, and
+before everything else.
 
-* :func:`drain` walks the arrivals as struct-of-arrays chunks (a numpy
-  column of arrival times per chunk of whole epochs) and hands whole
-  equal-time *epochs* to a loop-specific callback, keeping the binary
-  heap only for the cold kinds (CONTROL/READY/FAIL/RECOVER and the
-  FINISH events dispatches schedule).  A sorted list is one chunk; a
-  presorted iterator is pulled lazily, :data:`STREAM_CHUNK` requests at
-  a time, with the kernel's own finiteness and ordering checks, so a
-  day-long stream is never materialized.  The kernel's documented total
-  order — RECOVER < ARRIVAL < READY < CONTROL < FAIL < FINISH at equal
-  instants — is preserved by construction: an epoch at time ``t`` runs
-  after any heap event earlier than ``t`` or at ``t`` with a smaller
-  kind, and before everything else.
-* The FINISH path records one ``(dispatch, finish, requests)`` triple
-  per batch through
-  :meth:`~repro.sim.stats.MetricsRecorder.record_batch`.  In streaming
-  mode that feeds every level of the recorder chain its batch's
-  latencies in request order — the sequence per-request recording
-  would feed it — so every sketch ends bitwise where the reference
-  path's does.  In full mode :class:`FastRecorder` defers per-request
-  ``CompletedRequest`` materialization until a report query needs it;
-  every query answers bit-identically to the eager recorder.
+Its one caller is the fleet loop (:mod:`repro.autoscale._loop`), which
+runs the single-node engine and every fleet simulator on it, traced or
+not, in either record mode and on sorted or presorted streams.  Each
+FINISH records its batch through one
+:meth:`~repro.sim.stats.MetricsRecorder.record_batch` call.
 
-Routing is not this module's business: both paths call the same
-:mod:`repro.cluster.router` policies with the same hooks, so every
-router, builtin or custom, replays exactly.
+Exactness is the contract: the drain must deliver what the kernel's
+event-at-a-time loop would, with every arrival queued as an ARRIVAL
+event — the same epochs, heap batches and processed-event count, in the
+same order.  ``tests/fleet_oracle.py`` keeps that event-at-a-time loop
+as the oracle; ``tests/test_fast_differential.py``,
+``tests/test_router_oracle.py`` and ``tests/test_conservation.py`` run
+every fleet configuration on both and compare the reports, and
+``tests/test_event_order.py`` compares the two loops' delivery order
+directly under random interleavings.
 
-Exactness is the contract (pinned by ``tests/test_fast_differential``):
-the fast path must produce the same report, request for request, as the
-event-at-a-time path.  It engages on every configuration but span
-tracing, in either record mode and on sorted or presorted streams.  Its
-one caller is the fleet loop (:mod:`repro.autoscale._loop`), whose gate
-serves the single-node engine and every fleet simulator alike and falls
-back to the slow path when spans are traced.
-
-Profiling note: under a :class:`~repro.obs.KernelProfiler` the fast
-path counts arrival epochs in the ARRIVAL event/batch ledgers but books
-no handler time for them — routing happens inside the drain, not in a
+Profiling note: under a :class:`~repro.obs.KernelProfiler` the drain
+counts arrival epochs in the ARRIVAL event/batch ledgers but books no
+handler time for them — routing happens inside the drain, not in a
 per-event handler.  ``handler_share`` then honestly reports what is
-left of the per-event handler churn the fast path was built to remove.
+left of the per-event handler churn the drain was built to remove.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from heapq import heappop
 from itertools import islice
 from time import perf_counter
@@ -60,27 +51,21 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serving.engine import (
-    CompletedRequest,
-    Request,
-)
+from repro.serving.engine import Request
 from repro.sim.kernel import (
     DiscreteEventKernel,
     EventKind,
     _not_finite,
     _out_of_order,
 )
-from repro.sim.stats import MetricsRecorder
 
 __all__ = [
     "FAST_RUNS",
-    "FastRecorder",
     "drain",
 ]
 
-#: Fast-path engagements since import — the differential harness and the
-#: benchmarks snapshot it around a run to assert the gate actually took
-#: the vectorized path (a silent fallback would make fast==slow vacuous).
+#: Fleet runs drained since import (every fleet run takes the drain);
+#: benchmarks snapshot it around a run to show the drain engaged.
 FAST_RUNS = 0
 
 #: Requests a lazily read arrival stream is pulled by (see
@@ -92,126 +77,9 @@ _ARRIVAL = int(EventKind.ARRIVAL)
 
 
 def count_run() -> None:
-    """Bump :data:`FAST_RUNS` (called once per engaged fast-path run)."""
+    """Bump :data:`FAST_RUNS` (called once per fleet run)."""
     global FAST_RUNS
     FAST_RUNS += 1
-
-
-# ---------------------------------------------------------------------- #
-# Deferred batch recording
-# ---------------------------------------------------------------------- #
-
-
-class FastRecorder(MetricsRecorder):
-    """A full-mode recorder that materializes completions lazily.
-
-    The hot FINISH path calls :meth:`record_batch` once per dispatched
-    batch instead of building one :class:`CompletedRequest` per request;
-    any query that needs the per-request list flushes the pending
-    batches first, producing records identical (field for field, float
-    for float) to what the eager path would have stored.
-
-    Only ``record="full"`` needs it: streaming nodes keep no
-    per-request records, and take the base
-    :meth:`MetricsRecorder.record_batch`.  Parent chaining is
-    unsupported: full-mode nodes have parentless recorders.
-    """
-
-    __slots__ = ("_batches", "_cum")
-
-    def __init__(self) -> None:
-        super().__init__(record="full")
-        self._batches: List[tuple] = []
-        #: per-batch cumulative completion count (flushed included) so
-        #: tail reads bisect straight to the first unseen batch.
-        self._cum: List[int] = []
-
-    def record_batch(
-        self, dispatch_s: float, finish_s: float, requests: List[Request]
-    ) -> None:
-        """Record one finished batch (``requests`` ownership transfers)."""
-        self._batches.append((dispatch_s, finish_s, requests))
-        self.n_completed += len(requests)
-        self._cum.append(self.n_completed)
-
-    def _flush(self) -> None:
-        if not self._batches:
-            return
-        append = self._completed.append
-        for dispatch_s, finish_s, reqs in self._batches:
-            b = len(reqs)
-            for r in reqs:
-                append(
-                    CompletedRequest(
-                        request=r,
-                        dispatch_s=dispatch_s,
-                        finish_s=finish_s,
-                        batch=b,
-                    )
-                )
-        self._batches.clear()
-        self._cum.clear()
-
-    # Every accessor that reads the per-request completion list flushes
-    # first; counters (n_completed) are maintained eagerly.
-
-    @property
-    def completed(self):
-        self._flush()
-        return MetricsRecorder.completed.fget(self)
-
-    @property
-    def completed_count(self) -> int:
-        return self.n_completed
-
-    @property
-    def latencies_s(self) -> List[float]:
-        self._flush()
-        return MetricsRecorder.latencies_s.fget(self)
-
-    def new_latencies(self, seen: int) -> List[float]:
-        """Flush-free tail slice: pending batches are read in place."""
-        out = []
-        flushed = self._completed
-        if seen < len(flushed):
-            out.extend(c.latency_s for c in flushed[seen:])
-            seen = len(flushed)
-        if seen >= self.n_completed:
-            return out
-        batches = self._batches
-        cum = self._cum
-        i = bisect_right(cum, seen)
-        pos = cum[i] - len(batches[i][2])
-        for _, finish_s, reqs in batches[i:]:
-            for r in reqs[seen - pos:] if seen > pos else reqs:
-                out.append(finish_s - r.arrival_s)
-            pos += len(reqs)
-            seen = pos
-        return out
-
-    def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
-        self._flush()
-        return MetricsRecorder.window_percentile(self, q, start_s, end_s)
-
-    @property
-    def mean_latency_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_latency_s.fget(self)
-
-    @property
-    def mean_queue_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_queue_s.fget(self)
-
-    @property
-    def mean_service_s(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_service_s.fget(self)
-
-    @property
-    def mean_batch(self) -> float:
-        self._flush()
-        return MetricsRecorder.mean_batch.fget(self)
 
 
 # ---------------------------------------------------------------------- #
@@ -247,14 +115,23 @@ def _epoch_chunks(arrivals: Iterable[Request]) -> Iterator[Tuple[List[Request], 
     """Split an arrival stream into ``(requests, times)`` chunks of whole
     epochs, validated by :func:`_checked_times`.
 
-    A list is one chunk.  Any other iterable is read lazily,
-    :data:`STREAM_CHUNK` requests at a time: each read holds back its
-    last epoch (it may go on in the next read) and carries it into the
-    next chunk, so equal-time arrivals never straddle a chunk boundary.
+    A list is validated whole, up front, then cut into chunks of about
+    :data:`STREAM_CHUNK` requests, each running on to the end of the
+    epoch it would split, so the per-epoch index lists stay chunk-sized.
+    Any other iterable is read lazily, :data:`STREAM_CHUNK` requests at
+    a time: each read holds back its last epoch (it may go on in the
+    next read) and carries it into the next chunk, so equal-time
+    arrivals never straddle a chunk boundary.
     """
     if isinstance(arrivals, list):
-        if arrivals:
-            yield arrivals, _checked_times(arrivals, None, 0)
+        ts = _checked_times(arrivals, None, 0) if arrivals else None
+        lo = 0
+        while lo < len(arrivals):
+            hi = lo + STREAM_CHUNK
+            if hi < len(arrivals):
+                hi = int(np.searchsorted(ts, ts[hi], side="right"))
+            yield arrivals[lo:hi], ts[lo:hi]
+            lo = hi
         return
     it = iter(arrivals)
     buf: List[Request] = []
@@ -299,7 +176,7 @@ def drain(
     """Replay an arrival stream as epochs against the kernel's heap.
 
     The arrivals come in as struct-of-arrays chunks of whole epochs
-    (:func:`_epoch_chunks`): a sorted list is one chunk, an
+    (:func:`_epoch_chunks`): a sorted list is cut into chunks, an
     arrival-ordered iterator is pulled lazily, a chunk at a time, and
     never materialized.  Everything else — CONTROL ticks, failures, and
     the FINISH events ``on_epoch``/handlers schedule via

@@ -482,7 +482,7 @@ class DiscreteEventKernel:
         this kernel's ``processed`` count.
 
         Finalizing is only legal once the kernel is fully drained —
-        the fast path drains the heap itself, and a bug that left
+        the fleet loop's drain pops the heap itself, and a bug that left
         events pending would silently under-count; idempotent, so run
         loops and their callers may both finalize.
 

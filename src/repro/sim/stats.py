@@ -1122,13 +1122,10 @@ class MetricsRecorder:
                     # Lazy: the serving layer imports this module.
                     from repro.serving.engine import CompletedRequest
 
+                    # Positional arguments: this is the full-mode FINISH
+                    # path's per-request cost.
                     completed = [
-                        CompletedRequest(
-                            request=r,
-                            dispatch_s=dispatch_s,
-                            finish_s=finish_s,
-                            batch=b,
-                        )
+                        CompletedRequest(r, dispatch_s, finish_s, b)
                         for r in requests
                     ]
                 rec._completed.extend(completed)
@@ -1230,9 +1227,7 @@ class MetricsRecorder:
         """Latencies of completions recorded after the first ``seen``.
 
         The elastic control loops slice each node's completion list once
-        per tick to build the window-p99 signal; routing the slice
-        through the recorder lets the fast path answer it without
-        materializing per-request records (full mode only).
+        per tick to build the window-p99 signal (full mode only).
 
         Raises:
             RecordingModeError: In streaming mode.

@@ -7,8 +7,9 @@ died), or dropped unrouted because every replica was down.  So
     offered = served + rejected + failed + dropped
 
 must hold for ``Cluster``, ``ElasticCluster`` and
-``HeteroElasticCluster`` with outages, on the reference path and the
-fast path, in ``record="full"`` and ``record="streaming"``.  The report
+``HeteroElasticCluster`` with outages, on the event-at-a-time oracle
+loop (``tests/fleet_oracle.py``) and the fleet loop's drain, in
+``record="full"`` and ``record="streaming"``.  The report
 derives ``offered`` from the same counters, so the left side here is the
 stream's length.  Full mode must also account for every request id
 exactly once.  Streaming mode must count the same four totals as full
@@ -41,6 +42,8 @@ from repro.cluster import Cluster
 from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine
 from repro.sim import FailureTrace
 
+from fleet_oracle import oracle_run
+
 MIX = {"BERT": 0.6, "DLRM": 0.4}
 ROUTERS = ("round-robin", "least-loaded", "affinity", "backend-affinity")
 
@@ -59,7 +62,7 @@ def _cluster(engine, router, record):
         replication=2,
         record=record,
     )
-    return lambda stream, failures, fast: cl.run(stream, failures=failures, fast=fast)
+    return lambda stream, failures: cl.run(stream, failures=failures)
 
 
 def _elastic(engine, router, record):
@@ -76,8 +79,8 @@ def _elastic(engine, router, record):
     pol = TargetUtilizationPolicy(
         capacity_rps=node_capacity_rps(engine, MIX, "hybrid"), target=0.7
     )
-    return lambda stream, failures, fast: el.run(
-        stream, pol, failures=failures, fast=fast
+    return lambda stream, failures: el.run(
+        stream, pol, failures=failures
     )
 
 
@@ -105,8 +108,8 @@ def _hetero(engine, router, record):
         ),
         burst_capacity_rps=node_capacity_rps(engine, MIX, "hybrid", spec=GPU_NODE),
     )
-    return lambda stream, failures, fast: hc.run(
-        stream, pol, failures=failures, fast=fast
+    return lambda stream, failures: hc.run(
+        stream, pol, failures=failures
     )
 
 
@@ -162,12 +165,15 @@ def test_every_request_is_accounted_for(
         for start, length in [outage]
     ]
     totals = {}
-    for record, fast in product(("full", "streaming"), (False, True)):
+    for record, on_oracle in product(("full", "streaming"), (True, False)):
         run = LOOPS[loop](engine, router, record)
         failures = FailureTrace.scripted(scripted) if scripted else None
-        rep = run(stream, failures, fast)
-        served, rejected, failed, dropped = totals[record, fast] = _totals(rep)
-        assert min(totals[record, fast]) >= 0
+        if on_oracle:
+            rep = oracle_run(run, stream, failures)
+        else:
+            rep = run(stream, failures)
+        served, rejected, failed, dropped = totals[record, on_oracle] = _totals(rep)
+        assert min(totals[record, on_oracle]) >= 0
         assert served + rejected + failed + dropped == len(stream) == rep.offered
         if record == "full":
             ids = [c.request.req_id for c in rep.completed]

@@ -1,10 +1,11 @@
-"""Differential harness pinning the fast event path to the reference path.
+"""Differential harness pinning the fleet loop's drain to the oracle.
 
-``repro.sim.fast`` re-implements the serving hot loop as batched
-struct-of-arrays sweeps; this file is the contract that makes that
-rewrite safe.  Every seeded scenario below runs the *same* request
-stream twice — once through the heap-per-event reference loop, once
-through the fast path — and asserts the two reports agree
+Every fleet run takes :func:`repro.sim.fast.drain`, which replays the
+serving hot loop as batched struct-of-arrays epochs; this file is the
+contract that makes that loop safe.  Every seeded scenario below runs
+the *same* request stream twice — once through the heap-per-event
+oracle loop (``tests/fleet_oracle.py``), once through the drain — and
+asserts the two reports agree
 request-for-request: same completions in the same order with the same
 dispatch/finish instants, same rejections, same failure drops, same
 ``events_processed``, same ``sim_end_s``.  Anything weaker (aggregate
@@ -50,6 +51,8 @@ from repro.serving import (
 from repro.sim import FailureTrace
 from repro.sim import fast as fastmod
 from repro.sim.analytic import AnalyticCapacityModel
+
+from fleet_oracle import oracle_drain, oracle_run
 
 ROUTERS = ("round-robin", "least-loaded", "affinity", "backend-affinity")
 POLICIES = ("cpu", "pim", "hybrid")
@@ -199,13 +202,14 @@ def assert_elastic_identical(slow, fast):
 
 
 def run_both(loop, scenario):
-    """Run ``loop`` slow then fast on the same scenario; the fast run
-    must actually engage the fast path (FAST_RUNS counter bumps)."""
-    slow = loop(fast=False)
+    """Run ``loop`` on the oracle, then on the drain, on the same
+    scenario; each run must take its loop exactly once (the oracle
+    counts its drains, the drain bumps FAST_RUNS)."""
+    slow = oracle_run(loop)
     before = fastmod.FAST_RUNS
-    fast = loop(fast=True)
+    fast = loop()
     assert fastmod.FAST_RUNS == before + 1, (
-        "fast=True fell back to the reference path",
+        "the run did not take the drain",
         scenario.seed,
         scenario.router,
     )
@@ -222,7 +226,7 @@ def test_engine_fast_matches_slow(engine, seed):
     sc = Scenario(seed)
     stream = sc.stream()
     slow, fast = run_both(
-        lambda fast: engine.run(stream, sc.policy, fast=fast), sc
+        lambda: engine.run(stream, sc.policy), sc
     )
     assert_reports_identical(slow, fast, f"engine-{seed}")
     assert slow.events_processed == fast.events_processed
@@ -240,7 +244,7 @@ def test_cluster_fast_matches_slow(engine, seed):
         replication=1 + seed % 2,
     )
     slow, fast = run_both(
-        lambda fast: cl.run(stream, failures=sc.failures(), fast=fast), sc
+        lambda: cl.run(stream, failures=sc.failures()), sc
     )
     assert_cluster_identical(slow, fast)
 
@@ -263,7 +267,7 @@ def test_elastic_fast_matches_slow(engine, seed):
         target=0.7,
     )
     slow, fast = run_both(
-        lambda fast: el.run(stream, pol, failures=sc.failures(), fast=fast),
+        lambda: el.run(stream, pol, failures=sc.failures()),
         sc,
     )
     assert_elastic_identical(slow, fast)
@@ -301,7 +305,7 @@ def test_hetero_fast_matches_slow(engine, seed):
         ),
     )
     slow, fast = run_both(
-        lambda fast: hc.run(stream, pol, failures=sc.failures(), fast=fast),
+        lambda: hc.run(stream, pol, failures=sc.failures()),
         sc,
     )
     assert_elastic_identical(slow, fast)
@@ -390,7 +394,7 @@ def test_engine_streaming_fast_matches_slow(engine, seed):
     sc = Scenario(seed)
     stream = sc.stream()
     slow, fast = run_both(
-        lambda fast: engine.run(stream, sc.policy, record="streaming", fast=fast),
+        lambda: engine.run(stream, sc.policy, record="streaming"),
         sc,
     )
     assert fast.record == "streaming"
@@ -411,11 +415,11 @@ def test_cluster_streaming_fast_matches_slow(engine, seed):
         replication=1 + seed % 2,
         record="streaming",
         # Half the seeds auto-roll the window rings (one roll check per
-        # batch on the fast path, one per request on the reference path).
+        # recorded batch).
         window_s=0.5 if seed % 2 else None,
     )
     slow, fast = run_both(
-        lambda fast: cl.run(stream, failures=sc.failures(), fast=fast), sc
+        lambda: cl.run(stream, failures=sc.failures()), sc
     )
     assert fast.record == "streaming"
     assert_views_identical(slow, fast, f"cluster-streaming-{seed}")
@@ -440,15 +444,14 @@ def _elastic_run(engine, sc, record, presorted):
     stream = sc.stream()
     if presorted:
         # A fresh iterator per run: the loop must read it lazily.
-        return lambda fast: el.run(
+        return lambda: el.run(
             iter(stream),
             pol,
             failures=sc.failures(),
-            fast=fast,
             presorted=True,
             horizon_s=sc.duration_s,
         )
-    return lambda fast: el.run(stream, pol, failures=sc.failures(), fast=fast)
+    return lambda: el.run(stream, pol, failures=sc.failures())
 
 
 @pytest.mark.parametrize(
@@ -502,7 +505,7 @@ def test_hetero_streaming_fast_matches_slow(engine, seed):
         ),
     )
     slow, fast = run_both(
-        lambda fast: hc.run(stream, pol, failures=sc.failures(), fast=fast),
+        lambda: hc.run(stream, pol, failures=sc.failures()),
         sc,
     )
     assert fast.record == "streaming"
@@ -518,7 +521,8 @@ def test_hetero_streaming_fast_matches_slow(engine, seed):
 )
 def test_bad_presorted_stream_raises_on_fast_path(engine, bad, match):
     """A presorted stream that steps back in time or carries a NaN
-    arrival raises the kernel's ``ValueError`` on both paths."""
+    arrival raises the kernel's ``ValueError`` on the oracle and the
+    drain alike."""
     sc = Scenario(0)
     stream = sc.stream()
     assert len(stream) > 10
@@ -537,15 +541,15 @@ def test_bad_presorted_stream_raises_on_fast_path(engine, bad, match):
     pol = TargetUtilizationPolicy(
         capacity_rps=node_capacity_rps(engine, sc.mix, "hybrid"), target=0.7
     )
-    for fast in (False, True):
-        with pytest.raises(ValueError, match=match):
-            el.run(
-                iter(stream),
-                pol,
-                presorted=True,
-                horizon_s=sc.duration_s,
-                fast=fast,
-            )
+    def run():
+        el.run(iter(stream), pol, presorted=True, horizon_s=sc.duration_s)
+
+    with pytest.raises(ValueError, match=match):
+        with oracle_drain() as calls:
+            run()
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match=match):
+        run()
 
 
 def test_every_router_covered_by_default_matrix():
@@ -613,13 +617,14 @@ def test_analytic_tracks_cluster_des(engine):
 
 
 def test_fast_path_does_not_perturb_goldens():
-    """The golden traces are produced by the reference path; the fast
-    path must leave them untouched.  tests/test_golden_traces.py pins
-    the bytes — here we just confirm fast runs never mutate the shared
-    engine caches in a way a subsequent slow run would observe."""
+    """The golden traces were produced by the event-at-a-time loop; the
+    drain must leave them untouched.  tests/test_golden_traces.py pins
+    the bytes — here we just confirm drained runs never mutate the
+    shared engine caches in a way a subsequent oracle run would
+    observe."""
     eng = OnlineServingEngine()
     stream = poisson_requests("BERT", 150.0, 2.0, seed=3)
-    before = eng.run(stream, "hybrid")
-    eng.run(stream, "hybrid", fast=True)
-    after = eng.run(stream, "hybrid")
+    before = oracle_run(eng.run, stream, "hybrid")
+    eng.run(stream, "hybrid")
+    after = oracle_run(eng.run, stream, "hybrid")
     assert_reports_identical(before, after, "golden-stability")

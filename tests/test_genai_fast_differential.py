@@ -23,9 +23,10 @@ length mixes, and KV budgets squeezed tight enough to preempt.
 The bottom sections pin the segment *seams* specifically: KV overflow
 landing exactly on a segment's last boundary, recompute-on-resume after
 preemption, the never-empty-batch invariant under single-sequence
-saturation, the golden trace captured from the pre-fast-path loop, and
-one test per labeled ``fast_fallback`` telemetry cause across all five
-serving loops.
+saturation, the golden trace captured from the pre-fast-path loop, one
+test per labeled ``fast_fallback`` telemetry cause of genai's gate, and
+one test per fleet loop that a traced run takes the drain and matches
+the event-at-a-time oracle span for span.
 
 Regenerate the golden fixture (only on a *deliberate* behavior change):
 
@@ -39,6 +40,7 @@ import os
 import pathlib
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -338,10 +340,10 @@ def test_never_empty_batch_under_saturation():
 
 
 # --------------------------------------------------------------------------
-# Fallback-reason telemetry: every cause that declines a fast path, in
-# every serving loop, must land one labeled increment on the bus — a
-# sweep that silently fell back should be a readable counter, not a
-# mystery slowdown.
+# Fallback-reason telemetry: every cause that declines genai's fast path
+# must land one labeled increment on the bus — a sweep that silently fell
+# back should be a readable counter, not a mystery slowdown.  The fleet
+# loops have no gate: every run, traced or not, takes the drain.
 # --------------------------------------------------------------------------
 
 
@@ -378,24 +380,21 @@ def _serving_stream():
     return poisson_requests("BERT", 50.0, 1.0, seed=3)
 
 
-def test_engine_fallback_reasons():
-    from repro.serving import OnlineServingEngine
+def _traced_stream():
+    """Heavy enough to queue, batch and reject under the 0.5 s SLO."""
+    from repro.serving import poisson_requests
 
-    eng = OnlineServingEngine()
-    _assert_fallback(
-        "engine",
-        "spans",
-        lambda: eng.run(
-            _serving_stream(), "hybrid", fast=True, obs=RunObserver.tracing()
-        ),
-    )
-    _assert_fast_engages(
-        lambda: eng.run(_serving_stream(), "hybrid", fast=True, record="streaming")
-    )
+    return poisson_requests("BERT", 600.0, 1.0, seed=5, slo_s=0.5)
+
+
+def _outage():
+    from repro.sim import FailureTrace
+
+    return FailureTrace.scripted([(0, 0.3, 0.6)])
 
 
 def _assert_fast_engages(run):
-    """``run`` takes the fast path: FAST_RUNS bumps, no fallback counted."""
+    """``run`` takes the drain: FAST_RUNS bumps, no fallback counted."""
     from repro.sim import fast as sfast
 
     def fallbacks():
@@ -406,17 +405,62 @@ def _assert_fast_engages(run):
     try:
         before = fallbacks()
         runs = sfast.FAST_RUNS
-        run()
+        out = run()
         assert sfast.FAST_RUNS == runs + 1
         assert fallbacks() == before
     finally:
         BUS.disable()
         BUS.reset()
+    return out
+
+
+def _assert_traced_run_matches_oracle(run, fingerprint):
+    """A span-traced ``run(obs=...)`` takes the drain (no fallback is
+    counted), and its report and span stream equal the oracle loop's:
+    every ``Span`` tuple equal, in the same order."""
+    from fleet_oracle import oracle_run
+
+    oracle_obs = RunObserver.tracing()
+    slow = oracle_run(run, obs=oracle_obs)
+    obs = RunObserver.tracing()
+    fast = _assert_fast_engages(lambda: run(obs=obs))
+    assert fingerprint(fast) == fingerprint(slow)
+    spans = [tuple(sp) for sp in obs.spans.spans]
+    assert spans == [tuple(sp) for sp in oracle_obs.spans.spans]
+    phases = {sp.phase for sp in obs.spans.spans}
+    assert {"queued", "serve", "batch", "rejected"} <= phases, phases
+    return fast
+
+
+def _engine_fingerprint(rep):
+    """Every request's fate in a single-engine report."""
+    return _fleet_fingerprint(
+        SimpleNamespace(
+            node_reports=[rep],
+            dropped=[],
+            node_busy_s=None,
+            events_processed=rep.events_processed,
+            sim_end_s=rep.sim_end_s,
+        )
+    )
+
+
+def test_engine_traced_run_takes_the_drain():
+    from repro.serving import OnlineServingEngine
+
+    eng = OnlineServingEngine()
+    _assert_traced_run_matches_oracle(
+        lambda **kw: eng.run(_traced_stream(), "hybrid", **kw),
+        _engine_fingerprint,
+    )
+    _assert_fast_engages(
+        lambda: eng.run(_serving_stream(), "hybrid", record="streaming")
+    )
 
 
 def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
-    """The engine shares the fleet loop's fast gate: a profiler rides the
-    fast drain, and an empty stream is a trivially exact replay."""
+    """The engine runs on the fleet loop's drain: a profiler rides it,
+    and an empty stream is a trivially exact replay."""
     from repro.serving import OnlineServingEngine
 
     eng = OnlineServingEngine()
@@ -424,7 +468,7 @@ def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
         (_serving_stream(), dict(obs=RunObserver.profiling())),
         ([], dict()),
     ]:
-        _assert_fast_engages(lambda: eng.run(stream, "hybrid", fast=True, **kw))
+        _assert_fast_engages(lambda: eng.run(stream, "hybrid", **kw))
 
 
 def _custom_router():
@@ -451,16 +495,16 @@ def _cluster(**ctor_kw):
     return lambda stream, **kw: cl.run(stream, **kw)
 
 
-def test_cluster_fallback_reasons():
+def test_cluster_traced_run_takes_the_drain():
     run = _cluster()
-    _assert_fallback(
-        "cluster",
-        "spans",
-        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    rep = _assert_traced_run_matches_oracle(
+        lambda **kw: run(_traced_stream(), failures=_outage(), **kw),
+        _fleet_fingerprint,
     )
+    assert rep.failed_count > 0
     for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _cluster(**ctor_kw)
-        _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+        _assert_fast_engages(lambda: run(_serving_stream()))
 
 
 def _elastic_policy(engine, models):
@@ -483,22 +527,20 @@ def _elastic(**ctor_kw):
     return lambda stream, **kw: el.run(stream, pol, **kw)
 
 
-def test_elastic_fallback_reasons():
+def test_elastic_traced_run_takes_the_drain():
     run = _elastic()
-    _assert_fallback(
-        "elastic",
-        "spans",
-        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    rep = _assert_traced_run_matches_oracle(
+        lambda **kw: run(_traced_stream(), failures=_outage(), **kw),
+        _fleet_fingerprint,
     )
+    assert rep.failed_count > 0
     for ctor_kw, run_kw in [
         (dict(), dict(presorted=True, horizon_s=1.0)),
         (dict(record="streaming"), dict()),
         (dict(router=_custom_router()), dict()),
     ]:
         run = _elastic(**ctor_kw)
-        _assert_fast_engages(
-            lambda: run(iter(_serving_stream()), fast=True, **run_kw)
-        )
+        _assert_fast_engages(lambda: run(iter(_serving_stream()), **run_kw))
 
 
 def _hetero(**ctor_kw):
@@ -530,16 +572,16 @@ def _hetero(**ctor_kw):
     return lambda stream, **kw: hc.run(stream, pol, **kw)
 
 
-def test_hetero_fallback_reasons():
+def test_hetero_traced_run_takes_the_drain():
     run = _hetero()
-    _assert_fallback(
-        "hetero",
-        "spans",
-        lambda: run(_serving_stream(), fast=True, obs=RunObserver.tracing()),
+    rep = _assert_traced_run_matches_oracle(
+        lambda **kw: run(_traced_stream(), failures=_outage(), **kw),
+        _fleet_fingerprint,
     )
+    assert rep.failed_count > 0
     for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _hetero(**ctor_kw)
-        _assert_fast_engages(lambda: run(_serving_stream(), fast=True))
+        _assert_fast_engages(lambda: run(_serving_stream()))
 
 
 def _fleet_fingerprint(rep):
@@ -570,21 +612,24 @@ def _fleet_fingerprint(rep):
 
 @pytest.mark.parametrize("fleet", ["cluster", "elastic", "hetero"])
 def test_custom_router_fast_matches_slow(fleet):
-    """A custom router replays exactly: both paths drive it through the
-    same calls, so its fast and reference reports agree request for
+    """A custom router replays exactly: the drain and the oracle loop
+    drive it through the same calls, so their reports agree request for
     request, outages included."""
     from repro.serving import poisson_requests
     from repro.sim import FailureTrace
+
+    from fleet_oracle import oracle_run
 
     build = {"cluster": _cluster, "elastic": _elastic, "hetero": _hetero}[fleet]
     stream = poisson_requests("BERT", 600.0, 2.0, seed=5, slo_s=0.5)
     router = _custom_router()
     run = build(router=router)
-    reports = [
-        run(stream, failures=FailureTrace.scripted([(0, 0.6, 1.1)]), fast=fast)
-        for fast in (False, True)
-    ]
-    slow, fast = (_fleet_fingerprint(r) for r in reports)
+    slow = _fleet_fingerprint(
+        oracle_run(run, stream, failures=FailureTrace.scripted([(0, 0.6, 1.1)]))
+    )
+    fast = _fleet_fingerprint(
+        run(stream, failures=FailureTrace.scripted([(0, 0.6, 1.1)]))
+    )
     assert slow == fast
     # The custom policy really spread the load.
     assert sum(1 for done, _, _ in slow["nodes"].values() if done) >= 2

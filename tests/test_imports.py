@@ -71,7 +71,8 @@ UNUSED_BY_SERVING = (
     "repro.utils.units",
 )
 
-#: Modules the first fast run of a process imports by design.
+#: Modules the first fleet run (repro.sim.fast) and the first fast genai
+#: run (repro.genai.fast) of a process import by design.
 FIRST_FAST_RUN = {"repro.sim.fast", "repro.genai.fast"}
 
 
@@ -215,7 +216,7 @@ def test_no_module_is_first_imported_inside_a_run():
         cluster = Cluster(2, policy="hybrid", router="least-loaded", record="full")
 
         def cold_cluster():
-            rep = cluster.run(reqs, fast=True)
+            rep = cluster.run(reqs)
             rep.p50_s, rep.p99_s, rep.served
 
         gen_reqs = [GenRequest(i, 2.0 * i, 32, 8) for i in range(6)]
@@ -249,7 +250,6 @@ def test_no_module_is_first_imported_inside_a_run():
                 policy,
                 presorted=True,
                 horizon_s=20.0,
-                fast=True,
             )
             rep.latency_percentile(99), rep.peak_fleet_size, rep.served
 

@@ -122,7 +122,6 @@ def test_rejected_presorted_run_has_no_side_effects():
                     Tracking(1),
                     presorted=True,
                     horizon_s=horizon,
-                    fast=True,
                 )
         assert fallbacks() == before
         assert sfast.FAST_RUNS == runs
@@ -144,7 +143,7 @@ def test_engine_rejects_unknown_model_before_the_run():
         runs = sfast.FAST_RUNS
         for record in ("full", "streaming"):
             with pytest.raises(KeyError, match="unknown model 'BERT'"):
-                engine.run(reqs, "hybrid", record=record, fast=True)
+                engine.run(reqs, "hybrid", record=record)
         assert BUS.snapshot()["counters"] == before
         assert sfast.FAST_RUNS == runs
     finally:

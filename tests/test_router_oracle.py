@@ -11,9 +11,10 @@ replace.  A checking subclass of each builtin router asserts, at every
 call, that its pick is the oracle's pick over the loop's *live*
 ``routable(model)``.  Hypothesis draws the router, the SLO mix, the load
 and the outages, and each example runs inside real ``Cluster``,
-``ElasticCluster`` and ``HeteroElasticCluster`` runs on both the
-reference path and the fast path.  A loop that skipped a hook would
-leave a stale cache behind and fail here.
+``ElasticCluster`` and ``HeteroElasticCluster`` runs, on the
+event-at-a-time oracle loop (``tests/fleet_oracle.py``) and on the
+fleet loop's drain.  A loop that skipped a hook would leave a stale
+cache behind and fail here.
 
 CI replays it under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
@@ -38,6 +39,8 @@ from repro.cluster import Cluster, ClusterNode, make_router
 from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine, Request
 from repro.sim import FailureTrace
 from repro.sim import fast as fastmod
+
+from fleet_oracle import oracle_run
 
 MIX = {"BERT": 0.6, "DLRM": 0.4}
 ROUTERS = ("round-robin", "least-loaded", "affinity", "backend-affinity")
@@ -138,7 +141,7 @@ def engine():
 
 def _cluster(engine, router):
     cl = Cluster(n_nodes=3, engine=engine, policy="hybrid", router=router, replication=2)
-    return lambda stream, failures, fast: cl.run(stream, failures=failures, fast=fast)
+    return lambda stream, failures: cl.run(stream, failures=failures)
 
 
 def _elastic(engine, router):
@@ -154,8 +157,8 @@ def _elastic(engine, router):
     pol = TargetUtilizationPolicy(
         capacity_rps=node_capacity_rps(engine, MIX, "hybrid"), target=0.7
     )
-    return lambda stream, failures, fast: el.run(
-        stream, pol, failures=failures, fast=fast
+    return lambda stream, failures: el.run(
+        stream, pol, failures=failures
     )
 
 
@@ -182,8 +185,8 @@ def _hetero(engine, router):
         ),
         burst_capacity_rps=node_capacity_rps(engine, MIX, "hybrid", spec=GPU_NODE),
     )
-    return lambda stream, failures, fast: hc.run(
-        stream, pol, failures=failures, fast=fast
+    return lambda stream, failures: hc.run(
+        stream, pol, failures=failures
     )
 
 
@@ -228,9 +231,12 @@ def test_builtin_routers_match_scan_oracle(
         if outage is not None
         for start, length in [outage]
     ]
-    for fast in (False, True):
+    for on_oracle in (True, False):
         failures = FailureTrace.scripted(scripted) if scripted else None
         runs = fastmod.FAST_RUNS
-        run(stream, failures, fast)
-        assert fastmod.FAST_RUNS == runs + fast
+        if on_oracle:
+            oracle_run(run, stream, failures)
+        else:
+            run(stream, failures)
+        assert fastmod.FAST_RUNS == runs + 1
         assert router.checked == len(stream)

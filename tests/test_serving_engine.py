@@ -17,6 +17,8 @@ from repro.serving import (
     uniform_requests,
 )
 
+from fleet_oracle import oracle_run
+
 
 @pytest.fixture(scope="module")
 def eng():
@@ -491,7 +493,7 @@ class TestEngineProperties:
     @settings(max_examples=15, deadline=None)
     @given(spec=_streams, policy=st.sampled_from(POLICIES))
     # A queued request and an arrival both at a batch's finish instant:
-    # the arrival must join the next batch on both paths.
+    # the arrival must join the next batch on the drain and the oracle.
     @example(
         spec=[("BERT", 0, None), ("BERT", 1, None), ("BERT", 2, None)],
         policy="pim",
@@ -514,8 +516,8 @@ class TestEngineProperties:
             )
             for i, (model, tick, slo) in enumerate(spec)
         ]
-        slow = eng.run(reqs, policy)
-        fast = eng.run(reqs, policy, fast=True)
+        slow = oracle_run(eng.run, reqs, policy)
+        fast = eng.run(reqs, policy)
         assert [
             (c.request.req_id, c.dispatch_s, c.finish_s, c.batch)
             for c in fast.completed
@@ -529,6 +531,8 @@ class TestEngineProperties:
         assert fast.sim_end_s == slow.sim_end_s
         assert fast.events_processed == slow.events_processed
         for record in ("full", "streaming"):
-            for use_fast in (False, True):
-                rep = eng.run(reqs, policy, record=record, fast=use_fast)
+            for rep in (
+                oracle_run(eng.run, reqs, policy, record=record),
+                eng.run(reqs, policy, record=record),
+            ):
                 assert rep.offered == rep.served + rep.rejected_count == len(reqs)
