@@ -27,12 +27,17 @@ only on the weight footprint and the DRAM timing, so it is computed once
 per process and kept in the ``profile`` memo (:mod:`repro.core.memo`).
 :func:`_gemm_profile` builds every group's profile in one pass over the
 concatenated walks of the critical PIM, and stores each group's cadence
-histogram.  The per-N *evaluation* combines the profile with the SIMD time
-in O(groups) scalar arithmetic, using two exact closed forms (DESIGN.md,
-"Pricing once"): the group sum ``n_rows * sum(count * max(value,
-compute))`` over the histogram, and a zero AGEN stall whenever
-``max(cadence_min, compute) >= 3``.  Whole-footprint totals (blocks, fill
-traffic) come from the plan's shared footprint record in closed form.
+histogram.  The per-N *evaluation*, :func:`_price`, is the one home of
+the N-dependent cycles arithmetic: it takes a :class:`_Candidate` (every
+N-independent constant of one footprint on one unit), a batch width and
+a partitioning, combines the profile with the SIMD time in O(groups)
+scalar arithmetic, using two exact closed forms (DESIGN.md, "Pricing
+once"): the group sum ``n_rows * sum(count * max(value, compute))`` over
+the histogram, and a zero AGEN stall whenever ``max(cadence_min,
+compute) >= 3``, and adds the fill, drain, off-chip and launch terms.
+The configuration search and :func:`execute_plan` both price through it;
+:func:`_result` adds the whole-footprint totals (blocks, fill traffic)
+from the shared footprint record in closed form.
 """
 
 from __future__ import annotations
@@ -44,7 +49,15 @@ import numpy as np
 
 from repro.core.agen import stepstone_iteration_counts
 from repro.core.config import PimUnitConfig, StepStoneConfig
-from repro.core.gemm import GemmPlan, GemmShape, plan_gemm
+from repro.core.gemm import (
+    FootprintWork,
+    GemmPlan,
+    GemmShape,
+    Partition,
+    _footprint,
+    _kernel_launches,
+    plan_gemm,
+)
 from repro.core.memo import PRICING_MEMO
 from repro.dram.stream import sequential_stream_cycles
 from repro.dram.timing import DDR4Timing
@@ -186,6 +199,7 @@ class _GroupProfile:
     cadence_min: float
     cadence_max: float
     cadence_den: int  # power-of-two denominator of the cadence values
+    cadence_sum: float  # sum(count * value) over the histogram, in order
     n_rows: int
     n_blk: int  # n_cols * n_rows accesses over the group
     crossings: float  # steady-state row misses per row walk * n_rows
@@ -193,8 +207,10 @@ class _GroupProfile:
     naive_row_gap: float  # true block gap between consecutive group rows
 
 
-def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
-    """Per-group profiles of the plan's critical PIM (Algorithm 1 walks).
+def _gemm_profile(
+    t: DDR4Timing, fp: FootprintWork, unit: PimUnitConfig
+) -> Tuple[_GroupProfile, ...]:
+    """Per-group profiles of the footprint's critical PIM (Algorithm 1 walks).
 
     Every group is evaluated in one pass: the first-row walks of all the
     critical PIM's groups, then the second-row walks of the groups with
@@ -202,7 +218,6 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
     codes (a row code XOR a column code each).  Group-boundary masks
     restart the cadence and the naive gaps at each walk's first access.
     """
-    fp = plan.footprint
     fa = fp.analysis
     mapping = fa.mapping
     pim = fp.critical_pim
@@ -248,8 +263,8 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
     c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
     cadence[1:] = np.where(same_rank, c, float(t.tBL + t.tRTRS))
     cadence[is_head] = float(t.tCCDS)
-    if plan.unit.level is PimLevel.BANKGROUP:
-        cadence[:] = float(plan.unit.cadence(t))  # confined to one bank group
+    if unit.level is PimLevel.BANKGROUP:
+        cadence[:] = float(unit.cadence(t))  # confined to one bank group
     values, which = np.unique(cadence, return_inverse=True)
     hist = np.bincount(walk * len(values) + which.ravel(), minlength=n_groups * len(values))
     hist = hist.reshape(n_groups, len(values)).tolist()
@@ -280,6 +295,7 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
                 cadence_min=h[0][0],
                 cadence_max=h[-1][0],
                 cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
+                cadence_sum=sum(k * v for v, k in h),
                 n_rows=w.n_rows,
                 n_blk=w.n_cols * w.n_rows,
                 crossings=float(misses[i]) * w.n_rows,
@@ -290,29 +306,93 @@ def _gemm_profile(t: DDR4Timing, plan: GemmPlan) -> Tuple[_GroupProfile, ...]:
     return tuple(out)
 
 
+class _Candidate:
+    """Every N-independent constant of pricing one footprint on one unit.
+
+    One (level, pinned ID bits) configuration of a padded M x K weight
+    matrix: the footprint record's key and its critical-PIM totals, the
+    ``profile`` key, the unit, DMA and refresh constants, and the two
+    N-independent terms of :func:`repro.core.scheduler._lower_bound`.
+    Searches keep candidates in the ``candidates`` memo, so a new batch
+    width starts from here; :func:`_price` adds the N-dependent half.
+    """
+
+    __slots__ = (
+        "level", "pinned", "unit", "m", "word_bytes", "_footprint_args", "footprint_key",
+        "profile_key", "timing", "n_pims", "crit_blocks", "crit_cols", "max_group_cols",
+        "total_cols", "slices", "cadence", "blocks_per_row", "cover", "per_miss", "refresh",
+        "launch_cycles", "channels", "offchip", "launch_floor", "cadence_floor",
+    )
+
+    def __init__(self, config, mapping, level, unit, m, k, base, pinned) -> None:
+        t, dma, wb = config.timing, config.dma, config.word_bytes
+        self.level, self.pinned, self.unit, self.m, self.word_bytes = level, pinned, unit, m, wb
+        self._footprint_args = (mapping, level, m, k, base, wb, pinned)
+        self.footprint_key, fp = _footprint(*self._footprint_args)
+        self.profile_key = (self.footprint_key, t, level)
+        self.timing = t
+        self.n_pims = len(fp.work)
+        self.crit_blocks = fp.blocks_per_pim[fp.critical_pim]
+        self.crit_cols = fp.cols_per_pim[fp.critical_pim]
+        self.max_group_cols = fp.max_group_cols
+        self.total_cols = fp.total_cols
+        self.slices = unit.slices_per_unit
+        self.cadence = float(unit.cadence(t))
+        self.blocks_per_row = config.geometry.blocks_per_row
+        self.cover = float(unit.pipeline_depth)  # the AGEN's run-ahead credit
+        # Residual row-miss cost: StepStone pre-activates upcoming rows,
+        # hiding all but (penalty - pipeline) cycles; the naive generator
+        # cannot run ahead and pays the full penalty.
+        self.per_miss = {
+            "stepstone": max(0.0, t.row_miss_penalty - self.cover),
+            "naive": float(t.row_miss_penalty),
+        }
+        self.refresh = 1.0 / (1.0 - t.refresh_overhead)
+        self.launch_cycles = dma.kernel_launch_cycles
+        self.channels = max(1, config.channels)
+        chan_bw = dma.bytes_per_cycle_per_channel * config.channels
+        self.offchip = {  # (bandwidth, per-block cost): the DMA engine, or CPU cores
+            "stepstone": (chan_bw, dma.per_block_overhead_cycles),
+            "echo": (chan_bw * dma.cpu_efficiency, dma.cpu_per_block_overhead_cycles),
+        }
+        # _lower_bound: one launch per active PIM, and the fastest CAS spacing.
+        self.launch_floor = self.n_pims * dma.kernel_launch_cycles / self.channels
+        self.cadence_floor = (
+            self.cadence
+            if level is PimLevel.BANKGROUP
+            else float(min(t.tCCDS, t.tCCDL, t.tBL + t.tRTRS))
+        )
+
+    def footprint(self) -> FootprintWork:
+        """The footprint record, read through the ``footprint`` memo."""
+        return _footprint(*self._footprint_args)[1]
+
+
+def _plan_candidate(config: StepStoneConfig, plan: GemmPlan) -> _Candidate:
+    """The pricing candidate of an existing plan (its unit, base and subset)."""
+    fa = plan.analysis
+    return _Candidate(
+        config, fa.mapping, plan.level, plan.unit, plan.shape.m, plan.shape.k, fa.base,
+        fa.pinned_id_bits,
+    )
+
+
 def _gemm_phase_cycles(
-    config: StepStoneConfig,
-    plan: GemmPlan,
-    agen: str,
-    naive_full_gaps: bool,
+    cand: _Candidate, fp: FootprintWork, n: int, agen: str, naive_full_gaps: bool
 ) -> tuple[float, float]:
     """(cycles, bubble_stall) of the GEMM phase on the critical PIM.
 
     The per-group profiles are N-independent and come from the
     ``profile`` memo; this is the O(groups) N-dependent evaluation.
     """
-    t = config.timing
-    u = plan.unit
+    t = cand.timing
     profile = PRICING_MEMO.lookup(
-        "profile", (plan.footprint_key, t, u.level), lambda: _gemm_profile(t, plan)
+        "profile", cand.profile_key, lambda: _gemm_profile(t, fp, cand.unit)
     )
-    compute = u.compute_cycles_per_block(plan.shape.n)
+    compute = cand.unit.compute_cycles_per_block(n)
     compute_den = float(compute).as_integer_ratio()[1]
-    lookahead_cover = float(u.pipeline_depth)
-    if agen == "stepstone":
-        per_miss = max(0.0, t.row_miss_penalty - lookahead_cover)
-    else:
-        per_miss = float(t.row_miss_penalty)
+    lookahead_cover = cand.cover
+    per_miss = cand.per_miss[agen]
     total = 0.0
     stall = 0.0
     for gp in profile:
@@ -346,10 +426,18 @@ def _gemm_phase_cycles(
         # Every value is a multiple of 1/den; while the group total stays
         # below 2**53 such units, every partial sum is exact in any order,
         # so one row's sum -- count * max(value, compute) over the cadence
-        # histogram -- times n_rows equals the sum of the tiled walk.
+        # histogram -- times n_rows equals the sum of the tiled walk.  That
+        # row sum is the stored cadence sum when no value is below the SIMD
+        # time, and n_cols * compute (exact too) when none is above it.
         den = max(gp.cadence_den, compute_den)
         if gp.n_blk * max(gp.cadence_max, compute) * den < 2.0**53:
-            group_sum = gp.n_rows * sum(k * max(v, compute) for v, k in gp.cadence_hist)
+            if compute <= gp.cadence_min:
+                row_sum = gp.cadence_sum
+            elif compute >= gp.cadence_max:
+                row_sum = len(gp.cadence) * compute
+            else:
+                row_sum = sum(k * max(v, compute) for v, k in gp.cadence_hist)
+            group_sum = gp.n_rows * row_sum
         else:
             if base is None:
                 base = np.tile(np.maximum(gp.cadence, compute), gp.n_rows)
@@ -358,35 +446,110 @@ def _gemm_phase_cycles(
         stall += group_stall
 
         # Residual row-buffer miss penalties.  A miss happens only when a
-        # bank is revisited with a *different* row open, so track per-bank
-        # last-seen rows over two consecutive group rows and count the
-        # steady-state misses of the second.  The deep pipeline lets
-        # StepStone pre-activate upcoming rows, hiding all but
-        # (penalty - pipeline) cycles; the naive generator cannot run ahead
-        # and pays the full penalty.
+        # bank is revisited with a *different* row open, so the profile
+        # counts the steady-state misses of a group's second row walk.
         total += gp.crossings * per_miss
     # Refresh steals a fixed fraction of PIM-visible time.
-    total *= 1.0 / (1.0 - t.refresh_overhead)
+    total *= cand.refresh
     return total, stall
 
 
-def _offchip_cycles(
-    config: StepStoneConfig, flow: str, loc_words: int, red_words: int
-) -> Tuple[float, float, float, float]:
-    """``(localization, reduction, loc_blocks, red_blocks)``: the channel
-    transfers of the DMA engine, or of the CPU cores for eCHO."""
-    dma = config.dma
-    chan_bw = dma.bytes_per_cycle_per_channel * config.channels
-    loc_bytes = loc_words * config.word_bytes
-    red_bytes = red_words * config.word_bytes
+def _offchip_cycles(cand: _Candidate, n: int, flow: str) -> Tuple[float, float, float, float]:
+    """``(localization, reduction, loc_blocks, red_blocks)`` at batch ``n``:
+    the channel transfers of the DMA engine, or of the CPU cores for eCHO.
+
+    Localization replicates B into every (PIM, group) region (K x N words
+    per group, spread over the PIMs owning its columns); reduction reads
+    every active PIM's M x N partial and writes the final C.
+    """
+    bw, per_block = cand.offchip[flow]
+    loc_bytes = cand.total_cols * 16 * n * cand.word_bytes
+    red_bytes = cand.m * n * (cand.n_pims + 1) * cand.word_bytes
     loc_blocks = loc_bytes / 64.0
     red_blocks = red_bytes / 64.0
-    if flow == "stepstone":
-        bw, per_block = chan_bw, dma.per_block_overhead_cycles
-    else:
-        bw, per_block = chan_bw * dma.cpu_efficiency, dma.cpu_per_block_overhead_cycles
     localization = loc_bytes / bw + loc_blocks * per_block
     return localization, red_bytes / bw + red_blocks * per_block, loc_blocks, red_blocks
+
+
+#: :func:`_price`'s result: ``(total, gemm, fill_b, fill_c, localization,
+#: reduction, bubble_stall, kernel_launches, offchip_blocks, fill_c_blocks)``.
+Priced = Tuple[float, float, float, float, float, float, float, int, float, float]
+
+
+def _price(
+    cand: _Candidate,
+    n: int,
+    part: Partition,
+    agen: str = "stepstone",
+    flow: str = "stepstone",
+    naive_full_gaps: bool = True,
+    launch_delay_cycles: float = 0.0,
+) -> Priced:
+    """Cycles of one candidate at batch ``n`` under partitioning ``part``.
+
+    The one home of the per-width timing arithmetic: the GEMM phase,
+    buffer fill and drain streams, localization and reduction, launches,
+    and their sum in :attr:`LatencyBreakdown.total` order.  Reads the
+    footprint record and its profile through the memo.
+    """
+    fp = cand.footprint()
+    _, cpart, n_rparts, _, direct = part
+    gemm, stall = _gemm_phase_cycles(cand, fp, n, agen, naive_full_gaps)
+
+    m = cand.m
+    fill_b = fill_c = fill_c_blocks = 0.0
+    if not direct:
+        stream = (cand.timing, cand.cadence, cand.blocks_per_row)
+        fill_b = sequential_stream_cycles(float(cand.crit_cols * n * n_rparts), *stream)
+        fill_c_blocks = m * n * cand.slices / 16.0
+        fill_c = sequential_stream_cycles(fill_c_blocks, *stream)
+
+    localization, reduction, loc_blocks, red_blocks = _offchip_cycles(cand, n, flow)
+
+    launches = _kernel_launches(fp, flow, n_rparts, cpart)
+    # Launch packets serialize on the command channel; under contention each
+    # also waits `launch_delay_cycles`.  For the long-running StepStone
+    # kernel this is negligible; for eCHO's per-dot kernels it is the
+    # dominant §V-G effect.  Launches are spread over active PIMs but the
+    # command channel is shared, so the critical path sees the full stream.
+    launch = launches * (cand.launch_cycles + launch_delay_cycles)
+    launch /= cand.channels
+    gemm += launch
+
+    total = gemm + fill_b + fill_c + fill_c + localization + reduction
+    return (
+        total, gemm, fill_b, fill_c, localization, reduction, stall, launches,
+        loc_blocks + red_blocks, fill_c_blocks,
+    )
+
+
+def _result(plan: GemmPlan, priced: Priced, agen: str, flow: str) -> GemmResult:
+    """The :class:`GemmResult` of a plan priced by :func:`_price`."""
+    _, gemm, fill_b, fill_c, localization, reduction, stall, launches, offchip, fill_c_blocks = (
+        priced
+    )
+    # Fill traffic of every PIM, in closed form: each PIM's fill (C) is the
+    # same, and every term is a multiple of 1/16 far below 2**53, so this
+    # is exactly the per-PIM float sum.
+    fp, shape = plan.footprint, plan.shape
+    fill_blocks_all = 0.0
+    if not plan.direct_scratchpad:
+        fill_b_all = float(fp.total_cols * shape.n * plan.n_rparts)
+        fill_blocks_all = fill_b_all + 2 * plan.n_active_pims * fill_c_blocks
+    simd_macs = float(shape.m) * shape.k * shape.n
+    return GemmResult(
+        plan=plan,
+        breakdown=LatencyBreakdown(gemm, fill_b, fill_c, fill_c, localization, reduction),
+        agen=agen,
+        flow=flow,
+        bubble_stall_cycles=stall,
+        kernel_launches=launches,
+        pim_dram_blocks=float(fp.total_blocks) + fill_blocks_all,
+        offchip_blocks=offchip,
+        simd_mac_ops=simd_macs,
+        # Scratchpad: one read per operand pair per MAC plus C update traffic.
+        scratchpad_accesses=2.0 * simd_macs / plan.unit.simd_width,
+    )
 
 
 def execute_plan(
@@ -407,71 +570,18 @@ def execute_plan(
     delay (used by the colocation study, Fig. 13).
     """
     _check_modes(agen, flow)
-    t = config.timing
-    u = plan.unit
-    shape = plan.shape
-    cadence = float(u.cadence(t))
-    bpr = config.geometry.blocks_per_row
-
-    gemm_cycles, stall = _gemm_phase_cycles(config, plan, agen, naive_full_gaps)
-
-    pim = plan.max_blocks_pim
-    fill_b_blocks = plan.fill_b_blocks(pim)
-    fill_b = sequential_stream_cycles(
-        fill_b_blocks, t, cadence=cadence, blocks_per_row=bpr
-    ) if fill_b_blocks else 0.0
-    fill_c_blocks = plan.fill_c_blocks(pim)
-    fill_c = sequential_stream_cycles(
-        fill_c_blocks, t, cadence=cadence, blocks_per_row=bpr
-    ) if fill_c_blocks else 0.0
-    drain_c = fill_c
-
-    red_words = plan.reduction_read_words + plan.reduction_write_words
-    localization, reduction, loc_blocks, red_blocks = _offchip_cycles(
-        config, flow, plan.localization_write_words, red_words
+    part = (
+        plan.rpart_rows,
+        plan.cpart_blocks,
+        plan.n_rparts,
+        plan.scratchpad_c_fraction,
+        plan.direct_scratchpad,
     )
-
-    launches = plan.kernel_launches(flow)
-    # Launch packets serialize on the command channel; under contention each
-    # also waits `launch_delay_cycles`.  For the long-running StepStone
-    # kernel this is negligible; for eCHO's per-dot kernels it is the
-    # dominant §V-G effect.  Launches are spread over active PIMs but the
-    # command channel is shared, so the critical path sees the full stream.
-    launch_cycles = launches * (config.dma.kernel_launch_cycles + launch_delay_cycles)
-    launch_cycles /= max(1, config.channels)
-    gemm_cycles += launch_cycles
-
-    # Fill traffic of every PIM, in closed form: each PIM's fill (C) is the
-    # same, and every term is a multiple of 1/16 far below 2**53, so this
-    # is exactly the per-PIM float sum.
-    fp = plan.footprint
-    fill_blocks_all = 0.0
-    if not plan.direct_scratchpad:
-        fill_b_all = float(fp.total_cols * shape.n * plan.n_rparts)
-        fill_blocks_all = fill_b_all + 2 * plan.n_active_pims * fill_c_blocks
-    simd_macs = float(plan.shape.m) * plan.shape.k * plan.shape.n
-    # Scratchpad: one read per operand pair per MAC plus C update traffic.
-    scratch = 2.0 * simd_macs / u.simd_width
-
-    return GemmResult(
-        plan=plan,
-        breakdown=LatencyBreakdown(
-            gemm=gemm_cycles,
-            fill_b=fill_b,
-            fill_c=fill_c,
-            drain_c=drain_c,
-            localization=localization,
-            reduction=reduction,
-        ),
-        agen=agen,
-        flow=flow,
-        bubble_stall_cycles=stall,
-        kernel_launches=launches,
-        pim_dram_blocks=float(fp.total_blocks) + fill_blocks_all,
-        offchip_blocks=loc_blocks + red_blocks,
-        simd_mac_ops=simd_macs,
-        scratchpad_accesses=scratch,
+    priced = _price(
+        _plan_candidate(config, plan), plan.shape.n, part, agen, flow, naive_full_gaps,
+        launch_delay_cycles,
     )
+    return _result(plan, priced, agen, flow)
 
 
 def execute_gemm(

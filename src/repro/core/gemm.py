@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -59,8 +60,13 @@ class GemmShape:
     n: int
 
     def __post_init__(self) -> None:
-        if min(self.m, self.k, self.n) <= 0:
-            raise ValueError(f"all GEMM dimensions must be positive: {self}")
+        for name in ("m", "k", "n"):
+            v = getattr(self, name)
+            if type(v) is int and v >= 1:
+                continue  # the common case, without the slower ABC check
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise ValueError(f"GEMM dimension {name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a numpy integer
 
     @property
     def flops(self) -> float:
@@ -206,72 +212,96 @@ class GemmPlan:
         * ``echo``: one kernel per DOT-product row per (rpart, group, cpart)
           (Algorithm 1's eCHO branch).
         """
-        if flow == "stepstone":
-            return self.n_active_pims * self.n_rparts
-        if flow == "echo":
-            launches = 0
-            for items in self.work.values():
-                for w in items:
-                    n_cparts = max(1, math.ceil(w.n_cols / self.cpart_blocks))
-                    rows_per_rpart = max(1, math.ceil(w.n_rows / self.n_rparts))
-                    launches += self.n_rparts * n_cparts * rows_per_rpart
-            return launches
-        raise ValueError(f"unknown flow {flow!r}")
+        return _kernel_launches(self.footprint, flow, self.n_rparts, self.cpart_blocks)
+
+
+def _kernel_launches(fp: FootprintWork, flow: str, n_rparts: int, cpart_blocks: int) -> int:
+    """:meth:`GemmPlan.kernel_launches` of a footprint at one partitioning."""
+    if flow == "stepstone":
+        return len(fp.work) * n_rparts
+    if flow == "echo":
+        launches = 0
+        for items in fp.work.values():
+            for w in items:
+                n_cparts = max(1, math.ceil(w.n_cols / cpart_blocks))
+                rows_per_rpart = max(1, math.ceil(w.n_rows / n_rparts))
+                launches += n_rparts * n_cparts * rows_per_rpart
+        return launches
+    raise ValueError(f"unknown flow {flow!r}")
 
 
 class ScratchpadInfeasible(ValueError):
     """The batch cannot fit one C row plus one B column in the scratchpad."""
 
 
-def _choose_partitions(
-    shape: GemmShape,
-    unit: PimUnitConfig,
-    max_group_cols: int,
-    word_bytes: int,
-) -> Tuple[int, int, float]:
-    """Pick (rpart_rows, cpart_blocks, c_fraction) for the scratchpad.
+#: A partitioning: (rpart_rows, cpart_blocks, n_rparts, scratchpad C
+#: fraction, direct scratchpad).
+Partition = Tuple[int, int, int, float, bool]
 
-    Minimizes total B re-fill traffic (the only volume that scales with the
-    partition counts), breaking ties toward fewer kernel iterations (larger
-    column tiles).  Searches C-buffer fractions in eighths, as the paper's
-    two-buffer search does.
+
+def _partition(
+    unit: PimUnitConfig, m: int, n: int, max_group_cols: int, word_bytes: int
+) -> Partition:
+    """The scratchpad partitioning of a padded M-row footprint at batch N.
+
+    Searches C-buffer fractions in eighths, as the paper's two-buffer
+    search does, for the fewest row passes (B re-fill traffic scales with
+    them), then the fewest column tiles, then the largest row tile; the
+    smallest fraction wins exact ties.  Row tiles grow and column tiles
+    shrink with the fraction, so each criterion holds on a run of eighths,
+    found by a short scan from the right end.  When the widest group's B
+    tile plus the full C partial fit per slice, the small-matrix
+    direct-scratchpad path (§III-E) skips DRAM staging.
     """
-    sp = unit.scratchpad_bytes
-    c_bytes_per_row = shape.n * word_bytes
-    b_bytes_per_colblock = unit.words_per_block_per_slice * shape.n * word_bytes
-    best: Optional[Tuple[float, float, int, int, float]] = None
-    for eighths in range(1, 8):
-        f = eighths / 8.0
-        rpart = min(shape.m, int(f * sp // c_bytes_per_row))
-        cpart = min(max_group_cols, int((1 - f) * sp // b_bytes_per_colblock))
-        if rpart < 1 or cpart < 1:
-            continue
-        n_rparts = math.ceil(shape.m / rpart)
-        refill_cost = n_rparts  # B volume scales linearly with passes
-        n_cparts = math.ceil(max_group_cols / cpart)
-        key = (refill_cost, n_cparts, -rpart)
-        if best is None or key < best[:3]:
-            best = (refill_cost, n_cparts, -rpart, cpart, f)
-    if best is None:
+    sp, mgc = unit.scratchpad_bytes, max_group_cols
+    wpb = unit.words_per_block_per_slice
+    c_row8 = 8 * n * word_bytes
+    b_col8 = 8 * wpb * n * word_bytes
+    # Eighth e holds e * sp // c_row8 C rows; the rest, (8 - e) * sp //
+    # b_col8 B column blocks.  lo is the first that holds a C row, hi the
+    # last that leaves a B column.
+    lo = max(1, -(-c_row8 // sp))
+    hi = min(7, 8 + (-b_col8 // sp))
+    if lo > hi:
         raise ScratchpadInfeasible(
-            f"batch {shape.n} cannot fit even one C row + one B column in a "
+            f"batch {n} cannot fit even one C row + one B column in a "
             f"{sp}-byte scratchpad at level {unit.level.short}; split N first"
         )
-    _, _, neg_rpart, cpart, f = best
-    return -neg_rpart, cpart, f
+
+    def rows(e: int) -> int:
+        return min(m, e * sp // c_row8)
+
+    def col_tiles(e: int) -> int:
+        return -(-mgc // min(mgc, (8 - e) * sp // b_col8))
+
+    # The fewest row passes: from e_a up to hi.
+    e_a, n_rparts = hi, -(-m // rows(hi))
+    while e_a > lo and -(-m // rows(e_a - 1)) == n_rparts:
+        e_a -= 1
+    # Among those, the fewest column tiles: from e_a up to e_b.
+    e_b, n_cparts = e_a, col_tiles(e_a)
+    while e_b < hi and col_tiles(e_b + 1) == n_cparts:
+        e_b += 1
+    # Among those, the largest row tile, first reached at e.
+    rpart, e = rows(e_b), e_a
+    while rows(e) < rpart:
+        e += 1
+    if mgc * wpb * n * word_bytes + m * n * word_bytes <= sp:
+        return m, mgc, 1, e / 8.0, True
+    return rpart, min(mgc, (8 - e) * sp // b_col8), n_rparts, e / 8.0, False
 
 
 def _footprint_work(
     mapping: XORAddressMapping,
     level: PimLevel,
-    padded: GemmShape,
+    m: int,
+    k: int,
     base: int,
     word_bytes: int,
     pinned_id_bits: int,
 ) -> FootprintWork:
-    """The N-independent half of a plan, from the footprint's
+    """The N-independent half of a plan, from the padded M x K footprint's
     (group x PIM) column counts."""
-    m, k = padded.m, padded.k
     codes_key = (mapping.hardware_key, m, k, base, word_bytes)
     analysis = FootprintAnalysis(
         mapping, level, m, k, base=base, word_bytes=word_bytes, pinned_id_bits=pinned_id_bits,
@@ -303,13 +333,12 @@ def _footprint_work(
     )
 
 
-def _footprint(config, mapping, padded, level, base, pinned) -> Tuple[Tuple, FootprintWork]:
-    """``(memo key, record)`` of one padded footprint, the record read
+def _footprint(mapping, level, m, k, base, word_bytes, pinned) -> Tuple[Tuple, FootprintWork]:
+    """``(memo key, record)`` of one padded M x K footprint, the record read
     through the ``footprint`` memo."""
-    wb = config.word_bytes
-    key = (mapping.hardware_key, level, padded.m, padded.k, base, wb, pinned)
+    key = (mapping.hardware_key, level, m, k, base, word_bytes, pinned)
     fp = PRICING_MEMO.lookup(
-        "footprint", key, lambda: _footprint_work(mapping, level, padded, base, wb, pinned)
+        "footprint", key, lambda: _footprint_work(mapping, level, m, k, base, word_bytes, pinned)
     )
     return key, fp
 
@@ -333,21 +362,9 @@ def plan_gemm(
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
-    key, fp = _footprint(config, mapping, padded, level, base, pinned_id_bits)
-    max_group_cols = fp.max_group_cols
-    rpart, cpart, frac = _choose_partitions(padded, u, max_group_cols, config.word_bytes)
-    n_rparts = math.ceil(padded.m / rpart)
-
-    # Small-matrix direct-scratchpad path (§III-E): B tile of the largest
-    # group plus the full C partial fit per slice -> skip DRAM staging.
-    b_bytes = max_group_cols * u.words_per_block_per_slice * padded.n * config.word_bytes
-    c_bytes = padded.m * padded.n * config.word_bytes
-    direct = (b_bytes + c_bytes) <= u.scratchpad_bytes
-
-    if direct:
-        rpart, n_rparts = padded.m, 1
-        cpart = max_group_cols
-
+    m, k, wb = padded.m, padded.k, config.word_bytes
+    key, fp = _footprint(mapping, level, m, k, base, wb, pinned_id_bits)
+    rpart, cpart, n_rparts, frac, direct = _partition(u, m, padded.n, fp.max_group_cols, wb)
     return GemmPlan(
         shape=padded,
         orig_shape=shape,

@@ -4,7 +4,7 @@ Pricing one GEMM chunk walks its block groups and the AGEN's per-step
 iterations, but almost all of that work depends only on the *weight
 footprint* — mapping, PIM level, padded M x K, base and pinned ID bits —
 never on the batch N.  This memo keeps the N-independent halves once per
-process, in four named tables:
+process, in five named tables:
 
 * ``codes`` — per footprint shape (mapping, m, k, base, word size): the
   row and column code tables of :func:`repro.mapping.analysis.footprint_codes`,
@@ -16,8 +16,15 @@ process, in four named tables:
   columns, the critical PIM and the footprint totals
   (:func:`repro.core.gemm.plan_gemm`);
 * ``profile`` — per footprint, timing and level: the critical PIM's
-  per-group cadence rows, cadence histograms and row-miss counts
-  (:func:`repro.core.executor.execute_plan`);
+  per-group cadence rows, cadence histograms and row-miss counts, read
+  once per priced candidate (:func:`repro.core.executor._price`);
+* ``candidates`` — per (config, mapping, padded m, k) and search space
+  (levels, pinned-bit bound): one :class:`~repro.core.executor._Candidate`
+  per (level, pinned ID bits), holding every N-independent constant of
+  the bound and of the per-width evaluation (the footprint and profile
+  keys, critical-PIM blocks and columns, active PIMs, widest group, unit,
+  DMA, launch and refresh constants), so a new width of a known weight
+  shape starts from arithmetic (:func:`repro.core.scheduler.choose_execution`);
 * ``chunk`` — per (config, mapping, m, k, n): the seconds of one
   ``choose_execution`` chunk (:class:`repro.serving.scheduler.BatchServer`).
 
@@ -50,7 +57,7 @@ __all__ = ["PricingMemo", "PRICING_MEMO"]
 class PricingMemo:
     """Named memo tables shared by every pricing call in the process."""
 
-    TABLES = ("codes", "footprint", "profile", "chunk")
+    TABLES = ("codes", "footprint", "profile", "candidates", "chunk")
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[Hashable, Any]] = {name: {} for name in self.TABLES}

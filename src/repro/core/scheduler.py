@@ -4,11 +4,14 @@ The paper: "a simple heuristic that estimates execution times and overheads
 based on available bandwidth and transferred data volumes works well."  Our
 estimator *is* the timing model, so the scheduler prices the candidate
 configurations — bank-group vs. device level, full vs. subset PIM activation
-— and picks the fastest.  That volume estimate is also an exact lower bound
-on each candidate's cycles, read from its ``footprint`` memo record with no
-per-width trace (:func:`_lower_bound`).  Candidates are priced in bound
-order, and the search stops once the next bound exceeds the best price, so
-the result is the exhaustive scan's.  This implements both §III-E knobs:
+— and picks the fastest.  The candidates of a weight shape come from the
+``candidates`` memo table, each holding every N-independent constant of
+its pricing, so a new batch width is arithmetic: an exact lower bound on
+each candidate's cycles (the volume estimate, :func:`_lower_bound`), then
+the per-width evaluator (:func:`repro.core.executor._price`) in bound
+order until the next bound exceeds the best price, so the result is the
+exhaustive scan's.  Only the winner gets a plan and a result, and only
+when its ``result`` is read.  This implements both §III-E knobs:
 
 * **Choosing the PIM level** (StepStone-BG wins for N <= ~16, StepStone-DV
   beyond — Fig. 6/8 behaviour, e.g. XLM switching levels as its sequence
@@ -21,12 +24,21 @@ the result is the exhaustive scan's.  This implements both §III-E knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import Sequence, Tuple
 
 from repro.core.config import StepStoneConfig
-from repro.core.executor import GemmResult, _check_modes, _offchip_cycles, execute_gemm
-from repro.core.gemm import FootprintWork, GemmShape, ScratchpadInfeasible, _footprint
+from repro.core.executor import (
+    GemmResult,
+    _Candidate,
+    _check_modes,
+    _offchip_cycles,
+    _price,
+    _result,
+)
+from repro.core.gemm import GemmPlan, GemmShape, ScratchpadInfeasible, _partition
+from repro.core.memo import PRICING_MEMO
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 from repro.obs.telemetry import BUS
 
@@ -57,6 +69,37 @@ class PimChoice:
         )
 
 
+class _SearchedChoice(PimChoice):
+    """:func:`choose_execution`'s choice: the price is known when the search
+    ends, and the result (plan, breakdown, energy volumes) is built on its
+    first read, so a caller that needs only ``cycles`` builds neither."""
+
+    def __init__(self, level: PimLevel, pinned_id_bits: int, cycles: float, build) -> None:
+        self.level, self.pinned_id_bits = level, pinned_id_bits
+        self._cycles, self._build = cycles, build
+
+    @cached_property
+    def result(self) -> GemmResult:
+        return self._build()
+
+    @property
+    def cycles(self) -> float:
+        return self._cycles
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PimChoice):
+            return NotImplemented
+        return (self.level, self.pinned_id_bits, self.result) == (
+            other.level,
+            other.pinned_id_bits,
+            other.result,
+        )
+
+    def __reduce__(self):
+        # Pickled and copied as the plain choice, its result built.
+        return PimChoice, (self.level, self.pinned_id_bits, self.result)
+
+
 #: Bounds are shaved by this relative margin.  A bound and its priced total
 #: add their terms in different orders (the GEMM term is one product here, a
 #: sum over groups there), so each lies a few dozen 2**-53 roundings from its
@@ -64,9 +107,9 @@ class PimChoice:
 _SHAVE = 1.0 - 2.0**-30
 
 
-def _lower_bound(config, fp: FootprintWork, padded: GemmShape, level: PimLevel, flow) -> float:
-    """A lower bound on ``execute_plan(...).breakdown.total`` for every plan
-    of ``fp`` at ``padded`` (the Table II unit, no launch delay).
+def _lower_bound(cand: _Candidate, n: int, flow: str) -> float:
+    """A lower bound on the priced cycles of every plan of ``cand`` at
+    batch ``n`` (the Table II unit, no launch delay).
 
     Localization and reduction are exact; launches count one kernel per
     active PIM (``n_rparts >= 1``, and eCHO launches at least as many); the
@@ -74,16 +117,25 @@ def _lower_bound(config, fp: FootprintWork, padded: GemmShape, level: PimLevel, 
     per block before refresh.  Fill, stall and row-miss terms are
     non-negative and left out.
     """
-    t, u = config.timing, config.unit(level)
-    m, n, n_pims = padded.m, padded.n, len(fp.work)
-    localization, reduction, _, _ = _offchip_cycles(
-        config, flow, fp.total_cols * 16 * n, m * n * (n_pims + 1)
-    )
-    launch = n_pims * config.dma.kernel_launch_cycles / max(1, config.channels)
-    floor = u.cadence(t) if level is PimLevel.BANKGROUP else min(t.tCCDS, t.tCCDL, t.tBL + t.tRTRS)
-    per_block = max(u.compute_cycles_per_block(n), float(floor))
-    gemm = fp.blocks_per_pim[fp.critical_pim] * per_block * (1.0 / (1.0 - t.refresh_overhead))
-    return (gemm + launch + localization + reduction) * _SHAVE
+    localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
+    per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
+    gemm = cand.crit_blocks * per_block * cand.refresh
+    return (gemm + cand.launch_floor + localization + reduction) * _SHAVE
+
+
+def _candidates(config, mapping, m, k, levels, max_pinned_bits) -> Tuple[_Candidate, ...]:
+    """The candidates of one search space over a padded M x K footprint, in
+    index order, read through the ``candidates`` memo."""
+
+    def build():
+        return tuple(
+            _Candidate(config, mapping, level, config.unit(level), m, k, 0, pinned)
+            for level in levels
+            for pinned in range(min(max_pinned_bits + 1, len(mapping.pim_id_masks(level))))
+        )
+
+    key = (config.hardware_key, mapping.hardware_key, m, k, levels, max_pinned_bits)
+    return PRICING_MEMO.lookup("candidates", key, build)
 
 
 def choose_execution(
@@ -106,7 +158,8 @@ def choose_execution(
     arguments (an unknown ``agen`` or ``flow``, an empty or
     non-``PimLevel`` ``levels``, a negative or non-integer
     ``max_pinned_bits``) are named before any pricing; any other error (a
-    malformed footprint) propagates unchanged.
+    malformed footprint) propagates unchanged.  The winner's plan and
+    result are built on the first read of ``result``.
     """
     _check_modes(agen, flow)
     levels = tuple(levels)
@@ -116,32 +169,47 @@ def choose_execution(
         raise ValueError(f"max_pinned_bits must be an integer, got {max_pinned_bits!r}")
     if max_pinned_bits < 0:
         raise ValueError(f"max_pinned_bits must be non-negative, got {max_pinned_bits}")
-    candidates = []
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
-    for level in levels:
-        n_id_bits = len(mapping.pim_id_masks(level))
-        for pinned in range(0, min(max_pinned_bits + 1, n_id_bits)):
-            _, fp = _footprint(config, mapping, padded, level, 0, pinned)
-            bound = _lower_bound(config, fp, padded, level, flow)
-            candidates.append((bound, len(candidates), level, pinned))
-    candidates.sort()
-    best: Optional[PimChoice] = None
+    m, n = padded.m, padded.n
+    cands = _candidates(config, mapping, m, padded.k, levels, max_pinned_bits)
+    order = sorted((_lower_bound(cand, n, flow), index) for index, cand in enumerate(cands))
+    best = None
     best_index = n_priced = 0
-    for bound, index, level, pinned in candidates:
-        if best is not None and bound > best.cycles:
+    for bound, index in order:
+        if best is not None and bound > best[0][0]:
             break  # every later bound is at least as large
         n_priced += 1
+        cand = cands[index]
         try:
-            res = execute_gemm(
-                config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned
-            )
+            part = _partition(cand.unit, m, n, cand.max_group_cols, cand.word_bytes)
         except ScratchpadInfeasible:
             continue  # batch too large for this level's scratchpad
-        if best is None or (res.breakdown.total, index) < (best.cycles, best_index):
-            best, best_index = PimChoice(level, pinned, res), index
+        priced = _price(cand, n, part, agen, flow)
+        if best is None or (priced[0], index) < (best[0][0], best_index):
+            best, best_index = (priced, cand, part), index
     if BUS.enabled:
-        for i, (_, _, level, _) in enumerate(candidates):
-            BUS.inc("pricing.search." + ("priced" if i < n_priced else "pruned"), level=level.short)
+        for i, (_, index) in enumerate(order):
+            level = cands[index].level.short
+            BUS.inc("pricing.search." + ("priced" if i < n_priced else "pruned"), level=level)
     if best is None:
         raise ValueError(f"no feasible PIM configuration for {shape}")
-    return best
+    priced, cand, part = best
+
+    def build() -> GemmResult:
+        rpart, cpart, n_rparts, frac, direct = part
+        plan = GemmPlan(
+            shape=padded,
+            orig_shape=shape,
+            level=cand.level,
+            unit=cand.unit,
+            footprint=cand.footprint(),
+            rpart_rows=rpart,
+            cpart_blocks=cpart,
+            n_rparts=n_rparts,
+            scratchpad_c_fraction=frac,
+            direct_scratchpad=direct,
+            footprint_key=cand.footprint_key,
+        )
+        return _result(plan, priced, agen, flow)
+
+    return _SearchedChoice(cand.level, cand.pinned, priced[0], build)

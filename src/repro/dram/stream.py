@@ -15,6 +15,7 @@ the command-level controller on randomized traces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,7 +196,7 @@ def sequential_stream_cycles(
         return 0.0
     if cadence is None:
         cadence = float(t.tCCDS)
-    rows = max(1.0, np.ceil(n_blocks / blocks_per_row))
+    rows = max(1.0, math.ceil(n_blocks / blocks_per_row))
     hidden = (blocks_per_row - 1) * cadence
     per_miss = max(0.0, t.row_miss_penalty - hidden)
     total = n_blocks * cadence + rows * per_miss + t.tRCD + t.tCL + t.tBL

@@ -98,7 +98,7 @@ class BatchServer:
         chunks executed back to back (the §V-B splitting policy)."""
         _check_batch("batch", n)
         full, rem = divmod(n, self.max_pim_batch)
-        t = full * self._pim_chunk_seconds(m, k, self.max_pim_batch)
+        t = full * self._pim_chunk_seconds(m, k, self.max_pim_batch) if full else 0.0
         if rem:
             t += self._pim_chunk_seconds(m, k, rem)
         return t

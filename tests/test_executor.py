@@ -199,7 +199,7 @@ class TestModeValidation:
         def no_work(*args, **kwargs):
             raise AssertionError("priced before validating its arguments")
 
-        monkeypatch.setattr(scheduler, "execute_gemm", no_work)
+        monkeypatch.setattr(scheduler, "_candidates", no_work)
         with pytest.raises(ValueError, match=msg):
             scheduler.choose_execution(cfg, sky, GemmShape(1024, 1024, 4), **kw)
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core import executor
 from repro.core.config import StepStoneConfig
-from repro.core.executor import _gemm_phase_cycles, _gemm_profile, _row_misses
+from repro.core.executor import _gemm_phase_cycles, _gemm_profile, _plan_candidate, _row_misses
 from repro.core.gemm import GemmShape, GroupWork, ScratchpadInfeasible, plan_gemm
 from repro.core.memo import PRICING_MEMO
 from repro.dram.timing import DDR4Timing
@@ -254,7 +254,7 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
 
     # The critical PIM's profile, field by field.
     t = TIMINGS[timing]
-    profile = _gemm_profile(t, plan)
+    profile = _gemm_profile(t, plan.footprint, plan.unit)
     want = _oracle_profile(t, plan.unit, fa, oracle)
     assert len(profile) == len(want)
     for gp, ref in zip(profile, want):
@@ -300,7 +300,7 @@ def _phase(config, level, n, monkeypatch, calls):
     monkeypatch.setattr(executor, "stepstone_iteration_counts", counting)
     PRICING_MEMO.clear()
     plan = plan_gemm(config, MAPPINGS["skylake"], GemmShape(1024, 1024, n), level)
-    return _gemm_phase_cycles(config, plan, "stepstone", True)
+    return _gemm_phase_cycles(_plan_candidate(config, plan), plan.footprint, n, "stepstone", True)
 
 
 def test_zero_stall_closed_form_engages_at_exactly_three_cycles(monkeypatch):

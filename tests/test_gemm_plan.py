@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.config import StepStoneConfig
@@ -27,6 +28,31 @@ class TestShape:
     def test_invalid(self):
         with pytest.raises(ValueError):
             GemmShape(0, 3, 4)
+
+    @pytest.mark.parametrize(
+        "dims,field",
+        [
+            ((1024, 1024, 2.5), "n"),  # a fractional batch
+            ((1024, 1024, True), "n"),  # a bool is not a batch of 1
+            ((1024, 1024, math.nan), "n"),
+            ((1024.0, 1024, 4), "m"),  # even an integral float
+            ((1024, -4, 4), "k"),
+            ((1024, 1024, 0), "n"),
+            ((1024, "1024", 4), "k"),
+            ((None, 1024, 4), "m"),
+            ((np.float64(8), 1024, 4), "m"),
+        ],
+    )
+    def test_bad_dimension_is_named(self, dims, field):
+        with pytest.raises(ValueError, match=f"GEMM dimension {field} must be a positive integer"):
+            GemmShape(*dims)
+
+    def test_numpy_integers_are_accepted_as_ints(self, cfg, sky):
+        shape = GemmShape(np.int64(1000), np.int32(700), np.uint8(5))
+        assert shape == GemmShape(1000, 700, 5)
+        assert all(type(v) is int for v in (shape.m, shape.k, shape.n))
+        assert shape.padded() == GemmShape(1024, 1024, 5)
+        assert plan_gemm(cfg, sky, shape, PimLevel.BANKGROUP).shape.n == 5
 
     def test_padding_rounds_up(self):
         p = GemmShape(100, 1000, 5).padded()

@@ -263,3 +263,30 @@ def test_no_module_is_first_imported_inside_a_run():
     out = run_fresh(code)
     for run, modules in out.items():
         assert set(modules) <= FIRST_FAST_RUN, (run, modules)
+
+
+def serving_closure():
+    """``(modules, source lines)`` of the ``repro`` modules the serving
+    stack's public imports load."""
+    files = run_fresh(
+        SERVING_IMPORTS
+        + "import json, sys\n"
+        + "print(json.dumps(sorted(sys.modules[m].__file__ for m in "
+        + LOADED
+        + ")))"
+    )
+    return len(files), sum(len(pathlib.Path(f).read_text().splitlines()) for f in files)
+
+
+def test_serving_closure_size_is_reported(record_property):
+    """Every source line of the closure is compiled at cold start (about
+    5.5 us a line under ``-B``).  Reported, not gated: CI prints it in
+    the cold-import step (``python tests/test_imports.py``)."""
+    modules, lines = serving_closure()
+    record_property("serving_closure_modules", modules)
+    record_property("serving_closure_lines", lines)
+    assert modules > 1 and lines > 0
+
+
+if __name__ == "__main__":
+    print("serving closure: {} repro modules, {} source lines".format(*serving_closure()))

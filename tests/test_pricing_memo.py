@@ -12,6 +12,7 @@ an O(groups) per-N evaluation.  These tests pin the contract:
 * hits and misses are counted on the telemetry bus only while it is on.
 """
 
+import copy
 import itertools
 import pickle
 from dataclasses import replace
@@ -25,7 +26,7 @@ from repro.core.config import StepStoneConfig
 from repro.core.executor import execute_gemm
 from repro.core.gemm import GemmShape, ScratchpadInfeasible, plan_gemm
 from repro.core.memo import PRICING_MEMO
-from repro.core.scheduler import choose_execution
+from repro.core.scheduler import PimChoice, choose_execution
 from repro.core.system import StepStoneSystem
 from repro.dram.timing import DDR4Timing
 from repro.mapping.presets import make_skylake, mapping_by_id
@@ -189,7 +190,7 @@ def _reference_gemm_phase(config, plan, agen, naive_full_gaps):
 @pytest.mark.parametrize("mapping_name", MAPPINGS)
 @pytest.mark.parametrize("level", list(PimLevel))
 def test_gemm_phase_matches_per_access_reference(cfg, mapping_name, level):
-    from repro.core.executor import _gemm_phase_cycles
+    from repro.core.executor import _gemm_phase_cycles, _plan_candidate
 
     mapping = MAPPINGS[mapping_name]()
     # A cadence below 3 cycles and a non-power-of-two SIMD width take the
@@ -202,7 +203,8 @@ def test_gemm_phase_matches_per_access_reference(cfg, mapping_name, level):
         except ScratchpadInfeasible:
             continue
         for agen, full_gaps in (("stepstone", True), ("naive", True), ("naive", False)):
-            got = _gemm_phase_cycles(c, plan, agen, full_gaps)
+            cand = _plan_candidate(c, plan)
+            got = _gemm_phase_cycles(cand, plan.footprint, n, agen, full_gaps)
             assert got == _reference_gemm_phase(c, plan, agen, full_gaps), (m, k, n, agen)
 
 
@@ -279,6 +281,47 @@ def test_chunk_memo_matches_choose_execution(cfg):
     for n in (1, 5, 32):
         expected = choose_execution(cfg, sky, GemmShape(1024, 4096, n)).cycles / 1.2e9
         assert srv.pim_latency(1024, 4096, n) == expected
+
+
+def test_choice_builds_its_result_only_when_read(cfg, monkeypatch):
+    from repro.core import scheduler
+
+    built = []
+    real = scheduler._result
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scheduler, "_result", counting)
+    sky = make_skylake()
+    PRICING_MEMO.clear()
+    # A chunk price reads only cycles: no plan or result is built.
+    BatchServer(StepStoneSystem(config=cfg, mapping=sky)).pim_latency(1024, 4096, 40)
+    assert built == []
+    choice = choose_execution(cfg, sky, GemmShape(1024, 4096, 8))
+    cycles = choice.cycles
+    assert built == []
+    assert choice.result is choice.result and len(built) == 1
+    assert cycles == choice.result.breakdown.total == choice.result.cycles
+    plan = choice.result.plan
+    assert (plan.level, plan.orig_shape, plan.shape.n) == (choice.level, GemmShape(1024, 4096, 8), 8)
+    direct = execute_gemm(
+        cfg, sky, GemmShape(1024, 4096, 8), choice.level, pinned_id_bits=choice.pinned_id_bits
+    )
+    assert _fields(direct) == _fields(choice.result)
+    # It equals, copies and pickles like the plain choice.
+    plain = PimChoice(choice.level, choice.pinned_id_bits, choice.result)
+    assert choice == plain and plain == choice
+    assert plain != PimChoice(choice.level, choice.pinned_id_bits + 1, choice.result) != choice
+    for twin in (copy.deepcopy(choice), pickle.loads(pickle.dumps(choice))):
+        assert type(twin) is PimChoice
+        assert (twin.level, twin.pinned_id_bits, twin.cycles) == (
+            choice.level,
+            choice.pinned_id_bits,
+            choice.cycles,
+        )
+        assert _fields(twin.result) == _fields(choice.result)
 
 
 def test_clear_drops_the_code_tables_so_cold_runs_stay_cold(cfg):

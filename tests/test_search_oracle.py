@@ -16,6 +16,7 @@ CI replays it under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StepStoneConfig
-from repro.core.executor import execute_gemm
-from repro.core.gemm import GemmShape, ScratchpadInfeasible
+from repro.core.executor import _plan_candidate, execute_gemm
+from repro.core.gemm import GemmShape, ScratchpadInfeasible, _partition
 from repro.core.memo import PRICING_MEMO
 from repro.core.scheduler import PimChoice, _lower_bound, choose_execution
 from repro.dram.timing import DDR4Timing
@@ -111,7 +112,7 @@ def test_bound_never_exceeds_the_price(args):
             except ScratchpadInfeasible:
                 continue
             plan = res.plan
-            assert _lower_bound(config, plan.footprint, plan.shape, level, flow) <= res.cycles
+            assert _lower_bound(_plan_candidate(config, plan), plan.shape.n, flow) <= res.cycles
 
 
 def test_pruned_candidates_build_no_profile():
@@ -163,7 +164,7 @@ def test_equal_cycles_go_to_the_earlier_candidate(config, mapping_id, shape, age
     )
     assert bg2.cycles == dv0.cycles
     bounds = [
-        _lower_bound(config, r.plan.footprint, r.plan.shape, r.plan.level, flow) for r in (bg2, dv0)
+        _lower_bound(_plan_candidate(config, r.plan), r.plan.shape.n, flow) for r in (bg2, dv0)
     ]
     assert bounds[0] > bounds[1]
     for levels, winner in (
@@ -182,3 +183,54 @@ def test_all_infeasible_raises_like_the_scan(mapping):
     with pytest.raises(ValueError, match="no feasible PIM configuration"):
         choose_execution(*args)
     assert _outcome(choose_execution, *args) == _outcome(exhaustive_choice, *args)
+
+
+def eighths_scan(unit, m, n, max_group_cols, word_bytes):
+    """The scratchpad partitioning as a scan of all seven C-buffer eighths:
+    the first least ``(row passes, column tiles, -row tile)`` wins, then
+    the direct-scratchpad test."""
+    sp = unit.scratchpad_bytes
+    c_bytes_per_row = n * word_bytes
+    b_bytes_per_colblock = unit.words_per_block_per_slice * n * word_bytes
+    best = None
+    for eighths in range(1, 8):
+        f = eighths / 8.0
+        rpart = min(m, int(f * sp // c_bytes_per_row))
+        cpart = min(max_group_cols, int((1 - f) * sp // b_bytes_per_colblock))
+        if rpart < 1 or cpart < 1:
+            continue
+        key = (math.ceil(m / rpart), math.ceil(max_group_cols / cpart), -rpart)
+        if best is None or key < best[:3]:
+            best = (*key, cpart, f)
+    if best is None:
+        raise ScratchpadInfeasible("infeasible")
+    n_rparts, _, neg_rpart, cpart, f = best
+    b_bytes = max_group_cols * unit.words_per_block_per_slice * n * word_bytes
+    if b_bytes + m * n * word_bytes <= unit.scratchpad_bytes:
+        return m, max_group_cols, 1, f, True
+    return -neg_rpart, cpart, n_rparts, f, False
+
+
+def _partition_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ScratchpadInfeasible:
+        return "infeasible"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    sp=st.one_of(st.integers(1, 1 << 20), st.integers(6, 18).map(lambda b: 1 << b)),
+    slices=st.sampled_from([1, 2, 4, 8, 16]),
+    m=_dim(14),
+    n=st.integers(1, 4096),
+    max_group_cols=st.integers(1, 4096),
+    word_bytes=st.sampled_from([2, 4, 8]),
+)
+def test_partition_scan_equals_eighths_scan(sp, slices, m, n, max_group_cols, word_bytes):
+    unit = replace(CFG.unit(PimLevel.BANKGROUP), scratchpad_bytes=sp, slices_per_unit=slices)
+    args = (unit, m, n, max_group_cols, word_bytes)
+    got = _partition_outcome(_partition, *args)
+    assert got == _partition_outcome(eighths_scan, *args)
+    if got != "infeasible":
+        assert all(type(v) is int for v in got[:3]) and type(got[3]) is float
