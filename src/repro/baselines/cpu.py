@@ -21,9 +21,8 @@ bandwidth"; the paper estimates it with StepStone-CH, and so do we (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.gemm import GemmShape
 
@@ -47,6 +46,25 @@ class CpuConfig:
     #: Fixed per-GEMM software overhead (dispatch, packing), seconds.
     overhead_s: float = 2.0e-6
 
+    def __post_init__(self) -> None:
+        # A NaN or non-positive rate would reach the kernel clock as a NaN
+        # or infinite service time.
+        for name in (
+            "cores", "clock_hz", "flops_per_cycle_per_core", "peak_bw_gbps",
+            "eff_bw_small_batch_gbps",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 < self.compute_efficiency <= 1.0:
+            raise ValueError(
+                f"compute_efficiency must be in (0, 1], got {self.compute_efficiency!r}"
+            )
+        for name in ("batch_degradation_per_sample", "overhead_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
     @property
     def peak_flops(self) -> float:
         return self.cores * self.clock_hz * self.flops_per_cycle_per_core
@@ -67,21 +85,16 @@ class CpuGemmModel:
         ``weights_in_memory=False`` models the (rare) cache-resident case by
         charging only the compute floor.
         """
-        compute_s, mem_s, floor_s = self._bounds(shape.m, shape.k, shape.n)
         if not weights_in_memory:
-            return compute_s + self.config.overhead_s
-        return max(compute_s, mem_s, floor_s) + self.config.overhead_s
+            return self._bounds(shape.m, shape.k, shape.n)[0] + self.config.overhead_s
+        return self.seconds(shape.m, shape.k, shape.n)
 
-    def gemm_seconds_many(self, m: int, k: int, ns: np.ndarray) -> np.ndarray:
-        """:meth:`gemm_seconds` of memory-resident ``GemmShape(m, k, n)``
-        for every positive ``n`` of the int array ``ns``, elementwise
-        bitwise (same float operations in the same order)."""
-        compute_s, mem_s, floor_s = self._bounds(m, k, ns)
-        return np.maximum(np.maximum(compute_s, mem_s), floor_s) + self.config.overhead_s
+    def seconds(self, m: int, k: int, n: int) -> float:
+        """:meth:`gemm_seconds` of a memory-resident (m, k, n) GEMM."""
+        return max(self._bounds(m, k, n)) + self.config.overhead_s
 
-    def _bounds(self, m, k, n):
-        """The compute, memory and peak-bandwidth time bounds of an
-        (m, k, n) GEMM; ``n`` may be an int array."""
+    def _bounds(self, m: int, k: int, n: int) -> tuple[float, float, float]:
+        """The compute, memory and peak-bandwidth bounds of an (m, k, n) GEMM."""
         c = self.config
         compute_s = 2.0 * m * k * n / (c.peak_flops * c.compute_efficiency)
         a_bytes = m * k * 4

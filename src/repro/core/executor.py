@@ -37,7 +37,9 @@ the histogram, and a zero AGEN stall whenever ``max(cadence_min,
 compute) >= 3``, and adds the fill, drain, off-chip and launch terms.
 The configuration search and :func:`execute_plan` both price through it;
 :func:`_result` adds the whole-footprint totals (blocks, fill traffic)
-from the shared footprint record in closed form.
+from the shared footprint record in closed form.  A candidate takes the
+footprint totals its bound needs from GF(2) ranks and reads the record
+only once priced, so a pruned candidate builds none.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from repro.core.gemm import (
     GemmShape,
     Partition,
     _footprint,
+    _footprint_key,
     _kernel_launches,
     plan_gemm,
 )
@@ -62,6 +65,7 @@ from repro.core.memo import PRICING_MEMO
 from repro.dram.stream import sequential_stream_cycles
 from repro.dram.timing import DDR4Timing
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
+from repro.utils.bits import gf2_rank
 
 __all__ = [
     "LatencyBreakdown",
@@ -315,10 +319,13 @@ class _Candidate:
     N-independent terms of :func:`repro.core.scheduler._lower_bound`.
     Searches keep candidates in the ``candidates`` memo, so a new batch
     width starts from here; :func:`_price` adds the N-dependent half.
+    The footprint totals are ranks of the PIM-ID vectors of its column
+    bits C and row bits R (DESIGN.md, "Footprint constants from ranks");
+    the record is built on the first :meth:`footprint` read.
     """
 
     __slots__ = (
-        "level", "pinned", "unit", "m", "word_bytes", "_footprint_args", "footprint_key",
+        "level", "pinned", "unit", "m", "word_bytes", "mapping", "footprint_key",
         "profile_key", "timing", "n_pims", "crit_blocks", "crit_cols", "max_group_cols",
         "total_cols", "slices", "cadence", "blocks_per_row", "cover", "per_miss", "refresh",
         "launch_cycles", "channels", "offchip", "launch_floor", "cadence_floor",
@@ -327,15 +334,23 @@ class _Candidate:
     def __init__(self, config, mapping, level, unit, m, k, base, pinned) -> None:
         t, dma, wb = config.timing, config.dma, config.word_bytes
         self.level, self.pinned, self.unit, self.m, self.word_bytes = level, pinned, unit, m, wb
-        self._footprint_args = (mapping, level, m, k, base, wb, pinned)
-        self.footprint_key, fp = _footprint(*self._footprint_args)
+        self.mapping = mapping
+        self.footprint_key = _footprint_key(mapping, level, m, k, base, wb, pinned)
         self.profile_key = (self.footprint_key, t, level)
         self.timing = t
-        self.n_pims = len(fp.work)
-        self.crit_blocks = fp.blocks_per_pim[fp.critical_pim]
-        self.crit_cols = fp.cols_per_pim[fp.critical_pim]
-        self.max_group_cols = fp.max_group_cols
-        self.total_cols = fp.total_cols
+        # The ID vectors of C, then R; the base only picks the coset.
+        bb, row_bytes = mapping.geometry.block_bytes, k * wb
+        lo, mid, hi = (x.bit_length() - 1 for x in (bb, row_bytes, m * row_bytes))
+        if hi > len(mapping._bit_codes):
+            raise ValueError("matrix exceeds DRAM capacity")
+        ids = [mapping.code_pim_ids(c, level, pinned) for c in mapping._bit_codes[lo:hi]]
+        d_c = mid - lo
+        r_c, r_r, r_cr = gf2_rank(ids[:d_c]), gf2_rank(ids[d_c:]), gf2_rank(ids)
+        self.n_pims = 1 << r_cr
+        self.crit_blocks = (m << d_c) >> r_cr
+        self.crit_cols = 1 << (r_r + d_c - r_cr)
+        self.max_group_cols = 1 << (d_c - r_c)
+        self.total_cols = 1 << (r_r + d_c)
         self.slices = unit.slices_per_unit
         self.cadence = float(unit.cadence(t))
         self.blocks_per_row = config.geometry.blocks_per_row
@@ -365,7 +380,7 @@ class _Candidate:
 
     def footprint(self) -> FootprintWork:
         """The footprint record, read through the ``footprint`` memo."""
-        return _footprint(*self._footprint_args)[1]
+        return _footprint(self.mapping, self.footprint_key)
 
 
 def _plan_candidate(config: StepStoneConfig, plan: GemmPlan) -> _Candidate:

@@ -9,8 +9,8 @@ executor needs:
   partitions so the B tile fits, with the B/C split chosen by a small search
   (§V-F "We search for an optimal allocation across the scratchpad
   partitioning options");
-* per-phase data volumes: localization writes, reduction reads/writes,
-  per-PIM buffer fill/drain traffic, GEMM block counts;
+* the footprint's GEMM block counts per PIM (the per-phase volumes are
+  priced per batch by :func:`repro.core.executor._price`);
 * kernel-launch counts for the long-running StepStone kernel vs. eCHO's
   per-dot-product invocations (Algorithm 1's two inner variants).
 
@@ -106,7 +106,6 @@ class FootprintWork:
     work: Dict[int, Tuple[GroupWork, ...]]  # pim -> its group work items
     max_group_cols: int  # widest group (at least 1)
     blocks_per_pim: Dict[int, int]  # GEMM blocks each PIM walks
-    cols_per_pim: Dict[int, int]  # block columns per row, summed over groups
     critical_pim: int  # the PIM with the most blocks (lowest ID on ties)
     total_cols: int  # block columns summed over every (PIM, group)
     total_blocks: int
@@ -139,7 +138,7 @@ class GemmPlan:
         return self.footprint.work
 
     # ------------------------------------------------------------------ #
-    # Derived volumes (words of fp32 unless noted)
+    # Derived counts
     # ------------------------------------------------------------------ #
 
     @property
@@ -160,23 +159,6 @@ class GemmPlan:
         return self.n_active_pims
 
     @property
-    def localization_write_words(self) -> int:
-        """DMA-written words replicating B into per-(PIM, group) regions.
-
-        Each group needs the full K x N input once, spread over the PIMs
-        owning its columns (Fig. 5), so the total is n_groups * K * N.
-        """
-        return self.footprint.total_cols * 16 * self.shape.n
-
-    @property
-    def reduction_read_words(self) -> int:
-        return self.shape.m * self.shape.n * self.n_partials
-
-    @property
-    def reduction_write_words(self) -> int:
-        return self.shape.m * self.shape.n
-
-    @property
     def gemm_blocks_per_pim(self) -> Dict[int, int]:
         """GEMM blocks per active PIM (shared, read-only)."""
         return self.footprint.blocks_per_pim
@@ -185,24 +167,6 @@ class GemmPlan:
     def max_blocks_pim(self) -> int:
         """The PIM with the most work (the makespan-critical unit)."""
         return self.footprint.critical_pim
-
-    def fill_b_blocks(self, pim: int) -> float:
-        """Cache blocks read from PIM-local DRAM to fill B tiles (total).
-
-        The B region of one group holds ``n_cols`` block-columns x 16 B-rows
-        x N words; it is re-filled once per row partition (row partitions
-        are the outer loop of Algorithm 1).
-        """
-        if self.direct_scratchpad:
-            return 0.0
-        return float(self.footprint.cols_per_pim[pim] * self.shape.n * self.n_rparts)
-
-    def fill_c_blocks(self, pim: int) -> float:
-        """Blocks read to fill C tiles across all row partitions (total)."""
-        if self.direct_scratchpad:
-            return 0.0
-        words = self.shape.m * self.shape.n * self.unit.slices_per_unit
-        return words / 16.0
 
     def kernel_launches(self, flow: str) -> int:
         """PIM kernel invocations issued over the command channel.
@@ -318,7 +282,6 @@ def _footprint_work(
         pims.tolist(), groups.tolist(), counts[groups, pims].tolist(), sizes[groups].tolist()
     ):
         work.setdefault(pim, []).append(GroupWork(pim, grp, n_cols, n_rows))
-    cols_per_id = counts.sum(axis=0).tolist()
     blocks_per_id = (sizes @ counts).tolist()
     blocks = {pim: blocks_per_id[pim] for pim in work}
     return FootprintWork(
@@ -326,21 +289,21 @@ def _footprint_work(
         work={pim: tuple(items) for pim, items in work.items()},
         max_group_cols=max(1, int(counts.max())),
         blocks_per_pim=blocks,
-        cols_per_pim={pim: cols_per_id[pim] for pim in work},
         critical_pim=max(blocks, key=blocks.__getitem__),
         total_cols=int(counts.sum()),
         total_blocks=sum(blocks.values()),
     )
 
 
-def _footprint(mapping, level, m, k, base, word_bytes, pinned) -> Tuple[Tuple, FootprintWork]:
-    """``(memo key, record)`` of one padded M x K footprint, the record read
-    through the ``footprint`` memo."""
-    key = (mapping.hardware_key, level, m, k, base, word_bytes, pinned)
-    fp = PRICING_MEMO.lookup(
-        "footprint", key, lambda: _footprint_work(mapping, level, m, k, base, word_bytes, pinned)
-    )
-    return key, fp
+def _footprint_key(mapping, level, m, k, base, word_bytes, pinned) -> Tuple:
+    """The ``footprint`` memo key of one padded M x K footprint."""
+    return (mapping.hardware_key, level, m, k, base, word_bytes, pinned)
+
+
+def _footprint(mapping: XORAddressMapping, key: Tuple) -> FootprintWork:
+    """The record of the footprint keyed ``key`` (:func:`_footprint_key`),
+    read through the ``footprint`` memo."""
+    return PRICING_MEMO.lookup("footprint", key, lambda: _footprint_work(mapping, *key[1:]))
 
 
 def plan_gemm(
@@ -363,7 +326,8 @@ def plan_gemm(
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
     m, k, wb = padded.m, padded.k, config.word_bytes
-    key, fp = _footprint(mapping, level, m, k, base, wb, pinned_id_bits)
+    key = _footprint_key(mapping, level, m, k, base, wb, pinned_id_bits)
+    fp = _footprint(mapping, key)
     rpart, cpart, n_rparts, frac, direct = _partition(u, m, padded.n, fp.max_group_cols, wb)
     return GemmPlan(
         shape=padded,

@@ -12,9 +12,9 @@ process, in five named tables:
   shared by every level and pinned-bit subset;
 * ``footprint`` — per footprint: one :class:`~repro.core.gemm.FootprintWork`
   record holding the :class:`~repro.mapping.analysis.FootprintAnalysis`,
-  the per-(PIM, group) work table, the widest group, per-PIM blocks and
-  columns, the critical PIM and the footprint totals
-  (:func:`repro.core.gemm.plan_gemm`);
+  the per-(PIM, group) work table, the widest group, per-PIM blocks, the
+  critical PIM and the footprint totals, built only for plans
+  (:func:`repro.core.gemm.plan_gemm`) and priced search candidates;
 * ``profile`` — per footprint, timing and level: the critical PIM's
   per-group cadence rows, cadence histograms and row-miss counts, read
   once per priced candidate (:func:`repro.core.executor._price`);
@@ -22,9 +22,11 @@ process, in five named tables:
   (levels, pinned-bit bound): one :class:`~repro.core.executor._Candidate`
   per (level, pinned ID bits), holding every N-independent constant of
   the bound and of the per-width evaluation (the footprint and profile
-  keys, critical-PIM blocks and columns, active PIMs, widest group, unit,
-  DMA, launch and refresh constants), so a new width of a known weight
-  shape starts from arithmetic (:func:`repro.core.scheduler.choose_execution`);
+  keys; critical-PIM blocks and columns, active PIMs, widest group and
+  total columns from three GF(2) ranks, without the footprint record;
+  unit, DMA, launch and refresh constants), so a new width of a known
+  weight shape starts from arithmetic
+  (:func:`repro.core.scheduler.choose_execution`);
 * ``chunk`` — per (config, mapping, m, k, n): the seconds of one
   ``choose_execution`` chunk (:class:`repro.serving.scheduler.BatchServer`).
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.bits import bits_of_mask, parity_u64
+from repro.utils.bits import bits_of_mask, gf2_rank, parity_u64
 
 __all__ = ["DRAMGeometry", "PimLevel", "XORAddressMapping", "FIELD_ORDER", "CODE_ORDER"]
 
@@ -225,17 +225,11 @@ class XORAddressMapping:
         n = self.geometry.address_bits
         if len(rows) != n:
             raise ValueError(f"mapping defines {len(rows)} output bits, expected {n}")
-        basis: List[int] = []
-        for r in rows:
-            cur = r
-            for b in basis:
-                cur = min(cur, cur ^ b)
-            if cur == 0:
-                raise ValueError(
-                    f"address mapping {self.name!r} is not invertible "
-                    "(output bits are linearly dependent)"
-                )
-            basis.append(cur)
+        if gf2_rank(rows) < n:
+            raise ValueError(
+                f"address mapping {self.name!r} is not invertible "
+                "(output bits are linearly dependent)"
+            )
 
     # ------------------------------------------------------------------ #
     # Evaluation (scalar and vectorized)

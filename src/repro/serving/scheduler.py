@@ -8,7 +8,8 @@ colocated tasks", which enables a *hybrid* dispatch: run part of a large
 batch on the CPU concurrently with the PIM sweep.
 
 This module implements both policies and the latency-constrained throughput
-search used by the §V-A claims.
+search used by the §V-A claims.  The hybrid split is a scalar scan: its
+few dozen shares at most cost less in Python than in numpy call overhead.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.baselines.cpu import CpuGemmModel
 from repro.core.gemm import GemmShape
@@ -174,10 +173,10 @@ class BatchServer:
 
         Searches CPU shares in PIM-chunk quanta and minimizes
         ``max(t_cpu(share), t_pim(n - share))`` — the §I colocation benefit
-        expressed as a scheduling policy.  Every share is evaluated in one
-        whole-array pass, bitwise what :meth:`cpu_latency` and
-        :meth:`pim_latency` give per share; ties go to the smallest CPU
-        share.
+        expressed as a scheduling policy.  Shares are scanned in ascending
+        order, priced bitwise as :meth:`cpu_latency` and :meth:`pim_latency`
+        price them; ties go to the smallest CPU share.  CPU time never falls
+        as its share grows, so the scan stops once it alone reaches the best.
         """
         _check_batch("batch", n)
         step = self.max_pim_batch
@@ -188,19 +187,18 @@ class BatchServer:
         shares = {0, n}
         shares.update(range(step, n, step))
         shares.update(n - j for j in range(step, n, step))
-        cpu = np.array(sorted(shares))
         # Every PIM share is whole chunks plus a remainder of 0 or
-        # n mod step, so two chunk prices cover the grid.
-        full, rem = np.divmod(n - cpu, step)
+        # n mod step, so two chunk prices cover every share.
         chunk_s = self._pim_chunk_seconds(m, k, step) if n >= step else 0.0
         rem_s = self._pim_chunk_seconds(m, k, n % step) if n % step else 0.0
-        t_pim = full * chunk_s + np.where(rem > 0, rem_s, 0.0)
-        busy = cpu > 0
-        t_cpu = np.zeros(len(cpu))
-        t_cpu[busy] = self.cpu.gemm_seconds_many(m, k, cpu[busy])
-        t = np.maximum(t_cpu, t_pim)
-        i = int(np.argmin(t))
-        cpu_share = int(cpu[i])
-        return HybridSplit(
-            cpu_batch=cpu_share, pim_batch=n - cpu_share, latency_s=float(t[i])
-        )
+        cpu_seconds = self.cpu.seconds
+        best_t, best_share = None, 0
+        for share in sorted(shares):
+            t_cpu = cpu_seconds(m, k, share) if share else 0.0
+            if best_t is not None and t_cpu >= best_t:
+                break  # no larger share can do better
+            full, rem = divmod(n - share, step)
+            t = max(t_cpu, full * chunk_s + (rem_s if rem else 0.0))
+            if best_t is None or t < best_t:
+                best_t, best_share = t, share
+        return HybridSplit(cpu_batch=best_share, pim_batch=n - best_share, latency_s=best_t)

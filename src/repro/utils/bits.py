@@ -25,6 +25,7 @@ __all__ = [
     "scatter_bits",
     "gather_bits",
     "iter_submasks",
+    "gf2_rank",
 ]
 
 _U64 = np.uint64
@@ -156,6 +157,19 @@ def iter_submasks(mask: int):
         if s == 0:
             return
         s = (s - 1) & mask
+
+
+def gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of integer bit vectors: each is reduced by the
+    basis so far (XOR-ing a basis vector in clears its leading bit, which
+    no later basis vector has), and kept if nonzero."""
+    basis: List[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def scatter_bits_u64(values: np.ndarray, mask: int) -> np.ndarray:

@@ -96,3 +96,16 @@ class TestSubmasks:
 
     def test_iter_submasks_zero(self):
         assert list(B.iter_submasks(0)) == [0]
+
+
+class TestGf2Rank:
+    @given(st.lists(st.integers(0, 255), max_size=10))
+    def test_rank_is_log2_of_the_span(self, vectors):
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        assert 1 << B.gf2_rank(vectors) == len(span)
+
+    def test_dependent_and_zero_vectors_add_nothing(self):
+        assert B.gf2_rank([0b011, 0b110, 0b101, 0]) == 2
+        assert B.gf2_rank([]) == 0

@@ -203,6 +203,16 @@ class TestModeValidation:
         with pytest.raises(ValueError, match=msg):
             scheduler.choose_execution(cfg, sky, GemmShape(1024, 1024, 4), **kw)
 
+    @pytest.mark.parametrize("n", [4, 4096])
+    def test_choose_execution_names_a_matrix_beyond_dram_capacity(self, cfg, sky, n):
+        # Candidates read their footprint constants from ranks, not from the
+        # footprint analysis, so they check the capacity themselves, before
+        # any candidate is priced (and so even when no batch fits).
+        from repro.core.scheduler import choose_execution
+
+        with pytest.raises(ValueError, match="matrix exceeds DRAM capacity"):
+            choose_execution(cfg, sky, GemmShape(1 << 17, 1 << 17, n))
+
     def test_scratchpad_infeasibility_is_still_skipped(self, cfg, sky):
         from repro.core.gemm import ScratchpadInfeasible, plan_gemm
         from repro.core.scheduler import choose_execution

@@ -15,7 +15,13 @@ mapping (Skylake and a non-Skylake preset), every PIM level, pinned ID
 bits up to the ID width, power-of-two M and K and an aligned base, and
 every field must match exactly.
 
-CI replays it under ``--hypothesis-seed`` derived from the run id (see
+A search candidate (``executor._Candidate``) reads the footprint totals
+its bound needs from three GF(2) ranks instead of the record; a second
+property checks every such constant against the enumerated record over
+every preset mapping, PAE-randomized variants, every level and aligned
+non-zero bases.
+
+CI replays both under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
 """
 
@@ -28,12 +34,24 @@ from hypothesis import strategies as st
 
 from repro.core import executor
 from repro.core.config import StepStoneConfig
-from repro.core.executor import _gemm_phase_cycles, _gemm_profile, _plan_candidate, _row_misses
+from repro.core.executor import (
+    _Candidate,
+    _gemm_phase_cycles,
+    _gemm_profile,
+    _plan_candidate,
+    _row_misses,
+)
 from repro.core.gemm import GemmShape, GroupWork, ScratchpadInfeasible, plan_gemm
 from repro.core.memo import PRICING_MEMO
 from repro.dram.timing import DDR4Timing
 from repro.mapping.analysis import FootprintAnalysis
-from repro.mapping.presets import make_skylake, mapping_by_id
+from repro.mapping.presets import (
+    ADDRESS_MAPPINGS,
+    make_skylake,
+    make_toy_mapping,
+    mapping_by_id,
+    pae_randomized,
+)
 from repro.mapping.xor_mapping import PimLevel
 from repro.utils.bits import parity_u64
 
@@ -247,8 +265,8 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
         assert fa.col_counts[grp, pim] == len(cols)
 
     # The footprint record.
-    for name in ("work", "max_group_cols", "blocks_per_pim", "cols_per_pim",
-                 "critical_pim", "total_cols", "total_blocks"):
+    for name in ("work", "max_group_cols", "blocks_per_pim", "critical_pim", "total_cols",
+                 "total_blocks"):
         assert _same(getattr(record, name), oracle[name]), name
     assert fa.blocks_per_pim() == oracle["blocks_per_pim"]
 
@@ -283,6 +301,58 @@ def test_one_group_row_misses_match_oracle(mapping_name, level):
             for r in (rows[:1], rows):
                 got = _steady_state_row_misses(fa, mapping, r, cols)
                 assert got == _oracle_row_misses(fa, mapping, r, cols)
+
+
+# --------------------------------------------------------------------------
+# Candidate constants from GF(2) ranks equal the enumerated record
+# --------------------------------------------------------------------------
+
+#: The five Table II presets, the toy mapping (its own tiny geometry) and
+#: three PAE-randomized Skylake variants.
+RANK_MAPPINGS = {
+    **{f"id{i}": factory() for i, factory in ADDRESS_MAPPINGS.items()},
+    "toy": make_toy_mapping(),
+    **{f"skylake-pae{seed}": pae_randomized(make_skylake(), seed) for seed in (1, 2, 3)},
+}
+
+
+@st.composite
+def rank_footprints(draw):
+    """(mapping, level, pinned bits, m, k, base) of an aligned footprint
+    that fits the mapping's DRAM."""
+    mapping = RANK_MAPPINGS[draw(st.sampled_from(sorted(RANK_MAPPINGS)))]
+    level = draw(st.sampled_from(list(PimLevel)))
+    pinned = draw(st.integers(0, min(1, len(mapping.pim_id_masks(level)) - 1)))
+    g, wb = mapping.geometry, CFG.word_bytes
+    room = g.address_bits - (wb.bit_length() - 1)  # log2 of capacity in words
+    k_log = draw(st.integers(max(0, g.block_bits - 2), min(12, room)))
+    m_log = draw(st.integers(0, min(11, room - k_log)))
+    m, k = 1 << m_log, 1 << k_log
+    slots = g.capacity_bytes // (m * k * wb)
+    base = draw(st.integers(0, min(7, slots - 1))) * m * k * wb
+    return mapping, level, pinned, m, k, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(fp=rank_footprints())
+def test_candidate_rank_constants_equal_the_record(fp):
+    mapping, level, pinned, m, k, base = fp
+    PRICING_MEMO.clear()
+    cand = _Candidate(CFG, mapping, level, CFG.unit(level), m, k, base, pinned)
+    assert PRICING_MEMO.size("footprint") == 0  # built on first read only
+    record = cand.footprint()
+    crit = record.critical_pim
+    assert cand.n_pims == len(record.work)
+    assert cand.crit_blocks == record.blocks_per_pim[crit] == max(record.blocks_per_pim.values())
+    assert cand.crit_cols == sum(w.n_cols for w in record.work[crit])
+    assert cand.max_group_cols == record.max_group_cols
+    assert cand.total_cols == record.total_cols
+    # The per-address oracle agrees on these totals.
+    oracle = _oracle_footprint(record.analysis)
+    assert cand.n_pims == len(oracle["work"])
+    assert cand.crit_blocks == oracle["blocks_per_pim"][oracle["critical_pim"]]
+    assert cand.crit_cols == oracle["cols_per_pim"][oracle["critical_pim"]]
+    assert cand.total_cols == oracle["total_cols"]
 
 
 # --------------------------------------------------------------------------

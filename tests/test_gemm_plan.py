@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import StepStoneConfig
+from repro.core.executor import _offchip_cycles, _plan_candidate, execute_plan
 from repro.core.gemm import GemmShape, plan_gemm
 from repro.mapping.presets import make_skylake
 from repro.mapping.xor_mapping import PimLevel
@@ -90,11 +91,18 @@ class TestPlanner:
         b_bytes = plan.cpart_blocks * u.words_per_block_per_slice * n * 4
         assert c_bytes + b_bytes <= u.scratchpad_bytes
 
+    @staticmethod
+    def _offchip_blocks(cfg, plan):
+        """(localization, reduction) cache blocks of a plan, as priced."""
+        cand = _plan_candidate(cfg, plan)
+        return _offchip_cycles(cand, plan.shape.n, "stepstone")[2:]
+
     def test_localization_volume_formula(self, cfg, sky):
         """Total replicated B is n_groups * K * N words (Fig. 5 flow)."""
         plan = plan_gemm(cfg, sky, GemmShape(1024, 4096, 4), PimLevel.BANKGROUP)
+        loc_blocks, _ = self._offchip_blocks(cfg, plan)
         expected = plan.analysis.n_groups * plan.shape.k * plan.shape.n
-        assert plan.localization_write_words == expected
+        assert loc_blocks * 64 == expected * cfg.word_bytes
 
     def test_reduction_scales_with_addressable_units(self, cfg, sky):
         bg = plan_gemm(cfg, sky, GemmShape(1024, 4096, 4), PimLevel.BANKGROUP)
@@ -103,7 +111,11 @@ class TestPlanner:
         assert bg.n_partials == 16
         assert dv.n_partials == 4
         assert ch.n_partials == 2
-        assert bg.reduction_read_words > dv.reduction_read_words > ch.reduction_read_words
+        red = [self._offchip_blocks(cfg, plan)[1] for plan in (bg, dv, ch)]
+        assert red[0] > red[1] > red[2]
+        # Every partial is read once and the final C written once.
+        c_blocks = 1024 * 4 * cfg.word_bytes / 64
+        assert red == [(p + 1) * c_blocks for p in (16, 4, 2)]
 
     def test_kernel_launches_echo_exceeds_stepstone(self, cfg, sky):
         plan = plan_gemm(cfg, sky, GemmShape(1024, 4096, 4), PimLevel.BANKGROUP)
@@ -122,8 +134,9 @@ class TestPlanner:
         """§III-E: small B and C live in the scratchpad, skipping staging."""
         plan = plan_gemm(cfg, sky, GemmShape(128, 256, 1), PimLevel.CHANNEL)
         assert plan.direct_scratchpad
-        assert plan.fill_b_blocks(plan.max_blocks_pim) == 0.0
-        assert plan.fill_c_blocks(plan.max_blocks_pim) == 0.0
+        res = execute_plan(cfg, plan)
+        assert res.breakdown.fill_b == res.breakdown.fill_c == res.breakdown.drain_c == 0.0
+        assert res.pim_dram_blocks == plan.footprint.total_blocks  # the GEMM walk alone
 
     def test_pinning_halves_pims_and_groups(self, cfg, sky):
         full = plan_gemm(cfg, sky, GemmShape(1024, 4096, 16), PimLevel.BANKGROUP)
@@ -131,8 +144,13 @@ class TestPlanner:
             cfg, sky, GemmShape(1024, 4096, 16), PimLevel.BANKGROUP, pinned_id_bits=1
         )
         assert half.n_active_pims * 2 == full.n_active_pims
-        assert half.localization_write_words < full.localization_write_words
-        assert half.reduction_read_words * 2 == full.reduction_read_words
+        (half_loc, half_red), (full_loc, full_red) = (
+            self._offchip_blocks(cfg, plan) for plan in (half, full)
+        )
+        assert half_loc < full_loc
+        # Half the partials to read; the final C is written once either way.
+        c_blocks = 1024 * 16 * cfg.word_bytes / 64
+        assert (half_red - c_blocks) * 2 == full_red - c_blocks
 
     def test_relaxed_unit_reduces_rparts(self, cfg, sky):
         base_unit = cfg.unit(PimLevel.BANKGROUP)

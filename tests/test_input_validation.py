@@ -26,6 +26,7 @@ from repro.autoscale import (
     SpikeTrace,
     StaticPolicy,
 )
+from repro.baselines.cpu import CpuConfig, CpuGemmModel
 from repro.cluster import AffinityRouter
 from repro.genai.workload import GenRequest
 from repro.obs.telemetry import BUS
@@ -190,6 +191,37 @@ def test_rate_traces_reject_non_finite_parameters(trace, x):
 def test_node_spec_rejects_non_finite_fields(fields, x):
     with pytest.raises(ValueError, match="finite"):
         NodeSpec("stepstone", **{f: x for f in fields})
+
+
+_CPU_POSITIVE = (
+    "cores", "clock_hz", "flops_per_cycle_per_core", "peak_bw_gbps", "eff_bw_small_batch_gbps"
+)
+
+
+@pytest.mark.parametrize("x", [*NON_FINITE, 0, -1.0])
+@pytest.mark.parametrize("field", _CPU_POSITIVE)
+def test_cpu_config_rejects_non_positive_or_non_finite_rates(field, x):
+    """A NaN bandwidth used to reach the kernel clock as a NaN service time."""
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        CpuConfig(**{field: x})
+
+
+@pytest.mark.parametrize("x", [*NON_FINITE, 0.0, -0.5, 1.5])
+def test_cpu_config_rejects_compute_efficiency_outside_unit_interval(x):
+    with pytest.raises(ValueError, match=r"compute_efficiency must be in \(0, 1\]"):
+        CpuConfig(compute_efficiency=x)
+
+
+@pytest.mark.parametrize("x", [*NON_FINITE, -1e-9])
+@pytest.mark.parametrize("field", ["batch_degradation_per_sample", "overhead_s"])
+def test_cpu_config_rejects_negative_or_non_finite_costs(field, x):
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        CpuConfig(**{field: x})
+
+
+def test_cpu_config_accepts_boundary_values():
+    cfg = CpuConfig(compute_efficiency=1.0, batch_degradation_per_sample=0.0, overhead_s=0.0)
+    assert CpuGemmModel(cfg).seconds(1024, 1024, 4) > 0.0
 
 
 @pytest.mark.parametrize("spill", [math.nan, math.inf, -3, 2.5, True, "2"])

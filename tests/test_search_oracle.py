@@ -117,7 +117,8 @@ def test_bound_never_exceeds_the_price(args):
 
 def test_pruned_candidates_build_no_profile():
     # A one-wide batch: BG/0 prices below every other candidate's bound,
-    # so it is the only one priced and the only profile built.
+    # so it is the only one priced and the only footprint and profile
+    # built (bounds read rank constants, not the footprint record).
     levels = (PimLevel.BANKGROUP, PimLevel.DEVICE)
     args = (CFG, make_skylake(), GemmShape(1024, 4096, 1), levels, 1, "stepstone", "stepstone")
     PRICING_MEMO.clear()
@@ -133,7 +134,7 @@ def test_pruned_candidates_build_no_profile():
     finally:
         BUS.disable()
         BUS.reset()
-    assert PRICING_MEMO.size("footprint") == 4  # every candidate is bounded
+    assert PRICING_MEMO.size("footprint") == 1
     assert PRICING_MEMO.size("profile") == 1
     assert counts == {
         ("priced", "BG"): 1.0,

@@ -2,13 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.cpu import CpuGemmModel
-from repro.core.gemm import GemmShape
+from repro.baselines.cpu import CpuConfig, CpuGemmModel
+from repro.core.memo import PRICING_MEMO
 from repro.serving.scheduler import BatchServer, HybridSplit
 
 
@@ -158,9 +157,10 @@ class TestHybrid:
 
 
 # --------------------------------------------------------------------------
-# Oracle: the per-share scan ``hybrid_split`` ran before it evaluated the
-# whole share grid as arrays.  The array pass must return the very same
-# split, float for float, including the scan's first-minimum tie-break.
+# Oracle: the per-share scan through the public primitives.  ``hybrid_split``
+# prices its shares from two chunk prices and ``CpuGemmModel.seconds``; it
+# must return the very same split, float for float, including the scan's
+# first-minimum tie-break.
 # --------------------------------------------------------------------------
 
 
@@ -180,53 +180,73 @@ def _scan_hybrid_split(srv, m, k, n):
     return best
 
 
+#: The default Xeon, a small host (the CPU loses earlier) and one whose
+#: streaming time does not grow with the batch.
+_ORACLE_CPUS = {
+    "xeon": CpuConfig(),
+    "small-host": CpuConfig(name="small-host", cores=4, eff_bw_small_batch_gbps=4.0),
+    "no-degradation": CpuConfig(name="flat", batch_degradation_per_sample=0.0),
+}
 _ORACLE_SERVERS = {}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     m=st.sampled_from([64, 256, 1024]),
     k=st.sampled_from([256, 1024, 4096]),
-    n=st.integers(1, 700),
-    step=st.sampled_from([8, 16, 32, 64]),
+    n=st.one_of(st.integers(1, 700), st.integers(1, 4096)),
+    step=st.sampled_from([1, 3, 8, 24, 32, 64]),
+    cpu=st.sampled_from(sorted(_ORACLE_CPUS)),
+    cold=st.booleans(),
 )
-def test_hybrid_split_matches_the_share_scan(m, k, n, step):
-    srv = _ORACLE_SERVERS.setdefault(step, BatchServer(max_pim_batch=step))
+def test_hybrid_split_matches_the_share_scan(m, k, n, step, cpu, cold):
+    srv = _ORACLE_SERVERS.get((step, cpu))
+    if srv is None:
+        srv = _ORACLE_SERVERS[step, cpu] = BatchServer(
+            cpu=CpuGemmModel(_ORACLE_CPUS[cpu]), max_pim_batch=step
+        )
+    if cold:
+        PRICING_MEMO.clear()
     got = srv.hybrid_split(m, k, n)
     want = _scan_hybrid_split(srv, m, k, n)
     assert got == want
     assert type(got.cpu_batch) is int and type(got.latency_s) is float
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    m=st.integers(1, 8192),
-    k=st.integers(1, 8192),
-    ns=st.lists(st.integers(1, 4096), min_size=1, max_size=20),
-)
-def test_cpu_array_formula_matches_scalar(m, k, ns):
-    """``gemm_seconds_many`` is ``gemm_seconds`` per batch, bitwise."""
-    cpu = CpuGemmModel()
-    got = cpu.gemm_seconds_many(m, k, np.array(ns)).tolist()
-    assert got == [cpu.gemm_seconds(GemmShape(m, k, n)) for n in ns]
-
-
 class _FlatCpu:
     """A CPU whose every GEMM takes the same time (forces ties)."""
 
     def gemm_seconds(self, shape):
+        return self.seconds(shape.m, shape.k, shape.n)
+
+    def seconds(self, m, k, n):
         return 3.5
 
-    def gemm_seconds_many(self, m, k, ns):
-        return np.full(len(ns), 3.5)
+
+class _LinearCpu(_FlatCpu):
+    """A CPU far faster than the PIMs, 0.01 s per sample."""
+
+    def seconds(self, m, k, n):
+        return 0.01 * n
 
 
 def test_hybrid_split_ties_go_to_the_smallest_cpu_share(monkeypatch):
     """Every share that leaves the PIMs at most three chunks ties at the
-    CPU's 3.5 s; the scan kept the first (smallest) of them, so must
-    the array pass."""
+    CPU's 3.5 s; the scan keeps the first (smallest) of them."""
     srv = BatchServer(cpu=_FlatCpu(), max_pim_batch=32)
     monkeypatch.setattr(srv, "_pim_chunk_seconds", lambda m, k, n: 1.0)
     got = srv.hybrid_split(1024, 4096, 100)
     assert got == _scan_hybrid_split(srv, 1024, 4096, 100)
     assert got == HybridSplit(cpu_batch=4, pim_batch=96, latency_s=3.5)
+
+
+def test_hybrid_split_pim_side_ties_go_to_the_smallest_cpu_share(monkeypatch):
+    """With every chunk at 1 s, shares 4 and 32 both leave the PIMs 3 s
+    (three whole chunks, or two and the remainder), 36 and 64 both 2 s,
+    68 and 96 both 1 s; the CPU stays below each, so the PIM side decides
+    every tie, and 68 (1 s, before 96 and the 1 s all-CPU split) wins."""
+    srv = BatchServer(cpu=_LinearCpu(), max_pim_batch=32)
+    monkeypatch.setattr(srv, "_pim_chunk_seconds", lambda m, k, n: 1.0)
+    got = srv.hybrid_split(1024, 4096, 100)
+    assert got == _scan_hybrid_split(srv, 1024, 4096, 100)
+    assert got == HybridSplit(cpu_batch=68, pim_batch=32, latency_s=1.0)
