@@ -315,8 +315,8 @@ class _Candidate:
 
     One (level, pinned ID bits) configuration of a padded M x K weight
     matrix: the footprint record's key and its critical-PIM totals, the
-    ``profile`` key, the unit, DMA and refresh constants, and the two
-    N-independent terms of :func:`repro.core.scheduler._lower_bound`.
+    ``profile`` key, the unit, DMA and refresh constants, and the cadence
+    floor of :func:`repro.core.scheduler._lower_bound`.
     Searches keep candidates in the ``candidates`` memo, so a new batch
     width starts from here; :func:`_price` adds the N-dependent half.
     The footprint totals are ranks of the PIM-ID vectors of its column
@@ -328,7 +328,7 @@ class _Candidate:
         "level", "pinned", "unit", "m", "word_bytes", "mapping", "footprint_key",
         "profile_key", "timing", "n_pims", "crit_blocks", "crit_cols", "max_group_cols",
         "total_cols", "slices", "cadence", "blocks_per_row", "cover", "per_miss", "refresh",
-        "launch_cycles", "channels", "offchip", "launch_floor", "cadence_floor",
+        "launch_cycles", "channels", "offchip", "cadence_floor",
     )
 
     def __init__(self, config, mapping, level, unit, m, k, base, pinned) -> None:
@@ -370,8 +370,7 @@ class _Candidate:
             "stepstone": (chan_bw, dma.per_block_overhead_cycles),
             "echo": (chan_bw * dma.cpu_efficiency, dma.cpu_per_block_overhead_cycles),
         }
-        # _lower_bound: one launch per active PIM, and the fastest CAS spacing.
-        self.launch_floor = self.n_pims * dma.kernel_launch_cycles / self.channels
+        # _lower_bound: the fastest CAS spacing.
         self.cadence_floor = (
             self.cadence
             if level is PimLevel.BANKGROUP
@@ -486,6 +485,17 @@ def _offchip_cycles(cand: _Candidate, n: int, flow: str) -> Tuple[float, float, 
     return localization, red_bytes / bw + red_blocks * per_block, loc_blocks, red_blocks
 
 
+def _fill_cycles(cand: _Candidate, n: int, n_rparts: int) -> Tuple[float, float, float]:
+    """``(fill_b, fill_c, fill_c_blocks)`` of a staged (not direct)
+    partitioning at batch ``n``: the critical PIM's B tiles stream in once
+    per row partition, and its C partials (``fill_c_blocks``) stream in
+    and, mirrored, out."""
+    stream = (cand.timing, cand.cadence, cand.blocks_per_row)
+    fill_c_blocks = cand.m * n * cand.slices / 16.0
+    fill_b = sequential_stream_cycles(float(cand.crit_cols * n * n_rparts), *stream)
+    return fill_b, sequential_stream_cycles(fill_c_blocks, *stream), fill_c_blocks
+
+
 #: :func:`_price`'s result: ``(total, gemm, fill_b, fill_c, localization,
 #: reduction, bubble_stall, kernel_launches, offchip_blocks, fill_c_blocks)``.
 Priced = Tuple[float, float, float, float, float, float, float, int, float, float]
@@ -511,13 +521,9 @@ def _price(
     _, cpart, n_rparts, _, direct = part
     gemm, stall = _gemm_phase_cycles(cand, fp, n, agen, naive_full_gaps)
 
-    m = cand.m
     fill_b = fill_c = fill_c_blocks = 0.0
     if not direct:
-        stream = (cand.timing, cand.cadence, cand.blocks_per_row)
-        fill_b = sequential_stream_cycles(float(cand.crit_cols * n * n_rparts), *stream)
-        fill_c_blocks = m * n * cand.slices / 16.0
-        fill_c = sequential_stream_cycles(fill_c_blocks, *stream)
+        fill_b, fill_c, fill_c_blocks = _fill_cycles(cand, n, n_rparts)
 
     localization, reduction, loc_blocks, red_blocks = _offchip_cycles(cand, n, flow)
 

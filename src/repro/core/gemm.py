@@ -232,23 +232,20 @@ def _partition(
             f"{sp}-byte scratchpad at level {unit.level.short}; split N first"
         )
 
-    def rows(e: int) -> int:
-        return min(m, e * sp // c_row8)
-
-    def col_tiles(e: int) -> int:
-        return -(-mgc // min(mgc, (8 - e) * sp // b_col8))
-
+    # Eighth e's row tile is min(m, e * sp // c_row8) and its column tile
+    # count -(-mgc // min(mgc, (8 - e) * sp // b_col8)), written out
+    # rather than as helpers: the search partitions every candidate.
     # The fewest row passes: from e_a up to hi.
-    e_a, n_rparts = hi, -(-m // rows(hi))
-    while e_a > lo and -(-m // rows(e_a - 1)) == n_rparts:
+    e_a, n_rparts = hi, -(-m // min(m, hi * sp // c_row8))
+    while e_a > lo and -(-m // min(m, (e_a - 1) * sp // c_row8)) == n_rparts:
         e_a -= 1
     # Among those, the fewest column tiles: from e_a up to e_b.
-    e_b, n_cparts = e_a, col_tiles(e_a)
-    while e_b < hi and col_tiles(e_b + 1) == n_cparts:
+    e_b, n_cparts = e_a, -(-mgc // min(mgc, (8 - e_a) * sp // b_col8))
+    while e_b < hi and -(-mgc // min(mgc, (7 - e_b) * sp // b_col8)) == n_cparts:
         e_b += 1
     # Among those, the largest row tile, first reached at e.
-    rpart, e = rows(e_b), e_a
-    while rows(e) < rpart:
+    rpart, e = min(m, e_b * sp // c_row8), e_a
+    while min(m, e * sp // c_row8) < rpart:
         e += 1
     if mgc * wpb * n * word_bytes + m * n * word_bytes <= sp:
         return m, mgc, 1, e / 8.0, True

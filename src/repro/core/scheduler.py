@@ -6,10 +6,12 @@ estimator *is* the timing model, so the scheduler prices the candidate
 configurations — bank-group vs. device level, full vs. subset PIM activation
 — and picks the fastest.  The candidates of a weight shape come from the
 ``candidates`` memo table, each holding every N-independent constant of
-its pricing, so a new batch width is arithmetic: an exact lower bound on
-each candidate's cycles (the volume estimate, :func:`_lower_bound`), then
-the per-width evaluator (:func:`repro.core.executor._price`) in bound
-order until the next bound exceeds the best price, so the result is the
+its pricing, so a new batch width is arithmetic: each candidate's
+scratchpad partitioning, an exact lower bound on its cycles under it (the
+volume estimate, :func:`_lower_bound`: every transfer and fill volume and
+every launch, with the GEMM phase at its cadence floor), then the
+per-width evaluator (:func:`repro.core.executor._price`) in bound order
+until the next bound exceeds the best price, so the result is the
 exhaustive scan's.  Only the winner gets a plan and a result, and only
 when its ``result`` is read.  This implements both §III-E knobs:
 
@@ -33,11 +35,12 @@ from repro.core.executor import (
     GemmResult,
     _Candidate,
     _check_modes,
+    _fill_cycles,
     _offchip_cycles,
     _price,
     _result,
 )
-from repro.core.gemm import GemmPlan, GemmShape, ScratchpadInfeasible, _partition
+from repro.core.gemm import GemmPlan, GemmShape, Partition, ScratchpadInfeasible, _partition
 from repro.core.memo import PRICING_MEMO
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 from repro.obs.telemetry import BUS
@@ -107,20 +110,28 @@ class _SearchedChoice(PimChoice):
 _SHAVE = 1.0 - 2.0**-30
 
 
-def _lower_bound(cand: _Candidate, n: int, flow: str) -> float:
-    """A lower bound on the priced cycles of every plan of ``cand`` at
-    batch ``n`` (the Table II unit, no launch delay).
+def _lower_bound(cand: _Candidate, n: int, flow: str, part: Partition) -> float:
+    """A lower bound on the cycles :func:`_price` gives ``cand`` at batch
+    ``n`` under partitioning ``part`` (the Table II unit, no launch delay).
 
-    Localization and reduction are exact; launches count one kernel per
-    active PIM (``n_rparts >= 1``, and eCHO launches at least as many); the
-    critical PIM's GEMM phase costs at least ``max(compute, cadence floor)``
-    per block before refresh.  Fill, stall and row-miss terms are
-    non-negative and left out.
+    Localization, reduction and the buffer fill and drain streams
+    (:func:`repro.core.executor._fill_cycles`) are exact; launches count
+    one kernel per active PIM per row partition (exact for the StepStone
+    flow; eCHO launches at least as many); the critical PIM's GEMM phase
+    costs at least ``max(compute, cadence floor)`` per block before
+    refresh.  The cadence excess over that
+    floor, the AGEN stall and row misses are non-negative and left out.
     """
+    _, _, n_rparts, _, direct = part
     localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
     per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
     gemm = cand.crit_blocks * per_block * cand.refresh
-    return (gemm + cand.launch_floor + localization + reduction) * _SHAVE
+    launch = cand.n_pims * n_rparts * cand.launch_cycles / cand.channels
+    fill = 0.0
+    if not direct:
+        fill_b, fill_c, _ = _fill_cycles(cand, n, n_rparts)
+        fill = fill_b + 2.0 * fill_c
+    return (gemm + launch + fill + localization + reduction) * _SHAVE
 
 
 def _candidates(config, mapping, m, k, levels, max_pinned_bits) -> Tuple[_Candidate, ...]:
@@ -150,10 +161,10 @@ def choose_execution(
     """Evaluate candidate (level, subset) configurations and pick the fastest.
 
     ``max_pinned_bits`` bounds the §III-E subsetting search (0 disables it).
-    Candidates that cannot satisfy scratchpad constraints are skipped; at
-    least one candidate must be feasible.  Candidates are priced in
-    ``(lower bound, index)`` order until the next bound exceeds the best
-    price; the earliest wins ties.  ``pricing.search.priced`` / ``.pruned``
+    Candidates that cannot satisfy scratchpad constraints are never
+    priced (they count as pruned); at least one must be feasible.  The
+    rest are priced in ``(lower bound, index)`` order until the next
+    bound exceeds the best price; the earliest wins ties.  ``pricing.search.priced`` / ``.pruned``
     count them on the telemetry bus, labeled ``level=<short name>``.  Bad
     arguments (an unknown ``agen`` or ``flow``, an empty or
     non-``PimLevel`` ``levels``, a negative or non-integer
@@ -172,25 +183,29 @@ def choose_execution(
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
     m, n = padded.m, padded.n
     cands = _candidates(config, mapping, m, padded.k, levels, max_pinned_bits)
-    order = sorted((_lower_bound(cand, n, flow), index) for index, cand in enumerate(cands))
-    best = None
-    best_index = n_priced = 0
-    for bound, index in order:
-        if best is not None and bound > best[0][0]:
-            break  # every later bound is at least as large
-        n_priced += 1
-        cand = cands[index]
+    order = []
+    for index, cand in enumerate(cands):
         try:
             part = _partition(cand.unit, m, n, cand.max_group_cols, cand.word_bytes)
         except ScratchpadInfeasible:
             continue  # batch too large for this level's scratchpad
+        order.append((_lower_bound(cand, n, flow, part), index, part))
+    order.sort()  # indices are distinct, so partitions are never compared
+    best = None
+    best_index = n_priced = 0
+    for bound, index, part in order:
+        if best is not None and bound > best[0][0]:
+            break  # every later bound is at least as large
+        n_priced += 1
+        cand = cands[index]
         priced = _price(cand, n, part, agen, flow)
         if best is None or (priced[0], index) < (best[0][0], best_index):
             best, best_index = (priced, cand, part), index
     if BUS.enabled:
-        for i, (_, index) in enumerate(order):
-            level = cands[index].level.short
-            BUS.inc("pricing.search." + ("priced" if i < n_priced else "pruned"), level=level)
+        priced_ids = {index for _, index, _ in order[:n_priced]}
+        for index, cand in enumerate(cands):  # infeasible ones count as pruned
+            name = "priced" if index in priced_ids else "pruned"
+            BUS.inc("pricing.search." + name, level=cand.level.short)
     if best is None:
         raise ValueError(f"no feasible PIM configuration for {shape}")
     priced, cand, part = best

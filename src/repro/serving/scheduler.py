@@ -8,8 +8,10 @@ colocated tasks", which enables a *hybrid* dispatch: run part of a large
 batch on the CPU concurrently with the PIM sweep.
 
 This module implements both policies and the latency-constrained throughput
-search used by the §V-A claims.  The hybrid split is a scalar scan: its
-few dozen shares at most cost less in Python than in numpy call overhead.
+search used by the §V-A claims.  The hybrid split bisects its CPU shares:
+two families of shares in chunk quanta, on each of which the CPU time
+never falls and the PIM time strictly does, so the best split costs
+O(log(n / chunk)) scalar CPU-model calls.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ class BatchServer:
     def break_even_batch(self, m: int, k: int, n_max: int = 4096) -> int:
         """Largest batch (multiple of max_pim_batch) where PIM still beats
         the CPU — the §V-B "until N = 384" quantity for BERT's MLP."""
+        _check_batch("n_max", n_max)
         best = 0
         n = self.max_pim_batch
         while n <= n_max:
@@ -154,6 +157,7 @@ class BatchServer:
             raise ValueError(
                 f"constraint_s must be finite and positive, got {constraint_s!r}"
             )
+        _check_batch("n_max", n_max)
         best: Optional[ServingPoint] = None
         for n in self._candidate_batches(n_max):
             for backend, t in (
@@ -171,34 +175,43 @@ class BatchServer:
     def hybrid_split(self, m: int, k: int, n: int) -> HybridSplit:
         """Split one large batch across CPU and PIMs running concurrently.
 
-        Searches CPU shares in PIM-chunk quanta and minimizes
-        ``max(t_cpu(share), t_pim(n - share))`` — the §I colocation benefit
-        expressed as a scheduling policy.  Shares are scanned in ascending
-        order, priced bitwise as :meth:`cpu_latency` and :meth:`pim_latency`
-        price them; ties go to the smallest CPU share.  CPU time never falls
-        as its share grows, so the scan stops once it alone reaches the best.
+        Minimizes ``max(t_cpu(share), t_pim(n - share))`` over CPU shares
+        in PIM-chunk quanta — the §I colocation benefit expressed as a
+        scheduling policy — priced bitwise as :meth:`cpu_latency` and
+        :meth:`pim_latency` price them; ties go to the smallest CPU share.
+        With ``F, r = divmod(n, step)`` the shares are two families: ``i *
+        step`` (the PIMs run ``F - i`` chunks and the remainder) and, when
+        ``r > 0``, ``r + i * step`` (``F - i`` whole chunks), for ``i`` in
+        ``0..F``; so both endpoints (0 = all-PIM, n = all-CPU) are there.
+        Within a family the PIM time strictly falls as ``i`` grows and the
+        CPU time never does, so ``t_cpu >= t_pim`` holds from some first
+        ``i`` on: a bisection finds it, and the family's best is that share
+        or the one before it.
         """
         _check_batch("batch", n)
         step = self.max_pim_batch
-        # CPU shares in chunk quanta, the *remainder* shares that leave the
-        # PIM side an exact multiple of the chunk, and always both endpoints
-        # (0 = all-PIM, n = all-CPU) — so a batch smaller than one chunk, or
-        # one whose tail chunk is slow, can still fall back to pure CPU.
-        shares = {0, n}
-        shares.update(range(step, n, step))
-        shares.update(n - j for j in range(step, n, step))
-        # Every PIM share is whole chunks plus a remainder of 0 or
-        # n mod step, so two chunk prices cover every share.
-        chunk_s = self._pim_chunk_seconds(m, k, step) if n >= step else 0.0
-        rem_s = self._pim_chunk_seconds(m, k, n % step) if n % step else 0.0
+        full, rem = divmod(n, step)
+        # Every PIM share is whole chunks plus a remainder of 0 or rem,
+        # so two chunk prices cover every share.
+        chunk_s = self._pim_chunk_seconds(m, k, step) if full else 0.0
+        rem_s = self._pim_chunk_seconds(m, k, rem) if rem else 0.0
         cpu_seconds = self.cpu.seconds
-        best_t, best_share = None, 0
-        for share in sorted(shares):
-            t_cpu = cpu_seconds(m, k, share) if share else 0.0
-            if best_t is not None and t_cpu >= best_t:
-                break  # no larger share can do better
-            full, rem = divmod(n - share, step)
-            t = max(t_cpu, full * chunk_s + (rem_s if rem else 0.0))
-            if best_t is None or t < best_t:
-                best_t, best_share = t, share
+        splits = []  # (seconds, share) of each family's best two shares
+        for first, tail in ((0, rem_s), (rem, 0.0)) if rem else ((0, 0.0),):
+            # The first i in 0..full with t_cpu >= t_pim (full + 1: none).
+            lo, hi = 0, full + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                share = first + mid * step
+                t_cpu = cpu_seconds(m, k, share) if share else 0.0
+                if t_cpu >= (full - mid) * chunk_s + tail:
+                    hi, t_hi = mid, t_cpu
+                else:
+                    lo = mid + 1
+            # Before lo the PIM side is the slower one, from lo the CPU.
+            if lo:
+                splits.append(((full - lo + 1) * chunk_s + tail, first + (lo - 1) * step))
+            if lo <= full:
+                splits.append((t_hi, first + lo * step))
+        best_t, best_share = min(splits)
         return HybridSplit(cpu_batch=best_share, pim_batch=n - best_share, latency_s=best_t)

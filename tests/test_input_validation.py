@@ -30,7 +30,7 @@ from repro.baselines.cpu import CpuConfig, CpuGemmModel
 from repro.cluster import AffinityRouter
 from repro.genai.workload import GenRequest
 from repro.obs.telemetry import BUS
-from repro.serving import NodeSpec, OnlineServingEngine, Request, poisson_requests
+from repro.serving import BatchServer, NodeSpec, OnlineServingEngine, Request, poisson_requests
 from repro.sim import fast as sfast
 from repro.sim import (
     DiscreteEventKernel,
@@ -222,6 +222,17 @@ def test_cpu_config_rejects_negative_or_non_finite_costs(field, x):
 def test_cpu_config_accepts_boundary_values():
     cfg = CpuConfig(compute_efficiency=1.0, batch_degradation_per_sample=0.0, overhead_s=0.0)
     assert CpuGemmModel(cfg).seconds(1024, 1024, 4) > 0.0
+
+
+@pytest.mark.parametrize("n_max", [math.nan, math.inf, 0, -32, 100.5, True, "64"])
+@pytest.mark.parametrize("search", ["break_even_batch", "throughput_under_latency"])
+def test_batch_searches_reject_a_non_positive_or_non_integer_n_max(search, n_max):
+    # break_even_batch used to return 0 for NaN, 0 or True; the throughput
+    # search raised TypeError for 100.5 and "no batch meets" for 0.
+    srv = BatchServer()
+    args = (1024, 4096, 1e-3) if search == "throughput_under_latency" else (1024, 4096)
+    with pytest.raises(ValueError, match="n_max must be a positive integer"):
+        getattr(srv, search)(*args, n_max=n_max)
 
 
 @pytest.mark.parametrize("spill", [math.nan, math.inf, -3, 2.5, True, "2"])

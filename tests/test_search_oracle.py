@@ -1,7 +1,8 @@
 """Property test: the bound-ordered configuration search equals the exhaustive scan.
 
 ``choose_execution`` gives every (level, pinned ID bits) candidate an exact
-lower bound on its cycles, prices candidates in ``(bound, index)`` order
+lower bound on its cycles under its scratchpad partitioning, prices
+candidates in ``(bound, index)`` order
 and stops once the next bound exceeds the best price.  The oracle below is
 the scan it replaced: price every candidate in order and keep the first
 fastest (``cand.cycles < best.cycles``).  Hypothesis draws all five mapping
@@ -24,13 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StepStoneConfig
-from repro.core.executor import _plan_candidate, execute_gemm
+from repro.core.executor import _offchip_cycles, _plan_candidate, execute_gemm
 from repro.core.gemm import GemmShape, ScratchpadInfeasible, _partition
 from repro.core.memo import PRICING_MEMO
-from repro.core.scheduler import PimChoice, _lower_bound, choose_execution
+from repro.core.scheduler import _SHAVE, PimChoice, _lower_bound, choose_execution
 from repro.dram.timing import DDR4Timing
+from repro.genai.model import GPT2_XL
 from repro.mapping.presets import make_skylake, mapping_by_id
 from repro.mapping.xor_mapping import PimLevel
+from repro.models.layers import pow2_partition
 from repro.obs.telemetry import BUS
 
 CFG = StepStoneConfig.default()
@@ -99,20 +102,46 @@ def test_bound_ordered_search_equals_exhaustive_scan(args):
     assert _outcome(choose_execution, *args) == _outcome(exhaustive_choice, *args)
 
 
+def volume_bound(cand, n, flow):
+    """The bound before it took the partitioning: exact localization and
+    reduction, one launch per active PIM, the GEMM phase at its cadence
+    floor, and no fill or drain."""
+    localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
+    per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
+    gemm = cand.crit_blocks * per_block * cand.refresh
+    launch = cand.n_pims * cand.launch_cycles / cand.channels
+    return (gemm + launch + localization + reduction) * _SHAVE
+
+
+def _plan_bound(config, plan, flow):
+    part = (
+        plan.rpart_rows,
+        plan.cpart_blocks,
+        plan.n_rparts,
+        plan.scratchpad_c_fraction,
+        plan.direct_scratchpad,
+    )
+    return _lower_bound(_plan_candidate(config, plan), plan.shape.n, flow, part)
+
+
 @settings(max_examples=100, deadline=None)
 @given(args=searches())
 def test_bound_never_exceeds_the_price(args):
-    config, mapping, shape, levels, max_pinned_bits, agen, flow = args
+    """Every mode: the volume bound <= the partition-exact bound <= the price."""
+    config, mapping, shape, levels, max_pinned_bits, _, _ = args
     for level in levels:
         for pinned in range(0, min(max_pinned_bits + 1, len(mapping.pim_id_masks(level)))):
-            try:
-                res = execute_gemm(
-                    config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned
-                )
-            except ScratchpadInfeasible:
-                continue
-            plan = res.plan
-            assert _lower_bound(_plan_candidate(config, plan), plan.shape.n, flow) <= res.cycles
+            for agen, flow in MODES:
+                try:
+                    res = execute_gemm(
+                        config, mapping, shape, level, agen=agen, flow=flow, pinned_id_bits=pinned
+                    )
+                except ScratchpadInfeasible:
+                    break  # infeasible in every mode
+                plan = res.plan
+                bound = _plan_bound(config, plan, flow)
+                cand = _plan_candidate(config, plan)
+                assert volume_bound(cand, plan.shape.n, flow) <= bound <= res.cycles
 
 
 def test_pruned_candidates_build_no_profile():
@@ -146,6 +175,25 @@ def test_pruned_candidates_build_no_profile():
     assert got == _outcome(exhaustive_choice, *args)
 
 
+def test_gpt2_step_tiles_build_only_the_footprints_they_price():
+    # The GPT2-XL decode step's power-of-two tiles at the widths the cold
+    # genai workload prices: 27 tiles x 4 candidates.  The volume bound
+    # (no fill, one launch per PIM) built 107 of the 108 footprints; with
+    # the partition's fill streams and launches in the bound, 73.
+    tiles = {
+        (tile.m, tile.k)
+        for inv in GPT2_XL.step_spec().gemms
+        for tile in pow2_partition(inv.shape)
+    }
+    assert len(tiles) == 27
+    sky = make_skylake()
+    PRICING_MEMO.clear()
+    for n in (*range(1, 9), 16, 17, 23, 24, 25, 32):
+        for m, k in sorted(tiles):
+            choose_execution(CFG, sky, GemmShape(m, k, n))
+    assert PRICING_MEMO.size("footprint") == PRICING_MEMO.size("profile") == 73
+
+
 # Exact ties between candidates with different bounds: BG with both bank
 # group bits pinned stripes like DV, and at these small shapes both price
 # to the same cycles.  The bound-ordered search prices DV/0 first (lower
@@ -164,9 +212,7 @@ def test_equal_cycles_go_to_the_earlier_candidate(config, mapping_id, shape, age
         for level, pinned in ((PimLevel.BANKGROUP, 2), (PimLevel.DEVICE, 0))
     )
     assert bg2.cycles == dv0.cycles
-    bounds = [
-        _lower_bound(_plan_candidate(config, r.plan), r.plan.shape.n, flow) for r in (bg2, dv0)
-    ]
+    bounds = [_plan_bound(config, r.plan, flow) for r in (bg2, dv0)]
     assert bounds[0] > bounds[1]
     for levels, winner in (
         ((PimLevel.BANKGROUP, PimLevel.DEVICE), (PimLevel.BANKGROUP, 2)),

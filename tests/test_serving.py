@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.cpu import CpuConfig, CpuGemmModel
@@ -211,6 +211,38 @@ def test_hybrid_split_matches_the_share_scan(m, k, n, step, cpu, cold):
     want = _scan_hybrid_split(srv, m, k, n)
     assert got == want
     assert type(got.cpu_batch) is int and type(got.latency_s) is float
+
+
+class _CountingCpu:
+    """A CPU model that counts its ``seconds`` calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def gemm_seconds(self, shape):
+        return self.model.gemm_seconds(shape)
+
+    def seconds(self, m, k, n):
+        self.calls += 1
+        return self.model.seconds(m, k, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.sampled_from([64, 1024]),
+    k=st.sampled_from([256, 4096]),
+    n=st.one_of(st.integers(1, 700), st.integers(1, 4096)),
+    step=st.sampled_from([1, 3, 8, 32, 64]),
+    cpu=st.sampled_from(sorted(_ORACLE_CPUS)),
+)
+@example(m=1024, k=4096, n=4096, step=32, cpu="xeon")
+def test_hybrid_split_makes_logarithmically_many_cpu_calls(m, k, n, step, cpu):
+    """Each share family is bisected, so a split costs O(log(n / step))
+    CPU-model calls, not one per share up to the crossing."""
+    counting = _CountingCpu(CpuGemmModel(_ORACLE_CPUS[cpu]))
+    srv = BatchServer(cpu=counting, max_pim_batch=step)
+    srv.hybrid_split(m, k, n)
+    assert counting.calls <= 2 * math.ceil(math.log2(n / step + 2)) + 2
 
 
 class _FlatCpu:
