@@ -1,16 +1,14 @@
 """Generative-serving harness: token throughput of the decode loop.
 
-``repro.genai`` stacks per-token DECODE_STEP events on the shared sim
-kernel, so its hot path is the decode boundary: release finished
-sequences, admit joiners, reserve KV growth, price one GEMM.  The
-``decode_10k`` twin entries drive 10k sequences of decode-heavy traffic
-(fixed 16-token prompts so the latency memo stays warm, 32 output
-tokens each) through a ContinuousBatcher — once through the
-macro-stepped segment path (``fast_path: true``) and once through the
-token-at-a-time reference loop (``decode_10k_slow``), so the artifact
-keeps both sides of the PR 10 speedup claim.  ``width_sweep`` prices
-the continuous-vs-static goodput argument across batch widths on the
-fast path, and ``serve-genai`` regenerates the experiment.  The
+``repro.genai`` runs its decode boundaries on the shared sim kernel as
+macro-stepped segments: one DECODE_STEP event per run of boundaries
+over which the batch cannot change.  The hot path is the segment
+boundary: release finished sequences, admit joiners, reserve KV growth,
+walk the boundary chain.  The ``decode_10k`` entry drives 10k sequences
+of decode-heavy traffic (fixed 16-token prompts so the latency memo
+stays warm, 32 output tokens each) through a ContinuousBatcher.
+``width_sweep`` prices the continuous-vs-static goodput argument across
+batch widths, and ``serve-genai`` regenerates the experiment.  The
 recorded metrics land in ``BENCH_genai.json`` — the repo's perf
 trajectory for the generative layer.
 """
@@ -48,26 +46,28 @@ def test_serve_genai_experiment(run_bench):
     run_bench("serve-genai")
 
 
-def _bench_decode_10k(benchmark, perf_record, entry, fast):
+def test_decode_10k_tokens_per_sec(benchmark, perf_record):
+    """The macro-stepped decode loop at 10k sequences: one kernel event
+    per constant-composition segment (the generative layer's headline
+    number)."""
     stream = decode_heavy_stream()
     shared = OnlineServingEngine()
     eng = _engine(shared)
     # Warm the latency memo so the timing measures the event loop, not
     # first-touch GEMM math.
-    eng.run(stream[:200], record="streaming", fast=fast)
+    eng.run(stream[:200], record="streaming")
 
     def run():
-        return eng.run(stream, record="streaming", fast=fast)
+        return eng.run(stream, record="streaming")
 
     before = gfast.FAST_RUNS
     rep = benchmark.pedantic(run, rounds=3, iterations=1)
-    if fast:
-        assert gfast.FAST_RUNS > before, "fast=True fell back"
+    assert gfast.FAST_RUNS > before
     wall = float(benchmark.stats.stats.mean)
     perf_record(
-        entry,
+        "decode_10k",
         benchmark,
-        fast_path=fast,
+        fast_path=True,
         sequences=len(stream),
         tokens=rep.tokens_out,
         events=rep.events_processed,
@@ -80,25 +80,13 @@ def _bench_decode_10k(benchmark, perf_record, entry, fast):
     assert rep.events_processed > len(stream)  # arrivals + phases
 
 
-def test_decode_10k_tokens_per_sec(benchmark, perf_record):
-    """The macro-stepped decode loop at 10k sequences: one kernel event
-    per constant-composition segment (the PR 10 headline number)."""
-    _bench_decode_10k(benchmark, perf_record, "decode_10k", fast=True)
-
-
-def test_decode_10k_slow_reference(benchmark, perf_record):
-    """The token-at-a-time reference loop on the same stream — kept so
-    the artifact's speedup ratio stays honest across machines."""
-    _bench_decode_10k(benchmark, perf_record, "decode_10k_slow", fast=False)
-
-
 def test_width_sweep_continuous_vs_static(benchmark, perf_record):
     """Simulated goodput, continuous vs static, across batch widths.
 
     Mixed output lengths (8..64) are what static batching pays for:
     every short sequence pads the decode GEMM until the batch's longest
-    finishes.  The sweep runs on the fast path (bit-identical reports)
-    and records each combination's simulated tokens/s as one flat entry.
+    finishes.  The sweep records each combination's simulated tokens/s
+    as one flat entry.
     """
     stream = gen_requests(
         rate_rps=100.0,
@@ -109,7 +97,7 @@ def test_width_sweep_continuous_vs_static(benchmark, perf_record):
     )
     widths = (4, 8, 16)
     shared = OnlineServingEngine()
-    _engine(shared).run(stream[:100], record="streaming", fast=True)  # warm
+    _engine(shared).run(stream[:100], record="streaming")  # warm
 
     def sweep():
         out = {}
@@ -118,9 +106,7 @@ def test_width_sweep_continuous_vs_static(benchmark, perf_record):
                 ("continuous", ContinuousBatcher()),
                 ("static", StaticBatcher()),
             ):
-                rep = _engine(shared, sched, w).run(
-                    stream, record="streaming", fast=True
-                )
+                rep = _engine(shared, sched, w).run(stream, record="streaming")
                 assert rep.served == len(stream)
                 out[f"{name}_b{w}_sim_tokens_per_s"] = round(rep.tokens_per_s, 1)
         return out

@@ -26,7 +26,6 @@ drives ``repro.genai`` through four sections:
 from __future__ import annotations
 
 import random
-import time
 from typing import List
 
 from repro.experiments.common import ExperimentResult
@@ -47,36 +46,6 @@ SEED = 7
 def _engine(shared: OnlineServingEngine, **kw) -> GenerativeEngine:
     kw.setdefault("engine", shared)
     return GenerativeEngine(**kw)
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def _report_key(rep):
-    """Every user-visible field of a run, for exact fast==slow witness."""
-    return (
-        rep.served,
-        rep.rejected_count,
-        rep.tokens_out,
-        rep.preemptions,
-        rep.peak_waiting,
-        rep.kv_high_water_tokens,
-        rep.events_processed,
-        rep.sim_end_s,
-        rep.busy_prefill_s,
-        rep.busy_decode_s,
-        rep.mean_ttft_s,
-        rep.mean_itl_s,
-        rep.itl_samples,
-        tuple(
-            (c.request.req_id, c.first_token_s, c.finish_s, c.tokens_out,
-             c.preemptions)
-            for c in rep.completions
-        ),
-    )
 
 
 def run(fast: bool = False) -> ExperimentResult:
@@ -229,47 +198,6 @@ def run(fast: bool = False) -> ExperimentResult:
         f"saturation at {rep.kv_capacity_tokens} KV tokens: high-water "
         f"{rep.kv_high_water_tokens}, peak queue {rep.peak_waiting}, "
         f"{rep.preemptions} preemptions, 0 overflows"
-    )
-
-    # -------------------------------------------------------------- #
-    # 5. Fast path: the macro-stepped decode witness
-    # -------------------------------------------------------------- #
-    heavy = gen_requests(
-        rate_rps=100.0,
-        duration_s=20.0 if fast else 50.0,
-        prompt_range=(16, 16),
-        output_range=(32, 32),
-        seed=11,
-    )
-    _engine(shared, max_batch=8).run(heavy[:100], fast=True)  # warm memos
-    slow_rep, slow_wall = _timed(lambda: _engine(shared, max_batch=8).run(heavy))
-    fast_rep, fast_wall = _timed(
-        lambda: _engine(shared, max_batch=8).run(heavy, fast=True)
-    )
-    speedup = slow_wall / fast_wall
-    res.add(
-        section="fast-path",
-        path="reference",
-        wall_s=slow_wall,
-        tokens_per_s=slow_rep.tokens_out / slow_wall,
-        events_per_s=slow_rep.events_processed / slow_wall,
-    )
-    res.add(
-        section="fast-path",
-        path="fast",
-        wall_s=fast_wall,
-        tokens_per_s=fast_rep.tokens_out / fast_wall,
-        events_per_s=fast_rep.events_processed / fast_wall,
-        speedup=speedup,
-    )
-    res.check(
-        "the macro-stepped fast path reproduces the reference run token-for-token",
-        _report_key(slow_rep) == _report_key(fast_rep),
-    )
-    res.note(
-        f"fast path: {len(heavy)} seqs, {fast_rep.tokens_out} tokens in "
-        f"{fast_wall:.3f}s vs {slow_wall:.3f}s reference ({speedup:.1f}x), "
-        "reports bit-identical"
     )
 
     res.chart = {

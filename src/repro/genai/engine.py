@@ -9,11 +9,14 @@ structures the paper's thesis separates:
   regime where GPUs shine), plus per-sequence quadratic attention.
   Completion emits each sequence's first token (the TTFT instant) and
   merges it into the running batch;
-* **DECODE_STEP** — one token boundary for the whole running batch: the
-  four decoder GEMMs at activation dimension = batch width (the
+* **DECODE_STEP** — token boundaries for the whole running batch: each
+  is the four decoder GEMMs at activation dimension = batch width (the
   bandwidth-bound GEMV regime where StepStone wins), KV-cached linear
-  attention over each sequence's grown context, and sampling.  Every
-  boundary emits one token per active sequence; finished sequences leave.
+  attention over each sequence's grown context, and sampling, and emits
+  one token per active sequence; finished sequences leave.  One event
+  carries a whole *segment* of boundaries over which the batch cannot
+  change (:mod:`repro.genai.fast`); the collapsed boundaries are
+  credited to the kernel, so event counts are per boundary.
 
 Both phases are priced by the **existing** backend latency models: the
 engine registers the config's one-token step spec in an
@@ -50,8 +53,9 @@ from repro.genai.report import GenCompletion, GenRejection, GenReport
 from repro.genai.schedulers import ContinuousBatcher
 from repro.genai.workload import GenRequest
 from repro.models.layers import CpuOp, attention_cpu_ops, decode_attention_cpu_ops
-from repro.serving.engine import OnlineServingEngine
+from repro.serving.engine import OnlineServingEngine, _check_policy
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
+from repro.serving.scheduler import _check_batch
 from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
 
 __all__ = ["SeqState", "GenerativeEngine"]
@@ -131,11 +135,15 @@ class GenerativeEngine:
                 hosted weights.
 
         Raises:
-            ValueError: On a non-positive ``max_batch``, or (at default
-                sizing) a node too small to host the weights.
+            ValueError: On a ``max_batch`` or ``kv_capacity_tokens`` that
+                is not a positive integer, a policy the node cannot
+                dispatch, or (at default sizing) a node too small to
+                host the weights.
         """
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
+        _check_batch("max_batch", max_batch)
+        if kv_capacity_tokens is not None:
+            _check_batch("kv_capacity_tokens", kv_capacity_tokens)
+        _check_policy(policy, spec.backend)
         self.config = config
         self.spec = spec
         self.scheduler = scheduler if scheduler is not None else ContinuousBatcher()
@@ -154,9 +162,8 @@ class GenerativeEngine:
             self._host_cfg = self.engine.server.cpu.config
         #: Per-context-length prefill attention seconds (pure, memoized).
         self._prefill_attn: dict = {}
-        #: Per-(charged, actives, total_ctx) decode-boundary seconds.
-        #: One memo shared by the reference loop and the macro-stepped
-        #: fast path, so every boundary is priced by the same float.
+        #: Per-(charged, actives, total_ctx) decode-boundary seconds:
+        #: every boundary with one signature is priced by one float.
         self._decode_cost: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -205,19 +212,6 @@ class GenerativeEngine:
             t += self._prefill_attn_seconds(s.request.prompt_tokens + s.emitted)
         return t + self._sampling_seconds(len(group))
 
-    def decode_seconds(self, charged_width: int, active: List[SeqState]) -> float:
-        """Service time of one token boundary.
-
-        Args:
-            charged_width: GEMM activation dimension — the live width
-                under continuous batching, the admitted (padded) width
-                under static.
-            active: Sequences actually emitting (attention + sampling
-                are charged for these only).
-        """
-        total_ctx = sum(s.request.prompt_tokens + s.emitted + 1 for s in active)
-        return self.decode_step_seconds(charged_width, len(active), total_ctx)
-
     def decode_step_seconds(
         self, charged_width: int, n_active: int, total_ctx: int
     ) -> float:
@@ -225,11 +219,19 @@ class GenerativeEngine:
 
         The cost of a boundary is a pure function of ``(charged GEMM
         width, active count, total context tokens)`` — so it is memoized
-        on exactly that key.  :meth:`decode_seconds` reduces a batch to
-        this signature, and the fast path walks a segment's boundaries
-        by advancing ``total_ctx`` arithmetically; both read the same
-        cached float for the same signature, which is what makes the
-        macro-stepped run bit-identical to the event-at-a-time run.
+        on exactly that key.  :func:`~repro.genai.fast.plan_segment`
+        walks a segment's boundaries by advancing ``total_ctx``
+        arithmetically, so a boundary costs the same cached float
+        however the run is cut into segments.
+
+        Args:
+            charged_width: GEMM activation dimension — the live width
+                under continuous batching, the admitted (padded) width
+                under static.
+            n_active: Sequences actually emitting (attention and
+                sampling are charged for these only).
+            total_ctx: Their summed context, the token this boundary
+                emits included.
         """
         key = (charged_width, n_active, total_ctx)
         hit = self._decode_cost.get(key)
@@ -276,42 +278,26 @@ class GenerativeEngine:
                 self-profiling when a profiler is attached.  Default
                 off; a traced run's report is identical to an untraced
                 one.
-            fast: Opt into the :mod:`repro.genai.fast` macro-stepped
-                decode path — bit-identical reports, one kernel event
-                per constant-composition segment instead of one per
-                token boundary.  Falls back here (with a labeled
-                ``fast_fallback`` telemetry count) when spans or a
-                profiler need per-event hooks; both record modes
-                engage.
+            fast: Accepted and ignored.  Every run takes the
+                :mod:`repro.genai.fast` macro-stepped decode; the
+                keyword stays because the benchmark's workloads still
+                pass ``fast=True``.
 
         Returns:
             The finished report, including KV high-water and peak queue
             depth — identical across runs with identical inputs (the
             engine draws no randomness).
         """
+        from repro.genai import fast as fastmod
+
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.req_id))
         report = GenReport(self.scheduler.name, record=record)
         kv = KVCacheBudget(self.kv_capacity_tokens)
         report.kv_capacity_tokens = kv.capacity_tokens
+        fastmod.count_run()
         if not ordered:
             return report
         spans = obs.spans if obs is not None else None
-        fastmod = None
-        if fast:
-            if spans is not None:
-                reason = "spans"
-            elif obs is not None and obs.profile is not None:
-                reason = "profiler"
-            else:
-                reason = None
-            if reason is not None:
-                from repro.obs.telemetry import record_fast_fallback
-
-                record_fast_fallback("genai", reason, obs)
-            else:
-                from repro.genai import fast as fastmod
-
-                fastmod.count_run()
         model = self.config.step_key
         kernel = DiscreteEventKernel()
         kernel.preload(
@@ -406,32 +392,20 @@ class GenerativeEngine:
                         report.peak_waiting = len(waiting)
                 charged = width if self.scheduler.fixed_width else len(running)
                 busy = True
-                if fastmod is not None:
-                    # Macro step: plan every boundary until the batch
-                    # composition can change, reserve the whole run's KV
-                    # growth arithmetically, and schedule one event at
-                    # the segment's last boundary.  The skipped
-                    # boundaries are credited so events_processed
-                    # matches the event-at-a-time run.
-                    seg = fastmod.plan_segment(
-                        self, kernel, running, waiting, kv, now, max(1, charged)
-                    )
-                    kv.reserve_run(len(running), seg.steps)
-                    for s in running:
-                        s.reserved += seg.steps
-                    kernel.credit_events(seg.steps - 1)
-                    kernel.schedule(
-                        seg.times[-1], EventKind.DECODE_STEP, payload=seg
-                    )
-                else:
-                    kv.reserve(len(running))
-                    for s in running:
-                        s.reserved += 1
-                    kernel.schedule(
-                        now + self.decode_seconds(max(1, charged), running),
-                        EventKind.DECODE_STEP,
-                        payload=(list(running), now, max(1, charged)),
-                    )
+                # Macro step: plan every boundary until the batch
+                # composition can change, reserve the whole run's KV
+                # growth arithmetically, and schedule one event at the
+                # segment's last boundary.  The skipped boundaries are
+                # credited, so events_processed (and a profiler's
+                # DECODE_STEP ledgers) count one event per boundary.
+                seg = fastmod.plan_segment(
+                    self, kernel, running, waiting, kv, now, max(1, charged)
+                )
+                kv.reserve_run(len(running), seg.steps)
+                for s in running:
+                    s.reserved += seg.steps
+                kernel.credit_events(seg.steps - 1)
+                kernel.schedule(seg.times[-1], EventKind.DECODE_STEP, payload=seg)
 
         def on_arrivals(now: float, events: List[Event]) -> None:
             for ev in events:
@@ -504,51 +478,29 @@ class GenerativeEngine:
 
         def on_decode(now: float, events: List[Event]) -> None:
             nonlocal busy
-            payload = events[0].payload
-            if fastmod is not None:
-                if fastmod.apply_segment(payload, report, complete):
-                    running[:] = [s for s in running if not s.done]
-                busy = False
-                maybe_start(now)
-                return
-            active, started, charged = payload
-            report.busy_decode_s += now - started
+            seg = events[0].payload
             if spans is not None:
-                spans.emit(
-                    -1,
-                    "decode-step",
-                    started,
-                    now - started,
-                    batch=charged,
-                    model=model,
-                    kv_tokens=kv.used_tokens,
-                    tokens=len(active),
-                )
-            # Collapse this boundary's equal gaps into (gap, count) runs
-            # — the same sketch ingestion the macro-stepped path
-            # performs per boundary, so both paths' ITL statistics see
-            # identical updates in identical order.
-            gap = None
-            n_run = 0
-            for s in active:
-                g = now - s.last_token_s
-                if g == gap:
-                    n_run += 1
-                else:
-                    if n_run:
-                        report.record_itl_run(gap, n_run)
-                    gap = g
-                    n_run = 1
-            if n_run:
-                report.record_itl_run(gap, n_run)
-            finished = False
-            for s in active:
-                s.emitted += 1
-                s.last_token_s = now
-                if s.emitted >= s.request.max_new_tokens:
-                    complete(s, now)
-                    finished = True
-            if finished:
+                # One engine span per boundary, from the same floats
+                # busy_decode_s adds, so the "decode-step" total ties
+                # out exactly.  Nothing releases KV inside a segment,
+                # so boundary j of k held k - j fewer growth steps.
+                w = len(seg.actives)
+                held = kv.used_tokens - seg.steps * w
+                started = seg.start
+                for t, d in zip(seg.times, seg.deltas):
+                    held += w
+                    spans.emit(
+                        -1,
+                        "decode-step",
+                        started,
+                        d,
+                        batch=seg.charged,
+                        model=model,
+                        kv_tokens=held,
+                        tokens=w,
+                    )
+                    started = t
+            if fastmod.apply_segment(seg, report, complete):
                 running[:] = [s for s in running if not s.done]
             busy = False
             maybe_start(now)

@@ -25,13 +25,15 @@ walks the segment's boundary chain once, :func:`apply_segment` replays
 its effects — busy seconds delta-by-delta, ITL samples as ``(gap,
 count)`` runs into the PR 6 sketches, completions at the final boundary
 — and the engine schedules **one** kernel event per segment, crediting
-the collapsed boundaries so ``events_processed`` still matches.
+the collapsed boundaries so ``events_processed`` still counts one event
+per boundary.  This is the engine's only decode path.
 
 Exactness is the contract (pinned by
-``tests/test_genai_fast_differential.py``): boundary times are the same
-sequential chain of float additions the reference loop performs
+``tests/test_genai_fast_differential.py`` against the one-boundary
+oracle in ``tests/genai_oracle.py``): boundary times are the same
+sequential chain of float additions a token-at-a-time loop performs
 (``b_j = b_{j-1} + step_j``), busy/ITL deltas are the same stored
-subtractions, and both paths ingest identical ``(gap, count)`` runs —
+subtractions, and both ingest identical ``(gap, count)`` runs —
 bit-for-bit equality, not tolerance.  That sequential chain is also why
 the walk is a loop rather than a vectorized cumulative sum: the win is
 O(1) kernel events per segment, and any reassociation of the float adds
@@ -44,15 +46,14 @@ from typing import List
 
 __all__ = ["FAST_RUNS", "Segment", "count_run", "plan_segment", "apply_segment"]
 
-#: Fast-path engagements since import — the differential harness and the
-#: benchmarks snapshot it around a run to assert the gate actually took
-#: the macro-stepped path (a silent fallback would make fast==slow
-#: vacuous).
+#: Generative runs since import (every run takes the macro-stepped
+#: path); the differential harness and the benchmarks snapshot it
+#: around a run to show the path engaged.
 FAST_RUNS = 0
 
 
 def count_run() -> None:
-    """Record one fast-path engagement (called by the engine's gate)."""
+    """Record one generative run (called once per engine run)."""
     global FAST_RUNS
     FAST_RUNS += 1
 
@@ -64,17 +65,28 @@ class Segment:
     last boundary; :func:`apply_segment` replays it there.
     """
 
-    __slots__ = ("actives", "times", "deltas", "steps")
+    __slots__ = ("actives", "start", "charged", "times", "deltas", "steps")
 
-    def __init__(self, actives: List, times: List[float], deltas: List[float]):
+    def __init__(
+        self,
+        actives: List,
+        start: float,
+        charged: int,
+        times: List[float],
+        deltas: List[float],
+    ):
         #: The running batch, frozen in list order for the whole segment.
         self.actives = actives
-        #: Boundary instants ``b_1 .. b_k`` — each the reference loop's
-        #: exact ``schedule`` float for that boundary.
+        #: The instant the segment starts (the previous boundary).
+        self.start = start
+        #: GEMM width every boundary is charged at.
+        self.charged = charged
+        #: Boundary instants ``b_1 .. b_k`` — each the exact float a
+        #: token-at-a-time loop would schedule that boundary at.
         self.times = times
         #: ``b_j - b_{j-1}`` as stored subtractions — the exact floats
-        #: the reference loop adds to ``busy_decode_s`` and records as
-        #: continuing-member ITL gaps.
+        #: added to ``busy_decode_s`` and recorded as continuing-member
+        #: ITL gaps.
         self.deltas = deltas
         #: Boundary count ``k`` (>= 1).
         self.steps = len(times)
@@ -87,14 +99,14 @@ def plan_segment(engine, kernel, running, waiting, kv, now, charged) -> Segment:
 
     * the nearest finish — ``min(max_new - emitted)`` boundaries away;
     * KV saturation — ``(capacity - used) // width`` boundaries fit
-      before the growth the reference loop would preempt on (>= 1 after
-      the caller's preemption loop re-established ``fits(width)``);
+      before the growth that would preempt (>= 1 after the caller's
+      preemption loop re-established ``fits(width)``);
     * the next pending kernel event, but only when the scheduler says a
       join is possible mid-segment
       (:meth:`~repro.genai.schedulers.ContinuousBatcher
       .segment_join_blocked`) — the segment stops at the first boundary
-      at or past that instant, where the reference loop's ``maybe_start``
-      would see the new arrival.
+      at or past that instant, where the engine's next ``maybe_start``
+      sees the new arrival.
 
     Args:
         engine: The :class:`~repro.genai.engine.GenerativeEngine`.
@@ -131,13 +143,13 @@ def plan_segment(engine, kernel, running, waiting, kv, now, charged) -> Segment:
         ctx += w
         if bound_t is not None and nb >= bound_t:
             break
-    return Segment(list(running), times, deltas)
+    return Segment(list(running), now, charged, times, deltas)
 
 
 def apply_segment(seg: Segment, report, complete) -> bool:
     """Replay a segment's effects at its final boundary.
 
-    Reproduces exactly what ``k`` reference boundaries would have
+    Reproduces exactly what ``k`` one-boundary segments would have
     recorded: ``busy_decode_s`` grows delta-by-delta in boundary order;
     the first boundary's ITL gaps (which may differ between continuing
     members and fresh joiners) collapse into ``(gap, count)`` runs in

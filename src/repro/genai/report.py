@@ -143,10 +143,10 @@ class GenReport:
 
         A decode boundary emits the same gap for every sequence that was
         active at the previous boundary, and a macro-stepped segment
-        emits one gap per boundary for its whole batch — both the
-        reference and fast engine paths feed the sketch the same
-        ``(gap, count)`` runs, so their means and percentiles agree
-        exactly (run-batched P² updates included).
+        emits one gap per boundary for its whole batch — one run per
+        boundary, however the boundaries are cut into segments, so the
+        means and percentiles do not depend on the cut (run-batched P²
+        updates included).
         """
         self._itl.add_run(gap_s, n)
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Tuple
 
 from repro.sim.stats import StreamStats
 
-__all__ = ["Telemetry", "ScopedTelemetry", "BUS", "record_fast_fallback"]
+__all__ = ["Telemetry", "ScopedTelemetry", "BUS"]
 
 #: Canonical metric-key type: (name, sorted (label, value) pairs).
 MetricKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
@@ -210,24 +210,3 @@ class ScopedTelemetry:
 #: ``BUS.enable()``, so importing this module costs nothing.
 BUS = Telemetry(enabled=False)
 
-
-def record_fast_fallback(loop: str, reason: str, obs: Any = None) -> None:
-    """Count one declined fast-path engagement, labeled by cause.
-
-    Genai's gate (``GenerativeEngine.run(fast=True)``) calls this with
-    the *first* condition that disqualified the macro-stepped path
-    (``"spans"`` or ``"profiler"``) — so a sweep that meant to run fast
-    but silently fell back is visible as a labeled counter instead of a
-    mystery slowdown.  The fleet loops have no gate: they always take
-    the one drain.  The increment lands on the process-wide :data:`BUS`
-    and, when the run carries its own telemetry, on that bus too.
-
-    Args:
-        loop: The run loop that fell back (``"genai"``).
-        reason: The first failing gate condition.
-        obs: The run's optional :class:`~repro.obs.RunObserver`.
-    """
-    BUS.inc("fast_fallback", loop=loop, reason=reason)
-    bus = getattr(obs, "telemetry", None) if obs is not None else None
-    if bus is not None and bus is not BUS:
-        bus.inc("fast_fallback", loop=loop, reason=reason)

@@ -69,6 +69,14 @@ __all__ = [
 POLICIES: Tuple[str, ...] = ("cpu", "pim", "hybrid")
 
 
+def _check_policy(policy: str, backend: str = "stepstone") -> None:
+    """Reject a policy a ``backend`` node cannot dispatch: any of
+    :data:`POLICIES`, plus the backend's own name off-StepStone."""
+    allowed = POLICIES if backend == "stepstone" else POLICIES + (backend,)
+    if policy not in allowed:
+        raise ValueError(f"unknown policy {policy!r}; choose from {allowed}")
+
+
 # ---------------------------------------------------------------------- #
 # Requests and outcomes
 # ---------------------------------------------------------------------- #
@@ -485,19 +493,8 @@ class OnlineServingEngine:
             Seconds to serve the batch on that hardware.
         """
         backend = spec.backend if spec is not None else "stepstone"
-        if backend == "stepstone":
-            if policy not in POLICIES:
-                raise ValueError(
-                    f"unknown policy {policy!r}; choose from {POLICIES}"
-                )
-            eff_policy = policy
-        else:
-            if policy not in POLICIES and policy != backend:
-                raise ValueError(
-                    f"unknown policy {policy!r}; choose from "
-                    f"{POLICIES + (backend,)}"
-                )
-            eff_policy = backend
+        _check_policy(policy, backend)
+        eff_policy = policy if backend == "stepstone" else backend
         _check_batch("batch", batch)
         key = (
             model,
@@ -651,8 +648,7 @@ class OnlineServingEngine:
             KeyError: If a request names a model this engine does not
                 know (before the run has any side effect).
         """
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
+        _check_policy(policy)
         requests = list(requests)
         unknown = {r.model for r in requests} - self.models.keys()
         if unknown:

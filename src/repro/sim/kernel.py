@@ -137,6 +137,9 @@ class SimClock:
         self.now = t
 
 
+_DECODE_STEP = int(EventKind.DECODE_STEP)
+
+
 def _not_finite(t: float) -> ValueError:
     """The error for a NaN or infinite event time.  Callers test
     ``not -inf < t < inf``: NaN compares False both ways, so it would
@@ -182,6 +185,7 @@ class DiscreteEventKernel:
         "_seq",
         "_lazy",
         "_lazy_prev",
+        "_prof",
     )
 
     def __init__(self) -> None:
@@ -193,6 +197,8 @@ class DiscreteEventKernel:
         self._seq = 0
         self._lazy = None
         self._lazy_prev = None
+        #: The profiler of a profiled run in flight, else ``None``.
+        self._prof = None
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -329,12 +335,15 @@ class DiscreteEventKernel:
         return t
 
     def credit_events(self, n: int) -> None:
-        """Count ``n`` events a fast path replayed arithmetically.
+        """Count ``n`` decode boundaries a macro step replayed arithmetically.
 
-        A macro-stepped segment collapses ``k`` would-be events into one
-        scheduled boundary; crediting the other ``k - 1`` keeps
-        ``processed`` (and the ``events_processed`` benchmarks divide
-        wall time by) identical to the event-at-a-time run.
+        A macro-stepped decode segment collapses ``k`` boundaries into
+        one scheduled ``DECODE_STEP``; crediting the other ``k - 1``
+        keeps ``processed`` (and the ``events_processed`` benchmarks
+        divide wall time by) at one event per boundary.  Under a
+        profiled run the credit lands in the profiler's ledgers too —
+        events, ``DECODE_STEP`` counts and batches (one per boundary)
+        and heap deliveries — so they read as a per-boundary run's.
 
         Raises:
             ValueError: On a negative credit.
@@ -342,6 +351,13 @@ class DiscreteEventKernel:
         if n < 0:
             raise ValueError("cannot credit a negative event count")
         self.processed += n
+        prof = self._prof
+        if prof is not None and n:
+            kind = _DECODE_STEP
+            prof.events += n
+            prof.counts[kind] = prof.counts.get(kind, 0) + n
+            prof.batches[kind] = prof.batches.get(kind, 0) + n
+            prof.heap_events += n
 
     # ------------------------------------------------------------------ #
     # The run loop
@@ -422,6 +438,7 @@ class DiscreteEventKernel:
         clock = self.clock
         heappop = heapq.heappop
         counts, batches, handler_s = prof.counts, prof.batches, prof.handler_s
+        self._prof = prof
         stream_n = heap_n = 0
         run_t0 = perf_counter()
         wall_base = prof.wall_s
@@ -471,6 +488,7 @@ class DiscreteEventKernel:
         prof.stream_events += stream_n
         prof.heap_events += heap_n
         prof.runs += 1
+        self._prof = None
         return clock.now
 
     def finalize(self, report: Any) -> None:

@@ -292,12 +292,10 @@ class TestPhaseAccounting:
     def test_decode_step_grows_with_context(self, shared_engine):
         """Later tokens cost more: attention walks a longer cached context."""
         eng = make_engine(shared_engine)
-        from repro.genai.engine import SeqState
-
-        young = SeqState(GenRequest(0, 0.0, 16, 64))
-        old = SeqState(GenRequest(1, 0.0, 16, 64))
-        old.emitted = 48
-        assert eng.decode_seconds(1, [old]) > eng.decode_seconds(1, [young])
+        # One active sequence of a 16-token prompt, at its first token
+        # boundary (context 16 + 1 + 1) and 48 tokens later.
+        young, old = 16 + 2, 16 + 48 + 2
+        assert eng.decode_step_seconds(1, 1, old) > eng.decode_step_seconds(1, 1, young)
 
     def test_stepstone_beats_gpu_at_batch_one_decode(self, shared_engine):
         """The paper's thesis at the per-event level: batch-1 decode is

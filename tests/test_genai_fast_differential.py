@@ -1,17 +1,18 @@
 """Differential harness pinning the genai macro-stepped decode path.
 
-``repro.genai.fast`` collapses every constant-composition run of decode
-boundaries into one kernel event; this file is the contract that makes
-that rewrite safe.  Every seeded scenario runs the *same* generation
-stream twice — once through the token-at-a-time reference loop, once
-through the macro-stepped path — and asserts the two reports agree
-bit-for-bit: same completions in the same order with the same first- and
-last-token instants, same preemption counts, same KV high-water, same
-busy seconds, same ITL/TTFT means *and percentiles* (both paths feed the
-PR 6 sketches identical ``(gap, count)`` runs), same
-``events_processed``.  Anything weaker would let a reassociated float
-add or an off-by-one segment bound slip through; exact equality is cheap
-because both paths are deterministic.
+Every ``GenerativeEngine.run`` decodes through ``repro.genai.fast``,
+which collapses each constant-composition run of decode boundaries into
+one kernel event; this file is the contract that makes that rewrite
+safe.  Every seeded scenario runs the *same* generation stream twice —
+once on the token-at-a-time oracle (``tests/genai_oracle.py``, one
+boundary per segment), once on the engine as it stands — and asserts
+the two reports agree bit-for-bit: same completions in the same order
+with the same first- and last-token instants, same preemption counts,
+same KV high-water, same busy seconds, same ITL/TTFT means *and
+percentiles* (both feed the streaming sketches identical ``(gap,
+count)`` runs), same ``events_processed``.  Anything weaker would let a
+reassociated float add or an off-by-one segment bound slip through;
+exact equality is cheap because both runs are deterministic.
 
 Scenarios are generated from small integer seeds so CI can throw fresh
 ones at the harness on every push (``FAST_DIFF_SEEDS=a,b,c``, see the
@@ -23,10 +24,11 @@ length mixes, and KV budgets squeezed tight enough to preempt.
 The bottom sections pin the segment *seams* specifically: KV overflow
 landing exactly on a segment's last boundary, recompute-on-resume after
 preemption, the never-empty-batch invariant under single-sequence
-saturation, the golden trace captured from the pre-fast-path loop, one
-test per labeled ``fast_fallback`` telemetry cause of genai's gate, and
-one test per fleet loop that a traced run takes the drain and matches
-the event-at-a-time oracle span for span.
+saturation, a join arriving exactly on a boundary, the golden trace
+captured from the pre-fast-path loop, a traced and a profiled genai
+run against the oracle's, and one test per fleet loop that a traced
+run takes the drain and matches the event-at-a-time oracle span for
+span.
 
 Regenerate the golden fixture (only on a *deliberate* behavior change):
 
@@ -51,9 +53,14 @@ from repro.genai import (
     gen_requests,
 )
 from repro.genai import fast as gfast
+from repro.genai.engine import SeqState
+from repro.genai.workload import GenRequest
 from repro.obs import RunObserver
 from repro.obs.telemetry import BUS
 from repro.serving import STEPSTONE_NODE
+from repro.sim import fast as sfast
+
+from genai_oracle import oracle_run as genai_oracle_run
 
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
@@ -195,17 +202,27 @@ def fingerprint(rep):
     return fp
 
 
+def _assert_engages(run, fastmod=gfast):
+    """``run`` takes ``fastmod``'s path: its FAST_RUNS bumps by one, and
+    no ``fast_fallback`` counter exists on the bus."""
+    BUS.enable()
+    try:
+        runs = fastmod.FAST_RUNS
+        out = run()
+        assert fastmod.FAST_RUNS == runs + 1, fastmod.__name__
+        counters = BUS.snapshot()["counters"]
+        assert not [k for k in counters if k.startswith("fast_fallback")]
+    finally:
+        BUS.disable()
+        BUS.reset()
+    return out
+
+
 def run_both(scn, record="full"):
-    """Run the scenario slow then fast; the fast run must actually
-    engage the macro-stepped path (FAST_RUNS counter bumps)."""
-    slow = scn.engine().run(scn.stream(), record=record)
-    before = gfast.FAST_RUNS
-    fast = scn.engine().run(scn.stream(), record=record, fast=True)
-    assert gfast.FAST_RUNS == before + 1, (
-        "fast=True fell back to the reference path",
-        scn.seed,
-        scn.scheduler,
-    )
+    """Run the scenario on the oracle, then on the engine, which must
+    take the macro-stepped path (FAST_RUNS bumps)."""
+    slow = genai_oracle_run(scn.engine().run, scn.stream(), record=record)
+    fast = _assert_engages(lambda: scn.engine().run(scn.stream(), record=record))
     return slow, fast
 
 
@@ -240,7 +257,7 @@ def test_matrix_exercises_preemption_and_rejection():
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_streaming_record_engages_and_matches(scheduler):
     """Both record modes take the macro-stepped path; streaming
-    aggregates must equal the slow streaming run's exactly."""
+    aggregates must equal the oracle's streaming run's exactly."""
     scn = Scenario(1, scheduler)
     slow, fast = run_both(scn, record="streaming")
     assert fingerprint(slow) == fingerprint(fast)
@@ -252,7 +269,7 @@ def test_streaming_record_engages_and_matches(scheduler):
 # Two sequences (prompt 4, 20 output tokens each) under a 24-token
 # budget: both prefill (5 reserved each), decode grows the cache by 2
 # per boundary, so boundary 7 lands the cache exactly on capacity — the
-# fast path's segment must end precisely there, the next composition
+# macro step's segment must end precisely there, the next composition
 # point preempts the younger sequence, the survivor finishes with the
 # cache again landing exactly on capacity, and the victim re-prefills
 # its recomputed context and finishes alone.
@@ -260,8 +277,6 @@ def test_streaming_record_engages_and_matches(scheduler):
 
 
 def _overflow_requests():
-    from repro.genai.workload import GenRequest
-
     return [
         GenRequest(req_id=0, arrival_s=0.0, prompt_tokens=4, max_new_tokens=20),
         GenRequest(req_id=1, arrival_s=0.0, prompt_tokens=4, max_new_tokens=20),
@@ -276,12 +291,10 @@ def _overflow_engine():
 
 def test_overflow_at_exact_segment_boundary():
     """KV saturation on the segment's *last* boundary: the high-water
-    mark must equal capacity exactly on both paths (an off-by-one in
+    mark must equal capacity exactly on both runs (an off-by-one in
     ``(capacity - used) // width`` would overshoot or stop early)."""
-    slow = _overflow_engine().run(_overflow_requests())
-    before = gfast.FAST_RUNS
-    fast = _overflow_engine().run(_overflow_requests(), fast=True)
-    assert gfast.FAST_RUNS == before + 1
+    slow = genai_oracle_run(_overflow_engine().run, _overflow_requests())
+    fast = _assert_engages(lambda: _overflow_engine().run(_overflow_requests()))
     assert slow.kv_high_water_tokens == 24 == slow.kv_capacity_tokens
     assert slow.preemptions >= 1
     assert fingerprint(slow) == fingerprint(fast)
@@ -291,10 +304,10 @@ def test_recompute_on_resume_matches():
     """The preempted sequence re-prefills its recomputed context and
     still finishes with its full token budget; its completion record
     (first token, finish, tokens, preemption count) must be identical
-    across paths — the resume seam re-enters the slow admission path
-    mid-run, so this pins the fast/slow interleaving."""
-    slow = _overflow_engine().run(_overflow_requests())
-    fast = _overflow_engine().run(_overflow_requests(), fast=True)
+    across runs — the resume seam re-enters admission mid-run, so this
+    pins how segments interleave with prefills."""
+    slow = genai_oracle_run(_overflow_engine().run, _overflow_requests())
+    fast = _overflow_engine().run(_overflow_requests())
     victims = [c for c in slow.completions if c.preemptions > 0]
     assert victims, "scenario no longer preempts; rebuild it"
     for c in victims:
@@ -315,8 +328,6 @@ def test_never_empty_batch_under_saturation():
     macro-stepper must clamp its KV bound to >= 1 boundary in exactly
     the same spots, every sequence must still emit its full budget, and
     the thrash-heavy run must stay bit-identical."""
-    from repro.genai.workload import GenRequest
-
     reqs = [
         GenRequest(
             req_id=i, arrival_s=0.1 * i, prompt_tokens=4, max_new_tokens=20
@@ -329,49 +340,100 @@ def test_never_empty_batch_under_saturation():
             scheduler=ContinuousBatcher(), max_batch=4, kv_capacity_tokens=24
         )
 
-    slow = build().run(list(reqs))
-    before = gfast.FAST_RUNS
-    fast = build().run(list(reqs), fast=True)
-    assert gfast.FAST_RUNS == before + 1
+    slow = genai_oracle_run(build().run, list(reqs))
+    fast = _assert_engages(lambda: build().run(list(reqs)))
     assert slow.served == len(reqs)
     assert slow.preemptions > 0
     assert all(c.tokens_out == 20 for c in slow.completions)
     assert fingerprint(slow) == fingerprint(fast)
 
 
+def test_join_arriving_exactly_on_a_boundary():
+    """One sequence decodes alone with a free slot and an empty queue,
+    so its segment is bounded by the next arrival.  A second request
+    arrives exactly on the third decode boundary (the instant built
+    from the same ``decode_step_seconds`` chain): the arrival sorts
+    before that boundary's DECODE_STEP, so the joiner prefills right
+    there.  A segment that stopped only *past* the arrival instant, or
+    ignored it, would keep the joiner waiting until the first sequence
+    finished."""
+    eng = GenerativeEngine(scheduler=ContinuousBatcher(), max_batch=2)
+    first = GenRequest(req_id=0, arrival_s=0.0, prompt_tokens=8, max_new_tokens=12)
+    b = 0.0 + eng.prefill_seconds([SeqState(first)])
+    ctx = first.prompt_tokens + 2  # context at boundary 1: prompt + 1 + 1
+    for _ in range(3):
+        b += eng.decode_step_seconds(1, 1, ctx)
+        ctx += 1
+    joiner = GenRequest(req_id=1, arrival_s=b, prompt_tokens=8, max_new_tokens=4)
+
+    def build():
+        return GenerativeEngine(scheduler=ContinuousBatcher(), max_batch=2)
+
+    slow = genai_oracle_run(build().run, [first, joiner])
+    fast = _assert_engages(lambda: build().run([first, joiner]))
+    assert fingerprint(slow) == fingerprint(fast)
+    done = {c.request.req_id: c for c in fast.completions}
+    assert done[1].first_token_s == b + eng.prefill_seconds([SeqState(joiner)])
+    assert done[1].finish_s < done[0].finish_s
+
+
 # --------------------------------------------------------------------------
-# Fallback-reason telemetry: every cause that declines genai's fast path
-# must land one labeled increment on the bus — a sweep that silently fell
-# back should be a readable counter, not a mystery slowdown.  The fleet
-# loops have no gate: every run, traced or not, takes the drain.
+# Observed runs: tracing and profiling ride the one path.  Neither genai
+# nor the fleet loops have a gate any more; every run, traced or not,
+# takes the macro step (genai) or the drain (fleets).
 # --------------------------------------------------------------------------
 
-
-def _assert_fallback(loop, reason, run):
-    BUS.enable()
-    try:
-        before = BUS.counter("fast_fallback", loop=loop, reason=reason)
-        run()
-        after = BUS.counter("fast_fallback", loop=loop, reason=reason)
-        assert after == before + 1, (loop, reason)
-    finally:
-        BUS.disable()
-        BUS.reset()
+#: A rejecting (seed 0) and a preempting (seed 3) scenario per scheduler:
+#: join-blocked segments run past arrivals, so the traced runs emit the
+#: same spans in a different order.
+OBSERVED = [(seed, sched) for seed in (0, 3) for sched in SCHEDULERS]
 
 
-def _gen_stream():
-    return gen_requests(30.0, 1.0, (8, 16), (4, 8), seed=3)
+@pytest.mark.parametrize("seed,scheduler", OBSERVED)
+def test_genai_traced_run_matches_oracle(seed, scheduler):
+    """A traced run emits one ``decode-step`` span per boundary: the
+    same spans as the oracle's traced run, with bit-identical per-phase
+    counts and totals and the same Chrome export, and the decode-step
+    total still equals ``busy_decode_s`` with ``==``."""
+    scn = Scenario(seed, scheduler)
+    oracle_obs = RunObserver.tracing()
+    slow = genai_oracle_run(scn.engine().run, scn.stream(), obs=oracle_obs)
+    obs = RunObserver.tracing()
+    fast = _assert_engages(lambda: scn.engine().run(scn.stream(), obs=obs))
+    assert fingerprint(fast) == fingerprint(slow)
+    sp, osp = obs.spans, oracle_obs.spans
+    assert sp.n_evicted == 0
+    assert sorted(sp.spans) == sorted(osp.spans)
+    assert sorted(sp.phases()) == sorted(osp.phases())
+    for phase in osp.phases():
+        assert sp.count(phase) == osp.count(phase), phase
+        assert sp.total_s(phase) == osp.total_s(phase), phase
+    assert sp.chrome_trace() == osp.chrome_trace()
+    assert sp.total_s("decode-step") == fast.busy_decode_s
+    assert sp.count("decode-step") > len(fast.completions)
+    if seed == 3:
+        assert sp.count("preempted") == fast.preemptions > 0
+    else:
+        assert sp.count("rejected") == fast.rejected_count > 0
 
 
-def test_genai_fallback_reasons():
-    for reason, obs in [
-        ("spans", RunObserver.tracing()),
-        ("profiler", RunObserver.profiling()),
-    ]:
-        eng = GenerativeEngine(scheduler=ContinuousBatcher(), max_batch=4)
-        _assert_fallback(
-            "genai", reason, lambda: eng.run(_gen_stream(), obs=obs, fast=True)
-        )
+@pytest.mark.parametrize("seed,scheduler", OBSERVED)
+def test_genai_profiled_run_matches_oracle(seed, scheduler):
+    """Under a profiler the collapsed boundaries are credited into the
+    kernel ledgers, so the profile counts what the oracle's
+    per-boundary run counts: every event, one ``DECODE_STEP`` batch per
+    boundary, and the same heap and stream deliveries."""
+    scn = Scenario(seed, scheduler)
+    oracle_obs = RunObserver.profiling()
+    slow = genai_oracle_run(scn.engine().run, scn.stream(), obs=oracle_obs)
+    obs = RunObserver.profiling()
+    fast = _assert_engages(lambda: scn.engine().run(scn.stream(), obs=obs))
+    assert fingerprint(fast) == fingerprint(slow)
+    prof, oprof = obs.profile.profile(), oracle_obs.profile.profile()
+    for field in ("events", "counts", "batches", "heap_events", "stream_events"):
+        assert getattr(prof, field) == getattr(oprof, field), field
+    assert prof.events == fast.events_processed
+    assert prof.counts["DECODE_STEP"] == prof.batches["DECODE_STEP"] > 0
 
 
 def _serving_stream():
@@ -393,27 +455,6 @@ def _outage():
     return FailureTrace.scripted([(0, 0.3, 0.6)])
 
 
-def _assert_fast_engages(run):
-    """``run`` takes the drain: FAST_RUNS bumps, no fallback counted."""
-    from repro.sim import fast as sfast
-
-    def fallbacks():
-        counters = BUS.snapshot()["counters"]
-        return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
-
-    BUS.enable()
-    try:
-        before = fallbacks()
-        runs = sfast.FAST_RUNS
-        out = run()
-        assert sfast.FAST_RUNS == runs + 1
-        assert fallbacks() == before
-    finally:
-        BUS.disable()
-        BUS.reset()
-    return out
-
-
 def _assert_traced_run_matches_oracle(run, fingerprint):
     """A span-traced ``run(obs=...)`` takes the drain (no fallback is
     counted), and its report and span stream equal the oracle loop's:
@@ -423,7 +464,7 @@ def _assert_traced_run_matches_oracle(run, fingerprint):
     oracle_obs = RunObserver.tracing()
     slow = oracle_run(run, obs=oracle_obs)
     obs = RunObserver.tracing()
-    fast = _assert_fast_engages(lambda: run(obs=obs))
+    fast = _assert_engages(lambda: run(obs=obs), sfast)
     assert fingerprint(fast) == fingerprint(slow)
     spans = [tuple(sp) for sp in obs.spans.spans]
     assert spans == [tuple(sp) for sp in oracle_obs.spans.spans]
@@ -453,8 +494,8 @@ def test_engine_traced_run_takes_the_drain():
         lambda **kw: eng.run(_traced_stream(), "hybrid", **kw),
         _engine_fingerprint,
     )
-    _assert_fast_engages(
-        lambda: eng.run(_serving_stream(), "hybrid", record="streaming")
+    _assert_engages(
+        lambda: eng.run(_serving_stream(), "hybrid", record="streaming"), sfast
     )
 
 
@@ -468,7 +509,7 @@ def test_engine_fast_path_engages_under_profiler_and_on_empty_stream():
         (_serving_stream(), dict(obs=RunObserver.profiling())),
         ([], dict()),
     ]:
-        _assert_fast_engages(lambda: eng.run(stream, "hybrid", **kw))
+        _assert_engages(lambda: eng.run(stream, "hybrid", **kw), sfast)
 
 
 def _custom_router():
@@ -504,7 +545,7 @@ def test_cluster_traced_run_takes_the_drain():
     assert rep.failed_count > 0
     for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _cluster(**ctor_kw)
-        _assert_fast_engages(lambda: run(_serving_stream()))
+        _assert_engages(lambda: run(_serving_stream()), sfast)
 
 
 def _elastic_policy(engine, models):
@@ -540,7 +581,7 @@ def test_elastic_traced_run_takes_the_drain():
         (dict(router=_custom_router()), dict()),
     ]:
         run = _elastic(**ctor_kw)
-        _assert_fast_engages(lambda: run(iter(_serving_stream()), **run_kw))
+        _assert_engages(lambda: run(iter(_serving_stream()), **run_kw), sfast)
 
 
 def _hetero(**ctor_kw):
@@ -581,7 +622,7 @@ def test_hetero_traced_run_takes_the_drain():
     assert rep.failed_count > 0
     for ctor_kw in (dict(record="streaming"), dict(router=_custom_router())):
         run = _hetero(**ctor_kw)
-        _assert_fast_engages(lambda: run(_serving_stream()))
+        _assert_engages(lambda: run(_serving_stream()), sfast)
 
 
 def _fleet_fingerprint(rep):
@@ -637,9 +678,10 @@ def test_custom_router_fast_matches_slow(fleet):
 
 # --------------------------------------------------------------------------
 # Golden genai traces: fixtures captured from the token-at-a-time loop
-# *before* the macro-stepped path landed.  Both paths must reproduce
-# them token-for-token — this pins the fast path to history, not just
-# to the current slow loop (which a shared bug could drift).
+# *before* the macro-stepped path landed.  The engine and the oracle
+# must both reproduce them token-for-token — this pins the engine to
+# history, not just to the current oracle (which a shared bug could
+# drift).
 # --------------------------------------------------------------------------
 
 
@@ -674,15 +716,16 @@ def _golden_payload(rep):
 
 
 @pytest.mark.parametrize("name", sorted(_golden_scenarios()))
-@pytest.mark.parametrize("fast", [False, True])
-def test_golden_genai_trace(name, fast):
+@pytest.mark.parametrize("oracle", [False, True])
+def test_golden_genai_trace(name, oracle):
     path = FIXTURES / f"golden_{name}.json"
     assert path.exists(), (
         f"missing fixture {path}; regenerate with "
         "`PYTHONPATH=src python tests/test_genai_fast_differential.py --capture`"
     )
     scn = _golden_scenarios()[name]
-    rep = scn.engine().run(scn.stream(), fast=fast)
+    run = scn.engine().run
+    rep = genai_oracle_run(run, scn.stream()) if oracle else run(scn.stream())
     assert _golden_payload(rep) == json.loads(path.read_text())
 
 

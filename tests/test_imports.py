@@ -71,8 +71,8 @@ UNUSED_BY_SERVING = (
     "repro.utils.units",
 )
 
-#: Modules the first fleet run (repro.sim.fast) and the first fast genai
-#: run (repro.genai.fast) of a process import by design.
+#: Modules the first fleet run (repro.sim.fast) and the first genai run
+#: (repro.genai.fast) of a process import by design.
 FIRST_FAST_RUN = {"repro.sim.fast", "repro.genai.fast"}
 
 
@@ -228,7 +228,7 @@ def test_no_module_is_first_imported_inside_a_run():
         )
 
         def genai():
-            rep = gen.run(gen_reqs, record="full", fast=True)
+            rep = gen.run(gen_reqs, record="full")
             rep.ttft_percentile(99), rep.mean_itl_s, rep.tokens_out
 
         engine = OnlineServingEngine()

@@ -6,8 +6,9 @@ Every entry point that feeds the simulated clock checks finiteness
 itself, and so do the rate traces arrival streams are drawn from and the
 node specs fleets are priced with.  Router knobs are checked too: a NaN
 spill threshold would silently turn ``affinity`` into ``least-loaded``.  ``run()`` arguments are checked
-before the run has any side effect (fallback counters, router or
-autoscaler resets, report building).  The streaming sketches reject
+before the run has any side effect (telemetry counters, router or
+autoscaler resets, report building), and a ``GenerativeEngine``
+checks its slot count, KV budget and policy when it is built.  The streaming sketches reject
 NaN and infinite observations the same way, leaving their state as it
 was: a NaN among the values used to shift every later percentile.
 """
@@ -96,7 +97,7 @@ def test_outage_rejects_infinite_end():
 
 def test_rejected_presorted_run_has_no_side_effects():
     """A presorted run without a horizon fails before it counts a
-    fast-path run or any fast fallback, or resets the router and the
+    fast-path run or any telemetry, or resets the router and the
     autoscaler."""
 
     class Tracking(StaticPolicy):
@@ -108,13 +109,9 @@ def test_rejected_presorted_run_has_no_side_effects():
     cluster = ElasticCluster(models=["BERT"], router="round-robin")
     cluster.router._next["BERT"] = 7
     reqs = poisson_requests("BERT", 50.0, 0.2, seed=1)
-    def fallbacks():
-        counters = BUS.snapshot()["counters"]
-        return {k: v for k, v in counters.items() if k.startswith("fast_fallback")}
-
     BUS.enable()
     try:
-        before = fallbacks()
+        before = BUS.snapshot()["counters"]
         runs = sfast.FAST_RUNS
         for horizon in (None, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="horizon_s"):
@@ -124,7 +121,7 @@ def test_rejected_presorted_run_has_no_side_effects():
                     presorted=True,
                     horizon_s=horizon,
                 )
-        assert fallbacks() == before
+        assert BUS.snapshot()["counters"] == before
         assert sfast.FAST_RUNS == runs
     finally:
         BUS.disable()
@@ -134,8 +131,8 @@ def test_rejected_presorted_run_has_no_side_effects():
 
 
 def test_engine_rejects_unknown_model_before_the_run():
-    """An unknown model raises up front: no fast-path run or fallback is
-    counted, and no report is built."""
+    """An unknown model raises up front: no fast-path run or telemetry
+    is counted, and no report is built."""
     engine = OnlineServingEngine(models={})
     reqs = [Request(0, "BERT", 0.0), Request(1, "NOPE", 0.1)]
     BUS.enable()
@@ -150,6 +147,41 @@ def test_engine_rejects_unknown_model_before_the_run():
     finally:
         BUS.disable()
         BUS.reset()
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(max_batch=2.5),
+        dict(max_batch=0),
+        dict(max_batch=-1),
+        dict(max_batch=True),
+        dict(max_batch="8"),
+        dict(kv_capacity_tokens=2.5),
+        dict(kv_capacity_tokens=0),
+        dict(kv_capacity_tokens=-24),
+        dict(kv_capacity_tokens=math.nan),
+        dict(policy="bogus"),
+        dict(policy="gpu"),
+    ],
+)
+def test_generative_engine_rejects_bad_arguments_at_construction(kw):
+    from repro.genai import GenerativeEngine
+
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        GenerativeEngine(**kw)
+
+
+def test_generative_engine_accepts_valid_arguments():
+    import numpy as np
+
+    from repro.genai import GenerativeEngine
+    from repro.serving import GPU_NODE
+
+    eng = GenerativeEngine(max_batch=np.int64(4), kv_capacity_tokens=24, policy="pim")
+    assert (eng.max_batch, eng.kv_capacity_tokens) == (4, 24)
+    assert GenerativeEngine(spec=GPU_NODE, policy="gpu").policy == "gpu"
+    assert GenerativeEngine(spec=GPU_NODE, policy="hybrid").policy == "hybrid"
 
 
 _TRACES = {

@@ -260,6 +260,24 @@ class TestKernelProfiler:
         with pytest.raises(ValueError):
             KernelProfiler(sample_every=0)
 
+    def test_credited_events_land_in_the_profiler(self):
+        """A credit inside a profiled run books decode boundaries: one
+        event, one DECODE_STEP batch and one heap delivery each; outside
+        a profiled run it touches only ``processed``."""
+        prof = KernelProfiler()
+        kernel = DiscreteEventKernel()
+        kernel.schedule(1.0, EventKind.DECODE_STEP)
+        kernel.run(
+            {EventKind.DECODE_STEP: lambda t, evs: kernel.credit_events(3)},
+            obs=RunObserver(profile=prof),
+        )
+        step = int(EventKind.DECODE_STEP)
+        assert prof.events == kernel.processed == 4
+        assert prof.counts == {step: 4} and prof.batches == {step: 4}
+        assert prof.heap_events == 4 and prof.stream_events == 0
+        kernel.credit_events(2)
+        assert kernel.processed == 6 and prof.events == 4
+
 
 # --------------------------------------------------------------------- #
 # Observed runs: inertness, exact tie-outs, five-loop coverage
