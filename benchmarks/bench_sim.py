@@ -1,9 +1,9 @@
 """Simulation-kernel harness: event throughput of the shared substrate.
 
 All four serving loops (engine, static fleet, elastic, hetero) run on
-one fleet loop, whose one event loop is the struct-of-arrays drain
-(`repro.sim.fast`) over the discrete-event kernel's heap.  This module
-guards both:
+one fleet loop, which runs on the discrete-event kernel's one event
+loop (arrival epochs from a stream, everything else from the heap).
+This module guards both:
 
 * ``hetero_100k`` drives the heaviest loop — a 100k-request
   heterogeneous elastic run (StepStone baseline + GPU burst under a
@@ -13,11 +13,12 @@ guards both:
 * ``hetero_100k_profiled`` re-runs the hetero scenario under
   ``KernelProfiler`` and records where the per-event Python time goes
   (with batched epochs the handler share stays under half);
-* ``kernel_micro`` measures the bare reference kernel (preloaded
-  stream + a finish scheduled per arrival) with no serving logic.
+* ``kernel_micro`` measures the bare kernel loop (an arrival stream of
+  distinct instants + a finish scheduled per arrival) with no serving
+  logic.
 
 Every entry carrying ``events_per_s`` also records ``fast_path``: true
-for the fleet runs (the drain), false for the bare kernel.  The recorded metrics land in
+for the fleet runs, false for the bare kernel.  The recorded metrics land in
 ``BENCH_sim.json``.
 
 Timed iterations warm the engine's latency cache with a full untimed
@@ -37,8 +38,8 @@ from repro.autoscale import (
     mix_requests,
 )
 from repro.autoscale.policies import node_capacity_rps
-from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine
-from repro.sim import DiscreteEventKernel, Event, EventKind
+from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine, Request
+from repro.sim import DiscreteEventKernel, EventKind
 
 MIX = {"BERT": 0.9, "DLRM": 0.1}
 
@@ -189,20 +190,18 @@ def test_hetero_100k_profiled(benchmark, perf_record):
 
 
 def test_kernel_micro(benchmark, perf_record):
-    """The bare kernel: a preloaded stream plus one scheduled event each."""
+    """The bare kernel: an arrival stream plus one scheduled event each."""
     n = 100_000
+    arrivals = [Request(i, "BERT", float(i) * 1e-3) for i in range(n)]
 
     def run():
         kernel = DiscreteEventKernel()
-        kernel.preload(
-            Event(float(i) * 1e-3, EventKind.ARRIVAL, i) for i in range(n)
-        )
 
-        def on_arrival(now, events):
-            for ev in events:
-                kernel.schedule(now + 5e-4, EventKind.FINISH, ev.entity)
+        def on_arrival(now, reqs):
+            for r in reqs:
+                kernel.schedule(now + 5e-4, EventKind.FINISH, r.req_id)
 
-        kernel.run({EventKind.ARRIVAL: on_arrival})
+        kernel.run({}, arrivals=arrivals, on_epoch=on_arrival)
         return kernel
 
     kernel = benchmark.pedantic(run, rounds=3, iterations=1)

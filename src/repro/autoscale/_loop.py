@@ -17,9 +17,10 @@ of :class:`FleetLoop`, a pool-based discrete-event run on the shared
 
 The loop owns everything those runs share: the node slots and their
 lifecycle (provisioning, active, draining, failed, retired), the
-arrival-epoch and heap handlers it runs on :func:`repro.sim.fast.drain`
-(its one event loop), control ticks with per-pool windowed
-observations, and the end-of-run retire and report fill.
+arrival-epoch and heap handlers it runs on the kernel's one event loop
+(entered through :func:`repro.sim.fast.drain`, which counts the run),
+control ticks with per-pool windowed observations, and the end-of-run
+retire and report fill.
 
 **Replica order.**  A static fleet routes over a model's placement
 replicas, primary first; a pooled fleet routes over the active nodes
@@ -344,16 +345,14 @@ class FleetLoop:
         prev_tick = 0.0
         n_dropped = 0
 
-        def dispatch(slot: _Slot, now: float) -> bool:
+        def dispatch(slot: _Slot, now: float) -> None:
             node = slot.node
             finish = node.try_dispatch(now)
             invalidate_backlogs()
-            if finish is None:
-                return False
-            kernel.schedule(finish, EventKind.FINISH, node.node_id, payload=node.epoch)
-            return True
+            if finish is not None:
+                kernel.schedule(finish, EventKind.FINISH, node.node_id, payload=node.epoch)
 
-        def arrive(now: float, reqs) -> bool:
+        def arrive(now: float, reqs) -> None:
             # Every arrival at this instant routes before any dispatch, so
             # simultaneous requests can share a batch (single-node engine
             # semantics) and routing sees them in stream order.
@@ -374,11 +373,9 @@ class FleetLoop:
                 slot = slots[node.node_id]
                 arrived[slot.pool] += 1
                 touched[node.node_id] = slot
-            scheduled = False
             for nid in sorted(touched):
-                if touched[nid].node.idle and dispatch(touched[nid], now):
-                    scheduled = True
-            return scheduled
+                if touched[nid].node.idle:
+                    dispatch(touched[nid], now)
 
         def on_finishes(now: float, events: List[Event]) -> None:
             nonlocal last_service_end
@@ -487,7 +484,6 @@ class FleetLoop:
         }
         from repro.sim import fast as _fast
 
-        _fast.count_run()
         _fast.drain(
             kernel,
             arrivals,

@@ -181,9 +181,9 @@ class ElasticCluster:
                 (including ones provisioned mid-run) emits request
                 lifecycle spans, and the event loop self-profiles when a
                 profiler is attached.  Default off.
-            fast: Accepted and ignored.  Every run takes the one event
-                loop, :func:`repro.sim.fast.drain`; the keyword stays
-                because existing callers still pass it.
+            fast: Accepted and ignored.  Every run takes the kernel's
+                one event loop; the keyword stays because existing
+                callers still pass it.
 
         Returns:
             The :class:`~repro.autoscale.report.AutoscaleReport`.

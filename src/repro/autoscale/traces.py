@@ -409,8 +409,8 @@ def nhpp_stream(
     :func:`nhpp_requests` (which is now a thin ``list()`` wrapper around
     this) without materializing it: a day-long 10M-request trace costs
     one request of memory at a time.  Feed it to
-    :meth:`repro.sim.kernel.DiscreteEventKernel.preload_stream` or an
-    elastic run's ``presorted=True`` path.
+    :meth:`repro.sim.kernel.DiscreteEventKernel.run` as ``arrivals`` or
+    to an elastic run's ``presorted=True`` path.
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")

@@ -8,8 +8,9 @@ milliseconds of arithmetic instead of seconds of simulation; the
 checks are the conservatism contract (never fewer nodes than the DES
 answer) plus the probe-cost gap.
 
-(The fleet loop has one event loop, :func:`repro.sim.fast.drain`; its
-exactness against the event-at-a-time oracle is pinned by
+(The fleet loop runs on the kernel's one event loop,
+:meth:`repro.sim.kernel.DiscreteEventKernel.run`; its exactness against
+the event-at-a-time oracle is pinned by
 ``tests/test_fast_differential.py``.)
 """
 

@@ -23,7 +23,7 @@ debugger.  This experiment holds ``repro.obs`` to the exact standard:
   kinds live): per-:class:`~repro.sim.kernel.EventKind` counts and
   handler wall-shares, handler-time share of total run wall — the
   measurement behind ROADMAP's "per-event Python churn" claim — and the
-  heap-vs-preloaded delivery split.
+  heap-vs-stream delivery split.
 * **telemetry** — the :class:`~repro.obs.Telemetry` counters the run
   loops publish agree with the reports they summarize.
 """

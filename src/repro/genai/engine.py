@@ -300,10 +300,6 @@ class GenerativeEngine:
         spans = obs.spans if obs is not None else None
         model = self.config.step_key
         kernel = DiscreteEventKernel()
-        kernel.preload(
-            Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-            for i, r in enumerate(ordered)
-        )
         waiting: Deque[SeqState] = deque()
         running: List[SeqState] = []
         busy = False
@@ -407,9 +403,8 @@ class GenerativeEngine:
                 kernel.credit_events(seg.steps - 1)
                 kernel.schedule(seg.times[-1], EventKind.DECODE_STEP, payload=seg)
 
-        def on_arrivals(now: float, events: List[Event]) -> None:
-            for ev in events:
-                r: GenRequest = ev.payload
+        def on_arrivals(now: float, reqs: List[GenRequest]) -> None:
+            for r in reqs:
                 if r.total_tokens > kv.capacity_tokens:
                     # Could never run: even alone it would overflow the
                     # cache (or thrash forever under preemption).
@@ -506,12 +501,10 @@ class GenerativeEngine:
             maybe_start(now)
 
         end = kernel.run(
-            {
-                EventKind.ARRIVAL: on_arrivals,
-                EventKind.PREFILL: on_prefill,
-                EventKind.DECODE_STEP: on_decode,
-            },
-            obs=obs,
+            {EventKind.PREFILL: on_prefill, EventKind.DECODE_STEP: on_decode},
+            arrivals=ordered,
+            on_epoch=on_arrivals,
+            profiler=obs.profile if obs is not None else None,
         )
         report.sim_end_s = end
         report.kv_high_water_tokens = kv.high_water_tokens

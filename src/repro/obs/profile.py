@@ -9,16 +9,18 @@ with ``perf_counter`` precision:
 
 * per-:class:`~repro.sim.kernel.EventKind` event counts, batch counts,
   and **handler wall seconds** — handler share vs. kernel share is the
-  churn claim, measured;
-* heap-vs-preloaded delivery counts — how much of the run rode the O(1)
-  bulk stream vs. the O(log n) heap;
+  churn claim, measured.  Only heap handlers are timed: an arrival
+  epoch is counted (events, one ARRIVAL batch) but books no handler
+  time, in fleet and genai runs alike;
+* stream-vs-heap delivery counts — how much of the run rode the O(1)
+  arrival stream vs. the O(log n) heap;
 * an events/s timeline sampled every N events — throughput over the run,
   not just its mean.
 
 The result is an immutable :class:`KernelProfile`.  Profiling is opt-in
-per run: when no profiler is attached the kernel executes its original
-un-instrumented loop, so the disabled cost is one branch per ``run()``
-call, not per event.
+per run: the kernel wraps its handlers once, before its one loop, so
+with no profiler attached the disabled cost is one branch per
+``run()`` call, not per event.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class KernelProfiler:
         self.events = 0
         #: Total wall seconds inside profiled run loops.
         self.wall_s = 0.0
-        #: Events delivered from the O(1) preloaded/lazy stream.
+        #: Events delivered from the O(1) arrival stream.
         self.stream_events = 0
         #: Events delivered from the heap.
         self.heap_events = 0
@@ -135,7 +137,7 @@ class KernelProfile:
     batches: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds inside each kind's handler.
     handler_s: Dict[str, float] = field(default_factory=dict)
-    #: Events delivered from the preloaded/lazy stream.
+    #: Events delivered from the arrival stream.
     stream_events: int = 0
     #: Events delivered from the heap.
     heap_events: int = 0
@@ -168,7 +170,7 @@ class KernelProfile:
 
     @property
     def stream_share(self) -> float:
-        """Fraction of events delivered from the O(1) preloaded stream
+        """Fraction of events delivered from the O(1) arrival stream
         rather than the heap."""
         total = self.stream_events + self.heap_events
         if total <= 0:

@@ -639,9 +639,9 @@ class OnlineServingEngine:
         this report accounts with (span sums tie out with ``==``).  The
         default runs the original untraced path.
 
-        ``fast`` is accepted and ignored: every run takes the fleet
-        loop's one event loop, :func:`repro.sim.fast.drain`.  The
-        keyword stays because existing callers still pass it.
+        ``fast`` is accepted and ignored: every run takes the kernel's
+        one event loop, :meth:`repro.sim.kernel.DiscreteEventKernel.run`.
+        The keyword stays because existing callers still pass it.
 
         Raises:
             ValueError: On an unknown policy.

@@ -1,6 +1,7 @@
 """The deterministic discrete-event kernel every serving loop runs on.
 
-One clock, one event queue, one total order.  Two loops run on it: the
+One clock, one event queue, one total order, one event loop
+(:meth:`DiscreteEventKernel.run`).  Two serving loops run on it: the
 one request loop (:mod:`repro.autoscale._loop`, which the single-node
 engine, the static fleet and both elastic fleets configure) and the
 generative token loop (:mod:`repro.genai.engine`).  The kernel owns the
@@ -45,26 +46,31 @@ index, tick number), then by the kernel-assigned insertion sequence, so
 the order is total and insertion-order independent —
 ``tests/test_sim.py`` permutes insertion orders to prove it.
 
-**Epoch delivery.**  ``run`` delivers every event sharing one ``(time,
-kind)`` as a single batch to that kind's handler.  That is exactly the
-"drain every arrival at this instant before any dispatch" contract the
-pre-kernel loops implemented by hand, and for single-entity kinds it
-degenerates to one event per call.
+**Epoch delivery.**  ``run`` delivers every heap event sharing one
+``(time, kind)`` as a single batch to that kind's handler, and every
+request arriving at one instant as a single *epoch* to ``on_epoch``.
+That is exactly the "drain every arrival at this instant before any
+dispatch" contract the pre-kernel loops implemented by hand, and for
+single-entity kinds it degenerates to one event per call.
 
-**Bulk streams stay O(1).**  Request arrivals are known upfront and
-sorted; pushing 100k of them through the heap would pay an avoidable
-log-factor.  ``preload`` accepts the sorted stream and the kernel merges
-it with the heap of dynamically scheduled events, preserving the one
-total order at deque-head cost.
+**Arrivals ride a stream, not the heap.**  Request arrivals come in
+arrival order, sorted upfront or generated lazily; pushing 100k of them
+through the heap would pay an avoidable log-factor, and materializing a
+day-long stream would pay its memory.  ``run(arrivals=...)`` reads any
+iterable one epoch at a time with a one-request lookahead, checking
+each arrival's finiteness and order as it is read, and merges the
+epochs with the heap of scheduled events in the one total order.  After
+every epoch and every heap batch the loop compares the next epoch's
+instant with the heap head again, so an event a callback schedules
+always pops in its place.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from enum import IntEnum
-from typing import Any, Callable, Deque, Iterable, List, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, List, Mapping, NamedTuple, Optional
 
 __all__ = ["EventKind", "Event", "SimClock", "DiscreteEventKernel"]
 
@@ -93,8 +99,9 @@ class Event(NamedTuple):
 
     As a ``NamedTuple`` an event *is* its heap entry: tuple comparison
     over ``(time, kind, entity, seq)`` implements the documented total
-    order, and ``seq`` (kernel-assigned, globally unique) guarantees the
-    comparison never reaches the possibly-uncomparable ``payload``.
+    order, and ``seq`` (stamped by :meth:`DiscreteEventKernel.schedule`
+    on every heap event, globally unique) guarantees the comparison
+    never reaches the possibly-uncomparable ``payload``.
     """
 
     #: Simulated instant the event fires, seconds.
@@ -137,6 +144,7 @@ class SimClock:
         self.now = t
 
 
+_ARRIVAL = int(EventKind.ARRIVAL)
 _DECODE_STEP = int(EventKind.DECODE_STEP)
 
 
@@ -148,8 +156,8 @@ def _not_finite(t: float) -> ValueError:
 
 
 def _out_of_order(key: tuple, prev: tuple) -> ValueError:
-    """The error for a lazy-stream event whose ``(time, kind, entity)``
-    key sorts before its predecessor's."""
+    """The error for an arrival whose ``(time, kind, entity)`` key sorts
+    before its predecessor's."""
     return ValueError(f"lazy stream events out of order: {key} after {prev}")
 
 
@@ -157,131 +165,111 @@ def _out_of_order(key: tuple, prev: tuple) -> ValueError:
 #: at one instant, in entity order.
 Handler = Callable[[float, List[Event]], None]
 
+#: ``on_epoch`` receives ``(now, requests)`` — every arrival at one
+#: instant, in stream order.
+EpochHandler = Callable[[float, List[Any]], None]
+
+
+def _profiled(
+    handlers: Mapping[int, Handler], on_epoch: Optional[EpochHandler], prof: Any
+):
+    """``handlers`` and ``on_epoch`` wrapped to keep ``prof``'s ledgers.
+
+    Built once per profiled run, so :meth:`DiscreteEventKernel.run` has
+    one loop body and an unprofiled run pays nothing.  Every kind gets a
+    wrapper (unhandled kinds are still counted); each heap batch counts
+    its events, one batch and its heap deliveries, and times only the
+    handler call itself.  An epoch counts its events, one ARRIVAL batch
+    and its stream deliveries but books no handler time: routing an
+    epoch is the loop's own work, not a per-event handler's.  Either
+    wrapper takes a timeline sample when one is due.
+
+    Returns:
+        ``(handlers, on_epoch, finish)``; ``finish()`` closes the run's
+        wall-time and run ledgers.
+    """
+    from time import perf_counter
+
+    counts, batches, handler_s = prof.counts, prof.batches, prof.handler_s
+    wall_base = prof.wall_s
+    run_t0 = perf_counter()
+
+    def book(kind: int, n: int) -> None:
+        prof.events += n
+        counts[kind] = counts.get(kind, 0) + n
+        batches[kind] = batches.get(kind, 0) + 1
+
+    def sample(t: float) -> None:
+        if prof.events >= prof.next_sample:
+            prof.sample(t, wall_base + (perf_counter() - run_t0), prof.events)
+
+    def timed(kind: int, handler: Optional[Handler]) -> Handler:
+        def run_batch(t: float, batch: List[Event]) -> None:
+            n = len(batch)
+            book(kind, n)
+            prof.heap_events += n
+            if handler is not None:
+                h0 = perf_counter()
+                handler(t, batch)
+                handler_s[kind] = handler_s.get(kind, 0.0) + (perf_counter() - h0)
+            sample(t)
+
+        return run_batch
+
+    def counted_epoch(t: float, reqs: List[Any]) -> None:
+        n = len(reqs)
+        book(_ARRIVAL, n)
+        prof.stream_events += n
+        on_epoch(t, reqs)
+        sample(t)
+
+    def finish() -> None:
+        prof.wall_s = wall_base + (perf_counter() - run_t0)
+        prof.runs += 1
+
+    kinds = {int(k) for k in EventKind} | {int(k) for k in handlers}
+    wrapped = {k: timed(k, handlers.get(k)) for k in kinds}
+    return wrapped, (counted_epoch if on_epoch is not None else None), finish
+
 
 class DiscreteEventKernel:
-    """One simulation run: a heap plus a pre-sorted bulk stream.
+    """One simulation run: a heap of scheduled events plus an arrival stream.
 
     Usage::
 
         kernel = DiscreteEventKernel()
-        kernel.preload(Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-                       for i, r in enumerate(stream))
         kernel.schedule(0.5, EventKind.CONTROL)
-        kernel.run({EventKind.ARRIVAL: on_arrivals, ...})
+        kernel.run(
+            {EventKind.CONTROL: on_control, EventKind.FINISH: on_finish},
+            arrivals=sorted_requests,
+            on_epoch=on_arrivals,
+        )
 
-    Handlers may call :meth:`schedule` while the run is in flight (that
-    is how dispatches create their finish events); scheduling into the
-    past raises.  An event scheduled for the *current* instant with an
-    already-passed kind priority still fires at this instant, in a later
-    batch — time never moves backwards, but intra-instant priority only
-    orders events that existed when the instant began.
+    Handlers and ``on_epoch`` may call :meth:`schedule` while the run is
+    in flight (that is how dispatches create their finish events);
+    scheduling into the past raises.  An event scheduled for the
+    *current* instant with an already-passed kind priority still fires
+    at this instant, in a later batch — time never moves backwards, but
+    intra-instant priority only orders events that existed when the
+    instant began.
     """
 
-    __slots__ = (
-        "clock",
-        "processed",
-        "_heap",
-        "_stream",
-        "_seq",
-        "_lazy",
-        "_lazy_prev",
-        "_prof",
-    )
+    __slots__ = ("clock", "processed", "_heap", "_seq", "_next_t", "_prof")
 
     def __init__(self) -> None:
         self.clock = SimClock()
         #: Events delivered to handlers so far (the events/sec numerator).
         self.processed = 0
         self._heap: List[Event] = []
-        self._stream: Deque[Event] = deque()
         self._seq = 0
-        self._lazy = None
-        self._lazy_prev = None
+        #: The lookahead arrival's instant during a run, else ``None``.
+        self._next_t: Optional[float] = None
         #: The profiler of a profiled run in flight, else ``None``.
         self._prof = None
 
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-
-    def _stamp(self, ev: Event) -> Event:
-        self._seq += 1
-        return ev._replace(seq=self._seq)
-
-    def preload(self, events: Iterable[Event]) -> None:
-        """Append a time-ordered bulk stream (e.g. request arrivals).
-
-        The stream bypasses the heap — the kernel merges it with
-        dynamically scheduled events at dequeue time — so preloading n
-        events costs O(n), not O(n log n).  Preloaded events keep their
-        ``seq`` of 0: they are never ``<``-compared against each other
-        (the stream is FIFO), and against heap events (``seq >= 1``) the
-        comparison resolves at ``seq`` at the latest, so the possibly
-        uncomparable payload is never reached.
-
-        Args:
-            events: Events already sorted by ``(time, kind, entity)``,
-                also non-decreasing relative to any earlier preload.
-
-        Raises:
-            ValueError: If the events are out of order, or an event time
-                is NaN or infinite.
-        """
-        stream = self._stream
-        prev = stream[-1][:3] if stream else None
-        inf = math.inf
-        for ev in events:
-            if not -inf < ev[0] < inf:
-                raise _not_finite(ev[0])
-            key = ev[:3]
-            if prev is not None and key < prev:
-                raise ValueError(
-                    f"preloaded events out of order: {key} after {prev}"
-                )
-            prev = key
-            stream.append(ev)
-
-    def preload_stream(self, events: Iterable[Event]) -> None:
-        """Attach a *lazy* time-ordered bulk stream.
-
-        Like :meth:`preload`, but the iterable is consumed one event at a
-        time as the run advances instead of being materialized into the
-        stream deque upfront — the move that keeps a 10M-request run's
-        memory flat: arrivals exist only between being generated and
-        being served.  Ordering and finiteness are validated at pull time
-        (the run raises mid-flight on a misordered source or a NaN/inf
-        time, same :class:`ValueError` contract as :meth:`preload`).
-
-        Events pulled from the lazy stream sort after any still-queued
-        eager ``preload`` events; interleaving both is supported but the
-        combined sequence must still be globally non-decreasing.
-
-        Args:
-            events: An iterator/generator of events sorted by
-                ``(time, kind, entity)``.
-
-        Raises:
-            RuntimeError: If a lazy stream is already attached.
-        """
-        if self._lazy is not None:
-            raise RuntimeError("a lazy event stream is already attached")
-        self._lazy = iter(events)
-        self._lazy_prev = self._stream[-1][:3] if self._stream else None
-
-    def _refill(self) -> None:
-        """Pull the next lazy event into the (empty) stream deque."""
-        try:
-            ev = next(self._lazy)
-        except StopIteration:
-            self._lazy = None
-            return
-        if not -math.inf < ev[0] < math.inf:
-            raise _not_finite(ev[0])
-        key = ev[:3]
-        if self._lazy_prev is not None and key < self._lazy_prev:
-            raise _out_of_order(key, self._lazy_prev)
-        self._lazy_prev = key
-        self._stream.append(ev)
 
     def schedule(
         self, time: float, kind: int, entity: int = 0, payload: Any = None
@@ -290,7 +278,7 @@ class DiscreteEventKernel:
 
         Args:
             time: Firing instant (>= the current clock).
-            kind: An :class:`EventKind`.
+            kind: An :class:`EventKind` other than ``ARRIVAL``.
             entity: Tie-break id within the (time, kind) batch.
             payload: Opaque data handed to the handler.
 
@@ -299,7 +287,8 @@ class DiscreteEventKernel:
 
         Raises:
             ValueError: If ``time`` is before the current clock, or is
-                NaN or infinite.
+                NaN or infinite, or ``kind`` is ``ARRIVAL`` (arrivals
+                come in through ``run(arrivals=...)``).
         """
         if not self.clock.now <= time < math.inf:
             if not time < math.inf:
@@ -307,7 +296,13 @@ class DiscreteEventKernel:
             raise ValueError(
                 f"cannot schedule into the past: {time} < {self.clock.now}"
             )
-        ev = self._stamp(Event(time, int(kind), entity, payload=payload))
+        if kind == _ARRIVAL:
+            raise ValueError(
+                "ARRIVAL events are not scheduled: pass the requests to "
+                "run(arrivals=..., on_epoch=...)"
+            )
+        self._seq += 1
+        ev = Event(time, int(kind), entity, self._seq, payload)
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -321,13 +316,11 @@ class DiscreteEventKernel:
         The segment re-peek seam: a fast path advancing state in closed
         form between events asks how far it may run before the event
         world can change under it, plans a segment bounded by that
-        instant, and re-peeks at the segment boundary.  Peeking refills
-        one event from an attached lazy stream if the eager deque is
-        empty, but consumes nothing.
+        instant, and re-peeks at the segment boundary.  The next event
+        is the earlier of the heap head and the run's lookahead arrival
+        (the first request of the next epoch); peeking consumes neither.
         """
-        if not self._stream and self._lazy is not None:
-            self._refill()
-        t = self._stream[0].time if self._stream else None
+        t = self._next_t
         if self._heap:
             ht = self._heap[0].time
             if t is None or ht < t:
@@ -363,132 +356,109 @@ class DiscreteEventKernel:
     # The run loop
     # ------------------------------------------------------------------ #
 
-    def run(self, handlers: Mapping[int, Handler], obs: Any = None) -> float:
-        """Drain the queue, delivering per-instant batches to handlers.
+    def run(
+        self,
+        handlers: Mapping[int, Handler],
+        arrivals: Iterable[Any] = (),
+        on_epoch: Optional[EpochHandler] = None,
+        profiler: Any = None,
+    ) -> float:
+        """Drain the heap and the arrival stream in the one total order.
+
+        Heap events are delivered in per-``(time, kind)`` batches to
+        their kind's handler; arrivals in per-instant epochs to
+        ``on_epoch``, after any heap event earlier than the epoch or at
+        its instant with a smaller kind (RECOVER) and before everything
+        else.
 
         Args:
             handlers: :class:`EventKind` -> handler.  Kinds without a
                 handler are dequeued and dropped (still counted in
                 ``processed``).
-            obs: Optional :class:`~repro.obs.RunObserver`.  When it
-                carries a profiler the run executes an instrumented twin
-                of the loop (per-kind counts, handler wall time, stream
-                vs. heap delivery, events/s timeline); otherwise this
-                original loop runs untouched — the disabled cost is this
-                one branch per run, never per event.
+            arrivals: Requests (anything with an ``arrival_s``) in
+                arrival order: a list, or any iterable, which is read
+                one epoch at a time and never materialized.  A request
+                counts as one event.
+            on_epoch: Callback for one equal-time span of arrivals;
+                required when ``arrivals`` is not empty.
+            profiler: Optional :class:`~repro.obs.KernelProfiler`; its
+                ledgers are kept by wrappers built once, before the loop
+                (see :func:`_profiled`).
 
         Returns:
             The final clock value (the last event's timestamp, or 0.0
             for an empty run).
+
+        Raises:
+            ValueError: On arrivals without an ``on_epoch`` (before the
+                run has any side effect), or on a NaN/inf arrival time
+                or an arrival earlier than its predecessor (raised when
+                the lookahead reaches it).
         """
-        profiler = getattr(obs, "profile", None) if obs is not None else None
+        it = iter(arrivals)
+        nxt = next(it, None)
+        nt = None
+        if nxt is not None:
+            if on_epoch is None:
+                raise ValueError("run(arrivals=...) needs an on_epoch callback")
+            nt = nxt.arrival_s
+            if not -math.inf < nt < math.inf:
+                raise _not_finite(nt)
+        finish = None
         if profiler is not None:
-            return self._run_profiled(handlers, profiler)
-        heap, stream = self._heap, self._stream
+            handlers, on_epoch, finish = _profiled(handlers, on_epoch, profiler)
+            self._prof = profiler
+        heap = self._heap
         clock = self.clock
+        get = handlers.get
         heappop = heapq.heappop
+        inf = math.inf
+        popped = arrived = 0
+        self._next_t = nt
         while True:
-            if not stream and self._lazy is not None:
-                self._refill()
-            if not (heap or stream):
-                break
-            if stream and (not heap or stream[0] < heap[0]):
-                first = stream.popleft()
-            else:
-                first = heappop(heap)
-            t, kind = first.time, first.kind
-            batch = [first]
-            # Collect the rest of this (time, kind) batch.  The global
-            # minimum lives at one of the two heads; if it no longer
-            # matches, nothing later can.
-            while True:
-                if not stream and self._lazy is not None:
-                    self._refill()
-                if stream and (not heap or stream[0] < heap[0]):
-                    nxt = stream[0]
-                    if nxt.time == t and nxt.kind == kind:
-                        batch.append(stream.popleft())
-                        continue
-                elif heap:
-                    nxt = heap[0]
-                    if nxt.time == t and nxt.kind == kind:
+            if heap:
+                head = heap[0]
+                ht = head[0]
+                if nt is None or ht < nt or (ht == nt and head[1] < _ARRIVAL):
+                    hk = head[1]
+                    clock.advance(ht)
+                    batch = [heappop(heap)]
+                    while heap and heap[0][0] == ht and heap[0][1] == hk:
                         batch.append(heappop(heap))
-                        continue
+                    popped += len(batch)
+                    handler = get(hk)
+                    if handler is not None:
+                        handler(ht, batch)
+                    continue
+            elif nt is None:
                 break
-            clock.advance(t)
-            self.processed += len(batch)
-            handler = handlers.get(kind)
-            if handler is not None:
-                handler(t, batch)
-        return clock.now
-
-    def _run_profiled(self, handlers: Mapping[int, Handler], prof: Any) -> float:
-        """The instrumented twin of :meth:`run`.
-
-        Same merge/batch/dispatch structure, plus ``perf_counter``
-        timing around every handler call, per-kind event/batch counts,
-        stream-vs-heap delivery counts, and periodic events/s timeline
-        samples — all accumulated onto ``prof`` (a
-        :class:`~repro.obs.profile.KernelProfiler`).  Kept as a separate
-        loop so the un-profiled path carries zero per-event overhead.
-        """
-        from time import perf_counter
-
-        heap, stream = self._heap, self._stream
-        clock = self.clock
-        heappop = heapq.heappop
-        counts, batches, handler_s = prof.counts, prof.batches, prof.handler_s
-        self._prof = prof
-        stream_n = heap_n = 0
-        run_t0 = perf_counter()
-        wall_base = prof.wall_s
-        while True:
-            if not stream and self._lazy is not None:
-                self._refill()
-            if not (heap or stream):
-                break
-            if stream and (not heap or stream[0] < heap[0]):
-                first = stream.popleft()
-                stream_n += 1
+            # The epoch at ``nt``: read on to the first later arrival,
+            # which becomes the lookahead.
+            t = nt
+            epoch = [nxt]
+            for nxt in it:
+                nt = nxt.arrival_s
+                if nt != t:
+                    if not t < nt < inf:
+                        if not -inf < nt < inf:
+                            raise _not_finite(nt)
+                        i = arrived + len(epoch)
+                        raise _out_of_order(
+                            (nt, EventKind.ARRIVAL, i),
+                            (t, EventKind.ARRIVAL, i - 1),
+                        )
+                    break
+                epoch.append(nxt)
             else:
-                first = heappop(heap)
-                heap_n += 1
-            t, kind = first.time, first.kind
-            batch = [first]
-            while True:
-                if not stream and self._lazy is not None:
-                    self._refill()
-                if stream and (not heap or stream[0] < heap[0]):
-                    nxt = stream[0]
-                    if nxt.time == t and nxt.kind == kind:
-                        batch.append(stream.popleft())
-                        stream_n += 1
-                        continue
-                elif heap:
-                    nxt = heap[0]
-                    if nxt.time == t and nxt.kind == kind:
-                        batch.append(heappop(heap))
-                        heap_n += 1
-                        continue
-                break
+                nt = None
+            self._next_t = nt
             clock.advance(t)
-            n = len(batch)
-            self.processed += n
-            prof.events += n
-            counts[kind] = counts.get(kind, 0) + n
-            batches[kind] = batches.get(kind, 0) + 1
-            handler = handlers.get(kind)
-            if handler is not None:
-                h0 = perf_counter()
-                handler(t, batch)
-                handler_s[kind] = handler_s.get(kind, 0.0) + (perf_counter() - h0)
-            if prof.events >= prof.next_sample:
-                prof.sample(t, wall_base + (perf_counter() - run_t0), prof.events)
-        prof.wall_s = wall_base + (perf_counter() - run_t0)
-        prof.stream_events += stream_n
-        prof.heap_events += heap_n
-        prof.runs += 1
-        self._prof = None
+            arrived += len(epoch)
+            on_epoch(t, epoch)
+        self.processed += popped + arrived
+        if finish is not None:
+            finish()
+            self._prof = None
         return clock.now
 
     def finalize(self, report: Any) -> None:
@@ -499,22 +469,19 @@ class DiscreteEventKernel:
         ``events_processed`` attribute (all five serving reports) gets
         this kernel's ``processed`` count.
 
-        Finalizing is only legal once the kernel is fully drained —
-        the fleet loop's drain pops the heap itself, and a bug that left
-        events pending would silently under-count; idempotent, so run
-        loops and their callers may both finalize.
+        Finalizing is only legal once the kernel is fully drained — a
+        bug that left events pending would silently under-count;
+        idempotent, so run loops and their callers may both finalize.
 
         Args:
             report: The run's report object.
 
         Raises:
-            RuntimeError: If events are still pending (non-empty heap,
-                preloaded stream, or unexhausted lazy stream).
+            RuntimeError: If heap events are still pending.
         """
-        if self._heap or self._stream or self._lazy is not None:
+        if self._heap:
             raise RuntimeError(
                 "finalize() before the kernel drained: "
-                f"{len(self._heap)} heap + {len(self._stream)} stream "
-                "event(s) still pending"
+                f"{len(self._heap)} heap event(s) still pending"
             )
         report.events_processed = self.processed

@@ -1,20 +1,22 @@
-"""Property test: the drain delivers events in the kernel's total order.
+"""Property test: the kernel's one loop delivers events in its total order.
 
-The fleet loop's one event loop, :func:`repro.sim.fast.drain`, takes
-arrivals as a stream of equal-time epochs and everything else from the
-kernel's heap.  The documented total order at equal instants is
-RECOVER < ARRIVAL < READY < CONTROL < FAIL < FINISH.  The oracle
-(``tests/fleet_oracle.py``) gets that order the plain way: one ARRIVAL
-event per request through ``DiscreteEventKernel.run``.
+The kernel's one event loop, ``DiscreteEventKernel.run``, takes
+arrivals as a stream of equal-time epochs (read with a one-request
+lookahead) and everything else from its heap.  The documented total
+order at equal instants is RECOVER < ARRIVAL < READY < CONTROL < FAIL <
+FINISH.  The oracle (``tests/fleet_oracle.py``) gets that order the
+plain way: one ARRIVAL event per request, merged with the heap event
+by event.
 
 Hypothesis draws arrival epochs and heap events of every kind on a
 coarse time grid, so instants collide across kinds.  The handlers, and
 ``on_epoch``, schedule further events at ``now`` or later from a drawn
 reaction table.  The arrivals come as a list or as a lazy iterator,
-often longer than :data:`~repro.sim.fast.STREAM_CHUNK`, and sometimes
-with a smaller chunk so equal-time runs straddle chunk reads.  Both
-loops must produce the same ``(time, kind, entities)`` handler log, the
-same ``on_epoch`` calls and the same ``kernel.processed``.
+with equal-time runs of up to 400 requests.  Both loops must produce
+the same ``(time, kind, entities)`` handler log, the same ``on_epoch``
+calls, the same ``kernel.processed`` and the same ``kernel.peek_time()``
+at every delivery — the seam ``repro.genai.fast.plan_segment`` bounds
+its segments by.
 
 CI replays it under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
@@ -28,10 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import Request
-from repro.sim import fast as fastmod
 from repro.sim.kernel import DiscreteEventKernel, EventKind
 
-from fleet_oracle import reference_drain
+from fleet_oracle import oracle_loop
 
 ARRIVAL = int(EventKind.ARRIVAL)
 HEAP_KINDS = [
@@ -55,8 +56,7 @@ _reaction = st.lists(
 )
 schedules = st.fixed_dictionaries(
     {
-        # (instant, arrivals there): up to ~2,400 arrivals, so streams
-        # routinely run past STREAM_CHUNK (512) and span several reads.
+        # (instant, arrivals there): up to ~2,400 arrivals.
         "epochs": st.lists(
             st.tuples(_instant, st.integers(1, 400)), max_size=6
         ),
@@ -69,7 +69,6 @@ schedules = st.fixed_dictionaries(
             {k: _reaction for k in [ARRIVAL] + HEAP_KINDS}
         ),
         "lazy": st.booleans(),
-        "chunk": st.sampled_from([None, 1, 7, 64]),
     }
 )
 
@@ -98,9 +97,10 @@ def _arrivals(epochs):
     return [Request(i, "BERT", t) for i, t in enumerate(times)]
 
 
-def _replay(loop, sched):
-    """Run ``loop`` (the drain or the oracle) on ``sched``; return the
-    unified delivery log, the ``on_epoch`` calls and ``processed``."""
+def _replay(sched):
+    """Run ``sched`` on the kernel's loop (or on the oracle, inside
+    ``oracle_loop()``); return the unified delivery log, the
+    ``on_epoch`` calls and ``processed``."""
     kernel = DiscreteEventKernel()
     for i, kind, entity in sched["heap"]:
         kernel.schedule(i * STEP, kind, entity)
@@ -110,32 +110,30 @@ def _replay(loop, sched):
     budget = [BUDGET]
 
     def react(now, kind):
-        scheduled = False
         for delay, new_kind in reactions[kind]:
             if budget[0] == 0:
                 break
             budget[0] -= 1
             kernel.schedule(now + delay * STEP, new_kind, len(log) % 4)
-            scheduled = True
-        return scheduled
 
     def on_epoch(now, reqs):
-        entry = (now, ARRIVAL, tuple(r.req_id for r in reqs))
+        entry = (now, ARRIVAL, tuple(r.req_id for r in reqs), kernel.peek_time())
         log.append(entry)
         epochs.append(entry)
-        return react(now, ARRIVAL)
+        react(now, ARRIVAL)
 
     def handler(now, events):
         kind = int(events[0].kind)
-        log.append((now, kind, tuple(e.entity for e in events)))
+        log.append(
+            (now, kind, tuple(e.entity for e in events), kernel.peek_time())
+        )
         react(now, kind)
 
     arrivals = _arrivals(sched["epochs"])
-    loop(
-        kernel,
-        iter(arrivals) if sched["lazy"] else arrivals,
-        on_epoch,
+    kernel.run(
         {k: handler for k in HEAP_KINDS},
+        arrivals=iter(arrivals) if sched["lazy"] else arrivals,
+        on_epoch=on_epoch,
     )
     return log, epochs, kernel.processed
 
@@ -143,17 +141,13 @@ def _replay(loop, sched):
 @settings(max_examples=150, deadline=None)
 @given(sched=schedules)
 def test_drain_matches_reference_order(sched):
-    saved = fastmod.STREAM_CHUNK
-    if sched["chunk"] is not None:
-        fastmod.STREAM_CHUNK = sched["chunk"]
-    try:
-        with _watchdog():
-            got = _replay(fastmod.drain, sched)
-    finally:
-        fastmod.STREAM_CHUNK = saved
-    want = _replay(reference_drain, sched)
+    with _watchdog():
+        got = _replay(sched)
+    with oracle_loop() as calls:
+        want = _replay(sched)
+    assert len(calls) == 1
     assert got == want
     log, epochs, processed = got
     n_arrivals = sum(n for _, n in sched["epochs"])
-    assert sum(len(ids) for _, _, ids in epochs) == n_arrivals
-    assert processed == sum(len(ids) for _, _, ids in log)
+    assert sum(len(ids) for _, _, ids, _ in epochs) == n_arrivals
+    assert processed == sum(len(ids) for _, _, ids, _ in log)

@@ -52,7 +52,7 @@ from repro.sim import FailureTrace
 from repro.sim import fast as fastmod
 from repro.sim.analytic import AnalyticCapacityModel
 
-from fleet_oracle import oracle_drain, oracle_run
+from fleet_oracle import oracle_loop, oracle_run
 
 ROUTERS = ("round-robin", "least-loaded", "affinity", "backend-affinity")
 POLICIES = ("cpu", "pim", "hybrid")
@@ -545,7 +545,7 @@ def test_bad_presorted_stream_raises_on_fast_path(engine, bad, match):
         el.run(iter(stream), pol, presorted=True, horizon_s=sc.duration_s)
 
     with pytest.raises(ValueError, match=match):
-        with oracle_drain() as calls:
+        with oracle_loop() as calls:
             run()
     assert len(calls) == 1
     with pytest.raises(ValueError, match=match):

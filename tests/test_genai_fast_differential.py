@@ -26,9 +26,9 @@ landing exactly on a segment's last boundary, recompute-on-resume after
 preemption, the never-empty-batch invariant under single-sequence
 saturation, a join arriving exactly on a boundary, the golden trace
 captured from the pre-fast-path loop, a traced and a profiled genai
-run against the oracle's, and one test per fleet loop that a traced
-run takes the drain and matches the event-at-a-time oracle span for
-span.
+run against the oracle's, the seed matrix on the event-at-a-time loop
+oracle (``tests/fleet_oracle.py``), and one test per fleet loop that a
+traced run takes the drain and matches that oracle span for span.
 
 Regenerate the golden fixture (only on a *deliberate* behavior change):
 
@@ -42,6 +42,7 @@ import os
 import pathlib
 import random
 import sys
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -434,6 +435,32 @@ def test_genai_profiled_run_matches_oracle(seed, scheduler):
         assert getattr(prof, field) == getattr(oprof, field), field
     assert prof.events == fast.events_processed
     assert prof.counts["DECODE_STEP"] == prof.batches["DECODE_STEP"] > 0
+
+
+def test_genai_matches_the_loop_oracle():
+    """Genai rides the kernel's one event loop: every scenario of the
+    seed matrix, run profiled on the event-at-a-time loop oracle
+    (``tests/fleet_oracle.py``, which also answers ``peek_time`` — the
+    seam ``plan_segment`` bounds its segments by), has the one loop's
+    fingerprint and profile ledgers.  Each scenario also runs as a
+    trickle (a twentieth of its rate): the matrix's own rates keep a
+    queue waiting until the last arrival, so only a trickle empties the
+    queue with arrivals still to come, and only then does a continuous
+    segment stop at the lookahead arrival's instant."""
+    from fleet_oracle import oracle_run
+
+    for seed, scheduler, scale in product(SEEDS, SCHEDULERS, (1.0, 0.05)):
+        scn = Scenario(seed, scheduler)
+        scn.rate_rps *= scale
+        oracle_obs = RunObserver.profiling()
+        slow = oracle_run(scn.engine().run, scn.stream(), obs=oracle_obs)
+        obs = RunObserver.profiling()
+        fast = scn.engine().run(scn.stream(), obs=obs)
+        assert fingerprint(fast) == fingerprint(slow), (seed, scheduler, scale)
+        prof, oprof = obs.profile.profile(), oracle_obs.profile.profile()
+        for field in ("events", "counts", "batches", "heap_events", "stream_events"):
+            assert getattr(prof, field) == getattr(oprof, field), field
+        assert prof.handler_s.get("ARRIVAL", 0.0) == 0.0
 
 
 def _serving_stream():

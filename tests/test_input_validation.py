@@ -42,7 +42,6 @@ from repro.sim import (
     StreamStats,
     WindowRing,
 )
-from repro.sim.kernel import Event
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -73,21 +72,72 @@ def test_kernel_schedule_rejects_non_finite_time(t):
     assert not kernel._heap
 
 
+def _bare_arrivals(*times):
+    """Requests at ``times``, past ``Request``'s own finiteness check."""
+    reqs = [Request(i, "BERT", 0.0) for i in range(len(times))]
+    for r, t in zip(reqs, times):
+        object.__setattr__(r, "arrival_s", t)
+    return reqs
+
+
 @pytest.mark.parametrize("t", NON_FINITE)
 def test_kernel_preload_rejects_non_finite_time(t):
+    """An arrival list with a NaN/inf time raises before that arrival
+    is delivered."""
     kernel = DiscreteEventKernel()
+    seen = []
     with pytest.raises(ValueError, match="finite"):
-        kernel.preload([Event(0.0, EventKind.ARRIVAL, 0), Event(t, EventKind.ARRIVAL, 1)])
+        kernel.run(
+            {},
+            arrivals=_bare_arrivals(0.0, t),
+            on_epoch=lambda now, reqs: seen.extend(reqs),
+        )
+    assert seen == []
 
 
 @pytest.mark.parametrize("t", NON_FINITE)
 def test_kernel_lazy_stream_rejects_non_finite_time(t):
     kernel = DiscreteEventKernel()
-    kernel.preload_stream(
-        iter([Event(0.0, EventKind.ARRIVAL, 0), Event(t, EventKind.ARRIVAL, 1)])
-    )
     with pytest.raises(ValueError, match="finite"):
-        kernel.run({})
+        kernel.run(
+            {},
+            arrivals=iter(_bare_arrivals(0.0, t)),
+            on_epoch=lambda now, reqs: None,
+        )
+
+
+def test_kernel_schedule_rejects_arrivals():
+    """ARRIVAL events never enter the heap: ``schedule`` refuses them
+    and names the way in."""
+    kernel = DiscreteEventKernel()
+    with pytest.raises(ValueError, match=r"run\(arrivals="):
+        kernel.schedule(1.0, EventKind.ARRIVAL, 0)
+    assert not kernel._heap
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_kernel_run_rejects_arrivals_without_on_epoch(lazy):
+    """Arrivals with nowhere to go raise before the run has any side
+    effect: no clock move, no delivered or counted event, no profiler
+    ledger touched."""
+    from repro.obs import KernelProfiler
+
+    kernel = DiscreteEventKernel()
+    kernel.schedule(0.5, EventKind.CONTROL)
+    seen = []
+    prof = KernelProfiler()
+    reqs = [Request(0, "BERT", 1.0)]
+    with pytest.raises(ValueError, match="on_epoch"):
+        kernel.run(
+            {EventKind.CONTROL: lambda now, evs: seen.append(now)},
+            arrivals=iter(reqs) if lazy else reqs,
+            profiler=prof,
+        )
+    assert seen == [] and kernel.clock.now == 0.0 and kernel.processed == 0
+    assert len(kernel._heap) == 1
+    assert prof.runs == 0 and prof.events == 0 and prof.counts == {}
+    # Without arrivals, on_epoch may be left out.
+    assert kernel.run({}, arrivals=[]) == 0.5
 
 
 def test_outage_rejects_infinite_end():

@@ -29,7 +29,7 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.sim import FailureTrace
-from repro.sim.kernel import DiscreteEventKernel, Event, EventKind
+from repro.sim.kernel import DiscreteEventKernel, EventKind
 
 MIX = {"BERT": 0.9, "DLRM": 0.1}
 
@@ -203,36 +203,43 @@ class TestTelemetry:
 
 
 def _micro_kernel(n: int = 500):
-    kernel = DiscreteEventKernel()
-    kernel.preload(Event(float(i) * 1e-3, EventKind.ARRIVAL, i) for i in range(n))
+    """A kernel and its ``run`` keywords: ``n`` arrivals 1 ms apart,
+    each scheduling a FINISH 0.5 ms later."""
+    from repro.serving import Request
 
-    def on_arrival(now, events):
-        for ev in events:
-            kernel.schedule(now + 5e-4, EventKind.FINISH, ev.entity)
+    kernel = DiscreteEventKernel()
+
+    def on_arrival(now, reqs):
+        for r in reqs:
+            kernel.schedule(now + 5e-4, EventKind.FINISH, r.req_id)
 
     def on_finish(now, events):
         pass
 
-    return kernel, {EventKind.ARRIVAL: on_arrival, EventKind.FINISH: on_finish}
+    return kernel, dict(
+        handlers={EventKind.FINISH: on_finish},
+        arrivals=[Request(i, "BERT", float(i) * 1e-3) for i in range(n)],
+        on_epoch=on_arrival,
+    )
 
 
 class TestKernelProfiler:
     def test_profiled_run_accounts_every_event(self):
         prof = KernelProfiler(sample_every=200)
-        kernel, handlers = _micro_kernel(500)
-        kernel.run(handlers, obs=RunObserver(profile=prof))
+        kernel, run = _micro_kernel(500)
+        kernel.run(**run, profiler=prof)
         assert prof.events == kernel.processed == 1000
         assert prof.counts[int(EventKind.ARRIVAL)] == 500
         assert prof.counts[int(EventKind.FINISH)] == 500
-        assert prof.stream_events == 500  # preloaded arrivals
+        assert prof.stream_events == 500  # streamed arrivals
         assert prof.heap_events == 500  # scheduled finishes
         assert prof.runs == 1 and prof.wall_s > 0
         assert prof.timeline and prof.timeline[0][2] >= 200
 
     def test_profile_freezes_named_kinds(self):
         prof = KernelProfiler()
-        kernel, handlers = _micro_kernel(100)
-        kernel.run(handlers, obs=RunObserver(profile=prof))
+        kernel, run = _micro_kernel(100)
+        kernel.run(**run, profiler=prof)
         p = prof.profile()
         assert p.counts == {"ARRIVAL": 100, "FINISH": 100}
         assert p.batches["ARRIVAL"] == 100
@@ -247,8 +254,8 @@ class TestKernelProfiler:
     def test_profiler_accumulates_across_runs(self):
         prof = KernelProfiler()
         for _ in range(2):
-            kernel, handlers = _micro_kernel(50)
-            kernel.run(handlers, obs=RunObserver(profile=prof))
+            kernel, run = _micro_kernel(50)
+            kernel.run(**run, profiler=prof)
         assert prof.runs == 2 and prof.events == 200
 
     def test_empty_profile_is_safe(self):
@@ -269,7 +276,7 @@ class TestKernelProfiler:
         kernel.schedule(1.0, EventKind.DECODE_STEP)
         kernel.run(
             {EventKind.DECODE_STEP: lambda t, evs: kernel.credit_events(3)},
-            obs=RunObserver(profile=prof),
+            profiler=prof,
         )
         step = int(EventKind.DECODE_STEP)
         assert prof.events == kernel.processed == 4

@@ -7,6 +7,7 @@ documented order, so no simulation can depend on insertion order.
 """
 
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -22,13 +23,27 @@ from repro.sim import (
 )
 
 
-def drain(kernel):
-    """Run a kernel, returning every delivered event in delivery order."""
+class Arr(NamedTuple):
+    """A bare arrival: all the kernel reads of a request is its time."""
+
+    arrival_s: float
+    entity: int
+
+
+def drain(kernel, arrivals=()):
+    """Run a kernel, returning every delivered heap event and arrival
+    (as an ``ARRIVAL`` event) in delivery order."""
     seen = []
     handlers = {
         kind: (lambda now, evs: seen.extend(evs)) for kind in EventKind
     }
-    kernel.run(handlers)
+    kernel.run(
+        handlers,
+        arrivals=arrivals,
+        on_epoch=lambda now, reqs: seen.extend(
+            Event(now, int(EventKind.ARRIVAL), r.entity) for r in reqs
+        ),
+    )
     return seen
 
 
@@ -82,12 +97,19 @@ class TestTotalOrder:
 
     @pytest.mark.parametrize("perm", _insertion_orders())
     def test_equal_time_events_pop_in_table_order(self, perm):
-        """Any insertion order of equal-time events pops identically."""
+        """Any insertion order of equal-time heap events pops
+        identically, with the arrivals (a stream, in entity order) at
+        the ARRIVAL slot."""
         kernel = DiscreteEventKernel()
+        arrivals = []
         for idx in perm:
             kind, entity = self.TABLE[idx]
-            kernel.schedule(1.0, kind, entity)
-        popped = [(e.kind, e.entity) for e in drain(kernel)]
+            if kind == EventKind.ARRIVAL:
+                arrivals.append(Arr(1.0, entity))
+            else:
+                kernel.schedule(1.0, kind, entity)
+        arrivals.sort(key=lambda a: a.entity)
+        popped = [(e.kind, e.entity) for e in drain(kernel, arrivals)]
         assert popped == [(int(k), n) for k, n in self.TABLE]
 
     def test_time_dominates_kind_and_entity(self):
@@ -99,39 +121,40 @@ class TestTotalOrder:
 
     def test_insertion_sequence_breaks_exact_ties(self):
         kernel = DiscreteEventKernel()
-        a = kernel.schedule(1.0, EventKind.ARRIVAL, 0, payload="first")
-        b = kernel.schedule(1.0, EventKind.ARRIVAL, 0, payload="second")
+        a = kernel.schedule(1.0, EventKind.FINISH, 0, payload="first")
+        b = kernel.schedule(1.0, EventKind.FINISH, 0, payload="second")
         assert a.seq < b.seq
         assert [e.payload for e in drain(kernel)] == ["first", "second"]
 
 
 class TestKernel:
     def test_epoch_delivery_batches_same_time_same_kind(self):
+        """One instant's arrivals form one epoch, in stream order; one
+        (time, kind)'s heap events one batch, in entity order."""
         kernel = DiscreteEventKernel()
         for entity in (3, 1, 2):
-            kernel.schedule(1.0, EventKind.ARRIVAL, entity)
-        kernel.schedule(1.0, EventKind.FINISH, 0)
+            kernel.schedule(1.0, EventKind.FINISH, entity)
         batches = []
         kernel.run(
             {
-                EventKind.ARRIVAL: lambda now, evs: batches.append(
-                    ("arrival", [e.entity for e in evs])
-                ),
                 EventKind.FINISH: lambda now, evs: batches.append(
                     ("finish", [e.entity for e in evs])
                 ),
-            }
+            },
+            arrivals=[Arr(1.0, e) for e in (1, 2, 3)],
+            on_epoch=lambda now, reqs: batches.append(
+                ("arrival", [r.entity for r in reqs])
+            ),
         )
-        assert batches == [("arrival", [1, 2, 3]), ("finish", [0])]
+        assert batches == [("arrival", [1, 2, 3]), ("finish", [1, 2, 3])]
 
     def test_preload_merges_with_heap_in_total_order(self):
+        """The arrival stream merges with the heap in the total order."""
         kernel = DiscreteEventKernel()
-        kernel.preload(
-            Event(float(t), EventKind.ARRIVAL, t) for t in range(3)
-        )
         kernel.schedule(0.5, EventKind.FINISH, 0)
         kernel.schedule(1.0, EventKind.FINISH, 0)  # after the t=1 arrival
-        order = [(e.time, int(e.kind)) for e in drain(kernel)]
+        arrivals = [Arr(float(t), t) for t in range(3)]
+        order = [(e.time, int(e.kind)) for e in drain(kernel, arrivals)]
         assert order == [
             (0.0, int(EventKind.ARRIVAL)),
             (0.5, int(EventKind.FINISH)),
@@ -143,24 +166,22 @@ class TestKernel:
     def test_preload_rejects_out_of_order_streams(self):
         kernel = DiscreteEventKernel()
         with pytest.raises(ValueError, match="out of order"):
-            kernel.preload(
-                [
-                    Event(1.0, EventKind.ARRIVAL, 0),
-                    Event(0.5, EventKind.ARRIVAL, 1),
-                ]
-            )
+            drain(kernel, [Arr(1.0, 0), Arr(0.5, 1)])
 
     def test_schedule_into_the_past_raises(self):
         kernel = DiscreteEventKernel()
-        kernel.schedule(1.0, EventKind.ARRIVAL, 0)
+        kernel.schedule(1.0, EventKind.CONTROL, 0)
         kernel.run({})  # clock now at 1.0
         with pytest.raises(ValueError, match="past"):
             kernel.schedule(0.5, EventKind.FINISH, 0)
 
     def test_clock_is_monotonic_and_processed_counts(self):
         kernel = DiscreteEventKernel()
-        kernel.preload(Event(float(t), EventKind.ARRIVAL, t) for t in range(5))
-        end = kernel.run({})
+        end = kernel.run(
+            {},
+            arrivals=[Arr(float(t), t) for t in range(5)],
+            on_epoch=lambda now, reqs: None,
+        )
         assert end == 4.0
         assert kernel.clock.now == 4.0
         assert kernel.processed == 5
@@ -173,17 +194,15 @@ class TestKernel:
 
     def test_handlers_can_schedule_future_work(self):
         kernel = DiscreteEventKernel()
-        kernel.schedule(1.0, EventKind.ARRIVAL, 0)
         seen = []
 
-        def on_arrival(now, evs):
+        def on_arrival(now, reqs):
             kernel.schedule(now + 1.0, EventKind.FINISH, 0)
 
         kernel.run(
-            {
-                EventKind.ARRIVAL: on_arrival,
-                EventKind.FINISH: lambda now, evs: seen.append(now),
-            }
+            {EventKind.FINISH: lambda now, evs: seen.append(now)},
+            arrivals=[Arr(1.0, 0)],
+            on_epoch=on_arrival,
         )
         assert seen == [2.0]
 
@@ -261,22 +280,23 @@ def _arrivals(times):
 
 
 class TestFastDrainTotalOrder:
-    """PR 5's tie-break table, extended to the batched fast path.
+    """PR 5's tie-break table, extended to the arrival stream.
 
-    ``repro.sim.fast.drain`` replays arrivals from struct-of-arrays
-    chunks instead of the heap, so the ordering risks it adds are at
-    the *seams*: equal-time heap events must land around an arrival
-    epoch exactly where the documented table puts ARRIVAL, and an epoch
-    must never be split across two chunks of a lazily read stream.
-    These tests run the same permutation discipline as
-    :class:`TestTotalOrder` with arrivals moved into the drain's stream,
-    and a differential check against the reference kernel on seeded
-    random schedules, eager and lazy, across tiny chunk sizes.
+    ``DiscreteEventKernel.run`` reads arrivals as equal-time epochs
+    from a stream instead of the heap, so the ordering risks it adds
+    are at the *seams*: equal-time heap events must land around an
+    arrival epoch exactly where the documented table puts ARRIVAL, an
+    event a callback schedules must pop before a later epoch, and an
+    epoch must never be split however long its equal-time run.  These
+    tests run the same permutation discipline as :class:`TestTotalOrder`
+    with arrivals in the stream, and a differential check against the
+    event-at-a-time oracle loop (``tests/fleet_oracle.py``) on seeded
+    random schedules, eager and lazy.
     """
 
     #: The tie-break table with the ARRIVAL rows re-expressed as one
-    #: batched epoch (the fast path delivers an epoch, not per-entity
-    #: events, so the arrival entities collapse into a single marker).
+    #: batched epoch (an epoch is one delivery, not per-entity events,
+    #: so the arrival entities collapse into a single marker).
     HEAP_ROWS = [
         (kind, entity)
         for kind, entity in ORDER_TABLE
@@ -284,13 +304,11 @@ class TestFastDrainTotalOrder:
     ]
 
     @staticmethod
-    def _fast_drain(heap_rows, arrival_ts, epoch_finish_at=None):
-        """Drain heap_rows + an arrival stream, returning the unified
+    def _stream_run(heap_rows, arrival_ts, epoch_finish_at=None):
+        """Run heap_rows + an arrival stream, returning the unified
         delivery order.  ``epoch_finish_at`` optionally maps an epoch
         time to a FINISH (time, entity) scheduled *from inside* the
         epoch — the re-peek hazard."""
-        from repro.sim import fast as fastmod
-
         kernel = DiscreteEventKernel()
         for kind, entity in heap_rows:
             kernel.schedule(1.0, kind, entity)
@@ -301,8 +319,6 @@ class TestFastDrainTotalOrder:
             if epoch_finish_at and t in epoch_finish_at:
                 ft, fe = epoch_finish_at[t]
                 kernel.schedule(ft, EventKind.FINISH, fe)
-                return True
-            return False
 
         handlers = {
             int(kind): (
@@ -312,7 +328,7 @@ class TestFastDrainTotalOrder:
             )
             for kind in EventKind
         }
-        fastmod.drain(kernel, _arrivals(arrival_ts), on_epoch, handlers)
+        kernel.run(handlers, arrivals=_arrivals(arrival_ts), on_epoch=on_epoch)
         return kernel, seen
 
     @pytest.mark.parametrize("perm", _insertion_orders()[:12])
@@ -325,7 +341,7 @@ class TestFastDrainTotalOrder:
         ]
         # Dedup while keeping the permuted insertion order.
         rows = list(dict.fromkeys(rows))
-        _, seen = self._fast_drain(rows, [1.0, 1.0, 1.0])
+        _, seen = self._stream_run(rows, [1.0, 1.0, 1.0])
         kinds = [
             int(EventKind.ARRIVAL) if s[0] == "epoch" else s[2] for s in seen
         ]
@@ -335,7 +351,7 @@ class TestFastDrainTotalOrder:
         assert epochs == [("epoch", 1.0, 0, 3)]
 
     def test_equal_time_arrivals_form_one_epoch_per_instant(self):
-        _, seen = self._fast_drain([], [0.5, 0.5, 1.25, 2.0, 2.0, 2.0])
+        _, seen = self._stream_run([], [0.5, 0.5, 1.25, 2.0, 2.0, 2.0])
         assert seen == [
             ("epoch", 0.5, 0, 2),
             ("epoch", 1.25, 2, 3),
@@ -345,7 +361,7 @@ class TestFastDrainTotalOrder:
     def test_epoch_scheduled_finish_preempts_next_epoch(self):
         """The re-peek hazard: an epoch at t=1 schedules a FINISH at
         t=1.5, which must pop before the t=2 epoch."""
-        _, seen = self._fast_drain(
+        _, seen = self._stream_run(
             [], [1.0, 2.0], epoch_finish_at={1.0: (1.5, 7)}
         )
         assert seen == [
@@ -357,7 +373,7 @@ class TestFastDrainTotalOrder:
     def test_same_instant_finish_from_epoch_still_pops_after(self):
         """FINISH scheduled *at the epoch's own instant* pops after the
         epoch (FINISH > ARRIVAL) but before the next epoch."""
-        _, seen = self._fast_drain(
+        _, seen = self._stream_run(
             [], [1.0, 1.0, 2.0], epoch_finish_at={1.0: (1.0, 3)}
         )
         assert seen == [
@@ -367,13 +383,12 @@ class TestFastDrainTotalOrder:
         ]
 
     def test_heap_arrival_is_rejected(self):
-        """The fast drain owns arrivals; one on the heap is a bug."""
-        from repro.sim import fast as fastmod
-
+        """The stream owns arrivals: scheduling one on the heap raises,
+        naming the way in, and leaves the heap empty."""
         kernel = DiscreteEventKernel()
-        kernel.schedule(1.0, EventKind.ARRIVAL, 0)
-        with pytest.raises(ValueError):
-            fastmod.drain(kernel, _arrivals([1.0]), lambda t, reqs: False, {})
+        with pytest.raises(ValueError, match=r"run\(arrivals="):
+            kernel.schedule(1.0, EventKind.ARRIVAL, 0)
+        assert kernel.peek_time() is None
 
     @staticmethod
     def _random_schedule(seed):
@@ -400,94 +415,93 @@ class TestFastDrainTotalOrder:
         return times, heap_rows
 
     @staticmethod
-    def _assert_drain_matches_reference(times, heap_rows, lazy):
-        """Drain ``times`` + ``heap_rows`` through the reference kernel
-        and the fast drain (fed a list, or an iterator when ``lazy``);
-        both must deliver the same batches in the same order and count
-        the same events."""
-        from repro.sim import fast as fastmod
-
-        # Reference: arrivals preloaded as per-entity events; the
-        # kernel batches each equal-time, equal-kind span into one
-        # handler call, which is exactly the fast path's epoch.
-        ref_kernel = DiscreteEventKernel()
-        ref_kernel.preload(
-            Event(t, EventKind.ARRIVAL, i) for i, t in enumerate(times)
-        )
+    def _deliveries(times, heap_rows, lazy):
+        """Run ``times`` + ``heap_rows`` on a fresh kernel (arrivals fed
+        as a list, or an iterator when ``lazy``); return the kernel and
+        its ``(time, kind, entities, peek_time)`` delivery log."""
+        kernel = DiscreteEventKernel()
         for t, kind, entity in heap_rows:
-            ref_kernel.schedule(t, kind, entity)
-        ref = []
-        ref_kernel.run(
-            {
-                kind: (
-                    lambda now, evs: ref.append(
-                        (
-                            now,
-                            int(evs[0].kind),
-                            tuple(e.entity for e in evs),
-                        )
-                    )
-                )
-                for kind in EventKind
-            }
-        )
-
-        fast_kernel = DiscreteEventKernel()
-        for t, kind, entity in heap_rows:
-            fast_kernel.schedule(t, kind, entity)
+            kernel.schedule(t, kind, entity)
         got = []
 
         def on_epoch(t, reqs):
-            got.append((t, int(EventKind.ARRIVAL), tuple(r.req_id for r in reqs)))
-            return False
+            got.append(
+                (
+                    t,
+                    int(EventKind.ARRIVAL),
+                    tuple(r.req_id for r in reqs),
+                    kernel.peek_time(),
+                )
+            )
 
         handlers = {
             int(kind): (
                 lambda now, evs: got.append(
-                    (now, int(evs[0].kind), tuple(e.entity for e in evs))
+                    (
+                        now,
+                        int(evs[0].kind),
+                        tuple(e.entity for e in evs),
+                        kernel.peek_time(),
+                    )
                 )
             )
             for kind in EventKind
         }
         arrivals = _arrivals(times)
-        fastmod.drain(
-            fast_kernel, iter(arrivals) if lazy else arrivals, on_epoch, handlers
+        kernel.run(
+            handlers,
+            arrivals=iter(arrivals) if lazy else arrivals,
+            on_epoch=on_epoch,
         )
+        return kernel, got
+
+    @classmethod
+    def _assert_drain_matches_reference(cls, times, heap_rows, lazy):
+        """The oracle loop (one ARRIVAL event per request, merged with
+        the heap event by event) and the kernel's loop must deliver the
+        same batches in the same order, peek the same next instant at
+        every delivery, and count the same events."""
+        from fleet_oracle import oracle_loop
+
+        with oracle_loop():
+            ref_kernel, ref = cls._deliveries(times, heap_rows, lazy)
+        kernel, got = cls._deliveries(times, heap_rows, lazy)
 
         assert got == ref
-        assert fast_kernel.processed == ref_kernel.processed
+        assert kernel.processed == ref_kernel.processed == len(times) + len(
+            heap_rows
+        )
 
         class _Rep:
             events_processed = 0
 
         rep = _Rep()
-        fast_kernel.finalize(rep)
+        kernel.finalize(rep)
         assert rep.events_processed == ref_kernel.processed
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_schedules_match_reference_kernel(self, seed):
         """Differential: a seeded random mix of arrivals (duplicates
-        included) and heap events drains in exactly the reference
-        kernel's order, with the same processed-event count."""
+        included) and heap events runs in exactly the oracle's order,
+        with the same processed-event count."""
         times, heap_rows = self._random_schedule(seed)
         self._assert_drain_matches_reference(times, heap_rows, lazy=False)
         self._assert_drain_matches_reference(times, heap_rows, lazy=True)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("repeat", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(8))
-    def test_lazy_chunks_never_split_an_epoch(self, monkeypatch, seed, chunk):
-        """A lazily read stream pulled a few requests at a time: runs of
-        equal-time arrivals longer than a chunk still form one epoch,
-        and the delivery order still matches the reference kernel."""
-        from repro.sim import fast as fastmod
-
-        monkeypatch.setattr(fastmod, "STREAM_CHUNK", chunk)
+    def test_lazy_chunks_never_split_an_epoch(self, seed, repeat):
+        """A lazily read stream with long equal-time runs (``repeat``
+        extra copies of half its instants): each run still forms one
+        epoch, however the lookahead meets it, and the delivery order
+        still matches the oracle."""
         times, heap_rows = self._random_schedule(seed)
-        # Stretch some instants into runs that span several chunks.
-        times = sorted(times + times[: len(times) // 2] * 3)
+        times = sorted(times + times[: len(times) // 2] * (2 * repeat + 1))
         self._assert_drain_matches_reference(times, heap_rows, lazy=True)
+        _, seen = self._deliveries(times, [], lazy=True)
+        assert [s[0] for s in seen] == sorted(set(times))
 
-    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    @pytest.mark.parametrize("offset", [1, 2, 4096])
     @pytest.mark.parametrize(
         "times, match",
         [
@@ -496,26 +510,25 @@ class TestFastDrainTotalOrder:
             ([0.0, float("inf")], "finite"),
         ],
     )
-    def test_lazy_stream_errors_match_the_kernel(
-        self, monkeypatch, chunk, times, match
-    ):
-        """A misordered or non-finite lazy stream raises the kernel's own
-        ``ValueError``, message for message, at any chunk size."""
-        from repro.sim import fast as fastmod
+    def test_lazy_stream_errors_match_the_kernel(self, offset, times, match):
+        """A misordered or non-finite lazy stream raises the oracle's
+        own ``ValueError``, message for message (stream indices
+        included), behind ``offset`` leading requests at time 0."""
+        from fleet_oracle import oracle_loop
 
-        monkeypatch.setattr(fastmod, "STREAM_CHUNK", chunk)
+        times = [0.0] * offset + times
         reqs = _arrivals([0.0] * len(times))
         for r, t in zip(reqs, times):
             object.__setattr__(r, "arrival_s", t)  # bypass Request's check
-        ref_kernel = DiscreteEventKernel()
-        ref_kernel.preload_stream(
-            Event(r.arrival_s, EventKind.ARRIVAL, i, payload=r)
-            for i, r in enumerate(reqs)
-        )
-        with pytest.raises(ValueError, match=match) as ref_err:
-            ref_kernel.run({})
-        with pytest.raises(ValueError, match=match) as fast_err:
-            fastmod.drain(
-                DiscreteEventKernel(), iter(reqs), lambda t, rs: False, {}
+
+        def run():
+            DiscreteEventKernel().run(
+                {}, arrivals=iter(reqs), on_epoch=lambda t, rs: None
             )
-        assert str(fast_err.value) == str(ref_err.value)
+
+        with pytest.raises(ValueError, match=match) as ref_err:
+            with oracle_loop():
+                run()
+        with pytest.raises(ValueError, match=match) as err:
+            run()
+        assert str(err.value) == str(ref_err.value)

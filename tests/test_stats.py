@@ -1,10 +1,11 @@
 """Tests for the streaming statistics core (``repro.sim.stats``) and the
 lazy kernel stream: sketch-vs-exact cross-checks, the window ring, the
 recorder's two modes, the versioned-list cache-invalidation fix, and the
-``preload_stream`` ordering contract."""
+lazy arrival stream's ordering contract."""
 
 import math
 import random
+from typing import Any, NamedTuple
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.serving.engine import (
 )
 from repro.sim import (
     DiscreteEventKernel,
-    Event,
     EventKind,
     MetricsRecorder,
     P2Quantile,
@@ -346,63 +346,54 @@ class TestServingReportModes:
             assert stream.p99_s == pytest.approx(full.p99_s)
 
 
+class Arrival(NamedTuple):
+    """A bare arrival: its time, plus a payload to trace it by."""
+
+    arrival_s: float
+    payload: Any
+
+
 class TestLazyKernelStream:
     @staticmethod
-    def _events(n, seed=0):
+    def _arrivals(n, seed=0):
         rng = random.Random(seed)
         t = 0.0
         out = []
         for i in range(n):
             t += rng.expovariate(10.0)
-            out.append(Event(t, EventKind.ARRIVAL, i, payload=i))
+            out.append(Arrival(t, i))
         return out
 
     def test_lazy_stream_matches_eager_preload(self):
-        events = self._events(500)
+        arrivals = self._arrivals(500)
         seen_eager, seen_lazy = [], []
 
         k1 = DiscreteEventKernel()
-        k1.preload(events)
-        k1.run({EventKind.ARRIVAL: lambda t, evs: seen_eager.extend(
-            (t, e.payload) for e in evs)})
+        k1.run({}, arrivals=arrivals, on_epoch=lambda t, reqs: seen_eager.extend(
+            (t, r.payload) for r in reqs))
 
         k2 = DiscreteEventKernel()
-        k2.preload_stream(iter(events))
-        k2.run({EventKind.ARRIVAL: lambda t, evs: seen_lazy.extend(
-            (t, e.payload) for e in evs)})
+        k2.run({}, arrivals=iter(arrivals), on_epoch=lambda t, reqs: seen_lazy.extend(
+            (t, r.payload) for r in reqs))
 
         assert seen_lazy == seen_eager
         assert k2.processed == k1.processed
 
     def test_lazy_stream_interleaves_with_scheduled_events(self):
-        events = self._events(200, seed=3)
+        arrivals = self._arrivals(200, seed=3)
         order = []
         kernel = DiscreteEventKernel()
-        kernel.preload_stream(iter(events))
-        kernel.schedule(events[50].time, EventKind.CONTROL, payload="tick")
+        kernel.schedule(arrivals[50].arrival_s, EventKind.CONTROL, payload="tick")
         kernel.run(
-            {
-                EventKind.ARRIVAL: lambda t, evs: order.extend(
-                    e.payload for e in evs
-                ),
-                EventKind.CONTROL: lambda t, evs: order.append("tick"),
-            }
+            {EventKind.CONTROL: lambda t, evs: order.append("tick")},
+            arrivals=iter(arrivals),
+            on_epoch=lambda t, reqs: order.extend(r.payload for r in reqs),
         )
         assert order.index("tick") == 51  # ARRIVAL sorts before CONTROL
         assert [o for o in order if o != "tick"] == list(range(200))
 
     def test_out_of_order_lazy_stream_raises_mid_run(self):
-        bad = [
-            Event(1.0, EventKind.ARRIVAL, 0),
-            Event(0.5, EventKind.ARRIVAL, 1),
-        ]
+        bad = [Arrival(1.0, 0), Arrival(0.5, 1)]
         kernel = DiscreteEventKernel()
-        kernel.preload_stream(iter(bad))
         with pytest.raises(ValueError, match="out of order"):
-            kernel.run({})
-
-    def test_double_attach_raises(self):
-        kernel = DiscreteEventKernel()
-        kernel.preload_stream(iter([]))
-        with pytest.raises(RuntimeError, match="already attached"):
-            kernel.preload_stream(iter([]))
+            kernel.run({}, arrivals=iter(bad), on_epoch=lambda t, reqs: None)
