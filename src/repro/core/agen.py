@@ -32,11 +32,13 @@ paper's own validation methodology, §IV).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.mapping.analysis import Constraint, FootprintAnalysis
+from repro.utils.bits import gf2_echelon
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AffineSubspace",
@@ -46,8 +48,6 @@ __all__ = [
     "naive_iterations",
     "stepstone_iterations",
 ]
-
-_U64 = np.uint64
 
 
 @dataclass
@@ -81,12 +81,14 @@ class AffineSubspace:
 
     def elements(self, start: int = 0, count: Optional[int] = None) -> np.ndarray:
         """Vectorized enumeration of elements [start, start+count)."""
+        from numpy import arange, full, uint64 as u64, where
+
         if count is None:
             count = self.size - start
-        ks = np.arange(start, start + count, dtype=_U64)
-        out = np.full(len(ks), _U64(self.origin), dtype=_U64)
+        ks = arange(start, start + count, dtype=u64)
+        out = full(len(ks), u64(self.origin), dtype=u64)
         for i, v in enumerate(self.basis):
-            out ^= np.where((ks >> _U64(i)) & _U64(1) == 1, _U64(v), _U64(0))
+            out ^= where((ks >> u64(i)) & u64(1) == 1, u64(v), u64(0))
         return out
 
     def index_of(self, x: int) -> int:
@@ -154,27 +156,11 @@ def solve_constraints(
             if (m >> f) & 1:
                 v |= 1 << b
         basis.append(v)
-    # Integer-reduced echelon form: unique leading bits, cleared elsewhere.
-    echelon: List[int] = []
-    for v in sorted(basis, reverse=True):
-        for e in echelon:
-            if v ^ e < v:
-                v ^= e
-        if v:
-            echelon.append(v)
-            echelon.sort(reverse=True)
-    # Clear each vector's pivot from every other vector.
-    for i in range(len(echelon)):
-        p = 1 << (echelon[i].bit_length() - 1)
-        for j in range(len(echelon)):
-            if j != i and echelon[j] & p:
-                echelon[j] ^= echelon[i]
-    echelon.sort(key=lambda v: v.bit_length())
-    # Canonical minimal origin: clear every pivot of x0.
-    for v in reversed(echelon):
-        p = 1 << (v.bit_length() - 1)
-        if x0 & p:
-            x0 ^= v
+    # Integer-reduced echelon form (unique leading bits, cleared elsewhere)
+    # and the canonical minimal origin (every leading bit of x0 cleared).
+    echelon = gf2_echelon(basis)
+    for v in echelon:
+        x0 = min(x0, x0 ^ v)
     return AffineSubspace(origin=x0, basis=tuple(echelon), n_bits=n_bits)
 
 
@@ -205,11 +191,12 @@ class ExactStepStoneAGEN:
 
     def trace(self) -> np.ndarray:
         """All local block addresses in increasing order."""
+        from numpy import empty, sort, uint64 as u64
+
         if self.subspace is None:
-            return np.empty(0, dtype=_U64)
-        offs = self.subspace.elements()
-        offs = np.sort(offs)
-        return _U64(self.analysis.base) + offs.astype(_U64) * _U64(self.block_bytes)
+            return empty(0, dtype=u64)
+        offs = sort(self.subspace.elements())
+        return u64(self.analysis.base) + offs.astype(u64) * u64(self.block_bytes)
 
     def trace_with_iterations(self) -> Tuple[np.ndarray, np.ndarray]:
         """(addresses, per-step iteration counts); counts[0] is the first fill."""
@@ -231,6 +218,8 @@ def stepstone_iteration_counts(n_steps: int) -> np.ndarray:
     simple-increment check: ``tz(k) + 2`` iterations.  Step 0 (initial fill)
     costs the pipeline depth and is accounted separately by the executor.
     """
+    import numpy as np
+
     if n_steps <= 0:
         return np.empty(0, dtype=np.int64)
     k = np.arange(n_steps, dtype=np.int64)
@@ -252,7 +241,9 @@ def naive_iterations(addrs: np.ndarray, block_bytes: int = 64) -> np.ndarray:
 
     ``addrs`` must be increasing block addresses; element 0 gets 1 (initial).
     """
-    addrs = np.asarray(addrs, dtype=_U64)
+    import numpy as np
+
+    addrs = np.asarray(addrs, dtype=np.uint64)
     if len(addrs) == 0:
         return np.empty(0, dtype=np.int64)
     gaps = np.empty(len(addrs), dtype=np.int64)

@@ -25,9 +25,11 @@ Pricing is split in two.  The per-group *profile* of the critical PIM (one
 row walk's cadence, the row count, the steady-state row misses) depends
 only on the weight footprint and the DRAM timing, so it is computed once
 per process and kept in the ``profile`` memo (:mod:`repro.core.memo`).
-:func:`_gemm_profile` builds every group's profile in one pass over the
-concatenated walks of the critical PIM, and stores each group's cadence
-histogram.  The per-N *evaluation*, :func:`_price`, is the one home of
+:func:`_gemm_profile` builds it over Python ints from the footprint's
+cosets: the cadence depends only on the XOR steps between consecutive
+columns, which every group shares, so only the first and second row
+walks of each group are looped over, for the naive gaps and row misses.
+The per-N *evaluation*, :func:`_price`, is the one home of
 the N-dependent cycles arithmetic: it takes a :class:`_Candidate` (every
 N-independent constant of one footprint on one unit), a batch width and
 a partitioning, combines the profile with the SIMD time in O(groups)
@@ -44,10 +46,9 @@ only once priced, so a pruned candidate builds none.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.agen import stepstone_iteration_counts
 from repro.core.config import PimUnitConfig, StepStoneConfig
@@ -64,8 +65,9 @@ from repro.core.gemm import (
 from repro.core.memo import PRICING_MEMO
 from repro.dram.stream import sequential_stream_cycles
 from repro.dram.timing import DDR4Timing
+from repro.mapping.analysis import check_placement, footprint_id_vectors
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
-from repro.utils.bits import gf2_rank
+from repro.utils.bits import gf2_coset, gf2_rank
 
 __all__ = [
     "LatencyBreakdown",
@@ -171,22 +173,19 @@ class GemmResult:
         return self.breakdown.total / clock_hz
 
 
-def _row_misses(
-    flat: np.ndarray, dram_row: np.ndarray, walk: np.ndarray, counted: np.ndarray, n_walks: int
-) -> np.ndarray:
-    """Row-buffer misses of the ``counted`` accesses, per walk.
-
-    The accesses of every walk are in program order (walks may be
-    concatenated).  An access misses when it is its walk's first visit to
-    its bank, or the bank's previous access in the walk had another row
-    open; ordering by (walk, bank, position) puts each bank's visits side
-    by side.
-    """
-    order = np.lexsort((np.arange(len(flat)), flat, walk))
-    fo, ro, wo = flat[order], dram_row[order], walk[order]
-    miss = np.ones(len(flat), dtype=bool)
-    miss[1:] = (wo[1:] != wo[:-1]) | (fo[1:] != fo[:-1]) | (ro[1:] != ro[:-1])
-    return np.bincount(wo[miss & counted[order]], minlength=n_walks)
+def _row_misses(warm: List[int], walk: List[int], bank: int, row: int) -> int:
+    """Row-buffer misses of ``walk`` (access codes in program order) run
+    right after ``warm``: an access misses on its bank's first visit, or
+    when the bank's previous access had another row open.  ``bank`` and
+    ``row`` are the code bits of those fields."""
+    open_rows = {x & bank: x & row for x in warm}
+    misses = 0
+    for x in walk:
+        b, r = x & bank, x & row
+        if open_rows.get(b) != r:
+            misses += 1
+            open_rows[b] = r
+    return misses
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ class _GroupProfile:
     and only when a closed form does not apply.
     """
 
-    cadence: np.ndarray  # per-access CAS spacing of one row walk
+    cadence: Tuple[float, ...]  # per-access CAS spacing of one row walk
     cadence_hist: Tuple[Tuple[float, int], ...]  # (value, count), ascending
     cadence_min: float
     cadence_max: float
@@ -207,7 +206,7 @@ class _GroupProfile:
     n_rows: int
     n_blk: int  # n_cols * n_rows accesses over the group
     crossings: float  # steady-state row misses per row walk * n_rows
-    naive_within: np.ndarray  # naive generator probes within one row walk
+    naive_within: Tuple[float, ...]  # naive generator probes within one row walk
     naive_row_gap: float  # true block gap between consecutive group rows
 
 
@@ -216,95 +215,65 @@ def _gemm_profile(
 ) -> Tuple[_GroupProfile, ...]:
     """Per-group profiles of the footprint's critical PIM (Algorithm 1 walks).
 
-    Every group is evaluated in one pass: the first-row walks of all the
-    critical PIM's groups, then the second-row walks of the groups with
-    two or more rows, concatenated into one array of packed coordinate
-    codes (a row code XOR a column code each).  Group-boundary masks
-    restart the cadence and the naive gaps at each walk's first access.
+    A group's row walk visits one coset of ker C in ascending order, so
+    step ``i`` of every group's walk XORs the same vector into the column
+    (the echelon basis vectors up to ``i``'s lowest set bit): the cadence,
+    which compares the rank and bank group of consecutive accesses, is one
+    tuple for every group.  Each group's first row walk (and its second,
+    when it has one) is then a list of packed codes, a row code XOR the
+    shared column steps, for the steady-state row misses.
     """
     fa = fp.analysis
     mapping = fa.mapping
     pim = fp.critical_pim
-    items = fp.work[pim]
-    n_groups = len(items)
-    groups = np.array([w.group for w in items], dtype=np.int64)
-    n_rows = np.array([w.n_rows for w in items], dtype=np.int64)
-    rows, starts = fa.group_rows
-    first_row = rows[starts[groups]]
-    last_row = rows[starts[groups] + n_rows - 1]
-
-    # One row walk per group, concatenated: walk[j] is access j's group.
-    walk, cols = np.nonzero(fa.group_pim_ids[groups] == pim)
-    n_cols = np.bincount(walk, minlength=n_groups)
-    head = np.zeros(n_groups, dtype=np.int64)  # each walk's first access
-    np.cumsum(n_cols[:-1], out=head[1:])
-    tail = head + n_cols - 1
-    is_head = np.zeros(len(walk), dtype=bool)
-    is_head[head] = True
-
-    # The second row's walk, for the groups that have one (``paired``
-    # marks the first-row accesses that get a second-row twin).
-    paired = n_rows[walk] > 1
-    second_row = rows[starts[groups] + np.minimum(n_rows, 2) - 1]
-    walk_rows = np.concatenate([first_row[walk], second_row[walk[paired]]])
-    all_walk = np.concatenate([walk, walk[paired]])
-    codes = fa.row_codes[walk_rows] ^ fa.col_codes[np.concatenate([cols, cols[paired]])]
-    rk, bg, bk, dr = (mapping.code_field(codes, f) for f in ("rank", "bankgroup", "bank", "row"))
-    g = mapping.geometry
-    flat = (rk * g.bankgroups_per_rank + bg) * g.banks_per_bankgroup + bk
-
-    # Steady-state row misses: the second row's walk, or the only one.
-    counted = np.concatenate([~paired, np.ones(int(paired.sum()), dtype=bool)])
-    misses = _row_misses(flat, dr, all_walk, counted, n_groups).tolist()
-
-    # Per-access cadence within one row walk: tCCD_L within a bank
-    # group, tCCD_S across, rank switch across ranks.
-    n = len(walk)
-    rk, bg = rk[:n], bg[:n]
-    cadence = np.full(n, float(t.tCCDS))
-    same_rank = rk[1:] == rk[:-1]
-    same_bg = (bg[1:] == bg[:-1]) & same_rank
-    c = np.where(same_bg, float(t.tCCDL), float(t.tCCDS))
-    cadence[1:] = np.where(same_rank, c, float(t.tBL + t.tRTRS))
-    cadence[is_head] = float(t.tCCDS)
+    bb = mapping.geometry.block_bytes
+    # Column-code offsets of one walk from its first access.
+    steps = gf2_coset(0, [mapping.code(b * bb) for b in fa.col_kernel])
     if unit.level is PimLevel.BANKGROUP:
-        cadence[:] = float(unit.cadence(t))  # confined to one bank group
-    values, which = np.unique(cadence, return_inverse=True)
-    hist = np.bincount(walk * len(values) + which.ravel(), minlength=n_groups * len(values))
-    hist = hist.reshape(n_groups, len(values)).tolist()
-    values = values.tolist()
-
-    # The naive generator probes one block per gap block: the column gap
-    # within a walk, 1 for its first access.
-    within = np.empty(n, dtype=np.float64)
-    within[1:] = np.diff(cols)
-    within[is_head] = 1.0
-    # Its true block gap between the last block of one group row and the
-    # first of the next (unused for one row).
-    row_gap_rows = (last_row - first_row) / np.maximum(n_rows - 1, 1)
-    row_gap = np.maximum(
-        1.0, row_gap_rows * fa.blocks_per_row - cols[tail].astype(np.float64) + cols[head]
+        cadence = (float(unit.cadence(t)),) * len(steps)  # confined to one bank group
+    else:
+        # tCCD_L within a bank group, tCCD_S across, rank switch across ranks.
+        rank, rank_bg = mapping.code_mask("rank"), mapping.code_mask("rank", "bankgroup")
+        ccdl, ccds, switch = float(t.tCCDL), float(t.tCCDS), float(t.tBL + t.tRTRS)
+        cadence = (ccds,) + tuple(
+            switch if d & rank else ccds if d & rank_bg else ccdl
+            for d in (a ^ b for a, b in zip(steps, steps[1:]))
+        )
+    n_rows, h = fa.group_size, tuple(sorted(Counter(cadence).items()))
+    shared = dict(
+        cadence=cadence, cadence_hist=h, cadence_min=h[0][0], cadence_max=h[-1][0],
+        cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
+        cadence_sum=sum(k * v for v, k in h), n_rows=n_rows, n_blk=len(steps) * n_rows,
     )
-    row_gap = np.where(n_rows > 1, row_gap, 2.0).tolist()
+    bank, row = mapping.code_mask("rank", "bankgroup", "bank"), mapping.code_mask("row")
 
-    cadence.flags.writeable = within.flags.writeable = False  # shared via the memo
+    def walk(r: int, first_col: int) -> List[int]:
+        head = mapping.code(fa.base + r * fa.row_bytes + first_col * bb)
+        return [head ^ d for d in steps]
+
     out = []
-    for i, w in enumerate(items):
-        h = tuple((v, k) for v, k in zip(values, hist[i]) if k)
-        lo, hi = head[i], tail[i] + 1
+    for grp in range(fa.n_groups):
+        cols = fa.local_cols(pim, grp)
+        if not cols:
+            continue
+        first = fa.group_row(grp, 0)
+        walk1 = walk(first, cols[0])
+        if n_rows > 1:
+            # Steady state: the second row's walk, after the first.
+            misses = _row_misses(walk1, walk(fa.group_row(grp, 1), cols[0]), bank, row)
+            # The naive generator's true block gap from the last block of
+            # one group row to the first of the next.
+            gap = (fa.group_row(grp, n_rows - 1) - first) / (n_rows - 1)
+            row_gap = max(1.0, gap * fa.blocks_per_row - cols[-1] + cols[0])
+        else:
+            misses, row_gap = _row_misses([], walk1, bank, row), 2.0
         out.append(
             _GroupProfile(
-                cadence=cadence[lo:hi],
-                cadence_hist=h,
-                cadence_min=h[0][0],
-                cadence_max=h[-1][0],
-                cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
-                cadence_sum=sum(k * v for v, k in h),
-                n_rows=w.n_rows,
-                n_blk=w.n_cols * w.n_rows,
-                crossings=float(misses[i]) * w.n_rows,
-                naive_within=within[lo:hi],
-                naive_row_gap=row_gap[i],
+                **shared,
+                crossings=float(misses) * n_rows,
+                # The naive generator probes one block per gap block.
+                naive_within=(1.0, *(float(b - a) for a, b in zip(cols, cols[1:]))),
+                naive_row_gap=row_gap,
             )
         )
     return tuple(out)
@@ -338,14 +307,12 @@ class _Candidate:
         self.footprint_key = _footprint_key(mapping, level, m, k, base, wb, pinned)
         self.profile_key = (self.footprint_key, t, level)
         self.timing = t
-        # The ID vectors of C, then R; the base only picks the coset.
-        bb, row_bytes = mapping.geometry.block_bytes, k * wb
-        lo, mid, hi = (x.bit_length() - 1 for x in (bb, row_bytes, m * row_bytes))
-        if hi > len(mapping._bit_codes):
-            raise ValueError("matrix exceeds DRAM capacity")
-        ids = [mapping.code_pim_ids(c, level, pinned) for c in mapping._bit_codes[lo:hi]]
-        d_c = mid - lo
-        r_c, r_r, r_cr = gf2_rank(ids[:d_c]), gf2_rank(ids[d_c:]), gf2_rank(ids)
+        # The ID vectors of C and R; the base only picks the coset.
+        row_bytes = k * wb
+        check_placement(mapping.geometry, base, m * row_bytes)
+        col_ids, row_ids = footprint_id_vectors(mapping, level, pinned, row_bytes, m * row_bytes)
+        d_c = len(col_ids)
+        r_c, r_r, r_cr = gf2_rank(col_ids), gf2_rank(row_ids), gf2_rank(col_ids + row_ids)
         self.n_pims = 1 << r_cr
         self.crit_blocks = (m << d_c) >> r_cr
         self.crit_cols = 1 << (r_r + d_c - r_cr)
@@ -421,6 +388,8 @@ def _gemm_phase_cycles(
             # so the cumulative deficit below is always negative.
             group_stall = 0.0
         else:
+            import numpy as np
+
             base = np.tile(np.maximum(gp.cadence, compute), gp.n_rows)
             if agen == "stepstone":
                 iters = stepstone_iteration_counts(gp.n_blk).astype(np.float64)
@@ -453,6 +422,8 @@ def _gemm_phase_cycles(
                 row_sum = sum(k * max(v, compute) for v, k in gp.cadence_hist)
             group_sum = gp.n_rows * row_sum
         else:
+            import numpy as np
+
             if base is None:
                 base = np.tile(np.maximum(gp.cadence, compute), gp.n_rows)
             group_sum = float(np.sum(base))
@@ -485,11 +456,14 @@ def _offchip_cycles(cand: _Candidate, n: int, flow: str) -> Tuple[float, float, 
     return localization, red_bytes / bw + red_blocks * per_block, loc_blocks, red_blocks
 
 
-def _fill_cycles(cand: _Candidate, n: int, n_rparts: int) -> Tuple[float, float, float]:
-    """``(fill_b, fill_c, fill_c_blocks)`` of a staged (not direct)
-    partitioning at batch ``n``: the critical PIM's B tiles stream in once
-    per row partition, and its C partials (``fill_c_blocks``) stream in
-    and, mirrored, out."""
+def _fill_cycles(cand: _Candidate, n: int, part: Partition) -> Tuple[float, float, float]:
+    """``(fill_b, fill_c, fill_c_blocks)`` of partitioning ``part`` at batch
+    ``n``: when staged (not direct), the critical PIM's B tiles stream in
+    once per row partition, and its C partials (``fill_c_blocks``) stream
+    in and, mirrored, out."""
+    _, _, n_rparts, _, direct = part
+    if direct:
+        return 0.0, 0.0, 0.0
     stream = (cand.timing, cand.cadence, cand.blocks_per_row)
     fill_c_blocks = cand.m * n * cand.slices / 16.0
     fill_b = sequential_stream_cycles(float(cand.crit_cols * n * n_rparts), *stream)
@@ -505,6 +479,7 @@ def _price(
     cand: _Candidate,
     n: int,
     part: Partition,
+    fills: Tuple[float, float, float],
     agen: str = "stepstone",
     flow: str = "stepstone",
     naive_full_gaps: bool = True,
@@ -515,15 +490,14 @@ def _price(
     The one home of the per-width timing arithmetic: the GEMM phase,
     buffer fill and drain streams, localization and reduction, launches,
     and their sum in :attr:`LatencyBreakdown.total` order.  Reads the
-    footprint record and its profile through the memo.
+    footprint record and its profile through the memo.  ``fills`` is
+    :func:`_fill_cycles` of the same candidate, width and partitioning
+    (the search has it from the bound).
     """
     fp = cand.footprint()
-    _, cpart, n_rparts, _, direct = part
+    _, cpart, n_rparts, _, _ = part
     gemm, stall = _gemm_phase_cycles(cand, fp, n, agen, naive_full_gaps)
-
-    fill_b = fill_c = fill_c_blocks = 0.0
-    if not direct:
-        fill_b, fill_c, fill_c_blocks = _fill_cycles(cand, n, n_rparts)
+    fill_b, fill_c, fill_c_blocks = fills
 
     localization, reduction, loc_blocks, red_blocks = _offchip_cycles(cand, n, flow)
 
@@ -598,8 +572,9 @@ def execute_plan(
         plan.scratchpad_c_fraction,
         plan.direct_scratchpad,
     )
+    cand, n = _plan_candidate(config, plan), plan.shape.n
     priced = _price(
-        _plan_candidate(config, plan), plan.shape.n, part, agen, flow, naive_full_gaps,
+        cand, n, part, _fill_cycles(cand, n, part), agen, flow, naive_full_gaps,
         launch_delay_cycles,
     )
     return _result(plan, priced, agen, flow)

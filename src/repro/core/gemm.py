@@ -17,24 +17,23 @@ executor needs:
 The footprint analysis, the work table and their totals depend only on the
 weight footprint, never on the batch N.  :func:`plan_gemm` reads them as one
 :class:`FootprintWork` record through the process-wide ``footprint`` memo
-(:mod:`repro.core.memo`), built from the analysis' whole-footprint column
-counts in one pass over the footprint shape's row and column code tables
-(the ``codes`` memo, shared by every level and pinned-bit subset); only the
-scratchpad partitioning and the direct-scratchpad test are redone per N.
+(:mod:`repro.core.memo`), whose totals are the analysis' coset sizes (every
+owning (PIM, group) pair has the same columns and rows); the per-PIM work
+table is built on its first read.  Only the scratchpad partitioning and the
+direct-scratchpad test are redone per N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.memo import PRICING_MEMO
-from repro.mapping.analysis import FootprintAnalysis, footprint_codes
+from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
 __all__ = [
@@ -103,12 +102,21 @@ class FootprintWork:
     footprint through the ``footprint`` memo (treat it as read-only)."""
 
     analysis: FootprintAnalysis
-    work: Dict[int, Tuple[GroupWork, ...]]  # pim -> its group work items
     max_group_cols: int  # widest group (at least 1)
     blocks_per_pim: Dict[int, int]  # GEMM blocks each PIM walks
     critical_pim: int  # the PIM with the most blocks (lowest ID on ties)
     total_cols: int  # block columns summed over every (PIM, group)
     total_blocks: int
+
+    @cached_property
+    def work(self) -> Dict[int, Tuple[GroupWork, ...]]:
+        """pim -> its group work items, in group order (built on first read)."""
+        fa = self.analysis
+        cols, rows = fa.group_cols, fa.group_size
+        return {
+            pim: tuple(GroupWork(pim, grp, cols, rows) for grp in fa.groups_of(pim))
+            for pim in self.blocks_per_pim
+        }
 
 
 @dataclass
@@ -143,7 +151,7 @@ class GemmPlan:
 
     @property
     def n_active_pims(self) -> int:
-        return len(self.work)
+        return len(self.footprint.blocks_per_pim)
 
     @property
     def n_partials(self) -> int:
@@ -182,7 +190,7 @@ class GemmPlan:
 def _kernel_launches(fp: FootprintWork, flow: str, n_rparts: int, cpart_blocks: int) -> int:
     """:meth:`GemmPlan.kernel_launches` of a footprint at one partitioning."""
     if flow == "stepstone":
-        return len(fp.work) * n_rparts
+        return len(fp.blocks_per_pim) * n_rparts
     if flow == "echo":
         launches = 0
         for items in fp.work.values():
@@ -262,33 +270,17 @@ def _footprint_work(
     pinned_id_bits: int,
 ) -> FootprintWork:
     """The N-independent half of a plan, from the padded M x K footprint's
-    (group x PIM) column counts."""
-    codes_key = (mapping.hardware_key, m, k, base, word_bytes)
-    analysis = FootprintAnalysis(
-        mapping, level, m, k, base=base, word_bytes=word_bytes, pinned_id_bits=pinned_id_bits,
-        codes=lambda: PRICING_MEMO.lookup(
-            "codes", codes_key, lambda: footprint_codes(mapping, m, k * word_bytes, base)
-        ),
+    cosets: every group row's blocks split over its owning PIMs."""
+    fa = FootprintAnalysis(
+        mapping, level, m, k, base=base, word_bytes=word_bytes, pinned_id_bits=pinned_id_bits
     )
-    counts = analysis.col_counts
-    sizes = analysis.group_sizes
-    # Owning (PIM, group) pairs, PIM-major: each PIM's items in group order.
-    pims, groups = np.nonzero(counts.T)
-    work: Dict[int, list] = {}
-    for pim, grp, n_cols, n_rows in zip(
-        pims.tolist(), groups.tolist(), counts[groups, pims].tolist(), sizes[groups].tolist()
-    ):
-        work.setdefault(pim, []).append(GroupWork(pim, grp, n_cols, n_rows))
-    blocks_per_id = (sizes @ counts).tolist()
-    blocks = {pim: blocks_per_id[pim] for pim in work}
     return FootprintWork(
-        analysis=analysis,
-        work={pim: tuple(items) for pim, items in work.items()},
-        max_group_cols=max(1, int(counts.max())),
-        blocks_per_pim=blocks,
-        critical_pim=max(blocks, key=blocks.__getitem__),
-        total_cols=int(counts.sum()),
-        total_blocks=sum(blocks.values()),
+        analysis=fa,
+        max_group_cols=fa.group_cols,
+        blocks_per_pim=fa.blocks_per_pim(),
+        critical_pim=fa.critical_pim,
+        total_cols=fa.n_groups * fa.blocks_per_row,
+        total_blocks=fa.total_blocks,
     )
 
 

@@ -4,12 +4,8 @@ Pricing one GEMM chunk walks its block groups and the AGEN's per-step
 iterations, but almost all of that work depends only on the *weight
 footprint* — mapping, PIM level, padded M x K, base and pinned ID bits —
 never on the batch N.  This memo keeps the N-independent halves once per
-process, in five named tables:
+process, in four named tables:
 
-* ``codes`` — per footprint shape (mapping, m, k, base, word size): the
-  row and column code tables of :func:`repro.mapping.analysis.footprint_codes`,
-  every DRAM coordinate of every block as ``row_codes[r] ^ col_codes[c]``,
-  shared by every level and pinned-bit subset;
 * ``footprint`` — per footprint: one :class:`~repro.core.gemm.FootprintWork`
   record holding the :class:`~repro.mapping.analysis.FootprintAnalysis`,
   the per-(PIM, group) work table, the widest group, per-PIM blocks, the
@@ -37,9 +33,10 @@ Every key is a value-based hardware identity
 dataclasses), never ``id()``: an id is reused once its object is
 collected, which would serve stale entries.  Equal hardware therefore
 shares entries across engines, and different hardware never collides.
-Entries hold only O(n_cols) arrays per group (O(m + n_cols) code tables per
-shape), never n_blk-long traces, and column arrays only for the critical
-PIM: every other PIM is a count in the footprint record.
+Entries hold only O(n_cols) tuples per group, never n_blk-long traces,
+and only for the critical PIM: every other PIM is a count in the
+footprint record, and a footprint is a few echelon bases (its array
+views are built only when read).
 
 Hits and misses are counted on the telemetry bus
 (:data:`repro.obs.telemetry.BUS`) as ``pricing.memo.hit`` /
@@ -59,7 +56,7 @@ __all__ = ["PricingMemo", "PRICING_MEMO"]
 class PricingMemo:
     """Named memo tables shared by every pricing call in the process."""
 
-    TABLES = ("codes", "footprint", "profile", "candidates", "chunk")
+    TABLES = ("footprint", "profile", "candidates", "chunk")
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[Hashable, Any]] = {name: {} for name in self.TABLES}

@@ -110,9 +110,10 @@ class _SearchedChoice(PimChoice):
 _SHAVE = 1.0 - 2.0**-30
 
 
-def _lower_bound(cand: _Candidate, n: int, flow: str, part: Partition) -> float:
+def _lower_bound(cand: _Candidate, n: int, flow: str, part: Partition, fills) -> float:
     """A lower bound on the cycles :func:`_price` gives ``cand`` at batch
-    ``n`` under partitioning ``part`` (the Table II unit, no launch delay).
+    ``n`` under partitioning ``part`` (the Table II unit, no launch delay),
+    with ``fills`` its :func:`repro.core.executor._fill_cycles`.
 
     Localization, reduction and the buffer fill and drain streams
     (:func:`repro.core.executor._fill_cycles`) are exact; launches count
@@ -122,15 +123,13 @@ def _lower_bound(cand: _Candidate, n: int, flow: str, part: Partition) -> float:
     refresh.  The cadence excess over that
     floor, the AGEN stall and row misses are non-negative and left out.
     """
-    _, _, n_rparts, _, direct = part
+    _, _, n_rparts, _, _ = part
     localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
     per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
     gemm = cand.crit_blocks * per_block * cand.refresh
     launch = cand.n_pims * n_rparts * cand.launch_cycles / cand.channels
-    fill = 0.0
-    if not direct:
-        fill_b, fill_c, _ = _fill_cycles(cand, n, n_rparts)
-        fill = fill_b + 2.0 * fill_c
+    fill_b, fill_c, _ = fills
+    fill = fill_b + 2.0 * fill_c
     return (gemm + launch + fill + localization + reduction) * _SHAVE
 
 
@@ -189,20 +188,21 @@ def choose_execution(
             part = _partition(cand.unit, m, n, cand.max_group_cols, cand.word_bytes)
         except ScratchpadInfeasible:
             continue  # batch too large for this level's scratchpad
-        order.append((_lower_bound(cand, n, flow, part), index, part))
+        fills = _fill_cycles(cand, n, part)  # the bound's, handed to _price
+        order.append((_lower_bound(cand, n, flow, part, fills), index, part, fills))
     order.sort()  # indices are distinct, so partitions are never compared
     best = None
     best_index = n_priced = 0
-    for bound, index, part in order:
+    for bound, index, part, fills in order:
         if best is not None and bound > best[0][0]:
             break  # every later bound is at least as large
         n_priced += 1
         cand = cands[index]
-        priced = _price(cand, n, part, agen, flow)
+        priced = _price(cand, n, part, fills, agen, flow)
         if best is None or (priced[0], index) < (best[0][0], best_index):
             best, best_index = (priced, cand, part), index
     if BUS.enabled:
-        priced_ids = {index for _, index, _ in order[:n_priced]}
+        priced_ids = {index for _, index, _, _ in order[:n_priced]}
         for index, cand in enumerate(cands):  # infeasible ones count as pruned
             name = "priced" if index in priced_ids else "pruned"
             BUS.inc("pricing.search." + name, level=cand.level.short)

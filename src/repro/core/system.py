@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.executor import GemmResult, execute_gemm
 from repro.core.gemm import GemmShape
@@ -28,6 +26,8 @@ from repro.mapping.presets import make_skylake
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.core.functional import FunctionalStats
 
 __all__ = ["StepStoneSystem"]

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.dram.timing import DDR4Timing, DDR4_2400R
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StreamAccess", "StreamStats", "stream_cycles", "sequential_stream_cycles"]
 
@@ -77,6 +78,8 @@ class StreamStats:
 
 def _pairwise_cadence(acc: StreamAccess, t: DDR4Timing) -> np.ndarray:
     """Minimum command spacing before each access (index 0 gets startup)."""
+    import numpy as np
+
     n = len(acc)
     gaps = np.full(n, t.tCCDS, dtype=np.float64)
     if n > 1:
@@ -104,6 +107,8 @@ def stream_cycles(
     penalty (the behaviour of a generator that cannot run ahead, e.g. the
     naive AGEN whose next address is unknown until generated).
     """
+    import numpy as np
+
     n = len(acc)
     if n == 0:
         return StreamStats(0.0, 0, 0, 0, 0.0, 0.0, 0.0)

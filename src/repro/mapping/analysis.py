@@ -15,14 +15,12 @@ row accumulating into one C row (C locality).  This module computes the
 groups, the per-(PIM, group) local column sets, and the parity constraints
 that StepStone's address generator enforces in hardware.
 
-The group invariant makes one representative row per group enough, and the
-map is GF(2)-linear, so a whole footprint is evaluated in one pass.  The
-packed code of the block at (row r, column c) is ``row_codes[r] ^
-col_codes[c]`` (:func:`footprint_codes`), so
-:attr:`FootprintAnalysis.group_pim_ids` — the PIM ID of every block column
-of every group's representative row — is one XOR and one shift-and-mask,
-and one ``bincount`` over it gives every (PIM, group) column count
-(:attr:`FootprintAnalysis.col_counts`).
+The map is GF(2)-linear, so all of this is read off cosets over Python
+ints (DESIGN.md, "Footprints from cosets"): with C and R the PIM-ID
+vectors of the column-offset and row-index bits, block (r, c) has ID
+``base_id ^ R(r) ^ C(c)``, the groups are the cosets of ker R (raw code
+``R(r)``), and (PIM p, group g) owns the coset of ker C that C maps to
+``p ^ base_id ^ raw_g``.  The array views import NumPy where they are read.
 """
 
 from __future__ import annotations
@@ -30,18 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+from repro.utils.bits import bits_of_mask, gf2_coset, gf2_echelon, parity
+from repro.mapping.xor_mapping import DRAMGeometry, PimLevel, XORAddressMapping
 
-from repro.utils.bits import bits_of_mask, parity
-from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
-    "Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprint", "footprint_codes"
+    "Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprint", "check_placement",
+    "footprint_id_vectors",
 ]
-
-_U64 = np.uint64
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,44 @@ class BlockGrouping:
         return len(self.raw_codes)
 
 
+def check_placement(geometry: DRAMGeometry, base: int, footprint: int) -> None:
+    """Raise ``ValueError`` unless a ``footprint``-byte matrix at ``base``
+    lies inside DRAM, aligned to its size (addresses past the capacity
+    would alias low memory)."""
+    capacity = geometry.capacity_bytes
+    if footprint > capacity:
+        raise ValueError("matrix exceeds DRAM capacity")
+    if not 0 <= base <= capacity - footprint:
+        raise ValueError(
+            f"base {base:#x} puts the {footprint:#x}-byte footprint outside the "
+            f"{capacity:#x}-byte DRAM"
+        )
+    if base % footprint:
+        raise ValueError(f"base {base:#x} must be aligned to the {footprint:#x}-byte footprint")
+
+
+def footprint_id_vectors(
+    mapping: XORAddressMapping, level: PimLevel, pinned_id_bits: int, row_bytes: int,
+    footprint: int,
+) -> Tuple[List[int], List[int]]:
+    """``(C, R)``: the PIM IDs (over the subsetted ID space) of each
+    column-offset bit and each row-index bit of a footprint, low bit first."""
+    lo, mid, hi = (x.bit_length() - 1 for x in (mapping.geometry.block_bytes, row_bytes, footprint))
+    ids = [mapping.code_pim_ids(c, level, pinned_id_bits) for c in mapping._bit_codes[lo:hi]]
+    return ids[: mid - lo], ids[mid - lo :]
+
+
+def _image_and_kernel(ids: List[int]) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """``(image, kernel)`` of the map sending bit ``j`` to ``ids[j]``, from
+    one echelon basis of ``ids[j] << d | 1 << j``: the image's echelon
+    basis, each vector paired with a preimage that has every kernel
+    leading bit clear, and the kernel's echelon basis."""
+    d = len(ids)
+    basis = gf2_echelon((v << d) | (1 << j) for j, v in enumerate(ids))
+    low = (1 << d) - 1
+    return [(v >> d, v & low) for v in basis if v >> d], [v for v in basis if not v >> d]
+
+
 class FootprintAnalysis:
     """Analysis of one contiguous, aligned matrix footprint under a mapping.
 
@@ -84,23 +120,14 @@ class FootprintAnalysis:
     mapping: the XOR address mapping.
     level: PIM integration level (CH / DV / BG).
     m_rows, k_cols: matrix dimensions (A is M x K, row-major fp32).
-    base: physical base address; must be aligned to the footprint size.
+    base: physical base address; the footprint must lie inside DRAM,
+        aligned to its size.
     word_bytes: element size (4 for fp32).
-    codes: returns the footprint's ``(row_codes, col_codes)`` (default:
-        :func:`footprint_codes`), so one pair serves every level and
-        pinned-bit subset of a footprint.
     """
 
     def __init__(
-        self,
-        mapping: XORAddressMapping,
-        level: PimLevel,
-        m_rows: int,
-        k_cols: int,
-        base: int = 0,
-        word_bytes: int = 4,
-        pinned_id_bits: int = 0,
-        codes: Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]] = None,
+        self, mapping: XORAddressMapping, level: PimLevel, m_rows: int, k_cols: int,
+        base: int = 0, word_bytes: int = 4, pinned_id_bits: int = 0,
     ) -> None:
         g = mapping.geometry
         if m_rows <= 0 or k_cols <= 0:
@@ -116,12 +143,7 @@ class FootprintAnalysis:
                 f"{g.block_bytes} B cache block (pad K)"
             )
         footprint = m_rows * row_bytes
-        if footprint > g.capacity_bytes:
-            raise ValueError("matrix exceeds DRAM capacity")
-        if base % footprint:
-            raise ValueError(
-                f"base {base:#x} must be aligned to the {footprint:#x}-byte footprint"
-            )
+        check_placement(g, base, footprint)
         self.mapping = mapping
         self.level = level
         self.m_rows = m_rows
@@ -147,11 +169,23 @@ class FootprintAnalysis:
             )
         self.pinned_id_bits = pinned_id_bits
         self.id_masks: Tuple[int, ...] = full_masks[pinned_id_bits:]
-        codes = codes or (lambda: footprint_codes(mapping, m_rows, row_bytes, base))
-        self.row_codes, self.col_codes = codes()
-        self.base_id = int(self.pim_ids_of(self.row_codes[0]))
+        self.base_id = self.pim_ids_of(mapping.code(base))
+        ids = footprint_id_vectors(mapping, level, pinned_id_bits, row_bytes, footprint)
+        self.col_ids, self.row_ids = ids
+        self._row_image, self.row_kernel = _image_and_kernel(self.row_ids)
+        self._col_image, self.col_kernel = _image_and_kernel(self.col_ids)
+        #: Raw group codes, ascending (the image of R), and each group's
+        #: first row (the minimum of its coset of ker R).
+        self.raw_codes: Tuple[int, ...] = tuple(gf2_coset(0, [v for v, _ in self._row_image]))
+        self._first_rows = gf2_coset(0, [row for _, row in self._row_image])
+        self.n_groups = len(self.raw_codes)
+        self.group_size = 1 << len(self.row_kernel)  # matrix rows per group
+        self.group_cols = 1 << len(self.col_kernel)  # columns per owning (PIM, group)
+        # Every active PIM owns equally many blocks; the lowest ID is critical.
+        self._active = gf2_coset(self.base_id, gf2_echelon(self.col_ids + self.row_ids))
+        self.critical_pim = self._active[0]
 
-    def pim_ids_of(self, codes: np.ndarray) -> np.ndarray:
+    def pim_ids_of(self, codes):
         """PIM IDs (over the subsetted ID space) of packed codes."""
         return self.mapping.code_pim_ids(codes, self.level, self.pinned_id_bits)
 
@@ -165,76 +199,87 @@ class FootprintAnalysis:
         u = self.footprint_mask & reduce(or_, self.id_masks, 0)
         return -1 if u == 0 else bits_of_mask(u)[0]
 
-    def active_pim_ids(self) -> np.ndarray:
-        """The sorted PIM IDs the footprint touches: every row's ID XOR
-        every column's, the map being linear."""
-        rows, cols = (np.unique(self.pim_ids_of(c)) for c in (self.row_codes, self.col_codes))
-        return np.unique(rows[:, None] ^ cols[None, :])
+    def active_pim_ids(self) -> List[int]:
+        """The PIM IDs the footprint touches, ascending: ``base_id`` XOR
+        the span of the column and row bits' IDs."""
+        return list(self._active)
 
     @property
     def n_active_pims(self) -> int:
-        return len(self.active_pim_ids())
+        return len(self._active)
+
+    def blocks_per_pim(self) -> Dict[int, int]:
+        """Total local block count per active PIM (sums to total_blocks)."""
+        share = self.total_blocks // len(self._active)
+        return {pim: share for pim in self._active}
 
     # ------------------------------------------------------------------ #
-    # Block groups
+    # Block groups and per-(PIM, group) columns, from the cosets
     # ------------------------------------------------------------------ #
+
+    def group_row(self, group: int, i: int) -> int:
+        """The ``i``-th smallest matrix row of ``group``."""
+        row = self._first_rows[group]
+        for t, b in enumerate(self.row_kernel):
+            if i >> t & 1:
+                row ^= b
+        return row
+
+    def _col_min(self, pim: int, group: int) -> Optional[int]:
+        """The smallest block column of (pim, group), or ``None`` when the
+        pair owns none: C's preimage of ``pim ^ base_id ^ raw_code``."""
+        target, col = pim ^ self.base_id ^ self.raw_codes[group], 0
+        for image, pre in self._col_image:
+            if target ^ image < target:  # target has image's leading bit
+                target ^= image
+                col ^= pre
+        return None if target else col
+
+    def local_cols(self, pim: int, group: int) -> List[int]:
+        """Block columns of (pim, group), ascending (empty if it owns none)."""
+        col = self._col_min(pim, group)
+        return [] if col is None else gf2_coset(col, self.col_kernel)
+
+    def groups_of(self, pim: int) -> List[int]:
+        """The groups in which ``pim`` owns columns, ascending."""
+        return [grp for grp in range(self.n_groups) if self._col_min(pim, grp) is not None]
+
+    # ------------------------------------------------------------------ #
+    # Array views (NumPy, imported here)
+    # ------------------------------------------------------------------ #
+
+    @cached_property
+    def _row_table(self) -> np.ndarray:
+        """``(n_groups x group_size)`` rows of every group, ascending; read-only."""
+        import numpy as np
+
+        first = np.array(self._first_rows, dtype=np.int64)
+        table = first[:, None] ^ np.array(gf2_coset(0, self.row_kernel), dtype=np.int64)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def grouping(self) -> BlockGrouping:
-        # A row's group code is the ID bits of its row code less the
-        # base's: the row-index bits are all MROW bits.
-        codes = self.pim_ids_of(self.row_codes) ^ self.base_id
-        # Map raw code -> compact group index, in code order.
-        present = np.zeros(1 << len(self.id_masks), dtype=bool)
-        present[codes] = True
-        row_groups = (np.cumsum(present) - 1)[codes]
-        return BlockGrouping(tuple(np.flatnonzero(present).tolist()), row_groups)
+        import numpy as np
 
-    @property
-    def n_groups(self) -> int:
-        return self.grouping.n_groups
-
-    @cached_property
-    def group_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, starts)``: every matrix row ordered by (group, row), and
-        the offset of each group's run in it (``n_groups + 1`` entries).
-
-        Read-only; group *g* holds ``rows[starts[g]:starts[g + 1]]``.
-        """
-        row_groups = self.grouping.row_groups
-        # A stable sort on the narrowest dtype: a radix sort for few groups.
-        narrow = row_groups.astype(np.min_scalar_type(self.n_groups - 1))
-        rows = np.argsort(narrow, kind="stable")
-        starts = np.zeros(self.n_groups + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_groups, minlength=self.n_groups), out=starts[1:])
-        rows.flags.writeable = starts.flags.writeable = False
-        return rows, starts
+        row_groups = np.empty(self.m_rows, dtype=np.int64)
+        row_groups[self._row_table] = np.arange(self.n_groups)[:, None]
+        return BlockGrouping(self.raw_codes, row_groups)
 
     def rows_of_group(self, group: int) -> np.ndarray:
         """Sorted matrix-row indices of *group* (a read-only view)."""
-        rows, starts = self.group_rows
         if not 0 <= group < self.n_groups:
-            return rows[:0]
-        return rows[starts[group] : starts[group + 1]]
-
-    @property
-    def group_sizes(self) -> np.ndarray:
-        """Matrix rows per group."""
-        return np.diff(self.group_rows[1])
-
-    # ------------------------------------------------------------------ #
-    # Per-(PIM, group) locality
-    # ------------------------------------------------------------------ #
+            return self._row_table[0, :0]
+        return self._row_table[group]
 
     @cached_property
     def group_pim_ids(self) -> np.ndarray:
         """``(n_groups x blocks_per_row)`` PIM IDs of every block column of
-        each group's first row — by the group invariant, of every row of the
-        group.  One ID evaluation over the whole matrix; read-only.
-        """
-        rows, starts = self.group_rows
-        first = self.row_codes[rows[starts[:-1]]]
-        ids = self.pim_ids_of(first[:, None] ^ self.col_codes[None, :])
+        each group's rows (the group invariant); read-only."""
+        import numpy as np
+
+        rows = np.array(self.raw_codes, dtype=np.int64) ^ self.base_id
+        ids = rows[:, None] ^ np.array(gf2_coset(0, self.col_ids), dtype=np.int64)
         ids.flags.writeable = False
         return ids
 
@@ -242,11 +287,11 @@ class FootprintAnalysis:
     def col_counts(self) -> np.ndarray:
         """``(n_groups x 2**len(id_masks))`` block columns per row owned by
         each (group, PIM ID): entry ``[g, p]`` is ``len(cols_of(p, g))``."""
-        n_ids = 1 << len(self.id_masks)
-        groups = np.arange(self.n_groups, dtype=np.int64)[:, None]
-        key = groups * n_ids + self.group_pim_ids
-        counts = np.bincount(key.ravel(), minlength=self.n_groups * n_ids)
-        counts = counts.reshape(self.n_groups, n_ids)
+        import numpy as np
+
+        counts = np.zeros((self.n_groups, 1 << len(self.id_masks)), dtype=np.int64)
+        for pim in self._active:
+            counts[self.groups_of(pim), pim] = self.group_cols
         counts.flags.writeable = False
         return counts
 
@@ -255,9 +300,11 @@ class FootprintAnalysis:
 
         Identical for every row of the group — that is the group invariant.
         """
+        import numpy as np
+
         if not 0 <= group < self.n_groups:
             raise ValueError(f"group {group} is empty")
-        return np.nonzero(self.group_pim_ids[group] == pim)[0].astype(np.int64)
+        return np.array(self.local_cols(int(pim), group), dtype=np.int64)
 
     def blocks_of(self, pim: int, group: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Block addresses of (pim, group) in execution order (row-major).
@@ -266,20 +313,17 @@ class FootprintAnalysis:
         then advances to the group's next row — the order that maximizes C
         reuse along rows and B reuse down columns (§III-B).
         """
+        from numpy import asarray, empty, uint64 as u64
+
         cols = self.cols_of(pim, group)
         if rows is None:
             rows = self.rows_of_group(group)
-        rows = np.asarray(rows, dtype=_U64)
+        rows = asarray(rows, dtype=u64)
         if len(cols) == 0 or len(rows) == 0:
-            return np.empty(0, dtype=_U64)
-        bb = _U64(self.mapping.geometry.block_bytes)
-        row_addrs = _U64(self.base) + rows * _U64(self.row_bytes)
-        return (row_addrs[:, None] + cols.astype(_U64)[None, :] * bb).ravel()
-
-    def blocks_per_pim(self) -> Dict[int, int]:
-        """Total local block count per active PIM (sums to total_blocks)."""
-        per_id = self.group_sizes @ self.col_counts
-        return {int(pim): int(per_id[pim]) for pim in self.active_pim_ids()}
+            return empty(0, dtype=u64)
+        bb = u64(self.mapping.geometry.block_bytes)
+        row_addrs = u64(self.base) + rows * u64(self.row_bytes)
+        return (row_addrs[:, None] + cols.astype(u64)[None, :] * bb).ravel()
 
     # ------------------------------------------------------------------ #
     # AGEN constraints
@@ -297,7 +341,7 @@ class FootprintAnalysis:
         Constraints with zero masks are dropped (trivially satisfied if the
         target is 0; contradictory footprints are rejected).
         """
-        raw_code = self.grouping.raw_codes[group]
+        raw_code = self.raw_codes[group]
         out: List[Constraint] = []
         for i, m in enumerate(self.id_masks):
             f = m & self.footprint_mask
@@ -326,35 +370,9 @@ class FootprintAnalysis:
 
 
 def analyze_footprint(
-    mapping: XORAddressMapping,
-    level: PimLevel,
-    m_rows: int,
-    k_cols: int,
-    base: int = 0,
-    word_bytes: int = 4,
-    pinned_id_bits: int = 0,
+    mapping: XORAddressMapping, level: PimLevel, m_rows: int, k_cols: int, base: int = 0,
+    word_bytes: int = 4, pinned_id_bits: int = 0,
 ) -> FootprintAnalysis:
     """Construct a :class:`FootprintAnalysis` (convenience wrapper)."""
-    return FootprintAnalysis(
-        mapping,
-        level,
-        m_rows,
-        k_cols,
-        base=base,
-        word_bytes=word_bytes,
-        pinned_id_bits=pinned_id_bits,
-    )
+    return FootprintAnalysis(mapping, level, m_rows, k_cols, base, word_bytes, pinned_id_bits)
 
-
-def footprint_codes(
-    mapping: XORAddressMapping, m_rows: int, row_bytes: int, base: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(row_codes, col_codes)`` of an aligned footprint.
-
-    The packed codes (:meth:`XORAddressMapping.code`) of each matrix row's
-    first byte and of each block column's offset; the block at (row r,
-    column c) has code ``row_codes[r] ^ col_codes[c]``, since the aligned
-    address sets the row and column bits apart.
-    """
-    bb = mapping.geometry.block_bytes
-    return mapping.code_table(base, row_bytes, m_rows), mapping.code_table(0, bb, row_bytes // bb)

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-import numpy as np
-
 from repro.utils.bits import mask_of_bits
 from repro.mapping.xor_mapping import DRAMGeometry, XORAddressMapping
 
@@ -171,6 +169,8 @@ def pae_randomized(
     is always invertible; the randomization only changes *which* address bits
     perturb each PIM ID bit — exactly the degree of freedom PAE explores.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     g = base.geometry
     # Row bits are pass-through in all presets; find their address positions.

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.utils.bits import bits_of_mask, gf2_rank, parity_u64
 
-__all__ = ["DRAMGeometry", "PimLevel", "XORAddressMapping", "FIELD_ORDER", "CODE_ORDER"]
+if TYPE_CHECKING:
+    import numpy as np
 
-_U64 = np.uint64
+__all__ = ["DRAMGeometry", "PimLevel", "XORAddressMapping", "FIELD_ORDER", "CODE_ORDER"]
 
 #: Coordinate fields from PIM-selection LSB to address MSB side.
 FIELD_ORDER: Tuple[str, ...] = ("channel", "rank", "bankgroup", "bank", "row", "column")
@@ -189,10 +189,6 @@ class XORAddressMapping:
         self.hardware_key: str = repr(
             (geometry, tuple(self.field_masks[f] for f in FIELD_ORDER))
         )
-        # Pre-pack masks for vectorized evaluation.
-        self._packed: Dict[str, np.ndarray] = {
-            f: np.asarray(ms, dtype=_U64) for f, ms in self.field_masks.items()
-        }
         code_masks = [m for f in CODE_ORDER for m in self.field_masks[f]]
         if len(code_masks) > 63:
             raise ValueError("packed coordinate codes must fit in 63 bits")
@@ -201,7 +197,7 @@ class XORAddressMapping:
         for i, m in enumerate(code_masks):
             for b in bits_of_mask(m):
                 self._bit_codes[b] |= 1 << i
-        offsets = np.cumsum([0] + [widths[f] for f in CODE_ORDER]).tolist()
+        offsets = accumulate((widths[f] for f in CODE_ORDER), initial=0)
         self._code_offsets: Dict[str, int] = dict(zip(CODE_ORDER, offsets))
 
     # ------------------------------------------------------------------ #
@@ -245,10 +241,16 @@ class XORAddressMapping:
 
     def field_values(self, addrs: np.ndarray, fname: str) -> np.ndarray:
         """Vectorized field evaluation over a ``uint64`` address array."""
-        addrs = np.asarray(addrs, dtype=_U64)
-        out = np.zeros(addrs.shape, dtype=_U64)
-        for i, m in enumerate(self._packed[fname]):
-            out |= parity_u64(addrs & m) << _U64(i)
+        return self._parities(addrs, self.field_masks[fname])
+
+    def _parities(self, addrs: np.ndarray, masks: Sequence[int]) -> np.ndarray:
+        """Bit ``i`` of each result is ``parity(addr & masks[i])``."""
+        from numpy import asarray, uint64, zeros
+
+        addrs = asarray(addrs, dtype=uint64)
+        out = zeros(addrs.shape, dtype=uint64)
+        for i, m in enumerate(masks):
+            out |= parity_u64(addrs & uint64(m)) << uint64(i)
         return out
 
     def coords_arrays(self, addrs: np.ndarray) -> Dict[str, np.ndarray]:
@@ -266,27 +268,17 @@ class XORAddressMapping:
             c ^= self._bit_codes[b]
         return c
 
-    def code_table(self, start: int, stride: int, n: int) -> np.ndarray:
-        """Read-only ``int64`` codes of the addresses ``start + i * stride``, ``i < n``.
-
-        ``n`` and ``stride`` are powers of two and ``start`` is aligned to
-        ``n * stride``, so each address is ``start`` XOR the bits of ``i *
-        stride``: the codes of ``[h, 2h)`` are those of ``[0, h)`` XOR the
-        code of ``h * stride``.
-        """
-        codes = np.empty(n, dtype=np.int64)
-        codes[0] = self.code(start)
-        h = 1
-        while h < n:
-            codes[h : 2 * h] = codes[:h] ^ self.code(h * stride)
-            h *= 2
-        codes.flags.writeable = False
-        return codes
-
     def code_field(self, codes: np.ndarray, fname: str) -> np.ndarray:
-        """Field ``fname`` of packed codes: ``field_values`` of their addresses."""
+        """Field ``fname`` of packed codes (ints or an integer array):
+        ``field_values`` of their addresses."""
         width = self.geometry.field_widths[fname]
         return (codes >> self._code_offsets[fname]) & ((1 << width) - 1)
+
+    def code_mask(self, *fnames: str) -> int:
+        """The code bits of the fields ``fnames``: two codes agree on
+        those fields iff their XOR has none of these bits."""
+        widths = self.geometry.field_widths
+        return sum(((1 << widths[f]) - 1) << self._code_offsets[f] for f in fnames)
 
     def code_pim_ids(
         self, codes: np.ndarray, level: PimLevel, pinned_id_bits: int = 0
@@ -325,11 +317,7 @@ class XORAddressMapping:
 
     def pim_ids(self, addrs: np.ndarray, level: PimLevel) -> np.ndarray:
         """Vectorized PIM IDs of a ``uint64`` address array."""
-        addrs = np.asarray(addrs, dtype=_U64)
-        out = np.zeros(addrs.shape, dtype=_U64)
-        for i, m in enumerate(self.pim_id_masks(level)):
-            out |= parity_u64(addrs & _U64(m)) << _U64(i)
-        return out
+        return self._parities(addrs, self.pim_id_masks(level))
 
     def describe(self) -> str:
         """Multi-line description of every output-bit XOR function."""

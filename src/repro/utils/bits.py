@@ -3,15 +3,18 @@
 All XOR-based DRAM address mappings in this package are linear functions over
 GF(2): every output bit (channel, rank, bank-group, bank, row, column bit) is
 the parity of the physical address ANDed with a mask.  These helpers provide
-scalar and vectorized (NumPy ``uint64``) parity evaluation plus bit
-scatter/gather used when enumerating matrix footprints.
+scalar and vectorized (NumPy ``uint64``) parity evaluation, bit
+scatter/gather, and the GF(2) rank, echelon basis and coset enumeration
+that footprint analysis reads its block groups from.  Only the ``*_u64``
+helpers import NumPy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "bit",
@@ -26,9 +29,9 @@ __all__ = [
     "gather_bits",
     "iter_submasks",
     "gf2_rank",
+    "gf2_echelon",
+    "gf2_coset",
 ]
-
-_U64 = np.uint64
 
 
 def bit(i: int) -> int:
@@ -79,13 +82,15 @@ def parity_u64(x: np.ndarray) -> np.ndarray:
     Returns a ``uint64`` array of 0/1 values.  Uses the hardware popcount when
     available (NumPy >= 2.0) and XOR-folding otherwise.
     """
-    x = np.asarray(x, dtype=_U64)
+    import numpy as np
+
+    x = np.asarray(x, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(x).astype(_U64) & _U64(1)
+        return np.bitwise_count(x).astype(np.uint64) & np.uint64(1)
     # XOR-fold: the parity of all 64 bits accumulates into bit 0.
     for shift in (32, 16, 8, 4, 2, 1):
-        x = x ^ (x >> _U64(shift))
-    return x & _U64(1)
+        x = x ^ (x >> np.uint64(shift))
+    return x & np.uint64(1)
 
 
 def extract_bits(x: int, bits: Iterable[int]) -> int:
@@ -160,16 +165,39 @@ def iter_submasks(mask: int):
 
 
 def gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank over GF(2) of integer bit vectors: each is reduced by the
-    basis so far (XOR-ing a basis vector in clears its leading bit, which
-    no later basis vector has), and kept if nonzero."""
+    """Rank over GF(2) of integer bit vectors."""
+    return len(gf2_echelon(vectors))
+
+
+def gf2_echelon(vectors: Iterable[int]) -> List[int]:
+    """Reduced echelon basis over GF(2) of the span of integer bit vectors,
+    ascending: the leading (highest set) bits are distinct, and each is
+    clear in every other basis vector, so XOR-ing a basis vector in flips
+    its own leading bit and no other (see :func:`gf2_coset`)."""
     basis: List[int] = []
     for v in vectors:
+        # min(v, v ^ b) clears b's leading bit when v has it set.
         for b in basis:
             v = min(v, v ^ b)
         if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & top else b for b in basis]
             basis.append(v)
-    return len(basis)
+    return sorted(basis)
+
+
+def gf2_coset(x: int, basis: Sequence[int]) -> List[int]:
+    """Element ``i`` is ``min ^ XOR(basis[t] for t in bits of i)``, ``min``
+    being ``x`` with every leading bit cleared.  For a ``basis`` from
+    :func:`gf2_echelon` these are the coset ``x ^ span(basis)`` ascending:
+    two elements first differ at the leading bit of the highest vector
+    where their indices differ (DESIGN.md, "Footprints from cosets")."""
+    for b in basis:
+        x = min(x, x ^ b)
+    out = [x]
+    for b in basis:
+        out += [y ^ b for y in out]
+    return out
 
 
 def scatter_bits_u64(values: np.ndarray, mask: int) -> np.ndarray:
@@ -177,17 +205,21 @@ def scatter_bits_u64(values: np.ndarray, mask: int) -> np.ndarray:
 
     *values* must be ``uint64``; the result is ``uint64``.
     """
-    values = np.asarray(values, dtype=_U64)
-    out = np.zeros_like(values)
+    from numpy import asarray, uint64, zeros_like
+
+    values = asarray(values, dtype=uint64)
+    out = zeros_like(values)
     for k, b in enumerate(bits_of_mask(mask)):
-        out |= ((values >> _U64(k)) & _U64(1)) << _U64(b)
+        out |= ((values >> uint64(k)) & uint64(1)) << uint64(b)
     return out
 
 
 def gather_bits_u64(values: np.ndarray, mask: int) -> np.ndarray:
     """Vectorized ``gather_bits`` over a ``uint64`` array."""
-    values = np.asarray(values, dtype=_U64)
-    out = np.zeros_like(values)
+    from numpy import asarray, uint64, zeros_like
+
+    values = asarray(values, dtype=uint64)
+    out = zeros_like(values)
     for k, b in enumerate(bits_of_mask(mask)):
-        out |= ((values >> _U64(b)) & _U64(1)) << _U64(k)
+        out |= ((values >> uint64(b)) & uint64(1)) << uint64(k)
     return out

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mapping.analysis import analyze_footprint, footprint_codes
+from repro.mapping.analysis import analyze_footprint
 from repro.mapping.presets import make_skylake, mapping_by_id
 from repro.mapping.xor_mapping import FIELD_ORDER, PimLevel
+
+from footprint_arrays import footprint_codes
 
 
 @pytest.fixture(scope="module")

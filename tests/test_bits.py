@@ -109,3 +109,44 @@ class TestGf2Rank:
     def test_dependent_and_zero_vectors_add_nothing(self):
         assert B.gf2_rank([0b011, 0b110, 0b101, 0]) == 2
         assert B.gf2_rank([]) == 0
+
+
+class TestGf2Cosets:
+    """The echelon basis enumerates any coset in ascending order, which is
+    what footprint analysis reads group rows and (PIM, group) columns off."""
+
+    @given(
+        st.lists(st.integers(0, 2**12 - 1), max_size=8),
+        st.integers(0, 2**12 - 1),
+    )
+    def test_coset_matches_a_sorted_brute_force_scan(self, vectors, x):
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        want = sorted(x ^ s for s in span)
+        basis = B.gf2_echelon(vectors)
+        leads = [b.bit_length() - 1 for b in basis]
+        # Reduced echelon: ascending distinct leading bits, each clear in
+        # every other basis vector, spanning the same space.
+        assert leads == sorted(set(leads)) and len(basis) == B.gf2_rank(vectors)
+        for i, b in enumerate(basis):
+            assert [b >> lead & 1 for lead in leads] == [int(i == j) for j in range(len(leads))]
+        got = B.gf2_coset(x, basis)
+        assert got == want
+        # Min, second and last element in closed form.
+        lo = got[0]
+        assert lo == min(want)
+        if basis:
+            assert want[1] == lo ^ basis[0]
+        last = lo
+        for b in basis:
+            last ^= b
+        assert want[-1] == last
+        # Any member reduces to the same minimum.
+        assert all(B.gf2_coset(y, basis)[0] == lo for y in want[:4])
+
+    def test_small_known_coset(self):
+        # Kernel {0b011, 0b110}: echelon {0b011, 0b101}.
+        basis = B.gf2_echelon([0b011, 0b110])
+        assert basis == [0b011, 0b101]
+        assert B.gf2_coset(0b111, basis) == [0b001, 0b010, 0b100, 0b111]

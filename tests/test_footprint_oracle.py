@@ -1,19 +1,26 @@
-"""Property test: whole-array cold pricing equals the per-(PIM, group) oracle.
+"""Property test: coset-built cold pricing equals two independent oracles.
 
 Cold GEMM pricing builds two N-independent tables per footprint: the
 ``footprint`` record (work table, widest group, per-PIM blocks, critical
 PIM, column totals) and the critical PIM's per-group ``profile``.  Both
-are built in whole-array passes: one PIM-ID evaluation over a
-``(n_groups x blocks_per_row)`` address matrix and one ``bincount`` for
-every (PIM, group) column count, then one concatenated walk of every
-critical-PIM group for the cadence, the naive gaps and the row misses.
+are read off cosets of the GF(2) address map over Python ints: group
+sizes, rows and column sets from echelon bases, the critical PIM as the
+smallest active ID, and a loop over the critical PIM's first and second
+row walks for the naive gaps and row misses (the cadence is shared by
+every group).  The analysis' array views (grouping, rows, columns,
+per-group PIM IDs, column counts) are built from the same cosets.
 
-The oracles below are the builders those passes replaced: a
+Two oracles check them.  The per-address oracle below is a
 ``cols_of``-style column scan per (PIM, group) pair and one profile per
-group, over a grouping computed row by row.  Hypothesis draws the
-mapping (Skylake and a non-Skylake preset), every PIM level, pinned ID
+group, over a grouping computed row by row.  The whole-array oracle
+(``tests/footprint_arrays.py``) is the NumPy implementation the cosets
+replaced: code tables, a ``bincount`` of every (PIM, group) column count
+and one concatenated, ``lexsort``-ed walk.  Hypothesis draws the
+mapping (Skylake, a non-Skylake preset and a hand-built mapping whose
+PIM-ID vectors are not reduced), every PIM level, pinned ID
 bits up to the ID width, power-of-two M and K and an aligned base, and
-every field must match exactly.
+every field must match both exactly (the profile's per-access fields are
+tuples of floats; the oracles' arrays are compared as such).
 
 A search candidate (``executor._Candidate``) reads the footprint totals
 its bound needs from three GF(2) ranks instead of the record; a second
@@ -39,7 +46,6 @@ from repro.core.executor import (
     _gemm_phase_cycles,
     _gemm_profile,
     _plan_candidate,
-    _row_misses,
 )
 from repro.core.gemm import GemmShape, GroupWork, ScratchpadInfeasible, plan_gemm
 from repro.core.memo import PRICING_MEMO
@@ -52,12 +58,43 @@ from repro.mapping.presets import (
     mapping_by_id,
     pae_randomized,
 )
-from repro.mapping.xor_mapping import PimLevel
-from repro.utils.bits import parity_u64
+from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
+from repro.utils.bits import mask_of_bits, parity_u64
+
+from footprint_arrays import array_footprint, array_profile, row_misses
 
 U64 = np.uint64
 CFG = StepStoneConfig.default()
-MAPPINGS = {"skylake": make_skylake(), "ivybridge": mapping_by_id(2)}
+
+
+def make_unreduced() -> XORAddressMapping:
+    """A hand-built mapping whose footprint PIM-ID vectors are not in
+    reduced echelon form in address order: a7 flips BG0 and BG1 and a8
+    then BG0 alone, and a9 flips the rank and channel bits and a16 then
+    the channel alone (column or row bits, by the row width).  Group
+    codes, first rows, column sets and the critical PIM are then right
+    only if every new leading bit is cleared from the earlier basis
+    vectors."""
+
+    def m(*bits):
+        return mask_of_bits(bits)
+
+    masks = {
+        "column": [m(6), m(7), m(8), m(9), m(10), m(11), m(12)],
+        "channel": [m(13, 9, 16)],
+        "bankgroup": [m(14, 7, 8, 19), m(15, 7, 20)],
+        "bank": [m(16, 20), m(17, 21)],
+        "rank": [m(18, 9, 22)],
+        "row": [m(19 + i) for i in range(15)],
+    }
+    return XORAddressMapping(make_skylake().geometry, masks, name="unreduced", mapping_id=None)
+
+
+MAPPINGS = {
+    "skylake": make_skylake(),
+    "ivybridge": mapping_by_id(2),
+    "unreduced": make_unreduced(),
+}
 TIMINGS = {
     "default": CFG.timing,
     # A cadence below 3 cycles: off the zero-stall closed form.
@@ -89,14 +126,14 @@ def _access_fields(mapping, addrs):
 def _steady_state_row_misses(fa, mapping, rows, cols):
     """Row-buffer misses per group-row walk in steady state: the misses of
     the last of the group's first two row walks, counted by the
-    executor's ``_row_misses`` on one concatenated walk."""
+    whole-array ``row_misses`` on one concatenated walk."""
     bb = U64(mapping.geometry.block_bytes)
     addr_rows = U64(fa.base) + rows[:2].astype(U64) * U64(fa.row_bytes)
     addrs = (addr_rows[:, None] + cols.astype(U64)[None, :] * bb).ravel()
     _, _, flat, dr = _access_fields(mapping, addrs)
     n = len(addrs)
     counted = np.arange(n) >= n - len(cols)  # the last row's walk
-    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
+    return float(row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
 
 
 def _oracle_grouping(fa):
@@ -202,7 +239,7 @@ def _oracle_profile(t, unit, fa, oracle):
         values, counts = np.unique(cadence, return_counts=True)
         out.append(
             dict(
-                cadence=cadence,
+                cadence=tuple(cadence.tolist()),
                 cadence_hist=tuple(zip(values.tolist(), counts.tolist())),
                 cadence_min=float(cadence.min()),
                 cadence_max=float(cadence.max()),
@@ -210,7 +247,7 @@ def _oracle_profile(t, unit, fa, oracle):
                 n_rows=n_rows,
                 n_blk=n_cols * n_rows,
                 crossings=_oracle_row_misses(fa, mapping, rows, cols) * n_rows,
-                naive_within=within.astype(np.float64),
+                naive_within=tuple(within.astype(np.float64).tolist()),
                 naive_row_gap=naive_row_gap,
             )
         )
@@ -270,13 +307,32 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
         assert _same(getattr(record, name), oracle[name]), name
     assert fa.blocks_per_pim() == oracle["blocks_per_pim"]
 
-    # The critical PIM's profile, field by field.
+    # The whole-array oracle: the views and the record.
+    arr = array_footprint(fa)
+    assert fa.base_id == arr["base_id"]
+    assert fa.grouping.raw_codes == fa.raw_codes == arr["raw_codes"]
+    assert _same(fa.grouping.row_groups, arr["row_groups"])
+    for grp in range(fa.n_groups):
+        rows = arr["rows"][arr["starts"][grp] : arr["starts"][grp + 1]]
+        assert _same(fa.rows_of_group(grp), rows)
+    assert _same(fa.group_pim_ids, arr["group_pim_ids"])
+    assert _same(fa.col_counts, arr["col_counts"])
+    for name in ("work", "max_group_cols", "blocks_per_pim", "critical_pim", "total_cols",
+                 "total_blocks"):
+        assert _same(getattr(record, name), arr[name]), name
+
+    # The critical PIM's profile, field by field, against both oracles.
     t = TIMINGS[timing]
     profile = _gemm_profile(t, plan.footprint, plan.unit)
     want = _oracle_profile(t, plan.unit, fa, oracle)
-    assert len(profile) == len(want)
-    for gp, ref in zip(profile, want):
+    arrays = array_profile(t, fa, plan.unit)
+    assert len(profile) == len(want) == len(arrays)
+    for gp, ref, arr_ref in zip(profile, want, arrays):
         for name, value in ref.items():
+            assert _same(getattr(gp, name), value), name
+            value = arr_ref[name]
+            if isinstance(value, np.ndarray):
+                value = tuple(value.tolist())
             assert _same(getattr(gp, name), value), name
 
     # The cadence histogram closed form, under the exactness guard.
@@ -307,11 +363,12 @@ def test_one_group_row_misses_match_oracle(mapping_name, level):
 # Candidate constants from GF(2) ranks equal the enumerated record
 # --------------------------------------------------------------------------
 
-#: The five Table II presets, the toy mapping (its own tiny geometry) and
-#: three PAE-randomized Skylake variants.
+#: The five Table II presets, the toy mapping (its own tiny geometry), the
+#: unreduced mapping and three PAE-randomized Skylake variants.
 RANK_MAPPINGS = {
     **{f"id{i}": factory() for i, factory in ADDRESS_MAPPINGS.items()},
     "toy": make_toy_mapping(),
+    "unreduced": make_unreduced(),
     **{f"skylake-pae{seed}": pae_randomized(make_skylake(), seed) for seed in (1, 2, 3)},
 }
 

@@ -19,7 +19,9 @@ ones at the harness on every push (``FAST_DIFF_SEEDS=a,b,c``, see the
 ``genai-fast-differential`` job in ``.github/workflows/ci.yml``).  The
 default matrix — seeds 0..9 across both schedulers — is 20 scenarios
 before CI adds any: continuous and static batching, wide and narrow
-length mixes, and KV budgets squeezed tight enough to preempt.
+length mixes, and KV budgets squeezed tight enough to preempt.  Each
+also runs as a trickle at a twentieth of its rate, the only way a
+continuous segment gets bounded by a pending arrival.
 
 The bottom sections pin the segment *seams* specifically: KV overflow
 landing exactly on a segment's last boundary, recompute-on-resume after
@@ -229,16 +231,48 @@ def run_both(scn, record="full"):
 
 # --------------------------------------------------------------------------
 # The seed matrix: 10 seeds x both schedulers = 20 scenarios, plus
-# whatever CI injects.
+# whatever CI injects, each at its own rate and as a trickle.
 # --------------------------------------------------------------------------
+
+#: Rate scales of the matrix: the scenario's own rate keeps a request
+#: waiting until the last arrival, so only a trickle (a twentieth of it)
+#: empties the queue with arrivals still to come, where a continuous
+#: segment stops at the next arrival's instant.
+RATE_SCALES = (1.0, 0.05)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fast_matches_slow(seed, scheduler):
-    scn = Scenario(seed, scheduler)
-    slow, fast = run_both(scn)
-    assert fingerprint(slow) == fingerprint(fast)
+    for scale in RATE_SCALES:
+        scn = Scenario(seed, scheduler)
+        scn.rate_rps *= scale
+        slow, fast = run_both(scn)
+        assert fingerprint(slow) == fingerprint(fast), scale
+
+
+def test_matrix_bounds_a_segment_by_a_pending_arrival(monkeypatch):
+    """Some default scenario must peek the kernel while an arrival is
+    pending and get that arrival's instant back -- the seam where
+    ``plan_segment`` bounds a decode segment by an arrival -- or the
+    matrix is not covering it."""
+    from repro.sim.kernel import DiscreteEventKernel
+
+    real = DiscreteEventKernel.peek_time
+    bounded = []
+
+    def spy(kernel):
+        t = real(kernel)
+        if kernel._next_t is not None and t == kernel._next_t:
+            bounded.append(t)
+        return t
+
+    monkeypatch.setattr(DiscreteEventKernel, "peek_time", spy)
+    for seed, scheduler, scale in product(range(10), SCHEDULERS, RATE_SCALES):
+        scn = Scenario(seed, scheduler)
+        scn.rate_rps *= scale
+        scn.engine().run(scn.stream())
+    assert bounded
 
 
 def test_matrix_exercises_preemption_and_rejection():
@@ -443,13 +477,10 @@ def test_genai_matches_the_loop_oracle():
     (``tests/fleet_oracle.py``, which also answers ``peek_time`` — the
     seam ``plan_segment`` bounds its segments by), has the one loop's
     fingerprint and profile ledgers.  Each scenario also runs as a
-    trickle (a twentieth of its rate): the matrix's own rates keep a
-    queue waiting until the last arrival, so only a trickle empties the
-    queue with arrivals still to come, and only then does a continuous
-    segment stop at the lookahead arrival's instant."""
+    trickle (:data:`RATE_SCALES`)."""
     from fleet_oracle import oracle_run
 
-    for seed, scheduler, scale in product(SEEDS, SCHEDULERS, (1.0, 0.05)):
+    for seed, scheduler, scale in product(SEEDS, SCHEDULERS, RATE_SCALES):
         scn = Scenario(seed, scheduler)
         scn.rate_rps *= scale
         oracle_obs = RunObserver.profiling()

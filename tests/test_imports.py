@@ -192,10 +192,15 @@ def test_submodule_from_import_still_works():
 
 def test_no_module_is_first_imported_inside_a_run():
     """Import cost belongs to set-up: a run (and the read of its
-    report) loads no ``repro`` module but the fast paths' own."""
+    report) loads no ``repro`` module but the fast paths' own.  NumPy
+    is not in the serving closure at all: neither the imports nor a cold
+    cluster, genai or streaming-fleet run (GEMM pricing included) load
+    it."""
     code = SERVING_IMPORTS + textwrap.dedent(
         f"""
         import json, random, sys
+
+        numpy_loaded = {{"imports": "numpy" in sys.modules}}
 
         def loaded():
             return set({LOADED})
@@ -203,6 +208,7 @@ def test_no_module_is_first_imported_inside_a_run():
         def first_imports(run):
             before = loaded()
             run()
+            numpy_loaded[run.__name__] = "numpy" in sys.modules
             return sorted(loaded() - before)
 
         rng = random.Random(0)
@@ -253,16 +259,23 @@ def test_no_module_is_first_imported_inside_a_run():
             )
             rep.latency_percentile(99), rep.peak_fleet_size, rep.served
 
-        print(json.dumps({{
+        runs = {{
             "cluster": first_imports(cold_cluster),
             "genai": first_imports(genai),
             "elastic": first_imports(streaming_fleet),
-        }}))
+        }}
+        print(json.dumps({{"runs": runs, "numpy": numpy_loaded}}))
         """
     )
     out = run_fresh(code)
-    for run, modules in out.items():
+    for run, modules in out["runs"].items():
         assert set(modules) <= FIRST_FAST_RUN, (run, modules)
+    assert out["numpy"] == {
+        "imports": False,
+        "cold_cluster": False,
+        "genai": False,
+        "streaming_fleet": False,
+    }
 
 
 def serving_closure():

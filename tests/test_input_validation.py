@@ -431,3 +431,48 @@ def test_streaming_recorder_rejects_non_finite_latency(x):
     with pytest.raises(ValueError, match="finite"):
         node.record_batch(0.3, x, [Request(2, "BERT", 0.2), Request(3, "BERT", 0.25)])
     assert state() == before
+
+
+# ---------------------------------------------------------------------------
+# Footprint placement: a base outside DRAM is refused, not aliased
+# ---------------------------------------------------------------------------
+
+_SKY_CAPACITY = 1 << 34  # the default geometry's bytes
+_FOOTPRINT = 1024 * 4096 * 4  # a 1024 x 4096 fp32 weight matrix
+
+
+@pytest.mark.parametrize(
+    "base",
+    [_SKY_CAPACITY, 2 * _SKY_CAPACITY, -_FOOTPRINT, _SKY_CAPACITY - _FOOTPRINT // 2],
+)
+def test_footprint_base_outside_dram_is_rejected(base):
+    """``code()`` masks addresses to the capacity, so an out-of-range base
+    would price low memory under its own memo key; the analysis, the
+    search candidate (which never builds an analysis when pruned) and
+    ``execute_gemm`` all name the base instead."""
+    from repro.core.config import StepStoneConfig
+    from repro.core.executor import _Candidate, execute_gemm
+    from repro.core.gemm import GemmShape
+    from repro.mapping.analysis import FootprintAnalysis
+    from repro.mapping.presets import make_skylake
+    from repro.mapping.xor_mapping import PimLevel
+
+    sky, cfg, level = make_skylake(), StepStoneConfig.default(), PimLevel.BANKGROUP
+    assert sky.geometry.capacity_bytes == _SKY_CAPACITY
+    match = f"base {base:#x} .*outside"
+    with pytest.raises(ValueError, match=match):
+        FootprintAnalysis(sky, level, 1024, 4096, base=base)
+    with pytest.raises(ValueError, match=match):
+        _Candidate(cfg, sky, level, cfg.unit(level), 1024, 4096, base, 0)
+    with pytest.raises(ValueError, match=match):
+        execute_gemm(cfg, sky, GemmShape(1024, 4096, 4), level, base=base)
+
+
+def test_footprint_at_the_top_of_dram_is_accepted():
+    from repro.mapping.analysis import FootprintAnalysis
+    from repro.mapping.presets import make_skylake
+    from repro.mapping.xor_mapping import PimLevel
+
+    base = _SKY_CAPACITY - _FOOTPRINT
+    fa = FootprintAnalysis(make_skylake(), PimLevel.BANKGROUP, 1024, 4096, base=base)
+    assert fa.base == base

@@ -126,7 +126,7 @@ def test_warm_memo_prices_like_cleared_memo(cfg, mapping_name, shape, level, pin
 def _steady_state_row_misses(fa, mapping, rows, cols):
     """Row misses of the last of a group's first two row walks, every
     coordinate by per-address parity."""
-    from repro.core.executor import _row_misses
+    from footprint_arrays import row_misses
 
     g, u64 = mapping.geometry, np.uint64
     addr_rows = u64(fa.base) + rows[:2].astype(u64) * u64(fa.row_bytes)
@@ -135,7 +135,7 @@ def _steady_state_row_misses(fa, mapping, rows, cols):
     flat = (rk * u64(g.bankgroups_per_rank) + bg) * u64(g.banks_per_bankgroup) + bk
     n = len(addrs)
     counted = np.arange(n) >= n - len(cols)  # the last row's walk
-    return float(_row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
+    return float(row_misses(flat, dr, np.zeros(n, dtype=np.int64), counted, 1)[0])
 
 
 def _reference_gemm_phase(config, plan, agen, naive_full_gaps):
@@ -324,18 +324,19 @@ def test_choice_builds_its_result_only_when_read(cfg, monkeypatch):
         assert _fields(twin.result) == _fields(choice.result)
 
 
-def test_clear_drops_the_code_tables_so_cold_runs_stay_cold(cfg):
+def test_clear_drops_every_table_so_cold_runs_stay_cold(cfg):
     sky = make_skylake()
     shape = GemmShape(1024, 4096, 8)
     PRICING_MEMO.clear()
     cold = choose_execution(cfg, sky, shape)
-    assert PRICING_MEMO.size("codes") == 1
+    sizes = [PRICING_MEMO.size(t) for t in PRICING_MEMO.TABLES]
+    assert PRICING_MEMO.size("footprint") == PRICING_MEMO.size("profile") >= 1
     warm = choose_execution(cfg, sky, shape)
+    assert [PRICING_MEMO.size(t) for t in PRICING_MEMO.TABLES] == sizes
     PRICING_MEMO.clear()
     assert [PRICING_MEMO.size(t) for t in PRICING_MEMO.TABLES] == [0] * len(PRICING_MEMO.TABLES)
-    assert "codes" in PRICING_MEMO.TABLES
     recold = choose_execution(cfg, sky, shape)
-    assert PRICING_MEMO.size("codes") == 1
+    assert [PRICING_MEMO.size(t) for t in PRICING_MEMO.TABLES] == sizes
     for choice in (warm, recold):
         assert (choice.level, choice.pinned_id_bits) == (cold.level, cold.pinned_id_bits)
         assert choice.result.breakdown.as_dict() == cold.result.breakdown.as_dict()
@@ -365,9 +366,9 @@ def test_memo_hits_and_misses_are_counted_while_the_bus_is_on(cfg):
             assert BUS.counter("pricing.memo.hit", memo=memo) == 1.0
         assert BUS.counter("pricing.memo.miss", memo="chunk") == 1.0
         assert BUS.counter("pricing.memo.hit", memo="chunk") == 1.0
-        # One pair of code tables serves both footprints.
-        assert BUS.counter("pricing.memo.miss", memo="codes") == PRICING_MEMO.size("codes") == 1
-        assert BUS.counter("pricing.memo.hit", memo="codes") == PRICING_MEMO.size("footprint") - 1
+        # One candidate set per weight shape, read by all three searches.
+        assert BUS.counter("pricing.memo.miss", memo="candidates") == 1.0
+        assert BUS.counter("pricing.memo.hit", memo="candidates") == 2.0
         # Three searches over four candidates, one priced in each; every
         # priced one reads its profile.
         search = {

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StepStoneConfig
-from repro.core.executor import _offchip_cycles, _plan_candidate, execute_gemm
+from repro.core.executor import _fill_cycles, _offchip_cycles, _plan_candidate, execute_gemm
 from repro.core.gemm import GemmShape, ScratchpadInfeasible, _partition
 from repro.core.memo import PRICING_MEMO
 from repro.core.scheduler import _SHAVE, PimChoice, _lower_bound, choose_execution
@@ -121,7 +121,8 @@ def _plan_bound(config, plan, flow):
         plan.scratchpad_c_fraction,
         plan.direct_scratchpad,
     )
-    return _lower_bound(_plan_candidate(config, plan), plan.shape.n, flow, part)
+    cand, n = _plan_candidate(config, plan), plan.shape.n
+    return _lower_bound(cand, n, flow, part, _fill_cycles(cand, n, part))
 
 
 @settings(max_examples=100, deadline=None)
