@@ -40,6 +40,7 @@ pool that hosts every served model.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.autoscale._loop import (
@@ -101,10 +102,10 @@ class ElasticCluster:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
         if not min_nodes <= initial_nodes <= max_nodes:
             raise ValueError("initial_nodes must lie in [min_nodes, max_nodes]")
-        if control_interval_s <= 0:
-            raise ValueError("control interval must be positive")
-        if provision_base_s < 0 or copy_gbps <= 0:
-            raise ValueError("provision_base_s >= 0 and copy_gbps > 0 required")
+        if not 0 < control_interval_s < math.inf:  # NaN fails every comparison
+            raise ValueError("control interval must be positive and finite")
+        if not (0 <= provision_base_s < math.inf and 0 < copy_gbps < math.inf):
+            raise ValueError("finite provision_base_s >= 0 and copy_gbps > 0 required")
         self.engine = engine or OnlineServingEngine()
         self.policy = policy
         self.router = make_router(router) if isinstance(router, str) else router

@@ -141,8 +141,8 @@ class BaselineBurstPolicy(HeteroAutoscalePolicy):
             raise ValueError("baseline and burst must be different pools")
         if baseline_nodes < 1:
             raise ValueError("need at least one baseline node")
-        if baseline_capacity_rps <= 0 or burst_capacity_rps <= 0:
-            raise ValueError("per-node capacities must be positive")
+        if not (0 < baseline_capacity_rps < math.inf and 0 < burst_capacity_rps < math.inf):
+            raise ValueError("per-node capacities must be positive and finite")
         if not 0 < target <= 1:
             raise ValueError("target capacity fraction must be in (0, 1]")
         if patience < 1:
@@ -294,10 +294,10 @@ class HeteroElasticCluster:
         self.record = record
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
-        if control_interval_s <= 0:
-            raise ValueError("control interval must be positive")
-        if provision_base_s < 0 or copy_gbps <= 0:
-            raise ValueError("provision_base_s >= 0 and copy_gbps > 0 required")
+        if not 0 < control_interval_s < math.inf:  # NaN fails every comparison
+            raise ValueError("control interval must be positive and finite")
+        if not (0 <= provision_base_s < math.inf and 0 < copy_gbps < math.inf):
+            raise ValueError("finite provision_base_s >= 0 and copy_gbps > 0 required")
         self.engine = engine or OnlineServingEngine()
         self.policy = policy
         self.router = make_router(router) if isinstance(router, str) else router

@@ -156,8 +156,8 @@ class TargetUtilizationPolicy(AutoscalePolicy):
         target: float = 0.70,
         patience: int = 2,
     ) -> None:
-        if capacity_rps <= 0:
-            raise ValueError("per-node capacity must be positive")
+        if not 0 < capacity_rps < math.inf:  # NaN fails every comparison
+            raise ValueError("per-node capacity must be positive and finite")
         if not 0 < target <= 1:
             raise ValueError("target capacity fraction must be in (0, 1]")
         if patience < 1:
@@ -297,12 +297,12 @@ class PredictiveTracePolicy(AutoscalePolicy):
         lookahead_s: float,
         headroom: float = 1.2,
     ) -> None:
-        if capacity_rps <= 0:
-            raise ValueError("per-node capacity must be positive")
-        if lookahead_s < 0:
-            raise ValueError("lookahead must be non-negative")
-        if headroom < 1.0:
-            raise ValueError("headroom must be at least 1.0")
+        if not 0 < capacity_rps < math.inf:
+            raise ValueError("per-node capacity must be positive and finite")
+        if not 0 <= lookahead_s < math.inf:
+            raise ValueError("lookahead must be non-negative and finite")
+        if not 1.0 <= headroom < math.inf:
+            raise ValueError("headroom must be finite and at least 1.0")
         self.trace = trace
         self.capacity_rps = capacity_rps
         self.lookahead_s = lookahead_s

@@ -21,53 +21,50 @@ Reduction             DMA (or CPU) reads every slice's C partial and writes
 The GEMM phase is evaluated on the makespan-critical PIM (the one owning the
 most blocks); phases are serial, as in the paper's stacked bars.
 
-Pricing is split in two.  The per-group *profile* of the critical PIM (one
-row walk's cadence, the row count, the steady-state row misses) depends
-only on the weight footprint and the DRAM timing, so it is computed once
-per process and kept in the ``profile`` memo (:mod:`repro.core.memo`).
-:func:`_gemm_profile` builds it over Python ints from the footprint's
-cosets: the cadence depends only on the XOR steps between consecutive
-columns, which every group shares, so only the first and second row
-walks of each group are looped over, for the naive gaps and row misses.
-The per-N *evaluation*, :func:`_price`, is the one home of
-the N-dependent cycles arithmetic: it takes a :class:`_Candidate` (every
-N-independent constant of one footprint on one unit), a batch width and
-a partitioning, combines the profile with the SIMD time in O(groups)
+Pricing is split in two.  Everything N-independent is built once per
+process: a :class:`_Candidate` per footprint and unit (its analysis,
+totals and keys), a :class:`_UnitConstants` per unit (its constants,
+partitionings and fill streams, shared by its candidates) and, once a
+candidate is priced, the critical PIM's per-group *profile*
+(:func:`_gemm_profile`: one cadence histogram and one row-miss count,
+the same for every group), each in a table of :mod:`repro.core.memo`.
+The per-N *evaluation*, :func:`_price`, is the one home of the
+N-dependent cycles arithmetic: for a candidate, a batch width and a
+partitioning it combines the profile with the SIMD time in O(groups)
 scalar arithmetic, using two exact closed forms (DESIGN.md, "Pricing
 once"): the group sum ``n_rows * sum(count * max(value, compute))`` over
 the histogram, and a zero AGEN stall whenever ``max(cadence_min,
 compute) >= 3``, and adds the fill, drain, off-chip and launch terms.
 The configuration search and :func:`execute_plan` both price through it;
 :func:`_result` adds the whole-footprint totals (blocks, fill traffic)
-from the shared footprint record in closed form.  A candidate takes the
-footprint totals its bound needs from GF(2) ranks and reads the record
-only once priced, so a pruned candidate builds none.
+in closed form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.agen import stepstone_iteration_counts
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.gemm import (
-    FootprintWork,
     GemmPlan,
     GemmShape,
     Partition,
-    _footprint,
+    ScratchpadInfeasible,
     _footprint_key,
     _kernel_launches,
+    _partition,
     plan_gemm,
 )
 from repro.core.memo import PRICING_MEMO
 from repro.dram.stream import sequential_stream_cycles
 from repro.dram.timing import DDR4Timing
-from repro.mapping.analysis import check_placement, footprint_id_vectors
+from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
-from repro.utils.bits import gf2_coset, gf2_rank
+from repro.utils.bits import gf2_coset
 
 __all__ = [
     "LatencyBreakdown",
@@ -188,136 +185,115 @@ def _row_misses(warm: List[int], walk: List[int], bank: int, row: int) -> int:
     return misses
 
 
-@dataclass(frozen=True)
 class _GroupProfile:
     """N-independent pricing of one group walk on the critical PIM.
 
-    Everything here is O(n_cols): one row walk's data, plus scalars that
-    say how often it repeats.  The n_blk-long traces are rebuilt per call,
-    and only when a closed form does not apply.
+    Its scalars are every group's (see :func:`_gemm_profile`) and all the
+    StepStone AGEN's closed forms read: ``cadence_hist`` ((value, count),
+    ascending), its ``cadence_min``, ``cadence_max``, ``cadence_den``
+    (power-of-two denominator) and ``cadence_sum`` (``sum(count *
+    value)``, in order), ``n_cols``, ``n_rows``, ``n_blk`` (``n_cols *
+    n_rows``) and ``crossings`` (steady-state row misses per row walk,
+    times ``n_rows``).  The per-access tuples of one row walk, read only
+    by the naive AGEN and the array fallbacks, are built on first read.
     """
 
-    cadence: Tuple[float, ...]  # per-access CAS spacing of one row walk
-    cadence_hist: Tuple[Tuple[float, int], ...]  # (value, count), ascending
-    cadence_min: float
-    cadence_max: float
-    cadence_den: int  # power-of-two denominator of the cadence values
-    cadence_sum: float  # sum(count * value) over the histogram, in order
-    n_rows: int
-    n_blk: int  # n_cols * n_rows accesses over the group
-    crossings: float  # steady-state row misses per row walk * n_rows
-    naive_within: Tuple[float, ...]  # naive generator probes within one row walk
-    naive_row_gap: float  # true block gap between consecutive group rows
+    def __init__(self, shared: Dict, fa: FootprintAnalysis, group: int) -> None:
+        self.__dict__.update(shared)
+        self._fa, self._group = fa, group
+
+    @cached_property
+    def cadence(self) -> Tuple[float, ...]:
+        """The CAS spacing before each access."""
+        steps, gap = self._steps, self._gap
+        return (self._first_gap, *(gap(a ^ b) for a, b in zip(steps, steps[1:])))
+
+    @cached_property
+    def naive_within(self) -> Tuple[float, ...]:
+        """The naive generator's probes: one per gap block."""
+        cols = self._fa.local_cols(self._fa.critical_pim, self._group)
+        return (1.0, *(float(b - a) for a, b in zip(cols, cols[1:])))
+
+    @cached_property
+    def naive_row_gap(self) -> float:
+        """The true block gap from the last block of one group row to the
+        first of the next."""
+        fa, grp, n_rows = self._fa, self._group, self.n_rows
+        if n_rows == 1:
+            return 2.0
+        cols = fa.local_cols(fa.critical_pim, grp)
+        gap = (fa.group_row(grp, n_rows - 1) - fa.group_row(grp, 0)) / (n_rows - 1)
+        return max(1.0, gap * fa.blocks_per_row - cols[-1] + cols[0])
 
 
 def _gemm_profile(
-    t: DDR4Timing, fp: FootprintWork, unit: PimUnitConfig
+    t: DDR4Timing, fa: FootprintAnalysis, unit: PimUnitConfig
 ) -> Tuple[_GroupProfile, ...]:
     """Per-group profiles of the footprint's critical PIM (Algorithm 1 walks).
 
     A group's row walk visits one coset of ker C in ascending order, so
-    step ``i`` of every group's walk XORs the same vector into the column
-    (the echelon basis vectors up to ``i``'s lowest set bit): the cadence,
-    which compares the rank and bank group of consecutive accesses, is one
-    tuple for every group.  Each group's first row walk (and its second,
-    when it has one) is then a list of packed codes, a row code XOR the
-    shared column steps, for the steady-state row misses.
+    step ``i`` of every group's walk XORs the same vector into the column:
+    the echelon basis vectors up to ``i``'s lowest set bit.  The cadence,
+    which compares the rank and bank group of consecutive accesses, is
+    therefore one histogram for every group, with ``n_cols >> (j + 1)``
+    steps through basis vector ``j``.  A group's second row walk is its
+    first XOR the code of the row kernel's first vector, and XOR-ing every
+    code by one constant moves no row miss, so the steady-state row misses
+    of the shared steps are every group's.
     """
-    fa = fp.analysis
     mapping = fa.mapping
-    pim = fp.critical_pim
     bb = mapping.geometry.block_bytes
+    kernel = [mapping.code(b * bb) for b in fa.col_kernel]
+    rank, rank_bg = mapping.code_mask("rank"), mapping.code_mask("rank", "bankgroup")
+    if unit.level is PimLevel.BANKGROUP:  # confined to one bank group
+        ccdl = first_gap = switch = float(unit.cadence(t))
+    else:  # tCCD_L within a bank group, tCCD_S across, rank switch across ranks
+        ccdl, first_gap, switch = float(t.tCCDL), float(t.tCCDS), float(t.tBL + t.tRTRS)
+
+    def gap(d: int) -> float:
+        return switch if d & rank else first_gap if d & rank_bg else ccdl
+
+    n_cols, n_rows = 1 << len(kernel), fa.group_size
+    counts, d = Counter({first_gap: 1}), 0
+    for j, b in enumerate(kernel):
+        d ^= b
+        counts[gap(d)] += n_cols >> (j + 1)
+    h = tuple(sorted(counts.items()))
     # Column-code offsets of one walk from its first access.
-    steps = gf2_coset(0, [mapping.code(b * bb) for b in fa.col_kernel])
-    if unit.level is PimLevel.BANKGROUP:
-        cadence = (float(unit.cadence(t)),) * len(steps)  # confined to one bank group
-    else:
-        # tCCD_L within a bank group, tCCD_S across, rank switch across ranks.
-        rank, rank_bg = mapping.code_mask("rank"), mapping.code_mask("rank", "bankgroup")
-        ccdl, ccds, switch = float(t.tCCDL), float(t.tCCDS), float(t.tBL + t.tRTRS)
-        cadence = (ccds,) + tuple(
-            switch if d & rank else ccds if d & rank_bg else ccdl
-            for d in (a ^ b for a, b in zip(steps, steps[1:]))
-        )
-    n_rows, h = fa.group_size, tuple(sorted(Counter(cadence).items()))
-    shared = dict(
-        cadence=cadence, cadence_hist=h, cadence_min=h[0][0], cadence_max=h[-1][0],
-        cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
-        cadence_sum=sum(k * v for v, k in h), n_rows=n_rows, n_blk=len(steps) * n_rows,
-    )
+    steps = gf2_coset(0, kernel)
     bank, row = mapping.code_mask("rank", "bankgroup", "bank"), mapping.code_mask("row")
-
-    def walk(r: int, first_col: int) -> List[int]:
-        head = mapping.code(fa.base + r * fa.row_bytes + first_col * bb)
-        return [head ^ d for d in steps]
-
-    out = []
-    for grp in range(fa.n_groups):
-        cols = fa.local_cols(pim, grp)
-        if not cols:
-            continue
-        first = fa.group_row(grp, 0)
-        walk1 = walk(first, cols[0])
-        if n_rows > 1:
-            # Steady state: the second row's walk, after the first.
-            misses = _row_misses(walk1, walk(fa.group_row(grp, 1), cols[0]), bank, row)
-            # The naive generator's true block gap from the last block of
-            # one group row to the first of the next.
-            gap = (fa.group_row(grp, n_rows - 1) - first) / (n_rows - 1)
-            row_gap = max(1.0, gap * fa.blocks_per_row - cols[-1] + cols[0])
-        else:
-            misses, row_gap = _row_misses([], walk1, bank, row), 2.0
-        out.append(
-            _GroupProfile(
-                **shared,
-                crossings=float(misses) * n_rows,
-                # The naive generator probes one block per gap block.
-                naive_within=(1.0, *(float(b - a) for a, b in zip(cols, cols[1:]))),
-                naive_row_gap=row_gap,
-            )
-        )
-    return tuple(out)
+    if n_rows > 1:
+        # Steady state: the second row's walk, after the first.
+        second = mapping.code(fa.row_kernel[0] * fa.row_bytes)
+        misses = _row_misses(steps, [second ^ d for d in steps], bank, row)
+    else:
+        misses = _row_misses([], steps, bank, row)
+    shared = dict(
+        cadence_hist=h, cadence_min=h[0][0], cadence_max=h[-1][0],
+        cadence_den=max(v.as_integer_ratio()[1] for v, _ in h),
+        cadence_sum=sum(k * v for v, k in h), n_cols=n_cols, n_rows=n_rows,
+        n_blk=n_cols * n_rows, crossings=float(misses) * n_rows,
+        _steps=steps, _gap=gap, _first_gap=first_gap,
+    )
+    return tuple(_GroupProfile(shared, fa, grp) for grp in fa.groups_of(fa.critical_pim))
 
 
-class _Candidate:
-    """Every N-independent constant of pricing one footprint on one unit.
-
-    One (level, pinned ID bits) configuration of a padded M x K weight
-    matrix: the footprint record's key and its critical-PIM totals, the
-    ``profile`` key, the unit, DMA and refresh constants, and the cadence
-    floor of :func:`repro.core.scheduler._lower_bound`.
-    Searches keep candidates in the ``candidates`` memo, so a new batch
-    width starts from here; :func:`_price` adds the N-dependent half.
-    The footprint totals are ranks of the PIM-ID vectors of its column
-    bits C and row bits R (DESIGN.md, "Footprint constants from ranks");
-    the record is built on the first :meth:`footprint` read.
-    """
+class _UnitConstants:
+    """Every constant of pricing on one PIM unit of one configuration (the
+    unit, DMA, launch and refresh constants, and the cadence floor of
+    :func:`repro.core.scheduler._lower_bound`), and every partitioning and
+    fill stream on the unit, each evaluated once: all the unit's
+    candidates share one through the ``unit`` memo."""
 
     __slots__ = (
-        "level", "pinned", "unit", "m", "word_bytes", "mapping", "footprint_key",
-        "profile_key", "timing", "n_pims", "crit_blocks", "crit_cols", "max_group_cols",
-        "total_cols", "slices", "cadence", "blocks_per_row", "cover", "per_miss", "refresh",
-        "launch_cycles", "channels", "offchip", "cadence_floor",
+        "unit", "timing", "word_bytes", "slices", "cadence", "blocks_per_row", "cover",
+        "per_miss", "refresh", "launch_cycles", "channels", "offchip", "cadence_floor",
+        "_partitions", "_streams",
     )
 
-    def __init__(self, config, mapping, level, unit, m, k, base, pinned) -> None:
-        t, dma, wb = config.timing, config.dma, config.word_bytes
-        self.level, self.pinned, self.unit, self.m, self.word_bytes = level, pinned, unit, m, wb
-        self.mapping = mapping
-        self.footprint_key = _footprint_key(mapping, level, m, k, base, wb, pinned)
-        self.profile_key = (self.footprint_key, t, level)
-        self.timing = t
-        # The ID vectors of C and R; the base only picks the coset.
-        row_bytes = k * wb
-        check_placement(mapping.geometry, base, m * row_bytes)
-        col_ids, row_ids = footprint_id_vectors(mapping, level, pinned, row_bytes, m * row_bytes)
-        d_c = len(col_ids)
-        r_c, r_r, r_cr = gf2_rank(col_ids), gf2_rank(row_ids), gf2_rank(col_ids + row_ids)
-        self.n_pims = 1 << r_cr
-        self.crit_blocks = (m << d_c) >> r_cr
-        self.crit_cols = 1 << (r_r + d_c - r_cr)
-        self.max_group_cols = 1 << (d_c - r_c)
-        self.total_cols = 1 << (r_r + d_c)
+    def __init__(self, config: StepStoneConfig, unit: PimUnitConfig) -> None:
+        t, dma = config.timing, config.dma
+        self.unit, self.timing, self.word_bytes = unit, t, config.word_bytes
         self.slices = unit.slices_per_unit
         self.cadence = float(unit.cadence(t))
         self.blocks_per_row = config.geometry.blocks_per_row
@@ -338,42 +314,91 @@ class _Candidate:
             "echo": (chan_bw * dma.cpu_efficiency, dma.cpu_per_block_overhead_cycles),
         }
         # _lower_bound: the fastest CAS spacing.
-        self.cadence_floor = (
-            self.cadence
-            if level is PimLevel.BANKGROUP
-            else float(min(t.tCCDS, t.tCCDL, t.tBL + t.tRTRS))
-        )
+        bg = unit.level is PimLevel.BANKGROUP
+        self.cadence_floor = self.cadence if bg else float(min(t.tCCDS, t.tCCDL, t.tBL + t.tRTRS))
+        self._partitions: Dict[Tuple[int, int, int], Optional[Partition]] = {}
+        self._streams: Dict[float, float] = {}
 
-    def footprint(self) -> FootprintWork:
-        """The footprint record, read through the ``footprint`` memo."""
-        return _footprint(self.mapping, self.footprint_key)
+    def partition(self, m: int, n: int, max_group_cols: int) -> Optional[Partition]:
+        """:func:`repro.core.gemm._partition` on this unit, or ``None``
+        when the batch does not fit its scratchpad."""
+        key = (m, n, max_group_cols)
+        if key not in self._partitions:
+            try:
+                self._partitions[key] = _partition(self.unit, m, n, max_group_cols, self.word_bytes)
+            except ScratchpadInfeasible:
+                self._partitions[key] = None
+        return self._partitions[key]
+
+    def stream(self, n_blocks: float) -> float:
+        """Cycles of a sequential scan of ``n_blocks`` blocks on this unit."""
+        if n_blocks not in self._streams:
+            self._streams[n_blocks] = sequential_stream_cycles(
+                n_blocks, self.timing, self.cadence, self.blocks_per_row
+            )
+        return self._streams[n_blocks]
+
+
+class _Candidate:
+    """Every N-independent fact of pricing one footprint on one unit.
+
+    One (level, pinned ID bits) configuration of a padded M x K weight
+    matrix: its analysis (three GF(2) eliminations; its active PIMs are
+    listed only when priced), the critical-PIM totals the bound reads, the
+    footprint and ``profile`` keys, and the unit's constants.  Searches
+    keep candidates in the ``candidates`` memo, so a new batch width
+    starts from here; :func:`_price` adds the N-dependent half.
+    """
+
+    __slots__ = (
+        "level", "pinned", "costs", "m", "footprint_key", "profile_key", "analysis",
+        "n_pims", "crit_blocks", "crit_cols", "max_group_cols", "total_cols",
+    )
+
+    def __init__(
+        self, config: StepStoneConfig, unit: PimUnitConfig, fa: FootprintAnalysis
+    ) -> None:
+        self.level, self.pinned, self.m, self.analysis = fa.level, fa.pinned_id_bits, fa.m_rows, fa
+        self.costs = PRICING_MEMO.lookup(
+            "unit", (config.hardware_key, unit), lambda: _UnitConstants(config, unit)
+        )
+        self.footprint_key = _footprint_key(
+            fa.mapping, fa.level, fa.m_rows, fa.k_cols, fa.base, fa.word_bytes, fa.pinned_id_bits
+        )
+        self.profile_key = (self.footprint_key, config.hardware_key)
+        # Every active PIM owns as many blocks and columns (DESIGN.md,
+        # "Footprint constants from ranks").
+        n = self.n_pims = fa.n_active_pims
+        self.max_group_cols, self.total_cols = fa.group_cols, fa.total_cols
+        self.crit_blocks, self.crit_cols = fa.total_blocks // n, fa.total_cols // n
+
+    def footprint(self) -> FootprintAnalysis:
+        """The analysis, read through the ``footprint`` memo (which it
+        joins on its first read, so a pruned candidate adds no entry)."""
+        return PRICING_MEMO.lookup("footprint", self.footprint_key, lambda: self.analysis)
 
 
 def _plan_candidate(config: StepStoneConfig, plan: GemmPlan) -> _Candidate:
-    """The pricing candidate of an existing plan (its unit, base and subset)."""
-    fa = plan.analysis
-    return _Candidate(
-        config, fa.mapping, plan.level, plan.unit, plan.shape.m, plan.shape.k, fa.base,
-        fa.pinned_id_bits,
-    )
+    """The pricing candidate of an existing plan (its unit and analysis)."""
+    return _Candidate(config, plan.unit, plan.analysis)
 
 
 def _gemm_phase_cycles(
-    cand: _Candidate, fp: FootprintWork, n: int, agen: str, naive_full_gaps: bool
+    cand: _Candidate, fa: FootprintAnalysis, n: int, agen: str, naive_full_gaps: bool
 ) -> tuple[float, float]:
     """(cycles, bubble_stall) of the GEMM phase on the critical PIM.
 
     The per-group profiles are N-independent and come from the
     ``profile`` memo; this is the O(groups) N-dependent evaluation.
     """
-    t = cand.timing
+    u = cand.costs
     profile = PRICING_MEMO.lookup(
-        "profile", cand.profile_key, lambda: _gemm_profile(t, fp, cand.unit)
+        "profile", cand.profile_key, lambda: _gemm_profile(u.timing, fa, u.unit)
     )
-    compute = cand.unit.compute_cycles_per_block(n)
+    compute = u.unit.compute_cycles_per_block(n)
     compute_den = float(compute).as_integer_ratio()[1]
-    lookahead_cover = cand.cover
-    per_miss = cand.per_miss[agen]
+    lookahead_cover = u.cover
+    per_miss = u.per_miss[agen]
     total = 0.0
     stall = 0.0
     for gp in profile:
@@ -394,7 +419,7 @@ def _gemm_phase_cycles(
             if agen == "stepstone":
                 iters = stepstone_iteration_counts(gp.n_blk).astype(np.float64)
             else:
-                n_cols = len(gp.cadence)
+                n_cols = gp.n_cols
                 iters = np.tile(gp.naive_within, gp.n_rows)
                 # Row advance: the true gap, or one loop-assisted step.
                 iters[n_cols::n_cols] = gp.naive_row_gap if naive_full_gaps else 2.0
@@ -417,7 +442,7 @@ def _gemm_phase_cycles(
             if compute <= gp.cadence_min:
                 row_sum = gp.cadence_sum
             elif compute >= gp.cadence_max:
-                row_sum = len(gp.cadence) * compute
+                row_sum = gp.n_cols * compute
             else:
                 row_sum = sum(k * max(v, compute) for v, k in gp.cadence_hist)
             group_sum = gp.n_rows * row_sum
@@ -435,7 +460,7 @@ def _gemm_phase_cycles(
         # counts the steady-state misses of a group's second row walk.
         total += gp.crossings * per_miss
     # Refresh steals a fixed fraction of PIM-visible time.
-    total *= cand.refresh
+    total *= u.refresh
     return total, stall
 
 
@@ -447,9 +472,10 @@ def _offchip_cycles(cand: _Candidate, n: int, flow: str) -> Tuple[float, float, 
     per group, spread over the PIMs owning its columns); reduction reads
     every active PIM's M x N partial and writes the final C.
     """
-    bw, per_block = cand.offchip[flow]
-    loc_bytes = cand.total_cols * 16 * n * cand.word_bytes
-    red_bytes = cand.m * n * (cand.n_pims + 1) * cand.word_bytes
+    bw, per_block = cand.costs.offchip[flow]
+    wb = cand.costs.word_bytes
+    loc_bytes = cand.total_cols * 16 * n * wb
+    red_bytes = cand.m * n * (cand.n_pims + 1) * wb
     loc_blocks = loc_bytes / 64.0
     red_blocks = red_bytes / 64.0
     localization = loc_bytes / bw + loc_blocks * per_block
@@ -464,10 +490,9 @@ def _fill_cycles(cand: _Candidate, n: int, part: Partition) -> Tuple[float, floa
     _, _, n_rparts, _, direct = part
     if direct:
         return 0.0, 0.0, 0.0
-    stream = (cand.timing, cand.cadence, cand.blocks_per_row)
-    fill_c_blocks = cand.m * n * cand.slices / 16.0
-    fill_b = sequential_stream_cycles(float(cand.crit_cols * n * n_rparts), *stream)
-    return fill_b, sequential_stream_cycles(fill_c_blocks, *stream), fill_c_blocks
+    u = cand.costs
+    fill_c_blocks = cand.m * n * u.slices / 16.0
+    return u.stream(float(cand.crit_cols * n * n_rparts)), u.stream(fill_c_blocks), fill_c_blocks
 
 
 #: :func:`_price`'s result: ``(total, gemm, fill_b, fill_c, localization,
@@ -494,21 +519,21 @@ def _price(
     :func:`_fill_cycles` of the same candidate, width and partitioning
     (the search has it from the bound).
     """
-    fp = cand.footprint()
+    fa = cand.footprint()
     _, cpart, n_rparts, _, _ = part
-    gemm, stall = _gemm_phase_cycles(cand, fp, n, agen, naive_full_gaps)
+    gemm, stall = _gemm_phase_cycles(cand, fa, n, agen, naive_full_gaps)
     fill_b, fill_c, fill_c_blocks = fills
 
     localization, reduction, loc_blocks, red_blocks = _offchip_cycles(cand, n, flow)
 
-    launches = _kernel_launches(fp, flow, n_rparts, cpart)
+    launches = _kernel_launches(fa, flow, n_rparts, cpart)
     # Launch packets serialize on the command channel; under contention each
     # also waits `launch_delay_cycles`.  For the long-running StepStone
     # kernel this is negligible; for eCHO's per-dot kernels it is the
     # dominant §V-G effect.  Launches are spread over active PIMs but the
     # command channel is shared, so the critical path sees the full stream.
-    launch = launches * (cand.launch_cycles + launch_delay_cycles)
-    launch /= cand.channels
+    launch = launches * (cand.costs.launch_cycles + launch_delay_cycles)
+    launch /= cand.costs.channels
     gemm += launch
 
     total = gemm + fill_b + fill_c + fill_c + localization + reduction
@@ -526,10 +551,10 @@ def _result(plan: GemmPlan, priced: Priced, agen: str, flow: str) -> GemmResult:
     # Fill traffic of every PIM, in closed form: each PIM's fill (C) is the
     # same, and every term is a multiple of 1/16 far below 2**53, so this
     # is exactly the per-PIM float sum.
-    fp, shape = plan.footprint, plan.shape
+    fa, shape = plan.analysis, plan.shape
     fill_blocks_all = 0.0
     if not plan.direct_scratchpad:
-        fill_b_all = float(fp.total_cols * shape.n * plan.n_rparts)
+        fill_b_all = float(fa.total_cols * shape.n * plan.n_rparts)
         fill_blocks_all = fill_b_all + 2 * plan.n_active_pims * fill_c_blocks
     simd_macs = float(shape.m) * shape.k * shape.n
     return GemmResult(
@@ -539,7 +564,7 @@ def _result(plan: GemmPlan, priced: Priced, agen: str, flow: str) -> GemmResult:
         flow=flow,
         bubble_stall_cycles=stall,
         kernel_launches=launches,
-        pim_dram_blocks=float(fp.total_blocks) + fill_blocks_all,
+        pim_dram_blocks=float(fa.total_blocks) + fill_blocks_all,
         offchip_blocks=offchip,
         simd_mac_ops=simd_macs,
         # Scratchpad: one read per operand pair per MAC plus C update traffic.
@@ -597,11 +622,4 @@ def execute_gemm(
     plan = plan_gemm(
         config, mapping, shape, level, base=base, pinned_id_bits=pinned_id_bits, unit=unit
     )
-    return execute_plan(
-        config,
-        plan,
-        agen=agen,
-        flow=flow,
-        naive_full_gaps=naive_full_gaps,
-        launch_delay_cycles=launch_delay_cycles,
-    )
+    return execute_plan(config, plan, agen, flow, naive_full_gaps, launch_delay_cycles)

@@ -14,32 +14,30 @@ executor needs:
 * kernel-launch counts for the long-running StepStone kernel vs. eCHO's
   per-dot-product invocations (Algorithm 1's two inner variants).
 
-The footprint analysis, the work table and their totals depend only on the
-weight footprint, never on the batch N.  :func:`plan_gemm` reads them as one
-:class:`FootprintWork` record through the process-wide ``footprint`` memo
-(:mod:`repro.core.memo`), whose totals are the analysis' coset sizes (every
-owning (PIM, group) pair has the same columns and rows); the per-PIM work
-table is built on its first read.  Only the scratchpad partitioning and the
-direct-scratchpad test are redone per N.
+The footprint analysis, its work table and its totals depend only on the
+weight footprint, never on the batch N.  :func:`plan_gemm` reads the
+:class:`~repro.mapping.analysis.FootprintAnalysis` through the process-wide
+``footprint`` memo (:mod:`repro.core.memo`); its totals are coset sizes
+(every owning (PIM, group) pair has the same columns and rows), and its
+per-PIM work table is built on first read.  Only the scratchpad
+partitioning and the direct-scratchpad test are redone per N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from numbers import Integral
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import PimUnitConfig, StepStoneConfig
 from repro.core.memo import PRICING_MEMO
-from repro.mapping.analysis import FootprintAnalysis
+from repro.mapping.analysis import FootprintAnalysis, GroupWork
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 
 __all__ = [
     "GemmShape",
     "GroupWork",
-    "FootprintWork",
     "GemmPlan",
     "ScratchpadInfeasible",
     "plan_gemm",
@@ -86,39 +84,6 @@ class GemmShape:
         return GemmShape(_next_pow2(self.m), max(_next_pow2(self.k), min_k), self.n)
 
 
-@dataclass(frozen=True)
-class GroupWork:
-    """One (PIM, group) work item: how many columns/rows this PIM walks."""
-
-    pim: int
-    group: int
-    n_cols: int  # block columns owned per matrix row of the group
-    n_rows: int  # matrix rows in the group
-
-
-@dataclass(frozen=True, eq=False)
-class FootprintWork:
-    """The N-independent half of a plan, shared by every plan of one
-    footprint through the ``footprint`` memo (treat it as read-only)."""
-
-    analysis: FootprintAnalysis
-    max_group_cols: int  # widest group (at least 1)
-    blocks_per_pim: Dict[int, int]  # GEMM blocks each PIM walks
-    critical_pim: int  # the PIM with the most blocks (lowest ID on ties)
-    total_cols: int  # block columns summed over every (PIM, group)
-    total_blocks: int
-
-    @cached_property
-    def work(self) -> Dict[int, Tuple[GroupWork, ...]]:
-        """pim -> its group work items, in group order (built on first read)."""
-        fa = self.analysis
-        cols, rows = fa.group_cols, fa.group_size
-        return {
-            pim: tuple(GroupWork(pim, grp, cols, rows) for grp in fa.groups_of(pim))
-            for pim in self.blocks_per_pim
-        }
-
-
 @dataclass
 class GemmPlan:
     """Fully-resolved execution plan for one GEMM at one PIM level."""
@@ -127,7 +92,7 @@ class GemmPlan:
     orig_shape: GemmShape
     level: PimLevel
     unit: PimUnitConfig
-    footprint: FootprintWork  # shared, read-only
+    analysis: FootprintAnalysis  # the N-independent half; shared, read-only
     rpart_rows: int
     cpart_blocks: int
     n_rparts: int
@@ -137,13 +102,9 @@ class GemmPlan:
     footprint_key: Tuple
 
     @property
-    def analysis(self) -> FootprintAnalysis:
-        return self.footprint.analysis
-
-    @property
     def work(self) -> Dict[int, Tuple[GroupWork, ...]]:
         """pim -> group work items (shared, read-only)."""
-        return self.footprint.work
+        return self.analysis.work
 
     # ------------------------------------------------------------------ #
     # Derived counts
@@ -151,7 +112,7 @@ class GemmPlan:
 
     @property
     def n_active_pims(self) -> int:
-        return len(self.footprint.blocks_per_pim)
+        return self.analysis.n_active_pims
 
     @property
     def n_partials(self) -> int:
@@ -168,13 +129,13 @@ class GemmPlan:
 
     @property
     def gemm_blocks_per_pim(self) -> Dict[int, int]:
-        """GEMM blocks per active PIM (shared, read-only)."""
-        return self.footprint.blocks_per_pim
+        """GEMM blocks per active PIM."""
+        return self.analysis.blocks_per_pim()
 
     @property
     def max_blocks_pim(self) -> int:
         """The PIM with the most work (the makespan-critical unit)."""
-        return self.footprint.critical_pim
+        return self.analysis.critical_pim
 
     def kernel_launches(self, flow: str) -> int:
         """PIM kernel invocations issued over the command channel.
@@ -184,16 +145,16 @@ class GemmPlan:
         * ``echo``: one kernel per DOT-product row per (rpart, group, cpart)
           (Algorithm 1's eCHO branch).
         """
-        return _kernel_launches(self.footprint, flow, self.n_rparts, self.cpart_blocks)
+        return _kernel_launches(self.analysis, flow, self.n_rparts, self.cpart_blocks)
 
 
-def _kernel_launches(fp: FootprintWork, flow: str, n_rparts: int, cpart_blocks: int) -> int:
+def _kernel_launches(fa: FootprintAnalysis, flow: str, n_rparts: int, cpart_blocks: int) -> int:
     """:meth:`GemmPlan.kernel_launches` of a footprint at one partitioning."""
     if flow == "stepstone":
-        return len(fp.blocks_per_pim) * n_rparts
+        return fa.n_active_pims * n_rparts
     if flow == "echo":
         launches = 0
-        for items in fp.work.values():
+        for items in fa.work.values():
             for w in items:
                 n_cparts = max(1, math.ceil(w.n_cols / cpart_blocks))
                 rows_per_rpart = max(1, math.ceil(w.n_rows / n_rparts))
@@ -220,8 +181,8 @@ def _partition(
     search does, for the fewest row passes (B re-fill traffic scales with
     them), then the fewest column tiles, then the largest row tile; the
     smallest fraction wins exact ties.  Row tiles grow and column tiles
-    shrink with the fraction, so each criterion holds on a run of eighths,
-    found by a short scan from the right end.  When the widest group's B
+    shrink with the fraction, so each criterion holds on a run of eighths
+    whose end is one ceiling division away.  When the widest group's B
     tile plus the full C partial fit per slice, the small-matrix
     direct-scratchpad path (§III-E) skips DRAM staging.
     """
@@ -241,58 +202,29 @@ def _partition(
         )
 
     # Eighth e's row tile is min(m, e * sp // c_row8) and its column tile
-    # count -(-mgc // min(mgc, (8 - e) * sp // b_col8)), written out
-    # rather than as helpers: the search partitions every candidate.
-    # The fewest row passes: from e_a up to hi.
-    e_a, n_rparts = hi, -(-m // min(m, hi * sp // c_row8))
-    while e_a > lo and -(-m // min(m, (e_a - 1) * sp // c_row8)) == n_rparts:
-        e_a -= 1
-    # Among those, the fewest column tiles: from e_a up to e_b.
-    e_b, n_cparts = e_a, -(-mgc // min(mgc, (8 - e_a) * sp // b_col8))
-    while e_b < hi and -(-mgc // min(mgc, (7 - e_b) * sp // b_col8)) == n_cparts:
-        e_b += 1
+    # min(mgc, (8 - e) * sp // b_col8).  The fewest row passes, from e_a
+    # up to hi: e_a is the first eighth whose row tile reaches `rows`, the
+    # smallest tile that needs only n_rparts passes.
+    n_rparts = -(-m // min(m, hi * sp // c_row8))
+    rows = -(-m // n_rparts)
+    e_a = max(lo, -(-rows * c_row8 // sp))
+    # Among those, the fewest column tiles, from e_a up to e_b: the last
+    # eighth whose column tile reaches `cols`, the smallest that needs
+    # only n_cparts tiles.
+    n_cparts = -(-mgc // min(mgc, (8 - e_a) * sp // b_col8))
+    cols = -(-mgc // n_cparts)
+    e_b = min(hi, 8 + (-cols * b_col8 // sp))
     # Among those, the largest row tile, first reached at e.
-    rpart, e = min(m, e_b * sp // c_row8), e_a
-    while min(m, e * sp // c_row8) < rpart:
-        e += 1
+    rpart = min(m, e_b * sp // c_row8)
+    e = max(e_a, -(-rpart * c_row8 // sp))
     if mgc * wpb * n * word_bytes + m * n * word_bytes <= sp:
         return m, mgc, 1, e / 8.0, True
     return rpart, min(mgc, (8 - e) * sp // b_col8), n_rparts, e / 8.0, False
 
 
-def _footprint_work(
-    mapping: XORAddressMapping,
-    level: PimLevel,
-    m: int,
-    k: int,
-    base: int,
-    word_bytes: int,
-    pinned_id_bits: int,
-) -> FootprintWork:
-    """The N-independent half of a plan, from the padded M x K footprint's
-    cosets: every group row's blocks split over its owning PIMs."""
-    fa = FootprintAnalysis(
-        mapping, level, m, k, base=base, word_bytes=word_bytes, pinned_id_bits=pinned_id_bits
-    )
-    return FootprintWork(
-        analysis=fa,
-        max_group_cols=fa.group_cols,
-        blocks_per_pim=fa.blocks_per_pim(),
-        critical_pim=fa.critical_pim,
-        total_cols=fa.n_groups * fa.blocks_per_row,
-        total_blocks=fa.total_blocks,
-    )
-
-
 def _footprint_key(mapping, level, m, k, base, word_bytes, pinned) -> Tuple:
     """The ``footprint`` memo key of one padded M x K footprint."""
     return (mapping.hardware_key, level, m, k, base, word_bytes, pinned)
-
-
-def _footprint(mapping: XORAddressMapping, key: Tuple) -> FootprintWork:
-    """The record of the footprint keyed ``key`` (:func:`_footprint_key`),
-    read through the ``footprint`` memo."""
-    return PRICING_MEMO.lookup("footprint", key, lambda: _footprint_work(mapping, *key[1:]))
 
 
 def plan_gemm(
@@ -309,21 +241,21 @@ def plan_gemm(
     ``pinned_id_bits`` activates the §III-E subsetting optimization (each
     pinned bit halves the active PIM count and, usually, the group count).
     ``unit`` overrides the Table II unit config (relaxed-area or scratchpad
-    sweeps).  Plans of one footprint share its :class:`FootprintWork`, so
-    treat it as read-only.
+    sweeps).  Plans of one footprint share its analysis, so treat it as
+    read-only.
     """
     u = unit or config.unit(level)
     padded = shape.padded(word_bytes=config.word_bytes, block_bytes=mapping.geometry.block_bytes)
     m, k, wb = padded.m, padded.k, config.word_bytes
     key = _footprint_key(mapping, level, m, k, base, wb, pinned_id_bits)
-    fp = _footprint(mapping, key)
-    rpart, cpart, n_rparts, frac, direct = _partition(u, m, padded.n, fp.max_group_cols, wb)
+    fa = PRICING_MEMO.lookup("footprint", key, lambda: FootprintAnalysis(mapping, *key[1:]))
+    rpart, cpart, n_rparts, frac, direct = _partition(u, m, padded.n, fa.group_cols, wb)
     return GemmPlan(
         shape=padded,
         orig_shape=shape,
         level=level,
         unit=u,
-        footprint=fp,
+        analysis=fa,
         rpart_rows=rpart,
         cpart_blocks=cpart,
         n_rparts=n_rparts,

@@ -3,25 +3,26 @@
 Pricing one GEMM chunk walks its block groups and the AGEN's per-step
 iterations, but almost all of that work depends only on the *weight
 footprint* — mapping, PIM level, padded M x K, base and pinned ID bits —
-never on the batch N.  This memo keeps the N-independent halves once per
-process, in four named tables:
+never on the batch N.  This memo keeps each such fact once per process,
+in five named tables:
 
-* ``footprint`` — per footprint: one :class:`~repro.core.gemm.FootprintWork`
-  record holding the :class:`~repro.mapping.analysis.FootprintAnalysis`,
-  the per-(PIM, group) work table, the widest group, per-PIM blocks, the
-  critical PIM and the footprint totals, built only for plans
-  (:func:`repro.core.gemm.plan_gemm`) and priced search candidates;
-* ``profile`` — per footprint, timing and level: the critical PIM's
-  per-group cadence rows, cadence histograms and row-miss counts, read
-  once per priced candidate (:func:`repro.core.executor._price`);
+* ``footprint`` — per footprint: its
+  :class:`~repro.mapping.analysis.FootprintAnalysis` (three GF(2)
+  eliminations; the per-(PIM, group) work table is built on first read),
+  built by a plan (:func:`repro.core.gemm.plan_gemm`) or added by a
+  search candidate once priced;
+* ``profile`` — per footprint and config: the critical PIM's per-group
+  cadence histograms and row-miss counts, read once per priced candidate
+  (:func:`repro.core.executor._price`);
+* ``unit`` — per (config, unit): a
+  :class:`~repro.core.executor._UnitConstants` of the unit, DMA, launch
+  and refresh constants, with each partitioning and fill stream on the
+  unit computed once;
 * ``candidates`` — per (config, mapping, padded m, k) and search space
   (levels, pinned-bit bound): one :class:`~repro.core.executor._Candidate`
-  per (level, pinned ID bits), holding every N-independent constant of
-  the bound and of the per-width evaluation (the footprint and profile
-  keys; critical-PIM blocks and columns, active PIMs, widest group and
-  total columns from three GF(2) ranks, without the footprint record;
-  unit, DMA, launch and refresh constants), so a new width of a known
-  weight shape starts from arithmetic
+  per (level, pinned ID bits), holding its footprint's analysis, the
+  critical-PIM totals the search bound reads and the memo keys, so a new
+  width of a known weight shape starts from arithmetic
   (:func:`repro.core.scheduler.choose_execution`);
 * ``chunk`` — per (config, mapping, m, k, n): the seconds of one
   ``choose_execution`` chunk (:class:`repro.serving.scheduler.BatchServer`).
@@ -33,10 +34,10 @@ Every key is a value-based hardware identity
 dataclasses), never ``id()``: an id is reused once its object is
 collected, which would serve stale entries.  Equal hardware therefore
 shares entries across engines, and different hardware never collides.
-Entries hold only O(n_cols) tuples per group, never n_blk-long traces,
-and only for the critical PIM: every other PIM is a count in the
-footprint record, and a footprint is a few echelon bases (its array
-views are built only when read).
+Entries hold no n_blk-long traces: a profile is a few scalars per group
+of the critical PIM (its O(n_cols) per-access tuples are built only when
+read), every other PIM is a count in the analysis, and an analysis is a
+few echelon bases (its array views are built only when read).
 
 Hits and misses are counted on the telemetry bus
 (:data:`repro.obs.telemetry.BUS`) as ``pricing.memo.hit`` /
@@ -56,7 +57,7 @@ __all__ = ["PricingMemo", "PRICING_MEMO"]
 class PricingMemo:
     """Named memo tables shared by every pricing call in the process."""
 
-    TABLES = ("footprint", "profile", "candidates", "chunk")
+    TABLES = ("footprint", "profile", "unit", "candidates", "chunk")
 
     def __init__(self) -> None:
         self._tables: Dict[str, Dict[Hashable, Any]] = {name: {} for name in self.TABLES}

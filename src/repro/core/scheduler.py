@@ -40,8 +40,9 @@ from repro.core.executor import (
     _price,
     _result,
 )
-from repro.core.gemm import GemmPlan, GemmShape, Partition, ScratchpadInfeasible, _partition
+from repro.core.gemm import GemmPlan, GemmShape, Partition
 from repro.core.memo import PRICING_MEMO
+from repro.mapping.analysis import FootprintAnalysis
 from repro.mapping.xor_mapping import PimLevel, XORAddressMapping
 from repro.obs.telemetry import BUS
 
@@ -124,10 +125,11 @@ def _lower_bound(cand: _Candidate, n: int, flow: str, part: Partition, fills) ->
     floor, the AGEN stall and row misses are non-negative and left out.
     """
     _, _, n_rparts, _, _ = part
+    u = cand.costs
     localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
-    per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
-    gemm = cand.crit_blocks * per_block * cand.refresh
-    launch = cand.n_pims * n_rparts * cand.launch_cycles / cand.channels
+    per_block = max(u.unit.compute_cycles_per_block(n), u.cadence_floor)
+    gemm = cand.crit_blocks * per_block * u.refresh
+    launch = cand.n_pims * n_rparts * u.launch_cycles / u.channels
     fill_b, fill_c, _ = fills
     fill = fill_b + 2.0 * fill_c
     return (gemm + launch + fill + localization + reduction) * _SHAVE
@@ -139,7 +141,10 @@ def _candidates(config, mapping, m, k, levels, max_pinned_bits) -> Tuple[_Candid
 
     def build():
         return tuple(
-            _Candidate(config, mapping, level, config.unit(level), m, k, 0, pinned)
+            _Candidate(
+                config, config.unit(level),
+                FootprintAnalysis(mapping, level, m, k, 0, config.word_bytes, pinned),
+            )
             for level in levels
             for pinned in range(min(max_pinned_bits + 1, len(mapping.pim_id_masks(level))))
         )
@@ -184,9 +189,8 @@ def choose_execution(
     cands = _candidates(config, mapping, m, padded.k, levels, max_pinned_bits)
     order = []
     for index, cand in enumerate(cands):
-        try:
-            part = _partition(cand.unit, m, n, cand.max_group_cols, cand.word_bytes)
-        except ScratchpadInfeasible:
+        part = cand.costs.partition(m, n, cand.max_group_cols)
+        if part is None:
             continue  # batch too large for this level's scratchpad
         fills = _fill_cycles(cand, n, part)  # the bound's, handed to _price
         order.append((_lower_bound(cand, n, flow, part, fills), index, part, fills))
@@ -216,8 +220,8 @@ def choose_execution(
             shape=padded,
             orig_shape=shape,
             level=cand.level,
-            unit=cand.unit,
-            footprint=cand.footprint(),
+            unit=cand.costs.unit,
+            analysis=cand.footprint(),
             rpart_rows=rpart,
             cpart_blocks=cpart,
             n_rparts=n_rparts,

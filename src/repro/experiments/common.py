@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["ExperimentResult"]
 
@@ -20,6 +20,9 @@ class ExperimentResult:
     checks: Dict[str, bool] = field(default_factory=dict)
     #: Optional chart spec: {"kind": "stacked"|"grouped"|"line", ...kwargs}.
     chart: Optional[Dict[str, Any]] = None
+    #: Columns measured on the host's wall clock (timings, rates), which
+    #: differ from run to run; every other cell is deterministic.
+    timing_columns: Tuple[str, ...] = ()
 
     def add(self, **kwargs: Any) -> None:
         self.rows.append(kwargs)

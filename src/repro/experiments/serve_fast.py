@@ -45,6 +45,7 @@ def run(fast: bool = False) -> ExperimentResult:
         title="Analytic capacity planning: conservative fleet sizes from "
         "M/G/k arithmetic",
         paper_reference="infrastructure (no paper figure): repro.sim.analytic",
+        timing_columns=("sim_plan_s", "analytic_plan_s"),
     )
     engine = OnlineServingEngine()
     target_rps, slo_s = 600.0, 1.0

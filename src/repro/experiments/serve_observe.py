@@ -57,6 +57,7 @@ def run(fast: bool = False, obs: RunObserver = None) -> ExperimentResult:
         experiment_id="serve-observe",
         title="Span tracing ties out exactly; the kernel profiles itself",
         paper_reference="infrastructure (no paper figure): repro.obs",
+        timing_columns=("handler_ms", "share_pct"),
     )
 
     # -------------------------------------------------------------- #

@@ -140,6 +140,7 @@ def run(fast: bool = False) -> ExperimentResult:
         experiment_id="serve-scale",
         title="Flat-memory streaming fleet runs at datacenter scale",
         paper_reference="§I/§VII day-long datacenter traces (~10M queries/day)",
+        timing_columns=("wall_s", "events_per_s"),
     )
     engine = OnlineServingEngine()
     capacity = node_capacity_rps(engine, MIX, DISPATCH)

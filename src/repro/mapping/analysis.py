@@ -20,7 +20,9 @@ ints (DESIGN.md, "Footprints from cosets"): with C and R the PIM-ID
 vectors of the column-offset and row-index bits, block (r, c) has ID
 ``base_id ^ R(r) ^ C(c)``, the groups are the cosets of ker R (raw code
 ``R(r)``), and (PIM p, group g) owns the coset of ker C that C maps to
-``p ^ base_id ^ raw_g``.  The array views import NumPy where they are read.
+``p ^ base_id ^ raw_g``.  Three eliminations give every basis, and the
+active PIM IDs are listed only when read, so an analysis costs about
+three GF(2) ranks.  The array views import NumPy where they are read.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "Constraint", "BlockGrouping", "FootprintAnalysis", "analyze_footprint", "check_placement",
-    "footprint_id_vectors",
+    "Constraint", "BlockGrouping", "GroupWork", "FootprintAnalysis", "analyze_footprint",
+    "check_placement", "footprint_id_vectors",
 ]
 
 
@@ -74,6 +76,16 @@ class BlockGrouping:
         return len(self.raw_codes)
 
 
+@dataclass(frozen=True)
+class GroupWork:
+    """One (PIM, group) work item: how many columns/rows this PIM walks."""
+
+    pim: int
+    group: int
+    n_cols: int  # block columns owned per matrix row of the group
+    n_rows: int  # matrix rows in the group
+
+
 def check_placement(geometry: DRAMGeometry, base: int, footprint: int) -> None:
     """Raise ``ValueError`` unless a ``footprint``-byte matrix at ``base``
     lies inside DRAM, aligned to its size (addresses past the capacity
@@ -107,9 +119,12 @@ def _image_and_kernel(ids: List[int]) -> Tuple[List[Tuple[int, int]], List[int]]
     basis, each vector paired with a preimage that has every kernel
     leading bit clear, and the kernel's echelon basis."""
     d = len(ids)
-    basis = gf2_echelon((v << d) | (1 << j) for j, v in enumerate(ids))
+    # A bit whose ID is 0 is its own kernel vector, and no other vector
+    # ever gains that bit, so only the others are eliminated.
+    basis = gf2_echelon((v << d) | (1 << j) for j, v in enumerate(ids) if v)
+    kernel = [v for v in basis if not v >> d] + [1 << j for j, v in enumerate(ids) if not v]
     low = (1 << d) - 1
-    return [(v >> d, v & low) for v in basis if v >> d], [v for v in basis if not v >> d]
+    return [(v >> d, v & low) for v in basis if v >> d], sorted(kernel)
 
 
 class FootprintAnalysis:
@@ -123,6 +138,10 @@ class FootprintAnalysis:
     base: physical base address; the footprint must lie inside DRAM,
         aligned to its size.
     word_bytes: element size (4 for fp32).
+
+    The N-independent half of every plan of the footprint: plans and priced
+    search candidates share one through the ``footprint`` memo
+    (:mod:`repro.core.memo`), so treat it as read-only.
     """
 
     def __init__(
@@ -174,6 +193,8 @@ class FootprintAnalysis:
         self.col_ids, self.row_ids = ids
         self._row_image, self.row_kernel = _image_and_kernel(self.row_ids)
         self._col_image, self.col_kernel = _image_and_kernel(self.col_ids)
+        # The IDs the footprint reaches from base_id: C's and R's images.
+        self._span = gf2_echelon([v for v, _ in self._col_image + self._row_image])
         #: Raw group codes, ascending (the image of R), and each group's
         #: first row (the minimum of its coset of ker R).
         self.raw_codes: Tuple[int, ...] = tuple(gf2_coset(0, [v for v, _ in self._row_image]))
@@ -181,9 +202,18 @@ class FootprintAnalysis:
         self.n_groups = len(self.raw_codes)
         self.group_size = 1 << len(self.row_kernel)  # matrix rows per group
         self.group_cols = 1 << len(self.col_kernel)  # columns per owning (PIM, group)
-        # Every active PIM owns equally many blocks; the lowest ID is critical.
-        self._active = gf2_coset(self.base_id, gf2_echelon(self.col_ids + self.row_ids))
-        self.critical_pim = self._active[0]
+        self.total_cols = self.n_groups * self.blocks_per_row  # over every (PIM, group)
+        # Every active PIM owns equally many blocks and columns.
+        self.n_active_pims = 1 << len(self._span)
+
+    @cached_property
+    def _active(self) -> List[int]:
+        return gf2_coset(self.base_id, self._span)
+
+    @property
+    def critical_pim(self) -> int:
+        """The active PIM with the lowest ID: every one owns as many blocks."""
+        return self._active[0]
 
     def pim_ids_of(self, codes):
         """PIM IDs (over the subsetted ID space) of packed codes."""
@@ -204,14 +234,19 @@ class FootprintAnalysis:
         the span of the column and row bits' IDs."""
         return list(self._active)
 
-    @property
-    def n_active_pims(self) -> int:
-        return len(self._active)
-
     def blocks_per_pim(self) -> Dict[int, int]:
         """Total local block count per active PIM (sums to total_blocks)."""
-        share = self.total_blocks // len(self._active)
+        share = self.total_blocks // self.n_active_pims
         return {pim: share for pim in self._active}
+
+    @cached_property
+    def work(self) -> Dict[int, Tuple[GroupWork, ...]]:
+        """Active PIM -> its (PIM, group) work items, in group order."""
+        cols, rows = self.group_cols, self.group_size
+        return {
+            pim: tuple(GroupWork(pim, grp, cols, rows) for grp in self.groups_of(pim))
+            for pim in self._active
+        }
 
     # ------------------------------------------------------------------ #
     # Block groups and per-(PIM, group) columns, from the cosets

@@ -863,8 +863,8 @@ class WindowRing:
         """Record observation ``x`` stamped at time ``t`` (non-decreasing).
 
         Raises:
-            ValueError: If ``x`` is NaN or infinite (nothing is changed,
-                not even an auto-roll).
+            ValueError: If ``x`` (or, when auto-rolling, ``t``) is NaN or
+                infinite (nothing is changed, not even an auto-roll).
         """
         if self.window_s is not None:
             if not math.isfinite(x):
@@ -877,8 +877,8 @@ class WindowRing:
         (non-decreasing), as :meth:`add` one by one would.
 
         Raises:
-            ValueError: If any observation is NaN or infinite (nothing
-                is changed, not even an auto-roll).
+            ValueError: If any observation (or, when auto-rolling, ``t``)
+                is NaN or infinite (nothing is changed, not even a roll).
         """
         if self.window_s is not None:
             if not math.isfinite(sum(xs)):
@@ -888,6 +888,8 @@ class WindowRing:
 
     def _advance(self, t: float) -> None:
         """Auto-roll the open window if ``t`` is past its width."""
+        if not math.isfinite(t):  # a NaN would skip the roll
+            raise ValueError(f"window time must be finite, got {t!r}")
         edge = self._open.start_s + self.window_s
         if t >= edge:
             # Snap the boundary to the width grid so sparse streams
@@ -900,8 +902,10 @@ class WindowRing:
 
         The closing window's pending chunk is folded in and the window
         packed (:meth:`_Window.close`), so closed windows hold neither
-        unflushed data nor a live sketch.
+        unflushed data nor a live sketch.  A NaN or infinite ``t`` raises.
         """
+        if not math.isfinite(t):  # a NaN start hides every earlier window
+            raise ValueError(f"window time must be finite, got {t!r}")
         w = self._open
         if w.stats.count:
             w.close(t)
@@ -1162,8 +1166,10 @@ class MetricsRecorder:
         """Close the streaming window ring's open window at ``t``.
 
         A no-op in full mode (full-mode window queries are computed
-        exactly from the per-request records instead).
-        """
+        exactly from the per-request records instead), but for the same
+        check of ``t``."""
+        if not math.isfinite(t):
+            raise ValueError(f"window time must be finite, got {t!r}")
         if self.ring is not None:
             self.ring.roll(t)
 

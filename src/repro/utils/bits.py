@@ -176,9 +176,9 @@ def gf2_echelon(vectors: Iterable[int]) -> List[int]:
     its own leading bit and no other (see :func:`gf2_coset`)."""
     basis: List[int] = []
     for v in vectors:
-        # min(v, v ^ b) clears b's leading bit when v has it set.
         for b in basis:
-            v = min(v, v ^ b)
+            if v ^ b < v:  # v has b's leading bit
+                v ^= b
         if v:
             top = 1 << (v.bit_length() - 1)
             basis = [b ^ v if b & top else b for b in basis]

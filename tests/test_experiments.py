@@ -1,12 +1,15 @@
 """Integration tests: every experiment runner executes and its paper-shape
-checks pass (fast mode where sweeps allow)."""
+checks pass (fast mode where sweeps allow), and its fast-mode rows equal
+the golden fixture (``tests/experiments_fixture.py``) bit for bit."""
 
 import pytest
+from experiments_fixture import load, pinned_rows
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 FAST_OK = sorted(EXPERIMENTS)
+GOLDEN = load()
 
 
 class TestRegistry:
@@ -49,6 +52,10 @@ def test_runner_fast_mode(eid):
     assert result.experiment_id == eid
     failed = [name for name, ok in result.checks.items() if not ok]
     assert not failed, f"{eid} shape checks failed: {failed}"
+    got, want = pinned_rows(result), GOLDEN[eid]
+    assert len(got) == len(want), f"{eid}: {len(got)} rows, fixture has {len(want)}"
+    for i, (row, pinned) in enumerate(zip(got, want)):
+        assert row == pinned, f"{eid} row {i} differs from tests/fixtures/experiments_fast.json"
 
 
 @pytest.mark.parametrize("eid", ["fig09", "fig10", "fig14"])

@@ -1,13 +1,13 @@
 """Property test: coset-built cold pricing equals two independent oracles.
 
 Cold GEMM pricing builds two N-independent tables per footprint: the
-``footprint`` record (work table, widest group, per-PIM blocks, critical
-PIM, column totals) and the critical PIM's per-group ``profile``.  Both
-are read off cosets of the GF(2) address map over Python ints: group
-sizes, rows and column sets from echelon bases, the critical PIM as the
-smallest active ID, and a loop over the critical PIM's first and second
-row walks for the naive gaps and row misses (the cadence is shared by
-every group).  The analysis' array views (grouping, rows, columns,
+``footprint`` record (the analysis: work table, widest group, per-PIM
+blocks, critical PIM, column totals) and the critical PIM's per-group
+``profile``.  Both are read off cosets of the GF(2) address map over
+Python ints: group sizes, rows and column sets from echelon bases, the
+critical PIM as the smallest active ID, one cadence histogram and one
+row-miss walk shared by every group, and each group's columns for the
+naive gaps.  The analysis' array views (grouping, rows, columns,
 per-group PIM IDs, column counts) are built from the same cosets.
 
 Two oracles check them.  The per-address oracle below is a
@@ -22,11 +22,11 @@ bits up to the ID width, power-of-two M and K and an aligned base, and
 every field must match both exactly (the profile's per-access fields are
 tuples of floats; the oracles' arrays are compared as such).
 
-A search candidate (``executor._Candidate``) reads the footprint totals
-its bound needs from three GF(2) ranks instead of the record; a second
-property checks every such constant against the enumerated record over
-every preset mapping, PAE-randomized variants, every level and aligned
-non-zero bases.
+A search candidate (``executor._Candidate``) takes the footprint totals
+its bound needs from its analysis' GF(2) ranks; a second property checks
+every such constant against the enumerated record (the work table) and
+the per-address oracle over every preset mapping, PAE-randomized
+variants, every level and aligned non-zero bases.
 
 CI replays both under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
@@ -188,6 +188,18 @@ def _oracle_footprint(fa):
     )
 
 
+def _record(fa):
+    """The analysis' footprint record: its work table and totals."""
+    return dict(
+        work=fa.work,
+        max_group_cols=fa.group_cols,
+        blocks_per_pim=fa.blocks_per_pim(),
+        critical_pim=fa.critical_pim,
+        total_cols=fa.total_cols,
+        total_blocks=fa.total_blocks,
+    )
+
+
 def _oracle_row_misses(fa, mapping, rows, cols):
     """Steady-state row misses of one group: misses of the second row's
     walk after the first, found by a stable sort on the bank alone."""
@@ -288,8 +300,9 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
         plan = plan_gemm(CFG, mapping, GemmShape(m, k, n), level, base=base, pinned_id_bits=pinned)
     except ScratchpadInfeasible:
         return
-    fa, record = plan.analysis, plan.footprint
+    fa = plan.analysis
     oracle = _oracle_footprint(fa)
+    record = _record(fa)
 
     # The grouping, rows and columns the matrix evaluation reads.
     raw, row_groups = _oracle_grouping(fa)
@@ -302,10 +315,8 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
         assert fa.col_counts[grp, pim] == len(cols)
 
     # The footprint record.
-    for name in ("work", "max_group_cols", "blocks_per_pim", "critical_pim", "total_cols",
-                 "total_blocks"):
-        assert _same(getattr(record, name), oracle[name]), name
-    assert fa.blocks_per_pim() == oracle["blocks_per_pim"]
+    for name, value in record.items():
+        assert _same(value, oracle[name]), name
 
     # The whole-array oracle: the views and the record.
     arr = array_footprint(fa)
@@ -317,13 +328,12 @@ def test_whole_array_pricing_equals_oracle(fp, timing, n):
         assert _same(fa.rows_of_group(grp), rows)
     assert _same(fa.group_pim_ids, arr["group_pim_ids"])
     assert _same(fa.col_counts, arr["col_counts"])
-    for name in ("work", "max_group_cols", "blocks_per_pim", "critical_pim", "total_cols",
-                 "total_blocks"):
-        assert _same(getattr(record, name), arr[name]), name
+    for name, value in record.items():
+        assert _same(value, arr[name]), name
 
     # The critical PIM's profile, field by field, against both oracles.
     t = TIMINGS[timing]
-    profile = _gemm_profile(t, plan.footprint, plan.unit)
+    profile = _gemm_profile(t, fa, plan.unit)
     want = _oracle_profile(t, plan.unit, fa, oracle)
     arrays = array_profile(t, fa, plan.unit)
     assert len(profile) == len(want) == len(arrays)
@@ -395,17 +405,19 @@ def rank_footprints(draw):
 def test_candidate_rank_constants_equal_the_record(fp):
     mapping, level, pinned, m, k, base = fp
     PRICING_MEMO.clear()
-    cand = _Candidate(CFG, mapping, level, CFG.unit(level), m, k, base, pinned)
-    assert PRICING_MEMO.size("footprint") == 0  # built on first read only
-    record = cand.footprint()
-    crit = record.critical_pim
-    assert cand.n_pims == len(record.work)
-    assert cand.crit_blocks == record.blocks_per_pim[crit] == max(record.blocks_per_pim.values())
-    assert cand.crit_cols == sum(w.n_cols for w in record.work[crit])
-    assert cand.max_group_cols == record.max_group_cols
-    assert cand.total_cols == record.total_cols
+    fa = FootprintAnalysis(mapping, level, m, k, base, CFG.word_bytes, pinned)
+    cand = _Candidate(CFG, CFG.unit(level), fa)
+    assert PRICING_MEMO.size("footprint") == 0  # joins the memo on first read only
+    assert cand.footprint() is fa
+    record, crit = _record(fa), fa.critical_pim
+    assert cand.n_pims == len(record["work"])
+    blocks = record["blocks_per_pim"]
+    assert cand.crit_blocks == blocks[crit] == max(blocks.values())
+    assert cand.crit_cols == sum(w.n_cols for w in record["work"][crit])
+    assert cand.max_group_cols == record["max_group_cols"]
+    assert cand.total_cols == record["total_cols"]
     # The per-address oracle agrees on these totals.
-    oracle = _oracle_footprint(record.analysis)
+    oracle = _oracle_footprint(fa)
     assert cand.n_pims == len(oracle["work"])
     assert cand.crit_blocks == oracle["blocks_per_pim"][oracle["critical_pim"]]
     assert cand.crit_cols == oracle["cols_per_pim"][oracle["critical_pim"]]
@@ -427,7 +439,7 @@ def _phase(config, level, n, monkeypatch, calls):
     monkeypatch.setattr(executor, "stepstone_iteration_counts", counting)
     PRICING_MEMO.clear()
     plan = plan_gemm(config, MAPPINGS["skylake"], GemmShape(1024, 1024, n), level)
-    return _gemm_phase_cycles(_plan_candidate(config, plan), plan.footprint, n, "stepstone", True)
+    return _gemm_phase_cycles(_plan_candidate(config, plan), plan.analysis, n, "stepstone", True)
 
 
 def test_zero_stall_closed_form_engages_at_exactly_three_cycles(monkeypatch):

@@ -136,7 +136,7 @@ class TestPlanner:
         assert plan.direct_scratchpad
         res = execute_plan(cfg, plan)
         assert res.breakdown.fill_b == res.breakdown.fill_c == res.breakdown.drain_c == 0.0
-        assert res.pim_dram_blocks == plan.footprint.total_blocks  # the GEMM walk alone
+        assert res.pim_dram_blocks == plan.analysis.total_blocks  # the GEMM walk alone
 
     def test_pinning_halves_pims_and_groups(self, cfg, sky):
         full = plan_gemm(cfg, sky, GemmShape(1024, 4096, 16), PimLevel.BANKGROUP)

@@ -11,6 +11,9 @@ autoscaler resets, report building), and a ``GenerativeEngine``
 checks its slot count, KV budget and policy when it is built.  The streaming sketches reject
 NaN and infinite observations the same way, leaving their state as it
 was: a NaN among the values used to shift every later percentile.
+Elastic fleets and autoscale policies check their intervals, times,
+bandwidths and capacities when built, and window rings their roll
+times before any change.
 """
 
 import math
@@ -414,6 +417,79 @@ def test_window_ring_rejects_non_finite_before_rolling(x):
         assert (len(ring._closed), ring._open.start_s, ring._open.count) == (0, 0.0, 1)
 
 
+@pytest.mark.parametrize("t", NON_FINITE)
+def test_window_ring_rejects_non_finite_times_and_changes_nothing(t):
+    """A NaN roll used to start the next window at NaN, hiding every
+    earlier completion from window queries; a NaN stamp on an
+    auto-rolling ring skipped its roll."""
+    auto, explicit = WindowRing(window_s=1.0), WindowRing()
+    for ring in (auto, explicit):
+        ring.add(0.5, 0.2)
+    calls = [
+        (auto, lambda: auto.add(1.0, t)),
+        (auto, lambda: auto.add_many([1.0, 2.0], t)),
+        (auto, lambda: auto.roll(t)),
+        (explicit, lambda: explicit.roll(t)),
+    ]
+    for ring, call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+        assert (len(ring._closed), ring._open.start_s, ring._open.count) == (0, 0.0, 1)
+        assert ring.window_count(0.0, 1.0) == 1
+
+
+@pytest.mark.parametrize("record", ["full", "streaming"])
+@pytest.mark.parametrize("t", NON_FINITE)
+def test_recorder_roll_window_rejects_non_finite_times(t, record):
+    run = MetricsRecorder(record=record)
+    with pytest.raises(ValueError, match="finite"):
+        run.roll_window(t)
+    if run.ring is not None:
+        assert (len(run.ring._closed), run.ring._open.start_s) == (0, 0.0)
+
+
+_FLEET_FIELDS = ["control_interval_s", "provision_base_s", "copy_gbps"]
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+@pytest.mark.parametrize("field", _FLEET_FIELDS)
+def test_elastic_fleets_reject_non_finite_parameters(field, x):
+    """``nan <= 0`` is False: a NaN control interval scheduled no control
+    tick (a run of 3,000 BERT requests returned no samples and a peak
+    fleet of 0), and a NaN provisioning time or copy bandwidth failed in
+    the middle of the run.  Both fleets now name the field when built."""
+    from repro.autoscale import HeteroElasticCluster, NodePool
+    from repro.serving import STEPSTONE_NODE
+
+    with pytest.raises(ValueError, match="finite"):
+        ElasticCluster(models=["BERT"], **{field: x})
+    pools = {"stepstone": NodePool(spec=STEPSTONE_NODE, min_nodes=1, initial_nodes=1)}
+    with pytest.raises(ValueError, match="finite"):
+        HeteroElasticCluster(pools, models=["BERT"], **{field: x})
+
+
+@pytest.mark.parametrize("x", NON_FINITE)
+def test_autoscale_policies_reject_non_finite_capacities(x):
+    from repro.autoscale import (
+        BaselineBurstPolicy,
+        PredictiveTracePolicy,
+        TargetUtilizationPolicy,
+    )
+
+    trace = ConstantTrace(100.0)
+    builds = [
+        lambda: TargetUtilizationPolicy(capacity_rps=x),
+        lambda: PredictiveTracePolicy(trace, capacity_rps=x, lookahead_s=1.0),
+        lambda: PredictiveTracePolicy(trace, capacity_rps=50.0, lookahead_s=x),
+        lambda: PredictiveTracePolicy(trace, capacity_rps=50.0, lookahead_s=1.0, headroom=x),
+        lambda: BaselineBurstPolicy("a", "b", 1, baseline_capacity_rps=x, burst_capacity_rps=1.0),
+        lambda: BaselineBurstPolicy("a", "b", 1, baseline_capacity_rps=1.0, burst_capacity_rps=x),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf])
 def test_streaming_recorder_rejects_non_finite_latency(x):
     """Every level of a streaming chain stays as it was."""
@@ -448,8 +524,8 @@ _FOOTPRINT = 1024 * 4096 * 4  # a 1024 x 4096 fp32 weight matrix
 def test_footprint_base_outside_dram_is_rejected(base):
     """``code()`` masks addresses to the capacity, so an out-of-range base
     would price low memory under its own memo key; the analysis, the
-    search candidate (which never builds an analysis when pruned) and
-    ``execute_gemm`` all name the base instead."""
+    search candidate built on it and ``execute_gemm`` all name the base
+    instead."""
     from repro.core.config import StepStoneConfig
     from repro.core.executor import _Candidate, execute_gemm
     from repro.core.gemm import GemmShape
@@ -463,7 +539,7 @@ def test_footprint_base_outside_dram_is_rejected(base):
     with pytest.raises(ValueError, match=match):
         FootprintAnalysis(sky, level, 1024, 4096, base=base)
     with pytest.raises(ValueError, match=match):
-        _Candidate(cfg, sky, level, cfg.unit(level), 1024, 4096, base, 0)
+        _Candidate(cfg, cfg.unit(level), FootprintAnalysis(sky, level, 1024, 4096, base, 4, 0))
     with pytest.raises(ValueError, match=match):
         execute_gemm(cfg, sky, GemmShape(1024, 4096, 4), level, base=base)
 

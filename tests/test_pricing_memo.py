@@ -9,12 +9,16 @@ an O(groups) per-N evaluation.  These tests pin the contract:
   exactly like a cleared memo (differential);
 * keys are value-based hardware identities: equal hardware shares
   entries, a different mapping, timing or unit never does;
-* hits and misses are counted on the telemetry bus only while it is on.
+* hits and misses are counted on the telemetry bus only while it is on;
+* a cold search builds each N-independent fact once: three GF(2)
+  eliminations per candidate, one evaluation per distinct partitioning
+  and per distinct fill stream.
 """
 
 import copy
 import itertools
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -204,7 +208,7 @@ def test_gemm_phase_matches_per_access_reference(cfg, mapping_name, level):
             continue
         for agen, full_gaps in (("stepstone", True), ("naive", True), ("naive", False)):
             cand = _plan_candidate(c, plan)
-            got = _gemm_phase_cycles(cand, plan.footprint, n, agen, full_gaps)
+            got = _gemm_phase_cycles(cand, plan.analysis, n, agen, full_gaps)
             assert got == _reference_gemm_phase(c, plan, agen, full_gaps), (m, k, n, agen)
 
 
@@ -340,6 +344,54 @@ def test_clear_drops_every_table_so_cold_runs_stay_cold(cfg):
     for choice in (warm, recold):
         assert (choice.level, choice.pinned_id_bits) == (cold.level, cold.pinned_id_bits)
         assert choice.result.breakdown.as_dict() == cold.result.breakdown.as_dict()
+
+
+# --------------------------------------------------------------------- #
+# Cold pricing builds each N-independent fact once
+# --------------------------------------------------------------------- #
+
+
+def test_cold_search_builds_each_fact_once(monkeypatch):
+    """The cold fleet benchmark's models (BERT, XLM, DLRM and GPT2 on the
+    hybrid policy) at widths 1-8: every candidate's analysis costs three
+    eliminations and nothing else eliminates, and every partitioning and
+    fill stream is evaluated once for each distinct argument tuple."""
+    from repro.core import executor
+    from repro.mapping import analysis
+    from repro.serving import OnlineServingEngine
+    from repro.utils import bits
+
+    engine = OnlineServingEngine()  # its mapping's own check eliminates once
+    calls = {"echelon": 0}
+    partitions, streams = Counter(), Counter()
+    real_echelon, real_partition = bits.gf2_echelon, executor._partition
+    real_stream = executor.sequential_stream_cycles
+
+    def echelon(vectors):
+        calls["echelon"] += 1
+        return real_echelon(vectors)
+
+    def partition(*args):
+        partitions[args] += 1
+        return real_partition(*args)
+
+    def stream(*args):
+        streams[args] += 1
+        return real_stream(*args)
+
+    for module in (bits, analysis):
+        monkeypatch.setattr(module, "gf2_echelon", echelon)
+    monkeypatch.setattr(executor, "_partition", partition)
+    monkeypatch.setattr(executor, "sequential_stream_cycles", stream)
+    PRICING_MEMO.clear()
+    for model in ("BERT", "XLM", "DLRM", "GPT2"):
+        for batch in range(1, 9):
+            engine.batch_latency(model, "hybrid", batch)
+    n_candidates = sum(map(len, PRICING_MEMO._tables["candidates"].values()))
+    assert n_candidates > 0 and len(partitions) > n_candidates and streams
+    assert calls["echelon"] == 3 * n_candidates
+    assert set(partitions.values()) == {1}
+    assert set(streams.values()) == {1}
 
 
 # --------------------------------------------------------------------- #

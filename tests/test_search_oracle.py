@@ -106,10 +106,11 @@ def volume_bound(cand, n, flow):
     """The bound before it took the partitioning: exact localization and
     reduction, one launch per active PIM, the GEMM phase at its cadence
     floor, and no fill or drain."""
+    u = cand.costs
     localization, reduction, _, _ = _offchip_cycles(cand, n, flow)
-    per_block = max(cand.unit.compute_cycles_per_block(n), cand.cadence_floor)
-    gemm = cand.crit_blocks * per_block * cand.refresh
-    launch = cand.n_pims * cand.launch_cycles / cand.channels
+    per_block = max(u.unit.compute_cycles_per_block(n), u.cadence_floor)
+    gemm = cand.crit_blocks * per_block * u.refresh
+    launch = cand.n_pims * u.launch_cycles / u.channels
     return (gemm + launch + localization + reduction) * _SHAVE
 
 
