@@ -184,7 +184,6 @@ class AutoscaleReport(_FleetReport):
     events_processed: int = 0
     #: The run-wide recorder of a streaming run (``None`` on full runs).
     stats: Optional[MetricsRecorder] = None
-    _lat_memo: tuple = field(default=(-1, ()), repr=False, compare=False)
 
     def _nodes(self):
         return self.node_reports.values()

@@ -41,8 +41,7 @@ from repro.serving.engine import (
     ServingReport,
 )
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
-from repro.sim.metrics import nearest_rank, window_latencies
-from repro.sim.stats import MetricsRecorder, RecordingModeError
+from repro.sim.stats import MetricsRecorder
 
 if TYPE_CHECKING:
     from repro.sim.failures import FailureTrace
@@ -54,13 +53,21 @@ class _FleetReport:
     """Fleet-wide serving answers shared by the fleet reports.
 
     Aggregates the per-node :class:`~repro.serving.engine.ServingReport`\\ s
-    (``_nodes()``) plus the unrouted-arrival drops.  Subclasses are
-    dataclasses carrying ``node_reports``, ``dropped``, ``n_dropped``,
-    ``stats``, ``last_arrival_s`` and ``_lat_memo``.
+    (``_nodes()``) plus the unrouted-arrival drops.  Every latency query
+    asks one recorder (:meth:`_recorder`).  Subclasses are dataclasses
+    carrying ``node_reports``, ``dropped``, ``n_dropped``, ``stats`` and
+    ``last_arrival_s``.
     """
 
     def _nodes(self) -> Iterable[ServingReport]:
         return self.node_reports
+
+    def _recorder(self) -> MetricsRecorder:
+        """The run recorder of a streaming run; on a full run, the node
+        recorders' columns merged at read time, in node order."""
+        if self.stats is not None:
+            return self.stats
+        return MetricsRecorder.merged(rep.stats for rep in self._nodes())
 
     @property
     def record(self) -> str:
@@ -70,14 +77,10 @@ class _FleetReport:
         return "full"
 
     @property
-    def _streaming(self) -> bool:
-        return self.stats is not None and self.stats.record == "streaming"
-
-    @property
     def completed(self) -> List[CompletedRequest]:
         """Every completed request across the fleet (node order;
         ``record="full"`` only)."""
-        return [c for rep in self._nodes() for c in rep.completed]
+        return self._recorder().completed
 
     @property
     def rejected(self) -> List[RejectedRequest]:
@@ -128,23 +131,9 @@ class _FleetReport:
 
     @property
     def latencies_s(self) -> List[float]:
-        """Fleet-wide completed latencies, ascending (memoized per node
-        mutation; ``record="full"`` only)."""
-        if self._streaming:
-            raise RecordingModeError(
-                "the fleet latency list is unavailable in streaming mode — "
-                "use latency_percentile(); re-run with record='full' for "
-                "per-request records"
-            )
-        # Memo key covers every node list's mutation counter, so a
-        # same-length in-place edit still invalidates (the bug the
-        # len-only memo had).
-        key = (self.served, sum(rep.completed.version for rep in self._nodes()))
-        version, memo = self._lat_memo
-        if version != key:
-            memo = sorted(c.latency_s for c in self.completed)
-            self._lat_memo = (key, memo)
-        return memo
+        """Fleet-wide completed latencies, ascending (``record="full"``
+        only)."""
+        return self._recorder().latencies_s
 
     def latency_percentile(self, q: float) -> float:
         """Percentile of fleet-wide completed latency: exact nearest-rank
@@ -156,18 +145,14 @@ class _FleetReport:
         Returns:
             Latency seconds (NaN when nothing completed).
         """
-        if self._streaming:
-            return self.stats.percentile(q)
-        return nearest_rank(self.latencies_s, q)
+        return self._recorder().percentile(q)
 
     def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
         """Fleet-wide latency percentile over completions finishing in
         ``[start_s, end_s)``; NaN when the window saw none.  Exact on
         full runs, answered from the fleet recorder's window ring on
         streaming runs."""
-        if self._streaming:
-            return self.stats.window_percentile(q, start_s, end_s)
-        return nearest_rank(window_latencies(self.completed, start_s, end_s), q)
+        return self._recorder().window_percentile(q, start_s, end_s)
 
     @property
     def p50_s(self) -> float:
@@ -224,11 +209,9 @@ class ClusterReport(_FleetReport):
     #: Kernel events this run processed (simulator diagnostics).
     events_processed: int = 0
     #: The fleet-level recorder of a streaming run (``None`` on full runs,
-    #: where exact statistics come from the per-request records instead).
+    #: where exact statistics come from the node recorders' merged
+    #: columns instead).
     stats: Optional[MetricsRecorder] = None
-    _lat_memo: tuple = field(
-        default=(-1, ()), repr=False, compare=False
-    )
 
     @property
     def throughput_rps(self) -> float:

@@ -163,7 +163,7 @@ class ClusterNode:
             )
             spans = self.obs_spans
             for r in rejected:
-                self.report.record_rejection(
+                self.report.stats.record_rejection(
                     RejectedRequest(request=r, rejected_at_s=clock)
                 )
                 if spans is not None:
@@ -273,7 +273,7 @@ class ClusterNode:
                     model=self.in_flight[0].model,
                 )
             for r in self.in_flight:
-                self.report.record_failure(
+                self.report.stats.record_failure(
                     FailedRequest(
                         request=r,
                         failed_at_s=clock,
@@ -291,7 +291,7 @@ class ClusterNode:
                         model=r.model,
                     )
         for r in self.queue:
-            self.report.record_failure(
+            self.report.stats.record_failure(
                 FailedRequest(
                     request=r,
                     failed_at_s=clock,

@@ -16,11 +16,10 @@ small-batch thesis) actually argue about:
 * **tokens/s** — emitted tokens per simulated second, the goodput that
   divides into :meth:`GenReport.cost_per_1k_tokens` for the economics.
 
-Accumulation rides PR 6's streaming primitives
-(:class:`~repro.sim.stats.StreamStats` sketches, a
-:class:`~repro.sim.stats.VersionedList` in full mode): ``record="full"``
-keeps per-sequence :class:`GenCompletion` records, ``record="streaming"``
-keeps only the flat-memory aggregates and raises
+TTFT and ITL accumulate in :class:`~repro.sim.stats.StreamStats`
+sketches in both modes.  ``record="full"`` also keeps the per-sequence
+:class:`GenCompletion` records in a plain append-only list;
+``record="streaming"`` keeps only the flat-memory aggregates and raises
 :class:`~repro.sim.stats.RecordingModeError` on per-sequence access —
 counts, means, and TTFT answers match full mode exactly (percentiles are
 sketched past the exact reservoir).
@@ -33,7 +32,7 @@ from typing import List, Optional
 
 from repro.genai.workload import GenRequest
 from repro.serving.nodespec import NodeSpec
-from repro.sim.stats import RecordingModeError, StreamStats, VersionedList
+from repro.sim.stats import RecordingModeError, StreamStats
 
 __all__ = ["GenCompletion", "GenRejection", "GenReport"]
 
@@ -111,8 +110,8 @@ class GenReport:
         self._ttft = StreamStats()
         self._itl = StreamStats()
         self._rejected = 0
-        self._completions: Optional[VersionedList] = (
-            VersionedList() if record == "full" else None
+        self._completions: Optional[List[GenCompletion]] = (
+            [] if record == "full" else None
         )
 
     def __repr__(self) -> str:

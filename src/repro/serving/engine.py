@@ -154,12 +154,13 @@ class ServingReport:
     """Latency distribution and sustained throughput of one policy run.
 
     All accumulation goes through one shared
-    :class:`~repro.sim.stats.MetricsRecorder`: ``record="full"`` (the
-    default) keeps exact per-request lists, ``record="streaming"`` keeps
-    only flat-memory aggregates — the per-request list properties
-    (``completed``, ``latencies_s``, ...) then raise
-    :class:`~repro.sim.stats.RecordingModeError` instead of silently
-    returning nothing.
+    :class:`~repro.sim.stats.MetricsRecorder`, ``stats``, which the
+    kernel's FINISH, admission and failure paths record into:
+    ``record="full"`` (the default) keeps exact per-request columns,
+    ``record="streaming"`` keeps only flat-memory aggregates — the
+    per-request list properties (``completed``, ``latencies_s``, ...)
+    then raise :class:`~repro.sim.stats.RecordingModeError` instead of
+    silently returning nothing.
     """
 
     def __init__(
@@ -200,28 +201,13 @@ class ServingReport:
         )
 
     # ------------------------------------------------------------------ #
-    # Recording (the kernel's FINISH/admission/failure paths)
-    # ------------------------------------------------------------------ #
-
-    def record_completion(self, c: "CompletedRequest") -> None:
-        """Record one served request."""
-        self.stats.record_completion(c)
-
-    def record_rejection(self, r: "RejectedRequest") -> None:
-        """Record one admission-rejected request."""
-        self.stats.record_rejection(r)
-
-    def record_failure(self, f: "FailedRequest") -> None:
-        """Record one failure-lost request."""
-        self.stats.record_failure(f)
-
-    # ------------------------------------------------------------------ #
     # Per-request access (full mode; streaming raises)
     # ------------------------------------------------------------------ #
 
     @property
     def completed(self) -> List[CompletedRequest]:
-        """Per-request completion records (``record="full"`` only)."""
+        """Per-request completion records, built on each read
+        (``record="full"`` only)."""
         return self.stats.completed
 
     @property
@@ -236,9 +222,9 @@ class ServingReport:
 
     @property
     def latencies_s(self) -> List[float]:
-        """Completed-request latencies, sorted (memoized per mutation;
-        ``record="full"`` only — streaming mode answers percentiles from
-        the sketch instead)."""
+        """Completed-request latencies, sorted (memoized per completion
+        count; ``record="full"`` only — streaming mode answers
+        percentiles from the sketch instead)."""
         return self.stats.latencies_s
 
     # ------------------------------------------------------------------ #
@@ -631,7 +617,7 @@ class OnlineServingEngine:
         — the same contract the fleet simulators obey.
 
         ``record="streaming"`` accumulates flat-memory aggregates instead
-        of per-request lists (see :class:`~repro.sim.stats.MetricsRecorder`).
+        of per-request columns (see :class:`~repro.sim.stats.MetricsRecorder`).
 
         ``obs`` takes an optional :class:`~repro.obs.RunObserver`: spans
         land as ``queued``/``serve``/``rejected`` per request plus one

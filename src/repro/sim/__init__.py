@@ -37,7 +37,6 @@ __all__ = [
     "Outage",
     "FailureTrace",
     "RecordingModeError",
-    "VersionedList",
     "P2Quantile",
     "QuantileSketch",
     "StreamStats",
@@ -59,8 +58,7 @@ __getattr__, __dir__ = lazy_exports(
             "QuantileSketch",
             "RecordingModeError",
             "StreamStats",
-            "VersionedList",
-            "WindowRing",
+                    "WindowRing",
         ),
         "sweep": ("SweepResult", "run_sweep"),
     },

@@ -1,21 +1,21 @@
-"""The streaming statistics core under every report layer.
+"""The statistics core under every report layer.
 
-Before this module each report layer (the single-node
+Every report layer (the single-node
 :class:`~repro.serving.engine.ServingReport`, the fleet's
-``ClusterReport``, the autoscaler's ``AutoscaleReport``, and the mixed
-fleet's ``HeteroAutoscaleReport``) accumulated a per-request
-``CompletedRequest`` list and sorted it to answer percentile queries —
-memory and sort cost grew linearly with traffic, a hard wall before
-datacenter-scale runs.  This module is the one accumulation contract all
-of them now share: a :class:`MetricsRecorder` fed by the sim kernel's
-``FINISH`` path, in one of two modes.
+``ClusterReport``, the autoscaler's ``AutoscaleReport`` and the mixed
+fleet's ``HeteroAutoscaleReport``) answers its latency queries from one
+:class:`MetricsRecorder` fed by the sim kernel's ``FINISH`` path, in one
+of two modes.
 
-* ``record="full"`` (the default, and the golden-trace contract): every
-  per-request record is kept, percentiles are *exact* nearest-rank over
-  the sorted latencies, and behavior is bit-for-bit what the
-  pre-refactor reports produced.  The right mode for small runs,
-  debugging, and regression fixtures.
-* ``record="streaming"`` (the scale mode): no per-request list exists
+* ``record="full"`` (the default, and the golden-trace contract): the
+  recorder keeps append-only columns, one entry per completed request:
+  the request, its dispatch and finish times, its batch size and its
+  latency (``finish_s - arrival_s``, computed once at ingestion).
+  Percentiles are *exact* nearest-rank over the sorted latency column;
+  ``CompletedRequest`` records are built only when a caller reads
+  ``completed``.  The right mode for small runs, debugging and
+  regression fixtures.
+* ``record="streaming"`` (the scale mode): no per-request column exists
   anywhere.  Latencies stream through a :class:`QuantileSketch` (exact
   nearest-rank up to a fixed reservoir, then P²-style markers), counts
   and means are incremental, and windowed percentiles come from a
@@ -51,10 +51,11 @@ give, so no answer depends on where the chunk boundaries fell.
 
 Observations must be finite: ``QuantileSketch.add``, ``add_many`` and
 ``add_run`` (and so every :class:`StreamStats`, :class:`WindowRing` and
-streaming :class:`MetricsRecorder` call) raise ``ValueError`` on NaN or
-infinity and leave the sketch as it was, since a NaN compares false
-against every marker and would corrupt every later percentile.  A batch
-pays one ``math.isfinite`` test of a sum, not one per value.
+:class:`MetricsRecorder` call, in both modes) raise ``ValueError`` on
+NaN or infinity and leave the sketch or recorder as it was, since a NaN
+compares false against every marker and would corrupt every later
+percentile.  A batch pays one ``math.isfinite`` test of a sum, not one
+per value.
 
 The elastic fleets roll every streaming recorder's ring, node and pool
 alike, at each control tick, so windows are control intervals at every
@@ -69,15 +70,14 @@ import math
 from array import array
 from functools import reduce
 from itertools import repeat
-from operator import add
+from operator import add, sub
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.sim.metrics import nearest_rank, window_latencies
+from repro.sim.metrics import nearest_rank
 
 __all__ = [
     "DEFAULT_QUANTILES",
     "RecordingModeError",
-    "VersionedList",
     "P2Quantile",
     "QuantileSketch",
     "StreamStats",
@@ -106,79 +106,9 @@ DEFAULT_RING_DEPTH = 4096
 class RecordingModeError(RuntimeError):
     """Raised when per-request data is asked of a streaming recorder.
 
-    Streaming mode keeps aggregates only; the per-request lists the
-    pre-refactor reports exposed simply do not exist.  Re-run with
-    ``record="full"`` to get them back.
+    Streaming mode keeps aggregates only; no per-request column exists.
+    Re-run with ``record="full"`` to get them.
     """
-
-
-class VersionedList(list):
-    """A list that counts its mutations — the cache-invalidation key.
-
-    ``ServingReport.latencies_s`` used to memoize its sorted copy and
-    rebuild only when ``len(completed)`` changed, so a *same-length*
-    mutation (replacing an element) served stale percentiles.  Keying
-    the memo on :attr:`version` instead invalidates on every mutation,
-    whichever method performed it.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, iterable=()) -> None:
-        super().__init__(iterable)
-        self.version = 0
-
-    def _bump(self) -> None:
-        self.version += 1
-
-    def append(self, item) -> None:
-        """Append ``item`` and invalidate any memoized view."""
-        super().append(item)
-        self._bump()
-
-    def extend(self, iterable) -> None:
-        """Extend and invalidate any memoized view."""
-        super().extend(iterable)
-        self._bump()
-
-    def insert(self, index, item) -> None:
-        """Insert and invalidate any memoized view."""
-        super().insert(index, item)
-        self._bump()
-
-    def pop(self, index=-1):
-        """Pop and invalidate any memoized view."""
-        out = super().pop(index)
-        self._bump()
-        return out
-
-    def remove(self, item) -> None:
-        """Remove and invalidate any memoized view."""
-        super().remove(item)
-        self._bump()
-
-    def clear(self) -> None:
-        """Clear and invalidate any memoized view."""
-        super().clear()
-        self._bump()
-
-    def sort(self, **kwargs) -> None:
-        """Sort in place and invalidate any memoized view."""
-        super().sort(**kwargs)
-        self._bump()
-
-    def __setitem__(self, index, value) -> None:
-        super().__setitem__(index, value)
-        self._bump()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._bump()
-
-    def __iadd__(self, other):
-        out = super().__iadd__(other)
-        self._bump()
-        return out
 
 
 class P2Quantile:
@@ -391,8 +321,8 @@ class QuantileSketch:
     """Exact nearest-rank up to a reservoir limit, P² markers beyond it.
 
     The two regimes give both worlds: small runs (and small windows) pay
-    nothing for approximation — answers are the exact nearest-rank the
-    pre-refactor lists produced — while long streams hold O(1) memory.
+    nothing for approximation — answers are the exact nearest-rank that
+    full recording gives — while long streams hold O(1) memory.
     At the spill instant the exact reservoir seeds one
     :class:`P2Quantile` per tracked quantile, so the markers start on
     target instead of on the first five observations.
@@ -895,7 +825,10 @@ class WindowRing:
             # Snap the boundary to the width grid so sparse streams
             # don't accumulate one giant window.
             periods = math.floor((t - self._open.start_s) / self.window_s)
-            self.roll(self._open.start_s + periods * self.window_s)
+            start = self._open.start_s + periods * self.window_s
+            while t >= start + self.window_s:  # the division rounded down
+                start += self.window_s
+            self.roll(start)
 
     def roll(self, t: float) -> None:
         """Close the open window at ``t`` and start a new one there.
@@ -978,32 +911,40 @@ class WindowRing:
 class MetricsRecorder:
     """The one metrics-accumulation contract every report layer shares.
 
-    The sim kernel's ``FINISH`` path (and the admission/failure paths)
-    call :meth:`record_completion` or, once per batch,
-    :meth:`record_batch` / :meth:`record_rejection` /
-    :meth:`record_failure`; reports answer every query from here.
+    The sim kernel's ``FINISH`` path calls :meth:`record_batch` once per
+    finished batch, and the admission and failure paths call
+    :meth:`record_rejection` and :meth:`record_failure`; reports answer
+    every query from here.
 
-    * ``record="full"`` keeps per-request records in
-      :class:`VersionedList`\\ s and computes exact statistics from them
-      on demand — the pre-refactor behavior, bit for bit.
+    * ``record="full"`` keeps five append-only columns, one entry per
+      completed request: the request, ``dispatch_s``, ``finish_s``,
+      ``batch`` and the latency.  Exact percentiles sort the latency
+      column (memoized on the completion count, a sound key because the
+      columns only grow), window percentiles filter it on the finish
+      column, and ``completed`` builds its ``CompletedRequest`` records
+      on read.  :meth:`merged` concatenates several recorders' columns
+      into one, which is how a full-mode fleet answers fleet-wide.
     * ``record="streaming"`` keeps only aggregates: counters, running
       sums, a latency :class:`QuantileSketch`, and a :class:`WindowRing`
-      of per-window sub-sketches.  The per-request list properties
-      raise :class:`RecordingModeError`.
+      of per-window sub-sketches.  The per-request properties raise
+      :class:`RecordingModeError`.
 
-    A recorder may chain to a ``parent``: fleets give each node a
-    recorder whose parent is the pool/fleet recorder, so one completion
-    recorded at the node updates every aggregation level — that is the
-    "one shared metrics core fed by the FINISH path".
+    A recorder may chain to a ``parent``: streaming fleets give each
+    node a recorder whose parent is the pool or run recorder, so one
+    batch recorded at the node updates every aggregation level.
     """
 
     __slots__ = (
         "record",
         "parent",
-        "_completed",
+        "_requests",
+        "_dispatch",
+        "_finish",
+        "_batch",
+        "_lat",
+        "_sorted",
         "_rejected",
         "_failed",
-        "_lat_memo",
         "n_completed",
         "n_rejected",
         "n_failed",
@@ -1026,7 +967,7 @@ class MetricsRecorder:
         """Create an empty recorder.
 
         Args:
-            record: ``"full"`` (exact per-request lists) or
+            record: ``"full"`` (exact per-request columns) or
                 ``"streaming"`` (flat-memory aggregates).
             window_s: Auto-roll width of the streaming window ring;
                 ``None`` rolls only on explicit :meth:`roll_window`
@@ -1048,15 +989,23 @@ class MetricsRecorder:
         self.n_completed = 0
         self.n_rejected = 0
         self.n_failed = 0
-        self._lat_memo: Tuple[int, List[float]] = (-1, [])
         if record == "full":
-            self._completed: Optional[VersionedList] = VersionedList()
-            self._rejected: Optional[VersionedList] = VersionedList()
-            self._failed: Optional[VersionedList] = VersionedList()
+            self._requests: Optional[list] = []
+            self._dispatch: Optional[List[float]] = []
+            self._finish: Optional[List[float]] = []
+            self._batch: Optional[List[int]] = []
+            # Latencies are the one column of per-request floats (the
+            # others repeat one object per batch), so they pack into an
+            # array at 8 bytes each.
+            self._lat: Optional[array] = array("d")
+            self._sorted: Tuple[int, List[float]] = (0, [])
+            self._rejected: Optional[list] = []
+            self._failed: Optional[list] = []
             self.latency = None
             self.ring = None
         else:
-            self._completed = self._rejected = self._failed = None
+            self._requests = self._dispatch = self._finish = self._batch = None
+            self._lat = self._rejected = self._failed = None
             self.latency = StreamStats(quantiles, exact_limit)
             self.ring = WindowRing(
                 window_s=window_s,
@@ -1067,34 +1016,46 @@ class MetricsRecorder:
         self._service_sum = 0.0
         self._batch_sum = 0.0
 
+    @classmethod
+    def merged(cls, recorders: Iterable["MetricsRecorder"]) -> "MetricsRecorder":
+        """One full-mode recorder holding ``recorders``' records
+        concatenated in the given order (a fleet's node order).
+
+        Raises:
+            RecordingModeError: If any recorder is a streaming one.
+        """
+        out = cls()
+        for rec in recorders:
+            rec._require_full("merging per-request columns")
+            out._requests += rec._requests
+            out._dispatch += rec._dispatch
+            out._finish += rec._finish
+            out._batch += rec._batch
+            out._lat += rec._lat
+            out._rejected += rec._rejected
+            out._failed += rec._failed
+            out.n_completed += rec.n_completed
+            out.n_rejected += rec.n_rejected
+            out.n_failed += rec.n_failed
+        return out
+
     # ------------------------------------------------------------------ #
     # The recording contract (the FINISH/admission/failure paths)
     # ------------------------------------------------------------------ #
 
     def record_completion(self, c) -> None:
-        """Record one completed request.
+        """Record one completed request, as :meth:`record_batch` of
+        ``c.request`` alone would, but with ``c``'s own batch size.
 
         Args:
-            c: An object with ``latency_s``, ``queue_s``, ``service_s``,
-                ``batch`` and ``finish_s`` attributes (a
-                ``CompletedRequest``).  Full mode keeps the object;
-                streaming mode reads the scalars and drops it.
+            c: An object with ``request``, ``dispatch_s``, ``finish_s``
+                and ``batch`` attributes (a ``CompletedRequest``).
 
         Raises:
-            ValueError: In streaming mode, if the latency is NaN or
-                infinite (the recorder is left unchanged).
+            ValueError: If the latency is NaN or infinite (the recorder
+                is left unchanged).
         """
-        if self._completed is not None:
-            self._completed.append(c)
-        else:
-            self.latency.add(c.latency_s)
-            self._queue_sum += c.queue_s
-            self._service_sum += c.service_s
-            self._batch_sum += c.batch
-            self.ring.add(c.latency_s, c.finish_s)
-        self.n_completed += 1
-        if self.parent is not None:
-            self.parent.record_completion(c)
+        self._record(c.dispatch_s, c.finish_s, (c.request,), c.batch)
 
     def record_batch(
         self, dispatch_s: float, finish_s: float, requests: Sequence
@@ -1104,44 +1065,50 @@ class MetricsRecorder:
 
         The FINISH path's one call per batch: ``requests`` (objects with
         an ``arrival_s``) were dispatched together at ``dispatch_s`` and
-        finished at ``finish_s``.  Each level of the parent chain (node,
-        then pool, then run) gets the batch in request order: full mode
-        appends one shared ``CompletedRequest`` per request, streaming
-        mode feeds its sketches the latencies in one batch call and
-        accumulates the queue, service and batch sums left to right, as
-        per-request ``+=`` would.
+        finished at ``finish_s``.
 
         Raises:
-            ValueError: In streaming mode, if a latency is NaN or
-                infinite (the recorder is left unchanged).
+            ValueError: If a latency is NaN or infinite (the recorder is
+                left unchanged).
+        """
+        self._record(dispatch_s, finish_s, requests, len(requests))
+
+    def _record(
+        self, dispatch_s: float, finish_s: float, requests: Sequence, batch: int
+    ) -> None:
+        """The one ingestion body: ``requests`` dispatched at
+        ``dispatch_s`` in a batch of ``batch`` and finished at
+        ``finish_s``.
+
+        Each level of the parent chain (node, then pool, then run) gets
+        the requests in order: full mode appends to its columns,
+        streaming mode feeds its sketches the latencies in one batch
+        call and accumulates the queue, service and batch sums left to
+        right, as per-request ``+=`` would.
         """
         b = len(requests)
         if not b:
             return
-        completed = lats = None
+        lats = [finish_s - r.arrival_s for r in requests]
+        if self._lat is not None and not math.isfinite(sum(lats)):
+            _reject_nonfinite(lats)
+        queues = None
         rec: Optional[MetricsRecorder] = self
         while rec is not None:
-            if rec._completed is not None:
-                if completed is None:
-                    # Lazy: the serving layer imports this module.
-                    from repro.serving.engine import CompletedRequest
-
-                    # Positional arguments: this is the full-mode FINISH
-                    # path's per-request cost.
-                    completed = [
-                        CompletedRequest(r, dispatch_s, finish_s, b)
-                        for r in requests
-                    ]
-                rec._completed.extend(completed)
+            if rec._lat is not None:
+                rec._requests.extend(requests)
+                rec._dispatch.extend(repeat(dispatch_s, b))
+                rec._finish.extend(repeat(finish_s, b))
+                rec._batch.extend(repeat(batch, b))
+                rec._lat.extend(lats)
             else:
-                if lats is None:
-                    lats = [finish_s - r.arrival_s for r in requests]
+                if queues is None:
                     queues = [dispatch_s - r.arrival_s for r in requests]
                     service = finish_s - dispatch_s
                 rec.latency.add_many(lats)
                 rec._queue_sum = reduce(add, queues, rec._queue_sum)
                 rec._service_sum = reduce(add, repeat(service, b), rec._service_sum)
-                rec._batch_sum = reduce(add, repeat(b, b), rec._batch_sum)
+                rec._batch_sum = reduce(add, repeat(batch, b), rec._batch_sum)
                 rec.ring.add_many(lats, finish_s)
             rec.n_completed += b
             rec = rec.parent
@@ -1165,9 +1132,8 @@ class MetricsRecorder:
     def roll_window(self, t: float) -> None:
         """Close the streaming window ring's open window at ``t``.
 
-        A no-op in full mode (full-mode window queries are computed
-        exactly from the per-request records instead), but for the same
-        check of ``t``."""
+        A no-op in full mode (full-mode window queries filter the
+        columns exactly instead), but for the same check of ``t``."""
         if not math.isfinite(t):
             raise ValueError(f"window time must be finite, got {t!r}")
         if self.ring is not None:
@@ -1185,17 +1151,24 @@ class MetricsRecorder:
             )
 
     @property
-    def completed(self) -> VersionedList:
-        """Per-request completion records (full mode only).
+    def completed(self) -> list:
+        """Per-request completion records, built from the columns on
+        each read (full mode only); editing the list leaves the recorder
+        as it was.
 
         Raises:
             RecordingModeError: In streaming mode.
         """
         self._require_full("the completed-request list")
-        return self._completed
+        # Lazy: the serving layer imports this module.
+        from repro.serving.engine import CompletedRequest
+
+        return list(
+            map(CompletedRequest, self._requests, self._dispatch, self._finish, self._batch)
+        )
 
     @property
-    def rejected(self) -> VersionedList:
+    def rejected(self) -> list:
         """Per-request rejection records (full mode only).
 
         Raises:
@@ -1205,7 +1178,7 @@ class MetricsRecorder:
         return self._rejected
 
     @property
-    def failed(self) -> VersionedList:
+    def failed(self) -> list:
         """Per-request failure records (full mode only).
 
         Raises:
@@ -1216,30 +1189,31 @@ class MetricsRecorder:
 
     @property
     def latencies_s(self) -> List[float]:
-        """Ascending completed latencies, memoized per list version.
+        """Ascending completed latencies, memoized on the completion
+        count (the columns only grow, so the count keys them).
 
         Raises:
             RecordingModeError: In streaming mode — use
                 :meth:`percentile` instead.
         """
         self._require_full("the sorted latency list")
-        version, memo = self._lat_memo
-        if version != self._completed.version:
-            memo = sorted(c.latency_s for c in self._completed)
-            self._lat_memo = (self._completed.version, memo)
+        n, memo = self._sorted
+        if n != self.n_completed:
+            memo = sorted(self._lat)
+            self._sorted = (self.n_completed, memo)
         return memo
 
     def new_latencies(self, seen: int) -> List[float]:
         """Latencies of completions recorded after the first ``seen``.
 
-        The elastic control loops slice each node's completion list once
+        The elastic control loops slice each node's latency column once
         per tick to build the window-p99 signal (full mode only).
 
         Raises:
             RecordingModeError: In streaming mode.
         """
         self._require_full("the completion-latency slice")
-        return [c.latency_s for c in self._completed[seen:]]
+        return self._lat[seen:].tolist()
 
     # ------------------------------------------------------------------ #
     # Aggregate queries (both modes)
@@ -1248,22 +1222,16 @@ class MetricsRecorder:
     @property
     def completed_count(self) -> int:
         """Completions recorded so far (works in both modes)."""
-        if self._completed is not None:
-            return len(self._completed)
         return self.n_completed
 
     @property
     def rejected_count(self) -> int:
         """Rejections recorded so far (works in both modes)."""
-        if self._rejected is not None:
-            return len(self._rejected)
         return self.n_rejected
 
     @property
     def failed_count(self) -> int:
         """Failure losses recorded so far (works in both modes)."""
-        if self._failed is not None:
-            return len(self._failed)
         return self.n_failed
 
     def percentile(self, q: float) -> float:
@@ -1282,9 +1250,9 @@ class MetricsRecorder:
     def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
         """Latency percentile over completions finishing in a window.
 
-        Full mode scans the per-request records exactly; streaming mode
-        answers from the window ring (snapped to the rolled window
-        boundaries the range overlaps).
+        Full mode filters the latency column on the finish column
+        exactly; streaming mode answers from the window ring (snapped to
+        the rolled window boundaries the range overlaps).
 
         Args:
             q: Percentile in (0, 100].
@@ -1296,7 +1264,12 @@ class MetricsRecorder:
         """
         if self.record == "full":
             return nearest_rank(
-                window_latencies(self._completed, start_s, end_s), q
+                sorted(
+                    lat
+                    for lat, f in zip(self._lat, self._finish)
+                    if start_s <= f < end_s
+                ),
+                q,
             )
         return self.ring.window_percentile(q, start_s, end_s)
 
@@ -1304,40 +1277,36 @@ class MetricsRecorder:
     def mean_latency_s(self) -> float:
         """Mean completed latency (NaN when nothing completed)."""
         if self.record == "full":
-            if not self._completed:
+            if not self.n_completed:
                 return math.nan
-            return sum(c.latency_s for c in self._completed) / len(self._completed)
+            return sum(self._lat) / self.n_completed
         return self.latency.mean
 
     @property
     def mean_queue_s(self) -> float:
         """Mean queueing delay (NaN when nothing completed)."""
-        if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.queue_s for c in self._completed) / len(self._completed)
         if self.n_completed == 0:
             return math.nan
+        if self.record == "full":
+            return sum(
+                d - r.arrival_s for d, r in zip(self._dispatch, self._requests)
+            ) / self.n_completed
         return self._queue_sum / self.n_completed
 
     @property
     def mean_service_s(self) -> float:
         """Mean service time (NaN when nothing completed)."""
-        if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.service_s for c in self._completed) / len(self._completed)
         if self.n_completed == 0:
             return math.nan
+        if self.record == "full":
+            return sum(map(sub, self._finish, self._dispatch)) / self.n_completed
         return self._service_sum / self.n_completed
 
     @property
     def mean_batch(self) -> float:
         """Mean dispatched batch size (NaN when nothing completed)."""
-        if self.record == "full":
-            if not self._completed:
-                return math.nan
-            return sum(c.batch for c in self._completed) / len(self._completed)
         if self.n_completed == 0:
             return math.nan
+        if self.record == "full":
+            return sum(self._batch) / self.n_completed
         return self._batch_sum / self.n_completed

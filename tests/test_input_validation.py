@@ -491,13 +491,19 @@ def test_autoscale_policies_reject_non_finite_capacities(x):
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])
-def test_streaming_recorder_rejects_non_finite_latency(x):
-    """Every level of a streaming chain stays as it was."""
-    run = MetricsRecorder(record="streaming")
-    node = MetricsRecorder(record="streaming", parent=run)
+@pytest.mark.parametrize("record", ["full", "streaming"])
+def test_recorder_rejects_non_finite_latency(record, x):
+    """Every level of a recorder chain stays as it was, in both modes."""
+    run = MetricsRecorder(record=record)
+    node = MetricsRecorder(record=record, parent=run)
     node.record_batch(0.1, 0.3, [Request(1, "BERT", 0.0)])
 
     def state():
+        if record == "full":
+            return [
+                (r.completed_count, r.completed, r.latencies_s, r.mean_latency_s)
+                for r in (node, run)
+            ]
         return [
             (r.completed_count, r.latency.count, r.latency.total, r.ring.window_count(0, 9))
             for r in (node, run)

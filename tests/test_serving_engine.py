@@ -219,7 +219,7 @@ class TestReport:
         from repro.serving import CompletedRequest
 
         for i, r in enumerate(reqs):
-            rep.completed.append(
+            rep.stats.record_completion(
                 CompletedRequest(request=r, dispatch_s=0.0, finish_s=float(i + 1), batch=1)
             )
         rep.sim_end_s = 10.0
@@ -423,7 +423,7 @@ class TestWindowPercentiles:
 
         rep = ServingReport(policy="cpu")
         for i, f in enumerate(finishes):
-            rep.completed.append(
+            rep.stats.record_completion(
                 CompletedRequest(
                     request=Request(i, "BERT", 0.0),
                     dispatch_s=0.0,

@@ -15,7 +15,10 @@ fold's twelve adjustment outcomes (markers 1-3, up or down, parabolic
 or linear fallback), unweighted and weighted.  One level
 up, :meth:`MetricsRecorder.record_batch` (the fast path's one call per
 finished batch) must leave every level of a recorder chain where
-per-request ``record_completion`` calls leave it, in both record modes.
+per-request ``record_completion`` calls leave it, in both record modes;
+in full mode every answer the columns give, read between records too,
+must be the answer a plain list of ``CompletedRequest`` records gives,
+and a fleet's merged view that of the node-order concatenation.
 
 CI replays it under ``--hypothesis-seed`` derived from the run id (see
 the ``fast-differential`` job in ``.github/workflows/ci.yml``).
@@ -30,7 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import CompletedRequest, Request
+from repro.cluster import ClusterReport
+from repro.serving import CompletedRequest, Request, ServingReport
+from repro.sim.metrics import nearest_rank
 from repro.sim.stats import (
     DEFAULT_QUANTILES,
     INGEST_CHUNK,
@@ -511,8 +516,64 @@ def test_fold_matches_oracle_on_every_adjustment_outcome(outcome, w):
 
 # --------------------------------------------------------------------------
 # Batch recording: one record_batch per finished batch is the batch's
-# record_completion calls, request by request, at every chain level.
+# record_completion calls, request by request, at every chain level; in
+# full mode the columns answer as a plain list of records would.
 # --------------------------------------------------------------------------
+
+QS = (1, 25, 50, 90, 99, 99.9, 100)
+
+
+def _fbits(x):
+    return _bits(x) if x == x else "nan"
+
+
+def _row(c):
+    return (c.request.req_id, _bits(c.dispatch_s), _bits(c.finish_s), c.batch)
+
+
+def _column_answers(rec, windows):
+    """Every full-mode answer a recorder reads off its columns."""
+    n = rec.completed_count
+    return [
+        [_row(c) for c in rec.completed],
+        [_bits(x) for x in rec.latencies_s],
+        [_fbits(rec.percentile(q)) for q in QS],
+        [_fbits(rec.window_percentile(q, a, b)) for a, b in windows for q in (50, 99)],
+        [
+            _fbits(m)
+            for m in (rec.mean_latency_s, rec.mean_queue_s, rec.mean_service_s, rec.mean_batch)
+        ],
+        [[_bits(x) for x in rec.new_latencies(seen)] for seen in (0, n // 2, n)],
+    ]
+
+
+def _list_answers(cs, windows):
+    """The oracle: the same answers from a plain list of records."""
+    n = len(cs)
+    lats = sorted(c.latency_s for c in cs)
+
+    def mean(xs):
+        return sum(xs) / n if n else math.nan
+
+    return [
+        [_row(c) for c in cs],
+        [_bits(x) for x in lats],
+        [_fbits(nearest_rank(lats, q)) for q in QS],
+        [
+            _fbits(nearest_rank(sorted(c.latency_s for c in cs if a <= c.finish_s < b), q))
+            for a, b in windows
+            for q in (50, 99)
+        ],
+        [
+            _fbits(mean([getattr(c, k) for c in cs]))
+            for k in ("latency_s", "queue_s", "service_s", "batch")
+        ],
+        [[_bits(c.latency_s) for c in cs[seen:]] for seen in (0, n // 2, n)],
+    ]
+
+
+def _windows(t):
+    return [(0.0, t + 1.0), (0.0, t / 2), (t / 3, t)]
 
 
 def _chain(record, depth, window_s, exact_limit):
@@ -580,20 +641,34 @@ BATCHES = st.lists(
     depth=st.integers(1, 3),
     window_s=st.sampled_from([None, 0.75]),
     exact_limit=st.sampled_from([8, 512]),
+    n_nodes=st.integers(1, 3),
 )
-def test_record_batch_matches_record_completion(ops, record, depth, window_s, exact_limit):
+def test_record_batch_matches_record_completion(
+    ops, record, depth, window_s, exact_limit, n_nodes
+):
     """``record_batch`` at the node leaves every chain level — node, pool
     and run — bitwise where per-request ``record_completion`` leaves it,
-    in both record modes."""
+    in both record modes.  In full mode every level answers, at each roll
+    and at the end, bitwise as the list of records it was given would,
+    and a fleet whose nodes took the batches in turn answers as the
+    node-order concatenation of their lists."""
     batched = _chain(record, depth, window_s, exact_limit)
     per_request = _chain(record, depth, window_s, exact_limit)
+    full = record == "full"
+    records = []
+    nodes = [MetricsRecorder() for _ in range(n_nodes)]
+    node_records = [[] for _ in nodes]
     t = 0.0
     rid = 0
-    for op in ops:
+    for i, op in enumerate(ops):
         if op[0] == "roll":
             t += op[1]
             for rec in batched + per_request:
                 rec.roll_window(t)
+            if full:
+                want = _list_answers(records, _windows(t))
+                for rec in batched:
+                    assert _column_answers(rec, _windows(t)) == want
             continue
         if op[0] == "batch":
             _, gap, service, waits = op
@@ -604,15 +679,31 @@ def test_record_batch_matches_record_completion(ops, record, depth, window_s, ex
         dispatch = t + gap + max(waits)
         finish = dispatch + service
         reqs = [Request(rid + i, "BERT", dispatch - w) for i, w in enumerate(waits)]
-        rid += len(reqs)
+        batch = [CompletedRequest(r, dispatch, finish, len(reqs)) for r in reqs]
         batched[0].record_batch(dispatch, finish, reqs)
-        for r in reqs:
-            per_request[0].record_completion(
-                CompletedRequest(
-                    request=r, dispatch_s=dispatch, finish_s=finish, batch=len(reqs)
-                )
-            )
+        for c in batch:
+            per_request[0].record_completion(c)
+        records += batch
+        k = i % n_nodes
+        nodes[k].record_batch(dispatch, finish, reqs)
+        node_records[k] += batch
+        rid += len(reqs)
         t = finish
-    windows = [(0.0, t + 1.0), (0.0, t / 2), (t / 3, t)]
+    windows = _windows(t)
     for got, want in zip(batched, per_request):
         assert _recorder_state(got, windows) == _recorder_state(want, windows)
+    if full:
+        want = _list_answers(records, windows)
+        for rec in batched:
+            assert _column_answers(rec, windows) == want
+        want = _list_answers([c for cs in node_records for c in cs], windows)
+        assert _column_answers(MetricsRecorder.merged(nodes), windows) == want
+        fleet = ClusterReport(
+            "hybrid", "rr", [ServingReport("hybrid", stats=rec) for rec in nodes]
+        )
+        assert [
+            [_row(c) for c in fleet.completed],
+            [_bits(x) for x in fleet.latencies_s],
+            [_fbits(fleet.latency_percentile(q)) for q in QS],
+            [_fbits(fleet.window_percentile(q, a, b)) for a, b in windows for q in (50, 99)],
+        ] == want[:4]

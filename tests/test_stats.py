@@ -1,7 +1,7 @@
 """Tests for the streaming statistics core (``repro.sim.stats``) and the
 lazy kernel stream: sketch-vs-exact cross-checks, the window ring, the
-recorder's two modes, the versioned-list cache-invalidation fix, and the
-lazy arrival stream's ordering contract."""
+recorder's two modes, the full-mode latency memo's refresh on a later
+record, and the lazy arrival stream's ordering contract."""
 
 import math
 import random
@@ -23,7 +23,6 @@ from repro.sim import (
     QuantileSketch,
     RecordingModeError,
     StreamStats,
-    VersionedList,
     WindowRing,
     nearest_rank,
 )
@@ -38,33 +37,6 @@ def _completion(latency_s, finish_s=0.0, req_id=0, queue_s=0.0, batch=1):
         finish_s=finish_s,
         batch=batch,
     )
-
-
-class TestVersionedList:
-    def test_every_mutation_bumps_version(self):
-        vl = VersionedList([1.0])
-        seen = {vl.version}
-
-        def bumped():
-            assert vl.version not in seen, "mutation did not bump version"
-            seen.add(vl.version)
-
-        vl.append(2.0); bumped()
-        vl.extend([3.0, 4.0]); bumped()
-        vl.insert(0, 0.5); bumped()
-        vl[0] = 0.25; bumped()
-        vl += [5.0]; bumped()
-        vl.sort(); bumped()
-        vl.remove(5.0); bumped()
-        vl.pop(); bumped()
-        del vl[0]; bumped()
-        vl.clear(); bumped()
-
-    def test_reads_do_not_bump(self):
-        vl = VersionedList([3.0, 1.0, 2.0])
-        v = vl.version
-        _ = vl[0], len(vl), list(vl), sorted(vl), 1.0 in vl
-        assert vl.version == v
 
 
 class TestQuantileSketch:
@@ -210,6 +182,22 @@ class TestWindowRing:
         assert ring._closed[-1].end_s == 7.0  # snapped to the width grid
         assert ring._open.start_s == 7.0
 
+    def test_auto_roll_lands_past_t_when_division_rounds_down(self):
+        # (2.080... - 0.580...) / 0.75 rounds to just under 2, yet t is on
+        # the second edge: one roll must reach it, or the next add at the
+        # same t rolls again and splits what add_many keeps together.
+        start, t = 0.5802376254465351, 2.080237625446535
+        one, many = WindowRing(window_s=0.75), WindowRing(window_s=0.75)
+        for ring in (one, many):
+            ring.roll(start)
+        one.add(0.5, t)
+        one.add(1.5, t)
+        many.add_many([0.5, 1.5], t)
+        for ring in (one, many):
+            assert ring._closed == []
+            assert ring._open.start_s <= t < ring._open.start_s + 0.75
+            assert ring._open.stats.count == 2
+
     def test_depth_bounds_memory(self):
         ring = WindowRing(depth=4)
         for i in range(32):
@@ -240,6 +228,30 @@ class TestMetricsRecorder:
         assert rec.completed_count == 1
         assert rec.latencies_s == [0.25]
         assert rec.percentile(99) == 0.25
+
+    def test_full_mode_builds_records_only_on_read(self, monkeypatch):
+        """A full run keeps columns; ``CompletedRequest`` records are
+        built only when ``completed`` is read, one per completion."""
+        import repro.serving.engine as serving_engine
+        from repro.cluster import Cluster
+        from repro.serving import poisson_requests
+
+        built = []
+
+        class Counted(CompletedRequest):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(serving_engine, "CompletedRequest", Counted)
+        rep = Cluster(2, engine=OnlineServingEngine()).run(
+            poisson_requests("BERT", 200.0, 1.0, seed=1)
+        )
+        node = rep.node_reports[0]
+        _ = rep.p50_s, rep.p99_s, rep.window_percentile(99, 0.0, 1.0)
+        _ = node.mean_queue_s, node.mean_service_s, node.mean_batch
+        assert rep.served > 0 and built == []
+        assert len(rep.completed) == rep.served == len(built)
 
     def test_streaming_mode_refuses_per_request_access(self):
         rec = MetricsRecorder(record="streaming")
@@ -289,42 +301,54 @@ class TestMetricsRecorder:
         assert run.percentile(50) == 0.5
 
 
-class TestSortedLatencyCacheInvalidation:
-    """The satellite fix: percentile memos key on list *versions*, not
-    lengths, so a same-length in-place mutation can never serve a stale
-    sorted-latency cache."""
+class TestLatencyMemoRefresh:
+    """Full-mode answers come from append-only columns, and the sorted
+    latency memo is keyed on the completion count: a record made after a
+    read refreshes every answer, node and fleet alike, while editing the
+    list ``completed`` returns leaves the recorder as it was."""
 
-    def test_serving_report_same_length_mutation_refreshes(self):
-        rep = ServingReport(policy="hybrid")
-        rep.record_completion(_completion(0.1, finish_s=1.0, req_id=0))
-        rep.record_completion(_completion(0.2, finish_s=2.0, req_id=1))
-        assert rep.latency_percentile(99) == pytest.approx(0.2)
-        # Same length, different contents — the pre-fix len-keyed memo
-        # returned the stale 0.2 here.
-        rep.completed[1] = _completion(0.9, finish_s=2.0, req_id=1)
-        assert rep.latency_percentile(99) == pytest.approx(0.9)
+    @pytest.mark.parametrize("level", ["serving", "cluster"])
+    def test_record_after_read_refreshes_every_answer(self, level):
+        from repro.cluster import ClusterReport
 
-    def test_cluster_report_same_length_mutation_refreshes(self):
-        from repro.cluster import Cluster
-        from repro.serving import poisson_requests
+        node = ServingReport(policy="hybrid")
+        other = ServingReport(policy="hybrid")
+        fleet = ClusterReport(policy="hybrid", router="rr", node_reports=[node, other])
+        node.stats.record_completion(_completion(0.25, finish_s=1.0, req_id=0))
+        other.stats.record_batch(1.5, 2.0, [Request(1, "BERT", 1.5)])
 
-        eng = OnlineServingEngine()
-        rep = Cluster(2, engine=eng).run(
-            poisson_requests("BERT", 200.0, 1.0, seed=1)
-        )
-        before = rep.latency_percentile(99)
-        node = max(rep.node_reports, key=lambda r: r.served)
-        assert node.served > 0
-        bumped = max(rep.latencies_s) * 10.0
-        node.completed[0] = _completion(bumped, finish_s=1.0)
-        assert rep.latency_percentile(100) == pytest.approx(bumped)
-        assert rep.latency_percentile(100) != before
+        def answers():
+            if level == "serving":
+                return (
+                    node.p99_s,
+                    node.window_percentile(99, 0.0, 10.0),
+                    node.stats.mean_latency_s,
+                    node.mean_service_s,
+                )
+            return (
+                fleet.p99_s,
+                fleet.window_percentile(99, 0.0, 10.0),
+                fleet.latencies_s,
+            )
+
+        first, after = {
+            "serving": ((0.25, 0.25, 0.25, 0.25), (1.0, 1.0, 0.625, 0.625)),
+            "cluster": ((0.5, 0.5, [0.25, 0.5]), (1.0, 1.0, [0.25, 0.5, 1.0])),
+        }[level]
+        assert answers() == first
+        edited = node.completed
+        edited[0] = _completion(9.0, finish_s=9.0)
+        edited.append(_completion(8.0, finish_s=8.0))
+        assert node.served == len(node.completed) == 1
+        assert answers() == first
+        node.stats.record_batch(2.0, 3.0, [Request(2, "BERT", 2.0)])
+        assert answers() == after
 
 
 class TestServingReportModes:
     def test_streaming_report_counts_without_lists(self):
         rep = ServingReport(policy="hybrid", record="streaming")
-        rep.record_completion(_completion(0.3, finish_s=1.0))
+        rep.stats.record_completion(_completion(0.3, finish_s=1.0))
         assert rep.served == 1
         assert rep.p99_s == pytest.approx(0.3)
         with pytest.raises(RecordingModeError):
