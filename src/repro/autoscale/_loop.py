@@ -27,11 +27,11 @@ replicas, primary first; a pooled fleet routes over the active nodes
 hosting the model in node-id (spawn) order.  Either way, down, draining
 and provisioning nodes are skipped.
 
-**Recorder chain.**  Streaming runs chain each node recorder to its
-pool's recorder.  With several pools, pool recorders chain to one run
-recorder (node -> pool -> run).  A single pool *is* the run: its node
-recorders chain straight to the run recorder, so every completion pays
-for two sketch levels, not three.
+**Recorder chain.**  Each node's report is its recorder.  Streaming
+runs chain each node report to its pool's recorder.  With several pools,
+pool recorders chain to one run recorder (node -> pool -> run).  A
+single pool *is* the run: its node reports chain straight to the run
+recorder, so every completion pays for two sketch levels, not three.
 """
 
 from __future__ import annotations
@@ -177,12 +177,12 @@ class FleetLoop:
                 self._spawn(name, 0.0, ready_now=True)
 
     def _adopt(self, node: ClusterNode, pool: str, clock: float, ready_now: bool) -> None:
-        stats = MetricsRecorder(
+        node.report = ServingReport(
+            node.policy,
             record=self.record,
             window_s=self.window_s,
             parent=self.pool_stats.get(pool),
         )
-        node.report = ServingReport(policy=node.policy, stats=stats)
         node.obs_spans = self._spans
         self.slots[node.node_id] = _Slot(
             node=node,
@@ -542,9 +542,9 @@ class FleetLoop:
                 served_now = rep.served
                 if streaming:
                     completions += served_now - slot.completed_seen
-                    rep.stats.roll_window(t1)
+                    rep.roll_window(t1)
                 else:
-                    new_lats = rep.stats.new_latencies(slot.completed_seen)
+                    new_lats = rep.new_latencies(slot.completed_seen)
                     completions += len(new_lats)
                     window_lats.extend(new_lats)
                 slot.completed_seen = served_now

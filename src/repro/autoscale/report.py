@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.cluster.fleet import _FleetReport
-from repro.serving.engine import FailedRequest, ServingReport
-from repro.sim.stats import MetricsRecorder
+from repro.serving.engine import ServingReport
 
 if TYPE_CHECKING:
     from repro.energy.model import EnergyTable
@@ -173,17 +172,6 @@ class AutoscaleReport(_FleetReport):
     lifetimes: Dict[int, NodeLifetime] = field(default_factory=dict)
     samples: List[ControlSample] = field(default_factory=list)
     node_busy_s: Dict[int, float] = field(default_factory=dict)
-    sim_end_s: float = 0.0
-    last_arrival_s: float = 0.0
-    #: Arrivals no routable node could take (failure injection); kept
-    #: only in full-recording runs (streaming runs count them instead).
-    dropped: List[FailedRequest] = field(default_factory=list)
-    #: Unrouted-arrival drops counted without records (streaming runs).
-    n_dropped: int = 0
-    #: Kernel events this run processed (simulator diagnostics).
-    events_processed: int = 0
-    #: The run-wide recorder of a streaming run (``None`` on full runs).
-    stats: Optional[MetricsRecorder] = None
 
     def _nodes(self):
         return self.node_reports.values()

@@ -37,9 +37,9 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
-from repro.serving.engine import Request, merge_streams
+from repro.serving.engine import Request
 
 __all__ = [
     "RateTrace",
@@ -376,13 +376,6 @@ def nhpp_requests(
     intensity, and deterministic per seed.  A zero-rate trace yields an
     empty stream.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    envelope = trace.peak_rate(0.0, duration_s)
-    if envelope < 0:
-        raise ValueError("peak rate must be non-negative")
-    if envelope == 0:
-        return []
     return list(
         nhpp_stream(
             trace,
@@ -447,27 +440,11 @@ def mix_requests(
     ``id_stride`` — the :class:`~repro.cluster.planner.CapacityPlanner`
     stream convention), then everything merges arrival-ordered.
     """
-    if not mix:
-        raise ValueError("traffic mix must name at least one model")
-    total = float(sum(mix.values()))
-    if total <= 0 or any(w < 0 for w in mix.values()):
-        raise ValueError("traffic shares must be non-negative, sum > 0")
-    slos = slos or {}
-    streams: List[Sequence[Request]] = []
-    for i, (model, share) in enumerate(sorted(mix.items())):
-        if share <= 0:
-            continue
-        streams.append(
-            nhpp_requests(
-                trace.scaled(share / total),
-                model,
-                duration_s=duration_s,
-                seed=seed + i,
-                slo_s=slos.get(model),
-                start_id=i * id_stride,
-            )
+    return list(
+        mix_request_stream(
+            trace, mix, duration_s=duration_s, seed=seed, slos=slos, id_stride=id_stride
         )
-    return merge_streams(*streams)
+    )
 
 
 def mix_request_stream(
@@ -478,15 +455,16 @@ def mix_request_stream(
     slos: Optional[Mapping[str, Optional[float]]] = None,
     id_stride: int = 1_000_000,
 ) -> Iterator[Request]:
-    """Lazy generator form of :func:`mix_requests` — identical output.
+    """Lazy generator form of :func:`mix_requests` (which is a
+    ``list()`` of this).
 
-    Same per-model seeding and id convention as :func:`mix_requests`,
-    but the per-model streams are :func:`nhpp_stream` generators merged
+    The per-model streams are :func:`nhpp_stream` generators merged
     incrementally by ``(arrival_s, req_id)`` with :func:`heapq.merge`,
-    so only one pending request per model is held in memory.  The
-    arrival order matches ``mix_requests`` exactly: per-model arrival
-    times are strictly increasing and ids are disjoint across models,
-    making the sort key unique.
+    so only one pending request per model is held in memory.  Ids are
+    disjoint across models, so the merge key is unique and the order is
+    that of sorting the concatenated streams.  Validation of the mix is
+    eager; each model's stream validates, in sorted-model order, when
+    the merge first reads it.
     """
     if not mix:
         raise ValueError("traffic mix must name at least one model")

@@ -49,25 +49,43 @@ if TYPE_CHECKING:
 __all__ = ["Cluster", "ClusterReport"]
 
 
+@dataclass(kw_only=True)
 class _FleetReport:
     """Fleet-wide serving answers shared by the fleet reports.
 
     Aggregates the per-node :class:`~repro.serving.engine.ServingReport`\\ s
-    (``_nodes()``) plus the unrouted-arrival drops.  Every latency query
-    asks one recorder (:meth:`_recorder`).  Subclasses are dataclasses
-    carrying ``node_reports``, ``dropped``, ``n_dropped``, ``stats`` and
-    ``last_arrival_s``.
+    (``_nodes()``; each is its node's recorder) plus the unrouted-arrival
+    drops.  Every latency query asks one recorder (:meth:`_recorder`).
+    Declares the run fields every fleet report carries, keyword-only;
+    subclasses add ``node_reports`` and their own fields.
     """
+
+    sim_end_s: float = 0.0
+    #: Arrival-window end: when the last request arrived (offered load
+    #: stops here; the remaining simulated time only drains backlog).
+    last_arrival_s: float = 0.0
+    #: Requests that arrived while every replica of their model was down
+    #: (failure injection); empty without a failure trace, and kept only
+    #: in full-recording runs (streaming runs count them instead).
+    dropped: List[FailedRequest] = field(default_factory=list)
+    #: Unrouted-arrival drops counted without records (streaming runs).
+    n_dropped: int = 0
+    #: Kernel events this run processed (simulator diagnostics).
+    events_processed: int = 0
+    #: The run recorder of a streaming run, parent of every node report
+    #: (``None`` on full runs, where exact statistics come from the node
+    #: reports' merged columns instead).
+    stats: Optional[MetricsRecorder] = None
 
     def _nodes(self) -> Iterable[ServingReport]:
         return self.node_reports
 
     def _recorder(self) -> MetricsRecorder:
         """The run recorder of a streaming run; on a full run, the node
-        recorders' columns merged at read time, in node order."""
+        reports' columns merged at read time, in node order."""
         if self.stats is not None:
             return self.stats
-        return MetricsRecorder.merged(rep.stats for rep in self._nodes())
+        return MetricsRecorder.merged(self._nodes())
 
     @property
     def record(self) -> str:
@@ -183,7 +201,7 @@ class ClusterReport(_FleetReport):
     In ``record="full"`` runs (the default) every per-request record is
     reachable through the node reports and fleet-wide statistics are
     exact.  In ``record="streaming"`` runs the ``stats`` recorder — the
-    parent every node recorder chained to — answers fleet-wide
+    parent every node report chained to — answers fleet-wide
     percentiles from sketches, and the per-request list properties raise
     :class:`~repro.sim.stats.RecordingModeError`.
     """
@@ -191,27 +209,11 @@ class ClusterReport(_FleetReport):
     policy: str
     router: str
     node_reports: List[ServingReport]
-    sim_end_s: float = 0.0
-    #: Arrival-window end: when the last request arrived (offered load
-    #: stops here; the remaining simulated time only drains backlog).
-    last_arrival_s: float = 0.0
     #: Per-node busy seconds (service time integrated over the run).
     node_busy_s: List[float] = field(default_factory=list)
     #: Hardware spec per node — present for every ``Cluster.run`` report;
     #: ``None`` only on hand-built reports, where cost is undefined.
     specs: Optional[List[NodeSpec]] = None
-    #: Requests that arrived while every replica of their model was down
-    #: (failure injection); empty without a failure trace, and kept only
-    #: in full-recording runs (streaming runs count them instead).
-    dropped: List[FailedRequest] = field(default_factory=list)
-    #: Unrouted-arrival drops counted without records (streaming runs).
-    n_dropped: int = 0
-    #: Kernel events this run processed (simulator diagnostics).
-    events_processed: int = 0
-    #: The fleet-level recorder of a streaming run (``None`` on full runs,
-    #: where exact statistics come from the node recorders' merged
-    #: columns instead).
-    stats: Optional[MetricsRecorder] = None
 
     @property
     def throughput_rps(self) -> float:

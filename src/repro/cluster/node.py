@@ -163,7 +163,7 @@ class ClusterNode:
             )
             spans = self.obs_spans
             for r in rejected:
-                self.report.stats.record_rejection(
+                self.report.record_rejection(
                     RejectedRequest(request=r, rejected_at_s=clock)
                 )
                 if spans is not None:
@@ -216,7 +216,7 @@ class ClusterNode:
         when the run is traced."""
         batch = self.in_flight
         self.in_flight = []
-        self.report.stats.record_batch(self._dispatch_s, clock, batch)
+        self.report.record_batch(self._dispatch_s, clock, batch)
         spans = self.obs_spans
         if spans is None or not batch:
             return
@@ -272,13 +272,17 @@ class ClusterNode:
                     batch=len(self.in_flight),
                     model=self.in_flight[0].model,
                 )
-            for r in self.in_flight:
-                self.report.stats.record_failure(
+        for reason, held in (
+            ("in-flight-lost", self.in_flight),
+            ("queue-dropped", self.queue),
+        ):
+            for r in held:
+                self.report.record_failure(
                     FailedRequest(
                         request=r,
                         failed_at_s=clock,
                         node_id=self.node_id,
-                        reason="in-flight-lost",
+                        reason=reason,
                     )
                 )
                 if spans is not None:
@@ -290,24 +294,6 @@ class ClusterNode:
                         node=self.node_id,
                         model=r.model,
                     )
-        for r in self.queue:
-            self.report.stats.record_failure(
-                FailedRequest(
-                    request=r,
-                    failed_at_s=clock,
-                    node_id=self.node_id,
-                    reason="queue-dropped",
-                )
-            )
-            if spans is not None:
-                spans.emit(
-                    r.req_id,
-                    "failed",
-                    r.arrival_s,
-                    clock - r.arrival_s,
-                    node=self.node_id,
-                    model=r.model,
-                )
         self.queue = []
         self.in_flight = []
         self.busy_until = clock

@@ -150,48 +150,41 @@ class FailedRequest:
     reason: str = "queue-dropped"
 
 
-class ServingReport:
+class ServingReport(MetricsRecorder):
     """Latency distribution and sustained throughput of one policy run.
 
-    All accumulation goes through one shared
-    :class:`~repro.sim.stats.MetricsRecorder`, ``stats``, which the
-    kernel's FINISH, admission and failure paths record into:
+    The report *is* the node's
+    :class:`~repro.sim.stats.MetricsRecorder`: the kernel's FINISH,
+    admission and failure paths record into it, and every count, mean,
+    percentile and per-request list it answers is the recorder's.
     ``record="full"`` (the default) keeps exact per-request columns,
     ``record="streaming"`` keeps only flat-memory aggregates — the
     per-request list properties (``completed``, ``latencies_s``, ...)
     then raise :class:`~repro.sim.stats.RecordingModeError` instead of
-    silently returning nothing.
+    silently returning nothing.  The report adds the run's labels and
+    the serving names (``served``, ``p99_s``, ``throughput_rps``, ...).
     """
 
-    def __init__(
-        self,
-        policy: str,
-        sim_end_s: float = 0.0,
-        record: str = "full",
-        stats: Optional[MetricsRecorder] = None,
-    ) -> None:
+    __slots__ = ("policy", "sim_end_s", "events_processed")
+
+    def __init__(self, policy: str, sim_end_s: float = 0.0, **recorder) -> None:
         """Create an empty report.
 
         Args:
             policy: Dispatch policy label the run used.
             sim_end_s: Simulated end time (set by the engine after a run).
-            record: ``"full"`` or ``"streaming"`` (ignored when ``stats``
-                is given).
-            stats: An externally built recorder — fleets pass recorders
-                chained to a fleet-level parent here.
+            **recorder: :class:`~repro.sim.stats.MetricsRecorder`'s own
+                keywords (``record``, ``window_s``, ``parent``, ...);
+                fleets chain a node's report to a pool or run recorder
+                through ``parent``.
         """
+        super().__init__(**recorder)
         self.policy = policy
         self.sim_end_s = sim_end_s
-        self.stats = stats if stats is not None else MetricsRecorder(record=record)
         #: Kernel events the run processed (the run loop's
         #: :meth:`~repro.sim.kernel.DiscreteEventKernel.finalize` count) —
         #: the denominator benchmarks divide wall time by.
         self.events_processed = 0
-
-    @property
-    def record(self) -> str:
-        """The recording mode: ``"full"`` or ``"streaming"``."""
-        return self.stats.record
 
     def __repr__(self) -> str:
         return (
@@ -200,99 +193,35 @@ class ServingReport:
             f"failed={self.failed_count}, sim_end_s={self.sim_end_s})"
         )
 
-    # ------------------------------------------------------------------ #
-    # Per-request access (full mode; streaming raises)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def completed(self) -> List[CompletedRequest]:
-        """Per-request completion records, built on each read
-        (``record="full"`` only)."""
-        return self.stats.completed
-
-    @property
-    def rejected(self) -> List[RejectedRequest]:
-        """Per-request rejection records (``record="full"`` only)."""
-        return self.stats.rejected
-
-    @property
-    def failed(self) -> List[FailedRequest]:
-        """Per-request failure records (``record="full"`` only)."""
-        return self.stats.failed
-
-    @property
-    def latencies_s(self) -> List[float]:
-        """Completed-request latencies, sorted (memoized per completion
-        count; ``record="full"`` only — streaming mode answers
-        percentiles from the sketch instead)."""
-        return self.stats.latencies_s
-
-    # ------------------------------------------------------------------ #
-    # Aggregates (both modes)
-    # ------------------------------------------------------------------ #
-
     @property
     def served(self) -> int:
         """Requests completed (works in both recording modes)."""
-        return self.stats.completed_count
-
-    @property
-    def rejected_count(self) -> int:
-        """Requests rejected at admission (works in both modes)."""
-        return self.stats.rejected_count
-
-    @property
-    def failed_count(self) -> int:
-        """Requests lost to failures (works in both modes)."""
-        return self.stats.failed_count
+        return self.n_completed
 
     @property
     def offered(self) -> int:
         """Total requests that reached this node (served + shed + lost)."""
-        return self.served + self.rejected_count + self.failed_count
+        return self.n_completed + self.n_rejected + self.n_failed
 
     def latency_percentile(self, q: float) -> float:
         """Percentile of completed-request latency (seconds): exact
         nearest-rank in full mode, sketch estimate in streaming mode."""
-        return self.stats.percentile(q)
-
-    def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
-        """Latency percentile over completions finishing in
-        ``[start_s, end_s)`` — NaN when the window saw none (empty stream,
-        all-rejected interval, or a window before the first finish).
-        Exact in full mode; in streaming mode answered from the window
-        ring (snapped to rolled window boundaries)."""
-        return self.stats.window_percentile(q, start_s, end_s)
+        return self.percentile(q)
 
     @property
     def p50_s(self) -> float:
         """Median completed latency (seconds)."""
-        return self.latency_percentile(50)
+        return self.percentile(50)
 
     @property
     def p95_s(self) -> float:
         """95th-percentile completed latency (seconds)."""
-        return self.latency_percentile(95)
+        return self.percentile(95)
 
     @property
     def p99_s(self) -> float:
         """99th-percentile completed latency (seconds)."""
-        return self.latency_percentile(99)
-
-    @property
-    def mean_queue_s(self) -> float:
-        """Mean queueing delay (NaN when nothing completed)."""
-        return self.stats.mean_queue_s
-
-    @property
-    def mean_service_s(self) -> float:
-        """Mean batch service time (NaN when nothing completed)."""
-        return self.stats.mean_service_s
-
-    @property
-    def mean_batch(self) -> float:
-        """Mean dispatched batch size (NaN when nothing completed)."""
-        return self.stats.mean_batch
+        return self.percentile(99)
 
     @property
     def throughput_rps(self) -> float:

@@ -1,11 +1,12 @@
 """The statistics core under every report layer.
 
-Every report layer (the single-node
-:class:`~repro.serving.engine.ServingReport`, the fleet's
+Every report layer answers its latency queries from a
+:class:`MetricsRecorder` fed by the sim kernel's ``FINISH`` path: the
+single-node :class:`~repro.serving.engine.ServingReport` *is* one (a
+subclass adding the run labels and serving names), and the fleet's
 ``ClusterReport``, the autoscaler's ``AutoscaleReport`` and the mixed
-fleet's ``HeteroAutoscaleReport``) answers its latency queries from one
-:class:`MetricsRecorder` fed by the sim kernel's ``FINISH`` path, in one
-of two modes.
+fleet's ``HeteroAutoscaleReport`` ask their run recorder or their node
+reports merged.  A recorder runs in one of two modes.
 
 * ``record="full"`` (the default, and the golden-trace contract): the
   recorder keeps append-only columns, one entry per completed request:
@@ -930,8 +931,9 @@ class MetricsRecorder:
       :class:`RecordingModeError`.
 
     A recorder may chain to a ``parent``: streaming fleets give each
-    node a recorder whose parent is the pool or run recorder, so one
-    batch recorded at the node updates every aggregation level.
+    node a report (a :class:`~repro.serving.engine.ServingReport`, this
+    class's serving subclass) whose parent is the pool or run recorder,
+    so one batch recorded at the node updates every aggregation level.
     """
 
     __slots__ = (
@@ -1016,15 +1018,15 @@ class MetricsRecorder:
         self._service_sum = 0.0
         self._batch_sum = 0.0
 
-    @classmethod
-    def merged(cls, recorders: Iterable["MetricsRecorder"]) -> "MetricsRecorder":
+    @staticmethod
+    def merged(recorders: Iterable["MetricsRecorder"]) -> "MetricsRecorder":
         """One full-mode recorder holding ``recorders``' records
         concatenated in the given order (a fleet's node order).
 
         Raises:
             RecordingModeError: If any recorder is a streaming one.
         """
-        out = cls()
+        out = MetricsRecorder()
         for rec in recorders:
             rec._require_full("merging per-request columns")
             out._requests += rec._requests

@@ -193,7 +193,7 @@ def test_every_request_is_accounted_for(
         nodes = rep.node_reports
         if isinstance(nodes, dict):  # the elastic fleets key them by node id
             nodes = nodes.values()
-        assert sum(n.stats.latency.count for n in nodes) == served
+        assert sum(n.latency.count for n in nodes) == served
         if loop == "hetero":
             pools = rep.pool_stats.values()
             assert sum(p.completed_count for p in pools) == served

@@ -1,5 +1,6 @@
 """Repository hygiene: doctests, console entry point, docs cross-refs."""
 
+import ast
 import doctest
 import inspect
 import pathlib
@@ -232,3 +233,56 @@ class TestRepoHygiene:
             if p.endswith(".pyc") or "__pycache__/" in p
         ]
         assert tracked == []
+
+    def test_no_unused_imports(self):
+        """No module-level (or ``TYPE_CHECKING``) import in a non-package
+        file under the linted trees goes unread — the offline half of
+        the CI lint's F401 rule.  A name counts as read when the module
+        loads it anywhere, lists it in ``__all__`` or names it in a
+        string annotation; ``__future__`` imports are exempt."""
+        unused = []
+        for tree_dir in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((ROOT / tree_dir).rglob("*.py")):
+                if path.name != "__init__.py":
+                    unused += _unused_imports(path)
+        assert unused == []
+
+
+def _unused_imports(path):
+    """``path:line name`` of each module-level import ``path`` never reads."""
+    module = ast.parse(path.read_text())
+    imports = []
+    for stmt in module.body:
+        body = [stmt]
+        if isinstance(stmt, ast.If) and "TYPE_CHECKING" in ast.unparse(stmt.test):
+            body = stmt.body
+        for node in body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imports.append((node.lineno, name))
+    read = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and "__all__" in {
+            getattr(t, "id", None) for t in node.targets
+        }:
+            read.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        for ann in filter(None, annotations):
+            for part in ast.walk(ann):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    for sub in ast.walk(ast.parse(part.value, mode="eval")):
+                        if isinstance(sub, ast.Name):
+                            read.add(sub.id)
+    rel = path.relative_to(ROOT)
+    return [f"{rel}:{line} {name}" for line, name in imports if name not in read]

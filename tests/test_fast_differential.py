@@ -343,7 +343,7 @@ def _node_view(rep, windows):
         rep.sim_end_s,
         [rep.latency_percentile(q) for q in QS],
         [rep.window_percentile(q, a, b) for a, b in windows for q in (50, 99)],
-        rep.stats.mean_latency_s,
+        rep.mean_latency_s,
         rep.mean_queue_s,
         rep.mean_service_s,
         rep.mean_batch,

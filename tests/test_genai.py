@@ -13,7 +13,6 @@ The load-bearing guarantees of ``repro.genai``:
   exactly (percentiles sketched past the reservoir).
 """
 
-import math
 import random
 
 import pytest

@@ -577,14 +577,15 @@ def _windows(t):
 
 
 def _chain(record, depth, window_s, exact_limit):
-    """A node recorder and its ``depth - 1`` ancestors (node, pool, run)."""
+    """A node report and its ``depth - 1`` ancestor recorders (node,
+    pool, run); the node is a ``ServingReport``, as in a fleet run."""
+    keywords = dict(record=record, window_s=window_s, exact_limit=exact_limit)
     rec = None
     levels = []
-    for _ in range(depth):
-        rec = MetricsRecorder(
-            record=record, window_s=window_s, exact_limit=exact_limit, parent=rec
-        )
+    for _ in range(depth - 1):
+        rec = MetricsRecorder(**keywords, parent=rec)
         levels.append(rec)
+    levels.append(ServingReport("hybrid", **keywords, parent=rec))
     return levels[::-1]
 
 
@@ -656,7 +657,7 @@ def test_record_batch_matches_record_completion(
     per_request = _chain(record, depth, window_s, exact_limit)
     full = record == "full"
     records = []
-    nodes = [MetricsRecorder() for _ in range(n_nodes)]
+    nodes = [ServingReport("hybrid") for _ in range(n_nodes)]
     node_records = [[] for _ in nodes]
     t = 0.0
     rid = 0
@@ -698,9 +699,7 @@ def test_record_batch_matches_record_completion(
             assert _column_answers(rec, windows) == want
         want = _list_answers([c for cs in node_records for c in cs], windows)
         assert _column_answers(MetricsRecorder.merged(nodes), windows) == want
-        fleet = ClusterReport(
-            "hybrid", "rr", [ServingReport("hybrid", stats=rec) for rec in nodes]
-        )
+        fleet = ClusterReport("hybrid", "rr", nodes)
         assert [
             [_row(c) for c in fleet.completed],
             [_bits(x) for x in fleet.latencies_s],

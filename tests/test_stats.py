@@ -314,15 +314,15 @@ class TestLatencyMemoRefresh:
         node = ServingReport(policy="hybrid")
         other = ServingReport(policy="hybrid")
         fleet = ClusterReport(policy="hybrid", router="rr", node_reports=[node, other])
-        node.stats.record_completion(_completion(0.25, finish_s=1.0, req_id=0))
-        other.stats.record_batch(1.5, 2.0, [Request(1, "BERT", 1.5)])
+        node.record_completion(_completion(0.25, finish_s=1.0, req_id=0))
+        other.record_batch(1.5, 2.0, [Request(1, "BERT", 1.5)])
 
         def answers():
             if level == "serving":
                 return (
                     node.p99_s,
                     node.window_percentile(99, 0.0, 10.0),
-                    node.stats.mean_latency_s,
+                    node.mean_latency_s,
                     node.mean_service_s,
                 )
             return (
@@ -341,14 +341,14 @@ class TestLatencyMemoRefresh:
         edited.append(_completion(8.0, finish_s=8.0))
         assert node.served == len(node.completed) == 1
         assert answers() == first
-        node.stats.record_batch(2.0, 3.0, [Request(2, "BERT", 2.0)])
+        node.record_batch(2.0, 3.0, [Request(2, "BERT", 2.0)])
         assert answers() == after
 
 
 class TestServingReportModes:
     def test_streaming_report_counts_without_lists(self):
         rep = ServingReport(policy="hybrid", record="streaming")
-        rep.stats.record_completion(_completion(0.3, finish_s=1.0))
+        rep.record_completion(_completion(0.3, finish_s=1.0))
         assert rep.served == 1
         assert rep.p99_s == pytest.approx(0.3)
         with pytest.raises(RecordingModeError):
