@@ -84,6 +84,7 @@ class _Slot:
     busy_window: BusyWindow = field(default_factory=BusyWindow)
     completed_seen: int = 0
     rejected_seen: int = 0
+    arrived_seen: int = 0
 
 
 class FleetLoop:
@@ -147,7 +148,6 @@ class FleetLoop:
     def _fresh(self, spans) -> None:
         self.slots = {}
         self._next_id = 0
-        self._arrived = {p: 0 for p in self.pools}
         self._spans = spans
         self.timeline = []
         self.run_stats = None
@@ -165,11 +165,7 @@ class FleetLoop:
         if self._nodes is not None:
             (pool,) = self.pools
             for node in self._nodes:
-                node.queue = []
-                node.in_flight = []
-                node.busy_until = 0.0
-                node.busy_s = 0.0
-                node.epoch = 0
+                node.reset()
                 self._adopt(node, pool, 0.0, ready_now=True)
             return
         for name in sorted(self.pools):
@@ -261,7 +257,7 @@ class FleetLoop:
                 for slot in active[: min(shed, max(0, len(active) - floor))]:
                     slot.state = DRAINING
                     slot.life.drain_s = clock
-                    if slot.node.idle and not slot.node.queue:
+                    if slot.node.idle and not slot.node.queued:
                         self._retire(slot, clock)
 
     # ------------------------------------------------------------------ #
@@ -336,7 +332,6 @@ class FleetLoop:
 
         slots = self.slots
         pools = self.pools
-        arrived = self._arrived
         run_stats = self.run_stats
         router = self.router
         route = router.route
@@ -345,8 +340,7 @@ class FleetLoop:
         prev_tick = 0.0
         n_dropped = 0
 
-        def dispatch(slot: _Slot, now: float) -> None:
-            node = slot.node
+        def dispatch(node: ClusterNode, now: float) -> None:
             finish = node.try_dispatch(now)
             invalidate_backlogs()
             if finish is not None:
@@ -355,10 +349,12 @@ class FleetLoop:
         def arrive(now: float, reqs) -> None:
             # Every arrival at this instant routes before any dispatch, so
             # simultaneous requests can share a batch (single-node engine
-            # semantics) and routing sees them in stream order.
+            # semantics) and routing sees them in stream order.  Touched
+            # nodes then dispatch in node-id order; an epoch that touched
+            # one node, as most do, builds no map and sorts nothing.
             nonlocal last_arrival, n_dropped
             last_arrival = now
-            touched: Dict[int, _Slot] = {}
+            first = touched = None
             for r in reqs:
                 node = route(r, now)
                 if node is None:
@@ -370,12 +366,18 @@ class FleetLoop:
                         report.dropped.append(f)
                     continue
                 node.enqueue(r)
-                slot = slots[node.node_id]
-                arrived[slot.pool] += 1
-                touched[node.node_id] = slot
-            for nid in sorted(touched):
-                if touched[nid].node.idle:
-                    dispatch(touched[nid], now)
+                if first is None:
+                    first = node
+                elif node is not first:
+                    if touched is None:
+                        touched = {first.node_id: first}
+                    touched[node.node_id] = node
+            if touched is not None:
+                for nid in sorted(touched):
+                    if not touched[nid].in_flight:
+                        dispatch(touched[nid], now)
+            elif first is not None and not first.in_flight:
+                dispatch(first, now)
 
         def on_finishes(now: float, events: List[Event]) -> None:
             nonlocal last_service_end
@@ -386,8 +388,8 @@ class FleetLoop:
                     continue  # batch was lost to a failure; stale event
                 node.finish_batch(now)
                 last_service_end = now
-                dispatch(slot, now)
-                if slot.state == DRAINING and node.idle and not node.queue:
+                dispatch(node, now)
+                if slot.state == DRAINING and node.idle and not node.queued:
                     self._retire(slot, now)
 
         def on_readies(now: float, events: List[Event]) -> None:
@@ -533,6 +535,7 @@ class FleetLoop:
             window_lats: List[float] = []
             completions = 0
             rejections = 0
+            arrivals = 0
             busy_window = 0.0
             backlog = 0
             for slot in self.slots.values():
@@ -550,6 +553,8 @@ class FleetLoop:
                 slot.completed_seen = served_now
                 rejections += rep.rejected_count - slot.rejected_seen
                 slot.rejected_seen = rep.rejected_count
+                arrivals += slot.node.enqueued - slot.arrived_seen
+                slot.arrived_seen = slot.node.enqueued
                 busy_window += slot.busy_window.observe(
                     slot.node.busy_s,
                     slot.node.busy_until,
@@ -586,7 +591,7 @@ class FleetLoop:
                 active=n_active,
                 provisioning=len(self._in_state(name, PROVISIONING)),
                 draining=n_draining,
-                arrivals=self._arrived[name],
+                arrivals=arrivals,
                 completions=completions,
                 rejections=rejections,
                 window_p99_s=window_p99,
@@ -594,7 +599,6 @@ class FleetLoop:
                 backlog=backlog,
                 failed=len(self._in_state(name, FAILED)),
             )
-            self._arrived[name] = 0
         if streaming and len(self.pools) > 1:
             self.run_stats.roll_window(t1)
         return out

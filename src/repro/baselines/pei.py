@@ -40,7 +40,6 @@ def pei_gemm(
         config, mapping, shape, level, agen="stepstone", flow="echo"
     )
     plan = base.plan
-    t = config.timing
     dma = config.dma
 
     total_blocks = float(sum(plan.gemm_blocks_per_pim.values()))

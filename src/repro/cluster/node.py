@@ -1,7 +1,8 @@
 """One fleet node (StepStone, CPU, or GPU) inside a simulated cluster.
 
-A node is the per-machine half of the fleet simulator: it owns a request
-queue, forms FIFO per-model batches, applies single-pass SLO admission,
+A node is the per-machine half of the fleet simulator: it owns a FIFO
+queue per model, batches from the model whose front request is oldest,
+applies single-pass SLO admission,
 and charges batch service time through the engine's memoized
 :meth:`~repro.serving.engine.OnlineServingEngine.batch_latency`.  This
 is the only batching and admission code: the single-node
@@ -19,7 +20,8 @@ backends, so fleets of mixed substrates remain directly comparable.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from collections import defaultdict, deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.serving.engine import (
     FailedRequest,
@@ -66,15 +68,7 @@ class ClusterNode:
         self.max_batch = max_batch if max_batch is not None else engine.max_batch
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        self.queue: List[Request] = []
-        self.in_flight: List[Request] = []
-        self.busy_until: float = 0.0
-        self.busy_s: float = 0.0
-        #: Bumped on every failure; a pending finish event carrying an
-        #: older epoch is stale (its batch was lost) and must be ignored.
-        self.epoch: int = 0
-        self._dispatch_s: float = 0.0
-        self._service_s: float = 0.0
+        self.reset()
         #: Optional :class:`~repro.obs.trace.SpanRecorder` the owning
         #: fleet attaches for a traced run (``None`` = no tracing).
         self.obs_spans = None
@@ -85,6 +79,25 @@ class ClusterNode:
         self._min_lat: dict = {}
         self.report = ServingReport(policy=self.policy)
 
+    def reset(self) -> None:
+        """Empty the node: no queue, no batch, no busy time, epoch 0."""
+        #: Per-model FIFO of ``(arrival sequence, request)``, none empty.
+        self._queues: Dict[str, Deque[Tuple[int, Request]]] = defaultdict(deque)
+        #: Requests enqueued since the reset; the next one's arrival
+        #: sequence number.  ``queued`` is how many still wait.
+        self.enqueued = self.queued = 0
+        self.in_flight: List[Request] = []
+        self.busy_until = self.busy_s = 0.0
+        #: Bumped on every failure; a pending finish event carrying an
+        #: older epoch is stale (its batch was lost) and must be ignored.
+        self.epoch = 0
+        self._dispatch_s = self._service_s = 0.0
+
+    @property
+    def queue(self) -> List[Request]:
+        """The queued requests in arrival (FIFO) order across models."""
+        return [r for _, r in sorted(e for q in self._queues.values() for e in q)]
+
     @property
     def idle(self) -> bool:
         """True when no batch is in flight on this node."""
@@ -93,7 +106,7 @@ class ClusterNode:
     def backlog(self) -> int:
         """Requests on this node (queued + in the running batch) — the
         join-shortest-queue load signal."""
-        return len(self.queue) + len(self.in_flight)
+        return self.queued + len(self.in_flight)
 
     def min_latency(self, model: str) -> float:
         """Batch-1 service seconds for ``model`` on this node's hardware —
@@ -120,11 +133,12 @@ class ClusterNode:
         Raises:
             ValueError: If the node does not host the request's model.
         """
-        if self.models and request.model not in self.models:
-            raise ValueError(
-                f"node {self.node_id} does not host {request.model!r}"
-            )
-        self.queue.append(request)
+        model = request.model
+        if self.models and model not in self.models:
+            raise ValueError(f"node {self.node_id} does not host {model!r}")
+        self._queues[model].append((self.enqueued, request))
+        self.enqueued += 1
+        self.queued += 1
 
     def try_dispatch(self, clock: float) -> Optional[float]:
         """Launch the next admissible batch if idle; return its finish time.
@@ -143,17 +157,16 @@ class ClusterNode:
             The batch finish time, or ``None`` when nothing dispatched
             (busy node or empty/fully-rejected queue).
         """
-        while self.idle and self.queue:
-            head_model = self.queue[0].model
-            # FIFO batch: the first max_batch head-model requests in
-            # queue order (early-exit scan; long mixed queues stay O(b)).
-            candidates = []
-            cap = self.max_batch
-            for r in self.queue:
-                if r.model == head_model:
-                    candidates.append(r)
-                    if len(candidates) == cap:
-                        break
+        queues = self._queues
+        while not self.in_flight and queues:
+            # Deques compare by their fronts' unique sequence numbers, so
+            # the least holds the oldest request; pop O(batch) off it.
+            q = min(queues.values())
+            head_model = q[0][1].model
+            candidates = [q.popleft()[1] for _ in range(min(len(q), self.max_batch))]
+            if not q:
+                del queues[head_model]
+            self.queued -= len(candidates)
             admitted, rejected, service = slo_admit(
                 candidates,
                 clock,
@@ -175,21 +188,6 @@ class ClusterNode:
                         node=self.node_id,
                         model=r.model,
                     )
-            # admitted + rejected partition the candidates, which are the
-            # first len(candidates) head-model requests in queue order —
-            # drop exactly that many matches instead of id-set filtering.
-            ncand = len(candidates)
-            if ncand == len(self.queue):
-                self.queue = []
-            else:
-                newq = []
-                dropped = 0
-                for r in self.queue:
-                    if dropped < ncand and r.model == head_model:
-                        dropped += 1
-                    else:
-                        newq.append(r)
-                self.queue = newq
             if admitted:
                 self.in_flight = admitted
                 self._dispatch_s = clock
@@ -256,7 +254,8 @@ class ClusterNode:
         Returns:
             The lost requests (in-flight first, then queue order).
         """
-        lost = list(self.in_flight) + list(self.queue)
+        queued = self.queue
+        lost = self.in_flight + queued
         spans = self.obs_spans
         if self.in_flight:
             self.busy_s -= max(0.0, self.busy_until - clock)
@@ -274,7 +273,7 @@ class ClusterNode:
                 )
         for reason, held in (
             ("in-flight-lost", self.in_flight),
-            ("queue-dropped", self.queue),
+            ("queue-dropped", queued),
         ):
             for r in held:
                 self.report.record_failure(
@@ -294,7 +293,8 @@ class ClusterNode:
                         node=self.node_id,
                         model=r.model,
                     )
-        self.queue = []
+        self._queues = defaultdict(deque)
+        self.queued = 0
         self.in_flight = []
         self.busy_until = clock
         self.epoch += 1

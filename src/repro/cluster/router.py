@@ -318,7 +318,7 @@ class BackendAffinityRouter(_CachedRouter):
                     st[1] = still
             while fheap:
                 c, b, nid, node = fheap[0]
-                live = len(node.queue) + len(node.in_flight)
+                live = node.queued + len(node.in_flight)
                 if live != b:
                     heapreplace(fheap, (c, live, nid, node))
                     continue
@@ -332,7 +332,7 @@ class BackendAffinityRouter(_CachedRouter):
             heapify(fbheap)
         while True:
             b, c, nid, node = fbheap[0]
-            live = len(node.queue) + len(node.in_flight)
+            live = node.queued + len(node.in_flight)
             if live != b:
                 heapreplace(fbheap, (live, c, nid, node))
                 continue

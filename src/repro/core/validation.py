@@ -46,7 +46,6 @@ def build_pim_trace(
 ) -> List[Request]:
     """The critical PIM's demand stream in execution order (group-major,
     row-major within group) as controller requests."""
-    g = mapping.geometry
     fa = plan.analysis
     reqs: List[Request] = []
     rid = 0

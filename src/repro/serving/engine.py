@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -82,26 +82,76 @@ def _check_policy(policy: str, backend: str = "stepstone") -> None:
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
 class Request:
-    """One timestamped inference request for one model."""
+    """One timestamped inference request for one model.
+
+    A frozen ``__slots__`` record, built once per arrival: it behaves as
+    a ``@dataclass(frozen=True)`` with these fields would (value ``==``
+    and ``hash``, ``repr``, positional or keyword construction,
+    ``FrozenInstanceError`` on assignment, pickling), but it is not a
+    dataclass, so ``dataclasses.fields``/``replace``/``asdict`` do not
+    apply to it.
+    """
+
+    __slots__ = ("req_id", "model", "arrival_s", "slo_s")
+    __match_args__ = __slots__
 
     req_id: int
     model: str
     arrival_s: float
     #: End-to-end latency bound (queueing + service); ``None`` = best effort.
-    slo_s: Optional[float] = None
+    slo_s: Optional[float]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, req_id: int, model: str, arrival_s: float, slo_s: Optional[float] = None
+    ) -> None:
         # Written so NaN fails too: every comparison with NaN is False.
-        if not 0 <= self.arrival_s < math.inf:
+        if not 0 <= arrival_s < math.inf:
             raise ValueError(
-                f"arrival time must be finite and non-negative, got {self.arrival_s}"
+                f"arrival time must be finite and non-negative, got {arrival_s}"
             )
-        if self.slo_s is not None and not 0 < self.slo_s < math.inf:
-            raise ValueError(
-                f"SLO must be positive and finite when given, got {self.slo_s}"
-            )
+        if slo_s is not None and not 0 < slo_s < math.inf:
+            raise ValueError(f"SLO must be positive and finite when given, got {slo_s}")
+        # The slot descriptors' own setters: the frozen __setattr__ below
+        # is for everyone else.
+        _SET_REQ_ID(self, req_id)
+        _SET_MODEL(self, model)
+        _SET_ARRIVAL(self, arrival_s)
+        _SET_SLO(self, slo_s)
+
+    def _key(self) -> tuple:
+        return (self.req_id, self.model, self.arrival_s, self.slo_s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(req_id={self.req_id!r}, model={self.model!r}, "
+            f"arrival_s={self.arrival_s!r}, slo_s={self.slo_s!r})"
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuilt through __init__ (pickle and copy would otherwise set
+        # the slots through the frozen __setattr__).
+        return (type(self), self._key())
+
+
+_SET_REQ_ID = Request.req_id.__set__
+_SET_MODEL = Request.model.__set__
+_SET_ARRIVAL = Request.arrival_s.__set__
+_SET_SLO = Request.slo_s.__set__
 
 
 @dataclass(frozen=True)
@@ -323,27 +373,24 @@ def slo_admit(
     request was rejected).  Requests without an SLO are never rejected.
     """
 
-    def headroom(r: Request) -> float:
-        if r.slo_s is None:
-            return math.inf
-        return r.slo_s - (clock - r.arrival_s)
-
-    order = sorted(batch, key=headroom)  # stable: ties keep batch order
+    n = len(batch)
+    if not n:
+        return [], [], 0.0
+    inf = math.inf
+    heads = [inf if r.slo_s is None else r.slo_s - (clock - r.arrival_s) for r in batch]
+    service = service_for_size(n)
+    if min(heads) >= service:
+        return list(batch), [], service  # the least headroom fits: no sort
+    order = sorted(range(n), key=heads.__getitem__)  # stable: ties keep batch order
     drop = 0
-    service = 0.0
-    while drop < len(order):
-        service = service_for_size(len(order) - drop)
-        if headroom(order[drop]) >= service:
-            break
+    while heads[order[drop]] < service:
         drop += 1
-    rejected = order[:drop]
-    if drop == len(order):
-        return [], rejected, 0.0
-    if drop == 0:
-        return list(batch), [], service
-    dropped = {id(r) for r in rejected}
-    admitted = [r for r in batch if id(r) not in dropped]
-    return admitted, rejected, service
+        if drop == n:
+            return [], [batch[i] for i in order], 0.0
+        service = service_for_size(n - drop)
+    dropped = set(order[:drop])
+    admitted = [r for i, r in enumerate(batch) if i not in dropped]
+    return admitted, [batch[i] for i in order[:drop]], service
 
 
 # ---------------------------------------------------------------------- #

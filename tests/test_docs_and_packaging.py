@@ -247,6 +247,70 @@ class TestRepoHygiene:
                     unused += _unused_imports(path)
         assert unused == []
 
+    def test_no_unused_locals(self):
+        """No function assigns a plain local it never reads — the offline
+        half of the CI lint's F841 rule, with its exemptions:
+        ``_``-prefixed names, tuple-unpacking targets, and names a
+        ``global``/``nonlocal`` statement binds elsewhere."""
+        unused = []
+        for tree_dir in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((ROOT / tree_dir).rglob("*.py")):
+                unused += _unused_locals(path)
+        assert unused == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope):
+    """The nodes of one function's own scope: not those of the functions,
+    classes, lambdas or comprehensions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES + (ast.comprehension,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(path):
+    """``path:line name`` of each function-local name assigned (``=``,
+    annotated ``=``, ``with ... as``, ``except ... as``) and never read
+    in the function or the scopes nested in it."""
+    module = ast.parse(path.read_text())
+    rel = path.relative_to(ROOT)
+    out = []
+    for fn in ast.walk(module):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, declared = {}, set()
+        for node in _own_nodes(fn):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+                targets = [node.optional_vars]
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                stored.setdefault(node.name, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    stored.setdefault(t.id, t.lineno)
+        read = {
+            n.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
+        out += [
+            f"{rel}:{line} {name}"
+            for name, line in stored.items()
+            if name not in read and name not in declared and not name.startswith("_")
+        ]
+    return out
+
 
 def _unused_imports(path):
     """``path:line name`` of each module-level import ``path`` never reads."""

@@ -69,7 +69,7 @@ class TestControllerWritePath:
         reqs = [
             Request(arrival=5000, coord=BankCoord(0, 0, 0), row=1, column=0, request_id=0)
         ]
-        stats = ctl.run(reqs)
+        ctl.run(reqs)
         assert reqs[0].completion > 5000
 
 

@@ -3,7 +3,10 @@ must be a pure function of (fn, configs) — identical to serial execution
 for any worker count — and unpicklable inputs must fail fast."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.serving import Request
 from repro.sim import SweepResult, run_sweep
 from repro.sim.sweep import default_workers
 
@@ -38,6 +41,26 @@ def _planner_probe(cfg):
     return (plan.nodes, len(plan.probes))
 
 
+def _serve_requests(cfg):
+    """Serve a config's own ``Request`` list; return every outcome record
+    (requests included, so they cross the process boundary both ways)."""
+    from repro.serving import OnlineServingEngine
+
+    rep = OnlineServingEngine(max_batch=cfg["max_batch"]).run(cfg["requests"], "hybrid")
+    served = [(c.request, c.dispatch_s, c.finish_s, c.batch) for c in rep.completed]
+    return served, [(x.request, x.rejected_at_s) for x in rep.rejected], rep.sim_end_s
+
+
+_request_lists = st.lists(
+    st.tuples(
+        st.sampled_from(["BERT", "DLRM"]),
+        st.floats(0.0, 0.05),
+        st.sampled_from([None, 0.01, 0.05, 1.0]),
+    ),
+    max_size=24,
+).map(lambda rows: [Request(i, m, t, slo) for i, (m, t, slo) in enumerate(rows)])
+
+
 CONFIGS = [{"rate": 150.0 + 50.0 * i, "seed": i} for i in range(4)]
 
 
@@ -52,6 +75,20 @@ class TestRunSweep:
         pooled = run_sweep(_seeded_run, CONFIGS, workers=2)
         assert pooled.results == serial.results
         assert pooled.workers == 2
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        lists=st.lists(_request_lists, min_size=2, max_size=3),
+        max_batch=st.integers(1, 8),
+    )
+    def test_request_configs_independent_of_worker_count(self, lists, max_batch):
+        """Configs that carry ``Request`` lists pickle to the workers and
+        back: one worker and two give the same records."""
+        configs = [{"requests": reqs, "max_batch": max_batch} for reqs in lists]
+        serial = run_sweep(_serve_requests, configs, workers=1)
+        pooled = run_sweep(_serve_requests, configs, workers=2)
+        assert pooled.workers == 2
+        assert pooled.results == serial.results
 
     def test_worker_count_independence(self):
         """The determinism contract: any worker count, same answer."""
