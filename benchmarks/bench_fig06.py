@@ -20,7 +20,7 @@ def test_fig06(run_bench):
     run_bench("fig06")
 
 
-@pytest.mark.parametrize("level", list(PimLevel), ids=lambda l: l.short)
+@pytest.mark.parametrize("level", list(PimLevel), ids=lambda level: level.short)
 def test_fig06_executor_batch4(benchmark, level):
     shape = GemmShape(1024, 4096, 4)
     result = benchmark(execute_gemm, CFG, SKY, shape, level)

@@ -37,7 +37,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.fleet import Cluster, ClusterReport
 from repro.cluster.placement import (
@@ -60,6 +60,29 @@ __all__ = [
     "HeteroCapacityPlan",
     "HeteroCapacityPlanner",
 ]
+
+
+def _frontier(feasible: Callable[[int], bool], max_nodes: int) -> Optional[int]:
+    """The smallest count in ``[1, max_nodes]`` a monotone ``feasible``
+    accepts, or ``None`` when even ``max_nodes`` is infeasible.
+
+    Doubles from one until feasible, then bisects between the largest
+    infeasible and the smallest feasible count probed: at most
+    ``2 * ceil(log2(max_nodes)) + 1`` probes.
+    """
+    lo, hi = 0, 1  # lo: largest known-infeasible count
+    while not feasible(hi):
+        if hi >= max_nodes:
+            return None
+        lo = hi
+        hi = min(2 * hi, max_nodes)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass
@@ -281,21 +304,12 @@ class CapacityPlanner:
                 reports[n] = report
                 return ok
 
-        lo, hi = 0, 1  # lo: largest known-infeasible count
-        while not feasible(hi):
-            if hi >= max_nodes:
-                raise ValueError(
-                    f"{policy}: even {max_nodes} nodes miss the "
-                    f"{p99_slo_s * 1e3:.1f} ms p99 SLO at {target_rps:.0f} req/s"
-                )
-            lo = hi
-            hi = min(2 * hi, max_nodes)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
+        hi = _frontier(feasible, max_nodes)
+        if hi is None:
+            raise ValueError(
+                f"{policy}: even {max_nodes} nodes miss the "
+                f"{p99_slo_s * 1e3:.1f} ms p99 SLO at {target_rps:.0f} req/s"
+            )
         return CapacityPlan(
             policy=policy,
             router=self.router,
@@ -532,19 +546,7 @@ class HeteroCapacityPlanner(CapacityPlanner):
             return ok
 
         try:
-            lo, hi = 0, 1
-            while not feasible(hi):
-                if hi >= max_nodes:
-                    return None
-                lo = hi
-                hi = min(2 * hi, max_nodes)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if feasible(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
+            return _frontier(feasible, max_nodes)
         except PlacementError:
             # no mix model fits this node type's memory at all
             return None

@@ -9,8 +9,8 @@ metrics refactor end to end:
 
 * **Exactness cross-check** — the same diurnal prefix served three
   ways: eager ``record="full"`` (per-request records, the pre-refactor
-  behavior), eager ``record="streaming"`` (P² sketches + windowed
-  sub-sketches), and lazy ``record="streaming"`` with generator
+  behavior), eager ``record="streaming"`` (P² sketches + packed
+  window summaries), and lazy ``record="streaming"`` with generator
   arrivals.  All three must agree on every count and every control
   decision; streaming percentiles must sit within the documented sketch
   tolerance of the exact ranks.

@@ -5,9 +5,9 @@ runs and layers — one bus can watch a whole sweep, a fleet and its
 nodes, or an engine and the kernel underneath it, keyed by metric name
 plus a label set (``node=3, pool="gpu", backend="stepstone"``).  The
 primitives are PR 6's streaming core: histograms ride
-:class:`~repro.sim.stats.StreamStats` (exact count/mean/min/max plus the
-:class:`~repro.sim.stats.QuantileSketch` percentile estimate), so a
-histogram of 10M observations stays O(1) in memory.
+:class:`~repro.sim.stats.StreamStats` (exact count/mean/min/max plus a
+sketched percentile estimate past its exact reservoir), so a histogram
+of 10M observations stays O(1) in memory.
 
 Disabled buses are free: every write method returns after one attribute
 check, allocates nothing, and touches no dict — the engines can leave

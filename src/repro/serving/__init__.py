@@ -22,8 +22,6 @@ __all__ = [
     "ServingReport",
     "OnlineServingEngine",
     "slo_admit",
-    "nearest_rank",
-    "window_latencies",
     "poisson_requests",
     "uniform_requests",
     "merge_streams",
@@ -49,11 +47,9 @@ __getattr__, __dir__ = lazy_exports(
             "Request",
             "ServingReport",
             "merge_streams",
-            "nearest_rank",
             "poisson_requests",
             "slo_admit",
             "uniform_requests",
-            "window_latencies",
         ),
         "scheduler": ("BatchServer", "HybridSplit", "ServingPoint"),
     },

@@ -42,11 +42,6 @@ from repro.models.inference import all_models
 from repro.models.layers import ModelSpec, pow2_partition
 from repro.serving.nodespec import STEPSTONE_NODE, NodeSpec
 from repro.serving.scheduler import BatchServer, _check_batch
-
-# Back-compat re-exports: these helpers moved to the simulation substrate
-# (`repro.sim.metrics`) but remain importable from here, where every
-# pre-kernel caller found them.
-from repro.sim.metrics import nearest_rank, window_latencies
 from repro.sim.stats import MetricsRecorder
 
 __all__ = [
@@ -58,8 +53,6 @@ __all__ = [
     "ServingReport",
     "OnlineServingEngine",
     "slo_admit",
-    "nearest_rank",
-    "window_latencies",
     "poisson_requests",
     "uniform_requests",
     "merge_streams",

@@ -16,7 +16,7 @@ fleet loop (:mod:`repro.autoscale._loop`) they configure.
   (scripted or seeded MTBF/MTTR) that inject ``FAIL``/``RECOVER``
   events no pre-kernel loop could express;
 * :mod:`~repro.sim.stats` — the streaming statistics core
-  (:class:`MetricsRecorder`, :class:`QuantileSketch`,
+  (:class:`MetricsRecorder`, :class:`StreamStats`,
   :class:`WindowRing`) every report layer accumulates through, with
   exact ``record="full"`` and flat-memory ``record="streaming"`` modes;
 * :mod:`~repro.sim.sweep` — the multiprocess sweep runner
@@ -38,7 +38,6 @@ __all__ = [
     "FailureTrace",
     "RecordingModeError",
     "P2Quantile",
-    "QuantileSketch",
     "StreamStats",
     "WindowRing",
     "MetricsRecorder",
@@ -55,10 +54,9 @@ __getattr__, __dir__ = lazy_exports(
         "stats": (
             "MetricsRecorder",
             "P2Quantile",
-            "QuantileSketch",
             "RecordingModeError",
             "StreamStats",
-                    "WindowRing",
+            "WindowRing",
         ),
         "sweep": ("SweepResult", "run_sweep"),
     },

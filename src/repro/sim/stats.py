@@ -17,10 +17,10 @@ reports merged.  A recorder runs in one of two modes.
   ``completed``.  The right mode for small runs, debugging and
   regression fixtures.
 * ``record="streaming"`` (the scale mode): no per-request column exists
-  anywhere.  Latencies stream through a :class:`QuantileSketch` (exact
-  nearest-rank up to a fixed reservoir, then P²-style markers), counts
-  and means are incremental, and windowed percentiles come from a
-  bounded ring of per-window sub-sketches (:class:`WindowRing`) so
+  anywhere.  Latencies stream through a :class:`StreamStats` (exact
+  nearest-rank up to a fixed reservoir, then P²-style markers, with
+  incremental counts and means), and windowed percentiles come from a
+  bounded ring of packed per-window summaries (:class:`WindowRing`) so
   ``window_percentile`` stays O(1) per completion.  Peak memory is flat
   in the number of requests — the mode that makes a 24h-diurnal,
   10M-request run fit in a laptop's RAM.
@@ -36,24 +36,24 @@ the moment it spills — the same incremental-aggregation move the
 analytic cycle-accounting simulators in SNIPPETS.md make instead of
 materializing event streams.
 
-Ingestion is chunked but order-preserving.  A sketch updates
-``count``/``min``/``max`` on every ``add`` (or once per ``add_many``
-batch, the FINISH path's :meth:`MetricsRecorder.record_batch`) and
-parks the values in a pending list of about :data:`INGEST_CHUNK`
-values (a batch may overshoot it by less than one batch);
-:meth:`QuantileSketch.flush` folds the chunk in arrival order, one
-``insort`` at a time up to the spill, then one
+Ingestion is chunked but order-preserving.  A stream updates
+``count``/``total``/``min``/``max`` on every ``add`` (or once per
+``add_many`` batch, the FINISH path's
+:meth:`MetricsRecorder.record_batch`) and parks the values in a pending
+list of about :data:`INGEST_CHUNK` values (a batch may overshoot it by
+less than one batch); :meth:`StreamStats.flush` folds the chunk in
+arrival order, one ``insort`` at a time up to the spill, then one
 :meth:`P2Quantile.add_many` pass per marker set over local variables.
-The chunk is flushed when full, before every read (``quantile``,
-``is_exact``, ``exact_values``, and so every :class:`StreamStats` and
-:class:`WindowRing` query), before ``add_run``, and when a ring window
-closes.  Marker state after a flush is bitwise what per-element updates
-give, so no answer depends on where the chunk boundaries fell.
+The chunk is flushed when full, before every read (``percentile``,
+``is_exact``, ``exact_values``, and so every :class:`WindowRing`
+query), before ``add_run``, and when a ring window is packed.  Marker
+state after a flush is bitwise what per-element updates give, so no
+answer depends on where the chunk boundaries fell.
 
-Observations must be finite: ``QuantileSketch.add``, ``add_many`` and
-``add_run`` (and so every :class:`StreamStats`, :class:`WindowRing` and
+Observations must be finite: ``StreamStats.add``, ``add_many`` and
+``add_run`` (and so every :class:`WindowRing` and
 :class:`MetricsRecorder` call, in both modes) raise ``ValueError`` on
-NaN or infinity and leave the sketch or recorder as it was, since a NaN
+NaN or infinity and leave the stream or recorder as it was, since a NaN
 compares false against every marker and would corrupt every later
 percentile.  A batch pays one ``math.isfinite`` test of a sum, not one
 per value.
@@ -80,7 +80,6 @@ __all__ = [
     "DEFAULT_QUANTILES",
     "RecordingModeError",
     "P2Quantile",
-    "QuantileSketch",
     "StreamStats",
     "WindowRing",
     "MetricsRecorder",
@@ -95,8 +94,8 @@ DEFAULT_QUANTILES: Tuple[float, ...] = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 #: this many observations every percentile answer is exact nearest-rank.
 DEFAULT_EXACT_LIMIT = 512
 
-#: Observations a :class:`QuantileSketch` holds before folding them in
-#: as one chunk (see :meth:`QuantileSketch.flush`).
+#: Observations a :class:`StreamStats` holds before folding them in
+#: as one chunk (see :meth:`StreamStats.flush`).
 INGEST_CHUNK = 256
 
 #: Closed windows a :class:`WindowRing` retains (oldest evicted beyond
@@ -121,7 +120,7 @@ class P2Quantile:
     every observation.  O(1) memory and time per observation.
 
     Markers are seeded from an already-sorted sample (the exact
-    reservoir a :class:`QuantileSketch` spills), which starts them far
+    reservoir a :class:`StreamStats` spills), which starts them far
     closer to their targets than the textbook first-five-observations
     initialization.
     """
@@ -318,21 +317,24 @@ class P2Quantile:
         return self._q[2]
 
 
-class QuantileSketch:
-    """Exact nearest-rank up to a reservoir limit, P² markers beyond it.
+class StreamStats:
+    """Streaming count/sum/mean/min/max and percentiles of one stream.
 
-    The two regimes give both worlds: small runs (and small windows) pay
-    nothing for approximation — answers are the exact nearest-rank that
-    full recording gives — while long streams hold O(1) memory.
-    At the spill instant the exact reservoir seeds one
-    :class:`P2Quantile` per tracked quantile, so the markers start on
-    target instead of on the first five observations.
+    The one-pass replacement for "keep a latency list and sort it":
+    every moment it can answer the same questions a sorted list could.
+    Percentiles are exact nearest-rank up to a reservoir limit and come
+    from P² markers beyond it, so small runs (and small windows) pay
+    nothing for approximation while long streams hold O(1) memory.  At
+    the spill instant the exact reservoir seeds one :class:`P2Quantile`
+    per tracked quantile, so the markers start on target instead of on
+    the first five observations.
     """
 
     __slots__ = (
         "quantiles",
         "exact_limit",
         "count",
+        "total",
         "min",
         "max",
         "_exact",
@@ -346,7 +348,7 @@ class QuantileSketch:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         exact_limit: int = DEFAULT_EXACT_LIMIT,
     ) -> None:
-        """Create an empty sketch.
+        """Create empty running statistics.
 
         Args:
             quantiles: Tracked quantile fractions, each in (0, 1).
@@ -363,6 +365,7 @@ class QuantileSketch:
         self.quantiles = qs
         self.exact_limit = exact_limit
         self.count = 0
+        self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
         self._exact: Optional[List[float]] = []
@@ -374,8 +377,13 @@ class QuantileSketch:
         self._pending: List[float] = []
 
     @property
+    def mean(self) -> float:
+        """Arithmetic mean (NaN when empty)."""
+        return self.total / self.count if self.count else math.nan
+
+    @property
     def is_exact(self) -> bool:
-        """True while every answer is still exact nearest-rank."""
+        """True while every percentile answer is still exact nearest-rank."""
         self.flush()
         return self._markers is None
 
@@ -386,46 +394,47 @@ class QuantileSketch:
         return self._exact
 
     def add(self, x: float) -> None:
-        """Fold one observation into the sketch.
+        """Fold one observation in.
 
-        ``count``/``min``/``max`` update now; the value itself waits in
-        the pending chunk until the next :meth:`flush`.
+        ``count``/``total``/``min``/``max`` update now; the value itself
+        waits in the pending chunk until the next :meth:`flush`.
 
         Raises:
             ValueError: If ``x`` is NaN or infinite (nothing is changed).
         """
-        x = float(x)
-        if not math.isfinite(x):
-            _reject_nonfinite((x,))
+        xf = float(x)
+        if not math.isfinite(xf):
+            _reject_nonfinite((xf,))
         self.count += 1
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
+        self.total += x
+        if xf < self.min:
+            self.min = xf
+        if xf > self.max:
+            self.max = xf
         pending = self._pending
-        pending.append(x)
+        pending.append(xf)
         if len(pending) >= INGEST_CHUNK:
             self.flush()
 
     def add_many(self, xs: List[float]) -> None:
         """Fold float observations in order, bitwise as :meth:`add` one
-        by one.
+        by one (the sum accumulates left to right, as ``+=`` would).
 
         The batch-ingestion call: one ``extend`` of the pending chunk
-        and one min/max each.  The chunk may overshoot
-        :data:`INGEST_CHUNK` by up to ``len(xs) - 1`` values before it
-        is flushed, which no answer depends on (see :meth:`flush`).
+        and one min/max each.  The running sum doubles as the finiteness
+        test, so a batch costs one ``math.isfinite`` check, not one per
+        observation.  The chunk may overshoot :data:`INGEST_CHUNK` by up
+        to ``len(xs) - 1`` values before it is flushed, which no answer
+        depends on (see :meth:`flush`).
 
         Raises:
             ValueError: If any observation is NaN or infinite (nothing
                 is changed).
         """
-        if not math.isfinite(sum(xs)):
+        total = reduce(add, xs, self.total)
+        if not math.isfinite(total):
             _reject_nonfinite(xs)
-        self._extend(xs)
-
-    def _extend(self, xs: List[float]) -> None:
-        """:meth:`add_many` for observations already known to be finite."""
+        self.total = total
         if not xs:
             return
         self.count += len(xs)
@@ -471,6 +480,11 @@ class QuantileSketch:
     def add_run(self, x: float, n: int) -> None:
         """Fold ``n`` identical observations in one O(1) bulk update.
 
+        One multiply for the sum, one bulk insert — the per-run cost the
+        macro-stepped decode path pays per boundary instead of per
+        token.  ``n == 1`` delegates to :meth:`add`, so mixed-run
+        callers keep single-sample semantics unchanged.
+
         In the exact regime the run is spliced into the reservoir at its
         insertion point in one slice assignment (a run may overshoot
         ``exact_limit`` before spilling — deterministic, and identical
@@ -493,29 +507,30 @@ class QuantileSketch:
         if n == 1:
             self.add(x)
             return
-        x = float(x)
-        if not math.isfinite(x):
-            _reject_nonfinite((x,))
+        xf = float(x)
+        if not math.isfinite(xf):
+            _reject_nonfinite((xf,))
         self.flush()
         self.count += n
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
+        self.total += x * n
+        if xf < self.min:
+            self.min = xf
+        if xf > self.max:
+            self.max = xf
         if self._markers is None:
             exact = self._exact
-            lo = bisect.bisect_right(exact, x)
-            exact[lo:lo] = [x] * n
+            lo = bisect.bisect_right(exact, xf)
+            exact[lo:lo] = [xf] * n
             if len(exact) >= self.exact_limit:
                 self._markers = [P2Quantile(q, exact) for q in self.quantiles]
                 self._exact = None
             return
         markers = self._markers
         i = self._rr
-        markers[i].add_run(x, n)
+        markers[i].add_run(xf, n)
         self._rr = i + 1 if i + 1 < len(markers) else 0
 
-    def quantile(self, q: float) -> float:
+    def percentile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (``q`` in (0, 100]).
 
         Exact nearest-rank while the reservoir holds; after the spill,
@@ -527,7 +542,7 @@ class QuantileSketch:
             q: Percentile in (0, 100].
 
         Returns:
-            The estimate, or NaN for an empty sketch.
+            The estimate, or NaN when empty.
 
         Raises:
             ValueError: If ``q`` is outside (0, 100].
@@ -542,7 +557,7 @@ class QuantileSketch:
         return nearest_rank(self._exact, q)
 
     def _curve(self) -> List[float]:
-        """The spilled sketch's curve heights: min, one estimate per
+        """The spilled stream's curve heights: min, one estimate per
         tracked quantile, max (see :func:`_curve_percentile`)."""
         return [self.min, *(m.value for m in self._markers), self.max]
 
@@ -561,7 +576,7 @@ def _reject_nonfinite(xs: Iterable[float]) -> None:
 
 
 def _curve_percentile(q: float, fracs: Sequence[float], curve: Sequence[float]) -> float:
-    """Read percentile ``q`` off a spilled sketch's quantile curve.
+    """Read percentile ``q`` off a spilled stream's quantile curve.
 
     The curve runs through ``(0, min)``, one ``(frac, estimate)`` point
     per tracked fraction in ``fracs`` and ``(1, max)``; ``curve`` holds
@@ -579,184 +594,64 @@ def _curve_percentile(q: float, fracs: Sequence[float], curve: Sequence[float]) 
     return curve[-1]
 
 
-class StreamStats:
-    """Incremental count/sum/mean/min/max plus a quantile sketch.
-
-    The one-pass replacement for "keep a latency list and sort it":
-    every moment it can answer the same questions a sorted list could,
-    at O(1) memory once past the sketch's exact reservoir.
-    """
-
-    __slots__ = ("count", "total", "_sketch")
-
-    def __init__(
-        self,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        exact_limit: int = DEFAULT_EXACT_LIMIT,
-    ) -> None:
-        """Create empty running statistics.
-
-        Args:
-            quantiles: Tracked quantile fractions for the sketch.
-            exact_limit: The sketch's exact-reservoir size.
-        """
-        self.count = 0
-        self.total = 0.0
-        self._sketch = QuantileSketch(quantiles, exact_limit)
-
-    def add(self, x: float) -> None:
-        """Fold one observation in.
-
-        Raises:
-            ValueError: If ``x`` is NaN or infinite (nothing is changed).
-        """
-        self._sketch.add(x)
-        self.count += 1
-        self.total += x
-
-    def add_many(self, xs: List[float]) -> None:
-        """Fold float observations in order, bitwise as :meth:`add` one
-        by one (the sum accumulates left to right, as ``+=`` would).
-
-        The running sum doubles as the finiteness test, so a batch costs
-        one ``math.isfinite`` check, not one per observation.
-
-        Raises:
-            ValueError: If any observation is NaN or infinite (nothing
-                is changed).
-        """
-        total = reduce(add, xs, self.total)
-        if not math.isfinite(total):
-            _reject_nonfinite(xs)
-        self._sketch._extend(xs)
-        self.count += len(xs)
-        self.total = total
-
-    def add_run(self, x: float, n: int) -> None:
-        """Fold ``n`` identical observations in one batched update.
-
-        One multiply for the sum, one bulk sketch insert — the per-run
-        cost the macro-stepped decode path pays per boundary instead of
-        per token.  ``n == 1`` delegates to :meth:`add`, so mixed-run
-        callers keep single-sample semantics unchanged.
-
-        Raises:
-            ValueError: If ``n`` is not positive or ``x`` is NaN or
-                infinite (nothing is changed).
-        """
-        if n <= 0:
-            raise ValueError("run length must be positive")
-        if n == 1:
-            self.add(x)
-            return
-        self._sketch.add_run(x, n)
-        self.count += n
-        self.total += x * n
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (NaN when empty)."""
-        return self.total / self.count if self.count else math.nan
-
-    @property
-    def min(self) -> float:
-        """Smallest observation (inf when empty)."""
-        return self._sketch.min
-
-    @property
-    def max(self) -> float:
-        """Largest observation (-inf when empty)."""
-        return self._sketch.max
-
-    @property
-    def is_exact(self) -> bool:
-        """True while percentile answers are exact nearest-rank."""
-        return self._sketch.is_exact
-
-    @property
-    def exact_values(self) -> Optional[List[float]]:
-        """The sketch's ascending reservoir while exact, else ``None``."""
-        return self._sketch.exact_values
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile estimate (``q`` in (0, 100])."""
-        return self._sketch.quantile(q)
-
-
 class _Summary(NamedTuple):
-    """What window queries read of one window.
+    """One window of a :class:`WindowRing`, packed: its span and what
+    window queries read of it.
 
-    ``exact`` is the ascending reservoir while the window's sketch is
+    ``exact`` is the ascending reservoir while the window's stream is
     exact; otherwise ``fracs``/``curve`` hold its quantile curve (see
-    :func:`_curve_percentile`).
+    :func:`_curve_percentile`).  Both live in ``array('d')`` storage, so
+    a closed window costs a few hundred bytes however many completions
+    it saw, and answers every query exactly as its stream would have.
     """
 
+    start_s: float
+    end_s: float
     count: int
     exact: Optional[Sequence[float]]
     fracs: Optional[Tuple[float, ...]]
     curve: Optional[Sequence[float]]
 
 
-class _Window:
-    """One window of a :class:`WindowRing`.
+def _pack(stats: StreamStats, start_s: float, end_s: float) -> _Summary:
+    """``stats`` packed as a window spanning ``[start_s, end_s)``.
 
-    An open window ingests through a live :class:`StreamStats`.
-    :meth:`close` packs it into a :class:`_Summary` over ``array('d')``
-    storage (reading the sketch flushes its pending chunk) and drops the
-    sketch: a closed window costs a few hundred bytes however many
-    completions it saw, and answers every query exactly as its sketch
-    would have.
-    """
-
-    __slots__ = ("start_s", "end_s", "stats", "summary")
-
-    def __init__(self, start_s: float, quantiles, exact_limit) -> None:
-        self.start_s = start_s
-        self.end_s = math.inf  # open until closed
-        self.stats: Optional[StreamStats] = StreamStats(quantiles, exact_limit)
-        self.summary: Optional[_Summary] = None
-
-    @property
-    def count(self) -> int:
-        """Completions the window holds."""
-        return self.stats.count if self.summary is None else self.summary.count
-
-    def read(self) -> _Summary:
-        """The window's query view (packed now if it is still open)."""
-        if self.summary is not None:
-            return self.summary
-        sk = self.stats._sketch
-        if sk.is_exact:
-            return _Summary(sk.count, array("d", sk.exact_values), None, None)
-        return _Summary(sk.count, None, sk.quantiles, array("d", sk._curve()))
-
-    def close(self, t: float) -> None:
-        """End the window at ``t`` and keep only its packed summary."""
-        self.end_s = t
-        self.summary = self.read()
-        self.stats = None
+    ``is_exact`` flushes the pending chunk before anything is read."""
+    if stats.is_exact:
+        return _Summary(start_s, end_s, stats.count, array("d", stats._exact), None, None)
+    return _Summary(
+        start_s, end_s, stats.count, None, stats.quantiles, array("d", stats._curve())
+    )
 
 
 class WindowRing:
-    """A bounded ring of windowed sub-sketches for O(1) window queries.
+    """A bounded ring of windowed streams for O(1) window queries.
 
-    Completions land in the open window; :meth:`roll` closes it (the
-    elastic fleets roll at every control tick, so a window *is* a
-    control interval) and a fixed ``window_s`` width auto-rolls for
-    loops without a controller.  Only the newest ``depth`` closed
-    windows are retained, each packed to its reservoir or quantile
-    curve, so memory is bounded however long the run.
+    Completions land in the open window, a :class:`StreamStats` started
+    at ``_start_s``; :meth:`roll` closes it (the elastic fleets roll at
+    every control tick, so a window *is* a control interval) and a fixed
+    ``window_s`` width auto-rolls for loops without a controller.  A
+    closed window is packed to a :class:`_Summary` and only the newest
+    ``depth`` of them are retained, so memory is bounded however long
+    the run.
 
-    Queries merge the sub-sketches of every window intersecting the
-    asked range: exact when all of them still hold their reservoirs
-    (the common case — a control window sees far fewer completions than
-    the reservoir size), and a count-weighted interpolation of the
-    per-window quantile curves once any window has spilled.  Windows
-    are never split: a query is effectively snapped to the window
-    boundaries it overlaps.
+    Queries merge every window intersecting the asked range: exact when
+    all of them still hold their reservoirs (the common case — a
+    control window sees far fewer completions than the reservoir size),
+    and a count-weighted interpolation of the per-window quantile curves
+    once any window has spilled.  Windows are never split: a query is
+    effectively snapped to the window boundaries it overlaps.
     """
 
-    __slots__ = ("window_s", "depth", "quantiles", "exact_limit", "_closed", "_open")
+    __slots__ = (
+        "window_s",
+        "depth",
+        "quantiles",
+        "exact_limit",
+        "_closed",
+        "_open",
+        "_start_s",
+    )
 
     #: Per-quantile-curve sample grid used when merging spilled windows.
     _MERGE_GRID = tuple((i + 0.5) / 32.0 for i in range(32))
@@ -773,7 +668,7 @@ class WindowRing:
         Args:
             window_s: Auto-roll width; ``None`` rolls only explicitly.
             depth: Closed windows retained (oldest evicted beyond this).
-            quantiles: Tracked quantile fractions per sub-sketch.
+            quantiles: Tracked quantile fractions per window.
             exact_limit: Per-window exact-reservoir size.
 
         Raises:
@@ -787,8 +682,9 @@ class WindowRing:
         self.depth = depth
         self.quantiles = tuple(quantiles)
         self.exact_limit = exact_limit
-        self._closed: List[_Window] = []
-        self._open = _Window(0.0, self.quantiles, self.exact_limit)
+        self._closed: List[_Summary] = []
+        self._open = StreamStats(self.quantiles, exact_limit)
+        self._start_s = 0.0
 
     def add(self, x: float, t: float) -> None:
         """Record observation ``x`` stamped at time ``t`` (non-decreasing).
@@ -801,7 +697,7 @@ class WindowRing:
             if not math.isfinite(x):
                 _reject_nonfinite((x,))
             self._advance(t)
-        self._open.stats.add(x)
+        self._open.add(x)
 
     def add_many(self, xs: List[float], t: float) -> None:
         """Record float observations ``xs``, all stamped at time ``t``
@@ -815,18 +711,17 @@ class WindowRing:
             if not math.isfinite(sum(xs)):
                 _reject_nonfinite(xs)
             self._advance(t)
-        self._open.stats.add_many(xs)
+        self._open.add_many(xs)
 
     def _advance(self, t: float) -> None:
         """Auto-roll the open window if ``t`` is past its width."""
         if not math.isfinite(t):  # a NaN would skip the roll
             raise ValueError(f"window time must be finite, got {t!r}")
-        edge = self._open.start_s + self.window_s
-        if t >= edge:
+        start = self._start_s
+        if t >= start + self.window_s:
             # Snap the boundary to the width grid so sparse streams
             # don't accumulate one giant window.
-            periods = math.floor((t - self._open.start_s) / self.window_s)
-            start = self._open.start_s + periods * self.window_s
+            start += math.floor((t - start) / self.window_s) * self.window_s
             while t >= start + self.window_s:  # the division rounded down
                 start += self.window_s
             self.roll(start)
@@ -834,30 +729,26 @@ class WindowRing:
     def roll(self, t: float) -> None:
         """Close the open window at ``t`` and start a new one there.
 
-        The closing window's pending chunk is folded in and the window
-        packed (:meth:`_Window.close`), so closed windows hold neither
-        unflushed data nor a live sketch.  A NaN or infinite ``t`` raises.
+        The closing window is packed (:func:`_pack` flushes its pending
+        chunk first), so closed windows hold neither unflushed data nor
+        a live stream.  A NaN or infinite ``t`` raises.
         """
         if not math.isfinite(t):  # a NaN start hides every earlier window
             raise ValueError(f"window time must be finite, got {t!r}")
-        w = self._open
-        if w.stats.count:
-            w.close(t)
-            self._closed.append(w)
+        if self._open.count:
+            self._closed.append(_pack(self._open, self._start_s, t))
             if len(self._closed) > self.depth:
                 del self._closed[0 : len(self._closed) - self.depth]
-        self._open = _Window(t, self.quantiles, self.exact_limit)
+        self._open = StreamStats(self.quantiles, self.exact_limit)
+        self._start_s = t
 
-    def _overlapping(self, start_s: float, end_s: float) -> List[_Window]:
-        out = [
-            w
-            for w in self._closed
-            if w.start_s < end_s and w.end_s > start_s
-        ]
-        w = self._open
-        if w.stats.count and w.start_s < end_s:
-            out.append(w)
-        return out
+    def _overlapping(self, start_s: float, end_s: float) -> List[_Summary]:
+        """Closed windows touching ``[start_s, end_s)``, oldest first."""
+        return [w for w in self._closed if w.start_s < end_s and w.end_s > start_s]
+
+    def _open_overlaps(self, end_s: float) -> bool:
+        """True when the open window holds completions before ``end_s``."""
+        return self._open.count > 0 and self._start_s < end_s
 
     def window_percentile(self, q: float, start_s: float, end_s: float) -> float:
         """Percentile over completions in windows touching ``[start_s, end_s)``.
@@ -872,7 +763,9 @@ class WindowRing:
             its exact regime; a count-weighted estimate otherwise; NaN
             when no retained window overlaps.
         """
-        windows = [w.read() for w in self._overlapping(start_s, end_s)]
+        windows = self._overlapping(start_s, end_s)
+        if self._open_overlaps(end_s):
+            windows.append(_pack(self._open, self._start_s, math.inf))
         if not windows:
             return math.nan
         if all(w.exact is not None for w in windows):
@@ -906,7 +799,8 @@ class WindowRing:
 
     def window_count(self, start_s: float, end_s: float) -> int:
         """Completions recorded in windows touching ``[start_s, end_s)``."""
-        return sum(w.count for w in self._overlapping(start_s, end_s))
+        n = sum(w.count for w in self._overlapping(start_s, end_s))
+        return n + self._open.count if self._open_overlaps(end_s) else n
 
 
 class MetricsRecorder:
@@ -926,8 +820,8 @@ class MetricsRecorder:
       on read.  :meth:`merged` concatenates several recorders' columns
       into one, which is how a full-mode fleet answers fleet-wide.
     * ``record="streaming"`` keeps only aggregates: counters, running
-      sums, a latency :class:`QuantileSketch`, and a :class:`WindowRing`
-      of per-window sub-sketches.  The per-request properties raise
+      sums, a latency :class:`StreamStats`, and a :class:`WindowRing`
+      of packed per-window summaries.  The per-request properties raise
       :class:`RecordingModeError`.
 
     A recorder may chain to a ``parent``: streaming fleets give each

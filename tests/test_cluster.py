@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     AffinityRouter,
@@ -16,6 +18,7 @@ from repro.cluster import (
     RoundRobinRouter,
     make_router,
 )
+from repro.cluster.planner import _frontier
 from repro.experiments.serve_cluster import skew_placement, skew_stream
 from repro.serving import (
     OnlineServingEngine,
@@ -341,6 +344,23 @@ class TestCapacityPlanner:
         # XLM batch-1 cpu latency (~1.6 s) alone exceeds a 50 ms SLO.
         with pytest.raises(ValueError, match="miss the"):
             p.min_nodes("cpu", target_rps=20, p99_slo_s=0.05, max_nodes=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), max_nodes=st.integers(1, 200))
+    def test_frontier_finds_threshold_in_log_probes(self, data, max_nodes):
+        """Both planners' search: the smallest feasible count of a
+        monotone predicate (``None`` when there is none), in at most
+        ``2 * ceil(log2(max_nodes)) + 1`` probes."""
+        threshold = data.draw(st.one_of(st.none(), st.integers(1, max_nodes)))
+        probes = []
+
+        def feasible(n):
+            probes.append(n)
+            return threshold is not None and n >= threshold
+
+        assert _frontier(feasible, max_nodes) == threshold
+        assert all(1 <= n <= max_nodes for n in probes)
+        assert len(probes) <= 2 * math.ceil(math.log2(max_nodes)) + 1
 
     def test_throughput_curve_shapes(self, eng):
         p = CapacityPlanner(

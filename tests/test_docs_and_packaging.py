@@ -258,8 +258,40 @@ class TestRepoHygiene:
                 unused += _unused_locals(path)
         assert unused == []
 
+    def test_no_ambiguous_variable_names(self):
+        """No variable is named ``l``, ``O`` or ``I`` — the offline half
+        of the CI lint's E741 rule: assignment, loop and comprehension
+        targets, ``with``/``except`` aliases, and function and lambda
+        parameters."""
+        ambiguous = []
+        for tree_dir in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((ROOT / tree_dir).rglob("*.py")):
+                ambiguous += _ambiguous_names(path)
+        assert ambiguous == []
+
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_AMBIGUOUS = {"l", "O", "I"}
+
+
+def _ambiguous_names(path):
+    """``path:line name`` of each variable ``path`` binds to one of
+    :data:`_AMBIGUOUS`: a stored name (assignment, loop, comprehension
+    or ``with`` target), an ``except`` alias or a parameter."""
+    rel = path.relative_to(ROOT)
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        elif isinstance(node, ast.ExceptHandler):
+            name = node.name
+        else:
+            continue
+        if name in _AMBIGUOUS:
+            out.append(f"{rel}:{node.lineno} {name}")
+    return out
 
 
 def _own_nodes(scope):

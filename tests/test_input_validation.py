@@ -41,7 +41,6 @@ from repro.sim import (
     EventKind,
     FailureTrace,
     MetricsRecorder,
-    QuantileSketch,
     StreamStats,
     WindowRing,
 )
@@ -341,12 +340,12 @@ def test_batch_latency_rejects_non_positive_integer_batches(batch):
 
 
 def _sketch_state(sk):
-    """A sketch's whole state, read without flushing it."""
+    """A stream's whole state, read without flushing it."""
     markers = None
     if sk._markers is not None:
         markers = [(list(m._q), list(m._pos), m.n) for m in sk._markers]
     exact = None if sk._exact is None else list(sk._exact)
-    return (sk.count, sk.min, sk.max, list(sk._pending), exact, markers, sk._rr)
+    return (sk.count, sk.total, sk.min, sk.max, list(sk._pending), exact, markers, sk._rr)
 
 
 def _sketch_calls(x):
@@ -361,7 +360,7 @@ def _sketch_calls(x):
 @pytest.mark.parametrize("x", NON_FINITE)
 @pytest.mark.parametrize("filled", [5, 40])  # exact reservoir, then spilled
 def test_quantile_sketch_rejects_non_finite_and_changes_nothing(x, filled):
-    sk = QuantileSketch(exact_limit=8)
+    sk = StreamStats(exact_limit=8)
     sk.add_many([float(i) for i in range(1, filled + 1)])
     for name, call in _sketch_calls(x):
         before = _sketch_state(sk)
@@ -373,15 +372,15 @@ def test_quantile_sketch_rejects_non_finite_and_changes_nothing(x, filled):
 def test_quantile_sketch_nan_no_longer_shifts_the_median():
     """1..10 with a NaN after the 3 used to read p50 = 4.875 (or NaN,
     or 5.9375, depending on where the NaN fell) once spilled."""
-    sk = QuantileSketch(exact_limit=8)
+    sk = StreamStats(exact_limit=8)
     for v in range(1, 11):
         sk.add(float(v))
         if v == 3:
             with pytest.raises(ValueError, match="finite"):
                 sk.add(math.nan)
-    clean = QuantileSketch(exact_limit=8)
+    clean = StreamStats(exact_limit=8)
     clean.add_many([float(v) for v in range(1, 11)])
-    assert sk.quantile(50) == clean.quantile(50)
+    assert sk.percentile(50) == clean.percentile(50)
     assert sk.count == 10
 
 
@@ -390,7 +389,7 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     finite values falls through to the element-wise check and passes."""
     st = StreamStats()
     st.add_many([1e308, 1e308])
-    sk = QuantileSketch()
+    sk = StreamStats()
     sk.add_many([1e308, 1e308, -1e308])
     assert (st.count, sk.count, st.max, sk.max) == (2, 3, 1e308, 1e308)
 
@@ -400,10 +399,10 @@ def test_stream_stats_rejects_non_finite_and_changes_nothing(x):
     st = StreamStats(exact_limit=8)
     st.add_many([float(i) for i in range(1, 20)])
     for name, call in _sketch_calls(x):
-        before = (st.count, st.total, _sketch_state(st._sketch))
+        before = _sketch_state(st)
         with pytest.raises(ValueError, match="finite"):
             call(st)
-        assert (st.count, st.total, _sketch_state(st._sketch)) == before, name
+        assert _sketch_state(st) == before, name
     assert st.mean == 10.0
 
 
@@ -414,7 +413,7 @@ def test_window_ring_rejects_non_finite_before_rolling(x):
     for call in (lambda: ring.add(x, 5.0), lambda: ring.add_many([0.1, x], 5.0)):
         with pytest.raises(ValueError, match="finite"):
             call()
-        assert (len(ring._closed), ring._open.start_s, ring._open.count) == (0, 0.0, 1)
+        assert (len(ring._closed), ring._start_s, ring._open.count) == (0, 0.0, 1)
 
 
 @pytest.mark.parametrize("t", NON_FINITE)
@@ -434,7 +433,7 @@ def test_window_ring_rejects_non_finite_times_and_changes_nothing(t):
     for ring, call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
-        assert (len(ring._closed), ring._open.start_s, ring._open.count) == (0, 0.0, 1)
+        assert (len(ring._closed), ring._start_s, ring._open.count) == (0, 0.0, 1)
         assert ring.window_count(0.0, 1.0) == 1
 
 
@@ -445,7 +444,7 @@ def test_recorder_roll_window_rejects_non_finite_times(t, record):
     with pytest.raises(ValueError, match="finite"):
         run.roll_window(t)
     if run.ring is not None:
-        assert (len(run.ring._closed), run.ring._open.start_s) == (0, 0.0)
+        assert (len(run.ring._closed), run.ring._start_s) == (0, 0.0)
 
 
 _FLEET_FIELDS = ["control_interval_s", "provision_base_s", "copy_gbps"]

@@ -20,13 +20,13 @@ class TestStacked:
 
     def test_longest_bar_fills_width(self):
         out = stacked_bars(ROWS, "cfg", ["gemm", "loc", "red"], width=40)
-        dv_line = next(l for l in out.splitlines() if l.startswith("DV-1"))
+        dv_line = next(ln for ln in out.splitlines() if ln.startswith("DV-1"))
         bar = dv_line.split("|")[1]
         assert bar.count(" ") <= 1  # the max row nearly fills the width
 
     def test_proportions(self):
         out = stacked_bars(ROWS, "cfg", ["gemm", "loc", "red"], width=40)
-        bg_line = next(l for l in out.splitlines() if l.startswith("BG-1"))
+        bg_line = next(ln for ln in out.splitlines() if ln.startswith("BG-1"))
         bar = bg_line.split("|")[1]
         assert 0 < len(bar.replace(" ", "")) < 30
 
@@ -47,8 +47,8 @@ class TestGrouped:
     def test_relative_lengths(self):
         rows = [{"m": "a", "v": 1.0}, {"m": "b", "v": 2.0}]
         out = grouped_bars(rows, "m", "v", width=20)
-        a = next(l for l in out.splitlines() if l.startswith("a"))
-        b = next(l for l in out.splitlines() if l.startswith("b"))
+        a = next(ln for ln in out.splitlines() if ln.startswith("a"))
+        b = next(ln for ln in out.splitlines() if ln.startswith("b"))
         assert b.count("#") == 2 * a.count("#")
 
     def test_empty(self):

@@ -257,19 +257,21 @@ class TestFailureTrace:
         ]
 
 
-class TestMetricsReexports:
-    def test_serving_engine_still_exports_the_helpers(self):
-        """Back-compat: the pre-refactor import sites keep working."""
-        from repro.serving.engine import nearest_rank as nr
-        from repro.serving.engine import window_latencies as wl
+class TestMetricsExports:
+    def test_helpers_export_from_sim_only(self):
+        """The metrics helpers live in the simulation substrate; the
+        serving layer no longer re-exports them."""
+        import repro.serving
+        import repro.sim
+        from repro.serving import engine
         from repro.sim.metrics import window_latencies
 
-        assert nr is nearest_rank
-        assert wl is window_latencies
-        from repro.serving import engine
-
-        assert "nearest_rank" in engine.__all__
-        assert "window_latencies" in engine.__all__
+        assert repro.sim.nearest_rank is nearest_rank
+        assert repro.sim.window_latencies is window_latencies
+        for module in (repro.serving, engine):
+            for name in ("nearest_rank", "window_latencies"):
+                assert name not in module.__all__
+                assert not hasattr(module, name)
 
 
 def _arrivals(times):

@@ -1,6 +1,6 @@
 """Property tests: chunked sketch ingestion is per-element ingestion, bit for bit.
 
-:class:`~repro.sim.stats.QuantileSketch` parks observations in a bounded
+:class:`~repro.sim.stats.StreamStats` parks observations in a bounded
 pending chunk and folds them in one :meth:`P2Quantile.add_many` pass at
 its next read.  The oracles below are the per-element update that pass
 replaced: one Jain–Chlamtac step per observation, written the textbook
@@ -8,9 +8,9 @@ way (cell search, rank bumps, then the parabolic step with its linear
 fallback for each inner marker).  Hypothesis draws streams with ties,
 values equal to live markers, runs, and lengths that cross the exact
 reservoir and the chunk size, and interleaves reads and window rolls.
-Every marker height and rank, reservoir, count, min/max and every
-tracked-quantile answer must match the oracle bit for bit, and ranks
-and counts must come back as ``int``.  Fixed streams drive each of the
+Every marker height and rank, reservoir, count, total, min/max, every
+packed window summary and every tracked-quantile answer must match the
+oracle bit for bit, and ranks and counts must come back as ``int``.  Fixed streams drive each of the
 fold's twelve adjustment outcomes (markers 1-3, up or down, parabolic
 or linear fallback), unweighted and weighted.  One level
 up, :meth:`MetricsRecorder.record_batch` (the fast path's one call per
@@ -41,9 +41,11 @@ from repro.sim.stats import (
     INGEST_CHUNK,
     MetricsRecorder,
     P2Quantile,
-    QuantileSketch,
+    StreamStats,
     WindowRing,
     _curve_percentile,
+    _pack,
+    _Summary,
 )
 
 # --------------------------------------------------------------------------
@@ -109,12 +111,13 @@ class OracleP2(P2Quantile):
         return q[i] + s * (q[i + s] - q[i]) / (pos[i + s] - pos[i])
 
 
-class OracleSketch(QuantileSketch):
-    """A sketch that lands every observation on arrival (nothing pends)."""
+class OracleSketch(StreamStats):
+    """A stream that lands every observation on arrival (nothing pends)."""
 
     __slots__ = ()
 
     def add(self, x):
+        self.total += x
         x = float(x)
         self.count += 1
         if x < self.min:
@@ -128,12 +131,17 @@ class OracleSketch(QuantileSketch):
         for m in self._markers:
             m.add(x)
 
+    def add_many(self, xs):
+        for x in xs:
+            self.add(x)
+
     def add_run(self, x, n):
         if n <= 0:
             raise ValueError("run length must be positive")
         if n == 1:
             self.add(x)
             return
+        self.total += x * n
         x = float(x)
         self.count += n
         if x < self.min:
@@ -155,10 +163,11 @@ class OracleSketch(QuantileSketch):
 
 
 class OracleRing(WindowRing):
-    """A window ring whose every window ingests through an oracle sketch.
+    """A window ring whose every window ingests through an oracle stream.
 
-    ``live`` keeps each closed window's sketch, so its packed summary can
-    be checked against the answers the sketch itself gives.
+    ``live`` maps each closed window's summary (by ``id``, kept alive
+    beside it) to the stream it was packed from, so the summary can be
+    checked against the answers the stream itself gives.
     """
 
     __slots__ = ("live",)
@@ -169,15 +178,15 @@ class OracleRing(WindowRing):
         self._use_oracle()
 
     def roll(self, t):
-        w = self._open
-        sketch = w.stats._sketch
+        stats = self._open
         super().roll(t)
-        if w.summary is not None:
-            self.live[w] = sketch
+        if stats.count:
+            w = self._closed[-1]
+            self.live[id(w)] = (w, stats)
         self._use_oracle()
 
     def _use_oracle(self):
-        self._open.stats._sketch = OracleSketch(self.quantiles, self.exact_limit)
+        self._open = OracleSketch(self.quantiles, self.exact_limit)
 
 
 # --------------------------------------------------------------------------
@@ -200,24 +209,26 @@ def _marker_state(m):
 
 
 def _answers(sk):
-    return [_bits(sk.quantile(q * 100.0)) for q in DEFAULT_QUANTILES] + [
-        _bits(sk.quantile(100)),
+    return [_bits(sk.percentile(q * 100.0)) for q in DEFAULT_QUANTILES] + [
+        _bits(sk.percentile(100)),
         sk.is_exact,
     ]
 
 
 def _state(sk):
-    """Everything a sketch holds, folded (reads flush the pending chunk)."""
+    """Everything a stream holds, folded (reads flush the pending chunk)."""
     sk.flush()
     exact = None if sk._exact is None else [_bits(v) for v in sk._exact]
     markers = None if sk._markers is None else [_marker_state(m) for m in sk._markers]
-    return (sk.count, _bits(sk.min), _bits(sk.max), exact, markers, sk._rr)
+    return (sk.count, _bits(sk.total), _bits(sk.min), _bits(sk.max), exact, markers, sk._rr)
 
 
 def _summary(summary):
-    """A closed window's packed view, bitwise."""
-    count, exact, fracs, curve = summary
+    """A packed window, bitwise."""
+    start_s, end_s, count, exact, fracs, curve = summary
     return (
+        _bits(start_s),
+        _bits(end_s),
         count,
         None if exact is None else [_bits(v) for v in exact],
         fracs,
@@ -227,7 +238,7 @@ def _summary(summary):
 
 def _eager(sk):
     """What must stay current without a flush."""
-    return (sk.count, _bits(sk.min), _bits(sk.max))
+    return (sk.count, _bits(sk.total), _bits(sk.min), _bits(sk.max))
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +272,7 @@ def _live_value(sk, i, j):
 SKETCH_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), VALUES),
+        st.tuples(st.just("many"), st.lists(VALUES, max_size=30)),
         st.tuples(st.just("live"), st.integers(0, 7), st.integers(0, 4)),
         st.tuples(st.just("run"), VALUES, st.integers(1, 40)),
         st.tuples(st.just("burst"), st.integers(0, 2**16), st.integers(1, 3 * INGEST_CHUNK)),
@@ -318,16 +330,19 @@ def test_add_many_matches_per_element(seed, p, chunks):
     quantiles=QUANTILE_SETS,
 )
 def test_chunked_sketch_matches_oracle(ops, exact_limit, quantiles):
-    """Adds, runs and reads in any order: count/min/max stay current
-    between flushes, and every read and the final state match the
-    oracle across the spill and every chunk boundary."""
-    sk = QuantileSketch(quantiles, exact_limit)
+    """Adds, batches, runs and reads in any order: count/total/min/max
+    stay current between flushes, and every read and the final state
+    match the oracle across the spill and every chunk boundary."""
+    sk = StreamStats(quantiles, exact_limit)
     oracle = OracleSketch(quantiles, exact_limit)
     for op in ops:
         kind = op[0]
         if kind == "add":
             sk.add(op[1])
             oracle.add(op[1])
+        elif kind == "many":
+            sk.add_many(op[1])
+            oracle.add_many(op[1])
         elif kind == "live":
             x = _live_value(oracle, op[1], op[2])
             sk.add(x)
@@ -400,25 +415,24 @@ def test_window_ring_matches_oracle(ops, window_s, depth, exact_limit):
             assert ring.window_count(start, start + width) == oracle.window_count(
                 start, start + width
             )
-        assert all(w.stats is None for w in ring._closed)
+        assert all(type(w) is _Summary for w in ring._closed)
     assert len(ring._closed) == len(oracle._closed)
     for w, o in zip(ring._closed, oracle._closed):
-        assert (w.start_s, w.end_s) == (o.start_s, o.end_s)
-        assert _summary(w.summary) == _summary(o.summary)
-        # Packing keeps every answer the live sketch gave.
-        sketch = oracle.live[o]
-        if sketch.is_exact:
-            assert _summary(o.summary)[1] == [_bits(v) for v in sketch.exact_values]
+        assert _summary(w) == _summary(o)
+        # Packing keeps every answer the live stream gave.
+        stats = oracle.live[id(o)][1]
+        if stats.is_exact:
+            assert _summary(o)[3] == [_bits(v) for v in stats.exact_values]
         else:
             for q in [p * 100.0 for p in WindowRing._MERGE_GRID + DEFAULT_QUANTILES]:
-                assert _bits(_curve_percentile(q, o.summary.fracs, o.summary.curve)) == _bits(
-                    sketch.quantile(q)
+                assert _bits(_curve_percentile(q, o.fracs, o.curve)) == _bits(
+                    stats.percentile(q)
                 )
     w, o = ring._open, oracle._open
-    assert w.start_s == o.start_s
-    assert (w.stats.count, _bits(w.stats.total)) == (o.stats.count, _bits(o.stats.total))
-    assert _answers(w.stats._sketch) == _answers(o.stats._sketch)
-    assert _state(w.stats._sketch) == _state(o.stats._sketch)
+    assert ring._start_s == oracle._start_s
+    assert (w.count, _bits(w.total)) == (o.count, _bits(o.total))
+    assert _answers(w) == _answers(o)
+    assert _state(w) == _state(o)
 
 
 @pytest.mark.parametrize("exact_limit", [8, 512])
@@ -428,7 +442,7 @@ def test_window_ring_matches_oracle(ops, window_s, depth, exact_limit):
 def test_chunk_boundaries(n, exact_limit):
     """Streams ending just before, on and after a chunk boundary."""
     xs = _burst(n, n)
-    sk, oracle = QuantileSketch(exact_limit=exact_limit), OracleSketch(exact_limit=exact_limit)
+    sk, oracle = StreamStats(exact_limit=exact_limit), OracleSketch(exact_limit=exact_limit)
     for x in xs:
         sk.add(x)
         oracle.add(x)
@@ -612,11 +626,11 @@ def _recorder_state(rec, windows):
             ]
         )
     else:
-        stats = rec.latency
-        out.append((stats.count, _bits(stats.total), _state(stats._sketch)))
+        out.append(_state(rec.latency))
         out.append((_bits(rec._queue_sum), _bits(rec._service_sum), _bits(rec._batch_sum)))
         ring = rec.ring
-        out.append([_summary(w.read()) for w in ring._closed + [ring._open]])
+        out.append([_summary(w) for w in ring._closed])
+        out.append(_summary(_pack(ring._open, ring._start_s, math.inf)))
     return out
 
 

@@ -20,7 +20,6 @@ from repro.sim import (
     EventKind,
     MetricsRecorder,
     P2Quantile,
-    QuantileSketch,
     RecordingModeError,
     StreamStats,
     WindowRing,
@@ -40,15 +39,18 @@ def _completion(latency_s, finish_s=0.0, req_id=0, queue_s=0.0, batch=1):
 
 
 class TestQuantileSketch:
+    """The quantile half of :class:`StreamStats`: the exact reservoir,
+    then P² markers."""
+
     def test_exact_regime_matches_nearest_rank(self):
         rng = random.Random(7)
         xs = [rng.expovariate(3.0) for _ in range(200)]
-        sk = QuantileSketch(exact_limit=512)
+        sk = StreamStats(exact_limit=512)
         for x in xs:
             sk.add(x)
         assert sk.is_exact
         for q in (25, 50, 75, 90, 95, 99, 100):
-            assert sk.quantile(q) == nearest_rank(sorted(xs), q)
+            assert sk.percentile(q) == nearest_rank(sorted(xs), q)
 
     @pytest.mark.parametrize(
         "dist",
@@ -63,38 +65,38 @@ class TestQuantileSketch:
         stream sit within 2% of the exact nearest-rank answer."""
         rng = random.Random(42)
         xs = [dist(rng) for _ in range(50_000)]
-        sk = QuantileSketch()
+        sk = StreamStats()
         for x in xs:
             sk.add(x)
         assert not sk.is_exact
         for q in (50, 90, 95, 99):
             exact = nearest_rank(sorted(xs), q)
-            rel = abs(sk.quantile(q) - exact) / exact
+            rel = abs(sk.percentile(q) - exact) / exact
             assert rel < 0.02, f"p{q}: {rel:.4f} off"
 
     def test_min_max_and_count(self):
-        sk = QuantileSketch(exact_limit=8)
+        sk = StreamStats(exact_limit=8)
         for x in range(1000):
             sk.add(float(x))
         assert (sk.min, sk.max, sk.count) == (0.0, 999.0, 1000)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuantileSketch(quantiles=[1.5])
+            StreamStats(quantiles=[1.5])
         with pytest.raises(ValueError):
-            QuantileSketch(exact_limit=4)
+            StreamStats(exact_limit=4)
         with pytest.raises(ValueError):
-            QuantileSketch().quantile(0)
+            StreamStats().percentile(0)
 
     def test_empty_is_nan(self):
-        assert math.isnan(QuantileSketch().quantile(50))
+        assert math.isnan(StreamStats().percentile(50))
 
     def test_p2_is_monotone_in_rank(self):
         rng = random.Random(3)
-        sk = QuantileSketch(exact_limit=8)
+        sk = StreamStats(exact_limit=8)
         for _ in range(10_000):
             sk.add(rng.gauss(10.0, 2.0))
-        vals = [sk.quantile(q) for q in (10, 25, 50, 75, 90, 95, 99)]
+        vals = [sk.percentile(q) for q in (10, 25, 50, 75, 90, 95, 99)]
         assert vals == sorted(vals)
 
 
@@ -143,11 +145,11 @@ class TestStreamStats:
         with pytest.raises(ValueError, match="run length"):
             st.add_run(1.0, n)
         assert (st.count, st.total, st.min, st.max, st.percentile(50)) == before
-        sk = QuantileSketch()
+        sk = StreamStats()
         sk.add(2.0)
         with pytest.raises(ValueError, match="run length"):
             sk.add_run(1.0, n)
-        assert (sk.count, sk.min, sk.max, sk.exact_values) == (1, 2.0, 2.0, [2.0])
+        assert (sk.count, sk.total, sk.min, sk.max, sk.exact_values) == (1, 2.0, 2.0, 2.0, [2.0])
 
 
 class TestWindowRing:
@@ -180,7 +182,7 @@ class TestWindowRing:
         assert ring.window_count(0.0, 1.0) == 1
         assert ring.window_count(7.0, 8.0) == 1
         assert ring._closed[-1].end_s == 7.0  # snapped to the width grid
-        assert ring._open.start_s == 7.0
+        assert ring._start_s == 7.0
 
     def test_auto_roll_lands_past_t_when_division_rounds_down(self):
         # (2.080... - 0.580...) / 0.75 rounds to just under 2, yet t is on
@@ -195,8 +197,8 @@ class TestWindowRing:
         many.add_many([0.5, 1.5], t)
         for ring in (one, many):
             assert ring._closed == []
-            assert ring._open.start_s <= t < ring._open.start_s + 0.75
-            assert ring._open.stats.count == 2
+            assert ring._start_s <= t < ring._start_s + 0.75
+            assert ring._open.count == 2
 
     def test_depth_bounds_memory(self):
         ring = WindowRing(depth=4)
