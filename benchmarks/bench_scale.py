@@ -1,9 +1,12 @@
 """Scale harness: flat-memory streaming runs versus full recording.
 
 Each row replays the ``serve-scale`` diurnal day (or a slice of it) in a
-**fresh subprocess** and reads the child's peak RSS from
-``ru_maxrss`` — the only honest per-run memory number, since an
+**fresh subprocess** and reads the child's own peak RSS, ``VmHWM`` in
+``/proc/self/status`` — the only honest per-run memory number, since an
 in-process run would inherit the parent interpreter's high-water mark.
+``ru_maxrss`` is only the fallback where that file is absent: Linux
+carries the spawning process's high-water mark into it across ``exec``,
+so under a large pytest process every row would read the parent's peak.
 
 The matrix crosses run length (~100k, ~1M, and — behind
 ``REPRO_SCALE_FULL=1`` — the full ~10M-request day) with recording mode:
@@ -34,6 +37,18 @@ _MEAN_RPS = 116.0
 
 _CHILD = """
 import json, resource, sys, time
+
+
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
 
 horizon = float(sys.argv[1])
 record = sys.argv[2]
@@ -72,9 +87,7 @@ print(json.dumps({
     "events": rep.events_processed,
     "wall_s": round(wall, 3),
     "events_per_s": round(rep.events_processed / wall) if wall else 0,
-    "peak_rss_mb": round(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-    ),
+    "peak_rss_mb": round(peak_rss_mb(), 1),
 }))
 """
 

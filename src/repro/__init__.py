@@ -23,15 +23,7 @@ from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PimLevel",
-    "XORAddressMapping",
-    "mapping_by_id",
-    "StepStoneSystem",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "mapping.xor_mapping": ("PimLevel", "XORAddressMapping"),
@@ -39,3 +31,4 @@ __getattr__, __dir__ = lazy_exports(
         "core.system": ("StepStoneSystem",),
     },
 )
+__all__ += ["__version__"]

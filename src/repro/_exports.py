@@ -4,13 +4,15 @@ A package ``__init__`` lists which submodule defines each public name and
 lets this module resolve the name on first access, so importing the
 package loads none of its submodules::
 
-    __getattr__, __dir__ = lazy_exports(__name__, {
+    __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "fleet": ("Cluster", "ClusterReport"),
         "node": ("ClusterNode",),
     })
 
-The package keeps its own ``__all__``; ``from pkg import *`` resolves
-each listed name through ``__getattr__``.
+Each public name is declared once, in that map: ``__all__`` is its names
+in map order, and ``from pkg import *`` resolves each through
+``__getattr__``.  A name the ``__init__`` defines itself is appended
+with ``__all__ += [...]``.
 """
 
 import importlib
@@ -18,7 +20,7 @@ import sys
 
 
 def lazy_exports(package, exports):
-    """Return ``(__getattr__, __dir__)`` for ``package``.
+    """Return ``(__all__, __getattr__, __dir__)`` for ``package``.
 
     Args:
         package: The package's ``__name__``.
@@ -31,6 +33,7 @@ def lazy_exports(package, exports):
     lets ``from package import submodule`` fall back to importing it.
     """
     where = {name: f"{package}.{module}" for module, names in exports.items() for name in names}
+    names = list(where)
     namespace = sys.modules[package].__dict__
 
     def __getattr__(name):
@@ -44,4 +47,4 @@ def lazy_exports(package, exports):
     def __dir__():
         return sorted(namespace.keys() | where.keys())
 
-    return __getattr__, __dir__
+    return names, __getattr__, __dir__

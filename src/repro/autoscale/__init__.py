@@ -22,42 +22,7 @@ stationary Poisson stream):
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "ElasticCluster",
-    "NodeState",
-    "NodePool",
-    "HeteroElasticCluster",
-    "HeteroAutoscalePolicy",
-    "HeteroAutoscaleReport",
-    "StaticMixPolicy",
-    "PerPoolPolicy",
-    "BaselineBurstPolicy",
-    "AutoscalePolicy",
-    "ControlObservation",
-    "StaticPolicy",
-    "TargetUtilizationPolicy",
-    "SLOFeedbackPolicy",
-    "PredictiveTracePolicy",
-    "node_capacity_rps",
-    "AutoscaleReport",
-    "ControlSample",
-    "FleetPowerModel",
-    "NodeLifetime",
-    "RateTrace",
-    "ConstantTrace",
-    "DiurnalTrace",
-    "OnOffTrace",
-    "SpikeTrace",
-    "RampTrace",
-    "ReplayTrace",
-    "ScaledTrace",
-    "nhpp_requests",
-    "nhpp_stream",
-    "mix_requests",
-    "mix_request_stream",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "elastic": ("ElasticCluster", "NodeState"),

@@ -121,6 +121,9 @@ class FleetLoop:
         self._nodes = nodes
         self._placement = placement
         self.slots: Dict[int, _Slot] = {}
+        # Model -> routable nodes, valid until membership or node state
+        # changes (the cold handlers and the end of a run clear it).
+        self._routable: Dict[str, List[ClusterNode]] = {}
         #: One row per control tick: ``{"t_s": ..., "<pool>_nodes": owned}``.
         self.timeline: List[Dict[str, Any]] = []
         self.run_stats: Optional[MetricsRecorder] = None
@@ -131,22 +134,30 @@ class FleetLoop:
     # ------------------------------------------------------------------ #
 
     def routable(self, model: str) -> List[ClusterNode]:
-        """Active nodes that can take ``model`` now, in replica order."""
+        """Active nodes that can take ``model`` now, in replica order
+        (one shared list per model until membership changes)."""
+        reps = self._routable.get(model)
+        if reps is not None:
+            return reps
         slots = self.slots
         if self._placement is not None:
-            return [
+            reps = [
                 slots[nid].node
                 for nid in self._placement.nodes_for(model)
                 if slots[nid].state == ACTIVE
             ]
-        return [
-            s.node
-            for s in slots.values()
-            if s.state == ACTIVE and model in s.node.models
-        ]
+        else:
+            reps = [
+                s.node
+                for s in slots.values()
+                if s.state == ACTIVE and model in s.node.models
+            ]
+        self._routable[model] = reps
+        return reps
 
     def _fresh(self, spans) -> None:
         self.slots = {}
+        self._routable = {}
         self._next_id = 0
         self._spans = spans
         self.timeline = []
@@ -336,6 +347,7 @@ class FleetLoop:
         router = self.router
         route = router.route
         invalidate_backlogs = router.invalidate_backlogs
+        memo = self._routable
         last_service_end = 0.0
         prev_tick = 0.0
         n_dropped = 0
@@ -451,29 +463,15 @@ class FleetLoop:
                 if len(observed) == 1
                 else _aggregate(observed)
             )
-            report.samples.append(
-                ControlSample(
-                    t=now,
-                    active=agg.active,
-                    provisioning=agg.provisioning,
-                    draining=agg.draining,
-                    desired=total,
-                    arrivals=agg.arrivals,
-                    completions=agg.completions,
-                    rejections=agg.rejections,
-                    window_p99_s=agg.window_p99_s,
-                    utilization=agg.utilization,
-                    backlog=agg.backlog,
-                    failed=agg.failed,
-                )
-            )
+            report.samples.append(ControlSample(**vars(agg), desired=total))
 
         def cold(handler):
-            # Membership or node state changed: the router's cached
-            # replica lists and backlog heaps are stale.
+            # Membership or node state changed: the replica lists and the
+            # router's backlog state are stale.
             def wrapped(now: float, events: List[Event]) -> None:
                 handler(now, events)
-                router.invalidate_all()
+                memo.clear()
+                invalidate_backlogs()
 
             return wrapped
 
@@ -499,6 +497,7 @@ class FleetLoop:
         # matches the static fleet's sim_end exactly.  Anything still
         # draining, provisioning, or failed retires here.
         sim_end = max(last_service_end, last_arrival)
+        memo.clear()
         for slot in slots.values():
             if slot.state != RETIRED:
                 self._retire(slot, sim_end)

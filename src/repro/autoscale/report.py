@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.autoscale.policies import ControlObservation
 from repro.cluster.fleet import _FleetReport
 from repro.serving.engine import ServingReport
 
@@ -58,21 +59,11 @@ class NodeLifetime:
 
 
 @dataclass(frozen=True)
-class ControlSample:
-    """One control tick of the autoscale timeline."""
+class ControlSample(ControlObservation):
+    """One control tick of the autoscale timeline: the fleet-wide
+    observation plus the fleet size the policy asked for."""
 
-    t: float
-    active: int
-    provisioning: int
-    draining: int
-    desired: int
-    arrivals: int
-    completions: int
-    rejections: int
-    window_p99_s: float
-    utilization: float
-    backlog: int
-    failed: int = 0
+    desired: int = 0
 
     def as_row(self, interval_s: float) -> Dict[str, Any]:
         """A chart/table row (rates in req/s, p99 in ms)."""

@@ -25,27 +25,7 @@ request.
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "ClusterReport",
-    "ClusterNode",
-    "ModelPlacement",
-    "PlacementError",
-    "DEFAULT_NODE_CAPACITY_BYTES",
-    "CapacityPlan",
-    "CapacityPlanner",
-    "HeteroCapacityPlan",
-    "HeteroCapacityPlanner",
-    "Router",
-    "RoundRobinRouter",
-    "LeastLoadedRouter",
-    "AffinityRouter",
-    "BackendAffinityRouter",
-    "ROUTER_POLICIES",
-    "make_router",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "fleet": ("Cluster", "ClusterReport"),

@@ -27,14 +27,13 @@ primary first).  Four policies:
 All policies are deterministic: same request stream, same decisions.
 
 **Call protocol.**  The fleet loop drives every router the same way:
-:meth:`Router.reset` once per run, :meth:`Router.route` at each arrival instant,
-:meth:`Router.invalidate_backlogs` after every dispatch attempt, and
-:meth:`Router.invalidate_all` after every READY, CONTROL, FAIL and
-RECOVER batch.  Between two hooks node backlogs change only through the
-router's own picks, so the builtin policies cache replica lists and
-advance backlog heaps by their own picks instead of scanning every
-replica per arrival.  A custom router may ignore the hooks and read
-``replicas_for`` afresh on every call.
+:meth:`Router.reset` once per run, :meth:`Router.route` at each arrival
+instant, and :meth:`Router.invalidate_backlogs` after every dispatch
+attempt and after every READY, CONTROL, FAIL and RECOVER batch.
+``replicas_for`` returns the loop's replica list, memoized until
+membership changes (read it, never mutate it), so routers cache none:
+least-loaded and affinity scan live backlogs per arrival.  Only
+backend-affinity keeps state between arrivals, and the hook drops it.
 """
 
 from __future__ import annotations
@@ -81,53 +80,22 @@ class Router:
         raise NotImplementedError
 
     def invalidate_backlogs(self) -> None:
-        """Some node's queue or in-flight batch changed (a dispatch)."""
-
-    def invalidate_all(self) -> None:
-        """Fleet membership or node state changed."""
+        """Some node's queue, in-flight batch or routability changed."""
 
 
-def _jsq_heap(replicas: List[ClusterNode]) -> list:
-    # The unique node_id settles every tie before tuple comparison could
-    # reach the trailing node payload.
-    heap = [(n.backlog(), n.node_id, n) for n in replicas]
-    heapify(heap)
-    return heap
+def _shortest_queue(replicas: List[ClusterNode]) -> ClusterNode:
+    # A plain loop: ``min`` with a key function costs twice as much here.
+    best = replicas[0]
+    bb = best.queued + len(best.in_flight)
+    for n in replicas:
+        b = n.queued + len(n.in_flight)
+        if b < bb or (b == bb and n.node_id < best.node_id):
+            best = n
+            bb = b
+    return best
 
 
-def _jsq_pick(heap: list) -> ClusterNode:
-    b, nid, node = heap[0]
-    heapreplace(heap, (b + 1, nid, node))
-    return node
-
-
-class _CachedRouter(Router):
-    """Caches each model's replica list until :meth:`invalidate_all`;
-    ``_key`` marks the backlog lifetime :meth:`invalidate_backlogs` ends."""
-
-    def reset(self, replicas_for: Callable[[str], List[ClusterNode]]) -> None:
-        """Start a run with empty caches."""
-        super().reset(replicas_for)
-        self._reps: Dict[str, List[ClusterNode]] = {}
-        self._key = None
-
-    def invalidate_backlogs(self) -> None:
-        """End the backlog lifetime."""
-        self._key = None
-
-    def invalidate_all(self) -> None:
-        """End the backlog lifetime and drop the cached replica lists."""
-        self._key = None
-        self._reps.clear()
-
-    def _replicas(self, model: str) -> List[ClusterNode]:
-        reps = self._reps.get(model)
-        if reps is None:
-            reps = self._reps[model] = self.replicas_for(model)
-        return reps
-
-
-class RoundRobinRouter(_CachedRouter):
+class RoundRobinRouter(Router):
     """Cycle each model's requests over its replica list."""
 
     name = "round-robin"
@@ -140,12 +108,9 @@ class RoundRobinRouter(_CachedRouter):
         super().reset(replicas_for)
         self._next.clear()
 
-    def invalidate_backlogs(self) -> None:
-        """Cycling ignores load."""
-
     def route(self, request: Request, clock: float) -> Optional[ClusterNode]:
         """Return the next replica in the model's cycle."""
-        reps = self._replicas(request.model)
+        reps = self.replicas_for(request.model)
         if not reps:
             return None
         i = self._next.get(request.model, 0)
@@ -153,29 +118,19 @@ class RoundRobinRouter(_CachedRouter):
         return reps[i % len(reps)]
 
 
-class LeastLoadedRouter(_CachedRouter):
+class LeastLoadedRouter(Router):
     """Join-shortest-queue over the model's replicas."""
 
     name = "least-loaded"
 
     def route(self, request: Request, clock: float) -> Optional[ClusterNode]:
         """Return the replica with the smallest backlog (ties: lower id)."""
-        model = request.model
-        if self._key != model:
-            reps = self._replicas(model)
-            if not reps:
-                return None
-            self._key = model
-            self._heap = _jsq_heap(reps)
-        return _jsq_pick(self._heap)
+        reps = self.replicas_for(request.model)
+        return _shortest_queue(reps) if reps else None
 
 
-class AffinityRouter(_CachedRouter):
+class AffinityRouter(Router):
     """Primary replica first; spill to join-shortest-queue under pressure.
-
-    Within a backlog lifetime the primary's backlog only grows, so
-    spilling is monotone and the join-shortest-queue heap is built at
-    the first spill.
 
     Args:
         spill_backlog: Backlog at which the primary stops absorbing new
@@ -206,26 +161,19 @@ class AffinityRouter(_CachedRouter):
 
     def route(self, request: Request, clock: float) -> Optional[ClusterNode]:
         """Return the primary while below the spill threshold, else JSQ."""
-        model = request.model
-        if self._key != model:
-            reps = self._replicas(model)
-            if not reps:
-                return None
-            self._key = model
-            self._primary = primary = reps[0]
-            sb = self.spill_backlog
-            self._limit = sb if sb is not None else primary.max_batch
-            self._pb = primary.backlog()
-            self._heap = None
-        if self._pb < self._limit:
-            self._pb += 1
-            return self._primary
-        if self._heap is None:
-            self._heap = _jsq_heap(self._replicas(model))
-        return _jsq_pick(self._heap)
+        reps = self.replicas_for(request.model)
+        if not reps:
+            return None
+        primary = reps[0]
+        limit = self.spill_backlog
+        if limit is None:
+            limit = primary.max_batch
+        if primary.backlog() < limit:
+            return primary
+        return _shortest_queue(reps)
 
 
-class BackendAffinityRouter(_CachedRouter):
+class BackendAffinityRouter(Router):
     """Cheapest SLO-feasible backend first; join-shortest-queue fallback.
 
     A replica is *feasible* for a request when its remaining busy time
@@ -263,11 +211,6 @@ class BackendAffinityRouter(_CachedRouter):
             self._states.clear()
         self._cst = None
 
-    def invalidate_all(self) -> None:
-        """Drop every key's state and the cached replica lists."""
-        self.invalidate_backlogs()
-        self._reps.clear()
-
     def route(self, request: Request, clock: float) -> Optional[ClusterNode]:
         """Return the cheapest feasible replica (ties: backlog, node id).
 
@@ -284,7 +227,7 @@ class BackendAffinityRouter(_CachedRouter):
             st = self._cst = self._states.get(key)
             self._ckey = key
         if st is None:
-            reps = self._replicas(model)
+            reps = self.replicas_for(model)
             if not reps:
                 return None
             feas = None
@@ -327,7 +270,7 @@ class BackendAffinityRouter(_CachedRouter):
         if fbheap is None:
             fbheap = st[2] = [
                 (n.backlog(), n.spec.hourly_cost, n.node_id, n)
-                for n in self._replicas(model)
+                for n in self.replicas_for(model)
             ]
             heapify(fbheap)
         while True:

@@ -2,35 +2,7 @@
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "DMA_ENGINE",
-    "PimUnitConfig",
-    "StepStoneConfig",
-    "STEPSTONE_BG",
-    "STEPSTONE_CH",
-    "STEPSTONE_DV",
-    "pim_config",
-    "ExactStepStoneAGEN",
-    "agen_supported",
-    "naive_iterations",
-    "stepstone_iteration_counts",
-    "stepstone_iterations",
-    "GemmPlan",
-    "GemmShape",
-    "plan_gemm",
-    "GemmResult",
-    "LatencyBreakdown",
-    "execute_gemm",
-    "functional_gemm",
-    "PimChoice",
-    "choose_execution",
-    "StepStoneSystem",
-    "FusedGemmResult",
-    "fused_execute",
-    "pow2_grid",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "config": (

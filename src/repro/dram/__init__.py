@@ -12,24 +12,7 @@ Two engines with one set of timing parameters (Table II, DDR4-2400R):
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "Command",
-    "CommandType",
-    "Request",
-    "DDR4Timing",
-    "DDR4_2400R",
-    "Bank",
-    "BankTimingState",
-    "RankState",
-    "ChannelController",
-    "ControllerStats",
-    "StreamAccess",
-    "StreamStats",
-    "stream_cycles",
-    "sequential_stream_cycles",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "commands": ("Command", "CommandType", "Request"),

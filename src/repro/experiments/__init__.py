@@ -16,9 +16,7 @@ or programmatically::
 
 from repro._exports import lazy_exports
 
-__all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "common": ("ExperimentResult",),

@@ -25,23 +25,7 @@ the GPU on decode-heavy traffic).
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "GPT2_XL",
-    "GenModelConfig",
-    "GenRequest",
-    "gen_requests",
-    "trace_gen_requests",
-    "KVCacheBudget",
-    "StaticBatcher",
-    "ContinuousBatcher",
-    "GenerativeEngine",
-    "SeqState",
-    "GenCompletion",
-    "GenRejection",
-    "GenReport",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "engine": ("GenerativeEngine", "SeqState"),

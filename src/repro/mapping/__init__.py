@@ -9,25 +9,7 @@ directly from these masks.
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "DRAMGeometry",
-    "PimLevel",
-    "XORAddressMapping",
-    "ADDRESS_MAPPINGS",
-    "mapping_by_id",
-    "make_skylake",
-    "make_exynos_like",
-    "make_haswell_like",
-    "make_ivybridge_like",
-    "make_sandybridge_like",
-    "make_toy_mapping",
-    "pae_randomized",
-    "BlockGrouping",
-    "FootprintAnalysis",
-    "analyze_footprint",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "xor_mapping": ("DRAMGeometry", "PimLevel", "XORAddressMapping"),

@@ -31,19 +31,7 @@ if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
     from repro.obs.trace import SpanRecorder
 
-__all__ = [
-    "Span",
-    "SpanRecorder",
-    "validate_chrome_trace",
-    "Telemetry",
-    "ScopedTelemetry",
-    "BUS",
-    "KernelProfiler",
-    "KernelProfile",
-    "RunObserver",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "trace": ("Span", "SpanRecorder", "validate_chrome_trace"),
@@ -51,6 +39,7 @@ __getattr__, __dir__ = lazy_exports(
         "profile": ("KernelProfiler", "KernelProfile"),
     },
 )
+__all__ += ["RunObserver"]
 
 
 @dataclass

@@ -12,15 +12,7 @@ translation engine.
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "AllocationError",
-    "ColorConstraint",
-    "ColoredFrameAllocator",
-    "Region",
-    "TranslationEngine",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "allocator": ("AllocationError", "ColorConstraint", "ColoredFrameAllocator", "Region"),

@@ -4,30 +4,7 @@ specs (`NodeSpec`) heterogeneous fleets are built from."""
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "BatchServer",
-    "HybridSplit",
-    "ServingPoint",
-    "POLICIES",
-    "BACKENDS",
-    "NodeSpec",
-    "STEPSTONE_NODE",
-    "CPU_NODE",
-    "GPU_NODE",
-    "DEFAULT_CATALOG",
-    "Request",
-    "CompletedRequest",
-    "RejectedRequest",
-    "FailedRequest",
-    "ServingReport",
-    "OnlineServingEngine",
-    "slo_admit",
-    "poisson_requests",
-    "uniform_requests",
-    "merge_streams",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "nodespec": (

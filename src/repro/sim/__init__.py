@@ -26,26 +26,7 @@ fleet loop (:mod:`repro.autoscale._loop`) they configure.
 
 from repro._exports import lazy_exports
 
-__all__ = [
-    "SimClock",
-    "Event",
-    "EventKind",
-    "DiscreteEventKernel",
-    "nearest_rank",
-    "window_latencies",
-    "BusyWindow",
-    "Outage",
-    "FailureTrace",
-    "RecordingModeError",
-    "P2Quantile",
-    "StreamStats",
-    "WindowRing",
-    "MetricsRecorder",
-    "SweepResult",
-    "run_sweep",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "failures": ("FailureTrace", "Outage"),

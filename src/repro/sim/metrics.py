@@ -3,10 +3,8 @@
 One percentile definition, one windowing rule, one busy-time integration
 — so the single-node :class:`~repro.serving.engine.ServingReport`, the
 fleet's ``ClusterReport``, and the autoscaler's windowed timelines all
-report comparable numbers.  These helpers used to live in
-``repro.serving.engine`` (which still re-exports them for callers) and
-were re-imported by every fleet layer; they belong to the simulation
-substrate, below all of them.
+report comparable numbers.  They belong to the simulation substrate,
+below every serving and fleet layer, which import them from here.
 """
 
 from __future__ import annotations

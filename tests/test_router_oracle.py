@@ -1,18 +1,19 @@
 """Property test: every builtin router picks what a brute-force scan picks.
 
-The builtin routers in :mod:`repro.cluster.router` do not scan their
-replicas per arrival.  They cache replica lists and track backlogs in
-heaps advanced by their own picks, trusting the fleet loop to call
-``invalidate_backlogs`` after every dispatch attempt and
-``invalidate_all`` after every READY, CONTROL, FAIL and RECOVER batch.
+Two caches stand between a route and a full scan.  The fleet loop
+memoizes each model's replica list (``FleetLoop.routable``) and clears
+the memo after every READY, CONTROL, FAIL and RECOVER batch.  The
+backend-affinity router keeps per-``(model, slo)`` backlog heaps,
+trusting the loop to call ``invalidate_backlogs`` after every dispatch
+attempt and every one of those batches.
 
-The oracles below are the plain per-arrival scans those routers
-replace.  A checking subclass of each builtin router asserts, at every
-call, that its pick is the oracle's pick over the loop's *live*
-``routable(model)``.  Hypothesis draws the router, the SLO mix, the load
-and the outages, and each example runs inside real ``Cluster``,
-``ElasticCluster`` and ``HeteroElasticCluster`` runs, on the
-event-at-a-time oracle loop (``tests/fleet_oracle.py``) and on the
+The oracles below are plain per-arrival scans over the replicas read
+afresh from the loop's node slots.  A checking subclass of each builtin
+router asserts, at every call, that the loop's memo holds that list and
+that its pick is the oracle's pick.  Hypothesis draws the router, the
+SLO mix, the load and the outages, and each example runs inside real
+``Cluster``, ``ElasticCluster`` and ``HeteroElasticCluster`` runs, on
+the event-at-a-time oracle loop (``tests/fleet_oracle.py``) and on the
 fleet loop's drain.  A loop that skipped a hook would leave a stale
 cache behind and fail here.
 
@@ -34,10 +35,11 @@ from repro.autoscale import (
     NodePool,
     mix_requests,
 )
+from repro.autoscale._loop import ACTIVE
 from repro.autoscale.policies import TargetUtilizationPolicy, node_capacity_rps
-from repro.cluster import Cluster, ClusterNode, make_router
+from repro.cluster import Cluster, ClusterNode, LeastLoadedRouter, make_router
 from repro.serving import GPU_NODE, STEPSTONE_NODE, OnlineServingEngine, Request
-from repro.sim import FailureTrace
+from repro.sim import EventKind, FailureTrace
 from repro.sim import fast as fastmod
 
 from fleet_oracle import oracle_run
@@ -48,6 +50,17 @@ ROUTERS = ("round-robin", "least-loaded", "affinity", "backend-affinity")
 # --------------------------------------------------------------------------
 # The oracles: one full scan of the live replicas per arrival.
 # --------------------------------------------------------------------------
+
+
+def _live_replicas(loop, model: str) -> List[ClusterNode]:
+    """The nodes that can take ``model`` now, scanned from the loop's
+    slots: placement order on a static fleet, else node-id order."""
+    slots = loop.slots
+    if loop._placement is not None:
+        order = loop._placement.nodes_for(model)
+    else:
+        order = [nid for nid, s in slots.items() if model in s.node.models]
+    return [slots[nid].node for nid in order if slots[nid].state == ACTIVE]
 
 
 def _shortest_queue(replicas: List[ClusterNode]) -> ClusterNode:
@@ -108,12 +121,14 @@ def checked_router(policy: str, **kwargs):
     class Checked(base):
         def reset(self, replicas_for):
             super().reset(replicas_for)
-            self.live = replicas_for
+            self.loop = replicas_for.__self__
             self.oracle_next = {}
             self.checked = 0
 
         def route(self, request: Request, clock: float) -> Optional[ClusterNode]:
-            replicas = self.live(request.model)
+            replicas = _live_replicas(self.loop, request.model)
+            memo = self.replicas_for(request.model)
+            assert [n.node_id for n in memo] == [n.node_id for n in replicas]
             want = ORACLES[policy](self, request, replicas, clock) if replicas else None
             got = super().route(request, clock)
             assert got is want, (
@@ -157,8 +172,8 @@ def _elastic(engine, router):
     pol = TargetUtilizationPolicy(
         capacity_rps=node_capacity_rps(engine, MIX, "hybrid"), target=0.7
     )
-    return lambda stream, failures: el.run(
-        stream, pol, failures=failures
+    return lambda stream, failures, **kw: el.run(
+        stream, pol, failures=failures, **kw
     )
 
 
@@ -240,3 +255,68 @@ def test_builtin_routers_match_scan_oracle(
             run(stream, failures)
         assert fastmod.FAST_RUNS == runs + 1
         assert router.checked == len(stream)
+
+
+def test_routable_memo_lives_one_membership_epoch(engine, monkeypatch):
+    """``routable(model)`` hands every route between two READY, CONTROL,
+    FAIL or RECOVER batches the same list, rebuilds it after each batch,
+    and keeps no memo past the run, even with arrivals routed after the
+    last control tick (a presorted stream running past ``horizon_s``)."""
+    cold = [0]
+    drain = fastmod.drain
+
+    def counting_drain(kernel, arrivals, on_epoch, handlers, **kw):
+        def counted(handler):
+            def wrapped(now, events):
+                handler(now, events)
+                cold[0] += 1
+
+            return wrapped
+
+        handlers = {
+            kind: h if kind == EventKind.FINISH else counted(h)
+            for kind, h in handlers.items()
+        }
+        return drain(kernel, arrivals, on_epoch, handlers, **kw)
+
+    monkeypatch.setattr(fastmod, "drain", counting_drain)
+
+    class Recording(LeastLoadedRouter):
+        def reset(self, replicas_for):
+            super().reset(replicas_for)
+            self.loop = replicas_for.__self__
+            self.seen = []
+
+        def route(self, request, clock):
+            reps = self.replicas_for(request.model)
+            live = _live_replicas(self.loop, request.model)
+            assert [n.node_id for n in reps] == [n.node_id for n in live]
+            self.seen.append((cold[0], request.model, reps))
+            return super().route(request, clock)
+
+    router = Recording()
+    stream = mix_requests(
+        DiurnalTrace(trough_rps=150.0, peak_rps=400.0, period_s=2.0),
+        MIX,
+        2.5,
+        seed=3,
+    )
+    _elastic(engine, router)(
+        stream,
+        FailureTrace.scripted([(0, 0.3, 0.9)]),
+        presorted=True,
+        horizon_s=1.0,
+    )
+    # Routes ran in several membership epochs, the last one after the
+    # final cold batch and the last control tick (1.5 s).
+    assert len({epoch for epoch, _, _ in router.seen}) > 3
+    assert router.seen[-1][0] == cold[0]
+    assert stream[-1].arrival_s > 1.5
+    first = {}
+    for epoch, model, reps in router.seen:
+        kept = first.setdefault((epoch, model), reps)
+        assert reps is kept
+    for model in MIX:
+        lists = [reps for (epoch, m), reps in sorted(first.items()) if m == model]
+        assert len({id(reps) for reps in lists}) == len(lists)
+        assert router.loop.fleet.replicas_for(model) == []
